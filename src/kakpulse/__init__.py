@@ -37,6 +37,7 @@ from .paulis import (
 )
 from .linalg import (
     CosineSineBlocks,
+    apply_local,
     check_hermitian,
     check_unitary,
     cosine_sine,
@@ -46,6 +47,7 @@ from .linalg import (
     matrix_to_json_dict,
     permute_spins,
     spin_count,
+    su2_rotation,
     unitary_eig,
 )
 from .gates import (
@@ -115,7 +117,8 @@ __all__ = [
     "PauliExpansion", "PauliString", "PauliTerm", "PhaseNode",
     "PulseProgram", "RangeError", "SequenceNode", "Subspace",
     "TwoSpinFactors", "TwoSpinNode", "ValidationError",
-    "basis_strings", "block_cartan_strings", "block_diagonal_dimension",
+    "apply_local", "basis_strings", "block_cartan_strings",
+    "block_diagonal_dimension",
     "cartan_evolution_gates", "check_hermitian", "check_unitary",
     "commutator", "commutes", "compile_unitary", "cosine_sine",
     "coupling_diagonal", "decompose", "demultiplex",
@@ -129,7 +132,8 @@ __all__ = [
     "maximal_abelian_strings", "multiply", "outer_cartan_strings",
     "pauli_evolution_gates", "permute_spins", "pulse_count",
     "pulse_program_unitary", "refocusing_set", "residual_budget",
-    "spin_count", "split_last_qubit", "subspace_tag", "synthesize_pulses",
-    "total_coupling_time", "tree_from_json_dict", "tree_to_json_dict",
+    "spin_count", "split_last_qubit", "su2_rotation", "subspace_tag",
+    "synthesize_pulses", "total_coupling_time", "tree_from_json_dict",
+    "tree_to_json_dict",
     "two_spin_factors", "unitary_eig",
 ]

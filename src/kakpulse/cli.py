@@ -123,13 +123,13 @@ def cmd_decompose(input_path: str, out_path: str, n: int | None = None,
     if n is not None and n != spins:
         raise ValidationError(
             f"--n {n} does not match the {spins}-spin input matrix")
+    budget = residual_budget(spins) if tol is None else tol
+    if budget <= 0:
+        raise ValidationError(f"--tol must be positive, got {budget}")
     tree = decompose(u)
     gates = flatten(tree)
     recon = gate_list_unitary(gates, spins)
     resid = float(np.max(np.abs(recon - u)))
-    budget = residual_budget(spins) if tol is None else tol
-    if budget <= 0:
-        raise ValidationError(f"--tol must be positive, got {budget}")
     _write_json(out_path, {
         "n": spins,
         "residual": resid,

@@ -36,8 +36,9 @@ import numpy as np
 
 from .errors import DimensionError, NumericError, ValidationError
 from .gates import Gate, GlobalPhase, LocalRotation
-from .linalg import (TOL_UNITARY, check_unitary, cosine_sine, expm_skew,
-                     permute_spins, spin_count, unitary_eig)
+from .linalg import (PAULI, TOL_UNITARY, apply_local, check_unitary,
+                     cosine_sine, expm_skew, permute_spins, spin_count,
+                     su2_rotation, unitary_eig)
 from .paulis import (CartanElement, CartanFamily, PauliString,
                      diagonal_strings)
 from .pulses import _coupling_gates, cartan_evolution_gates
@@ -53,12 +54,6 @@ def residual_budget(n: int) -> float:
         return TOL_TWO_SPIN
     return TOL_SPLIT * 4.0 ** (n - 2)
 
-
-_SIGMA2 = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -81,12 +76,6 @@ _GAMMA = 0.25 * np.array([
 ], dtype=float)
 
 _GOLDEN = 0.6180339887498949
-
-
-def su2_rotation(axis: str, angle: float) -> np.ndarray:
-    """``exp(-1j*angle*sigma_axis/2)`` as a dense 2x2."""
-    half = angle / 2
-    return math.cos(half) * np.eye(2) - 1j * math.sin(half) * _SIGMA2[axis]
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +147,9 @@ def interaction_unitary(alphas) -> np.ndarray:
     interaction content of CNOT.
     """
     ax, ay, az = (float(v) for v in alphas)
-    h = (ax * np.kron(_SIGMA2["x"], _SIGMA2["x"])
-         + ay * np.kron(_SIGMA2["y"], _SIGMA2["y"])
-         + az * np.kron(_SIGMA2["z"], _SIGMA2["z"])) / 4.0
+    h = (ax * np.kron(PAULI["x"], PAULI["x"])
+         + ay * np.kron(PAULI["y"], PAULI["y"])
+         + az * np.kron(PAULI["z"], PAULI["z"])) / 4.0
     return expm_skew(h)
 
 
@@ -200,7 +189,7 @@ class _TwoSpinState:
         """``alphas[j] += 2*pi*direction`` compensated through the right
         locals and the global phase."""
         self.alphas[j] += 2 * math.pi * direction
-        q = 1j * _SIGMA2[self._AXIS[j]]
+        q = 1j * PAULI[self._AXIS[j]]
         self.r1 = q @ self.r1
         self.r2 = q @ self.r2
         self.phase -= direction * math.pi / 2
@@ -220,7 +209,7 @@ class _TwoSpinState:
         """Flip the signs of two interaction angles via a half turn on
         spin 1 about the third axis."""
         l = 3 - j - k
-        q = 1j * _SIGMA2[self._AXIS[l]]
+        q = 1j * PAULI[self._AXIS[l]]
         self.l1 = self.l1 @ q.conj().T
         self.r1 = q @ self.r1
         self.alphas[j] *= -1
@@ -583,45 +572,38 @@ GateTree = Union[EulerNode, PhaseNode, LocalWordNode, CartanNode,
                  TwoSpinNode, SequenceNode]
 
 
-def _embed_local(n: int, qubit: int, m2: np.ndarray) -> np.ndarray:
-    if not 1 <= qubit <= n:
-        raise DimensionError(f"spin {qubit} outside 1..{n}")
-    return np.kron(np.kron(np.eye(2 ** (qubit - 1)), m2),
-                   np.eye(2 ** (n - qubit)))
-
-
 def evaluate(tree: GateTree, n: int) -> np.ndarray:
     """Dense matrix of a gate tree on an ``n``-spin chain."""
-    dim = 2 ** n
+    return _apply_tree(tree, np.eye(2 ** n, dtype=complex), n)
+
+
+def _apply_tree(tree: GateTree, acc: np.ndarray, n: int) -> np.ndarray:
+    """``matrix(tree) @ acc``, walking the tree in time order; every
+    factor goes through :func:`~kakpulse.linalg.apply_local`, which
+    rejects one that does not fit the ``n``-spin chain."""
     if isinstance(tree, SequenceNode):
-        out = np.eye(dim, dtype=complex)
-        for child in tree.children:
-            out = out @ evaluate(child, n)
-        return out
+        for child in reversed(tree.children):  # index 0 acts last in time
+            acc = _apply_tree(child, acc, n)
+        return acc
     if isinstance(tree, EulerNode):
-        return _embed_local(n, tree.qubit, tree.matrix2())
+        return apply_local(acc, {tree.qubit: tree.matrix2()})
     if isinstance(tree, PhaseNode):
-        return cmath.exp(1j * tree.phi) * np.eye(dim, dtype=complex)
+        return cmath.exp(1j * tree.phi) * acc
     if isinstance(tree, LocalWordNode):
-        out = np.eye(dim, dtype=complex)
-        for g in tree.gates:
-            out = out @ _embed_local(n, g.qubit, su2_rotation(g.axis, g.angle))
-        return out
+        for g in reversed(tree.gates):
+            acc = apply_local(acc, {g.qubit: su2_rotation(g.axis, g.angle)})
+        return acc
     if isinstance(tree, CartanNode):
-        elem = tree.element
-        if elem.n > n:
-            raise DimensionError(f"element on {elem.n} spins exceeds chain {n}")
-        h = np.kron(elem.hamiltonian(), np.eye(2 ** (n - elem.n)))
-        return expm_skew(h)
+        # the element acts on the leading spins of the chain
+        return apply_local(acc, {1: expm_skew(tree.element.hamiltonian())})
     if isinstance(tree, TwoSpinNode):
-        if tree.left + 1 > n:
-            raise DimensionError(f"two-spin block at {tree.left} exceeds chain {n}")
-        op = (cmath.exp(1j * tree.phase)
-              * np.kron(tree.after[0].matrix2(), tree.after[1].matrix2())
-              @ interaction_unitary(tree.alphas)
-              @ np.kron(tree.before[0].matrix2(), tree.before[1].matrix2()))
-        return np.kron(np.kron(np.eye(2 ** (tree.left - 1)), op),
-                       np.eye(2 ** (n - tree.left - 1)))
+        left, before, after = tree.left, tree.before, tree.after
+        acc = apply_local(acc, {left: before[0].matrix2(),
+                                left + 1: before[1].matrix2()})
+        acc = apply_local(acc, {left: interaction_unitary(tree.alphas)})
+        acc = apply_local(acc, {left: after[0].matrix2(),
+                                left + 1: after[1].matrix2()})
+        return cmath.exp(1j * tree.phase) * acc
     raise ValidationError(f"unknown tree node {tree!r}")
 
 

@@ -9,6 +9,7 @@ inaccurate results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,14 @@ TOL_EIG_CLUSTER = 1e-8
 TOL_CSD = 1e-9
 
 _GOLDEN = 0.6180339887498949
+
+# The Pauli matrices, keyed by the rotation axes of the gate vocabulary.
+PAULI = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+_EYE2 = np.eye(2, dtype=complex)
 
 
 def spin_count(dim: int) -> int:
@@ -37,6 +46,35 @@ def check_square(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"{what} must be square, got shape {m.shape}")
     return m
+
+
+def su2_rotation(axis: str, angle: float) -> np.ndarray:
+    """``exp(-1j*angle*sigma_axis/2)`` as a dense 2x2."""
+    half = angle / 2
+    return math.cos(half) * _EYE2 - 1j * math.sin(half) * PAULI[axis]
+
+
+def apply_local(acc: np.ndarray, ops) -> np.ndarray:
+    """Left-multiply a ``2**n``-row accumulator by local operators.
+
+    ``ops`` maps a 1-based spin ``q`` to an operator of size ``2**k``
+    acting on spins ``q .. q+k-1`` (a 2x2 for one spin, a 4x4 for the
+    pair ``(q, q+1)``, ...); spin 1 is the most significant bit of the
+    row index.  Operators are applied in iteration order, so ops on
+    disjoint spins may come in any order.  Each one reshapes the
+    accumulator to ``(2**(q-1), 2**k, -1)`` and mixes its ``2**k`` slabs,
+    which costs ``O(2**k * acc.size)`` and forms no Kronecker product.
+    """
+    rows = acc.shape[0]
+    for first, op in ops.items():
+        size = op.shape[0]
+        if first < 1 or (2 ** (first - 1)) * size > rows:
+            raise DimensionError(
+                f"operator of size {size} on spin {first} does not fit "
+                f"{rows} rows")
+        acc = np.matmul(op, acc.reshape(2 ** (first - 1), size, -1)) \
+            .reshape(acc.shape)
+    return acc
 
 
 def check_unitary(u: np.ndarray, *, tol: float = TOL_UNITARY,

@@ -31,15 +31,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, ValidationError
+from .linalg import PAULI, check_square, spin_count
 
 MAX_SPINS = 12
 
-_SIGMA = {
-    "1": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_SIGMA = {"1": np.eye(2, dtype=complex),
+          **{axis.upper(): m for axis, m in PAULI.items()}}
 
 # sigma_x sigma_y = i sigma_z and cyclic; the table is consulted at call
 # time so the self-test harness can inject faults into it.
@@ -242,8 +239,10 @@ def expand(h: np.ndarray, *, atol: float = 1e-12,
     :class:`ValidationError` if ``h`` is not Hermitian to ``herm_tol`` or
     its dimension is not a power of two.
     """
-    h = np.asarray(h, dtype=complex)
-    n = _spin_count(h)
+    h = check_square(h, "matrix to expand")
+    n = spin_count(h.shape[0])
+    if n > MAX_SPINS:
+        raise DimensionError(f"{n} spins exceeds the limit of {MAX_SPINS}")
     if np.max(np.abs(h - h.conj().T)) > herm_tol:
         raise ValidationError("matrix is not Hermitian within tolerance")
     raw: dict[str, complex] = {}
@@ -262,16 +261,6 @@ def expand(h: np.ndarray, *, atol: float = 1e-12,
         if abs(val) > atol:
             terms[s] = val
     return PauliExpansion(n=n, terms=terms, identity_coeff=ident)
-
-
-def _spin_count(m: np.ndarray) -> int:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    dim = m.shape[0]
-    n = dim.bit_length() - 1
-    if dim != 2 ** n or n < 1 or n > MAX_SPINS:
-        raise DimensionError(f"dimension {dim} is not 2**n with 1 <= n <= {MAX_SPINS}")
-    return n
 
 
 # ---------------------------------------------------------------------------

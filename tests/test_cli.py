@@ -123,6 +123,19 @@ class TestDecompose:
         assert main(["decompose", "--input", str(target),
                      "--output", str(tmp_path / "d.json"), "--tol", "0"]) == 3
 
+    def test_bad_budget_is_rejected_before_factoring(self, tmp_path,
+                                                     monkeypatch):
+        target = make_target(tmp_path)
+        calls = []
+        monkeypatch.setattr("kakpulse.cli.decompose",
+                            lambda u: calls.append(u))
+        out_path = tmp_path / "d.json"
+        for tol in ("0", "-1e-9"):
+            assert main(["decompose", "--input", str(target),
+                         "--output", str(out_path), f"--tol={tol}"]) == 3
+        assert calls == []
+        assert not out_path.exists()
+
 
 class TestPulses:
 
