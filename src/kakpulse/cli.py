@@ -9,8 +9,9 @@ Subcommands
 ``selftest``   run the built-in invariant suites
 
 Exit codes are a stable contract: 0 success; 1 verification or
-self-test failure; 2 I/O failure; 3 validation failure (bad inputs);
-4 numeric failure (a routine missed its accuracy budget).
+self-test failure; 2 I/O failure; 3 validation failure (bad inputs,
+including a chain longer than :data:`MAX_CLI_SPINS`); 4 numeric failure
+(a routine missed its accuracy budget).
 
 All artifacts are JSON.  Files are written with sorted keys and no
 incidental whitespace, so identical inputs produce byte-identical
@@ -26,7 +27,6 @@ import sys
 
 import numpy as np
 
-from . import paulis
 from .errors import NumericError, ValidationError
 from .gates import (
     CouplingEvolution,
@@ -71,6 +71,20 @@ from .pulses import ChainSpec, PulseProgram, pulse_count, synthesize_pulses, tot
 from .simulate import distance, gate_list_unitary, pulse_program_unitary
 
 
+# Longest chain any subcommand accepts.  Measured round trips through
+# this CLI (one Haar target, one BLAS thread, 2-core machine): at 7 spins
+# decompose / pulses / verify take 12 / 5 / 23 s, at 8 spins 124 / 21 /
+# 356 s.  Larger inputs are rejected with exit 3 before any matrix is
+# built or any factorization starts.
+MAX_CLI_SPINS = 7
+
+
+def _check_spins(n: int, what: str) -> None:
+    if n > MAX_CLI_SPINS:
+        raise ValidationError(
+            f"{what} has {n} spins; the command-line limit is {MAX_CLI_SPINS}")
+
+
 # ---------------------------------------------------------------------------
 # Artifact I/O
 
@@ -86,8 +100,19 @@ def _write_json(path: str, obj) -> None:
         fh.write(text + "\n")
 
 
+def _matrix_from_artifact(data, what: str) -> np.ndarray:
+    """Convert a matrix object once its declared ``dim`` is within
+    :data:`MAX_CLI_SPINS`, so an oversized file builds no array."""
+    try:
+        dim = int(data["dim"])
+    except (KeyError, TypeError, ValueError):
+        dim = 0  # malformed; matrix_from_json_dict says how
+    _check_spins(dim.bit_length() - 1, f"{what} ({dim}x{dim})")
+    return matrix_from_json_dict(data)
+
+
 def _load_matrix(path: str, *, check: bool) -> np.ndarray:
-    u = matrix_from_json_dict(_read_json(path))
+    u = _matrix_from_artifact(_read_json(path), f"matrix file {path}")
     if check:
         check_unitary(u, what=f"matrix file {path}")
     return u
@@ -108,8 +133,9 @@ def _gates_from_artifact(data) -> list:
 
 
 def cmd_random(n: int, seed: int, out_path: str) -> int:
-    if not 1 <= n <= paulis.MAX_SPINS:
-        raise ValidationError(f"--n must be in [1, {paulis.MAX_SPINS}], got {n}")
+    if n < 1:
+        raise ValidationError(f"--n must be at least 1, got {n}")
+    _check_spins(n, "--n")
     u = haar_unitary(2 ** n, seed, special=True)
     _write_json(out_path, matrix_to_json_dict(u))
     print(f"wrote {out_path}: {2 ** n}x{2 ** n} special unitary, seed {seed}")
@@ -161,9 +187,11 @@ def cmd_pulses(input_path: str, out_path: str, chain: str | None = None,
         if n is not None and n != spins:
             raise ValidationError(
                 f"--n {n} disagrees with --chain listing {len(js)} couplings")
+        _check_spins(spins, "--chain")
         spec = ChainSpec(spins, js)
     else:
         spins = n if n is not None else max(bound, 1)
+        _check_spins(spins, "the chain")
         spec = ChainSpec.uniform(spins, 100.0)
     if bound > spec.n:
         raise ValidationError(
@@ -181,9 +209,10 @@ def _realize_artifact(data, n: int, *, check: bool) -> np.ndarray:
     """Simulate whatever artifact ``data`` holds into an ``n``-spin unitary."""
     if isinstance(data, dict) and "events" in data:
         program = PulseProgram.from_json_dict(data)
+        _check_spins(program.chain.n, "pulse-program chain")
         return pulse_program_unitary(program)
     if isinstance(data, dict) and "re" in data:
-        u = matrix_from_json_dict(data)
+        u = _matrix_from_artifact(data, "artifact matrix")
         if check:
             check_unitary(u, what="artifact matrix")
         return u

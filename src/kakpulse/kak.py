@@ -22,6 +22,17 @@ of :mod:`~kakpulse.gates` via the rewrite engine in
 Every factorization routine re-multiplies its output and raises
 :class:`~kakpulse.errors.NumericError` if the residual exceeds its
 contract, with a path annotation pointing into the recursion.
+
+The recursion is one pass: each call returns its tree together with
+that tree's matrix.  A leaf's matrix is its node applied to the
+identity; a level composes its matrix from the matrices its children
+returned (each already checked at its own level), the commuting layers
+and the trailing phase and rotation, and checks that against its input
+under :func:`residual_budget`.  So every level checks the tree it
+emits, not the intermediate factors, without walking its subtree again.
+Commuting-family exponentials are applied string by string, each
+``sigma_s`` as a signed permutation of rows.  :func:`evaluate` stays
+the independent re-walk of a finished tree.
 """
 
 from __future__ import annotations
@@ -36,11 +47,10 @@ import numpy as np
 
 from .errors import DimensionError, NumericError, ValidationError
 from .gates import Gate, GlobalPhase, LocalRotation
-from .linalg import (PAULI, TOL_UNITARY, apply_local, check_unitary,
-                     cosine_sine, expm_skew, permute_spins, spin_count,
+from .linalg import (PAULI, apply_local, check_unitary, cosine_sine,
+                     golden_mix_eigvecs, permute_spins, spin_count,
                      su2_rotation, unitary_eig)
-from .paulis import (CartanElement, CartanFamily, PauliString,
-                     diagonal_strings)
+from .paulis import CartanElement, CartanFamily, PauliString
 from .pulses import _coupling_gates, cartan_evolution_gates
 
 TOL_EULER = 1e-12
@@ -75,7 +85,10 @@ _GAMMA = 0.25 * np.array([
     [1, -1, -1, 1],
 ], dtype=float)
 
-_GOLDEN = 0.6180339887498949
+_EYE4 = np.eye(4, dtype=complex)
+
+# sigma_a sigma_a for a = x, y, z: the generators of the two-spin middle.
+_PAIR_PAULI = tuple(np.kron(PAULI[a], PAULI[a]) for a in ("x", "y", "z"))
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +135,12 @@ def euler_xzx(u: np.ndarray) -> tuple[float, float, float]:
 # Two spins
 
 
+def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``kron(a, b)`` of two 2x2s: the same products as ``np.kron``,
+    without its generic n-dimensional setup."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
 def _factor_local_pair(m: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
     """Write a Kronecker-product 4x4 as ``g * kron(a, b)`` with ``a, b``
     special unitaries and ``|g| = 1``."""
@@ -131,8 +150,9 @@ def _factor_local_pair(m: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
     b = (t[i, :] / t[i, j]).reshape(2, 2)
     a = a / np.sqrt(complex(np.linalg.det(a)))
     b = b / np.sqrt(complex(np.linalg.det(b)))
-    g = complex(np.trace(np.kron(a, b).conj().T @ m) / 4)
-    resid = float(np.max(np.abs(m - g * np.kron(a, b))))
+    ab = _kron2(a, b)
+    g = complex(np.trace(ab.conj().T @ m) / 4)
+    resid = float(np.max(np.abs(m - g * ab)))
     if resid > 1e-9 or abs(abs(g) - 1) > 1e-9:
         raise NumericError("operator is not a local Kronecker pair",
                            residual=resid)
@@ -144,13 +164,15 @@ def interaction_unitary(alphas) -> np.ndarray:
 
     In coupling units this is one ZZ evolution of angle ``alpha`` per
     axis, conjugated into the right frame; ``alphas = (pi, 0, 0)`` is the
-    interaction content of CNOT.
+    interaction content of CNOT.  The three terms commute and each
+    ``sigma_a sigma_a`` squares to one, so this is the product of
+    ``cos(alpha_a/4) - 1j*sin(alpha_a/4)*sigma_a sigma_a``.
     """
-    ax, ay, az = (float(v) for v in alphas)
-    h = (ax * np.kron(PAULI["x"], PAULI["x"])
-         + ay * np.kron(PAULI["y"], PAULI["y"])
-         + az * np.kron(PAULI["z"], PAULI["z"])) / 4.0
-    return expm_skew(h)
+    out = _EYE4
+    for pair, alpha in zip(_PAIR_PAULI, alphas):
+        quarter = float(alpha) / 4
+        out = out @ (math.cos(quarter) * _EYE4 - 1j * math.sin(quarter) * pair)
+    return out
 
 
 @dataclass(frozen=True)
@@ -170,8 +192,8 @@ class TwoSpinFactors:
     residual: float
 
     def reconstruct(self) -> np.ndarray:
-        return (cmath.exp(1j * self.phase) * np.kron(self.l1, self.l2)
-                @ interaction_unitary(self.alphas) @ np.kron(self.r1, self.r2))
+        return (cmath.exp(1j * self.phase) * _kron2(self.l1, self.l2)
+                @ interaction_unitary(self.alphas) @ _kron2(self.r1, self.r2))
 
 
 class _TwoSpinState:
@@ -261,11 +283,8 @@ def two_spin_factors(u: np.ndarray) -> TwoSpinFactors:
 
     # Joint diagonalization of the commuting real/imaginary parts of the
     # complex-symmetric w by a real orthogonal matrix.
-    wr, wi = w.real, w.imag
     o = None
-    for k in range(16):
-        t = 0.1234 + _GOLDEN * k
-        _, cand = np.linalg.eigh(math.cos(t) * wr + math.sin(t) * wi)
+    for cand in golden_mix_eigvecs(w.real, w.imag, 16):
         off = cand.T @ w @ cand
         if np.max(np.abs(off - np.diag(np.diagonal(off)))) < 1e-11:
             o = cand
@@ -448,7 +467,7 @@ def split_last_qubit(u: np.ndarray) -> tuple[BlockPair, CartanElement, BlockPair
         coeffs[PauliString(letters + "X")] = 2.0 * eps * w_d
     y = CartanElement(n=n, family=CartanFamily.OUTER_X, coeffs=coeffs)
 
-    recon = k1.realize() @ expm_skew(y.hamiltonian()) @ k2.realize()
+    recon = k1.realize() @ _apply_cartan(y, k2.realize())
     resid = float(np.max(np.abs(recon - u)))
     if resid > TOL_SPLIT:
         raise NumericError("last-spin split residual too large",
@@ -594,8 +613,7 @@ def _apply_tree(tree: GateTree, acc: np.ndarray, n: int) -> np.ndarray:
             acc = apply_local(acc, {g.qubit: su2_rotation(g.axis, g.angle)})
         return acc
     if isinstance(tree, CartanNode):
-        # the element acts on the leading spins of the chain
-        return apply_local(acc, {1: expm_skew(tree.element.hamiltonian())})
+        return _apply_cartan(tree.element, acc)
     if isinstance(tree, TwoSpinNode):
         left, before, after = tree.left, tree.before, tree.after
         acc = apply_local(acc, {left: before[0].matrix2(),
@@ -605,6 +623,27 @@ def _apply_tree(tree: GateTree, acc: np.ndarray, n: int) -> np.ndarray:
                                 left + 1: after[1].matrix2()})
         return cmath.exp(1j * tree.phase) * acc
     raise ValidationError(f"unknown tree node {tree!r}")
+
+
+def _apply_cartan(element: CartanElement, acc: np.ndarray) -> np.ndarray:
+    """``exp(-1j*H) @ acc`` for a commuting-family element ``H`` acting on
+    the leading ``element.n`` spins of the accumulator's rows.
+
+    The strings commute, so the exponential is the product, in any
+    order, of ``exp(-1j*c*B_s) = cos(c/2) - 1j*sin(c/2)*sigma_s``; each
+    ``sigma_s`` is a signed permutation of the rows, which makes every
+    factor ``O(acc.size)`` with no dense Hamiltonian and no ``eigh``.
+    """
+    rows, dim = acc.shape[0], 2 ** element.n
+    if dim > rows:
+        raise DimensionError(f"{element.n}-spin evolution does not fit "
+                             f"{rows} rows")
+    blocks = acc.reshape(dim, -1)
+    for s, c in element.coeffs.items():
+        src, phase = s.signed_permutation()
+        blocks = (math.cos(c / 2) * blocks
+                  - 1j * math.sin(c / 2) * (phase[:, None] * blocks[src]))
+    return blocks.reshape(acc.shape)
 
 
 def tree_to_json_dict(tree: GateTree) -> dict:
@@ -689,18 +728,26 @@ def _two_spin_node(u: np.ndarray) -> TwoSpinNode:
         before=(_euler_node(1, f.r1), _euler_node(2, f.r2)))
 
 
-def _block_tree(pair: BlockPair, label: str) -> GateTree:
+def _block_tree(pair: BlockPair, label: str) -> tuple[GateTree, np.ndarray]:
+    """Tree of a block-diagonal factor and that tree's matrix, composed
+    from the matrices its demultiplexed halves returned."""
     try:
         v, z, w, phi = demultiplex(pair)
-        tv = decompose(v)
-        tw = decompose(w)
+        tv, mv = _decompose(v)
+        tw, mw = _decompose(w)
     except NumericError as exc:
         raise exc.with_path(label) from exc
+    n = pair.n
     children: list[GateTree] = [tv, CartanNode(z), tw]
+    acc = np.eye(2 ** n, dtype=complex)
     angle = pair.phase - 2 * phi
     if abs(angle) > 1e-14:
-        children.append(LocalWordNode((LocalRotation(pair.n, "z", angle),)))
-    return SequenceNode(tuple(children))
+        children.append(LocalWordNode((LocalRotation(n, "z", angle),)))
+        acc = _apply_tree(children[-1], acc, n)
+    acc = apply_local(acc, {1: mw})
+    acc = _apply_cartan(z, acc)
+    acc = apply_local(acc, {1: mv})
+    return SequenceNode(tuple(children)), acc
 
 
 def decompose(u: np.ndarray) -> GateTree:
@@ -712,6 +759,16 @@ def decompose(u: np.ndarray) -> GateTree:
     result reproduces the input to :func:`residual_budget` of its size,
     checked at every level.
     """
+    return _decompose(u)[0]
+
+
+def _decompose(u: np.ndarray) -> tuple[GateTree, np.ndarray]:
+    """:func:`decompose` plus the dense matrix of the returned tree.
+
+    A leaf's matrix is its node applied to the identity; a level's
+    matrix is composed from its children's returned matrices, so each
+    level checks the tree it realizes without walking its subtree again.
+    """
     u = check_unitary(u, what="operator to factor")
     n = spin_count(u.shape[0])
     if n == 1:
@@ -719,9 +776,10 @@ def decompose(u: np.ndarray) -> GateTree:
         node: GateTree = _euler_node(1, u * cmath.exp(-1j * phi))
         if abs(phi) > 1e-12:
             node = SequenceNode((PhaseNode(phi), node))
-        return node
+        return node, _apply_tree(node, np.eye(2, dtype=complex), 1)
     if n == 2:
-        return _two_spin_node(u)
+        node = _two_spin_node(u)
+        return node, _apply_tree(node, np.eye(4, dtype=complex), 2)
 
     phi = cmath.phase(complex(np.linalg.det(u))) / (2 ** n)
     us = u * cmath.exp(-1j * phi)
@@ -729,19 +787,19 @@ def decompose(u: np.ndarray) -> GateTree:
         k1, y, k2 = split_last_qubit(us)
     except NumericError as exc:
         raise exc.with_path(f"n={n}") from exc
-    children: list[GateTree] = []
+    t1, m1 = _block_tree(k1, f"n={n}/left-block")
+    t2, m2 = _block_tree(k2, f"n={n}/right-block")
+    children: list[GateTree] = [t1, CartanNode(y), t2]
+    matrix = m1 @ _apply_cartan(y, m2)
     if abs(phi) > 1e-12:
-        children.append(PhaseNode(phi))
-    children.append(_block_tree(k1, f"n={n}/left-block"))
-    children.append(CartanNode(y))
-    children.append(_block_tree(k2, f"n={n}/right-block"))
-    tree = SequenceNode(tuple(children))
+        children.insert(0, PhaseNode(phi))
+        matrix *= cmath.exp(1j * phi)
 
-    resid = float(np.max(np.abs(evaluate(tree, n) - u)))
+    resid = float(np.max(np.abs(matrix - u)))
     if resid > residual_budget(n):
         raise NumericError("factorization residual exceeds budget",
                            residual=resid, path=(f"n={n}",))
-    return tree
+    return SequenceNode(tuple(children)), matrix
 
 
 # ---------------------------------------------------------------------------

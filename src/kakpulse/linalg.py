@@ -123,6 +123,20 @@ def haar_unitary(dim: int, seed, *, special: bool = False) -> np.ndarray:
     return q
 
 
+def golden_mix_eigvecs(a: np.ndarray, b: np.ndarray, tries: int):
+    """Yield the ``eigh`` eigenvectors of ``cos(t) * a + sin(t) * b`` for
+    ``t = 0.1234 + phi * k``, ``k = 0 .. tries - 1``.
+
+    For commuting Hermitian ``a`` and ``b``, a generic mixing angle ``t``
+    gives a joint eigenbasis; the golden-ratio steps keep successive
+    angles far apart, so a caller that rejects a candidate (clustered
+    eigenvalues that the mix failed to separate) draws a new one.
+    """
+    for k in range(tries):
+        t = 0.1234 + _GOLDEN * k
+        yield np.linalg.eigh(math.cos(t) * a + math.sin(t) * b)[1]
+
+
 def unitary_eig(u: np.ndarray, *, tol: float = 1e-10,
                 max_tries: int = 12) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a unitary with an orthonormal eigenbasis.
@@ -140,9 +154,7 @@ def unitary_eig(u: np.ndarray, *, tol: float = 1e-10,
     hc = (u + u.conj().T) / 2
     hs = (u - u.conj().T) / 2j
     last = np.inf
-    for k in range(max_tries):
-        t = 0.1234 + _GOLDEN * k
-        _, v = np.linalg.eigh(np.cos(t) * hc + np.sin(t) * hs)
+    for v in golden_mix_eigvecs(hc, hs, max_tries):
         w = np.einsum("ij,jk,ki->i", v.conj().T, u, v)
         resid = float(np.max(np.abs(u @ v - v * w)))
         if resid < tol and np.max(np.abs(np.abs(w) - 1)) < tol:

@@ -31,12 +31,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .linalg import PAULI, check_square, spin_count
+from .linalg import check_square, spin_count
 
 MAX_SPINS = 12
-
-_SIGMA = {"1": np.eye(2, dtype=complex),
-          **{axis.upper(): m for axis, m in PAULI.items()}}
 
 # sigma_x sigma_y = i sigma_z and cyclic; the table is consulted at call
 # time so the self-test harness can inject faults into it.
@@ -90,14 +87,35 @@ class PauliString:
             raise ValidationError(f"spin {spin} outside 1..{self.n}")
         return self.letters[spin - 1]
 
+    def signed_permutation(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(src, phase)`` with ``(sigma_s @ a)[r] = phase[r] * a[src[r]]``.
+
+        ``sigma_s`` is the bare Pauli product (``2 * B_s`` for a
+        non-identity string).  Each X or Y letter flips its spin's bit, so
+        ``src = r ^ x_mask``; each Z or Y letter contributes
+        ``(-1)**bit``, and each Y a further ``-1j``.  Costs ``O(n * 2**n)``.
+        """
+        x_mask = z_mask = 0
+        for c in self.letters:
+            x_mask = (x_mask << 1) | (c in "XY")
+            z_mask = (z_mask << 1) | (c in "YZ")
+        rows = np.arange(2 ** self.n)
+        parity = np.zeros_like(rows)
+        for bit in range(self.n):
+            if (z_mask >> bit) & 1:
+                parity ^= (rows >> bit) & 1
+        phase = (-1j) ** self.letters.count("Y") * (1 - 2 * parity)
+        return rows ^ x_mask, phase.astype(complex)
+
     def to_matrix(self) -> np.ndarray:
         """Dense realization: ``sigma_s / 2`` (identity string -> identity)."""
+        dim = 2 ** self.n
         if self.weight == 0:
-            return np.eye(2 ** self.n, dtype=complex)
-        out = np.ones((1, 1), dtype=complex)
-        for c in self.letters:
-            out = np.kron(out, _SIGMA[c])
-        return out / 2.0
+            return np.eye(dim, dtype=complex)
+        src, phase = self.signed_permutation()
+        out = np.zeros((dim, dim), dtype=complex)
+        out[np.arange(dim), src] = phase / 2.0
+        return out
 
     def __str__(self) -> str:
         return self.letters

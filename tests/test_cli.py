@@ -19,6 +19,7 @@ import sys
 import numpy as np
 import pytest
 
+import kakpulse.cli
 import kakpulse.paulis
 from kakpulse.cli import main
 from kakpulse.gates import CouplingEvolution, gate_list_from_json, gate_list_to_json
@@ -296,6 +297,99 @@ class TestSelftest:
         assert "FAIL" in captured.out
         assert "product X * Y disagrees with dense algebra" in captured.out
         assert "self-test FAILED: commutation" in captured.err
+
+
+class TestSpinLimit:
+    """Every subcommand rejects a chain longer than ``MAX_CLI_SPINS`` with
+    exit 3 before it builds anything of that size.  Oversized inputs are
+    declared, not allocated: a matrix file states its ``dim`` over empty
+    grids, so only a check that reads ``dim`` first names the limit."""
+
+    LIMIT = kakpulse.cli.MAX_CLI_SPINS
+
+    def oversized_matrix(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(
+            {"dim": 2 ** (self.LIMIT + 1), "re": [], "im": []}))
+        return path
+
+    def gate_list(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(gate_list_to_json([CouplingEvolution(1, 0.3)])))
+        return path
+
+    def assert_limit_error(self, capsys):
+        err = capsys.readouterr().err
+        assert f"the command-line limit is {self.LIMIT}" in err
+
+    def test_limit_is_at_least_seven(self):
+        assert self.LIMIT >= 7
+
+    def test_random(self, tmp_path, capsys):
+        path = tmp_path / "u.json"
+        assert main(["random", "--n", str(self.LIMIT + 1),
+                     "--output", str(path)]) == 3
+        self.assert_limit_error(capsys)
+        assert not path.exists()
+
+    def test_decompose(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("kakpulse.cli.decompose",
+                            lambda u: pytest.fail("factored an oversized input"))
+        out_path = tmp_path / "d.json"
+        assert main(["decompose", "--input", str(self.oversized_matrix(tmp_path)),
+                     "--output", str(out_path)]) == 3
+        self.assert_limit_error(capsys)
+        assert not out_path.exists()
+
+    def test_pulses(self, tmp_path, capsys):
+        g_path, p_path = self.gate_list(tmp_path), tmp_path / "p.json"
+        base = ["pulses", "--input", str(g_path), "--output", str(p_path)]
+        assert main(base + ["--n", str(self.LIMIT + 1)]) == 3
+        self.assert_limit_error(capsys)
+        assert main(base + ["--chain", ",".join(["100"] * self.LIMIT)]) == 3
+        self.assert_limit_error(capsys)
+        assert not p_path.exists()
+
+    def test_verify_target(self, tmp_path, capsys):
+        g_path = self.gate_list(tmp_path)
+        assert main(["verify", str(g_path),
+                     str(self.oversized_matrix(tmp_path))]) == 3
+        self.assert_limit_error(capsys)
+
+    def test_verify_artifact(self, tmp_path, capsys):
+        target = tmp_path / "u.json"
+        write_matrix(target, np.eye(2, dtype=complex))
+        assert main(["verify", str(self.oversized_matrix(tmp_path)),
+                     str(target)]) == 3
+        self.assert_limit_error(capsys)
+        program = tmp_path / "p.json"
+        program.write_text(json.dumps({
+            "chain": {"n": self.LIMIT + 1, "J": [100.0] * self.LIMIT},
+            "events": [], "phase": 0.0}))
+        assert main(["verify", str(program), str(target)]) == 3
+        self.assert_limit_error(capsys)
+
+    def test_limit_itself_is_accepted(self, tmp_path, monkeypatch):
+        """With the limit lowered to two spins, two-spin inputs pass every
+        command and three-spin inputs fail, at the same checks."""
+        monkeypatch.setattr(kakpulse.cli, "MAX_CLI_SPINS", 2)
+        two, d_path, p_path = (tmp_path / "u2.json", tmp_path / "d.json",
+                               tmp_path / "p.json")
+        assert main(["random", "--n", "2", "--output", str(two)]) == 0
+        assert main(["random", "--n", "3",
+                     "--output", str(tmp_path / "u3.json")]) == 3
+        three = tmp_path / "m3.json"
+        write_matrix(three, np.eye(8, dtype=complex))
+        assert main(["decompose", "--input", str(two),
+                     "--output", str(d_path)]) == 0
+        assert main(["decompose", "--input", str(three),
+                     "--output", str(tmp_path / "d3.json")]) == 3
+        assert main(["pulses", "--input", str(d_path),
+                     "--output", str(p_path)]) == 0
+        assert main(["pulses", "--input", str(d_path), "--n", "3",
+                     "--output", str(tmp_path / "p3.json")]) == 3
+        assert main(["verify", str(p_path), str(two)]) == 0
+        assert main(["verify", str(three), str(three)]) == 3
 
 
 class TestErrorPaths:

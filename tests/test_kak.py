@@ -19,6 +19,7 @@ from kakpulse import (
     GlobalPhase,
     LocalRotation,
     LocalWordNode,
+    NumericError,
     PauliString,
     PhaseNode,
     SequenceNode,
@@ -42,7 +43,7 @@ from kakpulse import (
     tree_to_json_dict,
     two_spin_factors,
 )
-from kakpulse.kak import euler_xzx, su2_rotation
+from kakpulse.kak import _decompose, euler_xzx, su2_rotation
 
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -358,6 +359,36 @@ def test_evaluate_cartan_node_pads_trailing_spins():
     assert np.allclose(got, want, atol=1e-13)
 
 
+@pytest.mark.parametrize("family", list(CartanFamily), ids=lambda f: f.value)
+def test_cartan_node_matches_dense_exponential(family):
+    """Every family, applied string by string as signed permutations,
+    equals the spectral exponential of its dense Hamiltonian, alone and
+    padded onto a longer chain; BLOCK_Z also arrives through JSON."""
+    rng = np.random.default_rng(90)
+    for n in (2, 3, 4):
+        coeffs = {s: float(rng.uniform(-3, 3)) for s in family.strings(n)}
+        data = {"node": "commuting_evolution", "n": n, "family": family.value,
+                "coeffs": {s.letters: c for s, c in coeffs.items()}}
+        node = tree_from_json_dict(data)
+        assert node == CartanNode(CartanElement(n=n, family=family, coeffs=coeffs))
+        want = expm_skew(node.element.hamiltonian())
+        assert np.max(np.abs(evaluate(node, n) - want)) < 1e-12
+        padded = np.kron(want, np.eye(2))
+        assert np.max(np.abs(evaluate(node, n + 1) - padded)) < 1e-12
+    with pytest.raises(DimensionError):
+        evaluate(node, 3)
+
+
+def test_cartan_node_from_block_coordinates():
+    """A BLOCK_Z element produced by the coordinate change, serialized and
+    loaded back, still realizes its own dense exponential."""
+    _, z, _, _ = demultiplex(split_last_qubit(haar_unitary(16, 91, special=True))[0])
+    block = diagonal_to_block_coordinates(z)
+    node = tree_from_json_dict(tree_to_json_dict(CartanNode(block)))
+    want = expm_skew(block.hamiltonian())
+    assert np.max(np.abs(evaluate(node, 4) - want)) < 1e-12
+
+
 def test_evaluate_two_spin_node():
     f = two_spin_factors(haar_unitary(4, 77))
     tree = decompose(haar_unitary(4, 77))
@@ -416,6 +447,40 @@ class TestDecompose:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
             decompose(np.ones((4, 4), dtype=complex))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_pass_matrix_is_the_tree_matrix(n):
+    """The matrix each level is checked against is the matrix of the tree
+    it returns, as the independent re-walk computes it."""
+    u = haar_unitary(2 ** n, 700 + n)
+    tree, matrix = _decompose(u)
+    assert tree == decompose(u)
+    assert np.max(np.abs(matrix - evaluate(tree, n))) < 1e-12
+
+
+@pytest.mark.parametrize("block", ["left", "right"])
+def test_one_pass_check_catches_a_bad_child(block, monkeypatch):
+    """A block factor knocked off by 1e-6 still factors cleanly on its
+    own, so only the enclosing level's check can see it.  It must, and
+    the error must name the block the bad child sits in."""
+    calls = []
+
+    def perturbed(pair):
+        v, z, w, phi = demultiplex(pair)
+        if pair.n == 3:
+            calls.append(pair)
+            # the n = 4 left block makes the first four of these calls,
+            # its right block the next four
+            if len(calls) == (1 if block == "left" else 5):
+                v = v @ np.kron(su2_rotation("x", 2e-6), np.eye(2))
+        return v, z, w, phi
+
+    monkeypatch.setattr("kakpulse.kak.demultiplex", perturbed)
+    with pytest.raises(NumericError) as info:
+        decompose(haar_unitary(16, 92))
+    assert info.value.path == (f"n=4/{block}-block", "n=3")
+    assert 5e-7 < info.value.residual < 5e-6
 
 
 def test_tree_json_round_trip():

@@ -104,6 +104,27 @@ class TestPauliString:
     def test_identity_string_realizes_identity(self):
         assert np.array_equal(PauliString("11").to_matrix(), np.eye(4))
 
+    @staticmethod
+    def check_against_kron(word):
+        s = PauliString(word)
+        sigma = dense(word) * (2.0 if s.weight else 1.0)
+        src, phase = s.signed_permutation()
+        a = np.random.default_rng(len(word)).standard_normal((2 ** s.n, 3))
+        assert np.array_equal(phase[:, None] * a[src], sigma @ a)
+        assert np.array_equal(s.to_matrix(), dense(word))
+
+    def test_signed_permutation_every_string_up_to_three_spins(self):
+        """``sigma_s`` as a signed row permutation and ``to_matrix``
+        equal the Kronecker-product oracle exactly, identity included."""
+        for n in (1, 2, 3):
+            for word in all_words(n):
+                self.check_against_kron(word)
+
+    def test_signed_permutation_random_five_spin_strings(self):
+        rng = np.random.default_rng(55)
+        for _ in range(40):
+            self.check_against_kron("".join(rng.choice(list("1XYZ"), 5)))
+
 
 def test_multiply_exhaustive_one_and_two_spins():
     """Every pair of words (identity included) against dense algebra."""

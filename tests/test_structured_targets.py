@@ -22,10 +22,12 @@ from kakpulse import (
     flatten,
     gate_list_unitary,
     haar_unitary,
+    permute_spins,
     pulse_program_unitary,
     residual_budget,
     synthesize_pulses,
 )
+from kakpulse.kak import _decompose
 
 CHAIN_J = (120.0, 80.0, 140.0, 95.0)
 
@@ -88,8 +90,25 @@ def near_identity(n):
     return scipy.linalg.expm(-1e-9j * (g + g.conj().T) / 2)
 
 
+def clustered_cs_angles(n):
+    """Cosine-sine angles of the last-spin split in two tight clusters:
+    half of them within 1e-10 of 0.6, half within 1e-10 of pi/2 - 1e-9,
+    between Haar block factors."""
+    half = 2 ** (n - 1)
+    theta = np.where(np.arange(half) < half // 2, 0.6, math.pi / 2 - 1e-9)
+    theta = theta + 1e-10 * np.random.default_rng(600 + n).uniform(size=half)
+    c, s = np.diag(np.cos(theta)), np.diag(np.sin(theta))
+    blocks = [haar_unitary(half, 610 + 10 * n + k) for k in range(4)]
+    left = scipy.linalg.block_diag(blocks[0], blocks[1])
+    right = scipy.linalg.block_diag(blocks[2], blocks[3])
+    split_frame = left @ np.block([[c, -s], [s, c]]) @ right
+    # the split sorts the last spin's sector first; undo that ordering
+    return permute_spins(split_frame, list(range(1, n)) + [0])
+
+
 TARGETS = (identity, minus_identity, qft, bit_reversal, toffoli_like,
-           random_diagonal, hadamard_power, kronecker_product, near_identity)
+           random_diagonal, hadamard_power, kronecker_product, near_identity,
+           clustered_cs_angles)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -103,3 +122,12 @@ def test_structured_target_round_trip(target, n):
     assert np.max(np.abs(gate_list_unitary(gates, n) - u)) < 1e-9
     program = synthesize_pulses(gates, ChainSpec(n, CHAIN_J[:n - 1]))
     assert np.max(np.abs(pulse_program_unitary(program) - u)) < 1e-9
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("target", TARGETS, ids=lambda f: f.__name__)
+def test_one_pass_matrix_is_the_tree_matrix(target, n):
+    """The matrix the recursion checks each level against is the matrix
+    of the tree it returns, as the independent re-walk computes it."""
+    tree, matrix = _decompose(target(n))
+    assert np.max(np.abs(matrix - evaluate(tree, n))) < 1e-12
