@@ -51,7 +51,7 @@ from .linalg import (PAULI, apply_local, check_unitary, cosine_sine,
                      golden_mix_eigvecs, permute_spins, spin_count,
                      su2_rotation, unitary_eig)
 from .paulis import CartanElement, CartanFamily, PauliString
-from .pulses import _coupling_gates, cartan_evolution_gates
+from .pulses import cartan_evolution_gates, pauli_evolution_gates
 
 TOL_EULER = 1e-12
 TOL_TWO_SPIN = 1e-10
@@ -806,30 +806,6 @@ def _decompose(u: np.ndarray) -> tuple[GateTree, np.ndarray]:
 # Lowering to the gate vocabulary
 
 
-_FRAME_FOR_AXIS = {
-    "x": ("y", math.pi / 2),   # maps sigma_z -> sigma_x
-    "y": ("x", -math.pi / 2),  # maps sigma_z -> sigma_y
-}
-
-
-def _interaction_gates_matrix(left: int, alphas) -> list[Gate]:
-    """Matrix-ordered gates for :func:`interaction_unitary` on
-    ``(left, left+1)``: one framed coupling evolution per active axis."""
-    out: list[Gate] = []
-    for axis, alpha in zip(("x", "y", "z"), alphas):
-        if abs(alpha) < 1e-12:
-            continue
-        frame: list[LocalRotation] = []
-        if axis != "z":
-            fa, fang = _FRAME_FOR_AXIS[axis]
-            frame = [LocalRotation(left, fa, fang),
-                     LocalRotation(left + 1, fa, fang)]
-        out.extend(frame)
-        out.extend(_coupling_gates(left, float(alpha)))
-        out.extend(g.inverse() for g in reversed(frame))
-    return out
-
-
 def _euler_gates_matrix(node: EulerNode) -> list[Gate]:
     out: list[Gate] = []
     for axis, angle in (("x", node.alpha), ("z", node.beta), ("x", node.gamma)):
@@ -841,8 +817,8 @@ def _euler_gates_matrix(node: EulerNode) -> list[Gate]:
 def flatten(tree: GateTree) -> list[Gate]:
     """Lower a gate tree to a time-ordered gate list.
 
-    Commuting-family evolutions go through the string rewrite engine;
-    two-spin middles become framed coupling evolutions directly.  The
+    Commuting-family evolutions and the three interaction terms of each
+    two-spin middle go through the string rewrite engine.  The
     output reproduces ``evaluate`` of the tree exactly (up to float
     accumulation, checked in the test-suite at ``1e-8``).
     """
@@ -865,7 +841,11 @@ def flatten(tree: GateTree) -> list[Gate]:
             matrix.append(GlobalPhase(tree.phase))
         matrix.extend(_euler_gates_matrix(tree.after[0]))
         matrix.extend(_euler_gates_matrix(tree.after[1]))
-        matrix.extend(_interaction_gates_matrix(tree.left, tree.alphas))
+        pad = "1" * (tree.left - 1)
+        for axis, alpha in zip("XYZ", tree.alphas):
+            if abs(alpha) >= 1e-12:
+                matrix.extend(reversed(pauli_evolution_gates(
+                    pad + 2 * axis, float(alpha) / 2)))
         matrix.extend(_euler_gates_matrix(tree.before[0]))
         matrix.extend(_euler_gates_matrix(tree.before[1]))
         return list(reversed(matrix))

@@ -1,267 +1,57 @@
-"""Acceptance suite: the eight headline guarantees, one test each.
+"""Acceptance suite: the eight invariant suites of :mod:`kakpulse.selftest`,
+one test each, in the order ``kakpulse selftest`` runs them.
 
-Every test enforces the stated tolerance, respects a wall-clock budget,
-and prints a single pass line (visible with ``pytest -s``; under plain
-``pytest -v`` the test id itself is the pass/fail line).  Seeds are
-fixed so the suite is deterministic.
-
- 1. block/mixing commutation relations of the recursive splitting
- 2. commuting generator families: sizes, commutation, maximality
- 3. two-spin closed form on Haar samples (residual, chamber, dressing)
- 4. recursive factorization on three and four spins, gate vocabulary
- 5. coupling-transport conjugation identities
- 6. refocused single-coupling blocks on always-on chains
- 7. end-to-end pulse programs simulated under the full drift
- 8. single-spin Euler factorization
+The checks, tolerances, sample counts and seeds live only in
+``kakpulse.selftest``; each test here runs one suite under a wall-clock
+budget and prints its pass line (visible with ``pytest -s``; under plain
+``pytest -v`` the test id itself is the pass/fail line).  The recursive
+suite includes the end-to-end guarantee: 20 three-spin targets lowered
+onto a 100 Hz chain and simulated under the always-on drift.
 """
 
 from __future__ import annotations
 
-import math
 import time
 
-import numpy as np
-
-from kakpulse.gates import CouplingEvolution, GlobalPhase, LocalRotation
-from kakpulse.kak import (
-    decompose,
-    euler_xzx,
-    flatten,
-    interaction_class,
-    su2_rotation,
-    two_spin_factors,
-)
-from kakpulse.linalg import expm_skew, haar_unitary
-from kakpulse.paulis import (
-    PauliString,
-    Subspace,
-    basis_strings,
-    block_cartan_strings,
-    block_diagonal_dimension,
-    commutator,
-    commutes,
-    is_maximal_abelian,
-    maximal_abelian_strings,
-    outer_cartan_strings,
-    subspace_tag,
-)
-from kakpulse.pulses import ChainSpec, synthesize_pulses, total_coupling_time
-from kakpulse.simulate import distance, gate_list_unitary, pulse_program_unitary
+from kakpulse.selftest import SUITES
 
 
-def _conclude(t0: float, cap: float, label: str, detail: str) -> None:
+def _run(name: str, cap: float) -> None:
+    t0 = time.perf_counter()
+    ok, detail = SUITES[name]()
     elapsed = time.perf_counter() - t0
-    print(f"PASS  {label}: {detail} [{elapsed:.2f}s < {cap:g}s]")
-    assert elapsed < cap, f"{label} took {elapsed:.2f}s, budget {cap:g}s"
+    assert ok, f"{name}: {detail}"
+    print(f"PASS  {name}: {detail} [{elapsed:.2f}s < {cap:g}s]")
+    assert elapsed < cap, f"{name} took {elapsed:.2f}s, budget {cap:g}s"
 
 
 def test_block_mixing_commutation_relations():
-    """Exhaustive symbolic commutators confirm both splitting levels.
+    _run("commutation", 10.0)
 
-    Level one separates block-diagonal strings (k) from mixing strings
-    (m) and must satisfy [k,k] in k, [m,k] in m, [m,m] in k.  Level two
-    splits the block sector into trailing-1 strings (the sub-chain
-    algebra) and trailing-Z strings, with the same three relations; the
-    lone last-spin Z generates a central phase and sits outside both.
-    """
-    t0 = time.perf_counter()
-    checked = 0
-    for n in (2, 3, 4):
-        strings = basis_strings(n)
-        k = [s for s in strings if subspace_tag(s).is_block_diagonal]
-        m = [s for s in strings if subspace_tag(s) is Subspace.MIXING]
-        assert len(k) + len(m) == len(strings)
-        assert len(k) == 2 * 4 ** (n - 1) - 1 == block_diagonal_dimension(n)
 
-        for left, right, want_block in ((k, k, True), (m, k, False), (m, m, True)):
-            for x in left:
-                for y in right:
-                    c = commutator(x, y)
-                    checked += 1
-                    if c is not None:
-                        assert subspace_tag(c.string).is_block_diagonal is want_block, \
-                            f"[{x}, {y}] -> {c.string} breaks the level-1 split"
-
-        plain = [s for s in k if subspace_tag(s) is Subspace.BLOCK_PLAIN]
-        zside = [s for s in k if subspace_tag(s) is Subspace.BLOCK_Z]
-        assert len(plain) + len(zside) + 1 == len(k)  # lone Z sits aside
-        for left, right, want in ((plain, plain, Subspace.BLOCK_PLAIN),
-                                  (zside, plain, Subspace.BLOCK_Z),
-                                  (zside, zside, Subspace.BLOCK_PLAIN)):
-            for x in left:
-                for y in right:
-                    c = commutator(x, y)
-                    checked += 1
-                    if c is not None:
-                        assert subspace_tag(c.string) is want, \
-                            f"[{x}, {y}] -> {c.string} breaks the level-2 split"
-    _conclude(t0, 10.0, "commutation relations",
-              f"{checked} commutators across n=2..4, both levels")
+def test_basis_trace_orthogonality():
+    _run("ortho", 1.0)
 
 
 def test_commuting_families():
-    """Generator families: exact sizes to n=6, commutation, maximality."""
-    t0 = time.perf_counter()
-    for n in range(2, 7):
-        a = outer_cartan_strings(n)
-        b = block_cartan_strings(n)
-        s = maximal_abelian_strings(n)
-        assert len(a) == 2 ** (n - 1)
-        assert len(b) == 2 ** (n - 1) - 1
-        assert len(s) == 2 ** n - 1
-        for fam in (a, b, s):
-            for i, x in enumerate(fam):
-                for y in fam[i + 1:]:
-                    assert commutes(x, y), f"{x} and {y} clash at n={n}"
-        assert all(subspace_tag(x) is Subspace.MIXING for x in a)
-        assert all(subspace_tag(x) is Subspace.BLOCK_Z for x in b)
-    for n in (2, 3, 4):
-        assert is_maximal_abelian(outer_cartan_strings(n), n, Subspace.MIXING)
-        assert is_maximal_abelian(block_cartan_strings(n), n, Subspace.BLOCK_Z)
-    _conclude(t0, 30.0, "commuting families",
-              "sizes and commutation n=2..6, maximality n=2..4")
-
-
-def test_two_spin_closed_form():
-    """1000 Haar 4x4 targets: residual < 1e-9 after phase alignment,
-    canonical angles inside the chamber, and angle invariance under
-    random single-spin dressing."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(314159)
-    worst_resid = worst_dress = 0.0
-    for _ in range(1000):
-        u = haar_unitary(4, rng)
-        f = two_spin_factors(u)
-        worst_resid = max(worst_resid, distance(f.reconstruct(), u).frobenius)
-        a1, a2, a3 = f.alphas
-        assert math.pi + 1e-12 >= a1 >= a2 >= abs(a3) - 1e-12
-        if abs(a1 - math.pi) <= 1e-12:
-            assert a3 >= -1e-12
-        dress = [haar_unitary(2, rng, special=True) for _ in range(4)]
-        v = np.kron(dress[0], dress[1]) @ u @ np.kron(dress[2], dress[3])
-        shift = np.abs(np.asarray(interaction_class(v)) - np.asarray(f.alphas))
-        worst_dress = max(worst_dress, float(np.max(shift)))
-    assert worst_resid < 1e-9
-    assert worst_dress < 1e-9
-    _conclude(t0, 10.0, "two-spin closed form",
-              f"1000 samples, worst residual {worst_resid:.1e}, "
-              f"worst dressing shift {worst_dress:.1e}")
-
-
-def _check_vocabulary(gates, n: int) -> None:
-    """Flattened output may hold only on-chain local rotations, adjacent
-    couplings, and scalar phase factors."""
-    for g in gates:
-        if isinstance(g, LocalRotation):
-            assert 1 <= g.qubit <= n and g.axis in "xyz"
-        elif isinstance(g, CouplingEvolution):
-            assert 1 <= g.left < n  # acts on the adjacent pair (left, left+1)
-        else:
-            assert isinstance(g, GlobalPhase)
-
-
-def test_recursive_factorization():
-    """100 three-spin and 20 four-spin Haar targets reconstruct from the
-    flattened gate list within budget."""
-    t0 = time.perf_counter()
-    worst = {3: 0.0, 4: 0.0}
-    for n, budget, count, base in ((3, 1e-8, 100, 40000), (4, 4e-8, 20, 50000)):
-        for k in range(count):
-            u = haar_unitary(2 ** n, base + k, special=True)
-            gates = flatten(decompose(u))
-            _check_vocabulary(gates, n)
-            resid = float(np.max(np.abs(gate_list_unitary(gates, n) - u)))
-            worst[n] = max(worst[n], resid)
-            assert resid < budget, f"n={n} seed {base + k}: {resid:.3e}"
-    _conclude(t0, 120.0, "recursive factorization",
-              f"worst residual {worst[3]:.1e} on 100 three-spin, "
-              f"{worst[4]:.1e} on 20 four-spin targets")
-
-
-def _spin_product(word: str) -> np.ndarray:
-    """Literal product of spin operators: one sigma/2 per active site."""
-    s = PauliString(word)
-    return s.to_matrix() / 2.0 ** (max(s.weight, 1) - 1)
+    _run("families", 30.0)
 
 
 def test_coupling_transport_identities():
-    """The three conjugation identities that move and re-axis a coupling
-    along the chain, checked at three angles to 1e-12."""
-    t0 = time.perf_counter()
-    pi = math.pi
-    worst = 0.0
-    for alpha in (0.25, 1.0 / 3.0, 0.7):
-        c1 = expm_skew(_spin_product("XY1"), pi)
-        lhs = c1 @ expm_skew(PauliString("1ZZ").to_matrix(), pi * alpha) @ c1.conj().T
-        rhs = expm_skew(PauliString("XXZ").to_matrix(), pi * alpha)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-
-        c2 = expm_skew(_spin_product("Z11"), pi / 2) @ expm_skew(_spin_product("1Z1"), pi / 2)
-        lhs = c2 @ expm_skew(PauliString("XXZ").to_matrix(), pi * alpha) @ c2.conj().T
-        rhs = expm_skew(PauliString("YYZ").to_matrix(), pi * alpha)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-
-        c3 = expm_skew(_spin_product("Y11"), pi / 2) @ expm_skew(_spin_product("1Y1"), pi / 2)
-        lhs = c3 @ expm_skew(PauliString("XXZ").to_matrix(), pi * alpha) @ c3.conj().T
-        rhs = expm_skew(PauliString("ZZZ").to_matrix(), pi * alpha)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    assert worst < 1e-12
-    _conclude(t0, 1.0, "coupling transport",
-              f"three identities at three angles, worst {worst:.1e}")
+    _run("identities", 1.0)
 
 
 def test_refocused_single_couplings():
-    """On chains of 3 to 5 spins, every single-coupling block synthesizes
-    to a pulse program whose full-drift evolution matches the ideal
-    coupling gate to 1e-10."""
-    t0 = time.perf_counter()
-    worst = 0.0
-    blocks = 0
-    for n in (3, 4, 5):
-        spec = ChainSpec.uniform(n, 100.0)
-        for left in range(1, n):
-            for theta in (0.1, math.pi / 2, math.pi, 3.9):
-                gates = [CouplingEvolution(left, theta)]
-                got = pulse_program_unitary(synthesize_pulses(gates, spec))
-                want = gate_list_unitary(gates, n)
-                worst = max(worst, float(np.max(np.abs(got - want))))
-                blocks += 1
-    assert worst < 1e-10
-    _conclude(t0, 10.0, "refocused couplings",
-              f"{blocks} blocks on chains 3..5, worst {worst:.1e}")
-
-
-def test_end_to_end_pulse_fidelity():
-    """20 Haar three-spin targets through the whole pipeline: factor,
-    lower onto a uniform 100 Hz chain, simulate under the always-on
-    drift, and demand trace fidelity above 1 - 1e-6."""
-    t0 = time.perf_counter()
-    spec = ChainSpec.uniform(3, 100.0)
-    worst_fid = 1.0
-    for k in range(20):
-        u = haar_unitary(8, 60000 + k, special=True)
-        program = synthesize_pulses(flatten(decompose(u)), spec)
-        report = distance(pulse_program_unitary(program), u)
-        print(f"  target {k:2d}: total coupling time "
-              f"{total_coupling_time(program):.9f} s, "
-              f"fidelity {report.fidelity:.12f}")
-        worst_fid = min(worst_fid, report.fidelity)
-        assert report.fidelity > 1 - 1e-6
-    _conclude(t0, 60.0, "end-to-end fidelity",
-              f"20 targets on a 100 Hz chain, worst fidelity {worst_fid:.9f}")
+    _run("refocus", 10.0)
 
 
 def test_single_spin_euler_angles():
-    """1000 Haar single-spin targets reconstruct from x-z-x angles to 1e-12."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(271828)
-    worst = 0.0
-    for _ in range(1000):
-        u = haar_unitary(2, rng, special=True)
-        alpha, beta, gamma = euler_xzx(u)
-        recon = su2_rotation("x", alpha) @ su2_rotation("z", beta) \
-            @ su2_rotation("x", gamma)
-        worst = max(worst, float(np.max(np.abs(recon - u))))
-    assert worst < 1e-12
-    _conclude(t0, 1.0, "single-spin Euler angles",
-              f"1000 samples, worst residual {worst:.1e}")
+    _run("euler", 1.0)
+
+
+def test_two_spin_closed_form():
+    _run("twospin", 10.0)
+
+
+def test_recursive_factorization():
+    _run("recursive", 180.0)  # 120 s factoring + 60 s end-to-end fidelity

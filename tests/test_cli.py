@@ -20,7 +20,9 @@ import numpy as np
 import pytest
 
 import kakpulse.cli
+import kakpulse.kak
 import kakpulse.paulis
+import kakpulse.pulses
 from kakpulse.cli import main
 from kakpulse.gates import CouplingEvolution, gate_list_from_json, gate_list_to_json
 from kakpulse.kak import residual_budget
@@ -134,6 +136,21 @@ class TestDecompose:
         for tol in ("0", "-1e-9"):
             assert main(["decompose", "--input", str(target),
                          "--output", str(out_path), f"--tol={tol}"]) == 3
+        assert calls == []
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_budget_is_rejected_before_factoring(
+            self, tmp_path, monkeypatch, tol):
+        """``resid >= nan`` is always false, so a nan budget would pass any
+        residual; an infinite one would too."""
+        target = make_target(tmp_path)
+        calls = []
+        monkeypatch.setattr("kakpulse.cli.decompose",
+                            lambda u: calls.append(u))
+        out_path = tmp_path / "d.json"
+        assert main(["decompose", "--input", str(target),
+                     "--output", str(out_path), f"--tol={tol}"]) == 3
         assert calls == []
         assert not out_path.exists()
 
@@ -267,6 +284,22 @@ class TestVerify:
         target, d_path, _ = artifacts
         assert main(["verify", str(d_path), str(target), "--tol", "-1"]) == 3
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_is_rejected_before_simulating(
+            self, artifacts, monkeypatch, capsys, tol):
+        """A nan bound would fail every artifact and an infinite one pass
+        every artifact; both are invalid input, not a verdict."""
+        target, d_path, p_path = artifacts
+        calls = []
+        for name in ("gate_list_unitary", "pulse_program_unitary"):
+            monkeypatch.setattr(f"kakpulse.cli.{name}",
+                                lambda *args: calls.append(args))
+        for path in (d_path, p_path):
+            assert main(["verify", str(path), str(target), f"--tol={tol}"]) == 3
+        assert calls == []
+        out = capsys.readouterr().out
+        assert "PASS" not in out and "FAIL" not in out
+
 
 class TestSelftest:
 
@@ -297,6 +330,30 @@ class TestSelftest:
         assert "FAIL" in captured.out
         assert "product X * Y disagrees with dense algebra" in captured.out
         assert "self-test FAILED: commutation" in captured.err
+
+    @pytest.mark.parametrize("suite", ["refocus", "recursive"])
+    def test_detects_a_coupling_left_unrefocused(self, monkeypatch, capsys,
+                                                 suite):
+        """Dropping one flipped spin from each echo leaves another coupling
+        of the chain active during the delay; both suites that simulate
+        pulse programs must report it as a failure."""
+        honest = kakpulse.pulses.refocusing_set
+        monkeypatch.setattr(kakpulse.pulses, "refocusing_set",
+                            lambda n, left: honest(n, left)[1:])
+        assert main(["selftest", "--suite", suite]) == 1
+        captured = capsys.readouterr()
+        assert f"{suite:<12} FAIL" in captured.out
+        assert "raised" not in captured.out
+        assert f"self-test FAILED: {suite}" in captured.err
+
+    def test_detects_uncanonical_two_spin_angles(self, monkeypatch, capsys):
+        """Skipping the canonicalization leaves interaction angles outside
+        the chamber while every factorization still reconstructs."""
+        monkeypatch.setattr(kakpulse.kak, "_canonicalize", lambda state: None)
+        assert main(["selftest", "--suite", "twospin"]) == 1
+        captured = capsys.readouterr()
+        assert "twospin      FAIL  chamber violated" in captured.out
+        assert "self-test FAILED: twospin" in captured.err
 
 
 class TestSpinLimit:

@@ -4,7 +4,8 @@ phase-invariant distance report.
 The simulators fuse runs of single-spin operators and of diagonals; the
 property tests at the end hold them, and :func:`kakpulse.evaluate`, to
 a naive oracle in this file that Kronecker-embeds and multiplies one
-step at a time.
+step at a time, and hold ``flatten`` to ``evaluate`` on the same random
+trees.
 """
 
 import math
@@ -37,6 +38,7 @@ from kakpulse import (
     distance,
     drift_diagonal,
     evaluate,
+    flatten,
     gate_list_unitary,
     haar_unitary,
     local_rotation_matrix,
@@ -399,6 +401,18 @@ def test_evaluate_matches_oracle_on_random_trees(data):
     tree = data.draw(trees(n))
     got = evaluate(tree, n)
     assert np.max(np.abs(got - oracle_tree(tree, n))) < 1e-12
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_flatten_matches_evaluate_on_random_trees(data):
+    """Lowering reproduces the tree on any shape ``decompose`` never emits:
+    two-spin middles at ``left > 1`` and with angles outside the chamber,
+    Cartan nodes on fewer spins than the chain."""
+    n = data.draw(st.integers(1, 5))
+    tree = data.draw(trees(n))
+    got = gate_list_unitary(flatten(tree), n)
+    assert np.max(np.abs(got - evaluate(tree, n))) < 1e-10
 
 
 @given(data=st.data())
