@@ -1,12 +1,12 @@
-"""Acceptance suite: the eight invariant suites of :mod:`kakpulse.selftest`,
+"""Acceptance suite: the nine invariant suites of :mod:`kakpulse.selftest`,
 one test each, in the order ``kakpulse selftest`` runs them.
 
 The checks, tolerances, sample counts and seeds live only in
 ``kakpulse.selftest``; each test here runs one suite under a wall-clock
 budget and prints its pass line (visible with ``pytest -s``; under plain
-``pytest -v`` the test id itself is the pass/fail line).  The recursive
-suite includes the end-to-end guarantee: 20 three-spin targets lowered
-onto a 100 Hz chain and simulated under the always-on drift.
+``pytest -v`` the test id itself is the pass/fail line).  The ``endtoend``
+suite is the end-to-end guarantee: 20 three-spin targets lowered onto a
+100 Hz chain and simulated under the always-on drift.
 """
 
 from __future__ import annotations
@@ -54,4 +54,8 @@ def test_two_spin_closed_form():
 
 
 def test_recursive_factorization():
-    _run("recursive", 180.0)  # 120 s factoring + 60 s end-to-end fidelity
+    _run("recursive", 120.0)
+
+
+def test_end_to_end_pulse_fidelity():
+    _run("endtoend", 60.0)

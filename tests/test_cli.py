@@ -307,10 +307,10 @@ class TestSelftest:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         for name in ("commutation", "ortho", "families", "identities",
-                     "refocus", "euler", "twospin", "recursive"):
+                     "refocus", "euler", "twospin", "recursive", "endtoend"):
             assert name in out
         assert "FAIL" not in out
-        assert "self-test passed (8 suites)" in out
+        assert "self-test passed (9 suites)" in out
 
     def test_single_suite(self, capsys):
         assert main(["selftest", "--suite", "ortho"]) == 0
@@ -331,7 +331,7 @@ class TestSelftest:
         assert "product X * Y disagrees with dense algebra" in captured.out
         assert "self-test FAILED: commutation" in captured.err
 
-    @pytest.mark.parametrize("suite", ["refocus", "recursive"])
+    @pytest.mark.parametrize("suite", ["refocus", "endtoend"])
     def test_detects_a_coupling_left_unrefocused(self, monkeypatch, capsys,
                                                  suite):
         """Dropping one flipped spin from each echo leaves another coupling
