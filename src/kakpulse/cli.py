@@ -150,10 +150,12 @@ def cmd_decompose(input_path: str, out_path: str, n: int | None = None,
     })
     n_local = sum(isinstance(g, LocalRotation) for g in gates)
     n_zz = sum(isinstance(g, CouplingEvolution) for g in gates)
+    n_pi = sum(isinstance(g, CouplingEvolution) and g.angle == math.pi
+               for g in gates)
     n_phase = sum(isinstance(g, GlobalPhase) for g in gates)
     print(f"reconstruction residual {resid:.3e} (budget {budget:.3e})")
-    print(f"{n_local} local rotations, {n_zz} coupling evolutions, "
-          f"{n_phase} phase factors")
+    print(f"{n_local} local rotations, {n_zz} coupling evolutions "
+          f"({n_pi} at angle pi), {n_phase} phase factors")
     if resid >= budget:
         print("residual exceeds budget", file=sys.stderr)
         return 4

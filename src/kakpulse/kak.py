@@ -817,8 +817,10 @@ def _euler_gates_matrix(node: EulerNode) -> list[Gate]:
 def flatten(tree: GateTree) -> list[Gate]:
     """Lower a gate tree to a time-ordered gate list.
 
-    Commuting-family evolutions and the three interaction terms of each
-    two-spin middle go through the string rewrite engine.  The
+    Commuting-family evolutions go through
+    :func:`~kakpulse.pulses.cartan_evolution_gates` (a parity network or
+    one ladder per string) and the three interaction terms of each
+    two-spin middle through the string rewrite engine.  The
     output reproduces ``evaluate`` of the tree exactly (up to float
     accumulation, checked in the test-suite at ``1e-8``).
     """

@@ -24,6 +24,7 @@ here once and tested heavily.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -51,6 +52,24 @@ def _letter_product(x: str, y: str) -> tuple[complex, str]:
     if x == y:
         return 1 + 0j, "1"
     return _EPSILON[x + y]
+
+
+@functools.lru_cache(maxsize=1024)
+def _signed_permutation(letters: str) -> tuple[np.ndarray, np.ndarray]:
+    x_mask = z_mask = 0
+    for c in letters:
+        x_mask = (x_mask << 1) | (c in "XY")
+        z_mask = (z_mask << 1) | (c in "YZ")
+    rows = np.arange(2 ** len(letters))
+    parity = np.zeros_like(rows)
+    for bit in range(len(letters)):
+        if (z_mask >> bit) & 1:
+            parity ^= (rows >> bit) & 1
+    phase = ((-1j) ** letters.count("Y") * (1 - 2 * parity)).astype(complex)
+    src = rows ^ x_mask
+    src.flags.writeable = False
+    phase.flags.writeable = False
+    return src, phase
 
 
 @dataclass(frozen=True, order=True)
@@ -93,19 +112,10 @@ class PauliString:
         ``sigma_s`` is the bare Pauli product (``2 * B_s`` for a
         non-identity string).  Each X or Y letter flips its spin's bit, so
         ``src = r ^ x_mask``; each Z or Y letter contributes
-        ``(-1)**bit``, and each Y a further ``-1j``.  Costs ``O(n * 2**n)``.
+        ``(-1)**bit``, and each Y a further ``-1j``.  Costs ``O(n * 2**n)``
+        once per letters; the cached arrays are returned read-only.
         """
-        x_mask = z_mask = 0
-        for c in self.letters:
-            x_mask = (x_mask << 1) | (c in "XY")
-            z_mask = (z_mask << 1) | (c in "YZ")
-        rows = np.arange(2 ** self.n)
-        parity = np.zeros_like(rows)
-        for bit in range(self.n):
-            if (z_mask >> bit) & 1:
-                parity ^= (rows >> bit) & 1
-        phase = (-1j) ** self.letters.count("Y") * (1 - 2 * parity)
-        return rows ^ x_mask, phase.astype(complex)
+        return _signed_permutation(self.letters)
 
     def to_matrix(self) -> np.ndarray:
         """Dense realization: ``sigma_s / 2`` (identity string -> identity)."""

@@ -1,6 +1,6 @@
 """Rewrite product-operator exponentials into chain-native gates and pulses.
 
-Two layers live here:
+Three layers live here:
 
 * A symbolic rewrite engine that turns ``exp(-1j * theta * B_P)`` for an
   arbitrary string ``P`` into single-spin rotations plus
@@ -11,6 +11,19 @@ Two layers live here:
   across gaps).  All bookkeeping is done on letters and signs, never
   numerically, so the output is exact up to floating-point rotation
   angles.
+* A family lowering that shares those ``pi`` evolutions across a whole
+  commuting family instead of paying one ladder per string.  A
+  ``DIAGONAL`` element is a sum of {1, Z} strings that all contain
+  ``Z_k``; an ``OUTER_X`` element becomes one after the frame
+  ``CNOT(1 -> 2)`` plus ``Ry(-pi/2)`` on spin 1 and spins ``3..k``.  A
+  chain parity network of adjacent CNOTs (each one ``pi`` coupling plus
+  local rotations) walks the parities of the spins through every
+  string, and each string is rotated once where the network holds its
+  parity: a free ``Rz`` on one spin, or one coupling on an adjacent
+  pair.  The network stops after the last nonzero string and returns
+  by the shorter way.  It is used only when it needs strictly fewer
+  ``pi`` couplings than the ladders; the choice depends only on which
+  strings are nonzero and is cached on that pattern.
 * A scheduler that lowers a time-ordered gate list onto a concrete
   chain with always-on couplings, inserting spin-echo refocusing pulses
   so that exactly one coupling is active during each delay.
@@ -26,12 +39,13 @@ global phase.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 from .errors import DimensionError, RangeError, ValidationError
 from .gates import AXES, CouplingEvolution, Gate, GlobalPhase, LocalRotation
-from .paulis import CartanElement, PauliString, _letter_product
+from .paulis import CartanElement, CartanFamily, PauliString, _letter_product
 
 _PI = math.pi
 _HALF_PI = math.pi / 2
@@ -258,18 +272,203 @@ def pauli_evolution_gates(string: PauliString | str, angle: float,
     return list(reversed(matrix_order))
 
 
+# ---------------------------------------------------------------------------
+# Commuting families as chain parity networks
+
+
+def _time_order_gates(ops: list) -> list[Gate]:
+    """Time-ordered gates of conjugators given in time order."""
+    out: list[Gate] = []
+    for op in ops:
+        out.extend(reversed(_op_gates(op)))
+    return out
+
+
+def _cnot_ops(control: int, target: int) -> list:
+    """Conjugators, in time order, whose product is ``CNOT(control ->
+    target)`` on adjacent spins times ``exp(1j*pi/4)``: a ZX half turn,
+    then ``Rx(-pi/2)`` on the target and ``Rz(-pi/2)`` on the control."""
+    if control < target:
+        pair = _PairOp(control, "Z", target, "X", 1)
+    else:
+        pair = _PairOp(target, "X", control, "Z", 1)
+    return [pair, _LocalOp(target, "x", -_HALF_PI),
+            _LocalOp(control, "z", -_HALF_PI)]
+
+
+@functools.lru_cache(maxsize=None)
+def _cnot_gates(control: int, target: int) -> tuple[Gate, ...]:
+    return tuple(_time_order_gates(_cnot_ops(control, target)))
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_network(k: int) -> tuple[tuple[int, int], ...]:
+    """``(control, target)`` CNOTs of the parity network on spins ``1..k``.
+
+    ``N(j)`` acts on spins ``1..j+1`` with spin ``j+1`` as the bus:
+    ``C(j+1,j) N(j-1) C(j,j+1) C(j+1,j) N(j-1) C(j+1,j) C(j,j+1)
+    C(j+1,j)``, with ``N(1)`` empty; it returns every spin to its start.
+    A ``k``-spin family uses ``N(k-1)``: 6, 18, 42, 90 and 186 CNOTs at
+    ``k = 3..7``.
+    """
+    def net(j: int) -> list[tuple[int, int]]:
+        if j < 2:
+            return []
+        bus, inner = j + 1, net(j - 1)
+        return ([(bus, j)] + inner + [(j, bus), (bus, j)] + inner
+                + [(bus, j), (j, bus), (bus, j)])
+    return tuple(net(k - 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_points(k: int) -> dict[int, tuple[int, int, bool]]:
+    """Where the network holds each parity: ``mask -> (step, site,
+    on_pair)``.
+
+    Spin ``q`` is bit ``q - 1`` of a mask.  After ``step`` CNOTs, spin
+    ``q`` holds the parity ``rows[q-1]`` (``Z_q`` conjugated back through
+    the CNOTs is ``Z`` on that mask) and the pair ``(q, q+1)`` holds the
+    xor of its two rows.  A parity is rotated on the first single spin
+    that ever holds it, and otherwise on the first pair; every parity
+    that contains spin ``k`` is reached one way or the other.
+    """
+    rows = [1 << q for q in range(k)]
+    single: dict[int, tuple[int, int, bool]] = {}
+    pair: dict[int, tuple[int, int, bool]] = {}
+    seq = _chain_network(k)
+    for step in range(len(seq) + 1):
+        for q in range(1, k + 1):
+            single.setdefault(rows[q - 1], (step, q, False))
+        for q in range(1, k):
+            pair.setdefault(rows[q - 1] ^ rows[q], (step, q, True))
+        if step < len(seq):
+            control, target = seq[step]
+            rows[target - 1] ^= rows[control - 1]
+    return {**pair, **single}
+
+
+def _outer_x_turns(k: int) -> list[_LocalOp]:
+    """The ``Ry(-pi/2)`` turns of the ``OUTER_X`` frame.
+
+    The frame is ``CNOT(1 -> 2)`` followed by these turns on spin 1 and
+    on spins ``3..k``.  The CNOT maps XX, YY, ZZ on spins 1-2 to X1, -XZ,
+    1Z, and each turn maps X to Z, so every trailing-X family string
+    becomes a signed {1, Z} string containing ``Z_k``.
+    """
+    return [_LocalOp(q, "y", -_HALF_PI) for q in (1, *range(3, k + 1))]
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_image(family: CartanFamily, letters: str) -> tuple[int, int]:
+    """``(sign, mask)`` with ``Ad_F(sigma_s) = sign * sigma_Z(mask)``,
+    ``F`` the family's frame (none for ``DIAGONAL``), tracked on letters
+    and signs."""
+    term = {q: c for q, c in enumerate(letters, start=1) if c != "1"}
+    sign = 1
+    if family is CartanFamily.OUTER_X:
+        for op in _cnot_ops(1, 2) + _outer_x_turns(len(letters)):
+            if isinstance(op, _PairOp):
+                s, term = _ad_pair(op, term)
+                sign *= s
+            elif op.q in term:
+                s, term[op.q] = _ad_local(op.axis, op.angle, term[op.q])
+                sign *= s
+    if set(term.values()) != {"Z"} or len(letters) not in term:
+        raise ValidationError(f"{letters} has no parity image")
+    return sign, sum(1 << (q - 1) for q in term)
+
+
+@functools.lru_cache(maxsize=None)
+def _ladder_pi_count(letters: str) -> int:
+    """pi couplings :func:`pauli_evolution_gates` spends on one string."""
+    s = PauliString(letters)
+    if s.weight < 2:
+        return 0
+    ops = _reduce_to_adjacent_zz(s)[0]
+    return 2 * sum(isinstance(op, _PairOp) for op in ops)
+
+
+@functools.lru_cache(maxsize=4096)
+def _network_route(family: CartanFamily, k: int,
+                   pattern: tuple[str, ...]) -> tuple[tuple[int, int], ...] | None:
+    """CNOTs, in time order, of the parity network for the nonzero
+    strings ``pattern``, or None when the per-string ladders need no more
+    pi couplings.
+
+    The network runs until the last string's rotation step, then returns
+    by the shorter of the rest of the sequence and the CNOTs applied so
+    far in reverse.  The ``OUTER_X`` frame adds two CNOTs.
+    """
+    seq, points = _chain_network(k), _parity_points(k)
+    stop = max(points[_parity_image(family, s)[1]][0] for s in pattern)
+    back = min(seq[stop:], seq[:stop][::-1], key=len)
+    frame = 2 if family is CartanFamily.OUTER_X else 0
+    if frame + stop + len(back) >= sum(map(_ladder_pi_count, pattern)):
+        return None
+    return seq[:stop] + back
+
+
+def _network_gates(element: CartanElement,
+                   items: list[tuple[PauliString, float]],
+                   route: tuple[tuple[int, int], ...]) -> list[Gate]:
+    """Time-ordered gates of ``exp(-1j*H)``: the frame, the network with
+    each string rotated once at its step, one global phase that cancels
+    the CNOTs' ``exp(1j*pi/4)`` factors, and the frame undone."""
+    points = _parity_points(element.n)
+    at_step: dict[int, list[Gate]] = {}
+    for s, c in items:
+        sign, mask = _parity_image(element.family, s.letters)
+        step, site, on_pair = points[mask]
+        at_step.setdefault(step, []).extend(
+            _coupling_gates(site, 2 * sign * c) if on_pair
+            else [LocalRotation(site, "z", sign * c)])
+    head: list[Gate] = []
+    tail: list[Gate] = []
+    cnots = len(route)
+    if element.family is CartanFamily.OUTER_X:
+        # CNOT is its own inverse, so the frame is undone by the inverse
+        # turns and the same CNOT, which keeps every coupling angle at +pi.
+        turns = _outer_x_turns(element.n)
+        head = [*_cnot_gates(1, 2), *_time_order_gates(turns)]
+        tail = [*_time_order_gates([op.dagger() for op in reversed(turns)]),
+                *_cnot_gates(1, 2)]
+        cnots += 2
+    out = head
+    for step, cnot in enumerate(route):
+        out.extend(at_step.get(step, ()))
+        out.extend(_cnot_gates(*cnot))
+    out.extend(at_step.get(len(route), ()))
+    phase = math.remainder(-_PI / 4 * cnots, 2 * _PI)
+    if phase:
+        out.append(GlobalPhase(phase))
+    return out + tail
+
+
 def cartan_evolution_gates(element: CartanElement,
                            chain: "ChainSpec | None" = None, *,
                            atol: float = 1e-12) -> list[Gate]:
     """Time-ordered gates for ``exp(-1j * H)`` with ``H`` a commuting-family
-    element.  The family commutes, so the exponential splits into one
-    string evolution per coefficient, emitted in canonical family order.
+    element; coefficients of magnitude at most ``atol`` are dropped.
+
+    A ``DIAGONAL`` or ``OUTER_X`` element on three or more spins is
+    lowered as one parity network when that spends fewer pi couplings
+    than one ladder per string; otherwise (and always for ``BLOCK_Z``)
+    the family commutes, so the exponential splits into one string
+    evolution per coefficient, emitted in canonical family order.
     """
+    if chain is not None and element.n != chain.n:
+        raise DimensionError(
+            f"element acts on {element.n} spins but the chain has {chain.n}")
+    items = [(s, c) for s, c in element.items() if abs(c) > atol]
+    route = None
+    if items and element.n >= 3 and element.family is not CartanFamily.BLOCK_Z:
+        route = _network_route(element.family, element.n,
+                               tuple(s.letters for s, _ in items))
+    if route is not None:
+        return _network_gates(element, items, route)
     out: list[Gate] = []
-    for s, c in element.items():
-        if abs(c) <= atol:
-            continue
-        out.extend(pauli_evolution_gates(s, c, chain))
+    for s, c in items:
+        out.extend(pauli_evolution_gates(s, c))
     return out
 
 
@@ -409,10 +608,12 @@ def synthesize_pulses(gates: list[Gate], chain: ChainSpec) -> PulseProgram:
     """Lower a time-ordered gate list onto a chain.
 
     Local rotations become hard pulses.  Each coupling evolution becomes
-    a refocused delay block of duration ``theta / (2*pi*J_k)``; negative
-    coupling angles are made positive by adding multiples of ``4*pi``,
-    each of which contributes a ``-1`` tracked in the global phase (the
-    ZZ evolution has period ``8*pi`` with value ``-identity`` at ``4*pi``).
+    a refocused delay block of duration ``|theta| / (2*pi*J_k)``.  The
+    angle is first reduced mod ``4*pi`` into ``[-2*pi, 2*pi]``, each
+    ``4*pi`` removed contributing a ``-1`` tracked in the global phase
+    (the ZZ evolution has period ``8*pi`` with value ``-identity`` at
+    ``4*pi``); a negative remainder is run as a positive block between
+    ``+pi`` and ``-pi`` x-pulses on the left spin, which negate ``IzIz``.
     """
     program = PulseProgram(chain=chain)
     bound = chain.n
@@ -428,21 +629,23 @@ def synthesize_pulses(gates: list[Gate], chain: ChainSpec) -> PulseProgram:
             if g.left + 1 > bound:
                 raise DimensionError(
                     f"coupling on pair {g.pair} exceeds chain size {bound}")
-            theta = g.angle
-            wraps = 0
-            while theta < 0:
-                theta += 4 * _PI
-                wraps += 1
-            program.phase += _PI * wraps
+            theta = math.remainder(g.angle, 4 * _PI)
+            program.phase += _PI * round((g.angle - theta) / (4 * _PI))
             if theta == 0:
                 continue
-            t = theta / (2 * _PI * chain.coupling(g.left))
+            # exp(-i*theta*IzIz) for theta < 0 is the block for -theta
+            # conjugated by an x pi-flip of the left spin.
+            if theta < 0:
+                program.events.append(HardPulse(g.left, "x", _PI))
+            t = abs(theta) / (2 * _PI * chain.coupling(g.left))
             flips = refocusing_set(bound, g.left)
             program.events.append(Delay(t / 2))
             program.events.extend(HardPulse(s, "x", _PI) for s in flips)
             program.events.append(Delay(t / 2))
             program.events.extend(HardPulse(s, "x", _PI) for s in flips)
             program.phase += _PI * len(flips)
+            if theta < 0:
+                program.events.append(HardPulse(g.left, "x", -_PI))
         else:
             raise ValidationError(f"unknown gate object {g!r}")
     program.phase = math.remainder(program.phase, 2 * _PI)

@@ -91,6 +91,22 @@ class TestDecompose:
         recon = gate_list_unitary(gates, 3)
         assert np.max(np.abs(recon - u)) < residual_budget(3)
 
+    def test_reports_the_pi_couplings_of_the_artifact(self, tmp_path, capsys):
+        target = tmp_path / "u5.json"
+        assert main(["random", "--n", "5", "--seed", "3",
+                     "--output", str(target)]) == 0
+        out_path = tmp_path / "d.json"
+        capsys.readouterr()
+        assert main(["decompose", "--input", str(target),
+                     "--output", str(out_path)]) == 0
+        out = capsys.readouterr().out
+        gates = gate_list_from_json(read_json(out_path)["gates"])
+        n_zz = sum(isinstance(g, CouplingEvolution) for g in gates)
+        n_pi = sum(isinstance(g, CouplingEvolution) and g.angle == math.pi
+                   for g in gates)
+        assert 0 < n_pi < n_zz
+        assert f"{n_zz} coupling evolutions ({n_pi} at angle pi)" in out
+
     def test_byte_determinism(self, tmp_path):
         target = make_target(tmp_path)
         p1, p2 = tmp_path / "d1.json", tmp_path / "d2.json"

@@ -125,6 +125,16 @@ class TestPauliString:
         for _ in range(40):
             self.check_against_kron("".join(rng.choice(list("1XYZ"), 5)))
 
+    def test_signed_permutation_is_cached_and_read_only(self):
+        src, phase = PauliString("XYZ1").signed_permutation()
+        again = PauliString("XYZ1").signed_permutation()
+        assert again[0] is src and again[1] is phase
+        with pytest.raises(ValueError):
+            src[0] = 1
+        with pytest.raises(ValueError):
+            phase[0] = 1.0
+        self.check_against_kron("XYZ1")
+
 
 def test_multiply_exhaustive_one_and_two_spins():
     """Every pair of words (identity included) against dense algebra."""

@@ -1,8 +1,11 @@
 """String-evolution rewriting and pulse scheduling.
 
 The rewrite engine's only contract is dense: exp(-i*angle*B_P) must come
-out of the gate list exactly, for every string.  The scheduler's contract
-is that an always-on chain plus echo pulses reproduces each coupling gate.
+out of the gate list exactly, for every string.  A commuting-family
+element must come out exactly too, and its parity network may never
+spend more pi couplings than one ladder per string.  The scheduler's
+contract is that an always-on chain plus echo pulses reproduces each
+coupling gate.
 """
 
 import itertools
@@ -11,6 +14,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kakpulse import (
     CartanElement,
@@ -149,6 +154,94 @@ def test_cartan_evolution_drops_tiny_coefficients():
                     g.axis == "z") for g in gates)
 
 
+# ---------------------------------------------------------------------------
+# Commuting families as parity networks
+
+NETWORK_FAMILIES = (CartanFamily.DIAGONAL, CartanFamily.OUTER_X)
+
+
+def pi_couplings(gates):
+    return sum(isinstance(g, CouplingEvolution) and g.angle == math.pi
+               for g in gates)
+
+
+def ladder_gates(elem, atol=1e-12):
+    """One ``pauli_evolution_gates`` ladder per nonzero string."""
+    return [g for s, c in elem.items() if abs(c) > atol
+            for g in pauli_evolution_gates(s, c)]
+
+
+@st.composite
+def family_elements(draw):
+    """Random DIAGONAL / OUTER_X elements on 2..6 spins: each string is
+    absent, below the drop threshold, or anywhere in (-2pi, 2pi)."""
+    k = draw(st.integers(2, 6))
+    family = draw(st.sampled_from(NETWORK_FAMILIES))
+    coeffs = {}
+    for s in family.strings(k):
+        kind = draw(st.sampled_from(("absent", "tiny", "value", "value")))
+        if kind == "tiny":
+            coeffs[s] = draw(st.floats(-1e-12, 1e-12))
+        elif kind == "value":
+            coeffs[s] = draw(st.floats(-2 * math.pi, 2 * math.pi,
+                                       allow_nan=False))
+    return CartanElement(n=k, family=family, coeffs=coeffs)
+
+
+@given(elem=family_elements())
+@settings(max_examples=80, deadline=None)
+def test_family_lowering_is_exact(elem):
+    gates = cartan_evolution_gates(elem)
+    got = gate_list_unitary(gates, elem.n)
+    assert np.max(np.abs(got - expm_skew(elem.hamiltonian()))) < 1e-10
+    assert all(g.angle > 0 for g in gates if isinstance(g, CouplingEvolution))
+    assert gate_list_spin_bound(gates) <= elem.n
+
+
+@given(elem=family_elements())
+@settings(max_examples=80, deadline=None)
+def test_network_never_spends_more_pi_couplings_than_ladders(elem):
+    gates = cartan_evolution_gates(elem)
+    ladders = ladder_gates(elem)
+    assert pi_couplings(gates) <= pi_couplings(ladders)
+    if pi_couplings(gates) == pi_couplings(ladders):
+        assert gates == ladders  # a tie keeps the ladders
+
+
+@pytest.mark.parametrize("k, network, ladders", [
+    (3, 6, 6), (4, 18, 30), (5, 42, 102), (6, 90, 294), (7, 186, 774)])
+@pytest.mark.parametrize("family", NETWORK_FAMILIES, ids=lambda f: f.value)
+def test_dense_family_pi_coupling_counts(family, k, network, ladders):
+    """A dense family runs the whole network N(k-1); the trailing-X
+    family adds the two CNOTs of its frame, except at k = 3, where every
+    family ties with its ladders and keeps them."""
+    elem = CartanElement(n=k, family=family,
+                         coeffs={s: 0.3 for s in family.strings(k)})
+    gates = cartan_evolution_gates(elem)
+    assert pi_couplings(ladder_gates(elem)) == ladders
+    frame = 2 if family is CartanFamily.OUTER_X and k > 3 else 0
+    assert pi_couplings(gates) == network + frame
+    if k <= 5:
+        got = gate_list_unitary(gates, k)
+        assert np.max(np.abs(got - expm_skew(elem.hamiltonian()))) < 1e-10
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+@pytest.mark.parametrize("family", NETWORK_FAMILIES, ids=lambda f: f.value)
+def test_single_string_keeps_its_ladder(family, k):
+    for s in family.strings(k):
+        elem = CartanElement(n=k, family=family, coeffs={s: 0.7})
+        assert cartan_evolution_gates(elem) == pauli_evolution_gates(s, 0.7)
+
+
+def test_network_fits_the_chain():
+    elem = CartanElement(n=4, family=CartanFamily.DIAGONAL,
+                         coeffs={s: 0.2 for s in CartanFamily.DIAGONAL.strings(4)})
+    assert cartan_evolution_gates(elem, ChainSpec.uniform(4))
+    with pytest.raises(DimensionError):
+        cartan_evolution_gates(elem, ChainSpec.uniform(5))
+
+
 def test_inverse_gate_list_cancels():
     gates = pauli_evolution_gates("XYZ", 1.3)
     both = gates + inverse_gate_list(gates)
@@ -233,6 +326,31 @@ class TestSynthesizePulses:
         program = synthesize_pulses(gates, chain)
         assert all(not (isinstance(e, Delay) and e.duration < 0)
                    for e in program.events)
+        got = pulse_program_unitary(program)
+        assert np.max(np.abs(got - gate_list_unitary(gates, 3))) < 1e-10
+
+    @pytest.mark.parametrize("theta", [-0.001, -0.7, -3.0, 0.1 - 2 * math.pi])
+    @pytest.mark.parametrize("j", [100.0, 140.0])
+    def test_negative_coupling_angle_runs_its_own_length(self, theta, j):
+        """A negative angle is a block of |theta| / (2 pi J) between
+        x pi-flips, not one padded by 4 pi."""
+        chain = ChainSpec(3, (j, j))
+        gates = [CouplingEvolution(1, theta)]
+        program = synthesize_pulses(gates, chain)
+        assert total_coupling_time(program) == pytest.approx(
+            abs(theta) / (2 * math.pi * j), rel=1e-12)
+        got = pulse_program_unitary(program)
+        assert np.max(np.abs(got - gate_list_unitary(gates, 3))) < 1e-10
+
+    @pytest.mark.parametrize("theta", [3 * math.pi, 4 * math.pi + 0.5,
+                                       -4 * math.pi - 0.5, 9.5 * math.pi])
+    def test_coupling_angle_is_reduced_mod_4pi(self, theta):
+        """Whole 4 pi turns are a tracked -1, so no block runs longer than
+        2 pi / (2 pi J)."""
+        chain = ChainSpec.uniform(3)
+        gates = [CouplingEvolution(2, theta)]
+        program = synthesize_pulses(gates, chain)
+        assert total_coupling_time(program) <= 1 / 100.0 + 1e-15
         got = pulse_program_unitary(program)
         assert np.max(np.abs(got - gate_list_unitary(gates, 3))) < 1e-10
 
