@@ -4,9 +4,9 @@ programs.
 
 The public surface re-exports the working set of every layer: the exact
 product-operator algebra (:mod:`.paulis`), dense matrix utilities
-(:mod:`.linalg`), the gate vocabulary (:mod:`.gates`), the recursive
-factorization (:mod:`.kak`), the rewrite/pulse layer (:mod:`.pulses`)
-and the simulator (:mod:`.simulate`).
+(:mod:`.linalg`), the gate and pulse vocabulary (:mod:`.gates`), the
+recursive factorization (:mod:`.kak`), the lowering of trees to gates
+and pulses (:mod:`.pulses`) and the simulator (:mod:`.simulate`).
 """
 
 from .errors import (
@@ -51,10 +51,14 @@ from .linalg import (
     unitary_eig,
 )
 from .gates import (
+    ChainSpec,
     CouplingEvolution,
+    Delay,
     Gate,
     GlobalPhase,
+    HardPulse,
     LocalRotation,
+    PulseProgram,
     gate_list_from_json,
     gate_list_spin_bound,
     gate_list_to_json,
@@ -70,13 +74,11 @@ from .kak import (
     SequenceNode,
     TwoSpinFactors,
     TwoSpinNode,
-    compile_unitary,
     decompose,
     demultiplex,
     diagonal_to_block_coordinates,
     euler_xzx,
     evaluate,
-    flatten,
     interaction_class,
     interaction_unitary,
     residual_budget,
@@ -86,11 +88,9 @@ from .kak import (
     two_spin_factors,
 )
 from .pulses import (
-    ChainSpec,
-    Delay,
-    HardPulse,
-    PulseProgram,
     cartan_evolution_gates,
+    compile_unitary,
+    flatten,
     pauli_evolution_gates,
     pulse_count,
     refocusing_set,

@@ -30,14 +30,16 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .gates import (
+    ChainSpec,
     CouplingEvolution,
     GlobalPhase,
     LocalRotation,
+    PulseProgram,
     gate_list_from_json,
     gate_list_spin_bound,
     gate_list_to_json,
 )
-from .kak import decompose, flatten, residual_budget, tree_to_json_dict
+from .kak import decompose, residual_budget, tree_to_json_dict
 from .linalg import (
     check_unitary,
     haar_unitary,
@@ -45,7 +47,7 @@ from .linalg import (
     matrix_to_json_dict,
     spin_count,
 )
-from .pulses import ChainSpec, PulseProgram, pulse_count, synthesize_pulses, total_coupling_time
+from .pulses import flatten, pulse_count, synthesize_pulses, total_coupling_time
 from .selftest import SUITES
 from .simulate import distance, gate_list_unitary, pulse_program_unitary
 
@@ -156,7 +158,7 @@ def cmd_decompose(input_path: str, out_path: str, n: int | None = None,
     print(f"reconstruction residual {resid:.3e} (budget {budget:.3e})")
     print(f"{n_local} local rotations, {n_zz} coupling evolutions "
           f"({n_pi} at angle pi), {n_phase} phase factors")
-    if resid >= budget:
+    if not resid < budget:  # a nan residual fails too
         print("residual exceeds budget", file=sys.stderr)
         return 4
     return 0

@@ -1,9 +1,17 @@
-"""Primitive gate vocabulary for a linear chain.
+"""Primitive gate and pulse vocabulary for a linear chain.
 
 Only three gate kinds exist: single-spin rotations, nearest-neighbour
 ZZ coupling evolutions, and global phases.  Gate *lists* are always in
 time order (first element acts first); the matrix of a list is the
 reversed product.
+
+The chain a program runs on is a :class:`ChainSpec` (spin count and
+always-on couplings), and a :class:`PulseProgram` is a time-ordered
+list of events on it: hard pulses, which are instantaneous
+:class:`LocalRotation` s (``HardPulse`` names the same class), and
+:class:`Delay` s of free evolution under every coupling at once.  The
+lowering in :mod:`~kakpulse.pulses` writes these and the simulator in
+:mod:`~kakpulse.simulate` reads them, so neither depends on the other.
 
 Conventions
 -----------
@@ -22,10 +30,10 @@ Spins are 1-based; spin 1 is the leftmost Kronecker factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
-from .errors import ValidationError
+from .errors import DimensionError, RangeError, ValidationError
 
 AXES = ("x", "y", "z")
 
@@ -146,3 +154,106 @@ def gate_list_from_json(data: list[dict]) -> list[Gate]:
                 raise
             raise ValidationError(f"malformed gate at index {k}: {exc}") from exc
     return out
+
+
+# ---------------------------------------------------------------------------
+# Chains and pulse programs
+
+
+@dataclass(frozen=True)
+class ChainSpec:
+    """A linear chain: ``n`` spins, always-on couplings ``J[k]`` in Hz for
+    each adjacent pair ``(k, k+1)``."""
+
+    n: int
+    couplings: tuple[float, ...]
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValidationError(f"chain needs at least one spin, got {self.n}")
+        if len(self.couplings) != self.n - 1:
+            raise DimensionError(
+                f"expected {self.n - 1} couplings for {self.n} spins, "
+                f"got {len(self.couplings)}")
+        for k, j in enumerate(self.couplings, start=1):
+            if not (math.isfinite(j) and j > 0):
+                raise RangeError(f"coupling J_{k} must be positive, got {j}")
+
+    @classmethod
+    def uniform(cls, n: int, j: float = 100.0) -> "ChainSpec":
+        return cls(n=n, couplings=(float(j),) * (n - 1))
+
+    def coupling(self, left: int) -> float:
+        if not 1 <= left <= self.n - 1:
+            raise RangeError(f"pair index {left} outside 1..{self.n - 1}")
+        return self.couplings[left - 1]
+
+    def to_json_dict(self) -> dict:
+        return {"n": self.n, "J": list(self.couplings)}
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "ChainSpec":
+        try:
+            return cls(n=int(data["n"]),
+                       couplings=tuple(float(x) for x in data["J"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed chain object: {exc}") from exc
+
+
+# An instantaneous pulse is a local rotation applied at one instant.
+HardPulse = LocalRotation
+
+
+@dataclass(frozen=True)
+class Delay:
+    """Free evolution under the chain couplings for ``duration`` seconds."""
+
+    duration: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.duration) and self.duration >= 0):
+            raise RangeError(f"delay must be non-negative, got {self.duration}")
+
+
+PulseEvent = Union[HardPulse, Delay]
+
+
+@dataclass
+class PulseProgram:
+    """Time-ordered pulse/delay schedule plus an accumulated global phase."""
+
+    chain: ChainSpec
+    events: list[PulseEvent] = field(default_factory=list)
+    phase: float = 0.0
+
+    def to_json_dict(self) -> dict:
+        events = []
+        for e in self.events:
+            if isinstance(e, HardPulse):
+                events.append({"kind": "pulse", "q": e.qubit, "axis": e.axis,
+                               "angle": e.angle})
+            else:
+                events.append({"kind": "delay", "t": e.duration})
+        return {"chain": self.chain.to_json_dict(), "events": events,
+                "phase": self.phase}
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "PulseProgram":
+        try:
+            chain = ChainSpec.from_json_dict(data["chain"])
+            events: list[PulseEvent] = []
+            for k, item in enumerate(data.get("events", [])):
+                kind = item["kind"]
+                if kind == "pulse":
+                    events.append(HardPulse(int(item["q"]), str(item["axis"]),
+                                            float(item["angle"])))
+                elif kind == "delay":
+                    events.append(Delay(float(item["t"])))
+                else:
+                    raise ValidationError(f"unknown event kind {kind!r} at {k}")
+            return cls(chain=chain, events=events,
+                       phase=float(data.get("phase", 0.0)))
+        except (KeyError, TypeError, ValueError) as exc:
+            if isinstance(exc, ValidationError):
+                raise
+            raise ValidationError(f"malformed pulse program: {exc}") from exc

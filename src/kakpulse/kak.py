@@ -15,10 +15,6 @@ into half-size problems plus diagonal commuting layers.  Two spins
 bottom out in the magic-basis canonical form with at most three
 coupling axes.
 
-:func:`flatten` then lowers a tree to the time-ordered gate vocabulary
-of :mod:`~kakpulse.gates` via the rewrite engine in
-:mod:`~kakpulse.pulses`.
-
 Every factorization routine re-multiplies its output and raises
 :class:`~kakpulse.errors.NumericError` if the residual exceeds its
 contract, with a path annotation pointing into the recursion.
@@ -33,6 +29,9 @@ emits, not the intermediate factors, without walking its subtree again.
 Commuting-family exponentials are applied string by string, each
 ``sigma_s`` as a signed permutation of rows.  :func:`evaluate` stays
 the independent re-walk of a finished tree.
+
+This module only factors; :func:`kakpulse.pulses.flatten` lowers a tree
+to gates.
 """
 
 from __future__ import annotations
@@ -46,12 +45,11 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionError, NumericError, ValidationError
-from .gates import Gate, GlobalPhase, LocalRotation
+from .gates import LocalRotation
 from .linalg import (PAULI, apply_local, check_unitary, cosine_sine,
                      golden_mix_eigvecs, permute_spins, spin_count,
                      su2_rotation, unitary_eig)
 from .paulis import CartanElement, CartanFamily, PauliString
-from .pulses import cartan_evolution_gates, pauli_evolution_gates
 
 TOL_EULER = 1e-12
 TOL_TWO_SPIN = 1e-10
@@ -801,59 +799,3 @@ def _decompose(u: np.ndarray) -> tuple[GateTree, np.ndarray]:
                            residual=resid, path=(f"n={n}",))
     return SequenceNode(tuple(children)), matrix
 
-
-# ---------------------------------------------------------------------------
-# Lowering to the gate vocabulary
-
-
-def _euler_gates_matrix(node: EulerNode) -> list[Gate]:
-    out: list[Gate] = []
-    for axis, angle in (("x", node.alpha), ("z", node.beta), ("x", node.gamma)):
-        if abs(angle) > 1e-14:
-            out.append(LocalRotation(node.qubit, axis, angle))
-    return out
-
-
-def flatten(tree: GateTree) -> list[Gate]:
-    """Lower a gate tree to a time-ordered gate list.
-
-    Commuting-family evolutions go through
-    :func:`~kakpulse.pulses.cartan_evolution_gates` (a parity network or
-    one ladder per string) and the three interaction terms of each
-    two-spin middle through the string rewrite engine.  The
-    output reproduces ``evaluate`` of the tree exactly (up to float
-    accumulation, checked in the test-suite at ``1e-8``).
-    """
-    if isinstance(tree, SequenceNode):
-        out: list[Gate] = []
-        for child in reversed(tree.children):
-            out.extend(flatten(child))
-        return out
-    if isinstance(tree, EulerNode):
-        return list(reversed(_euler_gates_matrix(tree)))
-    if isinstance(tree, PhaseNode):
-        return [GlobalPhase(tree.phi)]
-    if isinstance(tree, LocalWordNode):
-        return [g for g in reversed(tree.gates)]
-    if isinstance(tree, CartanNode):
-        return cartan_evolution_gates(tree.element)
-    if isinstance(tree, TwoSpinNode):
-        matrix: list[Gate] = []
-        if abs(tree.phase) > 1e-14:
-            matrix.append(GlobalPhase(tree.phase))
-        matrix.extend(_euler_gates_matrix(tree.after[0]))
-        matrix.extend(_euler_gates_matrix(tree.after[1]))
-        pad = "1" * (tree.left - 1)
-        for axis, alpha in zip("XYZ", tree.alphas):
-            if abs(alpha) >= 1e-12:
-                matrix.extend(reversed(pauli_evolution_gates(
-                    pad + 2 * axis, float(alpha) / 2)))
-        matrix.extend(_euler_gates_matrix(tree.before[0]))
-        matrix.extend(_euler_gates_matrix(tree.before[1]))
-        return list(reversed(matrix))
-    raise ValidationError(f"unknown tree node {tree!r}")
-
-
-def compile_unitary(u: np.ndarray) -> list[Gate]:
-    """One-call pipeline: factor ``u`` and lower it to gates."""
-    return flatten(decompose(u))

@@ -82,7 +82,7 @@ def check_unitary(u: np.ndarray, *, tol: float = TOL_UNITARY,
     """Return ``u`` as a complex array after verifying unitarity."""
     u = check_square(u, what)
     dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if dev > tol:
+    if not dev <= tol:  # a nan deviation fails too
         raise ValidationError(f"{what} is not unitary (deviation {dev:.3e} > {tol:g})")
     return u
 
@@ -91,7 +91,7 @@ def check_hermitian(h: np.ndarray, *, tol: float = TOL_HERMITIAN,
                     what: str = "generator") -> np.ndarray:
     h = check_square(h, what)
     dev = np.max(np.abs(h - h.conj().T))
-    if dev > tol:
+    if not dev <= tol:  # a nan deviation fails too
         raise ValidationError(f"{what} is not Hermitian (deviation {dev:.3e} > {tol:g})")
     return h
 
@@ -281,4 +281,6 @@ def matrix_from_json_dict(data: dict) -> np.ndarray:
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise DimensionError(
             f"matrix fields must be {dim}x{dim}, got {re.shape} and {im.shape}")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValidationError("matrix entries must be finite")
     return re + 1j * im

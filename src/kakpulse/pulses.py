@@ -1,6 +1,6 @@
-"""Rewrite product-operator exponentials into chain-native gates and pulses.
+"""Lower factored trees into chain-native gates and pulses.
 
-Three layers live here:
+Four layers live here:
 
 * A symbolic rewrite engine that turns ``exp(-1j * theta * B_P)`` for an
   arbitrary string ``P`` into single-spin rotations plus
@@ -24,9 +24,19 @@ Three layers live here:
   by the shorter way.  It is used only when it needs strictly fewer
   ``pi`` couplings than the ladders; the choice depends only on which
   strings are nonzero and is cached on that pattern.
-* A scheduler that lowers a time-ordered gate list onto a concrete
-  chain with always-on couplings, inserting spin-echo refocusing pulses
-  so that exactly one coupling is active during each delay.
+* The tree lowering :func:`flatten`, which turns the gate tree of
+  :func:`~kakpulse.kak.decompose` into one gate list: Euler leaves
+  become up to three rotations, commuting layers go through the family
+  lowering and each two-spin middle through the rewrite engine.  This
+  is the one place where the emitted gauge is chosen.
+* A scheduler that lowers a gate list onto a concrete chain with
+  always-on couplings, inserting spin-echo refocusing pulses so that
+  exactly one coupling is active during each delay.
+
+Every gate list built here, by every helper, is in time order: the
+first gate acts first.  Only the tree itself keeps matrix order (the
+children of a ``SequenceNode`` and the gates of a ``LocalWordNode``),
+and :func:`flatten` reverses those where it reads them.
 
 The scheduler's refocusing rule: while pair ``(k, k+1)`` evolves, every
 spin at odd distance from the pair is flipped with a ``pi`` x-pulse at
@@ -41,11 +51,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DimensionError, RangeError, ValidationError
-from .gates import AXES, CouplingEvolution, Gate, GlobalPhase, LocalRotation
+from .gates import (ChainSpec, CouplingEvolution, Delay, Gate, GlobalPhase,
+                    HardPulse, LocalRotation, PulseProgram, inverse_gate_list)
+from .kak import (CartanNode, EulerNode, GateTree, LocalWordNode, PhaseNode,
+                  SequenceNode, TwoSpinNode, decompose)
 from .paulis import CartanElement, CartanFamily, PauliString, _letter_product
+
+# Commuting-family coefficients of at most this magnitude emit no gates.
+TOL_COEFF = 1e-12
 
 _PI = math.pi
 _HALF_PI = math.pi / 2
@@ -138,46 +156,39 @@ def _ad_pair(op: _PairOp, term: dict[int, str]) -> tuple[int, dict[int, str]]:
     return sign, new
 
 
-def _frame_gates(op: _PairOp) -> tuple[list[LocalRotation], list[LocalRotation]]:
-    """Local rotations V with exp(op) = V @ exp(over ZZ) @ V^dag.
-
-    Returns (V, V^dag) as matrix-ordered gate lists.
-    """
-    fwd: list[LocalRotation] = []
-    for site, letter in ((op.a, op.la), (op.b, op.lb)):
-        if letter == "Z":
-            continue
-        axis, angle = _FRAME_FOR_LETTER[letter]
-        fwd.append(LocalRotation(site, axis, angle))
-    bwd = [g.inverse() for g in reversed(fwd)]
-    return fwd, bwd
+def _frame_gates(op: _PairOp) -> list[LocalRotation]:
+    """Local rotations V with ``exp(op) = V exp(-1j*sign*pi*IzIz) V^dag``."""
+    return [LocalRotation(site, *_FRAME_FOR_LETTER[letter])
+            for site, letter in ((op.b, op.lb), (op.a, op.la)) if letter != "Z"]
 
 
 def _coupling_gates(left: int, angle: float) -> list[Gate]:
-    """Matrix-ordered gates for ``exp(-1j*angle*IzIz)`` with the coupling
-    angle kept non-negative (negative exponents are wrapped in a spin
-    flip, which negates the generator)."""
+    """Gates for ``exp(-1j*angle*IzIz)`` with the coupling angle kept
+    non-negative (negative exponents are wrapped in a spin flip, which
+    negates the generator)."""
     if abs(angle) < 1e-15:
         return []
     if angle > 0:
         return [CouplingEvolution(left, angle)]
-    return [LocalRotation(left, "x", _PI),
+    return [LocalRotation(left, "x", -_PI),
             CouplingEvolution(left, -angle),
-            LocalRotation(left, "x", -_PI)]
+            LocalRotation(left, "x", _PI)]
 
 
-def _pair_op_gates(op: _PairOp) -> list[Gate]:
-    """Matrix-ordered gates realizing exp(-1j*sign*pi*I_(a,la)I_(b,lb))."""
-    if op.b != op.a + 1:
-        raise ValidationError("pair conjugators must act on adjacent spins")
-    fwd, bwd = _frame_gates(op)
-    return fwd + _coupling_gates(op.a, op.sign * _PI) + bwd
-
-
-def _op_gates(op) -> list[Gate]:
-    if isinstance(op, _LocalOp):
-        return [LocalRotation(op.q, op.axis, op.angle)]
-    return _pair_op_gates(op)
+def _op_gates(ops) -> list[Gate]:
+    """Gates of a sequence of conjugators, each a local rotation or a
+    ``pi`` pair evolution ``V^dag``, coupling, ``V`` on adjacent spins."""
+    out: list[Gate] = []
+    for op in ops:
+        if isinstance(op, _LocalOp):
+            out.append(LocalRotation(op.q, op.axis, op.angle))
+            continue
+        if op.b != op.a + 1:
+            raise ValidationError("pair conjugators must act on adjacent spins")
+        frame = _frame_gates(op)
+        out += (inverse_gate_list(frame) + _coupling_gates(op.a, op.sign * _PI)
+                + frame)
+    return out
 
 
 def _reduce_to_adjacent_zz(string: PauliString) -> tuple[list, int, int]:
@@ -237,21 +248,16 @@ def _reduce_to_adjacent_zz(string: PauliString) -> tuple[list, int, int]:
     return ops, left, sign
 
 
-def pauli_evolution_gates(string: PauliString | str, angle: float,
-                          chain: "ChainSpec | None" = None) -> list[Gate]:
-    """Time-ordered gates realizing ``exp(-1j * angle * B_string)``.
+def pauli_evolution_gates(string: PauliString | str, angle: float) -> list[Gate]:
+    """Gates realizing ``exp(-1j * angle * B_string)``.
 
     ``B_string`` is the basis-normalized realization (``sigma/2``), so a
     single-letter string compiles to one rotation and the adjacent ZZ
-    string compiles to a coupling evolution of ``2 * angle``.  When a
-    ``chain`` is given, the string must fit on it.
+    string compiles to a coupling evolution of ``2 * angle``.
     """
     s = string if isinstance(string, PauliString) else PauliString(string)
     if not math.isfinite(angle):
         raise ValidationError("evolution angle must be finite")
-    if chain is not None and s.n != chain.n:
-        raise DimensionError(
-            f"string acts on {s.n} spins but the chain has {chain.n}")
     if s.weight == 0:
         raise ValidationError("cannot compile the identity string")
     if s.weight == 1:
@@ -260,28 +266,15 @@ def pauli_evolution_gates(string: PauliString | str, angle: float,
 
     ops, left, sign = _reduce_to_adjacent_zz(s)
     # sigma_P = sign * W sigma_ZZ W^dag  with  W = op1^dag ... opm^dag,
-    # hence exp(-i th B_P) = W exp(-i th sign B_ZZ) W^dag and
-    # B_ZZ = 2 IzIz doubles the coupling angle.
-    w: list[Gate] = []
-    for op in ops:
-        w.extend(_op_gates(op.dagger()))
-    w_dag: list[Gate] = []
-    for op in reversed(ops):
-        w_dag.extend(_op_gates(op))
-    matrix_order = w + _coupling_gates(left, 2 * angle * sign) + w_dag
-    return list(reversed(matrix_order))
+    # hence exp(-i th B_P) = W exp(-i th sign B_ZZ) W^dag: W^dag runs the
+    # ops in order, W their daggers in reverse, and B_ZZ = 2 IzIz
+    # doubles the coupling angle.
+    return (_op_gates(ops) + _coupling_gates(left, 2 * angle * sign)
+            + _op_gates([op.dagger() for op in reversed(ops)]))
 
 
 # ---------------------------------------------------------------------------
 # Commuting families as chain parity networks
-
-
-def _time_order_gates(ops: list) -> list[Gate]:
-    """Time-ordered gates of conjugators given in time order."""
-    out: list[Gate] = []
-    for op in ops:
-        out.extend(reversed(_op_gates(op)))
-    return out
 
 
 def _cnot_ops(control: int, target: int) -> list:
@@ -298,7 +291,7 @@ def _cnot_ops(control: int, target: int) -> list:
 
 @functools.lru_cache(maxsize=None)
 def _cnot_gates(control: int, target: int) -> tuple[Gate, ...]:
-    return tuple(_time_order_gates(_cnot_ops(control, target)))
+    return tuple(_op_gates(_cnot_ops(control, target)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -411,7 +404,7 @@ def _network_route(family: CartanFamily, k: int,
 def _network_gates(element: CartanElement,
                    items: list[tuple[PauliString, float]],
                    route: tuple[tuple[int, int], ...]) -> list[Gate]:
-    """Time-ordered gates of ``exp(-1j*H)``: the frame, the network with
+    """Gates of ``exp(-1j*H)``: the frame, the network with
     each string rotated once at its step, one global phase that cancels
     the CNOTs' ``exp(1j*pi/4)`` factors, and the frame undone."""
     points = _parity_points(element.n)
@@ -419,8 +412,11 @@ def _network_gates(element: CartanElement,
     for s, c in items:
         sign, mask = _parity_image(element.family, s.letters)
         step, site, on_pair = points[mask]
+        # A negative pair rotation is X C X either way round, since
+        # Rx(pi) and Rx(-pi) differ only by a sign; the network emits
+        # its flips in the order opposite to the ladders'.
         at_step.setdefault(step, []).extend(
-            _coupling_gates(site, 2 * sign * c) if on_pair
+            _coupling_gates(site, 2 * sign * c)[::-1] if on_pair
             else [LocalRotation(site, "z", sign * c)])
     head: list[Gate] = []
     tail: list[Gate] = []
@@ -429,8 +425,8 @@ def _network_gates(element: CartanElement,
         # CNOT is its own inverse, so the frame is undone by the inverse
         # turns and the same CNOT, which keeps every coupling angle at +pi.
         turns = _outer_x_turns(element.n)
-        head = [*_cnot_gates(1, 2), *_time_order_gates(turns)]
-        tail = [*_time_order_gates([op.dagger() for op in reversed(turns)]),
+        head = [*_cnot_gates(1, 2), *_op_gates(turns)]
+        tail = [*_op_gates([op.dagger() for op in reversed(turns)]),
                 *_cnot_gates(1, 2)]
         cnots += 2
     out = head
@@ -444,11 +440,9 @@ def _network_gates(element: CartanElement,
     return out + tail
 
 
-def cartan_evolution_gates(element: CartanElement,
-                           chain: "ChainSpec | None" = None, *,
-                           atol: float = 1e-12) -> list[Gate]:
-    """Time-ordered gates for ``exp(-1j * H)`` with ``H`` a commuting-family
-    element; coefficients of magnitude at most ``atol`` are dropped.
+def cartan_evolution_gates(element: CartanElement) -> list[Gate]:
+    """Gates for ``exp(-1j * H)`` with ``H`` a commuting-family element;
+    coefficients of magnitude at most :data:`TOL_COEFF` are dropped.
 
     A ``DIAGONAL`` or ``OUTER_X`` element on three or more spins is
     lowered as one parity network when that spends fewer pi couplings
@@ -456,10 +450,7 @@ def cartan_evolution_gates(element: CartanElement,
     the family commutes, so the exponential splits into one string
     evolution per coefficient, emitted in canonical family order.
     """
-    if chain is not None and element.n != chain.n:
-        raise DimensionError(
-            f"element acts on {element.n} spins but the chain has {chain.n}")
-    items = [(s, c) for s, c in element.items() if abs(c) > atol]
+    items = [(s, c) for s, c in element.items() if abs(c) > TOL_COEFF]
     route = None
     if items and element.n >= 3 and element.family is not CartanFamily.BLOCK_Z:
         route = _network_route(element.family, element.n,
@@ -473,119 +464,60 @@ def cartan_evolution_gates(element: CartanElement,
 
 
 # ---------------------------------------------------------------------------
-# Chains and pulse programs
+# Gate trees
 
 
-@dataclass(frozen=True)
-class ChainSpec:
-    """A linear chain: ``n`` spins, always-on couplings ``J[k]`` in Hz for
-    each adjacent pair ``(k, k+1)``."""
-
-    n: int
-    couplings: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"chain needs at least one spin, got {self.n}")
-        if len(self.couplings) != self.n - 1:
-            raise DimensionError(
-                f"expected {self.n - 1} couplings for {self.n} spins, "
-                f"got {len(self.couplings)}")
-        for k, j in enumerate(self.couplings, start=1):
-            if not (math.isfinite(j) and j > 0):
-                raise RangeError(f"coupling J_{k} must be positive, got {j}")
-
-    @classmethod
-    def uniform(cls, n: int, j: float = 100.0) -> "ChainSpec":
-        return cls(n=n, couplings=(float(j),) * (n - 1))
-
-    def coupling(self, left: int) -> float:
-        if not 1 <= left <= self.n - 1:
-            raise RangeError(f"pair index {left} outside 1..{self.n - 1}")
-        return self.couplings[left - 1]
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "J": list(self.couplings)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ChainSpec":
-        try:
-            return cls(n=int(data["n"]),
-                       couplings=tuple(float(x) for x in data["J"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed chain object: {exc}") from exc
+def _euler_gates(node: EulerNode) -> list[Gate]:
+    """``Rx(alpha) Rz(beta) Rx(gamma)``: gamma acts first; zero turns are
+    left out."""
+    return [LocalRotation(node.qubit, axis, angle)
+            for axis, angle in (("x", node.gamma), ("z", node.beta),
+                                ("x", node.alpha))
+            if abs(angle) > 1e-14]
 
 
-@dataclass(frozen=True)
-class HardPulse:
-    """Instantaneous rotation ``exp(-1j*angle*sigma_axis/2)`` on one spin."""
+def flatten(tree: GateTree) -> list[Gate]:
+    """Lower a gate tree to a gate list.
 
-    qubit: int
-    axis: str
-    angle: float
+    Commuting-family evolutions go through :func:`cartan_evolution_gates`
+    (a parity network or one ladder per string) and the three
+    interaction terms of each two-spin middle through
+    :func:`pauli_evolution_gates`.  The output reproduces ``evaluate`` of
+    the tree exactly (up to float accumulation, checked in the
+    test-suite at ``1e-8``).
+    """
+    if isinstance(tree, SequenceNode):
+        # children are in matrix order: index 0 acts last
+        return [g for child in reversed(tree.children) for g in flatten(child)]
+    if isinstance(tree, EulerNode):
+        return _euler_gates(tree)
+    if isinstance(tree, PhaseNode):
+        return [GlobalPhase(tree.phi)]
+    if isinstance(tree, LocalWordNode):
+        return list(reversed(tree.gates))  # a word is in matrix order too
+    if isinstance(tree, CartanNode):
+        return cartan_evolution_gates(tree.element)
+    if isinstance(tree, TwoSpinNode):
+        # before, the three commuting interaction terms, after, phase
+        out = _euler_gates(tree.before[1]) + _euler_gates(tree.before[0])
+        pad = "1" * (tree.left - 1)
+        for axis, alpha in zip("ZYX", reversed(tree.alphas)):
+            if abs(alpha) >= 1e-12:
+                out += pauli_evolution_gates(pad + 2 * axis, float(alpha) / 2)
+        out += _euler_gates(tree.after[1]) + _euler_gates(tree.after[0])
+        if abs(tree.phase) > 1e-14:
+            out.append(GlobalPhase(tree.phase))
+        return out
+    raise ValidationError(f"unknown tree node {tree!r}")
 
-    def __post_init__(self):
-        if self.qubit < 1:
-            raise ValidationError(f"spin index must be >= 1, got {self.qubit}")
-        if self.axis not in AXES:
-            raise ValidationError(f"axis must be one of {AXES}, got {self.axis!r}")
-        if not math.isfinite(self.angle):
-            raise ValidationError("pulse angle must be finite")
+
+def compile_unitary(u: np.ndarray) -> list[Gate]:
+    """One-call pipeline: factor ``u`` and lower it to gates."""
+    return flatten(decompose(u))
 
 
-@dataclass(frozen=True)
-class Delay:
-    """Free evolution under the chain couplings for ``duration`` seconds."""
-
-    duration: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.duration) and self.duration >= 0):
-            raise RangeError(f"delay must be non-negative, got {self.duration}")
-
-
-PulseEvent = HardPulse | Delay
-
-
-@dataclass
-class PulseProgram:
-    """Time-ordered pulse/delay schedule plus an accumulated global phase."""
-
-    chain: ChainSpec
-    events: list[PulseEvent] = field(default_factory=list)
-    phase: float = 0.0
-
-    def to_json_dict(self) -> dict:
-        events = []
-        for e in self.events:
-            if isinstance(e, HardPulse):
-                events.append({"kind": "pulse", "q": e.qubit, "axis": e.axis,
-                               "angle": e.angle})
-            else:
-                events.append({"kind": "delay", "t": e.duration})
-        return {"chain": self.chain.to_json_dict(), "events": events,
-                "phase": self.phase}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PulseProgram":
-        try:
-            chain = ChainSpec.from_json_dict(data["chain"])
-            events: list[PulseEvent] = []
-            for k, item in enumerate(data.get("events", [])):
-                kind = item["kind"]
-                if kind == "pulse":
-                    events.append(HardPulse(int(item["q"]), str(item["axis"]),
-                                            float(item["angle"])))
-                elif kind == "delay":
-                    events.append(Delay(float(item["t"])))
-                else:
-                    raise ValidationError(f"unknown event kind {kind!r} at {k}")
-            return cls(chain=chain, events=events,
-                       phase=float(data.get("phase", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ValidationError):
-                raise
-            raise ValidationError(f"malformed pulse program: {exc}") from exc
+# ---------------------------------------------------------------------------
+# Scheduling onto an always-on chain
 
 
 def refocusing_set(n: int, left: int) -> list[int]:
@@ -624,7 +556,7 @@ def synthesize_pulses(gates: list[Gate], chain: ChainSpec) -> PulseProgram:
             if g.qubit > bound:
                 raise DimensionError(
                     f"gate on spin {g.qubit} exceeds chain size {bound}")
-            program.events.append(HardPulse(g.qubit, g.axis, g.angle))
+            program.events.append(g)  # a rotation is its own hard pulse
         elif isinstance(g, CouplingEvolution):
             if g.left + 1 > bound:
                 raise DimensionError(

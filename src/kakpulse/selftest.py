@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .gates import CouplingEvolution, GlobalPhase, LocalRotation
-from .kak import decompose, euler_xzx, flatten, interaction_class, two_spin_factors
+from .gates import ChainSpec, CouplingEvolution, GlobalPhase, LocalRotation
+from .kak import decompose, euler_xzx, interaction_class, two_spin_factors
 from .linalg import expm_skew, haar_unitary, su2_rotation
 from .paulis import (
     PauliString,
@@ -30,12 +30,8 @@ from .paulis import (
     outer_cartan_strings,
     subspace_tag,
 )
-from .pulses import ChainSpec, synthesize_pulses, total_coupling_time
+from .pulses import flatten, synthesize_pulses, total_coupling_time
 from .simulate import distance, gate_list_unitary, pulse_program_unitary
-
-
-def _dense(term) -> np.ndarray:
-    return term.coeff * term.string.to_matrix()
 
 
 def _suite_commutation() -> tuple[bool, str]:
@@ -60,11 +56,11 @@ def _suite_commutation() -> tuple[bool, str]:
         a, b = PauliString(wa), PauliString(wb)
         ma, mb = a.to_matrix(), b.to_matrix()
         prod = multiply(a, b)
-        if np.max(np.abs(ma @ mb - _dense(prod))) > 1e-12:
+        if np.max(np.abs(ma @ mb - prod.to_matrix())) > 1e-12:
             return False, f"product {wa} * {wb} disagrees with dense algebra"
         comm = commutator(a, b)
         dense = ma @ mb - mb @ ma
-        want = _dense(comm) if comm is not None else np.zeros_like(dense)
+        want = comm.to_matrix() if comm is not None else np.zeros_like(dense)
         if np.max(np.abs(dense - want)) > 1e-12:
             return False, f"commutator [{wa}, {wb}] disagrees with dense algebra"
         if commutes(a, b) != (np.max(np.abs(dense)) < 1e-12):

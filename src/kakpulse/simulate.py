@@ -11,8 +11,10 @@ are summed and exponentiated once.  Global phases are summed into one
 scalar.
 
 The check stays independent of what it checks in three ways.  Nothing
-here imports the factorization (:mod:`~kakpulse.kak`), and the target a
-simulation is compared with always comes from outside it.  The fused
+here imports the factorization (:mod:`~kakpulse.kak`) or the lowering
+(:mod:`~kakpulse.pulses`): gate lists and pulse programs are read in
+the vocabulary of :mod:`~kakpulse.gates`, and the target a simulation
+is compared with always comes from outside it.  The fused
 arithmetic is held to a naive oracle in ``tests/test_simulator.py``
 that Kronecker-embeds and multiplies one step at a time.  And the
 round-trip benchmark re-simulates pulse programs with its own evaluator,
@@ -28,10 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .gates import CouplingEvolution, Gate, GlobalPhase, LocalRotation, \
-    gate_list_spin_bound
+from .gates import (CouplingEvolution, Delay, Gate, GlobalPhase, HardPulse,
+                    LocalRotation, PulseProgram, gate_list_spin_bound)
 from .linalg import apply_local, check_square, spin_count, su2_rotation
-from .pulses import Delay, HardPulse, PulseProgram
 
 
 def local_rotation_matrix(n: int, qubit: int, axis: str, angle: float) -> np.ndarray:

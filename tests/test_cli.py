@@ -24,10 +24,14 @@ import kakpulse.kak
 import kakpulse.paulis
 import kakpulse.pulses
 from kakpulse.cli import main
-from kakpulse.gates import CouplingEvolution, gate_list_from_json, gate_list_to_json
+from kakpulse.gates import (
+    CouplingEvolution,
+    PulseProgram,
+    gate_list_from_json,
+    gate_list_to_json,
+)
 from kakpulse.kak import residual_budget
-from kakpulse.linalg import matrix_from_json_dict, matrix_to_json_dict
-from kakpulse.pulses import PulseProgram
+from kakpulse.linalg import haar_unitary, matrix_from_json_dict, matrix_to_json_dict
 from kakpulse.simulate import gate_list_unitary, pulse_program_unitary
 
 
@@ -170,6 +174,23 @@ class TestDecompose:
         assert calls == []
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("flags", [[], ["--no-check"]],
+                             ids=["checked", "no-check"])
+    def test_non_finite_entry_is_invalid(self, tmp_path, n, value, flags):
+        """Python's json reads ``NaN`` and ``Infinity``, and ``dev > tol``
+        is false for a nan deviation, so a non-finite entry must be
+        rejected where the matrix is read, checked or not."""
+        u = haar_unitary(2 ** n, 9, special=True)
+        u[0, -1] = value
+        target = tmp_path / "bad.json"
+        write_matrix(target, u)
+        out_path = tmp_path / "d.json"
+        assert main(["decompose", "--input", str(target),
+                     "--output", str(out_path), *flags]) == 3
+        assert not out_path.exists()
+
 
 class TestPulses:
 
@@ -300,6 +321,22 @@ class TestVerify:
         target, d_path, _ = artifacts
         assert main(["verify", str(d_path), str(target), "--tol", "-1"]) == 3
 
+    @pytest.mark.parametrize("flags", [[], ["--no-check"]],
+                             ids=["checked", "no-check"])
+    def test_non_finite_target_is_invalid(self, artifacts, tmp_path, capsys,
+                                          flags):
+        """A nan target gives a nan distance, which is invalid input, not
+        a failed verification."""
+        target, d_path, p_path = artifacts
+        u = matrix_from_json_dict(read_json(target))
+        u[1, 2] = math.nan
+        bad = tmp_path / "nan.json"
+        write_matrix(bad, u)
+        for path in (d_path, p_path):
+            assert main(["verify", str(path), str(bad), *flags]) == 3
+        out = capsys.readouterr().out
+        assert "PASS" not in out and "FAIL" not in out
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tolerance_is_rejected_before_simulating(
             self, artifacts, monkeypatch, capsys, tol):
@@ -318,15 +355,46 @@ class TestVerify:
 
 
 class TestSelftest:
+    """The command's loop, summary and exit codes, on stub suites.
 
-    def test_all_suites_pass(self, capsys):
+    The real suites run once each in ``tests/test_acceptance.py`` and in
+    CI's ``python -m kakpulse.cli selftest`` step; here they are replaced
+    by stubs under the same names, so only the command is timed.
+    """
+
+    NAMES = ("commutation", "ortho", "families", "identities", "refocus",
+             "euler", "twospin", "recursive", "endtoend")
+
+    def stub_suites(self, monkeypatch, failing=()):
+        assert tuple(kakpulse.cli.SUITES) == self.NAMES
+        ran = []
+
+        def stub(name):
+            def run():
+                ran.append(name)
+                return name not in failing, f"{name} stub detail"
+            return run
+
+        monkeypatch.setattr(kakpulse.cli, "SUITES",
+                            {name: stub(name) for name in self.NAMES})
+        return ran
+
+    def test_all_suites_pass(self, monkeypatch, capsys):
+        ran = self.stub_suites(monkeypatch)
         assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        for name in ("commutation", "ortho", "families", "identities",
-                     "refocus", "euler", "twospin", "recursive", "endtoend"):
-            assert name in out
-        assert "FAIL" not in out
-        assert "self-test passed (9 suites)" in out
+        assert ran == list(self.NAMES)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"{name:<12} pass  {name} stub detail"
+                         for name in self.NAMES] + ["self-test passed (9 suites)"]
+
+    def test_failing_suites_are_named(self, monkeypatch, capsys):
+        ran = self.stub_suites(monkeypatch, failing=("ortho", "endtoend"))
+        assert main(["selftest"]) == 1
+        assert ran == list(self.NAMES)  # a failure does not stop the run
+        captured = capsys.readouterr()
+        assert "ortho        FAIL  ortho stub detail" in captured.out
+        assert "self-test passed" not in captured.out
+        assert captured.err == "self-test FAILED: ortho, endtoend\n"
 
     def test_single_suite(self, capsys):
         assert main(["selftest", "--suite", "ortho"]) == 0
