@@ -54,9 +54,9 @@ from .simulate import distance, gate_list_unitary, pulse_program_unitary
 
 # Longest chain any subcommand accepts.  Measured round trips through
 # this CLI (one Haar target, one BLAS thread, 2-core machine): at 7 spins
-# decompose / pulses / verify take 12 / 5 / 23 s, at 8 spins 124 / 21 /
-# 356 s.  Larger inputs are rejected with exit 3 before any matrix is
-# built or any factorization starts.
+# decompose / pulses / verify take 6 / 2-3 / 4 s, at 8 spins 61 / 8 /
+# 46 s with 28 MB and 56 MB artifacts.  Larger inputs are rejected with
+# exit 3 before any matrix is built or any factorization starts.
 MAX_CLI_SPINS = 7
 
 

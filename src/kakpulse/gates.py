@@ -226,6 +226,10 @@ class PulseProgram:
     events: list[PulseEvent] = field(default_factory=list)
     phase: float = 0.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.phase):
+            raise ValidationError("program phase must be finite")
+
     def to_json_dict(self) -> dict:
         events = []
         for e in self.events:

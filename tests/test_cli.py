@@ -337,6 +337,36 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS" not in out and "FAIL" not in out
 
+    @pytest.mark.parametrize("phase", [math.nan, math.inf],
+                             ids=["NaN", "Infinity"])
+    def test_non_finite_program_phase_is_invalid(self, artifacts, tmp_path,
+                                                 capsys, phase):
+        """Python's json reads ``NaN`` and ``Infinity``; a program phase
+        of either is invalid input, as it is in a gate list."""
+        target, _, p_path = artifacts
+        data = read_json(p_path)
+        data["phase"] = phase
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["verify", str(bad), str(target)]) == 3
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+        assert "phase must be finite" in captured.err
+
+    @pytest.mark.parametrize("angle", [math.pi, 0.4], ids=["pi-x", "ordinary"])
+    def test_pulse_off_the_chain_is_invalid(self, artifacts, tmp_path, capsys,
+                                            angle):
+        target, _, p_path = artifacts
+        data = read_json(p_path)
+        data["events"].append({"kind": "pulse", "q": 4, "axis": "x",
+                               "angle": angle})
+        bad = tmp_path / "off.json"
+        bad.write_text(json.dumps(data))
+        assert main(["verify", str(bad), str(target)]) == 3
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+        assert "spin 4" in captured.err
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tolerance_is_rejected_before_simulating(
             self, artifacts, monkeypatch, capsys, tol):

@@ -1,13 +1,15 @@
 """Dense simulation of gate lists and pulse programs, plus the
 phase-invariant distance report.
 
-The simulators fuse runs of single-spin operators and of diagonals; the
-property tests at the end hold them, and :func:`kakpulse.evaluate`, to
-a naive oracle in this file that Kronecker-embeds and multiplies one
-step at a time, and hold ``flatten`` to ``evaluate`` on the same random
-trees.
+The simulators share one Pauli-frame kernel: exact x pi-flips are
+bookkeeping, and the other steps fuse into runs of single-spin
+operators and of diagonals.  The property tests at the end hold both
+simulators, and :func:`kakpulse.evaluate`, to a naive oracle in this
+file that Kronecker-embeds and multiplies one step at a time, and hold
+``flatten`` to ``evaluate`` on the same random trees.
 """
 
+import json
 import math
 
 import numpy as np
@@ -33,6 +35,7 @@ from kakpulse import (
     PulseProgram,
     SequenceNode,
     TwoSpinNode,
+    ValidationError,
     apply_local,
     coupling_diagonal,
     distance,
@@ -42,9 +45,11 @@ from kakpulse import (
     gate_list_unitary,
     haar_unitary,
     local_rotation_matrix,
+    matrix_to_json_dict,
     pulse_program_unitary,
     synthesize_pulses,
 )
+from kakpulse.cli import main as cli_main
 
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -144,6 +149,23 @@ class TestPulseProgramUnitary:
         program = PulseProgram(chain=ChainSpec.uniform(2), phase=1.0)
         assert np.allclose(pulse_program_unitary(program),
                            np.exp(1.0j) * np.eye(4), atol=1e-14)
+
+    @pytest.mark.parametrize("pulse", [HardPulse(4, "x", math.pi),
+                                       HardPulse(4, "x", -math.pi),
+                                       HardPulse(4, "y", 0.3)],
+                             ids=["pi-x", "minus-pi-x", "ordinary"])
+    def test_rejects_pulses_off_the_chain(self, pulse):
+        """A pi-x flip touches no matrix, yet a flip on spin n + 1 is as
+        invalid as any other pulse there."""
+        program = PulseProgram(chain=ChainSpec.uniform(3),
+                               events=[Delay(0.001), pulse, Delay(0.001)])
+        with pytest.raises(DimensionError):
+            pulse_program_unitary(program)
+
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_phase(self, phase):
+        with pytest.raises(ValidationError):
+            PulseProgram(chain=ChainSpec.uniform(2), phase=phase)
 
 
 class TestDistance:
@@ -352,6 +374,107 @@ def test_fused_pulse_program_matches_oracle(last, data):
     assert isinstance(program.events[-1], HardPulse if last == "local" else Delay)
     got = pulse_program_unitary(program)
     assert np.max(np.abs(got - oracle_program(program))) < 1e-12
+
+
+# Exact +-pi x pulses are frame flips; every other pulse, +-pi about y or z
+# or a hair off pi about x, is a rotation that must break a diagonal run.
+FRAME_ANGLES = st.one_of(
+    st.sampled_from([math.pi, -math.pi, math.pi + 1e-9, math.pi - 1e-9,
+                     -math.pi + 1e-9, -math.pi - 1e-9]),
+    ANGLES)
+
+
+@st.composite
+def frame_steps(draw, n, kind, diagonal):
+    """Rotations (or pulses) with frame angles, interleaved step by step
+    with diagonal steps drawn from ``diagonal``."""
+    out = []
+    for _ in range(draw(st.integers(1, 16))):
+        if n > 1 and draw(st.integers(0, 3)) == 0:
+            out.append(draw(diagonal))
+        else:
+            out.append(kind(draw(st.integers(1, n)), draw(AXES),
+                            draw(FRAME_ANGLES)))
+    return out
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_frame_gate_list_matches_oracle(data):
+    n = data.draw(st.integers(1, 5))
+    couplings = st.builds(CouplingEvolution, st.integers(1, max(n - 1, 1)),
+                          ANGLES)
+    gates = data.draw(frame_steps(n, LocalRotation, couplings))
+    gates.append(GlobalPhase(data.draw(ANGLES)))
+    got = gate_list_unitary(gates, n)
+    assert np.max(np.abs(got - oracle_gate_list(gates, n))) < 1e-12
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_frame_pulse_program_matches_oracle(data):
+    chain = data.draw(unequal_chains())
+    events = data.draw(frame_steps(chain.n, HardPulse,
+                                   st.builds(Delay, DURATIONS)))
+    program = PulseProgram(chain=chain, events=events,
+                           phase=data.draw(ANGLES))
+    got = pulse_program_unitary(program)
+    assert np.max(np.abs(got - oracle_program(program))) < 1e-12
+
+
+@pytest.mark.parametrize("axis, angle", [
+    ("x", math.pi + 1e-9), ("x", -math.pi - 1e-9), ("x", 3 * math.pi),
+    ("y", math.pi), ("y", -math.pi), ("z", math.pi), ("z", -math.pi)])
+def test_only_exact_pi_x_pulses_are_flips(axis, angle):
+    """Pulses that are not exactly +-pi about x sit between delays and
+    between exact flips of the same spin, where a kernel that took them
+    for flips would be off by far more than 1e-12."""
+    chain = ChainSpec(3, (120.0, 80.0))
+    events = [Delay(0.002), HardPulse(2, axis, angle), Delay(0.003),
+              HardPulse(2, "x", math.pi), HardPulse(2, axis, angle),
+              Delay(0.001), HardPulse(2, "x", -math.pi), HardPulse(1, "y", 0.4)]
+    program = PulseProgram(chain=chain, events=events, phase=0.2)
+    got = pulse_program_unitary(program)
+    assert np.max(np.abs(got - oracle_program(program))) < 1e-12
+
+
+class TestFrameKeepsTheDrift:
+    """The frame turns refocusing flips into bookkeeping but still
+    simulates every delay under the full drift, so a broken refocusing
+    block is simulated as broken, not as the coupling it was meant to be."""
+
+    CHAIN = ChainSpec(3, (120.0, 80.0))
+    GATE = CouplingEvolution(1, 0.7)
+
+    def program(self, fault):
+        program = synthesize_pulses([self.GATE], self.CHAIN)
+        events = program.events
+        # half delay, flip of spin 3, half delay, flip of spin 3
+        assert [type(e) for e in events] == [Delay, HardPulse, Delay, HardPulse]
+        assert all(e.qubit == 3 and e.axis == "x" and abs(e.angle) == math.pi
+                   for e in events[1::2])
+        if fault == "longer-half-delay":
+            events = [Delay(1.01 * events[0].duration)] + events[1:]
+        elif fault == "second-flip-dropped":
+            events = events[:3]
+        return PulseProgram(self.CHAIN, events, program.phase)
+
+    @pytest.mark.parametrize("fault, verdict", [
+        ("intact", "PASS"), ("longer-half-delay", "FAIL"),
+        ("second-flip-dropped", "FAIL")])
+    def test_block_is_simulated_as_written(self, fault, verdict, tmp_path,
+                                           capsys):
+        program = self.program(fault)
+        got = pulse_program_unitary(program)
+        assert np.max(np.abs(got - oracle_program(program))) < 1e-12
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(matrix_to_json_dict(
+            gate_list_unitary([self.GATE], 3))))
+        path = tmp_path / "program.json"
+        path.write_text(json.dumps(program.to_json_dict()))
+        assert cli_main(["verify", str(path), str(target)]) == (
+            0 if verdict == "PASS" else 1)
+        assert verdict in capsys.readouterr().out
 
 
 def euler_nodes(qubit):
