@@ -15,6 +15,28 @@ into half-size problems plus diagonal commuting layers.  Two spins
 bottom out in the magic-basis canonical form with at most three
 coupling axes.
 
+Trivial sub-problems cost nothing.  Each level of two or more spins
+reads the four blocks of its last spin in place (no permutation) and
+takes the first of three routes that fits:
+
+* **Kronecker**: the input is ``W (x) D`` with ``D`` on the last spin.
+  It becomes an Euler leaf for ``D`` (none when ``D`` is a scalar) and
+  the recursion on ``W``, with no split and no commuting layer.
+* **Block-diagonal** (three or more spins): both off-diagonal blocks
+  vanish.  The split and its trailing-X layer are skipped and the one
+  block pair is demultiplexed.
+* **Generic**: the cosine-sine split and two demultiplexed blocks, or
+  the two-spin canonical form.
+
+Inside :func:`demultiplex`, a block ratio ``u0 @ u1^dagger`` that is
+already diagonal keeps the identity as its eigenbasis, so that half
+problem is an identity which the Kronecker route lowers to nothing.
+The first two routes and the diagonal short cut are taken only when
+their exact reconstruction error is at most :data:`TOL_TRIVIAL`;
+generic inputs never meet it, so their trees do not change.  A scalar
+single-spin factor (``-I`` after its phase is removed) becomes a phase
+leaf rather than two pi turns.
+
 Every factorization routine re-multiplies its output and raises
 :class:`~kakpulse.errors.NumericError` if the residual exceeds its
 contract, with a path annotation pointing into the recursion.
@@ -54,6 +76,10 @@ from .paulis import CartanElement, CartanFamily, PauliString
 TOL_EULER = 1e-12
 TOL_TWO_SPIN = 1e-10
 TOL_SPLIT = 1e-9
+# Largest exact reconstruction error at which :func:`decompose` takes a
+# short circuit: a Kronecker or block-diagonal level, or a diagonal
+# demultiplexing product.
+TOL_TRIVIAL = 1e-12
 
 
 def residual_budget(n: int) -> float:
@@ -83,6 +109,7 @@ _GAMMA = 0.25 * np.array([
     [1, -1, -1, 1],
 ], dtype=float)
 
+_EYE2 = np.eye(2, dtype=complex)
 _EYE4 = np.eye(4, dtype=complex)
 
 # sigma_a sigma_a for a = x, y, z: the generators of the two-spin middle.
@@ -482,12 +509,19 @@ def demultiplex(pair: BlockPair) -> tuple[np.ndarray, CartanElement, np.ndarray,
     ``u1 = exp(-1j*phi) * v @ exp(-1j*D) @ w``, where ``exp(-1j*H_z)``
     for the returned diagonal-family element ``z`` realizes the
     ``+-D`` pair on the full space and ``phi`` is the traceless
-    detrending of ``D``.
+    detrending of ``D``.  A product ``u0 @ u1^dagger`` that is already
+    diagonal within :data:`TOL_TRIVIAL` keeps ``v = I``, which the
+    recursion lowers to nothing.
     """
     n = pair.n
     if n < 2:
         raise ValidationError("demultiplexing needs at least two spins")
-    lam, v = unitary_eig(pair.u0 @ pair.u1.conj().T)
+    ratio = pair.u0 @ pair.u1.conj().T
+    lam = np.diagonal(ratio)
+    if float(np.max(np.abs(ratio - np.diag(lam)))) <= TOL_TRIVIAL:
+        v = np.eye(len(lam), dtype=complex)
+    else:
+        lam, v = unitary_eig(ratio)
     d = np.angle(lam) / 2
     phi = float(np.mean(d))
     dvec = d - phi
@@ -718,12 +752,98 @@ def _euler_node(qubit: int, u2: np.ndarray) -> EulerNode:
     return EulerNode(qubit=qubit, alpha=alpha, beta=beta, gamma=gamma)
 
 
+def _su2_sign(s: np.ndarray) -> int:
+    """``1`` or ``-1`` when the special unitary ``s`` is ``+-I`` within
+    :data:`TOL_EULER`, else ``0``.  Euler angles would spend two pi turns
+    on ``-I``, so callers move that sign into a phase."""
+    for sign in (1, -1):
+        if float(np.max(np.abs(s - sign * _EYE2))) <= TOL_EULER:
+            return sign
+    return 0
+
+
+def _one_spin_node(u: np.ndarray) -> GateTree:
+    """Euler leaf after a phase leaf; a scalar gives the phase leaf alone."""
+    phi = cmath.phase(complex(np.linalg.det(u))) / 2
+    s = u * cmath.exp(-1j * phi)
+    if _su2_sign(s) == -1:
+        return PhaseNode(math.remainder(phi + math.pi, 2 * math.pi))
+    node: GateTree = _euler_node(1, s)
+    if abs(phi) > 1e-12:
+        node = SequenceNode((PhaseNode(phi), node))
+    return node
+
+
 def _two_spin_node(u: np.ndarray) -> TwoSpinNode:
     f = two_spin_factors(u)
     return TwoSpinNode(
         left=1, phase=f.phase, alphas=f.alphas,
         after=(_euler_node(1, f.l1), _euler_node(2, f.l2)),
         before=(_euler_node(1, f.r1), _euler_node(2, f.r2)))
+
+
+def _last_spin_sectors(u: np.ndarray) -> np.ndarray:
+    """View of ``u`` with ``out[a, b]`` the ``2**(n-1)`` block
+    ``<a| u |b>`` of the last spin: the blocks of the last-spin-leading
+    frame, read in place without permuting ``u``."""
+    half = u.shape[0] // 2
+    return u.reshape(half, 2, half, 2).transpose(1, 3, 0, 2)
+
+
+def _kronecker_factors(u: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(d, w)`` with ``u = kron(w, d)``, ``d`` and ``w`` unitary and
+    ``d`` on the last spin, when that holds within :data:`TOL_TRIVIAL`;
+    otherwise ``None``.
+
+    ``w`` is a large last-spin block scaled to unit columns and each
+    entry of ``d`` is one block's overlap with ``w``; the threshold is on
+    the reconstruction error of that pair.  An accepted ``d`` is then
+    replaced by its nearest unitary, which the Euler leaf needs.
+    """
+    blocks = _last_spin_sectors(u)
+    half = blocks.shape[2]
+    flat = blocks.reshape(4, half * half)
+    norms = (flat.real ** 2 + flat.imag ** 2).sum(axis=1)
+    # the first block holding at least half the largest weight: a tie
+    # is not broken by rounding
+    k = int(np.argmax(norms >= 0.5 * norms.max()))
+    w = flat[k] * math.sqrt(half / norms[k])
+    d = (flat @ w.conj()) / half
+    if float(np.max(np.abs(flat - d[:, None] * w))) > TOL_TRIVIAL:
+        return None
+    left, _, right = np.linalg.svd(d.reshape(2, 2))
+    return left @ right, w.reshape(half, half)
+
+
+def _kronecker_level(u: np.ndarray, d: np.ndarray,
+                     w: np.ndarray) -> tuple[GateTree, np.ndarray]:
+    """Tree and matrix of ``u = kron(w, d)``: the tree of ``w`` on the
+    leading spins, beside an Euler leaf for ``d`` on the last spin unless
+    ``d`` is a scalar.  Every phase goes into ``w``."""
+    n = spin_count(u.shape[0])
+    delta = cmath.phase(complex(np.linalg.det(d))) / 2
+    ds = d * cmath.exp(-1j * delta)
+    sign = _su2_sign(ds)
+    try:
+        tree, mw = _decompose(w * (cmath.exp(1j * delta) * (sign or 1)))
+    except NumericError as exc:
+        raise exc.with_path(f"n={n}/kronecker-factor") from exc
+    matrix = np.kron(mw, _EYE2)
+    if not sign:
+        leaf = _euler_node(n, ds)
+        tree = SequenceNode((leaf, tree))
+        matrix = _apply_tree(leaf, matrix, n)
+    _check_level(matrix, u)
+    return tree, matrix
+
+
+def _check_level(matrix: np.ndarray, u: np.ndarray) -> None:
+    """Raise unless a level's composed ``matrix`` meets its budget."""
+    n = spin_count(u.shape[0])
+    resid = float(np.max(np.abs(matrix - u)))
+    if resid > residual_budget(n):
+        raise NumericError("factorization residual exceeds budget",
+                           residual=resid, path=(f"n={n}",))
 
 
 def _block_tree(pair: BlockPair, label: str) -> tuple[GateTree, np.ndarray]:
@@ -751,11 +871,21 @@ def _block_tree(pair: BlockPair, label: str) -> tuple[GateTree, np.ndarray]:
 def decompose(u: np.ndarray) -> GateTree:
     """Factor an arbitrary unitary into the gate-tree normal form.
 
-    One spin gives an Euler leaf, two give the canonical two-spin node,
-    and ``n >= 3`` gives ``[block, commuting layer, block]`` with the
-    blocks recursively demultiplexed into half-size problems.  The
-    result reproduces the input to :func:`residual_budget` of its size,
-    checked at every level.
+    One spin gives an Euler leaf (a phase leaf alone for a scalar).
+    Two or more take the first of three routes that fits, judged on the
+    blocks of the last spin:
+
+    * a Kronecker product ``W (x) D`` with ``D`` on the last spin gives
+      the tree of ``W`` beside an Euler leaf for ``D``;
+    * a block-diagonal input on three or more spins (both off-diagonal
+      blocks zero) gives one demultiplexed block factor;
+    * anything else gives the canonical two-spin node on two spins and
+      ``[block, commuting layer, block]`` from the cosine-sine split on
+      more, with both blocks demultiplexed into half-size problems.
+
+    The first two are taken only when their exact reconstruction error is
+    at most :data:`TOL_TRIVIAL`.  The result reproduces the input to
+    :func:`residual_budget` of its size, checked at every level.
     """
     return _decompose(u)[0]
 
@@ -770,32 +900,38 @@ def _decompose(u: np.ndarray) -> tuple[GateTree, np.ndarray]:
     u = check_unitary(u, what="operator to factor")
     n = spin_count(u.shape[0])
     if n == 1:
-        phi = cmath.phase(complex(np.linalg.det(u))) / 2
-        node: GateTree = _euler_node(1, u * cmath.exp(-1j * phi))
-        if abs(phi) > 1e-12:
-            node = SequenceNode((PhaseNode(phi), node))
+        node = _one_spin_node(u)
         return node, _apply_tree(node, np.eye(2, dtype=complex), 1)
+    factors = _kronecker_factors(u)
+    if factors is not None:
+        return _kronecker_level(u, *factors)
     if n == 2:
         node = _two_spin_node(u)
         return node, _apply_tree(node, np.eye(4, dtype=complex), 2)
 
     phi = cmath.phase(complex(np.linalg.det(u))) / (2 ** n)
     us = u * cmath.exp(-1j * phi)
-    try:
-        k1, y, k2 = split_last_qubit(us)
-    except NumericError as exc:
-        raise exc.with_path(f"n={n}") from exc
-    t1, m1 = _block_tree(k1, f"n={n}/left-block")
-    t2, m2 = _block_tree(k2, f"n={n}/right-block")
-    children: list[GateTree] = [t1, CartanNode(y), t2]
-    matrix = m1 @ _apply_cartan(y, m2)
+    sectors = _last_spin_sectors(us)
+    children: list[GateTree]
+    if max(float(np.max(np.abs(sectors[0, 1]))),
+           float(np.max(np.abs(sectors[1, 0])))) <= TOL_TRIVIAL:
+        try:
+            pair = _make_block_pair(n, sectors[0, 0], sectors[1, 1])
+        except NumericError as exc:
+            raise exc.with_path(f"n={n}") from exc
+        tree, matrix = _block_tree(pair, f"n={n}/block")
+        children = [tree]
+    else:
+        try:
+            k1, y, k2 = split_last_qubit(us)
+        except NumericError as exc:
+            raise exc.with_path(f"n={n}") from exc
+        t1, m1 = _block_tree(k1, f"n={n}/left-block")
+        t2, m2 = _block_tree(k2, f"n={n}/right-block")
+        children = [t1, CartanNode(y), t2]
+        matrix = m1 @ _apply_cartan(y, m2)
     if abs(phi) > 1e-12:
         children.insert(0, PhaseNode(phi))
         matrix *= cmath.exp(1j * phi)
-
-    resid = float(np.max(np.abs(matrix - u)))
-    if resid > residual_budget(n):
-        raise NumericError("factorization residual exceeds budget",
-                           residual=resid, path=(f"n={n}",))
+    _check_level(matrix, u)
     return SequenceNode(tuple(children)), matrix
-

@@ -439,7 +439,6 @@ class TestDecompose:
         assert decompose(u) == decompose(u)
 
     def test_identity_lowered_without_couplings(self):
-        # exact on two spins; larger chains keep a few gauge-frame couplings
         gates = compile_unitary(np.eye(4, dtype=complex))
         assert sum(isinstance(g, CouplingEvolution) for g in gates) == 0
         assert np.max(np.abs(gate_list_unitary(gates, 2) - np.eye(4))) < 1e-10

@@ -7,24 +7,39 @@ clustered angles, and long runs of trivial factors.  For each one,
 ``decompose`` must keep its residual budget, and both the flattened gate
 list and its pulse program on an unequal chain must simulate back to the
 target.
+
+Trivial sub-problems must also cost nothing: identities, Kronecker
+products and diagonals take the recursion's short circuits, so they
+compile to few or no couplings, and targets just off those structures
+keep every contract whichever route the threshold sends them down.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import kakpulse.kak
 from kakpulse import (
+    CartanFamily,
+    CartanNode,
     ChainSpec,
+    CouplingEvolution,
+    LocalRotation,
+    NumericError,
+    SequenceNode,
     decompose,
     evaluate,
     flatten,
     gate_list_unitary,
     haar_unitary,
     permute_spins,
+    pauli_evolution_gates,
     pulse_program_unitary,
     residual_budget,
+    su2_rotation,
     synthesize_pulses,
 )
 from kakpulse.kak import _decompose
@@ -131,3 +146,107 @@ def test_one_pass_matrix_is_the_tree_matrix(target, n):
     of the tree it returns, as the independent re-walk computes it."""
     tree, matrix = _decompose(target(n))
     assert np.max(np.abs(matrix - evaluate(tree, n))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Trivial sub-problems cost nothing
+
+
+def couplings(gates):
+    return sum(isinstance(g, CouplingEvolution) for g in gates)
+
+
+def outer_x_sizes(tree):
+    """Spin counts of the trailing-X split layers anywhere in ``tree``."""
+    if isinstance(tree, SequenceNode):
+        return set().union(*(outer_x_sizes(c) for c in tree.children))
+    if isinstance(tree, CartanNode) and tree.element.family is CartanFamily.OUTER_X:
+        return {tree.element.n}
+    return set()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("target", (identity, minus_identity, hadamard_power,
+                                    kronecker_product), ids=lambda f: f.__name__)
+def test_products_compile_to_no_couplings(target, n):
+    gates = flatten(decompose(target(n)))
+    assert couplings(gates) == 0
+    if target is minus_identity:
+        assert not any(isinstance(g, LocalRotation) for g in gates)
+
+
+def ladder_count(n):
+    """Couplings of one ladder per string of the full diagonal family."""
+    strings = ("".join(letters) for letters in itertools.product("1Z", repeat=n))
+    return sum(couplings(pauli_evolution_gates(s, 0.3))
+               for s in strings if "Z" in s)
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+def test_diagonal_skips_the_split(n):
+    """A diagonal is block-diagonal at every level and its block ratios
+    are diagonal, so no level splits and every ``v`` half is free.  At
+    three spins the one commuting layer keeps its ladders, so the count
+    ties with the ladder count there and drops below it from four."""
+    tree = decompose(random_diagonal(n))
+    assert outer_x_sizes(tree) == set()
+    got = couplings(flatten(tree))
+    assert got < ladder_count(n) if n >= 4 else got <= ladder_count(n)
+
+
+def block_diagonal(n):
+    """Haar blocks on the two sectors of the last spin."""
+    half = 2 ** (n - 1)
+    split_frame = scipy.linalg.block_diag(haar_unitary(half, 700 + n),
+                                          haar_unitary(half, 710 + n))
+    return permute_spins(split_frame, list(range(1, n)) + [0])
+
+
+def haar_kronecker(n):
+    """A Haar unitary on the leading spins times one on the last spin."""
+    return np.kron(haar_unitary(2 ** (n - 1), 720 + n), haar_unitary(2, 730 + n))
+
+
+def nudged(u, eps, seed):
+    """``u`` moved ``eps`` away along a Hermitian generator of unit size."""
+    dim = u.shape[0]
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = (g + g.conj().T) / 2
+    return u @ scipy.linalg.expm(-1j * eps * g / np.max(np.abs(g)))
+
+
+@pytest.mark.parametrize("eps", (1e-14, 1e-12, 1e-9))
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+@pytest.mark.parametrize("structure", (haar_kronecker, block_diagonal),
+                         ids=lambda f: f.__name__)
+def test_near_trivial_targets_keep_every_contract(structure, n, eps):
+    u = nudged(structure(n), eps, 800 + n)
+    tree, matrix = _decompose(u)
+    assert np.max(np.abs(matrix - u)) < residual_budget(n)
+    assert np.max(np.abs(matrix - evaluate(tree, n))) < 1e-12
+    if eps <= 1e-14:  # well inside the threshold: the short circuit is taken
+        assert n not in outer_x_sizes(tree)
+    gates = flatten(tree)
+    assert np.max(np.abs(gate_list_unitary(gates, n) - u)) < 1e-9
+    program = synthesize_pulses(gates, ChainSpec(n, CHAIN_J[:n - 1]))
+    assert np.max(np.abs(pulse_program_unitary(program) - u)) < 1e-9
+
+
+def test_corrupt_kronecker_factor_names_its_level(monkeypatch):
+    """A leading-spin factor knocked off by 1e-6 still factors cleanly on
+    its own, so only the Kronecker level's own check can see it."""
+    honest = kakpulse.kak._kronecker_factors
+
+    def corrupt(u):
+        found = honest(u)
+        if found is not None and u.shape[0] == 16:
+            d, w = found
+            found = d, w @ np.kron(su2_rotation("x", 2e-6), np.eye(4))
+        return found
+
+    monkeypatch.setattr(kakpulse.kak, "_kronecker_factors", corrupt)
+    with pytest.raises(NumericError) as info:
+        decompose(haar_kronecker(4))
+    assert info.value.path == ("n=4",)
+    assert 5e-7 < info.value.residual < 5e-6
