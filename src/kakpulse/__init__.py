@@ -69,7 +69,6 @@ from .kak import (
     CartanNode,
     EulerNode,
     GateTree,
-    LocalWordNode,
     PhaseNode,
     SequenceNode,
     TwoSpinFactors,
@@ -113,7 +112,7 @@ __all__ = [
     "BlockPair", "CartanElement", "CartanFamily", "CartanNode", "ChainSpec",
     "CosineSineBlocks", "CouplingEvolution", "Delay", "DimensionError",
     "EulerNode", "FidelityReport", "Gate", "GateTree", "GlobalPhase",
-    "HardPulse", "LocalRotation", "LocalWordNode", "NumericError",
+    "HardPulse", "LocalRotation", "NumericError",
     "PauliExpansion", "PauliString", "PauliTerm", "PhaseNode",
     "PulseProgram", "RangeError", "SequenceNode", "Subspace",
     "TwoSpinFactors", "TwoSpinNode", "ValidationError",

@@ -152,7 +152,7 @@ def cmd_decompose(input_path: str, out_path: str, n: int | None = None,
     })
     n_local = sum(isinstance(g, LocalRotation) for g in gates)
     n_zz = sum(isinstance(g, CouplingEvolution) for g in gates)
-    n_pi = sum(isinstance(g, CouplingEvolution) and g.angle == math.pi
+    n_pi = sum(isinstance(g, CouplingEvolution) and abs(g.angle) == math.pi
                for g in gates)
     n_phase = sum(isinstance(g, GlobalPhase) for g in gates)
     print(f"reconstruction residual {resid:.3e} (budget {budget:.3e})")
@@ -167,7 +167,6 @@ def cmd_decompose(input_path: str, out_path: str, n: int | None = None,
 def cmd_pulses(input_path: str, out_path: str, chain: str | None = None,
                n: int | None = None) -> int:
     gates = _gates_from_artifact(_read_json(input_path))
-    bound = gate_list_spin_bound(gates)
     if chain is not None:
         try:
             js = tuple(float(x) for x in chain.split(","))
@@ -180,12 +179,9 @@ def cmd_pulses(input_path: str, out_path: str, chain: str | None = None,
         _check_spins(spins, "--chain")
         spec = ChainSpec(spins, js)
     else:
-        spins = n if n is not None else max(bound, 1)
+        spins = n if n is not None else max(gate_list_spin_bound(gates), 1)
         _check_spins(spins, "the chain")
         spec = ChainSpec.uniform(spins, 100.0)
-    if bound > spec.n:
-        raise ValidationError(
-            f"gate list touches spin {bound} but the chain has {spec.n}")
     program = synthesize_pulses(gates, spec)
     _write_json(out_path, program.to_json_dict())
     t = total_coupling_time(program)

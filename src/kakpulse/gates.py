@@ -21,7 +21,9 @@ Conventions
 * ``CouplingEvolution(left, angle)`` realizes
   ``exp(-1j * angle * I_z I_z)`` on the pair ``(left, left + 1)``.  Note
   the period in ``angle`` is ``8*pi`` and the value at ``4*pi`` is
-  ``-identity``, because the generator has eigenvalues ``+-1/4``.
+  ``-identity``, because the generator has eigenvalues ``+-1/4``.  The
+  angle may have either sign: the scheduler runs a negative one as the
+  positive block between x pi-flips of the left spin.
 * ``GlobalPhase(phi)`` multiplies by ``exp(1j * phi)``.
 
 Spins are 1-based; spin 1 is the leftmost Kronecker factor.

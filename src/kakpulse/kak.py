@@ -67,7 +67,6 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionError, NumericError, ValidationError
-from .gates import LocalRotation
 from .linalg import (PAULI, apply_local, check_unitary, cosine_sine,
                      golden_mix_eigvecs, permute_spins, spin_count,
                      su2_rotation, unitary_eig)
@@ -143,8 +142,12 @@ def euler_xzx(u: np.ndarray) -> tuple[float, float, float]:
     beta = 2 * math.atan2(abs(z_dif), abs(z_sum))
     half_sum = cmath.phase(z_sum) if abs(z_sum) > 0 else 0.0
     half_dif = -cmath.phase(z_dif) if abs(z_dif) > 0 else 0.0
-    alpha = (half_sum + half_dif) % (2 * math.pi)
-    gamma = (half_sum - half_dif) % (2 * math.pi)
+    if z_sum == 0 or z_dif == 0:
+        # beta is pi or 0: only alpha - gamma or alpha + gamma is fixed
+        alpha, gamma = 2 * (half_sum + half_dif) % (2 * math.pi), 0.0
+    else:
+        alpha = (half_sum + half_dif) % (2 * math.pi)
+        gamma = (half_sum - half_dif) % (2 * math.pi)
     recon = su2_rotation("x", alpha) @ su2_rotation("z", beta) @ su2_rotation("x", gamma)
     if np.max(np.abs(recon + u)) < np.max(np.abs(recon - u)):
         beta += 2 * math.pi  # half turn of the angle sum picks the other sheet
@@ -586,13 +589,6 @@ class PhaseNode:
 
 
 @dataclass(frozen=True)
-class LocalWordNode:
-    """A short matrix-ordered product of single-spin rotations."""
-
-    gates: tuple[LocalRotation, ...]
-
-
-@dataclass(frozen=True)
 class CartanNode:
     """Evolution ``exp(-1j*H)`` under one commuting-family element."""
 
@@ -619,8 +615,7 @@ class SequenceNode:
     children: tuple["GateTree", ...]
 
 
-GateTree = Union[EulerNode, PhaseNode, LocalWordNode, CartanNode,
-                 TwoSpinNode, SequenceNode]
+GateTree = Union[EulerNode, PhaseNode, CartanNode, TwoSpinNode, SequenceNode]
 
 
 def evaluate(tree: GateTree, n: int) -> np.ndarray:
@@ -640,10 +635,6 @@ def _apply_tree(tree: GateTree, acc: np.ndarray, n: int) -> np.ndarray:
         return apply_local(acc, {tree.qubit: tree.matrix2()})
     if isinstance(tree, PhaseNode):
         return cmath.exp(1j * tree.phi) * acc
-    if isinstance(tree, LocalWordNode):
-        for g in reversed(tree.gates):
-            acc = apply_local(acc, {g.qubit: su2_rotation(g.axis, g.angle)})
-        return acc
     if isinstance(tree, CartanNode):
         return _apply_cartan(tree.element, acc)
     if isinstance(tree, TwoSpinNode):
@@ -687,10 +678,6 @@ def tree_to_json_dict(tree: GateTree) -> dict:
                 "beta": tree.beta, "gamma": tree.gamma}
     if isinstance(tree, PhaseNode):
         return {"node": "phase", "phi": tree.phi}
-    if isinstance(tree, LocalWordNode):
-        return {"node": "local_word",
-                "gates": [{"q": g.qubit, "axis": g.axis, "angle": g.angle}
-                          for g in tree.gates]}
     if isinstance(tree, CartanNode):
         e = tree.element
         return {"node": "commuting_evolution", "n": e.n,
@@ -715,10 +702,6 @@ def tree_from_json_dict(data: dict) -> GateTree:
                              float(data["beta"]), float(data["gamma"]))
         if kind == "phase":
             return PhaseNode(float(data["phi"]))
-        if kind == "local_word":
-            return LocalWordNode(tuple(
-                LocalRotation(int(g["q"]), str(g["axis"]), float(g["angle"]))
-                for g in data["gates"]))
         if kind == "commuting_evolution":
             n = int(data["n"])
             elem = CartanElement(
@@ -860,7 +843,7 @@ def _block_tree(pair: BlockPair, label: str) -> tuple[GateTree, np.ndarray]:
     acc = np.eye(2 ** n, dtype=complex)
     angle = pair.phase - 2 * phi
     if abs(angle) > 1e-14:
-        children.append(LocalWordNode((LocalRotation(n, "z", angle),)))
+        children.append(EulerNode(n, 0.0, angle, 0.0))
         acc = _apply_tree(children[-1], acc, n)
     acc = apply_local(acc, {1: mw})
     acc = _apply_cartan(z, acc)

@@ -31,12 +31,14 @@ Four layers live here:
   is the one place where the emitted gauge is chosen.
 * A scheduler that lowers a gate list onto a concrete chain with
   always-on couplings, inserting spin-echo refocusing pulses so that
-  exactly one coupling is active during each delay.
+  exactly one coupling is active during each delay, and flip pulses
+  around each coupling of negative angle.
 
 Every gate list built here, by every helper, is in time order: the
 first gate acts first.  Only the tree itself keeps matrix order (the
-children of a ``SequenceNode`` and the gates of a ``LocalWordNode``),
-and :func:`flatten` reverses those where it reads them.
+children of a ``SequenceNode``), and :func:`flatten` reverses those
+where it reads them.  The lowering emits each coupling with its signed
+angle; how a negative one is run is the scheduler's decision alone.
 
 The scheduler's refocusing rule: while pair ``(k, k+1)`` evolves, every
 spin at odd distance from the pair is flipped with a ``pi`` x-pulse at
@@ -44,7 +46,8 @@ the half-time and flipped back at the end.  A coupling ``(j, j+1)`` then
 sees exactly one flipped endpoint whenever ``j != k``, so it cancels,
 while the target pair sees none.  Each flipped spin contributes
 ``(-1)`` (two ``-i sigma_x`` factors), which is tracked in the program's
-global phase.
+global phase.  A negative coupling angle is run as the positive block
+between x pi-flips of the left spin, which negate ``IzIz``.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ import numpy as np
 from .errors import DimensionError, RangeError, ValidationError
 from .gates import (ChainSpec, CouplingEvolution, Delay, Gate, GlobalPhase,
                     HardPulse, LocalRotation, PulseProgram, inverse_gate_list)
-from .kak import (CartanNode, EulerNode, GateTree, LocalWordNode, PhaseNode,
-                  SequenceNode, TwoSpinNode, decompose)
+from .kak import (CartanNode, EulerNode, GateTree, PhaseNode, SequenceNode,
+                  TwoSpinNode, decompose)
 from .paulis import CartanElement, CartanFamily, PauliString, _letter_product
 
 # Commuting-family coefficients of at most this magnitude emit no gates.
@@ -110,33 +113,29 @@ class _PairOp:
     lb: str
     sign: int
 
-    def dagger(self) -> "_PairOp":
+    def inverse(self) -> "_PairOp":
         return _PairOp(self.a, self.la, self.b, self.lb, -self.sign)
 
 
-@dataclass
-class _LocalOp:
-    """Conjugator ``exp(-1j * angle * sigma_axis / 2)`` on spin ``q``."""
+def _conjugate(op: LocalRotation | _PairOp,
+               term: dict[int, str]) -> tuple[int, dict[int, str]]:
+    """Adjoint of a conjugator on a signed string ``{site: letter}``:
+    ``(sign, new_term)``.
 
-    q: int
-    axis: str
-    angle: float
-
-    def dagger(self) -> "_LocalOp":
-        return _LocalOp(self.q, self.axis, -self.angle)
-
-
-def _ad_pair(op: _PairOp, term: dict[int, str]) -> tuple[int, dict[int, str]]:
-    """Adjoint of a ``pi`` pair conjugator on a signed string.
-
+    A local quarter or half turn maps a letter to another signed letter.
     For an anticommuting pair the half turn maps the term to
     ``-1j * sign * A @ T``, which is again a single signed string.
     """
+    if isinstance(op, LocalRotation):
+        if op.qubit not in term:
+            return 1, term
+        s, letter = _ad_local(op.axis, op.angle, term[op.qubit])
+        return s, {**term, op.qubit: letter}
     ta, tb = term.get(op.a, "1"), term.get(op.b, "1")
     clashes = sum(1 for x, y in ((op.la, ta), (op.lb, tb))
                   if y != "1" and x != y)
     if clashes % 2 == 0:
-        return 1, dict(term)
+        return 1, term
     phase = 1 + 0j
     out = []
     for x, y in ((op.la, ta), (op.lb, tb)):
@@ -162,32 +161,20 @@ def _frame_gates(op: _PairOp) -> list[LocalRotation]:
             for site, letter in ((op.b, op.lb), (op.a, op.la)) if letter != "Z"]
 
 
-def _coupling_gates(left: int, angle: float) -> list[Gate]:
-    """Gates for ``exp(-1j*angle*IzIz)`` with the coupling angle kept
-    non-negative (negative exponents are wrapped in a spin flip, which
-    negates the generator)."""
-    if abs(angle) < 1e-15:
-        return []
-    if angle > 0:
-        return [CouplingEvolution(left, angle)]
-    return [LocalRotation(left, "x", -_PI),
-            CouplingEvolution(left, -angle),
-            LocalRotation(left, "x", _PI)]
-
-
 def _op_gates(ops) -> list[Gate]:
-    """Gates of a sequence of conjugators, each a local rotation or a
-    ``pi`` pair evolution ``V^dag``, coupling, ``V`` on adjacent spins."""
+    """Gates of a sequence of conjugators, each a local rotation (its own
+    gate) or a ``pi`` pair evolution ``V^dag``, coupling, ``V`` on
+    adjacent spins."""
     out: list[Gate] = []
     for op in ops:
-        if isinstance(op, _LocalOp):
-            out.append(LocalRotation(op.q, op.axis, op.angle))
+        if isinstance(op, LocalRotation):
+            out.append(op)
             continue
         if op.b != op.a + 1:
             raise ValidationError("pair conjugators must act on adjacent spins")
         frame = _frame_gates(op)
-        out += (inverse_gate_list(frame) + _coupling_gates(op.a, op.sign * _PI)
-                + frame)
+        out += (inverse_gate_list(frame)
+                + [CouplingEvolution(op.a, op.sign * _PI)] + frame)
     return out
 
 
@@ -201,29 +188,18 @@ def _reduce_to_adjacent_zz(string: PauliString) -> tuple[list, int, int]:
     term = {k: string.letter(k) for k in string.support}
     sign = 1
 
-    def push_local(q: int, axis: str, angle: float):
-        nonlocal sign
-        op = _LocalOp(q, axis, angle)
-        s, new = _ad_local(axis, angle, term[q])
-        sign *= s
-        term[q] = new
-        ops.append(op)
-
-    def push_pair(a: int, la: str, b: int, lb: str, pair_sign: int):
+    def push(*new):
         nonlocal sign, term
-        op = _PairOp(a, la, b, lb, pair_sign)
-        s, term = _ad_pair(op, term)
-        sign *= s
-        ops.append(op)
+        for op in new:
+            s, term = _conjugate(op, term)
+            sign *= s
+        ops.extend(new)
 
     for site in sorted(term):
-        letter = term[site]
-        if letter == "X":
-            push_local(site, "y", -_HALF_PI)
-        elif letter == "Y":
-            push_local(site, "x", _HALF_PI)
-        if term[site] != "Z":
-            raise ValidationError("letter normalization failed")
+        if term[site] == "X":
+            push(LocalRotation(site, "y", -_HALF_PI))
+        elif term[site] == "Y":
+            push(LocalRotation(site, "x", _HALF_PI))
 
     while True:
         sites = sorted(term)
@@ -233,15 +209,13 @@ def _reduce_to_adjacent_zz(string: PauliString) -> tuple[list, int, int]:
         if s2 == s1 + 1:
             # Shorten: rotate the right partner to X, then a ZY half turn
             # absorbs the left Z into it.
-            push_local(s2, "y", _HALF_PI)
-            push_pair(s1, "Z", s2, "Y", -1)
+            push(LocalRotation(s2, "y", _HALF_PI), _PairOp(s1, "Z", s2, "Y", -1))
             if sorted(term)[0] != s2:
                 raise ValidationError("support shortening failed")
         else:
             # Walk the leftmost Z one site to the right across a gap.
-            push_pair(s1, "Y", s1 + 1, "Z", 1)
-            push_pair(s1, "X", s1 + 1, "Y", 1)
-            push_local(s1 + 1, "y", -_HALF_PI)
+            push(_PairOp(s1, "Y", s1 + 1, "Z", 1), _PairOp(s1, "X", s1 + 1, "Y", 1),
+                 LocalRotation(s1 + 1, "y", -_HALF_PI))
     left = sorted(term)[0]
     if term != {left: "Z", left + 1: "Z"}:
         raise ValidationError("reduction did not reach an adjacent ZZ pair")
@@ -267,10 +241,12 @@ def pauli_evolution_gates(string: PauliString | str, angle: float) -> list[Gate]
     ops, left, sign = _reduce_to_adjacent_zz(s)
     # sigma_P = sign * W sigma_ZZ W^dag  with  W = op1^dag ... opm^dag,
     # hence exp(-i th B_P) = W exp(-i th sign B_ZZ) W^dag: W^dag runs the
-    # ops in order, W their daggers in reverse, and B_ZZ = 2 IzIz
-    # doubles the coupling angle.
-    return (_op_gates(ops) + _coupling_gates(left, 2 * angle * sign)
-            + _op_gates([op.dagger() for op in reversed(ops)]))
+    # ops in order, W their inverses in reverse, and B_ZZ = 2 IzIz
+    # doubles the coupling angle, whose sign the scheduler handles.
+    theta = 2 * angle * sign
+    middle = [CouplingEvolution(left, theta)] if abs(theta) >= 1e-15 else []
+    return (_op_gates(ops) + middle
+            + _op_gates([op.inverse() for op in reversed(ops)]))
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +261,8 @@ def _cnot_ops(control: int, target: int) -> list:
         pair = _PairOp(control, "Z", target, "X", 1)
     else:
         pair = _PairOp(target, "X", control, "Z", 1)
-    return [pair, _LocalOp(target, "x", -_HALF_PI),
-            _LocalOp(control, "z", -_HALF_PI)]
+    return [pair, LocalRotation(target, "x", -_HALF_PI),
+            LocalRotation(control, "z", -_HALF_PI)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -340,7 +316,7 @@ def _parity_points(k: int) -> dict[int, tuple[int, int, bool]]:
     return {**pair, **single}
 
 
-def _outer_x_turns(k: int) -> list[_LocalOp]:
+def _outer_x_turns(k: int) -> list[LocalRotation]:
     """The ``Ry(-pi/2)`` turns of the ``OUTER_X`` frame.
 
     The frame is ``CNOT(1 -> 2)`` followed by these turns on spin 1 and
@@ -348,7 +324,7 @@ def _outer_x_turns(k: int) -> list[_LocalOp]:
     1Z, and each turn maps X to Z, so every trailing-X family string
     becomes a signed {1, Z} string containing ``Z_k``.
     """
-    return [_LocalOp(q, "y", -_HALF_PI) for q in (1, *range(3, k + 1))]
+    return [LocalRotation(q, "y", -_HALF_PI) for q in (1, *range(3, k + 1))]
 
 
 @functools.lru_cache(maxsize=None)
@@ -360,12 +336,8 @@ def _parity_image(family: CartanFamily, letters: str) -> tuple[int, int]:
     sign = 1
     if family is CartanFamily.OUTER_X:
         for op in _cnot_ops(1, 2) + _outer_x_turns(len(letters)):
-            if isinstance(op, _PairOp):
-                s, term = _ad_pair(op, term)
-                sign *= s
-            elif op.q in term:
-                s, term[op.q] = _ad_local(op.axis, op.angle, term[op.q])
-                sign *= s
+            s, term = _conjugate(op, term)
+            sign *= s
     if set(term.values()) != {"Z"} or len(letters) not in term:
         raise ValidationError(f"{letters} has no parity image")
     return sign, sum(1 << (q - 1) for q in term)
@@ -412,22 +384,19 @@ def _network_gates(element: CartanElement,
     for s, c in items:
         sign, mask = _parity_image(element.family, s.letters)
         step, site, on_pair = points[mask]
-        # A negative pair rotation is X C X either way round, since
-        # Rx(pi) and Rx(-pi) differ only by a sign; the network emits
-        # its flips in the order opposite to the ladders'.
-        at_step.setdefault(step, []).extend(
-            _coupling_gates(site, 2 * sign * c)[::-1] if on_pair
-            else [LocalRotation(site, "z", sign * c)])
+        at_step.setdefault(step, []).append(
+            CouplingEvolution(site, 2 * sign * c) if on_pair
+            else LocalRotation(site, "z", sign * c))
     head: list[Gate] = []
     tail: list[Gate] = []
     cnots = len(route)
     if element.family is CartanFamily.OUTER_X:
         # CNOT is its own inverse, so the frame is undone by the inverse
-        # turns and the same CNOT, which keeps every coupling angle at +pi.
+        # turns and the same CNOT, which keeps every coupling angle at +pi
+        # (the scheduler would wrap a -pi one in two flip pulses).
         turns = _outer_x_turns(element.n)
-        head = [*_cnot_gates(1, 2), *_op_gates(turns)]
-        tail = [*_op_gates([op.dagger() for op in reversed(turns)]),
-                *_cnot_gates(1, 2)]
+        head = [*_cnot_gates(1, 2), *turns]
+        tail = [*inverse_gate_list(turns), *_cnot_gates(1, 2)]
         cnots += 2
     out = head
     for step, cnot in enumerate(route):
@@ -493,8 +462,6 @@ def flatten(tree: GateTree) -> list[Gate]:
         return _euler_gates(tree)
     if isinstance(tree, PhaseNode):
         return [GlobalPhase(tree.phi)]
-    if isinstance(tree, LocalWordNode):
-        return list(reversed(tree.gates))  # a word is in matrix order too
     if isinstance(tree, CartanNode):
         return cartan_evolution_gates(tree.element)
     if isinstance(tree, TwoSpinNode):
@@ -546,6 +513,8 @@ def synthesize_pulses(gates: list[Gate], chain: ChainSpec) -> PulseProgram:
     (the ZZ evolution has period ``8*pi`` with value ``-identity`` at
     ``4*pi``); a negative remainder is run as a positive block between
     ``+pi`` and ``-pi`` x-pulses on the left spin, which negate ``IzIz``.
+    Gate lists carry signed coupling angles, and this is the one place
+    where a sign becomes pulses.
     """
     program = PulseProgram(chain=chain)
     bound = chain.n

@@ -106,7 +106,7 @@ class TestDecompose:
         out = capsys.readouterr().out
         gates = gate_list_from_json(read_json(out_path)["gates"])
         n_zz = sum(isinstance(g, CouplingEvolution) for g in gates)
-        n_pi = sum(isinstance(g, CouplingEvolution) and g.angle == math.pi
+        n_pi = sum(isinstance(g, CouplingEvolution) and abs(g.angle) == math.pi
                    for g in gates)
         assert 0 < n_pi < n_zz
         assert f"{n_zz} coupling evolutions ({n_pi} at angle pi)" in out

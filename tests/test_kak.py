@@ -18,7 +18,6 @@ from kakpulse import (
     EulerNode,
     GlobalPhase,
     LocalRotation,
-    LocalWordNode,
     NumericError,
     PauliString,
     PhaseNode,
@@ -109,6 +108,20 @@ class TestEulerXZX:
         alpha, beta, gamma = euler_xzx(su2_rotation("x", 0.7))
         assert beta == 0.0
         assert (alpha + gamma) % (2 * math.pi) == pytest.approx(0.7)
+
+    def test_pure_x_rotation_is_one_turn(self):
+        alpha, beta, gamma = euler_xzx(su2_rotation("x", 0.3))
+        assert (beta, gamma) == (0.0, 0.0)
+        assert alpha == pytest.approx(0.3, abs=1e-15)
+
+    def test_half_turn_about_z_fixes_gamma_to_zero(self):
+        # Rz(pi) @ Rx(0.4) = Rx(-0.4) @ Rz(pi), built with exact zeros;
+        # alpha = 2*pi - 0.4 turns the sign, so beta takes the other sheet
+        c, s = math.cos(0.2), math.sin(0.2)
+        u = np.array([[-1j * c, -s], [s, 1j * c]])
+        assert euler_xzx(u) == pytest.approx(
+            (2 * math.pi - 0.4, 3 * math.pi, 0.0), abs=1e-14)
+        assert euler_xzx(u)[2] == 0.0
 
     def test_pure_z_rotation(self):
         assert euler_xzx(su2_rotation("z", 1.1)) == \
@@ -341,10 +354,11 @@ def test_evaluate_embeds_locals():
     assert np.allclose(got, want, atol=1e-14)
 
 
-def test_evaluate_phase_and_local_word():
+def test_evaluate_phase_and_euler_leaves():
     tree = SequenceNode((
         PhaseNode(0.6),
-        LocalWordNode((LocalRotation(1, "x", 0.5), LocalRotation(2, "z", -0.3))),
+        EulerNode(1, 0.5, 0.0, 0.0),
+        EulerNode(2, 0.0, -0.3, 0.0),
     ))
     want = cmath.exp(0.6j) * np.kron(su2_rotation("x", 0.5),
                                      su2_rotation("z", -0.3))

@@ -38,6 +38,11 @@ def test_kak_only_factors():
     assert "simulate" not in deps
 
 
+def test_kak_reads_no_gate_vocabulary():
+    """A tree holds factors, not gates: the lowering owns the gate list."""
+    assert "gates" not in import_graph()["kak"]
+
+
 def test_simulate_reads_only_the_vocabulary():
     assert import_graph()["simulate"] <= {"errors", "gates", "linalg"}
 

@@ -114,13 +114,25 @@ def test_negative_angles():
         assert np.max(np.abs(got - evolution_oracle(word, -1.2))) < 1e-12
 
 
+def assert_scheduled_exactly(gates, n):
+    """Coupling signs are the scheduler's: on a uniform chain the program
+    reproduces the gate list, and each coupling is one block lasting
+    ``|theta| / (2*pi*J)``, ``theta`` its angle reduced mod ``4*pi``."""
+    program = synthesize_pulses(gates, ChainSpec.uniform(n, 100.0))
+    want = gate_list_unitary(gates, n)
+    assert np.max(np.abs(pulse_program_unitary(program) - want)) < 1e-10
+    blocks = [abs(math.remainder(g.angle, 4 * math.pi)) / (2 * math.pi * 100.0)
+              for g in gates if isinstance(g, CouplingEvolution)]
+    halves = [t / 2 for t in blocks if t for _ in range(2)]
+    delays = [e.duration for e in program.events if isinstance(e, Delay)]
+    assert delays == pytest.approx(halves, rel=1e-12, abs=0)
+
+
 def test_output_vocabulary_is_chain_native():
     gates = pauli_evolution_gates("X11Z", 0.9)
     assert gate_list_spin_bound(gates) <= 4
-    for g in gates:
-        assert isinstance(g, (LocalRotation, CouplingEvolution))
-        if isinstance(g, CouplingEvolution):
-            assert g.angle >= 0  # negative exponents wrapped into spin flips
+    assert all(isinstance(g, (LocalRotation, CouplingEvolution)) for g in gates)
+    assert_scheduled_exactly(gates, 4)
 
 
 def test_rejects_identity_and_bad_angle():
@@ -155,7 +167,7 @@ NETWORK_FAMILIES = (CartanFamily.DIAGONAL, CartanFamily.OUTER_X)
 
 
 def pi_couplings(gates):
-    return sum(isinstance(g, CouplingEvolution) and g.angle == math.pi
+    return sum(isinstance(g, CouplingEvolution) and abs(g.angle) == math.pi
                for g in gates)
 
 
@@ -188,8 +200,8 @@ def test_family_lowering_is_exact(elem):
     gates = cartan_evolution_gates(elem)
     got = gate_list_unitary(gates, elem.n)
     assert np.max(np.abs(got - expm_skew(elem.hamiltonian()))) < 1e-10
-    assert all(g.angle > 0 for g in gates if isinstance(g, CouplingEvolution))
     assert gate_list_spin_bound(gates) <= elem.n
+    assert_scheduled_exactly(gates, elem.n)
 
 
 @given(elem=family_elements())

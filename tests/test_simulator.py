@@ -30,7 +30,6 @@ from kakpulse import (
     GlobalPhase,
     HardPulse,
     LocalRotation,
-    LocalWordNode,
     PhaseNode,
     PulseProgram,
     SequenceNode,
@@ -270,11 +269,6 @@ def oracle_tree(tree, n):
         return embed(n, tree.qubit, euler_matrix(tree))
     if isinstance(tree, PhaseNode):
         return np.exp(1j * tree.phi) * np.eye(2 ** n)
-    if isinstance(tree, LocalWordNode):
-        out = np.eye(2 ** n, dtype=complex)
-        for g in tree.gates:
-            out = out @ embed(n, g.qubit, rotation(g.axis, g.angle))
-        return out
     if isinstance(tree, CartanNode):
         h = np.kron(tree.element.hamiltonian(),
                     np.eye(2 ** (n - tree.element.n)))
@@ -505,8 +499,6 @@ def trees(n):
     leaves = [
         spins.flatmap(euler_nodes),
         st.builds(PhaseNode, ANGLES),
-        st.builds(lambda gs: LocalWordNode(tuple(gs)), st.lists(
-            st.builds(LocalRotation, spins, AXES, ANGLES), min_size=1, max_size=3)),
     ]
     if n > 1:
         leaves += [cartan_nodes(n), two_spin_nodes(n)]
