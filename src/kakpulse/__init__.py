@@ -72,10 +72,8 @@ from .kak import (
     PhaseNode,
     SequenceNode,
     TwoSpinFactors,
-    TwoSpinNode,
     decompose,
     demultiplex,
-    diagonal_to_block_coordinates,
     euler_xzx,
     evaluate,
     interaction_class,
@@ -115,13 +113,13 @@ __all__ = [
     "HardPulse", "LocalRotation", "NumericError",
     "PauliExpansion", "PauliString", "PauliTerm", "PhaseNode",
     "PulseProgram", "RangeError", "SequenceNode", "Subspace",
-    "TwoSpinFactors", "TwoSpinNode", "ValidationError",
+    "TwoSpinFactors", "ValidationError",
     "apply_local", "basis_strings", "block_cartan_strings",
     "block_diagonal_dimension",
     "cartan_evolution_gates", "check_hermitian", "check_unitary",
     "commutator", "commutes", "compile_unitary", "cosine_sine",
     "coupling_diagonal", "decompose", "demultiplex",
-    "diagonal_to_block_coordinates", "diagonal_strings",
+    "diagonal_strings",
     "distance", "drift_diagonal", "euler_xzx", "evaluate", "expand",
     "expm_skew", "flatten", "gate_list_from_json", "gate_list_spin_bound",
     "gate_list_to_json", "gate_list_unitary", "haar_unitary",

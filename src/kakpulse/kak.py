@@ -12,8 +12,11 @@ such that the matrix-ordered product of the tree equals the input.  The
 recursion peels one spin per level: a cosine-sine step splits off the
 last spin, leaving two block-diagonal factors that are demultiplexed
 into half-size problems plus diagonal commuting layers.  Two spins
-bottom out in the magic-basis canonical form with at most three
-coupling axes.
+bottom out in the magic-basis canonical form, written with the same
+leaves: a phase, four Euler rotations and one evolution under the
+maximal commuting family ``{XX, YY, ZZ}``.  Every level is thus
+``K A K`` with ``A`` the exponential of a commuting family, and the tree
+has one non-local node kind, :class:`CartanNode`.
 
 Trivial sub-problems cost nothing.  Each level of two or more spins
 reads the four blocks of its last spin in place (no permutation) and
@@ -70,7 +73,8 @@ from .errors import DimensionError, NumericError, ValidationError
 from .linalg import (PAULI, apply_local, check_unitary, cosine_sine,
                      golden_mix_eigvecs, permute_spins, spin_count,
                      su2_rotation, unitary_eig)
-from .paulis import CartanElement, CartanFamily, PauliString
+from .paulis import (CartanElement, CartanFamily, PauliString,
+                     maximal_abelian_strings)
 
 TOL_EULER = 1e-12
 TOL_TWO_SPIN = 1e-10
@@ -546,25 +550,6 @@ def demultiplex(pair: BlockPair) -> tuple[np.ndarray, CartanElement, np.ndarray,
     return v, z, w, phi
 
 
-def diagonal_to_block_coordinates(z: CartanElement) -> CartanElement:
-    """Re-express a diagonal-family element over the trailing-Z recursive
-    family by conjugating the leading spins with the bridge frame.
-
-    This is the coordinate change showing that the demultiplexing layer
-    is an evolution under the same commuting family that the recursion
-    is built from; it is reporting-only and does not change operators.
-    """
-    if z.family is not CartanFamily.DIAGONAL:
-        raise ValidationError("expected a diagonal-family element")
-    if z.n < 3:
-        raise ValidationError("the coordinate change needs at least three spins")
-    out: dict[PauliString, float] = {}
-    for s, c in z.coeffs.items():
-        letters, eps = _diagonal_image(s.letters[:-1])
-        out[PauliString(letters + "Z")] = eps * c
-    return CartanElement(n=z.n, family=CartanFamily.BLOCK_Z, coeffs=out)
-
-
 # ---------------------------------------------------------------------------
 # Gate trees
 
@@ -596,26 +581,13 @@ class CartanNode:
 
 
 @dataclass(frozen=True)
-class TwoSpinNode:
-    """Canonical two-spin block on ``(left, left+1)``: phase, local pair
-    ``after``, interaction middle, local pair ``before`` (in time order,
-    ``before`` acts first)."""
-
-    left: int
-    phase: float
-    alphas: tuple[float, float, float]
-    after: tuple[EulerNode, EulerNode]
-    before: tuple[EulerNode, EulerNode]
-
-
-@dataclass(frozen=True)
 class SequenceNode:
     """Matrix-ordered product of children (index 0 acts last in time)."""
 
     children: tuple["GateTree", ...]
 
 
-GateTree = Union[EulerNode, PhaseNode, CartanNode, TwoSpinNode, SequenceNode]
+GateTree = Union[EulerNode, PhaseNode, CartanNode, SequenceNode]
 
 
 def evaluate(tree: GateTree, n: int) -> np.ndarray:
@@ -637,14 +609,6 @@ def _apply_tree(tree: GateTree, acc: np.ndarray, n: int) -> np.ndarray:
         return cmath.exp(1j * tree.phi) * acc
     if isinstance(tree, CartanNode):
         return _apply_cartan(tree.element, acc)
-    if isinstance(tree, TwoSpinNode):
-        left, before, after = tree.left, tree.before, tree.after
-        acc = apply_local(acc, {left: before[0].matrix2(),
-                                left + 1: before[1].matrix2()})
-        acc = apply_local(acc, {left: interaction_unitary(tree.alphas)})
-        acc = apply_local(acc, {left: after[0].matrix2(),
-                                left + 1: after[1].matrix2()})
-        return cmath.exp(1j * tree.phase) * acc
     raise ValidationError(f"unknown tree node {tree!r}")
 
 
@@ -683,11 +647,6 @@ def tree_to_json_dict(tree: GateTree) -> dict:
         return {"node": "commuting_evolution", "n": e.n,
                 "family": e.family.value,
                 "coeffs": {s.letters: c for s, c in e.items()}}
-    if isinstance(tree, TwoSpinNode):
-        return {"node": "two_spin", "left": tree.left, "phase": tree.phase,
-                "alphas": list(tree.alphas),
-                "after": [tree_to_json_dict(e) for e in tree.after],
-                "before": [tree_to_json_dict(e) for e in tree.before]}
     raise ValidationError(f"unknown tree node {tree!r}")
 
 
@@ -709,16 +668,6 @@ def tree_from_json_dict(data: dict) -> GateTree:
                 coeffs={PauliString(k): float(v)
                         for k, v in data["coeffs"].items()})
             return CartanNode(elem)
-        if kind == "two_spin":
-            after = tuple(tree_from_json_dict(e) for e in data["after"])
-            before = tuple(tree_from_json_dict(e) for e in data["before"])
-            if not all(isinstance(e, EulerNode) for e in (*after, *before)):
-                raise ValidationError("two-spin locals must be euler nodes")
-            alphas = tuple(float(v) for v in data["alphas"])
-            if len(alphas) != 3 or len(after) != 2 or len(before) != 2:
-                raise ValidationError("malformed two-spin node")
-            return TwoSpinNode(int(data["left"]), float(data["phase"]),
-                               alphas, after, before)  # type: ignore[arg-type]
         raise ValidationError(f"unknown tree node kind {kind!r}")
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ValidationError):
@@ -757,12 +706,20 @@ def _one_spin_node(u: np.ndarray) -> GateTree:
     return node
 
 
-def _two_spin_node(u: np.ndarray) -> TwoSpinNode:
+def _two_spin_node(u: np.ndarray) -> SequenceNode:
+    """The canonical form as tree leaves, in matrix order: phase, the left
+    local pair, one evolution under the maximal family ``{XX, YY, ZZ}``
+    and the right local pair.  ``B_s = sigma_s/2``, so the coefficient
+    ``alpha/2`` gives ``exp(-1j*alpha*sigma sigma/4)``."""
     f = two_spin_factors(u)
-    return TwoSpinNode(
-        left=1, phase=f.phase, alphas=f.alphas,
-        after=(_euler_node(1, f.l1), _euler_node(2, f.l2)),
-        before=(_euler_node(1, f.r1), _euler_node(2, f.r2)))
+    middle = CartanElement(n=2, family=CartanFamily.MAXIMAL, coeffs={
+        s: alpha / 2 for s, alpha in zip(maximal_abelian_strings(2), f.alphas)})
+    children: list[GateTree] = [
+        _euler_node(1, f.l1), _euler_node(2, f.l2), CartanNode(middle),
+        _euler_node(1, f.r1), _euler_node(2, f.r2)]
+    if abs(f.phase) > 1e-14:
+        children.insert(0, PhaseNode(f.phase))
+    return SequenceNode(tuple(children))
 
 
 def _last_spin_sectors(u: np.ndarray) -> np.ndarray:
@@ -862,7 +819,8 @@ def decompose(u: np.ndarray) -> GateTree:
       the tree of ``W`` beside an Euler leaf for ``D``;
     * a block-diagonal input on three or more spins (both off-diagonal
       blocks zero) gives one demultiplexed block factor;
-    * anything else gives the canonical two-spin node on two spins and
+    * anything else gives the canonical two-spin form on two spins
+      (phase, Euler pair, ``{XX, YY, ZZ}`` evolution, Euler pair) and
       ``[block, commuting layer, block]`` from the cosine-sine split on
       more, with both blocks demultiplexed into half-size problems.
 

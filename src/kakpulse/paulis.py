@@ -462,17 +462,18 @@ def is_maximal_abelian(generators: list[PauliString | str], n: int,
 
 
 class CartanFamily(Enum):
-    """Which commuting string family an exponent is written over."""
+    """Which commuting string family an exponent is written over: one of
+    the three that the factorization emits."""
 
     OUTER_X = "outer_x"      # trailing-X family (couples the last spin)
-    BLOCK_Z = "block_z"      # trailing-Z recursive family
     DIAGONAL = "diagonal"    # {1,Z}-strings ending in Z
+    MAXIMAL = "maximal"      # recursive maximal family; XX, YY, ZZ at n = 2
 
     def strings(self, n: int) -> list[PauliString]:
         if self is CartanFamily.OUTER_X:
             return outer_cartan_strings(n)
-        if self is CartanFamily.BLOCK_Z:
-            return block_cartan_strings(n)
+        if self is CartanFamily.MAXIMAL:
+            return maximal_abelian_strings(n)
         return diagonal_strings(n)
 
 

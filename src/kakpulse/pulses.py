@@ -26,9 +26,10 @@ Four layers live here:
   strings are nonzero and is cached on that pattern.
 * The tree lowering :func:`flatten`, which turns the gate tree of
   :func:`~kakpulse.kak.decompose` into one gate list: Euler leaves
-  become up to three rotations, commuting layers go through the family
-  lowering and each two-spin middle through the rewrite engine.  This
-  is the one place where the emitted gauge is chosen.
+  become up to three rotations and commuting layers go through the
+  family lowering; the ``MAXIMAL`` two-spin middle ``{XX, YY, ZZ}``
+  takes one rewrite-engine ladder per string.  This is the one place
+  where the emitted gauge is chosen.
 * A scheduler that lowers a gate list onto a concrete chain with
   always-on couplings, inserting spin-echo refocusing pulses so that
   exactly one coupling is active during each delay, and flip pulses
@@ -62,7 +63,7 @@ from .errors import DimensionError, RangeError, ValidationError
 from .gates import (ChainSpec, CouplingEvolution, Delay, Gate, GlobalPhase,
                     HardPulse, LocalRotation, PulseProgram, inverse_gate_list)
 from .kak import (CartanNode, EulerNode, GateTree, PhaseNode, SequenceNode,
-                  TwoSpinNode, decompose)
+                  decompose)
 from .paulis import CartanElement, CartanFamily, PauliString, _letter_product
 
 # Commuting-family coefficients of at most this magnitude emit no gates.
@@ -71,36 +72,11 @@ TOL_COEFF = 1e-12
 _PI = math.pi
 _HALF_PI = math.pi / 2
 
-# Right-handed cross products among lowercase axis letters.
-_CROSS = {
-    ("x", "y"): ("z", 1), ("y", "z"): ("x", 1), ("z", "x"): ("y", 1),
-    ("y", "x"): ("z", -1), ("z", "y"): ("x", -1), ("x", "z"): ("y", -1),
-}
-
 # Frame rotation R with Ad_R(sigma_z) = sigma_letter.
 _FRAME_FOR_LETTER = {
     "X": ("y", _HALF_PI),
     "Y": ("x", -_HALF_PI),
 }
-
-
-def _ad_local(axis: str, angle: float, letter: str) -> tuple[int, str]:
-    """Adjoint action of ``exp(-1j*angle*sigma_axis/2)`` on ``sigma_letter``.
-
-    Only quarter and half turns occur in the rewrite, so the result is
-    always another signed letter.
-    """
-    b = letter.lower()
-    if b == axis:
-        return 1, letter
-    c, eps = _CROSS[(axis, b)]
-    if math.isclose(angle, _HALF_PI):
-        return eps, c.upper()
-    if math.isclose(angle, -_HALF_PI):
-        return -eps, c.upper()
-    if math.isclose(abs(angle), _PI):
-        return -1, letter
-    raise ValidationError(f"unsupported symbolic rotation angle {angle}")
 
 
 @dataclass
@@ -122,36 +98,36 @@ def _conjugate(op: LocalRotation | _PairOp,
     """Adjoint of a conjugator on a signed string ``{site: letter}``:
     ``(sign, new_term)``.
 
-    A local quarter or half turn maps a letter to another signed letter.
-    For an anticommuting pair the half turn maps the term to
-    ``-1j * sign * A @ T``, which is again a single signed string.
+    Each conjugator is a turn ``exp(-1j*s*pi/4*sigma_P)``: a rotation has
+    ``P = axis`` and ``s = angle/(pi/2)``, a pair ``P = la lb`` and
+    ``s = sign``.  A term ``T`` that commutes with ``P`` is unchanged; a
+    half turn negates it, and a quarter turn maps it to
+    ``-1j*s*P*T``, again a single signed string.
     """
     if isinstance(op, LocalRotation):
-        if op.qubit not in term:
-            return 1, term
-        s, letter = _ad_local(op.axis, op.angle, term[op.qubit])
-        return s, {**term, op.qubit: letter}
-    ta, tb = term.get(op.a, "1"), term.get(op.b, "1")
-    clashes = sum(1 for x, y in ((op.la, ta), (op.lb, tb))
-                  if y != "1" and x != y)
+        turn, s = {op.qubit: op.axis.upper()}, op.angle / _HALF_PI
+    else:
+        turn, s = {op.a: op.la, op.b: op.lb}, op.sign
+    clashes = sum(1 for site, x in turn.items()
+                  if term.get(site, "1") not in ("1", x))
     if clashes % 2 == 0:
         return 1, term
-    phase = 1 + 0j
-    out = []
-    for x, y in ((op.la, ta), (op.lb, tb)):
-        p, c = _letter_product(x, y)
-        phase *= p
-        out.append(c)
-    factor = -1j * op.sign * phase
-    sign = int(round(factor.real))
-    if abs(factor - sign) > 1e-12 or sign not in (-1, 1):
-        raise ValidationError("pair conjugation produced a non-real sign")
+    if math.isclose(abs(s), 2):
+        return -1, term
+    if not math.isclose(abs(s), 1):
+        raise ValidationError(f"unsupported symbolic turn {op!r}")
+    factor = -1j * round(s)
     new = dict(term)
-    for site, letter in ((op.a, out[0]), (op.b, out[1])):
+    for site, x in turn.items():
+        phase, letter = _letter_product(x, term.get(site, "1"))
+        factor *= phase
         if letter == "1":
             new.pop(site, None)
         else:
             new[site] = letter
+    sign = int(round(factor.real))
+    if abs(factor - sign) > 1e-12 or sign not in (-1, 1):
+        raise ValidationError("conjugation produced a non-real sign")
     return sign, new
 
 
@@ -227,7 +203,8 @@ def pauli_evolution_gates(string: PauliString | str, angle: float) -> list[Gate]
 
     ``B_string`` is the basis-normalized realization (``sigma/2``), so a
     single-letter string compiles to one rotation and the adjacent ZZ
-    string compiles to a coupling evolution of ``2 * angle``.
+    string compiles to a coupling evolution of ``2 * angle``.  A
+    coupling that would vanish emits nothing, not an idle ladder.
     """
     s = string if isinstance(string, PauliString) else PauliString(string)
     if not math.isfinite(angle):
@@ -244,8 +221,9 @@ def pauli_evolution_gates(string: PauliString | str, angle: float) -> list[Gate]
     # ops in order, W their inverses in reverse, and B_ZZ = 2 IzIz
     # doubles the coupling angle, whose sign the scheduler handles.
     theta = 2 * angle * sign
-    middle = [CouplingEvolution(left, theta)] if abs(theta) >= 1e-15 else []
-    return (_op_gates(ops) + middle
+    if abs(theta) < 1e-15:
+        return []
+    return (_op_gates(ops) + [CouplingEvolution(left, theta)]
             + _op_gates([op.inverse() for op in reversed(ops)]))
 
 
@@ -415,13 +393,14 @@ def cartan_evolution_gates(element: CartanElement) -> list[Gate]:
 
     A ``DIAGONAL`` or ``OUTER_X`` element on three or more spins is
     lowered as one parity network when that spends fewer pi couplings
-    than one ladder per string; otherwise (and always for ``BLOCK_Z``)
+    than one ladder per string; otherwise (and always for ``MAXIMAL``)
     the family commutes, so the exponential splits into one string
     evolution per coefficient, emitted in canonical family order.
     """
     items = [(s, c) for s, c in element.items() if abs(c) > TOL_COEFF]
     route = None
-    if items and element.n >= 3 and element.family is not CartanFamily.BLOCK_Z:
+    if (items and element.n >= 3
+            and element.family in (CartanFamily.DIAGONAL, CartanFamily.OUTER_X)):
         route = _network_route(element.family, element.n,
                                tuple(s.letters for s, _ in items))
     if route is not None:
@@ -448,12 +427,11 @@ def _euler_gates(node: EulerNode) -> list[Gate]:
 def flatten(tree: GateTree) -> list[Gate]:
     """Lower a gate tree to a gate list.
 
-    Commuting-family evolutions go through :func:`cartan_evolution_gates`
-    (a parity network or one ladder per string) and the three
-    interaction terms of each two-spin middle through
-    :func:`pauli_evolution_gates`.  The output reproduces ``evaluate`` of
-    the tree exactly (up to float accumulation, checked in the
-    test-suite at ``1e-8``).
+    Commuting-family evolutions, the two-spin ``{XX, YY, ZZ}`` middle
+    among them, go through :func:`cartan_evolution_gates` (a parity
+    network or one ladder per string).  The output reproduces
+    ``evaluate`` of the tree exactly (up to float accumulation, checked
+    in the test-suite at ``1e-8``).
     """
     if isinstance(tree, SequenceNode):
         # children are in matrix order: index 0 acts last
@@ -464,17 +442,6 @@ def flatten(tree: GateTree) -> list[Gate]:
         return [GlobalPhase(tree.phi)]
     if isinstance(tree, CartanNode):
         return cartan_evolution_gates(tree.element)
-    if isinstance(tree, TwoSpinNode):
-        # before, the three commuting interaction terms, after, phase
-        out = _euler_gates(tree.before[1]) + _euler_gates(tree.before[0])
-        pad = "1" * (tree.left - 1)
-        for axis, alpha in zip("ZYX", reversed(tree.alphas)):
-            if abs(alpha) >= 1e-12:
-                out += pauli_evolution_gates(pad + 2 * axis, float(alpha) / 2)
-        out += _euler_gates(tree.after[1]) + _euler_gates(tree.after[0])
-        if abs(tree.phase) > 1e-14:
-            out.append(GlobalPhase(tree.phase))
-        return out
     raise ValidationError(f"unknown tree node {tree!r}")
 
 

@@ -22,12 +22,10 @@ from kakpulse import (
     PauliString,
     PhaseNode,
     SequenceNode,
-    TwoSpinNode,
     ValidationError,
     compile_unitary,
     decompose,
     demultiplex,
-    diagonal_to_block_coordinates,
     evaluate,
     expm_skew,
     flatten,
@@ -312,29 +310,6 @@ class TestDemultiplex:
         assert np.max(np.abs(v @ w - u0)) < 1e-10
 
 
-def test_diagonal_to_block_coordinates():
-    pair = TestDemultiplex.make_pair(3, 70, 0.5)
-    _, z, _, _ = demultiplex(pair)
-    out = diagonal_to_block_coordinates(z)
-    assert out.family is CartanFamily.BLOCK_Z
-    # a unitary change of coordinates: spectrum and magnitudes survive
-    assert np.allclose(np.sort(np.linalg.eigvalsh(out.hamiltonian())),
-                       np.sort(np.linalg.eigvalsh(z.hamiltonian())), atol=1e-12)
-    assert sorted(abs(c) for c in out.coeffs.values()) == \
-        pytest.approx(sorted(abs(c) for c in z.coeffs.values()))
-
-
-def test_diagonal_to_block_coordinates_validation():
-    elem = CartanElement(n=3, family=CartanFamily.BLOCK_Z,
-                         coeffs={PauliString("ZZZ"): 0.1})
-    with pytest.raises(ValidationError):
-        diagonal_to_block_coordinates(elem)
-    small = CartanElement(n=2, family=CartanFamily.DIAGONAL,
-                          coeffs={PauliString("ZZ"): 0.1})
-    with pytest.raises(ValidationError):
-        diagonal_to_block_coordinates(small)
-
-
 # ---------------------------------------------------------------------------
 # Gate trees
 
@@ -366,7 +341,7 @@ def test_evaluate_phase_and_euler_leaves():
 
 
 def test_evaluate_cartan_node_pads_trailing_spins():
-    elem = CartanElement(n=2, family=CartanFamily.BLOCK_Z,
+    elem = CartanElement(n=2, family=CartanFamily.MAXIMAL,
                          coeffs={PauliString("ZZ"): 0.8})
     got = evaluate(CartanNode(elem), 3)
     want = scipy.linalg.expm(-1j * np.kron(0.8 * pauli_dense("ZZ"), np.eye(2)))
@@ -377,7 +352,7 @@ def test_evaluate_cartan_node_pads_trailing_spins():
 def test_cartan_node_matches_dense_exponential(family):
     """Every family, applied string by string as signed permutations,
     equals the spectral exponential of its dense Hamiltonian, alone and
-    padded onto a longer chain; BLOCK_Z also arrives through JSON."""
+    padded onto a longer chain, and each arrives through JSON."""
     rng = np.random.default_rng(90)
     for n in (2, 3, 4):
         coeffs = {s: float(rng.uniform(-3, 3)) for s in family.strings(n)}
@@ -393,20 +368,9 @@ def test_cartan_node_matches_dense_exponential(family):
         evaluate(node, 3)
 
 
-def test_cartan_node_from_block_coordinates():
-    """A BLOCK_Z element produced by the coordinate change, serialized and
-    loaded back, still realizes its own dense exponential."""
-    _, z, _, _ = demultiplex(split_last_qubit(haar_unitary(16, 91, special=True))[0])
-    block = diagonal_to_block_coordinates(z)
-    node = tree_from_json_dict(tree_to_json_dict(CartanNode(block)))
-    want = expm_skew(block.hamiltonian())
-    assert np.max(np.abs(evaluate(node, 4) - want)) < 1e-12
-
-
 def test_evaluate_two_spin_node():
     f = two_spin_factors(haar_unitary(4, 77))
     tree = decompose(haar_unitary(4, 77))
-    assert isinstance(tree, TwoSpinNode)
     got = evaluate(tree, 3)  # embedded at the left edge of a longer chain
     want = np.kron(f.reconstruct(), np.eye(2))
     assert np.max(np.abs(got - want)) < 1e-10
@@ -436,9 +400,20 @@ class TestDecompose:
         assert np.max(np.abs(evaluate(tree, 1) - u)) < 1e-12
 
     def test_two_spins(self):
+        """Phase, left Euler pair, ``{XX, YY, ZZ}`` evolution with
+        coefficients ``alpha/2``, right Euler pair."""
         u = haar_unitary(4, 2)
         tree = decompose(u)
-        assert isinstance(tree, TwoSpinNode)
+        f = two_spin_factors(u)
+        assert [type(c) for c in tree.children] == [
+            PhaseNode, EulerNode, EulerNode, CartanNode, EulerNode, EulerNode]
+        assert [c.qubit for c in tree.children[1:3] + tree.children[4:]] \
+            == [1, 2, 1, 2]
+        middle = tree.children[3].element
+        assert middle.family is CartanFamily.MAXIMAL
+        assert [(s.letters, c) for s, c in middle.items()] == [
+            ("XX", f.alphas[0] / 2), ("YY", f.alphas[1] / 2),
+            ("ZZ", f.alphas[2] / 2)]
         assert np.max(np.abs(evaluate(tree, 2) - u)) < residual_budget(2)
 
     def test_three_and_four_spins(self):
@@ -508,9 +483,19 @@ def test_tree_json_rejects_malformed():
     with pytest.raises(ValidationError):
         tree_from_json_dict({"node": "euler", "q": 1, "alpha": "wat",
                              "beta": 0.0, "gamma": 0.0})
+
+
+def test_tree_json_rejects_removed_vocabulary():
+    """The two-spin node kind and the trailing-Z family no longer load."""
+    euler = {"node": "euler", "q": 1, "alpha": 0.1, "beta": 0.0, "gamma": 0.0}
     with pytest.raises(ValidationError):
         tree_from_json_dict({"node": "two_spin", "left": 1, "phase": 0.0,
-                             "alphas": [0.1, 0.2], "after": [], "before": []})
+                             "alphas": [0.3, 0.2, 0.1],
+                             "after": [euler, {**euler, "q": 2}],
+                             "before": [euler, {**euler, "q": 2}]})
+    with pytest.raises(ValidationError):
+        tree_from_json_dict({"node": "commuting_evolution", "n": 2,
+                             "family": "block_z", "coeffs": {"ZZ": 0.1}})
 
 
 # ---------------------------------------------------------------------------

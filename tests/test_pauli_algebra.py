@@ -496,8 +496,8 @@ def test_cartan_element_rejects_foreign_strings():
         CartanElement(n=3, family=CartanFamily.OUTER_X,
                       coeffs={PauliString("XXZ"): 1.0})
     with pytest.raises(ValidationError):
-        CartanElement(n=2, family=CartanFamily.BLOCK_Z,
-                      coeffs={PauliString("XX"): 1.0})
+        CartanElement(n=2, family=CartanFamily.MAXIMAL,
+                      coeffs={PauliString("ZX"): 1.0})
 
 
 def test_cartan_element_rejects_non_finite():

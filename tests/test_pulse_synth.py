@@ -142,10 +142,20 @@ def test_rejects_identity_and_bad_angle():
         pauli_evolution_gates("XX", float("inf"))
 
 
+def test_vanishing_coupling_emits_no_ladder():
+    """A conjugation ladder around a zero coupling composes to the
+    identity, so none is emitted."""
+    assert pauli_evolution_gates("Z1Z", 0.0) == []
+    assert pauli_evolution_gates("XY1X", -1e-16) == []
+
+
 def test_cartan_evolution_matches_dense():
+    """A three-spin ``MAXIMAL`` element with X and Y letters takes one
+    ladder per string."""
     elem = CartanElement(
-        n=3, family=CartanFamily.BLOCK_Z,
-        coeffs={PauliString("XXZ"): 0.6, PauliString("ZZZ"): -0.25})
+        n=3, family=CartanFamily.MAXIMAL,
+        coeffs={PauliString("XX1"): 0.6, PauliString("YYX"): -0.25,
+                PauliString("ZZ1"): 0.4})
     gates = cartan_evolution_gates(elem)
     got = gate_list_unitary(gates, 3)
     assert np.max(np.abs(got - expm_skew(elem.hamiltonian()))) < 1e-11

@@ -33,7 +33,6 @@ from kakpulse import (
     PhaseNode,
     PulseProgram,
     SequenceNode,
-    TwoSpinNode,
     ValidationError,
     apply_local,
     coupling_diagonal,
@@ -273,14 +272,7 @@ def oracle_tree(tree, n):
         h = np.kron(tree.element.hamiltonian(),
                     np.eye(2 ** (n - tree.element.n)))
         return expmh(h)
-    middle = expmh(0.25 * sum(
-        a * np.kron(SIGMA[ax], SIGMA[ax]) for ax, a in zip("xyz", tree.alphas)))
-    op = (np.exp(1j * tree.phase)
-          * np.kron(euler_matrix(tree.after[0]), euler_matrix(tree.after[1]))
-          @ middle
-          @ np.kron(euler_matrix(tree.before[0]), euler_matrix(tree.before[1])))
-    return np.kron(np.kron(np.eye(2 ** (tree.left - 1)), op),
-                   np.eye(2 ** (n - tree.left - 1)))
+    raise TypeError(f"unknown tree node {tree!r}")
 
 
 def euler_matrix(node):
@@ -485,15 +477,6 @@ def cartan_nodes(draw, n):
     return CartanNode(CartanElement(n=m, family=family, coeffs=coeffs))
 
 
-@st.composite
-def two_spin_nodes(draw, n):
-    left = draw(st.integers(1, n - 1))
-    return TwoSpinNode(
-        left, draw(ANGLES), tuple(draw(st.lists(ANGLES, min_size=3, max_size=3))),
-        (draw(euler_nodes(left)), draw(euler_nodes(left + 1))),
-        (draw(euler_nodes(left)), draw(euler_nodes(left + 1))))
-
-
 def trees(n):
     spins = st.integers(1, n)
     leaves = [
@@ -501,7 +484,7 @@ def trees(n):
         st.builds(PhaseNode, ANGLES),
     ]
     if n > 1:
-        leaves += [cartan_nodes(n), two_spin_nodes(n)]
+        leaves.append(cartan_nodes(n))
     return st.recursive(
         st.one_of(leaves),
         lambda children: st.builds(lambda cs: SequenceNode(tuple(cs)),
@@ -522,8 +505,8 @@ def test_evaluate_matches_oracle_on_random_trees(data):
 @settings(max_examples=50, deadline=None)
 def test_flatten_matches_evaluate_on_random_trees(data):
     """Lowering reproduces the tree on any shape ``decompose`` never emits:
-    two-spin middles at ``left > 1`` and with angles outside the chamber,
-    Cartan nodes on fewer spins than the chain."""
+    any family on fewer spins than the chain, two-spin ``MAXIMAL``
+    middles with coefficients outside the canonical chamber."""
     n = data.draw(st.integers(1, 5))
     tree = data.draw(trees(n))
     got = gate_list_unitary(flatten(tree), n)

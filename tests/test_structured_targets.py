@@ -16,6 +16,7 @@ keep every contract whichever route the threshold sends them down.
 
 import itertools
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -27,8 +28,11 @@ from kakpulse import (
     CartanNode,
     ChainSpec,
     CouplingEvolution,
+    EulerNode,
+    GateTree,
     LocalRotation,
     NumericError,
+    PhaseNode,
     SequenceNode,
     decompose,
     evaluate,
@@ -146,6 +150,37 @@ def test_one_pass_matrix_is_the_tree_matrix(target, n):
     of the tree it returns, as the independent re-walk computes it."""
     tree, matrix = _decompose(target(n))
     assert np.max(np.abs(matrix - evaluate(tree, n))) < 1e-12
+
+
+def haar(n):
+    return haar_unitary(2 ** n, 800 + n)
+
+
+def leaves(tree):
+    if isinstance(tree, SequenceNode):
+        return [leaf for child in tree.children for leaf in leaves(child)]
+    return [tree]
+
+
+def test_gate_tree_has_four_node_kinds():
+    assert set(typing.get_args(GateTree)) == {
+        EulerNode, PhaseNode, CartanNode, SequenceNode}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("target", TARGETS + (haar,), ids=lambda f: f.__name__)
+def test_tree_vocabulary(target, n):
+    """Every level is ``K A K``: the only non-local leaf is a commuting
+    evolution, over the split or diagonal family from three spins up and
+    over the maximal family ``{XX, YY, ZZ}`` at two."""
+    for leaf in leaves(decompose(target(n))):
+        assert isinstance(leaf, (EulerNode, PhaseNode, CartanNode))
+        if isinstance(leaf, CartanNode):
+            family = leaf.element.family
+            if leaf.element.n == 2:
+                assert family is CartanFamily.MAXIMAL
+            else:
+                assert family in (CartanFamily.OUTER_X, CartanFamily.DIAGONAL)
 
 
 # ---------------------------------------------------------------------------
