@@ -22,8 +22,9 @@ Conventions
   ``exp(-1j * angle * I_z I_z)`` on the pair ``(left, left + 1)``.  Note
   the period in ``angle`` is ``8*pi`` and the value at ``4*pi`` is
   ``-identity``, because the generator has eigenvalues ``+-1/4``.  The
-  angle may have either sign: the scheduler runs a negative one as the
-  positive block between x pi-flips of the left spin.
+  angle may have either sign: the scheduler keeps a frame of x pi-flips
+  and flips the left spin first when the frame's sign on the pair
+  disagrees with the angle's.
 * ``GlobalPhase(phi)`` multiplies by ``exp(1j * phi)``.
 
 Spins are 1-based; spin 1 is the leftmost Kronecker factor.

@@ -140,9 +140,25 @@ def euler_xzx(u: np.ndarray) -> tuple[float, float, float]:
         raise ValidationError("euler_xzx needs a special unitary "
                               f"(det deviates by {abs(det - 1):.3e})")
     a, b = complex(u[0, 0]), complex(u[0, 1])
+    # u = w - 1j*(x*sigma_x + y*sigma_y + z*sigma_z) has a = w - 1j*z and
+    # b = -y - 1j*x in its first row
+    alpha, beta, gamma = euler_xzx_angles((a.real, -b.imag, -b.real, -a.imag))
+    recon = su2_rotation("x", alpha) @ su2_rotation("z", beta) @ su2_rotation("x", gamma)
+    resid = float(np.max(np.abs(recon - u)))
+    if resid > TOL_EULER:
+        raise NumericError("euler factorization residual too large",
+                           residual=resid)
+    return alpha, beta, gamma
+
+
+def euler_xzx_angles(q) -> tuple[float, float, float]:
+    """The angles of :func:`euler_xzx`, unchecked, for the unit quaternion
+    ``q = (w, x, y, z)``, which stands for
+    ``w - 1j*(x*sigma_x + y*sigma_y + z*sigma_z)``."""
+    w, x, y, z = q
     # cos(beta/2) * exp(1j*(alpha+gamma)/2) and sin(beta/2)*exp(-1j*(alpha-gamma)/2)
-    z_sum = complex(a.real, -b.imag)
-    z_dif = complex(-a.imag, -b.real)
+    z_sum = complex(w, x)
+    z_dif = complex(z, y)
     beta = 2 * math.atan2(abs(z_dif), abs(z_sum))
     half_sum = cmath.phase(z_sum) if abs(z_sum) > 0 else 0.0
     half_dif = -cmath.phase(z_dif) if abs(z_dif) > 0 else 0.0
@@ -152,14 +168,13 @@ def euler_xzx(u: np.ndarray) -> tuple[float, float, float]:
     else:
         alpha = (half_sum + half_dif) % (2 * math.pi)
         gamma = (half_sum - half_dif) % (2 * math.pi)
-    recon = su2_rotation("x", alpha) @ su2_rotation("z", beta) @ su2_rotation("x", gamma)
-    if np.max(np.abs(recon + u)) < np.max(np.abs(recon - u)):
-        beta += 2 * math.pi  # half turn of the angle sum picks the other sheet
-        recon = -recon
-    resid = float(np.max(np.abs(recon - u)))
-    if resid > TOL_EULER:
-        raise NumericError("euler factorization residual too large",
-                           residual=resid)
+    # The same two halves of the quaternion the angles give: their dot
+    # product with q is -1 when a half turn of the angle sum flipped the
+    # sign, and then beta takes the other sheet.
+    recon_sum = cmath.rect(math.cos(beta / 2), (alpha + gamma) / 2)
+    recon_dif = cmath.rect(math.sin(beta / 2), (gamma - alpha) / 2)
+    if (recon_sum.conjugate() * z_sum + recon_dif.conjugate() * z_dif).real < 0:
+        beta += 2 * math.pi
     return alpha, beta, gamma
 
 

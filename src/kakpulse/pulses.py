@@ -28,12 +28,15 @@ Four layers live here:
   :func:`~kakpulse.kak.decompose` into one gate list: Euler leaves
   become up to three rotations and commuting layers go through the
   family lowering; the ``MAXIMAL`` two-spin middle ``{XX, YY, ZZ}``
-  takes one rewrite-engine ladder per string.  This is the one place
-  where the emitted gauge is chosen.
+  takes one rewrite-engine ladder per string.  A peephole pass then
+  holds each spin's rotations until the next coupling that touches it
+  and replaces a run by its x-z-x Euler triple when that is shorter, so
+  no spin receives more than three rotations between two couplings.
+  Rotations of at most :data:`TOL_ROTATION` (rounding noise) are left
+  out.  This is the one place where the emitted gauge is chosen.
 * A scheduler that lowers a gate list onto a concrete chain with
   always-on couplings, inserting spin-echo refocusing pulses so that
-  exactly one coupling is active during each delay, and flip pulses
-  around each coupling of negative angle.
+  exactly one coupling is active during each delay.
 
 Every gate list built here, by every helper, is in time order: the
 first gate acts first.  Only the tree itself keeps matrix order (the
@@ -43,12 +46,16 @@ angle; how a negative one is run is the scheduler's decision alone.
 
 The scheduler's refocusing rule: while pair ``(k, k+1)`` evolves, every
 spin at odd distance from the pair is flipped with a ``pi`` x-pulse at
-the half-time and flipped back at the end.  A coupling ``(j, j+1)`` then
-sees exactly one flipped endpoint whenever ``j != k``, so it cancels,
-while the target pair sees none.  Each flipped spin contributes
-``(-1)`` (two ``-i sigma_x`` factors), which is tracked in the program's
-global phase.  A negative coupling angle is run as the positive block
-between x pi-flips of the left spin, which negate ``IzIz``.
+the half-time.  That toggle flips exactly one endpoint of every other
+coupling ``(j, j+1)``, which therefore changes sign between the two
+halves of the delay and cancels, while the target pair keeps its sign.
+The flips are not undone: the scheduler keeps them as a Pauli frame, the
+per-spin flip state that the simulator also tracks.  In the frame a
+coupling's sign is ``(-1)**(f_k xor f_(k+1))``, so a block whose angle
+has the other sign first flips spin ``k``, and a y or z rotation on a
+flipped spin is emitted with its angle negated.  The program ends by
+flipping back every spin that is still flipped.  Each flip is
+``-1j*sigma_x``, tracked in the program's global phase.
 """
 
 from __future__ import annotations
@@ -63,11 +70,15 @@ from .errors import DimensionError, RangeError, ValidationError
 from .gates import (ChainSpec, CouplingEvolution, Delay, Gate, GlobalPhase,
                     HardPulse, LocalRotation, PulseProgram, inverse_gate_list)
 from .kak import (CartanNode, EulerNode, GateTree, PhaseNode, SequenceNode,
-                  decompose)
+                  decompose, euler_xzx_angles)
 from .paulis import CartanElement, CartanFamily, PauliString, _letter_product
 
 # Commuting-family coefficients of at most this magnitude emit no gates.
 TOL_COEFF = 1e-12
+# Rotations of at most this angle are left out of a gate list: the
+# factorization's rounding noise reaches 2e-12 rad on QFT and bit-reversal
+# targets, while a target 1e-9 from the identity has real 1e-10 turns.
+TOL_ROTATION = 1e-11
 
 _PI = math.pi
 _HALF_PI = math.pi / 2
@@ -370,8 +381,7 @@ def _network_gates(element: CartanElement,
     cnots = len(route)
     if element.family is CartanFamily.OUTER_X:
         # CNOT is its own inverse, so the frame is undone by the inverse
-        # turns and the same CNOT, which keeps every coupling angle at +pi
-        # (the scheduler would wrap a -pi one in two flip pulses).
+        # turns and the same CNOT, which keeps every coupling angle at +pi.
         turns = _outer_x_turns(element.n)
         head = [*_cnot_gates(1, 2), *turns]
         tail = [*inverse_gate_list(turns), *_cnot_gates(1, 2)]
@@ -415,34 +425,125 @@ def cartan_evolution_gates(element: CartanElement) -> list[Gate]:
 # Gate trees
 
 
-def _euler_gates(node: EulerNode) -> list[Gate]:
-    """``Rx(alpha) Rz(beta) Rx(gamma)``: gamma acts first; zero turns are
-    left out."""
-    return [LocalRotation(node.qubit, axis, angle)
-            for axis, angle in (("x", node.gamma), ("z", node.beta),
-                                ("x", node.alpha))
-            if abs(angle) > 1e-14]
+def _xzx_steps(alpha: float, beta: float,
+               gamma: float) -> tuple[list[tuple[str, float]], int]:
+    """``(steps, turns)`` for ``Rx(alpha) Rz(beta) Rx(gamma)``: the
+    ``(axis, angle)`` turns in time order, gamma first.
 
-
-def flatten(tree: GateTree) -> list[Gate]:
-    """Lower a gate tree to a gate list.
-
-    Commuting-family evolutions, the two-spin ``{XX, YY, ZZ}`` middle
-    among them, go through :func:`cartan_evolution_gates` (a parity
-    network or one ladder per string).  The output reproduces
-    ``evaluate`` of the tree exactly (up to float accumulation, checked
-    in the test-suite at ``1e-8``).
+    Each angle is folded into ``[-pi, pi]``; a ``2*pi`` turn is ``-1``,
+    and ``turns`` counts them.  Turns of at most :data:`TOL_ROTATION`
+    are left out, and without a z turn the two x turns are one.
     """
+    turns = 0
+
+    def fold(angle: float) -> float:
+        nonlocal turns
+        r = math.remainder(angle, 2 * _PI)
+        turns += round((angle - r) / (2 * _PI))
+        return r
+
+    beta = fold(beta)
+    if abs(beta) <= TOL_ROTATION:
+        steps = [("x", fold(alpha + gamma))]
+    else:
+        steps = [("x", fold(gamma)), ("z", beta), ("x", fold(alpha))]
+    return [s for s in steps if abs(s[1]) > TOL_ROTATION], turns
+
+
+def _turn(q: tuple[float, float, float, float], axis: str,
+          angle: float) -> tuple[float, float, float, float]:
+    """The unit quaternion of ``R_axis(angle) @ q`` (see
+    :func:`~kakpulse.kak.euler_xzx_angles`): a Hamilton product with
+    ``(cos(angle/2), sin(angle/2) along axis)``."""
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    w, x, y, z = q
+    if axis == "x":
+        return (c * w - s * x, c * x + s * w, c * y - s * z, c * z + s * y)
+    if axis == "y":
+        return (c * w - s * y, c * x + s * z, c * y + s * w, c * z - s * x)
+    return (c * w - s * z, c * x - s * y, c * y + s * x, c * z + s * w)
+
+
+def _lower(tree: GateTree) -> list[Gate]:
+    """The gates of each node, in time order, before the peephole."""
     if isinstance(tree, SequenceNode):
         # children are in matrix order: index 0 acts last
-        return [g for child in reversed(tree.children) for g in flatten(child)]
+        return [g for child in reversed(tree.children) for g in _lower(child)]
     if isinstance(tree, EulerNode):
-        return _euler_gates(tree)
+        steps, turns = _xzx_steps(tree.alpha, tree.beta, tree.gamma)
+        return ([LocalRotation(tree.qubit, axis, angle) for axis, angle in steps]
+                + [GlobalPhase(_PI)] * (turns % 2))
     if isinstance(tree, PhaseNode):
         return [GlobalPhase(tree.phi)]
     if isinstance(tree, CartanNode):
         return cartan_evolution_gates(tree.element)
     raise ValidationError(f"unknown tree node {tree!r}")
+
+
+def _merge_local_runs(gates: list[Gate]) -> list[Gate]:
+    """One pass that shortens the runs of rotations on each spin.
+
+    A rotation is held until the next coupling that touches its spin, or
+    the end of the list: rotations on different spins commute, and a
+    coupling blocks only its own two spins.  A run of two or more is
+    replaced by its x-z-x Euler triple when that is strictly shorter; the
+    run's product is kept as a unit quaternion, four floats.  Every
+    global phase, the ``-1`` of each folded ``2*pi`` turn among them,
+    goes into one phase factor at the end.
+    """
+    out: list[Gate] = []
+    held: dict[int, list[LocalRotation]] = {}
+    phase = 0.0
+    turns = 0
+
+    def release(q: int) -> None:
+        nonlocal turns
+        run = [g for g in held.pop(q, ()) if abs(g.angle) > TOL_ROTATION]
+        # Two turns about different axes make one turn only when both are
+        # half turns, so such a pair is not worth a product.
+        if len(run) > 2 or len(run) == 2 and run[0].axis == run[1].axis:
+            product = (1.0, 0.0, 0.0, 0.0)
+            for g in run:
+                product = _turn(product, g.axis, g.angle)
+            steps, k = _xzx_steps(*euler_xzx_angles(product))
+            if len(steps) < len(run):
+                run = [LocalRotation(q, axis, angle) for axis, angle in steps]
+                turns += k
+        out.extend(run)
+
+    for g in gates:
+        if isinstance(g, LocalRotation):
+            held.setdefault(g.qubit, []).append(g)
+        elif isinstance(g, CouplingEvolution):
+            release(g.left)
+            release(g.left + 1)
+            out.append(g)
+        elif isinstance(g, GlobalPhase):
+            # reduced at every step: a sum that grows to hundreds of
+            # radians would carry its rounding into the matrix
+            phase = math.remainder(phase + g.phi, 2 * _PI)
+        else:
+            raise ValidationError(f"unknown gate object {g!r}")
+    for q in sorted(held):
+        release(q)
+    phase = math.remainder(phase + _PI * (turns % 2), 2 * _PI)
+    if phase:
+        out.append(GlobalPhase(phase))
+    return out
+
+
+def flatten(tree: GateTree) -> list[Gate]:
+    """Lower a gate tree to a gate list.
+
+    Euler leaves become up to three rotations, and commuting-family
+    evolutions, the two-spin ``{XX, YY, ZZ}`` middle among them, go
+    through :func:`cartan_evolution_gates` (a parity network or one
+    ladder per string).  One peephole pass then merges each spin's runs
+    of rotations between couplings and gathers the global phase at the
+    end.  The output reproduces ``evaluate`` of the tree exactly (up to
+    float accumulation, checked in the test-suite at ``1e-8``).
+    """
+    return _merge_local_runs(_lower(tree))
 
 
 def compile_unitary(u: np.ndarray) -> list[Gate]:
@@ -470,6 +571,45 @@ def refocusing_set(n: int, left: int) -> list[int]:
     return out
 
 
+class _Frame:
+    """Per-spin x-flip state of a program being written: the Pauli frame
+    that :func:`~kakpulse.simulate._frame_unitary` tracks when it reads
+    the program back.  On a flipped spin, ``sigma_z`` and ``sigma_y``
+    change sign, and so does every coupling with one flipped end."""
+
+    def __init__(self, program: PulseProgram):
+        self.program = program
+        self.flipped = [False] * (program.chain.n + 1)  # by spin; index 0 unused
+        self.pulses = 0
+
+    def toggle(self, spins) -> None:
+        """One x pi-pulse on each of ``spins``."""
+        for s in spins:
+            self.flipped[s] = not self.flipped[s]
+            self.program.events.append(HardPulse(s, "x", _PI))
+        self.pulses += len(spins)
+
+    def fix_sign(self, left: int, theta: float) -> None:
+        """Toggle spin ``left`` when the frame's sign on the pair
+        ``(left, left+1)`` disagrees with the sign of ``theta``."""
+        if (self.flipped[left] != self.flipped[left + 1]) != (theta < 0):
+            self.toggle((left,))
+
+    def refocus(self, left: int) -> None:
+        """The mid-block toggle of the block on ``(left, left+1)``."""
+        self.toggle(refocusing_set(self.program.chain.n, left))
+
+    def rotation(self, g: LocalRotation) -> LocalRotation:
+        """The pulse that realizes ``g`` in this frame."""
+        if g.axis != "x" and self.flipped[g.qubit]:
+            return LocalRotation(g.qubit, g.axis, -g.angle)
+        return g
+
+    def restore(self) -> None:
+        """Toggle every spin that is still flipped."""
+        self.toggle([q for q, f in enumerate(self.flipped) if f])
+
+
 def synthesize_pulses(gates: list[Gate], chain: ChainSpec) -> PulseProgram:
     """Lower a time-ordered gate list onto a chain.
 
@@ -478,12 +618,19 @@ def synthesize_pulses(gates: list[Gate], chain: ChainSpec) -> PulseProgram:
     angle is first reduced mod ``4*pi`` into ``[-2*pi, 2*pi]``, each
     ``4*pi`` removed contributing a ``-1`` tracked in the global phase
     (the ZZ evolution has period ``8*pi`` with value ``-identity`` at
-    ``4*pi``); a negative remainder is run as a positive block between
-    ``+pi`` and ``-pi`` x-pulses on the left spin, which negate ``IzIz``.
-    Gate lists carry signed coupling angles, and this is the one place
-    where a sign becomes pulses.
+    ``4*pi``).  Gate lists carry signed coupling angles, and this is the
+    one place where a sign becomes pulses.
+
+    The flips are scheduled in a Pauli frame (:class:`_Frame`) and never
+    undone block by block.  A block on pair ``k`` first toggles spin
+    ``k`` if the frame's sign on the pair, ``(-1)**(f_k xor f_(k+1))``,
+    disagrees with the sign of ``theta``; then it runs half the delay,
+    toggles :func:`refocusing_set` and runs the other half.  A y or z
+    rotation on a flipped spin is emitted with its angle negated, and the
+    program ends by toggling every spin that is still flipped.
     """
     program = PulseProgram(chain=chain)
+    frame = _Frame(program)
     bound = chain.n
     for g in gates:
         if isinstance(g, GlobalPhase):
@@ -492,7 +639,7 @@ def synthesize_pulses(gates: list[Gate], chain: ChainSpec) -> PulseProgram:
             if g.qubit > bound:
                 raise DimensionError(
                     f"gate on spin {g.qubit} exceeds chain size {bound}")
-            program.events.append(g)  # a rotation is its own hard pulse
+            program.events.append(frame.rotation(g))
         elif isinstance(g, CouplingEvolution):
             if g.left + 1 > bound:
                 raise DimensionError(
@@ -501,22 +648,17 @@ def synthesize_pulses(gates: list[Gate], chain: ChainSpec) -> PulseProgram:
             program.phase += _PI * round((g.angle - theta) / (4 * _PI))
             if theta == 0:
                 continue
-            # exp(-i*theta*IzIz) for theta < 0 is the block for -theta
-            # conjugated by an x pi-flip of the left spin.
-            if theta < 0:
-                program.events.append(HardPulse(g.left, "x", _PI))
+            frame.fix_sign(g.left, theta)
             t = abs(theta) / (2 * _PI * chain.coupling(g.left))
-            flips = refocusing_set(bound, g.left)
             program.events.append(Delay(t / 2))
-            program.events.extend(HardPulse(s, "x", _PI) for s in flips)
+            frame.refocus(g.left)
             program.events.append(Delay(t / 2))
-            program.events.extend(HardPulse(s, "x", _PI) for s in flips)
-            program.phase += _PI * len(flips)
-            if theta < 0:
-                program.events.append(HardPulse(g.left, "x", -_PI))
         else:
             raise ValidationError(f"unknown gate object {g!r}")
-    program.phase = math.remainder(program.phase, 2 * _PI)
+    frame.restore()
+    # each pulse of the frame is -1j*sigma_x
+    program.phase = math.remainder(program.phase + _HALF_PI * (frame.pulses % 4),
+                                   2 * _PI)
     return program
 
 

@@ -168,24 +168,41 @@ def _suite_identities() -> tuple[bool, str]:
 
 
 def _suite_refocus() -> tuple[bool, str]:
-    """Echoed delays activate exactly one coupling of an always-on chain:
-    every pair of 3- to 5-spin 100 Hz chains at four angles, plus an
-    unequal-J chain and an 80 Hz chain."""
-    cases = [(ChainSpec.uniform(n, 100.0), left, theta)
-             for n in (3, 4, 5) for left in range(1, n)
+    """Echoed delays activate exactly one coupling of an always-on chain,
+    and the Pauli frame carries the flips from block to block.  Single
+    blocks: every pair of 3- to 5-spin 100 Hz chains at four angles, plus
+    an unequal-J chain and an 80 Hz chain.  Then one twelve-block
+    sequence on each of those five chains, cycling over the pairs with
+    mixed signs and angles above 2 pi, with y and z rotations between the
+    blocks."""
+    chains = [ChainSpec.uniform(n, 100.0) for n in (3, 4, 5)]
+    chains += [ChainSpec(3, (100.0, 140.0)), ChainSpec.uniform(4, 80.0)]
+    cases = [(spec, [CouplingEvolution(left, theta)])
+             for spec in chains[:3] for left in range(1, spec.n)
              for theta in (0.1, math.pi / 2, math.pi, 3.9)]
-    cases += [(ChainSpec(3, (100.0, 140.0)), 2, 0.1),
-              (ChainSpec.uniform(4, 80.0), 2, 3.9)]
+    cases += [(chains[3], [CouplingEvolution(2, 0.1)]),
+              (chains[4], [CouplingEvolution(2, 3.9)])]
+    singles = len(cases)
+    angles = (0.1, -math.pi / 2, 2 * math.pi + 0.4, -3.9, math.pi,
+              -2 * math.pi - 1.1)
+    for spec in chains:
+        gates = []
+        for k in range(12):
+            gates += [CouplingEvolution(1 + k % (spec.n - 1), angles[k % 6]),
+                      LocalRotation(1 + k % spec.n, "yz"[k % 2], 0.3 + 0.2 * k)]
+        cases.append((spec, gates))
     worst = 0.0
-    for spec, left, theta in cases:
-        gates = [CouplingEvolution(left, theta)]
+    for spec, gates in cases:
         got = pulse_program_unitary(synthesize_pulses(gates, spec))
         resid = float(np.max(np.abs(got - gate_list_unitary(gates, spec.n))))
         if resid >= 1e-10:
-            return False, (f"pair {left} of chain J={spec.couplings} at angle "
-                           f"{theta:g}: residual {resid:.3e} >= 1e-10")
+            what = (f"pair {gates[0].left} at angle {gates[0].angle:g}"
+                    if len(gates) == 1 else f"{len(gates) // 2}-block sequence")
+            return False, (f"{what} on chain J={spec.couplings}: residual "
+                           f"{resid:.3e} >= 1e-10")
         worst = max(worst, resid)
-    return True, f"{len(cases)} single-coupling blocks, worst residual {worst:.1e}"
+    return True, (f"{singles} single-coupling blocks and {len(chains)} "
+                  f"twelve-block sequences, worst residual {worst:.1e}")
 
 
 def _suite_euler() -> tuple[bool, str]:

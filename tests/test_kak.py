@@ -518,6 +518,13 @@ def test_flatten_cartan_node():
     assert np.max(np.abs(got - expm_skew(elem.hamiltonian()))) < 1e-10
 
 
+def test_two_half_turns_merge_into_a_phase():
+    """Rx(pi) Rx(pi) = -I: the peephole emits no rotation, only the sign."""
+    half_turn = EulerNode(1, math.pi, 0.0, 0.0)
+    assert flatten(half_turn) == [LocalRotation(1, "x", math.pi)]
+    assert flatten(SequenceNode((half_turn, half_turn))) == [GlobalPhase(math.pi)]
+
+
 def test_framed_couplings_realize_the_interaction():
     """The classic conjugation pattern: y-frames turn ZZ into XX, x-frames
     into YY, so three framed coupling blocks give the full interaction."""

@@ -9,6 +9,7 @@ coupling gate.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kakpulse.pulses
 from kakpulse import (
     CartanElement,
     CartanFamily,
@@ -34,9 +36,11 @@ from kakpulse import (
     cartan_evolution_gates,
     expm_skew,
     gate_list_spin_bound,
+    gate_list_to_json,
     gate_list_unitary,
     haar_unitary,
     inverse_gate_list,
+    matrix_to_json_dict,
     pauli_evolution_gates,
     pulse_count,
     pulse_program_unitary,
@@ -44,6 +48,7 @@ from kakpulse import (
     synthesize_pulses,
     total_coupling_time,
 )
+from kakpulse.cli import main
 from kakpulse.pulses import TOL_COEFF
 
 SIGMA = {
@@ -403,6 +408,62 @@ class TestSynthesizePulses:
         # two echo flips on spin 3, applied twice
         assert pulse_count(program) == 2
         assert sum(isinstance(e, Delay) for e in program.events) == 2
+
+
+class TestFrameFaults:
+    """Each pulse of the frame schedule matters.  On a multi-block program
+    with mixed-sign angles, losing one sign-fixing pulse, one mid-block
+    pulse or the final restore makes ``verify`` fail."""
+
+    CHAIN = "100,130,90"
+    GATES = [CouplingEvolution(1, 0.9), LocalRotation(2, "y", 0.4),
+             CouplingEvolution(2, -1.3), LocalRotation(3, "z", -0.8),
+             CouplingEvolution(3, 2 * math.pi + 0.5), CouplingEvolution(1, -0.6),
+             LocalRotation(1, "y", 1.1), CouplingEvolution(2, 2.1),
+             LocalRotation(4, "z", 0.7)]
+
+    def round_trip(self, tmp_path):
+        gates = tmp_path / "gates.json"
+        gates.write_text(json.dumps(gate_list_to_json(self.GATES)))
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(matrix_to_json_dict(
+            gate_list_unitary(self.GATES, 4))))
+        program = tmp_path / "program.json"
+        assert main(["pulses", "--input", str(gates), "--output", str(program),
+                     "--chain", self.CHAIN]) == 0
+        return main(["verify", str(program), str(target)]), program
+
+    def test_intact_program_passes(self, tmp_path, capsys):
+        code, path = self.round_trip(tmp_path)
+        assert code == 0
+        assert "PASS" in capsys.readouterr().out
+        events = PulseProgram.from_json_dict(json.loads(path.read_text())).events
+        # the frame ends flipped, so the restore has work to do
+        assert events[-1] == HardPulse(events[-1].qubit, "x", math.pi)
+
+    @pytest.mark.parametrize("method", ["fix_sign", "refocus"])
+    def test_a_lost_pulse_fails(self, method, monkeypatch, tmp_path, capsys):
+        """The frame still counts the pulse as given, as it would when a
+        pulse misfires on the spectrometer."""
+        honest = getattr(kakpulse.pulses._Frame, method)
+        lost = []
+
+        def lossy(frame, *args):
+            before = len(frame.program.events)
+            honest(frame, *args)
+            if not lost and len(frame.program.events) > before:
+                lost.append(frame.program.events.pop(before))
+
+        monkeypatch.setattr(kakpulse.pulses._Frame, method, lossy)
+        code, _ = self.round_trip(tmp_path)
+        assert lost and code == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_a_missing_restore_fails(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(kakpulse.pulses._Frame, "restore", lambda frame: None)
+        code, _ = self.round_trip(tmp_path)
+        assert code == 1
+        assert "FAIL" in capsys.readouterr().out
 
 
 def test_program_json_round_trip():

@@ -45,6 +45,7 @@ from kakpulse import (
     local_rotation_matrix,
     matrix_to_json_dict,
     pulse_program_unitary,
+    refocusing_set,
     synthesize_pulses,
 )
 from kakpulse.cli import main as cli_main
@@ -525,6 +526,72 @@ def test_pulses_simulate_to_their_gate_list_on_unequal_chains(data):
     program = synthesize_pulses(gates, chain)
     report = distance(pulse_program_unitary(program), gate_list_unitary(gates, n))
     assert report.frobenius < 1e-9
+
+
+@st.composite
+def signed_schedules(draw):
+    """An unequal chain of 2..5 spins and a gate list that couples every
+    pair at least once, at signed angles, with rotations about x, y and
+    z between the couplings."""
+    chain = draw(unequal_chains(min_n=2))
+    n = chain.n
+    rotations = st.lists(
+        st.builds(LocalRotation, st.integers(1, n), AXES, ANGLES), max_size=3)
+    pairs = draw(st.permutations(
+        list(range(1, n)) + draw(st.lists(st.integers(1, n - 1), max_size=4))))
+    gates = []
+    for left in pairs:
+        gates += draw(rotations)
+        gates.append(CouplingEvolution(left, draw(ANGLES)))
+    return chain, gates + draw(rotations)
+
+
+def frame_pulses(gates, program):
+    """Split a scheduled program along its gate list: ``(blocks,
+    restore)``, with ``blocks`` the pair and the added pulses of each
+    coupling block, and ``restore`` the pulses after the last gate."""
+    events, i, blocks = program.events, 0, []
+
+    def pulses_to_next_delay(i):
+        start = i
+        while not isinstance(events[i], Delay):
+            i += 1
+        return events[start:i], i + 1
+
+    for g in gates:
+        if isinstance(g, LocalRotation):
+            e = events[i]
+            assert (e.qubit, e.axis, abs(e.angle)) == (g.qubit, g.axis, abs(g.angle))
+            i += 1
+        elif isinstance(g, CouplingEvolution) and math.remainder(g.angle, 4 * math.pi):
+            fix, i = pulses_to_next_delay(i)
+            mid, i = pulses_to_next_delay(i)
+            blocks.append((g.left, fix + mid))
+    return blocks, events[i:]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_frame_scheduler_on_signed_gate_lists(data):
+    """The scheduler carries its flips from block to block: the program
+    is the gate list, by the frame simulator and by the Kronecker oracle;
+    every spin is flipped an even number of times; and a block adds at
+    most one sign-fixing pulse to its refocusing set."""
+    chain, gates = data.draw(signed_schedules())
+    n = chain.n
+    program = synthesize_pulses(gates, chain)
+    want = gate_list_unitary(gates, n)
+    assert np.max(np.abs(pulse_program_unitary(program) - want)) < 1e-10
+    assert np.max(np.abs(oracle_program(program)
+                         - oracle_gate_list(gates, n))) < 1e-10
+    blocks, restore = frame_pulses(gates, program)
+    flips = [0] * (n + 1)
+    for e in restore + [e for _, added in blocks for e in added]:
+        assert (e.axis, e.angle) == ("x", math.pi)
+        flips[e.qubit] += 1
+    assert all(count % 2 == 0 for count in flips)
+    for left, added in blocks:
+        assert len(added) <= len(refocusing_set(n, left)) + 1
 
 
 class TestApplyLocal:

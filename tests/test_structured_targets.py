@@ -47,6 +47,7 @@ from kakpulse import (
     synthesize_pulses,
 )
 from kakpulse.kak import _decompose
+from kakpulse.pulses import TOL_ROTATION
 
 CHAIN_J = (120.0, 80.0, 140.0, 95.0)
 
@@ -181,6 +182,58 @@ def test_tree_vocabulary(target, n):
                 assert family is CartanFamily.MAXIMAL
             else:
                 assert family in (CartanFamily.OUTER_X, CartanFamily.DIAGONAL)
+
+
+# ---------------------------------------------------------------------------
+# The lowering's peephole
+
+
+def longest_local_run(gates):
+    """Most rotations one spin receives between two couplings that touch
+    it (or the list's ends)."""
+    runs: dict[int, int] = {}
+    longest = 0
+    for g in gates:
+        if isinstance(g, LocalRotation):
+            runs[g.qubit] = runs.get(g.qubit, 0) + 1
+            longest = max(longest, runs[g.qubit])
+        elif isinstance(g, CouplingEvolution):
+            runs.pop(g.left, None)
+            runs.pop(g.left + 1, None)
+    return longest
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("target", TARGETS + (haar,), ids=lambda f: f.__name__)
+def test_at_most_an_euler_triple_between_couplings(target, n):
+    tree = decompose(target(n))
+    gates = flatten(tree)
+    assert longest_local_run(gates) <= 3
+    assert np.max(np.abs(gate_list_unitary(gates, n) - evaluate(tree, n))) < 1e-8
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+@pytest.mark.parametrize("target", (qft, bit_reversal), ids=lambda f: f.__name__)
+def test_rounding_noise_emits_no_rotation(target, n):
+    """The factorization leaves turns of 1e-14 to 2e-12 rad on these
+    targets, while their real turns are all above 1e-4 rad; no noise
+    turn becomes a pulse, and every budget still holds."""
+    u = target(n)
+    tree, matrix = _decompose(u)
+    assert np.max(np.abs(matrix - u)) < residual_budget(n)
+    gates = flatten(tree)
+    smallest = min(abs(g.angle) for g in gates if isinstance(g, LocalRotation))
+    assert smallest > max(TOL_ROTATION, 1e-9)
+    assert np.max(np.abs(gate_list_unitary(gates, n) - u)) < residual_budget(n)
+    program = synthesize_pulses(gates, ChainSpec(n, CHAIN_J[:n - 1]))
+    assert np.max(np.abs(pulse_program_unitary(program) - u)) < residual_budget(n)
+
+
+def test_near_identity_keeps_its_small_turns():
+    """A target 1e-9 from the identity needs turns far below 1e-9 rad;
+    the drop threshold sits under them."""
+    gates = flatten(decompose(near_identity(4)))
+    assert any(abs(g.angle) < 1e-9 for g in gates if isinstance(g, LocalRotation))
 
 
 # ---------------------------------------------------------------------------
