@@ -131,10 +131,10 @@ def cmd_random(n: int, seed: int, out_path: str) -> int:
 
 
 def cmd_decompose(input_path: str, out_path: str, n: int | None = None,
-                  tol: float | None = None, check: bool = True) -> int:
+                  tol: float | None = None) -> int:
     if tol is not None:
         _check_tol(tol)
-    u = _load_matrix(input_path, check=check)
+    u = _load_matrix(input_path, check=True)
     spins = spin_count(u.shape[0])
     if n is not None and n != spins:
         raise ValidationError(
@@ -269,8 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="tree + gate-list file to write")
     p.add_argument("--n", type=int, help="expected spin count (checked)")
     p.add_argument("--tol", type=float, help="residual budget override")
-    p.add_argument("--no-check", action="store_true",
-                   help="skip the reader-level unitarity check")
 
     p = sub.add_parser("pulses", help="lower a gate list onto a coupling chain")
     p.add_argument("--input", required=True,
@@ -302,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_random(args.n, args.seed, args.output)
         if args.command == "decompose":
             return cmd_decompose(args.input, args.output, n=args.n,
-                                 tol=args.tol, check=not args.no_check)
+                                 tol=args.tol)
         if args.command == "pulses":
             return cmd_pulses(args.input, args.output, chain=args.chain,
                               n=args.n)

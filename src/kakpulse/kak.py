@@ -31,6 +31,13 @@ takes the first of three routes that fits:
 * **Generic**: the cosine-sine split and two demultiplexed blocks, or
   the two-spin canonical form.
 
+No level normalizes a determinant.  Both routes from three spins up pass
+their sector blocks to :func:`demultiplex` as they are, and a block
+pair's relative phase becomes the lone ``1...1Z`` term of its diagonal
+layer (the central element of the block-diagonal algebra), so a block is
+``[tree, diagonal layer, tree]`` and phase leaves appear only in one-
+and two-spin subtrees.
+
 Inside :func:`demultiplex`, a block ratio ``u0 @ u1^dagger`` that is
 already diagonal keeps the identity as its eigenbasis, so that half
 problem is an identity which the Kronecker route lowers to nothing.
@@ -47,8 +54,8 @@ contract, with a path annotation pointing into the recursion.
 The recursion is one pass: each call returns its tree together with
 that tree's matrix.  A leaf's matrix is its node applied to the
 identity; a level composes its matrix from the matrices its children
-returned (each already checked at its own level), the commuting layers
-and the trailing phase and rotation, and checks that against its input
+returned (each already checked at its own level) and the commuting
+layers, and checks that against its input
 under :func:`residual_budget`.  So every level checks the tree it
 emits, not the intermediate factors, without walking its subtree again.
 Commuting-family exponentials are applied string by string, each
@@ -62,6 +69,7 @@ to gates.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -113,10 +121,6 @@ _GAMMA = 0.25 * np.array([
 ], dtype=float)
 
 _EYE2 = np.eye(2, dtype=complex)
-_EYE4 = np.eye(4, dtype=complex)
-
-# sigma_a sigma_a for a = x, y, z: the generators of the two-spin middle.
-_PAIR_PAULI = tuple(np.kron(PAULI[a], PAULI[a]) for a in ("x", "y", "z"))
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +210,15 @@ def _factor_local_pair(m: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
     return g, a, b
 
 
+def _interaction_element(alphas) -> CartanElement:
+    """The two-spin middle as a maximal-family element: ``B_s = sigma_s/2``,
+    so the coefficient ``alpha/2`` on XX, YY and ZZ gives
+    ``exp(-1j*alpha*sigma sigma/4)``."""
+    return CartanElement(n=2, family=CartanFamily.MAXIMAL, coeffs={
+        s: float(alpha) / 2
+        for s, alpha in zip(maximal_abelian_strings(2), alphas)})
+
+
 def interaction_unitary(alphas) -> np.ndarray:
     """Canonical two-spin middle: ``prod_a exp(-1j*alphas_a*sigma_a sigma_a/4)``.
 
@@ -215,11 +228,7 @@ def interaction_unitary(alphas) -> np.ndarray:
     ``sigma_a sigma_a`` squares to one, so this is the product of
     ``cos(alpha_a/4) - 1j*sin(alpha_a/4)*sigma_a sigma_a``.
     """
-    out = _EYE4
-    for pair, alpha in zip(_PAIR_PAULI, alphas):
-        quarter = float(alpha) / 4
-        out = out @ (math.cos(quarter) * _EYE4 - 1j * math.sin(quarter) * pair)
-    return out
+    return _apply_cartan(_interaction_element(alphas), np.eye(4, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -368,9 +377,7 @@ def two_spin_factors(u: np.ndarray) -> TwoSpinFactors:
     if resid > TOL_TWO_SPIN:
         raise NumericError("two-spin factorization residual too large",
                            residual=resid)
-    return TwoSpinFactors(
-        phase=result.phase, l1=result.l1, l2=result.l2,
-        alphas=result.alphas, r1=result.r1, r2=result.r2, residual=resid)
+    return dataclasses.replace(result, residual=resid)
 
 
 def interaction_class(u: np.ndarray) -> tuple[float, float, float]:
@@ -386,15 +393,14 @@ def interaction_class(u: np.ndarray) -> tuple[float, float, float]:
 class BlockPair:
     """Block-diagonal factor after sorting by the last spin's sector.
 
-    Realizes ``blkdiag(u0, u1) * exp(-1j*phase*I_z(last))`` brought back
-    to the original spin order; ``u0``/``u1`` act on the leading spins
-    and are both special, so ``det(u0) * det(u1) = 1``.
+    Realizes ``blkdiag(u0, u1)`` brought back to the original spin order;
+    ``u0``/``u1`` act on the leading spins and are any unitaries, their
+    determinants and relative phase included.
     """
 
     n: int
     u0: np.ndarray
     u1: np.ndarray
-    phase: float
 
     @property
     def half(self) -> int:
@@ -403,25 +409,11 @@ class BlockPair:
     def realize(self) -> np.ndarray:
         half = self.half
         out = np.zeros((2 * half, 2 * half), dtype=complex)
-        out[:half, :half] = self.u0 * cmath.exp(-1j * self.phase / 2)
-        out[half:, half:] = self.u1 * cmath.exp(1j * self.phase / 2)
+        out[:half, :half] = self.u0
+        out[half:, half:] = self.u1
         # permuted frame has the last spin leading; undo it
         perm = list(range(1, self.n)) + [0]
         return permute_spins(out, perm)
-
-
-def _make_block_pair(n: int, w0: np.ndarray, w1: np.ndarray) -> BlockPair:
-    half = w0.shape[0]
-    a0 = cmath.phase(complex(np.linalg.det(w0)))
-    theta = -2 * a0 / half
-    u0 = w0 * cmath.exp(1j * theta / 2)
-    u1 = w1 * cmath.exp(-1j * theta / 2)
-    for name, blk in (("upper", u0), ("lower", u1)):
-        dev = abs(complex(np.linalg.det(blk)) - 1)
-        if dev > 1e-8:
-            raise NumericError(f"{name} block is not special after phase "
-                               "extraction", residual=dev)
-    return BlockPair(n=n, u0=u0, u1=u1, phase=theta)
 
 
 @functools.lru_cache(maxsize=None)
@@ -471,40 +463,23 @@ def split_last_qubit(u: np.ndarray) -> tuple[BlockPair, CartanElement, BlockPair
     """Factor ``u = k1 * exp(-1j*H_Y) * k2`` with block-diagonal ``k1, k2``
     and ``H_Y`` over the trailing-X commuting family.
 
-    Requires a special unitary on at least three spins (strip the global
-    phase first; every factor on the right-hand side is special).
+    Accepts any unitary on at least three spins; its phases stay in the
+    blocks of ``k1`` and ``k2``.
     """
     u = check_unitary(u)
     n = spin_count(u.shape[0])
     if n < 3:
         raise ValidationError("the last-spin split needs three or more spins; "
                               "use two_spin_factors below that")
-    det = complex(np.linalg.det(u))
-    if abs(det - 1) > 1e-8:
-        raise ValidationError("input must be special; divide out "
-                              "det**(1/dim) first")
     m = n - 1
-    half = 2 ** m
     perm = [n - 1] + list(range(m))
     up = permute_spins(u, perm)
     cs = cosine_sine(up)
 
     vb = _bridge(m)
     vbh = vb.conj().T
-    w0 = cs.l0 @ vbh
-    w1 = 1j * (cs.l1 @ vbh)
-    x0 = vb @ cs.r0
-    x1 = -1j * (vb @ cs.r1)
-
-    # push a scalar phase through the commuting middle so each
-    # block-diagonal side becomes special as a whole
-    d = complex(np.linalg.det(w0)) * complex(np.linalg.det(w1))
-    psi = -cmath.phase(d) / (2 * half)
-    w0, w1 = w0 * cmath.exp(1j * psi), w1 * cmath.exp(1j * psi)
-    x0, x1 = x0 * cmath.exp(-1j * psi), x1 * cmath.exp(-1j * psi)
-
-    k1 = _make_block_pair(n, w0, w1)
-    k2 = _make_block_pair(n, x0, x1)
+    k1 = BlockPair(n=n, u0=cs.l0 @ vbh, u1=1j * (cs.l1 @ vbh))
+    k2 = BlockPair(n=n, u0=vb @ cs.r0, u1=-1j * (vb @ cs.r1))
 
     coeffs: dict[PauliString, float] = {}
     for mask, w_d in enumerate(_walsh(cs.theta)):
@@ -522,18 +497,19 @@ def split_last_qubit(u: np.ndarray) -> tuple[BlockPair, CartanElement, BlockPair
     return k1, y, k2
 
 
-def demultiplex(pair: BlockPair) -> tuple[np.ndarray, CartanElement, np.ndarray, float]:
+def demultiplex(pair: BlockPair) -> tuple[np.ndarray, CartanElement, np.ndarray]:
     """Rewrite ``blkdiag(u0, u1)`` as ``(v, v)`` then a diagonal commuting
     layer then ``(w, w)``.
 
-    Returns ``(v, z, w, phi)`` with
-    ``u0 = exp(1j*phi) * v @ exp(1j*D) @ w`` and
-    ``u1 = exp(-1j*phi) * v @ exp(-1j*D) @ w``, where ``exp(-1j*H_z)``
-    for the returned diagonal-family element ``z`` realizes the
-    ``+-D`` pair on the full space and ``phi`` is the traceless
-    detrending of ``D``.  A product ``u0 @ u1^dagger`` that is already
-    diagonal within :data:`TOL_TRIVIAL` keeps ``v = I``, which the
-    recursion lowers to nothing.
+    Returns ``(v, z, w)`` with ``u0 = v @ exp(1j*D) @ w`` and
+    ``u1 = v @ exp(-1j*D) @ w``, where ``D = angle(lambda)/2`` for the
+    eigenvalues ``lambda`` of ``u0 @ u1^dagger`` and ``exp(-1j*H_z)``
+    for the returned diagonal-family element ``z`` realizes the ``+-D``
+    pair on the full space.  The mean of ``D``, the blocks' relative
+    phase, is the lone ``1...1Z`` term of ``z``.  A product
+    ``u0 @ u1^dagger`` that is already diagonal within
+    :data:`TOL_TRIVIAL` keeps ``v = I``, which the recursion lowers to
+    nothing.
     """
     n = pair.n
     if n < 2:
@@ -545,24 +521,21 @@ def demultiplex(pair: BlockPair) -> tuple[np.ndarray, CartanElement, np.ndarray,
     else:
         lam, v = unitary_eig(ratio)
     d = np.angle(lam) / 2
-    phi = float(np.mean(d))
-    dvec = d - phi
-    w = (np.exp(-1j * dvec)[:, None] * v.conj().T) @ pair.u0 * cmath.exp(-1j * phi)
+    w = (np.exp(-1j * d)[:, None] * v.conj().T) @ pair.u0
 
     resid = max(
-        float(np.max(np.abs(cmath.exp(1j * phi) * (v * np.exp(1j * dvec)) @ w - pair.u0))),
-        float(np.max(np.abs(cmath.exp(-1j * phi) * (v * np.exp(-1j * dvec)) @ w - pair.u1))))
+        float(np.max(np.abs((v * np.exp(1j * d)) @ w - pair.u0))),
+        float(np.max(np.abs((v * np.exp(-1j * d)) @ w - pair.u1))))
     if resid > TOL_SPLIT:
         raise NumericError("demultiplexing residual too large", residual=resid)
 
     coeffs: dict[PauliString, float] = {}
     m = n - 1
-    for mask, w_d in enumerate(_walsh(dvec)):
-        if mask == 0 or abs(w_d) < 1e-14:
-            continue  # mask 0 is the detrended mean, zero by construction
-        coeffs[PauliString(_mask_letters(mask, m) + "Z")] = -2.0 * w_d
+    for mask, w_d in enumerate(_walsh(d)):
+        if abs(w_d) >= 1e-14:
+            coeffs[PauliString(_mask_letters(mask, m) + "Z")] = -2.0 * w_d
     z = CartanElement(n=n, family=CartanFamily.DIAGONAL, coeffs=coeffs)
-    return v, z, w, phi
+    return v, z, w
 
 
 # ---------------------------------------------------------------------------
@@ -724,13 +697,11 @@ def _one_spin_node(u: np.ndarray) -> GateTree:
 def _two_spin_node(u: np.ndarray) -> SequenceNode:
     """The canonical form as tree leaves, in matrix order: phase, the left
     local pair, one evolution under the maximal family ``{XX, YY, ZZ}``
-    and the right local pair.  ``B_s = sigma_s/2``, so the coefficient
-    ``alpha/2`` gives ``exp(-1j*alpha*sigma sigma/4)``."""
+    and the right local pair."""
     f = two_spin_factors(u)
-    middle = CartanElement(n=2, family=CartanFamily.MAXIMAL, coeffs={
-        s: alpha / 2 for s, alpha in zip(maximal_abelian_strings(2), f.alphas)})
     children: list[GateTree] = [
-        _euler_node(1, f.l1), _euler_node(2, f.l2), CartanNode(middle),
+        _euler_node(1, f.l1), _euler_node(2, f.l2),
+        CartanNode(_interaction_element(f.alphas)),
         _euler_node(1, f.r1), _euler_node(2, f.r2)]
     if abs(f.phase) > 1e-14:
         children.insert(0, PhaseNode(f.phase))
@@ -805,22 +776,15 @@ def _block_tree(pair: BlockPair, label: str) -> tuple[GateTree, np.ndarray]:
     """Tree of a block-diagonal factor and that tree's matrix, composed
     from the matrices its demultiplexed halves returned."""
     try:
-        v, z, w, phi = demultiplex(pair)
+        v, z, w = demultiplex(pair)
         tv, mv = _decompose(v)
         tw, mw = _decompose(w)
     except NumericError as exc:
         raise exc.with_path(label) from exc
-    n = pair.n
-    children: list[GateTree] = [tv, CartanNode(z), tw]
-    acc = np.eye(2 ** n, dtype=complex)
-    angle = pair.phase - 2 * phi
-    if abs(angle) > 1e-14:
-        children.append(EulerNode(n, 0.0, angle, 0.0))
-        acc = _apply_tree(children[-1], acc, n)
-    acc = apply_local(acc, {1: mw})
+    acc = np.kron(mw, _EYE2)
     acc = _apply_cartan(z, acc)
     acc = apply_local(acc, {1: mv})
-    return SequenceNode(tuple(children)), acc
+    return SequenceNode((tv, CartanNode(z), tw)), acc
 
 
 def decompose(u: np.ndarray) -> GateTree:
@@ -833,11 +797,16 @@ def decompose(u: np.ndarray) -> GateTree:
     * a Kronecker product ``W (x) D`` with ``D`` on the last spin gives
       the tree of ``W`` beside an Euler leaf for ``D``;
     * a block-diagonal input on three or more spins (both off-diagonal
-      blocks zero) gives one demultiplexed block factor;
+      blocks zero) gives one demultiplexed block factor,
+      ``[tree, diagonal layer, tree]``;
     * anything else gives the canonical two-spin form on two spins
       (phase, Euler pair, ``{XX, YY, ZZ}`` evolution, Euler pair) and
       ``[block, commuting layer, block]`` from the cosine-sine split on
       more, with both blocks demultiplexed into half-size problems.
+
+    No level strips a determinant: from three spins up every phase of
+    the input, global or relative, ends in a diagonal layer's lone
+    ``1...1Z`` term or in the one- and two-spin subtrees.
 
     The first two are taken only when their exact reconstruction error is
     at most :data:`TOL_TRIVIAL`.  The result reproduces the input to
@@ -865,29 +834,19 @@ def _decompose(u: np.ndarray) -> tuple[GateTree, np.ndarray]:
         node = _two_spin_node(u)
         return node, _apply_tree(node, np.eye(4, dtype=complex), 2)
 
-    phi = cmath.phase(complex(np.linalg.det(u))) / (2 ** n)
-    us = u * cmath.exp(-1j * phi)
-    sectors = _last_spin_sectors(us)
-    children: list[GateTree]
+    sectors = _last_spin_sectors(u)
     if max(float(np.max(np.abs(sectors[0, 1]))),
            float(np.max(np.abs(sectors[1, 0])))) <= TOL_TRIVIAL:
-        try:
-            pair = _make_block_pair(n, sectors[0, 0], sectors[1, 1])
-        except NumericError as exc:
-            raise exc.with_path(f"n={n}") from exc
+        pair = BlockPair(n=n, u0=sectors[0, 0], u1=sectors[1, 1])
         tree, matrix = _block_tree(pair, f"n={n}/block")
-        children = [tree]
     else:
         try:
-            k1, y, k2 = split_last_qubit(us)
+            k1, y, k2 = split_last_qubit(u)
         except NumericError as exc:
             raise exc.with_path(f"n={n}") from exc
         t1, m1 = _block_tree(k1, f"n={n}/left-block")
         t2, m2 = _block_tree(k2, f"n={n}/right-block")
-        children = [t1, CartanNode(y), t2]
+        tree = SequenceNode((t1, CartanNode(y), t2))
         matrix = m1 @ _apply_cartan(y, m2)
-    if abs(phi) > 1e-12:
-        children.insert(0, PhaseNode(phi))
-        matrix *= cmath.exp(1j * phi)
     _check_level(matrix, u)
-    return SequenceNode(tuple(children)), matrix
+    return tree, matrix

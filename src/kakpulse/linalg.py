@@ -19,7 +19,6 @@ from .errors import DimensionError, NumericError, ValidationError
 
 TOL_UNITARY = 1e-10
 TOL_HERMITIAN = 1e-10
-TOL_EIG_CLUSTER = 1e-8
 TOL_CSD = 1e-9
 
 _GOLDEN = 0.6180339887498949

@@ -90,7 +90,7 @@ _FRAME_FOR_LETTER = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class _PairOp:
     """Conjugator ``exp(-1j * sign * pi * I_(a,la) I_(b,lb))``."""
 
@@ -165,12 +165,14 @@ def _op_gates(ops) -> list[Gate]:
     return out
 
 
-def _reduce_to_adjacent_zz(string: PauliString) -> tuple[list, int, int]:
+@functools.lru_cache(maxsize=None)
+def _reduce_to_adjacent_zz(letters: str) -> tuple[tuple, int, int]:
     """Conjugate a weight >= 2 string down to an adjacent ZZ pair.
 
     Returns ``(ops, left, sign)`` where applying the adjoints of ``ops``
-    in order maps ``sigma_string`` to ``sign * sigma_(Z@left, Z@left+1)``.
+    in order maps ``sigma_letters`` to ``sign * sigma_(Z@left, Z@left+1)``.
     """
+    string = PauliString(letters)
     ops: list = []
     term = {k: string.letter(k) for k in string.support}
     sign = 1
@@ -206,7 +208,7 @@ def _reduce_to_adjacent_zz(string: PauliString) -> tuple[list, int, int]:
     left = sorted(term)[0]
     if term != {left: "Z", left + 1: "Z"}:
         raise ValidationError("reduction did not reach an adjacent ZZ pair")
-    return ops, left, sign
+    return tuple(ops), left, sign
 
 
 def pauli_evolution_gates(string: PauliString | str, angle: float) -> list[Gate]:
@@ -226,7 +228,7 @@ def pauli_evolution_gates(string: PauliString | str, angle: float) -> list[Gate]
         site = s.support[0]
         return [LocalRotation(site, s.letter(site).lower(), angle)]
 
-    ops, left, sign = _reduce_to_adjacent_zz(s)
+    ops, left, sign = _reduce_to_adjacent_zz(s.letters)
     # sigma_P = sign * W sigma_ZZ W^dag  with  W = op1^dag ... opm^dag,
     # hence exp(-i th B_P) = W exp(-i th sign B_ZZ) W^dag: W^dag runs the
     # ops in order, W their inverses in reverse, and B_ZZ = 2 IzIz
@@ -332,13 +334,11 @@ def _parity_image(family: CartanFamily, letters: str) -> tuple[int, int]:
     return sign, sum(1 << (q - 1) for q in term)
 
 
-@functools.lru_cache(maxsize=None)
 def _ladder_pi_count(letters: str) -> int:
     """pi couplings :func:`pauli_evolution_gates` spends on one string."""
-    s = PauliString(letters)
-    if s.weight < 2:
+    if PauliString(letters).weight < 2:
         return 0
-    ops = _reduce_to_adjacent_zz(s)[0]
+    ops = _reduce_to_adjacent_zz(letters)[0]
     return 2 * sum(isinstance(op, _PairOp) for op in ops)
 
 
@@ -634,7 +634,7 @@ def synthesize_pulses(gates: list[Gate], chain: ChainSpec) -> PulseProgram:
     bound = chain.n
     for g in gates:
         if isinstance(g, GlobalPhase):
-            program.phase += g.phi
+            program.phase = math.remainder(program.phase + g.phi, 2 * _PI)
         elif isinstance(g, LocalRotation):
             if g.qubit > bound:
                 raise DimensionError(
@@ -645,7 +645,9 @@ def synthesize_pulses(gates: list[Gate], chain: ChainSpec) -> PulseProgram:
                 raise DimensionError(
                     f"coupling on pair {g.pair} exceeds chain size {bound}")
             theta = math.remainder(g.angle, 4 * _PI)
-            program.phase += _PI * round((g.angle - theta) / (4 * _PI))
+            program.phase = math.remainder(
+                program.phase + _PI * round((g.angle - theta) / (4 * _PI)),
+                2 * _PI)
             if theta == 0:
                 continue
             frame.fix_sign(g.left, theta)

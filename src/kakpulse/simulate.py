@@ -142,7 +142,9 @@ def gate_list_unitary(gates: list[Gate], n: int) -> np.ndarray:
     steps: list = []
     for g in gates:
         if isinstance(g, GlobalPhase):
-            phase += g.phi  # a scalar commutes with every other step
+            # a scalar commutes with every other step; reduced as it is
+            # added, so a long sum carries no rounding into the matrix
+            phase = math.remainder(phase + g.phi, 2 * math.pi)
         elif isinstance(g, LocalRotation):
             steps.append(g)
         elif isinstance(g, CouplingEvolution):

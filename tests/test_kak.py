@@ -33,7 +33,6 @@ from kakpulse import (
     haar_unitary,
     interaction_class,
     interaction_unitary,
-    local_rotation_matrix,
     residual_budget,
     split_last_qubit,
     tree_from_json_dict,
@@ -233,12 +232,12 @@ class TestSplitLastQubit:
         assert y.family is CartanFamily.OUTER_X
         assert all(s.letters[-1] == "X" for s in y.coeffs)
 
-    def test_block_factors_are_special(self):
+    def test_block_factors_are_unitary(self):
         u = haar_unitary(8, 4, special=True)
         k1, _, k2 = split_last_qubit(u)
         for pair in (k1, k2):
-            assert abs(np.linalg.det(pair.u0) - 1) < 1e-8
-            assert abs(np.linalg.det(pair.u1) - 1) < 1e-8
+            for blk in (pair.u0, pair.u1):
+                assert np.max(np.abs(blk.conj().T @ blk - np.eye(4))) < 1e-12
 
     def test_pure_family_evolution_spectrum(self):
         """Feeding exp(-iH) for H over the commuting family must return a
@@ -258,23 +257,24 @@ class TestSplitLastQubit:
         with pytest.raises(ValidationError):
             split_last_qubit(haar_unitary(4, 0, special=True))
 
-    def test_rejects_non_special(self):
+    def test_accepts_non_special(self):
         u = haar_unitary(8, 5)  # determinant is a random phase
-        with pytest.raises(ValidationError):
-            split_last_qubit(u)
+        k1, y, k2 = split_last_qubit(u)
+        recon = k1.realize() @ expm_skew(y.hamiltonian()) @ k2.realize()
+        assert np.max(np.abs(recon - u)) < 1e-9
 
 
 class TestDemultiplex:
     @staticmethod
-    def make_pair(n, seed, phase):
+    def make_pair(n, seed, phase=0.0):
+        """Blocks that are not special, ``u0`` turned by a relative phase."""
         half = 2 ** (n - 1)
         return BlockPair(n=n,
-                         u0=haar_unitary(half, seed, special=True),
-                         u1=haar_unitary(half, seed + 1, special=True),
-                         phase=phase)
+                         u0=haar_unitary(half, seed) * cmath.exp(1j * phase),
+                         u1=haar_unitary(half, seed + 1))
 
     def test_realize_layout(self):
-        pair = self.make_pair(3, 10, 0.0)
+        pair = self.make_pair(3, 10)
         got = pair.realize()
         # spin 3 selects the sector: |0> on the last spin -> u0
         want = np.zeros((8, 8), dtype=complex)
@@ -287,26 +287,28 @@ class TestDemultiplex:
     def test_factorization_identity(self):
         for n, seed, phase in ((2, 20, 0.0), (3, 30, 0.37), (4, 40, -1.1)):
             pair = self.make_pair(n, seed, phase)
-            v, z, w, phi = demultiplex(pair)
+            v, z, w = demultiplex(pair)
             recon = np.kron(v, np.eye(2)) @ expm_skew(z.hamiltonian()) \
-                @ np.kron(w, np.eye(2)) \
-                @ local_rotation_matrix(n, n, "z", pair.phase - 2 * phi)
+                @ np.kron(w, np.eye(2))
             assert np.max(np.abs(recon - pair.realize())) < 1e-9
 
     def test_diagonal_layer_family(self):
+        """Every string is diagonal, and the lone ``1...1Z`` term carries
+        the mean of ``D``: the blocks' relative phase
+        ``det(u0) / det(u1) = exp(-1j * c * half)``."""
         pair = self.make_pair(3, 50, 0.2)
-        _, z, _, _ = demultiplex(pair)
+        _, z, _ = demultiplex(pair)
         assert z.family is CartanFamily.DIAGONAL
-        lone = "1" * (z.n - 1) + "Z"
         for s in z.coeffs:
             assert set(s.letters) <= {"1", "Z"}
-            assert s.letters != lone  # the mean is detrended into phi
+        c = z.coeffs[PauliString("1" * (z.n - 1) + "Z")]
+        ratio = np.linalg.det(pair.u0) / np.linalg.det(pair.u1)
+        assert abs(cmath.exp(-1j * c * pair.half) - ratio) < 1e-10
 
     def test_equal_blocks_need_no_layer(self):
         u0 = haar_unitary(4, 60, special=True)
-        v, z, w, phi = demultiplex(BlockPair(n=3, u0=u0, u1=u0, phase=0.0))
+        v, z, w = demultiplex(BlockPair(n=3, u0=u0, u1=u0))
         assert z.coeffs == {}
-        assert phi == pytest.approx(0.0, abs=1e-12)
         assert np.max(np.abs(v @ w - u0)) < 1e-10
 
 
@@ -455,14 +457,14 @@ def test_one_pass_check_catches_a_bad_child(block, monkeypatch):
     calls = []
 
     def perturbed(pair):
-        v, z, w, phi = demultiplex(pair)
+        v, z, w = demultiplex(pair)
         if pair.n == 3:
             calls.append(pair)
             # the n = 4 left block makes the first four of these calls,
             # its right block the next four
             if len(calls) == (1 if block == "left" else 5):
                 v = v @ np.kron(su2_rotation("x", 2e-6), np.eye(2))
-        return v, z, w, phi
+        return v, z, w
 
     monkeypatch.setattr("kakpulse.kak.demultiplex", perturbed)
     with pytest.raises(NumericError) as info:

@@ -109,6 +109,20 @@ class TestGateListUnitary:
     def test_empty_list_is_identity(self):
         assert np.array_equal(gate_list_unitary([], 2), np.eye(4))
 
+    def test_many_phases_carry_no_rounding(self):
+        """Phases are reduced mod 2*pi as they are added, so 231 half
+        turns land where one does, in the gate list and in its pulse
+        program alike."""
+        rx = LocalRotation(1, "x", 0.3)
+        many = [GlobalPhase(math.pi)] * 231 + [rx]
+        one = [GlobalPhase(math.pi), rx]
+        assert np.max(np.abs(gate_list_unitary(many, 2)
+                             - gate_list_unitary(one, 2))) < 1e-14
+        chain = ChainSpec(2, (100.0,))
+        assert np.max(np.abs(
+            pulse_program_unitary(synthesize_pulses(many, chain))
+            - pulse_program_unitary(synthesize_pulses(one, chain)))) < 1e-14
+
     def test_rejects_gates_off_the_chain(self):
         with pytest.raises(DimensionError):
             gate_list_unitary([LocalRotation(3, "x", 0.1)], 2)

@@ -163,6 +163,52 @@ def leaves(tree):
     return [tree]
 
 
+def span(tree):
+    """Highest spin a tree touches (0 for a phase)."""
+    if isinstance(tree, EulerNode):
+        return tree.qubit
+    if isinstance(tree, CartanNode):
+        return tree.element.n
+    if isinstance(tree, SequenceNode):
+        return max(map(span, tree.children), default=0)
+    return 0
+
+
+def level_shape_holds(tree, n):
+    """Whether ``tree`` has the shape the recursion gives ``n`` spins.
+
+    From three spins up a level is ``[block, OUTER_X layer, block]``, one
+    block, or a Kronecker level: an Euler leaf on spin ``n`` beside the
+    tree of the leading spins, or that tree alone.  A block is
+    ``[tree, DIAGONAL layer, tree]`` on the leading spins.  Only one- and
+    two-spin subtrees may hold anything else, a phase leaf included.
+    """
+    if n <= 2:
+        return span(tree) <= n
+    if level_shape_holds(tree, n - 1) or is_block(tree, n):
+        return True
+    if not isinstance(tree, SequenceNode):
+        return False
+    c = tree.children
+    if len(c) == 2:
+        return (isinstance(c[0], EulerNode) and c[0].qubit == n
+                and level_shape_holds(c[1], n - 1))
+    return (len(c) == 3 and is_layer(c[1], CartanFamily.OUTER_X, n)
+            and is_block(c[0], n) and is_block(c[2], n))
+
+
+def is_block(tree, n):
+    return (isinstance(tree, SequenceNode) and len(tree.children) == 3
+            and is_layer(tree.children[1], CartanFamily.DIAGONAL, n)
+            and level_shape_holds(tree.children[0], n - 1)
+            and level_shape_holds(tree.children[2], n - 1))
+
+
+def is_layer(node, family, n):
+    return (isinstance(node, CartanNode) and node.element.family is family
+            and node.element.n == n)
+
+
 def test_gate_tree_has_four_node_kinds():
     assert set(typing.get_args(GateTree)) == {
         EulerNode, PhaseNode, CartanNode, SequenceNode}
@@ -173,8 +219,12 @@ def test_gate_tree_has_four_node_kinds():
 def test_tree_vocabulary(target, n):
     """Every level is ``K A K``: the only non-local leaf is a commuting
     evolution, over the split or diagonal family from three spins up and
-    over the maximal family ``{XX, YY, ZZ}`` at two."""
-    for leaf in leaves(decompose(target(n))):
+    over the maximal family ``{XX, YY, ZZ}`` at two.  Every block is
+    ``[tree, DIAGONAL layer, tree]``, and a phase leaf appears only in
+    one- and two-spin subtrees."""
+    tree = decompose(target(n))
+    assert level_shape_holds(tree, n)
+    for leaf in leaves(tree):
         assert isinstance(leaf, (EulerNode, PhaseNode, CartanNode))
         if isinstance(leaf, CartanNode):
             family = leaf.element.family
