@@ -132,6 +132,14 @@ def gate_list_to_json(gates: list[Gate]) -> list[dict]:
     return out
 
 
+def _json_array(value, what: str) -> list:
+    """``value`` when it is a JSON array; a string would otherwise be
+    read letter by letter as one."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a JSON array, got {value!r}")
+    return value
+
+
 def gate_list_from_json(data: list[dict]) -> list[Gate]:
     if not isinstance(data, list):
         raise ValidationError("gate list must be a JSON array")
@@ -143,7 +151,8 @@ def gate_list_from_json(data: list[dict]) -> list[Gate]:
                 out.append(LocalRotation(int(item["q"]), str(item["axis"]),
                                          float(item["angle"])))
             elif kind == "zz":
-                left, right = (int(v) for v in item["pair"])
+                left, right = (int(v) for v in
+                               _json_array(item["pair"], "coupling pair"))
                 if right != left + 1:
                     raise ValidationError(
                         f"coupling pair must be adjacent, got [{left}, {right}]")
@@ -197,8 +206,9 @@ class ChainSpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ChainSpec":
         try:
+            couplings = _json_array(data["J"], "chain couplings J")
             return cls(n=int(data["n"]),
-                       couplings=tuple(float(x) for x in data["J"]))
+                       couplings=tuple(float(x) for x in couplings))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed chain object: {exc}") from exc
 

@@ -18,6 +18,13 @@ maximal commuting family ``{XX, YY, ZZ}``.  Every level is thus
 ``K A K`` with ``A`` the exponential of a commuting family, and the tree
 has one non-local node kind, :class:`CartanNode`.
 
+Any maximal abelian subalgebra of the mixing sector serves as ``A``,
+since all of them are conjugate under block-diagonal frames.  The split
+takes the one the cosine-sine step hands it, the trailing-X strings
+``{1, Z}^(n-1) X`` weighted by the Walsh coefficients of its angles, and
+applies no change of basis; the diagonal layers of :func:`demultiplex`
+are the same Walsh sums over ``{1, Z}^(n-1) Z``.
+
 Trivial sub-problems cost nothing.  Each level of two or more spins
 reads the four blocks of its last spin in place (no permutation) and
 takes the first of three routes that fits:
@@ -70,7 +77,6 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -99,8 +105,6 @@ def residual_budget(n: int) -> float:
         return TOL_TWO_SPIN
     return TOL_SPLIT * 4.0 ** (n - 2)
 
-
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 # Columns are the entangled frame in which two-spin interaction
 # exponentials become diagonal and local pairs become real orthogonal.
@@ -416,33 +420,6 @@ class BlockPair:
         return permute_spins(out, perm)
 
 
-@functools.lru_cache(maxsize=None)
-def _bridge(m: int) -> np.ndarray:
-    """Frame on ``m`` spins conjugating each diagonal {1,Z} string into
-    the maximal commuting family, one string to one string."""
-    if m < 2:
-        raise ValidationError("the bridge frame needs at least two spins")
-    out = _MAGIC
-    for _ in range(m - 2):
-        out = np.kron(out, _HADAMARD)
-    return out
-
-
-_BASE_IMAGE = {"11": ("11", 1), "Z1": ("XX", 1), "1Z": ("YY", -1),
-               "ZZ": ("ZZ", 1)}
-
-
-def _diagonal_image(d_letters: str) -> tuple[str, int]:
-    """Image of a diagonal string under the bridge: letters and sign."""
-    head, eps = _BASE_IMAGE[d_letters[:2]]
-    tail = "".join("X" if c == "Z" else "1" for c in d_letters[2:])
-    return head + tail, eps
-
-
-def _mask_letters(mask: int, m: int) -> str:
-    return "".join("Z" if (mask >> (m - 1 - k)) & 1 else "1" for k in range(m))
-
-
 def _walsh(values: np.ndarray) -> np.ndarray:
     """Coefficients over diagonal sign patterns: fast Walsh-Hadamard
     transform scaled so that ``values[j] = sum_D out[D] * (-1)^popcount(D&j)``."""
@@ -459,9 +436,29 @@ def _walsh(values: np.ndarray) -> np.ndarray:
     return h / size
 
 
+def _walsh_element(family: CartanFamily, values: np.ndarray,
+                   scale: float) -> CartanElement:
+    """The element ``sum_D scale * w_D * B_s(D)`` over the Walsh
+    coefficients ``w_D`` of ``values``, one per mask ``D`` of the leading
+    spins; ``s(D)`` is the family's string for that mask (its strings are
+    ordered by mask).  Coefficients below ``1e-14`` are left out."""
+    n = spin_count(len(values)) + 1
+    strings = family.strings(n)
+    return CartanElement(n=n, family=family, coeffs={
+        strings[mask]: scale * w_d
+        for mask, w_d in enumerate(_walsh(values)) if abs(w_d) >= 1e-14})
+
+
 def split_last_qubit(u: np.ndarray) -> tuple[BlockPair, CartanElement, BlockPair]:
     """Factor ``u = k1 * exp(-1j*H_Y) * k2`` with block-diagonal ``k1, k2``
-    and ``H_Y`` over the trailing-X commuting family.
+    and ``H_Y`` over the trailing-X family ``{1, Z}^(n-1) X``.
+
+    The cosine-sine middle ``[[C, -S], [S, C]]`` is
+    ``blkdiag(1, i) exp(-1j*theta_j*sigma_x) blkdiag(1, -i)`` on each
+    diagonal index ``j`` of the leading spins, so ``k1 = (l0, i*l1)``,
+    ``k2 = (r0, -i*r1)`` and ``H_Y`` carries ``2*w_D`` on the string of
+    mask ``D`` for the Walsh coefficients ``w_D`` of the angles: the
+    middle is written in its own frame, with no change of basis.
 
     Accepts any unitary on at least three spins; its phases stay in the
     blocks of ``k1`` and ``k2``.
@@ -471,23 +468,11 @@ def split_last_qubit(u: np.ndarray) -> tuple[BlockPair, CartanElement, BlockPair
     if n < 3:
         raise ValidationError("the last-spin split needs three or more spins; "
                               "use two_spin_factors below that")
-    m = n - 1
-    perm = [n - 1] + list(range(m))
-    up = permute_spins(u, perm)
-    cs = cosine_sine(up)
-
-    vb = _bridge(m)
-    vbh = vb.conj().T
-    k1 = BlockPair(n=n, u0=cs.l0 @ vbh, u1=1j * (cs.l1 @ vbh))
-    k2 = BlockPair(n=n, u0=vb @ cs.r0, u1=-1j * (vb @ cs.r1))
-
-    coeffs: dict[PauliString, float] = {}
-    for mask, w_d in enumerate(_walsh(cs.theta)):
-        if abs(w_d) < 1e-14:
-            continue
-        letters, eps = _diagonal_image(_mask_letters(mask, m))
-        coeffs[PauliString(letters + "X")] = 2.0 * eps * w_d
-    y = CartanElement(n=n, family=CartanFamily.OUTER_X, coeffs=coeffs)
+    perm = [n - 1] + list(range(n - 1))
+    cs = cosine_sine(permute_spins(u, perm))
+    k1 = BlockPair(n=n, u0=cs.l0, u1=1j * cs.l1)
+    k2 = BlockPair(n=n, u0=cs.r0, u1=-1j * cs.r1)
+    y = _walsh_element(CartanFamily.OUTER_X, cs.theta, 2.0)
 
     recon = k1.realize() @ _apply_cartan(y, k2.realize())
     resid = float(np.max(np.abs(recon - u)))
@@ -529,13 +514,7 @@ def demultiplex(pair: BlockPair) -> tuple[np.ndarray, CartanElement, np.ndarray]
     if resid > TOL_SPLIT:
         raise NumericError("demultiplexing residual too large", residual=resid)
 
-    coeffs: dict[PauliString, float] = {}
-    m = n - 1
-    for mask, w_d in enumerate(_walsh(d)):
-        if abs(w_d) >= 1e-14:
-            coeffs[PauliString(_mask_letters(mask, m) + "Z")] = -2.0 * w_d
-    z = CartanElement(n=n, family=CartanFamily.DIAGONAL, coeffs=coeffs)
-    return v, z, w
+    return v, _walsh_element(CartanFamily.DIAGONAL, d, -2.0), w
 
 
 # ---------------------------------------------------------------------------

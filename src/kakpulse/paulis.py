@@ -463,17 +463,25 @@ def is_maximal_abelian(generators: list[PauliString | str], n: int,
 
 class CartanFamily(Enum):
     """Which commuting string family an exponent is written over: one of
-    the three that the factorization emits."""
+    the three that the factorization emits.
 
-    OUTER_X = "outer_x"      # trailing-X family (couples the last spin)
+    ``OUTER_X`` is the cosine-sine middle in its own frame: the diagonal
+    strings with the last Z turned into X.  It is maximal abelian in the
+    mixing sector, as the paper's :func:`outer_cartan_strings` is; the
+    two are conjugate under block-diagonal frames.
+    """
+
+    OUTER_X = "outer_x"      # {1,Z}-strings ending in X (couples the last spin)
     DIAGONAL = "diagonal"    # {1,Z}-strings ending in Z
     MAXIMAL = "maximal"      # recursive maximal family; XX, YY, ZZ at n = 2
 
     def strings(self, n: int) -> list[PauliString]:
-        if self is CartanFamily.OUTER_X:
-            return outer_cartan_strings(n)
+        """The family on ``n`` spins; ``OUTER_X`` and ``DIAGONAL`` are
+        ordered by the mask of their leading letters."""
         if self is CartanFamily.MAXIMAL:
             return maximal_abelian_strings(n)
+        if self is CartanFamily.OUTER_X:
+            return [PauliString(s.letters[:-1] + "X") for s in diagonal_strings(n)]
         return diagonal_strings(n)
 
 

@@ -14,13 +14,13 @@ Four layers live here:
 * A family lowering that shares those ``pi`` evolutions across a whole
   commuting family instead of paying one ladder per string.  A
   ``DIAGONAL`` element is a sum of {1, Z} strings that all contain
-  ``Z_k``; an ``OUTER_X`` element becomes one after the frame
-  ``CNOT(1 -> 2)`` plus ``Ry(-pi/2)`` on spin 1 and spins ``3..k``.  A
-  chain parity network of adjacent CNOTs (each one ``pi`` coupling plus
-  local rotations) walks the parities of the spins through every
-  string, and each string is rotated once where the network holds its
-  parity: a free ``Rz`` on one spin, or one coupling on an adjacent
-  pair.  The network stops after the last nonzero string and returns
+  ``Z_k``; an ``OUTER_X`` element is the same sum with ``X_k`` for
+  ``Z_k``, so it is one between ``Ry(-pi/2)`` and ``Ry(pi/2)`` on spin
+  ``k``.  A chain parity network of adjacent CNOTs (each one ``pi``
+  coupling plus local rotations) walks the parities of the spins
+  through every string, and each string is rotated once where the
+  network holds its parity: a free ``Rz`` on one spin, or one coupling
+  on an adjacent pair.  The network stops after the last nonzero string and returns
   by the shorter way.  It is used only when it needs strictly fewer
   ``pi`` couplings than the ladders; the choice depends only on which
   strings are nonzero and is cached on that pattern.
@@ -216,8 +216,10 @@ def pauli_evolution_gates(string: PauliString | str, angle: float) -> list[Gate]
 
     ``B_string`` is the basis-normalized realization (``sigma/2``), so a
     single-letter string compiles to one rotation and the adjacent ZZ
-    string compiles to a coupling evolution of ``2 * angle``.  A
-    coupling that would vanish emits nothing, not an idle ladder.
+    string compiles to a coupling evolution of ``2 * angle``.  A string
+    of weight two or more whose angle is at most :data:`TOL_COEFF`, the
+    threshold :func:`cartan_evolution_gates` drops coefficients at,
+    emits nothing, not an idle ladder.
     """
     s = string if isinstance(string, PauliString) else PauliString(string)
     if not math.isfinite(angle):
@@ -227,6 +229,8 @@ def pauli_evolution_gates(string: PauliString | str, angle: float) -> list[Gate]
     if s.weight == 1:
         site = s.support[0]
         return [LocalRotation(site, s.letter(site).lower(), angle)]
+    if abs(angle) <= TOL_COEFF:
+        return []
 
     ops, left, sign = _reduce_to_adjacent_zz(s.letters)
     # sigma_P = sign * W sigma_ZZ W^dag  with  W = op1^dag ... opm^dag,
@@ -234,8 +238,6 @@ def pauli_evolution_gates(string: PauliString | str, angle: float) -> list[Gate]
     # ops in order, W their inverses in reverse, and B_ZZ = 2 IzIz
     # doubles the coupling angle, whose sign the scheduler handles.
     theta = 2 * angle * sign
-    if abs(theta) < 1e-15:
-        return []
     return (_op_gates(ops) + [CouplingEvolution(left, theta)]
             + _op_gates([op.inverse() for op in reversed(ops)]))
 
@@ -244,21 +246,17 @@ def pauli_evolution_gates(string: PauliString | str, angle: float) -> list[Gate]
 # Commuting families as chain parity networks
 
 
-def _cnot_ops(control: int, target: int) -> list:
-    """Conjugators, in time order, whose product is ``CNOT(control ->
-    target)`` on adjacent spins times ``exp(1j*pi/4)``: a ZX half turn,
-    then ``Rx(-pi/2)`` on the target and ``Rz(-pi/2)`` on the control."""
+@functools.lru_cache(maxsize=None)
+def _cnot_gates(control: int, target: int) -> tuple[Gate, ...]:
+    """Gates, in time order, whose product is ``CNOT(control -> target)``
+    on adjacent spins times ``exp(1j*pi/4)``: a ZX half turn, then
+    ``Rx(-pi/2)`` on the target and ``Rz(-pi/2)`` on the control."""
     if control < target:
         pair = _PairOp(control, "Z", target, "X", 1)
     else:
         pair = _PairOp(target, "X", control, "Z", 1)
-    return [pair, LocalRotation(target, "x", -_HALF_PI),
-            LocalRotation(control, "z", -_HALF_PI)]
-
-
-@functools.lru_cache(maxsize=None)
-def _cnot_gates(control: int, target: int) -> tuple[Gate, ...]:
-    return tuple(_op_gates(_cnot_ops(control, target)))
+    return tuple(_op_gates([pair, LocalRotation(target, "x", -_HALF_PI),
+                            LocalRotation(control, "z", -_HALF_PI)]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -307,31 +305,11 @@ def _parity_points(k: int) -> dict[int, tuple[int, int, bool]]:
     return {**pair, **single}
 
 
-def _outer_x_turns(k: int) -> list[LocalRotation]:
-    """The ``Ry(-pi/2)`` turns of the ``OUTER_X`` frame.
-
-    The frame is ``CNOT(1 -> 2)`` followed by these turns on spin 1 and
-    on spins ``3..k``.  The CNOT maps XX, YY, ZZ on spins 1-2 to X1, -XZ,
-    1Z, and each turn maps X to Z, so every trailing-X family string
-    becomes a signed {1, Z} string containing ``Z_k``.
-    """
-    return [LocalRotation(q, "y", -_HALF_PI) for q in (1, *range(3, k + 1))]
-
-
-@functools.lru_cache(maxsize=None)
-def _parity_image(family: CartanFamily, letters: str) -> tuple[int, int]:
-    """``(sign, mask)`` with ``Ad_F(sigma_s) = sign * sigma_Z(mask)``,
-    ``F`` the family's frame (none for ``DIAGONAL``), tracked on letters
-    and signs."""
-    term = {q: c for q, c in enumerate(letters, start=1) if c != "1"}
-    sign = 1
-    if family is CartanFamily.OUTER_X:
-        for op in _cnot_ops(1, 2) + _outer_x_turns(len(letters)):
-            s, term = _conjugate(op, term)
-            sign *= s
-    if set(term.values()) != {"Z"} or len(letters) not in term:
-        raise ValidationError(f"{letters} has no parity image")
-    return sign, sum(1 << (q - 1) for q in term)
+def _parity_image(letters: str) -> int:
+    """The mask of the parity a ``DIAGONAL`` or ``OUTER_X`` string
+    rotates, read off its letters: spin ``q`` is bit ``q - 1``.  The last
+    letter is Z, or the X that the turn on the last spin makes a Z."""
+    return sum(1 << q for q, c in enumerate(letters) if c != "1")
 
 
 def _ladder_pi_count(letters: str) -> int:
@@ -343,81 +321,69 @@ def _ladder_pi_count(letters: str) -> int:
 
 
 @functools.lru_cache(maxsize=4096)
-def _network_route(family: CartanFamily, k: int,
-                   pattern: tuple[str, ...]) -> tuple[tuple[int, int], ...] | None:
+def _network_route(k: int, pattern: tuple[str, ...]
+                   ) -> tuple[tuple[int, int], ...] | None:
     """CNOTs, in time order, of the parity network for the nonzero
     strings ``pattern``, or None when the per-string ladders need no more
     pi couplings.
 
     The network runs until the last string's rotation step, then returns
     by the shorter of the rest of the sequence and the CNOTs applied so
-    far in reverse.  The ``OUTER_X`` frame adds two CNOTs.
+    far in reverse.
     """
     seq, points = _chain_network(k), _parity_points(k)
-    stop = max(points[_parity_image(family, s)[1]][0] for s in pattern)
+    stop = max(points[_parity_image(s)][0] for s in pattern)
     back = min(seq[stop:], seq[:stop][::-1], key=len)
-    frame = 2 if family is CartanFamily.OUTER_X else 0
-    if frame + stop + len(back) >= sum(map(_ladder_pi_count, pattern)):
+    if stop + len(back) >= sum(map(_ladder_pi_count, pattern)):
         return None
     return seq[:stop] + back
 
 
-def _network_gates(element: CartanElement,
-                   items: list[tuple[PauliString, float]],
+def _network_gates(k: int, items: list[tuple[PauliString, float]],
                    route: tuple[tuple[int, int], ...]) -> list[Gate]:
-    """Gates of ``exp(-1j*H)``: the frame, the network with
-    each string rotated once at its step, one global phase that cancels
-    the CNOTs' ``exp(1j*pi/4)`` factors, and the frame undone."""
-    points = _parity_points(element.n)
+    """Gates of ``exp(-1j*H)`` for a ``DIAGONAL`` element: the network
+    with each string rotated once at its step, then one global phase
+    that cancels the CNOTs' ``exp(1j*pi/4)`` factors."""
+    points = _parity_points(k)
     at_step: dict[int, list[Gate]] = {}
     for s, c in items:
-        sign, mask = _parity_image(element.family, s.letters)
-        step, site, on_pair = points[mask]
+        step, site, on_pair = points[_parity_image(s.letters)]
         at_step.setdefault(step, []).append(
-            CouplingEvolution(site, 2 * sign * c) if on_pair
-            else LocalRotation(site, "z", sign * c))
-    head: list[Gate] = []
-    tail: list[Gate] = []
-    cnots = len(route)
-    if element.family is CartanFamily.OUTER_X:
-        # CNOT is its own inverse, so the frame is undone by the inverse
-        # turns and the same CNOT, which keeps every coupling angle at +pi.
-        turns = _outer_x_turns(element.n)
-        head = [*_cnot_gates(1, 2), *turns]
-        tail = [*inverse_gate_list(turns), *_cnot_gates(1, 2)]
-        cnots += 2
-    out = head
+            CouplingEvolution(site, 2 * c) if on_pair
+            else LocalRotation(site, "z", c))
+    out: list[Gate] = []
     for step, cnot in enumerate(route):
         out.extend(at_step.get(step, ()))
         out.extend(_cnot_gates(*cnot))
     out.extend(at_step.get(len(route), ()))
-    phase = math.remainder(-_PI / 4 * cnots, 2 * _PI)
+    phase = math.remainder(-_PI / 4 * len(route), 2 * _PI)
     if phase:
         out.append(GlobalPhase(phase))
-    return out + tail
+    return out
 
 
 def cartan_evolution_gates(element: CartanElement) -> list[Gate]:
     """Gates for ``exp(-1j * H)`` with ``H`` a commuting-family element;
     coefficients of magnitude at most :data:`TOL_COEFF` are dropped.
 
-    A ``DIAGONAL`` or ``OUTER_X`` element on three or more spins is
-    lowered as one parity network when that spends fewer pi couplings
-    than one ladder per string; otherwise (and always for ``MAXIMAL``)
-    the family commutes, so the exponential splits into one string
-    evolution per coefficient, emitted in canonical family order.
+    A ``DIAGONAL`` element on three or more spins is lowered as one
+    parity network when that spends fewer pi couplings than one ladder
+    per string.  An ``OUTER_X`` element is the ``DIAGONAL`` element with
+    the same coefficients between ``Ry(-pi/2)`` and ``Ry(pi/2)`` on the
+    last spin, and takes the same route.  Otherwise (and always for
+    ``MAXIMAL``) the family commutes, so the exponential splits into one
+    string evolution per coefficient, emitted in canonical family order.
     """
     items = [(s, c) for s, c in element.items() if abs(c) > TOL_COEFF]
     route = None
-    if (items and element.n >= 3
-            and element.family in (CartanFamily.DIAGONAL, CartanFamily.OUTER_X)):
-        route = _network_route(element.family, element.n,
-                               tuple(s.letters for s, _ in items))
-    if route is not None:
-        return _network_gates(element, items, route)
-    out: list[Gate] = []
-    for s, c in items:
-        out.extend(pauli_evolution_gates(s, c))
+    if items and element.n >= 3 and element.family is not CartanFamily.MAXIMAL:
+        route = _network_route(element.n, tuple(s.letters for s, _ in items))
+    if route is None:
+        return [g for s, c in items for g in pauli_evolution_gates(s, c)]
+    out = _network_gates(element.n, items, route)
+    if element.family is CartanFamily.OUTER_X:
+        turn = LocalRotation(element.n, "y", -_HALF_PI)
+        out = [turn, *out, turn.inverse()]
     return out
 
 

@@ -17,6 +17,7 @@ from .gates import ChainSpec, CouplingEvolution, GlobalPhase, LocalRotation
 from .kak import decompose, euler_xzx, interaction_class, two_spin_factors
 from .linalg import expm_skew, haar_unitary, su2_rotation
 from .paulis import (
+    CartanFamily,
     PauliString,
     Subspace,
     basis_strings,
@@ -131,12 +132,16 @@ def _suite_families() -> tuple[bool, str]:
     for n in (2, 3, 4):
         if not is_maximal_abelian(outer_cartan_strings(n), n, Subspace.MIXING):
             return False, f"a({n}) is not maximal in the mixing sector"
+        if not is_maximal_abelian(CartanFamily.OUTER_X.strings(n), n,
+                                  Subspace.MIXING):
+            return False, f"outer_x({n}) is not maximal in the mixing sector"
         if not is_maximal_abelian(block_cartan_strings(n), n, Subspace.BLOCK_Z):
             return False, f"b({n}) is not maximal in the block-Z sector"
         count = sum(subspace_tag(x).is_block_diagonal for x in basis_strings(n))
         if count != block_diagonal_dimension(n) or count != 2 * 4 ** (n - 1) - 1:
             return False, f"block-diagonal count {count} wrong at n={n}"
-    return True, "families n=2..6; maximality and sector counts n=2..4"
+    return True, ("families n=2..6; maximality (the emitted outer_x family "
+                  "too) and sector counts n=2..4")
 
 
 def _spin_product(word: str) -> np.ndarray:

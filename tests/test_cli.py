@@ -366,6 +366,27 @@ class TestVerify:
         assert "PASS" not in captured.out and "FAIL" not in captured.out
         assert "spin 4" in captured.err
 
+    @pytest.mark.parametrize("field", ["J", "pair"])
+    def test_string_for_an_array_is_invalid(self, artifacts, tmp_path, capsys,
+                                            field):
+        """A JSON string where an array belongs is invalid input:
+        ``"J": "11"`` is not a 1 Hz chain, which would simulate the wrong
+        drift and fail, and ``"pair": "12"`` is not the pair (1, 2)."""
+        target, d_path, p_path = artifacts
+        if field == "J":
+            data = read_json(p_path)
+            data["chain"]["J"] = "11"
+        else:
+            data = read_json(d_path)
+            gate = next(g for g in data["gates"] if g["kind"] == "zz")
+            gate["pair"] = "".join(map(str, gate["pair"]))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["verify", str(bad), str(target)]) == 3
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+        assert "JSON array" in captured.err
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tolerance_is_rejected_before_simulating(
             self, artifacts, monkeypatch, capsys, tol):

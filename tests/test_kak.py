@@ -488,7 +488,8 @@ def test_tree_json_rejects_malformed():
 
 
 def test_tree_json_rejects_removed_vocabulary():
-    """The two-spin node kind and the trailing-Z family no longer load."""
+    """The two-spin node kind, the trailing-Z family and the trailing-X
+    strings of the old bridged frame no longer load."""
     euler = {"node": "euler", "q": 1, "alpha": 0.1, "beta": 0.0, "gamma": 0.0}
     with pytest.raises(ValidationError):
         tree_from_json_dict({"node": "two_spin", "left": 1, "phase": 0.0,
@@ -498,6 +499,9 @@ def test_tree_json_rejects_removed_vocabulary():
     with pytest.raises(ValidationError):
         tree_from_json_dict({"node": "commuting_evolution", "n": 2,
                              "family": "block_z", "coeffs": {"ZZ": 0.1}})
+    with pytest.raises(ValidationError):
+        tree_from_json_dict({"node": "commuting_evolution", "n": 3,
+                             "family": "outer_x", "coeffs": {"XXX": 0.1}})
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +518,8 @@ def test_flatten_matches_evaluate():
 def test_flatten_cartan_node():
     elem = CartanElement(
         n=3, family=CartanFamily.OUTER_X,
-        coeffs={PauliString("11X"): 0.4, PauliString("YYX"): -0.7})
+        coeffs={PauliString("11X"): 0.4, PauliString("Z1X"): 0.25,
+                PauliString("ZZX"): -0.7})
     gates = flatten(CartanNode(elem))
     got = gate_list_unitary(gates, 3)
     assert np.max(np.abs(got - expm_skew(elem.hamiltonian()))) < 1e-10

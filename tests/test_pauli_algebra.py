@@ -462,6 +462,17 @@ def test_maximal_abelian_in_ambient_sectors():
         assert is_maximal_abelian(block_cartan_strings(n), n, Subspace.BLOCK_Z)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_trailing_x_family_is_maximal_in_the_mixing_sector(n):
+    """The emitted ``OUTER_X`` family, the diagonal strings with a
+    trailing X in mask order, is a maximal abelian subalgebra of the
+    mixing sector, as the paper's ``outer_cartan_strings`` is."""
+    strings = CartanFamily.OUTER_X.strings(n)
+    assert [s.letters for s in strings] == \
+        [s.letters[:-1] + "X" for s in diagonal_strings(n)]
+    assert is_maximal_abelian(strings, n, Subspace.MIXING)
+
+
 def test_maximal_abelian_input_validation():
     with pytest.raises(ValidationError):
         is_maximal_abelian([], 2)
@@ -478,8 +489,8 @@ def test_maximal_abelian_input_validation():
 def test_cartan_element_hamiltonian():
     elem = CartanElement(
         n=3, family=CartanFamily.OUTER_X,
-        coeffs={PauliString("XXX"): -0.2, PauliString("11X"): 0.3})
-    want = -0.2 * dense("XXX") + 0.3 * dense("11X")
+        coeffs={PauliString("ZZX"): -0.2, PauliString("11X"): 0.3})
+    want = -0.2 * dense("ZZX") + 0.3 * dense("11X")
     assert np.allclose(elem.hamiltonian(), want)
     assert elem.norm() == pytest.approx(math.hypot(0.2, 0.3))
 

@@ -152,6 +152,7 @@ def test_vanishing_coupling_emits_no_ladder():
     identity, so none is emitted."""
     assert pauli_evolution_gates("Z1Z", 0.0) == []
     assert pauli_evolution_gates("XY1X", -1e-16) == []
+    assert pauli_evolution_gates("Z1Z", 1e-13) == []
 
 
 def test_cartan_evolution_matches_dense():
@@ -233,15 +234,14 @@ def test_network_never_spends_more_pi_couplings_than_ladders(elem):
     (3, 6, 6), (4, 18, 30), (5, 42, 102), (6, 90, 294), (7, 186, 774)])
 @pytest.mark.parametrize("family", NETWORK_FAMILIES, ids=lambda f: f.value)
 def test_dense_family_pi_coupling_counts(family, k, network, ladders):
-    """A dense family runs the whole network N(k-1); the trailing-X
-    family adds the two CNOTs of its frame, except at k = 3, where every
+    """A dense family runs the whole network N(k-1), the trailing-X
+    family between its two turns on spin k, except at k = 3, where every
     family ties with its ladders and keeps them."""
     elem = CartanElement(n=k, family=family,
                          coeffs={s: 0.3 for s in family.strings(k)})
     gates = cartan_evolution_gates(elem)
     assert pi_couplings(ladder_gates(elem)) == ladders
-    frame = 2 if family is CartanFamily.OUTER_X and k > 3 else 0
-    assert pi_couplings(gates) == network + frame
+    assert pi_couplings(gates) == network
     if k <= 5:
         got = gate_list_unitary(gates, k)
         assert np.max(np.abs(got - expm_skew(elem.hamiltonian()))) < 1e-10
