@@ -54,6 +54,14 @@ generic inputs never meet it, so their trees do not change.  A scalar
 single-spin factor (``-I`` after its phase is removed) becomes a phase
 leaf rather than two pi turns.
 
+A three- or four-spin layer may end open.  Its parity network
+(:mod:`kakpulse.networks`) then stops in a linear map of the leading
+spins instead of returning to the identity, and the factor that acts
+next absorbs that map before it is factored: the ``v`` of a block for a
+``DIAGONAL`` layer, the ``w`` of the left block for an ``OUTER_X`` one.
+The layer's :class:`CartanNode` records the route, so its matrix, and
+each level's check, include the map.
+
 Every factorization routine re-multiplies its output and raises
 :class:`~kakpulse.errors.NumericError` if the residual exceeds its
 contract, with a path annotation pointing into the recursion.
@@ -77,6 +85,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -87,6 +96,8 @@ from .errors import DimensionError, NumericError, ValidationError
 from .linalg import (PAULI, apply_local, check_unitary, cosine_sine,
                      golden_mix_eigvecs, permute_spins, spin_count,
                      su2_rotation, unitary_eig)
+from .networks import (Route, check_route, closed_pi_count, nonzero_letters,
+                       open_route)
 from .paulis import (CartanElement, CartanFamily, PauliString,
                      maximal_abelian_strings)
 
@@ -125,6 +136,14 @@ _GAMMA = 0.25 * np.array([
 ], dtype=float)
 
 _EYE2 = np.eye(2, dtype=complex)
+
+# Signs of XX, YY and ZZ (rows) on the columns of the magic frame, where
+# interaction_unitary(alphas) is diag(exp(-1j * alphas @ _MAGIC_SIGNS / 4)).
+_MAGIC_SIGNS = np.array([
+    [1, 1, -1, -1],
+    [-1, 1, -1, 1],
+    [1, -1, -1, 1],
+], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +561,24 @@ class PhaseNode:
 
 @dataclass(frozen=True)
 class CartanNode:
-    """Evolution ``exp(-1j*H)`` under one commuting-family element."""
+    """Evolution ``exp(-1j*H)`` under one commuting-family element.
+
+    A three- or four-spin ``DIAGONAL`` or ``OUTER_X`` layer may record
+    the open parity network it is lowered along
+    (:data:`~kakpulse.networks.OPEN_ROUTES`).  The node is then
+    ``P exp(-1j*H)``, with ``P`` the permutation of basis states that the
+    route's end map ``diag(A, 1)`` makes, and the factor that acts next
+    carries ``P``'s inverse.
+    """
 
     element: CartanElement
+    route: Route | None = None
+
+    def __post_init__(self):
+        if self.route is not None:
+            if self.element.family is CartanFamily.MAXIMAL:
+                raise ValidationError("a maximal-family layer takes no route")
+            check_route(self.route, self.element.n)
 
 
 @dataclass(frozen=True)
@@ -575,8 +609,28 @@ def _apply_tree(tree: GateTree, acc: np.ndarray, n: int) -> np.ndarray:
     if isinstance(tree, PhaseNode):
         return cmath.exp(1j * tree.phi) * acc
     if isinstance(tree, CartanNode):
-        return _apply_cartan(tree.element, acc)
+        acc = _apply_cartan(tree.element, acc)
+        if tree.route is None:
+            return acc
+        dim = 2 ** tree.element.n
+        return acc.reshape(dim, -1)[_route_source(tree.route, tree.element.n)
+                                    ].reshape(acc.shape)
     raise ValidationError(f"unknown tree node {tree!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def _route_source(route: Route, k: int) -> np.ndarray:
+    """``src`` with ``P @ a = a[src]`` for the permutation ``P`` of the
+    route's CNOTs on ``k`` spins (spin 1 is the top bit of a row).
+
+    ``P`` is the product of the CNOTs, each an involution of the rows,
+    so ``src`` applies them to the row index in reverse time order.
+    """
+    src = np.arange(2 ** k)
+    for control, target in reversed(route):
+        src = src ^ (((src >> (k - control)) & 1) << (k - target))
+    src.flags.writeable = False
+    return src
 
 
 def _apply_cartan(element: CartanElement, acc: np.ndarray) -> np.ndarray:
@@ -611,9 +665,12 @@ def tree_to_json_dict(tree: GateTree) -> dict:
         return {"node": "phase", "phi": tree.phi}
     if isinstance(tree, CartanNode):
         e = tree.element
-        return {"node": "commuting_evolution", "n": e.n,
-                "family": e.family.value,
-                "coeffs": {s.letters: c for s, c in e.items()}}
+        out = {"node": "commuting_evolution", "n": e.n,
+               "family": e.family.value,
+               "coeffs": {s.letters: c for s, c in e.items()}}
+        if tree.route is not None:
+            out["route"] = [list(cnot) for cnot in tree.route]
+        return out
     raise ValidationError(f"unknown tree node {tree!r}")
 
 
@@ -630,11 +687,21 @@ def tree_from_json_dict(data: dict) -> GateTree:
             return PhaseNode(float(data["phi"]))
         if kind == "commuting_evolution":
             n = int(data["n"])
+            coeffs = data["coeffs"]
+            if not isinstance(coeffs, dict):
+                raise ValidationError(
+                    f"commuting-evolution coefficients must be an object, "
+                    f"got {type(coeffs).__name__}")
             elem = CartanElement(
                 n=n, family=CartanFamily(data["family"]),
-                coeffs={PauliString(k): float(v)
-                        for k, v in data["coeffs"].items()})
-            return CartanNode(elem)
+                coeffs={PauliString(k): float(v) for k, v in coeffs.items()})
+            route = data.get("route")
+            if route is not None:
+                if not isinstance(route, list):
+                    raise ValidationError(
+                        f"a route must be an array, got {type(route).__name__}")
+                route = tuple(map(tuple, route))  # CartanNode checks the steps
+            return CartanNode(elem, route)
         raise ValidationError(f"unknown tree node kind {kind!r}")
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ValidationError):
@@ -751,19 +818,104 @@ def _check_level(matrix: np.ndarray, u: np.ndarray) -> None:
                            residual=resid, path=(f"n={n}",))
 
 
-def _block_tree(pair: BlockPair, label: str) -> tuple[GateTree, np.ndarray]:
-    """Tree of a block-diagonal factor and that tree's matrix, composed
-    from the matrices its demultiplexed halves returned."""
+def _block_diagonal(u: np.ndarray) -> bool:
+    """Whether both off-diagonal blocks of the last spin vanish within
+    :data:`TOL_TRIVIAL`."""
+    sectors = _last_spin_sectors(u)
+    return max(float(np.max(np.abs(sectors[0, 1]))),
+               float(np.max(np.abs(sectors[1, 0])))) <= TOL_TRIVIAL
+
+
+def _interaction_sum(u: np.ndarray) -> float:
+    """``sum(|alphas|)`` of the canonical interaction angles of a
+    two-spin unitary (what its middle spends on couplings, in angle),
+    read off the magic-frame spectrum alone.
+
+    In the magic frame ``u`` is ``O1 D O2`` with ``O1, O2`` in SO(4) and
+    ``D = diag(exp(1j*phi))``, ``phi = -alphas @ _MAGIC_SIGNS / 4``, so
+    ``m.T @ m`` has eigenvalues ``exp(2j*phi)``.  That fixes ``phi`` mod
+    pi, up to order, and ``det D = 1`` fixes the parity of the pi shifts;
+    the ``alphas = -_MAGIC_SIGNS @ phi`` it leaves differ by 2*pi shifts,
+    permutations and pair sign flips, which keep the sum of ``|alphas|``
+    folded into ``[-pi, pi]``, the canonical chamber's sum.
+    """
+    m = _MAGIC.conj().T @ u @ _MAGIC
+    m = m * cmath.exp(-1j * cmath.phase(complex(np.linalg.det(m))) / 4)
+    phi = np.angle(np.linalg.eigvals(m.T @ m)) / 2
+    if round(phi.sum() / math.pi) % 2:
+        phi[0] += math.pi
+    alphas = -_MAGIC_SIGNS @ phi
+    return float(np.sum(np.abs(np.remainder(alphas + math.pi, 2 * math.pi)
+                               - math.pi)))
+
+
+def _open_layer(layer: CartanElement,
+                after: np.ndarray) -> tuple[CartanNode, np.ndarray]:
+    """The node of a commuting layer and the factor ``after`` that acts
+    right after it, on the leading spins.
+
+    A three- or four-spin ``DIAGONAL`` or ``OUTER_X`` layer whose open
+    network (:func:`~kakpulse.networks.open_route`) needs fewer pi
+    couplings than its closed lowering records the route, and ``after``
+    absorbs the inverse of its end map ``P``: ``after @ P^-1`` is a
+    column gather.  That is done only where the neighbour does not spend
+    more than the network saves.  At four spins a neighbour that takes
+    the generic route costs the same whatever it absorbs, and a
+    block-diagonal one keeps the layer closed.  Otherwise the map lands
+    on a two-spin factor, ``after`` itself at three spins or the leading
+    factor of a Kronecker neighbour at four (the ``v = I`` of a diagonal
+    ratio among them), and that factor's interaction angles
+    (:func:`_interaction_sum`) must grow by less than the pi couplings
+    saved.
+    """
+    k = layer.n
+    letters = nonzero_letters(layer)
+    route = open_route(k, letters)
+    if route is None:
+        return CartanNode(layer), after
+    src = _route_source(route, k)
+    # P = P_A (x) 1 on the last spin: the even rows of the gather, halved
+    gathered = after[:, src[::2] >> 1]
+    if k == 3:
+        lands = after, gathered
+    else:
+        factors = _kronecker_factors(after)
+        if factors is None:
+            if _block_diagonal(after):
+                return CartanNode(layer), after
+            return CartanNode(layer, route), gathered
+        # the four-spin map moves only spins 1 and 2 (x2, x1+x2, x3, x4)
+        lands = factors[1], factors[1][:, src[::4] >> 2]
+    saved = math.pi * (closed_pi_count(k, letters) - len(route))
+    if _interaction_sum(lands[1]) - _interaction_sum(lands[0]) >= saved:
+        return CartanNode(layer), after
+    return CartanNode(layer, route), gathered
+
+
+def _halves(pair: BlockPair, label: str) -> tuple[np.ndarray, CartanElement,
+                                                  np.ndarray]:
+    """:func:`demultiplex`, with ``label`` on the path of its failure."""
     try:
-        v, z, w = demultiplex(pair)
+        return demultiplex(pair)
+    except NumericError as exc:
+        raise exc.with_path(label) from exc
+
+
+def _block_tree(v: np.ndarray, z: CartanElement, w: np.ndarray,
+                label: str) -> tuple[GateTree, np.ndarray]:
+    """Tree of a demultiplexed block factor ``(v, z, w)`` and that tree's
+    matrix, composed from the matrices its halves returned; ``v`` may
+    absorb the end map of ``z``'s open network first."""
+    node, v = _open_layer(z, v)
+    try:
         tv, mv = _decompose(v)
         tw, mw = _decompose(w)
     except NumericError as exc:
         raise exc.with_path(label) from exc
     acc = np.kron(mw, _EYE2)
-    acc = _apply_cartan(z, acc)
+    acc = _apply_tree(node, acc, z.n)
     acc = apply_local(acc, {1: mv})
-    return SequenceNode((tv, CartanNode(z), tw)), acc
+    return SequenceNode((tv, node, tw)), acc
 
 
 def decompose(u: np.ndarray) -> GateTree:
@@ -813,19 +965,23 @@ def _decompose(u: np.ndarray) -> tuple[GateTree, np.ndarray]:
         node = _two_spin_node(u)
         return node, _apply_tree(node, np.eye(4, dtype=complex), 2)
 
-    sectors = _last_spin_sectors(u)
-    if max(float(np.max(np.abs(sectors[0, 1]))),
-           float(np.max(np.abs(sectors[1, 0])))) <= TOL_TRIVIAL:
+    if _block_diagonal(u):
+        sectors = _last_spin_sectors(u)
+        label = f"n={n}/block"
         pair = BlockPair(n=n, u0=sectors[0, 0], u1=sectors[1, 1])
-        tree, matrix = _block_tree(pair, f"n={n}/block")
+        tree, matrix = _block_tree(*_halves(pair, label), label)
     else:
         try:
             k1, y, k2 = split_last_qubit(u)
         except NumericError as exc:
             raise exc.with_path(f"n={n}") from exc
-        t1, m1 = _block_tree(k1, f"n={n}/left-block")
-        t2, m2 = _block_tree(k2, f"n={n}/right-block")
-        tree = SequenceNode((t1, CartanNode(y), t2))
-        matrix = m1 @ _apply_cartan(y, m2)
+        left, right = f"n={n}/left-block", f"n={n}/right-block"
+        v1, z1, w1 = _halves(k1, left)
+        # the left block acts after the split layer: its w takes y's end map
+        node, w1 = _open_layer(y, w1)
+        t1, m1 = _block_tree(v1, z1, w1, left)
+        t2, m2 = _block_tree(*_halves(k2, right), right)
+        tree = SequenceNode((t1, node, t2))
+        matrix = m1 @ _apply_tree(node, m2, n)
     _check_level(matrix, u)
     return tree, matrix

@@ -478,11 +478,24 @@ class CartanFamily(Enum):
     def strings(self, n: int) -> list[PauliString]:
         """The family on ``n`` spins; ``OUTER_X`` and ``DIAGONAL`` are
         ordered by the mask of their leading letters."""
-        if self is CartanFamily.MAXIMAL:
-            return maximal_abelian_strings(n)
-        if self is CartanFamily.OUTER_X:
-            return [PauliString(s.letters[:-1] + "X") for s in diagonal_strings(n)]
-        return diagonal_strings(n)
+        return list(_family_order(self, n))
+
+
+@functools.lru_cache(maxsize=None)
+def _family_order(family: CartanFamily, n: int) -> dict[PauliString, int]:
+    """Each string of a family on ``n`` spins mapped to its place in the
+    canonical order; built, and checked to commute pairwise, once."""
+    if family is CartanFamily.MAXIMAL:
+        strings = maximal_abelian_strings(n)
+    elif family is CartanFamily.OUTER_X:
+        strings = [PauliString(s.letters[:-1] + "X") for s in diagonal_strings(n)]
+    else:
+        strings = diagonal_strings(n)
+    for i, a in enumerate(strings):
+        for b in strings[i + 1:]:
+            if not commutes(a, b):
+                raise ValidationError(f"strings {a} and {b} do not commute")
+    return {s: k for k, s in enumerate(strings)}
 
 
 @dataclass(frozen=True)
@@ -499,18 +512,15 @@ class CartanElement:
     coeffs: dict[PauliString, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        allowed = set(self.family.strings(self.n))
+        # the family's strings commute pairwise, checked once per family
+        # and size, so membership is all an element needs
+        order = _family_order(self.family, self.n)
         for s, c in self.coeffs.items():
-            if s not in allowed:
+            if s not in order:
                 raise ValidationError(
                     f"string {s} is not in the {self.family.value} family for n={self.n}")
             if not np.isfinite(c):
                 raise ValidationError(f"non-finite coefficient for {s}")
-        present = sorted(self.coeffs)
-        for i, a in enumerate(present):
-            for b in present[i + 1:]:
-                if not commutes(a, b):
-                    raise ValidationError(f"strings {a} and {b} do not commute")
 
     def hamiltonian(self) -> np.ndarray:
         """Dense Hermitian realization of the element."""
@@ -521,7 +531,7 @@ class CartanElement:
 
     def items(self) -> list[tuple[PauliString, float]]:
         """Coefficients in the family's canonical string order."""
-        order = {s: k for k, s in enumerate(self.family.strings(self.n))}
+        order = _family_order(self.family, self.n)
         return sorted(self.coeffs.items(), key=lambda kv: order[kv[0]])
 
     def norm(self) -> float:

@@ -20,10 +20,15 @@ Four layers live here:
   coupling plus local rotations) walks the parities of the spins
   through every string, and each string is rotated once where the
   network holds its parity: a free ``Rz`` on one spin, or one coupling
-  on an adjacent pair.  The network stops after the last nonzero string and returns
-  by the shorter way.  It is used only when it needs strictly fewer
-  ``pi`` couplings than the ladders; the choice depends only on which
-  strings are nonzero and is cached on that pattern.
+  on an adjacent pair.  The route is designed in
+  :mod:`kakpulse.networks`.  A layer whose :class:`~kakpulse.kak.CartanNode`
+  records an open route (three or four spins) is lowered along it with
+  no return: its end map belongs to the node, and the neighbouring
+  factor already absorbed its inverse.  Any other layer takes the closed
+  network, which stops after the last nonzero string and returns by the
+  shorter way, and only when it needs strictly fewer ``pi`` couplings
+  than the ladders; that choice depends only on which strings are
+  nonzero and is cached on that pattern.
 * The tree lowering :func:`flatten`, which turns the gate tree of
   :func:`~kakpulse.kak.decompose` into one gate list: Euler leaves
   become up to three rotations and commuting layers go through the
@@ -71,10 +76,10 @@ from .gates import (ChainSpec, CouplingEvolution, Delay, Gate, GlobalPhase,
                     HardPulse, LocalRotation, PulseProgram, inverse_gate_list)
 from .kak import (CartanNode, EulerNode, GateTree, PhaseNode, SequenceNode,
                   decompose, euler_xzx_angles)
+from .networks import (TOL_COEFF, Route, closed_route, nonzero_letters,
+                       parity_image, parity_points)
 from .paulis import CartanElement, CartanFamily, PauliString, _letter_product
 
-# Commuting-family coefficients of at most this magnitude emit no gates.
-TOL_COEFF = 1e-12
 # Rotations of at most this angle are left out of a gate list: the
 # factorization's rounding noise reaches 2e-12 rad on QFT and bit-reversal
 # targets, while a target 1e-9 from the identity has real 1e-10 turns.
@@ -259,95 +264,19 @@ def _cnot_gates(control: int, target: int) -> tuple[Gate, ...]:
                             LocalRotation(control, "z", -_HALF_PI)]))
 
 
-@functools.lru_cache(maxsize=None)
-def _chain_network(k: int) -> tuple[tuple[int, int], ...]:
-    """``(control, target)`` CNOTs of the parity network on spins ``1..k``.
-
-    ``N(j)`` acts on spins ``1..j+1`` with spin ``j+1`` as the bus:
-    ``C(j+1,j) N(j-1) C(j,j+1) C(j+1,j) N(j-1) C(j+1,j) C(j,j+1)
-    C(j+1,j)``, with ``N(1)`` empty; it returns every spin to its start.
-    A ``k``-spin family uses ``N(k-1)``: 6, 18, 42, 90 and 186 CNOTs at
-    ``k = 3..7``.
-    """
-    def net(j: int) -> list[tuple[int, int]]:
-        if j < 2:
-            return []
-        bus, inner = j + 1, net(j - 1)
-        return ([(bus, j)] + inner + [(j, bus), (bus, j)] + inner
-                + [(bus, j), (j, bus), (bus, j)])
-    return tuple(net(k - 1))
-
-
-@functools.lru_cache(maxsize=None)
-def _parity_points(k: int) -> dict[int, tuple[int, int, bool]]:
-    """Where the network holds each parity: ``mask -> (step, site,
-    on_pair)``.
-
-    Spin ``q`` is bit ``q - 1`` of a mask.  After ``step`` CNOTs, spin
-    ``q`` holds the parity ``rows[q-1]`` (``Z_q`` conjugated back through
-    the CNOTs is ``Z`` on that mask) and the pair ``(q, q+1)`` holds the
-    xor of its two rows.  A parity is rotated on the first single spin
-    that ever holds it, and otherwise on the first pair; every parity
-    that contains spin ``k`` is reached one way or the other.
-    """
-    rows = [1 << q for q in range(k)]
-    single: dict[int, tuple[int, int, bool]] = {}
-    pair: dict[int, tuple[int, int, bool]] = {}
-    seq = _chain_network(k)
-    for step in range(len(seq) + 1):
-        for q in range(1, k + 1):
-            single.setdefault(rows[q - 1], (step, q, False))
-        for q in range(1, k):
-            pair.setdefault(rows[q - 1] ^ rows[q], (step, q, True))
-        if step < len(seq):
-            control, target = seq[step]
-            rows[target - 1] ^= rows[control - 1]
-    return {**pair, **single}
-
-
-def _parity_image(letters: str) -> int:
-    """The mask of the parity a ``DIAGONAL`` or ``OUTER_X`` string
-    rotates, read off its letters: spin ``q`` is bit ``q - 1``.  The last
-    letter is Z, or the X that the turn on the last spin makes a Z."""
-    return sum(1 << q for q, c in enumerate(letters) if c != "1")
-
-
-def _ladder_pi_count(letters: str) -> int:
-    """pi couplings :func:`pauli_evolution_gates` spends on one string."""
-    if PauliString(letters).weight < 2:
-        return 0
-    ops = _reduce_to_adjacent_zz(letters)[0]
-    return 2 * sum(isinstance(op, _PairOp) for op in ops)
-
-
-@functools.lru_cache(maxsize=4096)
-def _network_route(k: int, pattern: tuple[str, ...]
-                   ) -> tuple[tuple[int, int], ...] | None:
-    """CNOTs, in time order, of the parity network for the nonzero
-    strings ``pattern``, or None when the per-string ladders need no more
-    pi couplings.
-
-    The network runs until the last string's rotation step, then returns
-    by the shorter of the rest of the sequence and the CNOTs applied so
-    far in reverse.
-    """
-    seq, points = _chain_network(k), _parity_points(k)
-    stop = max(points[_parity_image(s)][0] for s in pattern)
-    back = min(seq[stop:], seq[:stop][::-1], key=len)
-    if stop + len(back) >= sum(map(_ladder_pi_count, pattern)):
-        return None
-    return seq[:stop] + back
-
-
 def _network_gates(k: int, items: list[tuple[PauliString, float]],
-                   route: tuple[tuple[int, int], ...]) -> list[Gate]:
-    """Gates of ``exp(-1j*H)`` for a ``DIAGONAL`` element: the network
+                   route: Route) -> list[Gate]:
+    """Gates of ``P exp(-1j*H)`` for a ``DIAGONAL`` element, with ``P``
+    the end map of ``route`` (the identity for a closed one): the network
     with each string rotated once at its step, then one global phase
     that cancels the CNOTs' ``exp(1j*pi/4)`` factors."""
-    points = _parity_points(k)
+    points = parity_points(route, k)
     at_step: dict[int, list[Gate]] = {}
     for s, c in items:
-        step, site, on_pair = points[_parity_image(s.letters)]
+        point = points.get(parity_image(s.letters))
+        if point is None:
+            raise ValidationError(f"route {route} never holds the parity of {s}")
+        step, site, on_pair = point
         at_step.setdefault(step, []).append(
             CouplingEvolution(site, 2 * c) if on_pair
             else LocalRotation(site, "z", c))
@@ -362,22 +291,30 @@ def _network_gates(k: int, items: list[tuple[PauliString, float]],
     return out
 
 
-def cartan_evolution_gates(element: CartanElement) -> list[Gate]:
+def cartan_evolution_gates(element: CartanElement,
+                           route: Route | None = None) -> list[Gate]:
     """Gates for ``exp(-1j * H)`` with ``H`` a commuting-family element;
     coefficients of magnitude at most :data:`TOL_COEFF` are dropped.
 
-    A ``DIAGONAL`` element on three or more spins is lowered as one
-    parity network when that spends fewer pi couplings than one ladder
-    per string.  An ``OUTER_X`` element is the ``DIAGONAL`` element with
-    the same coefficients between ``Ry(-pi/2)`` and ``Ry(pi/2)`` on the
-    last spin, and takes the same route.  Otherwise (and always for
-    ``MAXIMAL``) the family commutes, so the exponential splits into one
-    string evolution per coefficient, emitted in canonical family order.
+    With a ``route`` (an open network that :func:`~kakpulse.kak.decompose`
+    recorded), a ``DIAGONAL`` or ``OUTER_X`` element is lowered along it
+    with no return, so the gates realize ``P exp(-1j*H)`` with ``P`` the
+    route's end map.  Without one, a ``DIAGONAL`` element on three or
+    more spins is lowered as one closed network when that spends fewer
+    pi couplings than one ladder per string.  An ``OUTER_X`` element is
+    the ``DIAGONAL`` element with the same coefficients between
+    ``Ry(-pi/2)`` and ``Ry(pi/2)`` on the last spin, and takes the same
+    route.  Otherwise (and always for ``MAXIMAL``) the family commutes,
+    so the exponential splits into one string evolution per coefficient,
+    emitted in canonical family order.
     """
     items = [(s, c) for s, c in element.items() if abs(c) > TOL_COEFF]
-    route = None
-    if items and element.n >= 3 and element.family is not CartanFamily.MAXIMAL:
-        route = _network_route(element.n, tuple(s.letters for s, _ in items))
+    network = element.n >= 3 and element.family is not CartanFamily.MAXIMAL
+    if route is not None and not network:
+        raise ValidationError(
+            f"a {element.family.value} element on {element.n} spins takes no route")
+    if route is None and items and network:
+        route = closed_route(element.n, nonzero_letters(element))
     if route is None:
         return [g for s, c in items for g in pauli_evolution_gates(s, c)]
     out = _network_gates(element.n, items, route)
@@ -442,7 +379,7 @@ def _lower(tree: GateTree) -> list[Gate]:
     if isinstance(tree, PhaseNode):
         return [GlobalPhase(tree.phi)]
     if isinstance(tree, CartanNode):
-        return cartan_evolution_gates(tree.element)
+        return cartan_evolution_gates(tree.element, tree.route)
     raise ValidationError(f"unknown tree node {tree!r}")
 
 

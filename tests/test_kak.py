@@ -39,7 +39,8 @@ from kakpulse import (
     tree_to_json_dict,
     two_spin_factors,
 )
-from kakpulse.kak import _decompose, euler_xzx, su2_rotation
+from kakpulse.kak import _decompose, _interaction_sum, euler_xzx, su2_rotation
+from kakpulse.networks import OPEN_ROUTES
 
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -370,6 +371,52 @@ def test_cartan_node_matches_dense_exponential(family):
         evaluate(node, 3)
 
 
+def test_interaction_sum_is_the_canonical_angle_sum():
+    """The spectral shortcut agrees with the full canonical factorization
+    on Haar samples, CNOT, SWAP, the identity and chamber edges, under
+    local frames and global phases."""
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    cases = [haar_unitary(4, seed) for seed in range(40)]
+    cases += [np.eye(4), swap, cnot, cnot @ swap,
+              interaction_unitary((math.pi, math.pi / 2, -0.3)),
+              interaction_unitary((math.pi, 0.2, 0.1))]
+    rng = np.random.default_rng(17)
+    for seed in range(40):
+        locals_ = [haar_unitary(2, 1000 + 4 * seed + j) for j in range(4)]
+        cases.append(cmath.exp(1j * seed) * np.kron(locals_[0], locals_[1])
+                     @ interaction_unitary(rng.uniform(-7, 7, 3))
+                     @ np.kron(locals_[2], locals_[3]))
+    for u in cases:
+        want = sum(abs(a) for a in two_spin_factors(u).alphas)
+        assert abs(_interaction_sum(u) - want) < 1e-12
+
+
+def routes(tree):
+    if isinstance(tree, SequenceNode):
+        return [r for child in tree.children for r in routes(child)]
+    if isinstance(tree, CartanNode) and tree.route is not None:
+        return [(tree.element.n, tree.element.family, tree.route)]
+    return []
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_haar_trees_record_open_layers(n):
+    """Haar trees record open routes at three and four spins, on both
+    families, and the recorded maps stay inside every budget."""
+    u = haar_unitary(2 ** n, 100 + n, special=True)
+    tree, matrix = _decompose(u)
+    found = routes(tree)
+    assert {k for k, _, _ in found} == set(range(3, min(n, 4) + 1))
+    assert {f for _, f, _ in found} == {CartanFamily.DIAGONAL,
+                                        CartanFamily.OUTER_X}
+    assert all(route == OPEN_ROUTES[k] for k, _, route in found)
+    assert np.max(np.abs(matrix - evaluate(tree, n))) < 1e-12
+    assert np.max(np.abs(evaluate(tree, n) - u)) < residual_budget(n)
+    got = gate_list_unitary(flatten(tree), n)
+    assert np.max(np.abs(got - evaluate(tree, n))) < 1e-8
+
+
 def test_evaluate_two_spin_node():
     f = two_spin_factors(haar_unitary(4, 77))
     tree = decompose(haar_unitary(4, 77))
@@ -485,6 +532,27 @@ def test_tree_json_rejects_malformed():
     with pytest.raises(ValidationError):
         tree_from_json_dict({"node": "euler", "q": 1, "alpha": "wat",
                              "beta": 0.0, "gamma": 0.0})
+
+
+def test_tree_json_rejects_malformed_commuting_evolution():
+    """A coefficient table or a route of the wrong shape is a validation
+    failure, not an attribute error."""
+    node = {"node": "commuting_evolution", "n": 3, "family": "outer_x",
+            "coeffs": {"ZZX": 0.4}}
+    for coeffs in ([1], "ZZX", 0.4):
+        with pytest.raises(ValidationError):
+            tree_from_json_dict({**node, "coeffs": coeffs})
+    for route in ("12", 3, {"1": 2}, [1, 2], [[1, 2, 3]], [[1.0, 2]],
+                  [["1", "2"]], [[True, 2]], [[1, 3]], [[3, 4]], [[3, 2]]):
+        with pytest.raises(ValidationError):
+            tree_from_json_dict({**node, "route": route})
+    with pytest.raises(ValidationError):  # no route on the two-spin middle
+        tree_from_json_dict({"node": "commuting_evolution", "n": 2,
+                             "family": "maximal", "coeffs": {"ZZ": 0.1},
+                             "route": [[1, 2], [2, 1], [1, 2]]})
+    loaded = tree_from_json_dict({**node, "route": [[1, 2], [2, 1], [1, 2]]})
+    assert loaded.route == OPEN_ROUTES[3]
+    assert tree_from_json_dict(tree_to_json_dict(loaded)) == loaded
 
 
 def test_tree_json_rejects_removed_vocabulary():

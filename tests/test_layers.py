@@ -2,6 +2,8 @@
 
 Each layer does one job: ``kak`` factors, ``pulses`` lowers, and
 ``simulate`` checks what the others produce without depending on them.
+``networks`` designs the parity networks that ``kak`` and ``pulses``
+both read.
 These tests parse every module of the package with :mod:`ast`, collect
 its relative imports, and hold that graph to the layering.
 """
@@ -41,6 +43,12 @@ def test_kak_only_factors():
 def test_kak_reads_no_gate_vocabulary():
     """A tree holds factors, not gates: the lowering owns the gate list."""
     assert "gates" not in import_graph()["kak"]
+
+
+def test_networks_reads_only_strings():
+    """The network design is GF(2) bookkeeping that both the factorization
+    and the lowering read, so it sits below both."""
+    assert import_graph()["networks"] <= {"errors", "paulis"}
 
 
 def test_simulate_reads_only_the_vocabulary():

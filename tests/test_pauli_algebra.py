@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kakpulse.paulis
 from kakpulse import (
     CartanElement,
     CartanFamily,
@@ -509,6 +510,28 @@ def test_cartan_element_rejects_foreign_strings():
     with pytest.raises(ValidationError):
         CartanElement(n=2, family=CartanFamily.MAXIMAL,
                       coeffs={PauliString("ZX"): 1.0})
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("family", list(CartanFamily), ids=lambda f: f.value)
+def test_every_family_element_commutes(family, n):
+    """An element checks only membership; the family it draws from
+    commutes pairwise, so every element's strings do."""
+    strings = family.strings(n)
+    assert all(commutes(a, b) for a, b in itertools.combinations(strings, 2))
+    elem = CartanElement(n=n, family=family, coeffs={s: 0.1 for s in strings})
+    assert [s for s, _ in elem.items()] == strings
+
+
+def test_a_non_commuting_family_is_caught_once_built(monkeypatch):
+    monkeypatch.setattr(kakpulse.paulis, "diagonal_strings",
+                        lambda n: [PauliString("XZ"), PauliString("ZZ")])
+    kakpulse.paulis._family_order.cache_clear()
+    try:
+        with pytest.raises(ValidationError):
+            CartanElement(n=2, family=CartanFamily.DIAGONAL, coeffs={})
+    finally:
+        kakpulse.paulis._family_order.cache_clear()
 
 
 def test_cartan_element_rejects_non_finite():

@@ -313,6 +313,53 @@ def test_products_compile_to_no_couplings(target, n):
         assert not any(isinstance(g, LocalRotation) for g in gates)
 
 
+def coupling_angle(gates):
+    """Total coupling angle, each reduced mod 4*pi as the scheduler runs
+    it: the coupling time on a uniform chain, times 2*pi*J."""
+    return sum(abs(math.remainder(g.angle, 4 * math.pi))
+               for g in gates if isinstance(g, CouplingEvolution))
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+@pytest.mark.parametrize("target", TARGETS, ids=lambda f: f.__name__)
+def test_open_layers_add_no_coupling(target, n, monkeypatch):
+    """Against the same factorization with every layer closed, no
+    structured target gains a coupling or coupling time: an end map goes
+    only into a neighbour that does not spend more than it saves."""
+    u = target(n)
+    opened = flatten(decompose(u))
+    monkeypatch.setattr(kakpulse.kak, "open_route", lambda k, letters: None)
+    closed = flatten(decompose(u))
+    assert couplings(opened) <= couplings(closed)
+    assert coupling_angle(opened) <= coupling_angle(closed) + 1e-9
+
+
+def open_sizes(tree):
+    """Spin counts of the layers anywhere in ``tree`` that end open."""
+    if isinstance(tree, SequenceNode):
+        return set().union(*(open_sizes(c) for c in tree.children))
+    if isinstance(tree, CartanNode) and tree.route is not None:
+        return {tree.element.n}
+    return set()
+
+
+@pytest.mark.parametrize("target", (random_diagonal, toffoli_like),
+                         ids=lambda f: f.__name__)
+def test_four_spin_layer_ends_open_into_a_kronecker_neighbour(target,
+                                                              monkeypatch):
+    """A diagonal ratio leaves ``v = I``, a Kronecker product.  The
+    four-spin map moves only spins 1 and 2, so it lands on the two-spin
+    factor, which grows by far less than the eight pi couplings saved."""
+    u = target(4)
+    tree = decompose(u)
+    assert 4 in open_sizes(tree)
+    opened = flatten(tree)
+    monkeypatch.setattr(kakpulse.kak, "open_route", lambda k, letters: None)
+    closed = flatten(decompose(u))
+    assert couplings(opened) < couplings(closed)
+    assert coupling_angle(opened) < coupling_angle(closed)
+
+
 def ladder_count(n):
     """Couplings of one ladder per string of the full diagonal family."""
     strings = ("".join(letters) for letters in itertools.product("1Z", repeat=n))
