@@ -54,13 +54,14 @@ generic inputs never meet it, so their trees do not change.  A scalar
 single-spin factor (``-I`` after its phase is removed) becomes a phase
 leaf rather than two pi turns.
 
-A three- or four-spin layer may end open.  Its parity network
+A layer on three to seven spins may end open.  Its parity network
 (:mod:`kakpulse.networks`) then stops in a linear map of the leading
 spins instead of returning to the identity, and the factor that acts
 next absorbs that map before it is factored: the ``v`` of a block for a
 ``DIAGONAL`` layer, the ``w`` of the left block for an ``OUTER_X`` one.
-The layer's :class:`CartanNode` records the route, so its matrix, and
-each level's check, include the map.
+It does so only where that factor does not spend more than the network
+saves (:func:`_open_layer`).  The layer's :class:`CartanNode` records
+the route, so its matrix, and each level's check, include the map.
 
 Every factorization routine re-multiplies its output and raises
 :class:`~kakpulse.errors.NumericError` if the residual exceeds its
@@ -96,8 +97,8 @@ from .errors import DimensionError, NumericError, ValidationError
 from .linalg import (PAULI, apply_local, check_unitary, cosine_sine,
                      golden_mix_eigvecs, permute_spins, spin_count,
                      su2_rotation, unitary_eig)
-from .networks import (Route, check_route, closed_pi_count, nonzero_letters,
-                       open_route)
+from .networks import (Route, check_route, closed_pi_count, end_rows,
+                       leaves_last_spin, nonzero_letters, open_route)
 from .paulis import (CartanElement, CartanFamily, PauliString,
                      maximal_abelian_strings)
 
@@ -563,7 +564,7 @@ class PhaseNode:
 class CartanNode:
     """Evolution ``exp(-1j*H)`` under one commuting-family element.
 
-    A three- or four-spin ``DIAGONAL`` or ``OUTER_X`` layer may record
+    A ``DIAGONAL`` or ``OUTER_X`` layer on three or more spins may record
     the open parity network it is lowered along
     (:data:`~kakpulse.networks.OPEN_ROUTES`).  The node is then
     ``P exp(-1j*H)``, with ``P`` the permutation of basis states that the
@@ -849,47 +850,64 @@ def _interaction_sum(u: np.ndarray) -> float:
                                - math.pi)))
 
 
+def _absorb_cost(after: np.ndarray, src: np.ndarray,
+                 rows: tuple[int, ...]) -> float:
+    """What ``after`` spends more, in coupling angle, once it absorbs
+    the inverse of the end map ``A`` (GF(2) ``rows`` on ``after``'s
+    spins; ``src`` its gather, so ``after @ P_A^-1`` is
+    ``after[:, src]``).
+
+    The neighbour is judged as :func:`_decompose` will route it.  A
+    two-spin factor spends the growth of its interaction angles
+    (:func:`_interaction_sum`).  A Kronecker factor ``W (x) D`` passes
+    the map on to ``W`` when ``A`` leaves its last spin alone, and costs
+    ``inf`` when it does not, since the map would join what the
+    Kronecker route keeps apart.  A block-diagonal factor costs ``inf``
+    too; a generic one costs the same whatever it absorbs, so 0.
+    """
+    if len(rows) == 2:
+        return _interaction_sum(after[:, src]) - _interaction_sum(after)
+    factors = _kronecker_factors(after)
+    if factors is None:
+        return math.inf if _block_diagonal(after) else 0.0
+    if not leaves_last_spin(rows):
+        return math.inf
+    # P_A = P_A' (x) 1 on the last spin: the even entries of src, halved
+    return _absorb_cost(factors[1], src[::2] >> 1, rows[:-1])
+
+
 def _open_layer(layer: CartanElement,
                 after: np.ndarray) -> tuple[CartanNode, np.ndarray]:
     """The node of a commuting layer and the factor ``after`` that acts
     right after it, on the leading spins.
 
-    A three- or four-spin ``DIAGONAL`` or ``OUTER_X`` layer whose open
-    network (:func:`~kakpulse.networks.open_route`) needs fewer pi
+    A ``DIAGONAL`` or ``OUTER_X`` layer on three or more spins whose
+    open network (:func:`~kakpulse.networks.open_route`) needs fewer pi
     couplings than its closed lowering records the route, and ``after``
-    absorbs the inverse of its end map ``P``: ``after @ P^-1`` is a
-    column gather.  That is done only where the neighbour does not spend
-    more than the network saves.  At four spins a neighbour that takes
-    the generic route costs the same whatever it absorbs, and a
-    block-diagonal one keeps the layer closed.  Otherwise the map lands
-    on a two-spin factor, ``after`` itself at three spins or the leading
-    factor of a Kronecker neighbour at four (the ``v = I`` of a diagonal
-    ratio among them), and that factor's interaction angles
-    (:func:`_interaction_sum`) must grow by less than the pi couplings
-    saved.
+    absorbs the inverse of its end map ``P = P_A (x) 1``:
+    ``after @ P^-1`` is a column gather.  That is done only where the
+    neighbour spends less (:func:`_absorb_cost`) than the network saves:
+
+    * a neighbour that takes the generic route absorbs at any size;
+    * a block-diagonal one keeps the layer closed;
+    * a Kronecker one ``W (x) D`` absorbs only when ``A`` stays inside
+      ``W``, and then ``W`` is judged by the same rules;
+    * a two-spin factor (``after`` at three spins, the ``W`` of a
+      Kronecker neighbour at four, the ``v = I`` of a diagonal ratio
+      among them) absorbs when its interaction angles grow by less than
+      the pi couplings saved.
     """
     k = layer.n
     letters = nonzero_letters(layer)
     route = open_route(k, letters)
     if route is None:
         return CartanNode(layer), after
-    src = _route_source(route, k)
-    # P = P_A (x) 1 on the last spin: the even rows of the gather, halved
-    gathered = after[:, src[::2] >> 1]
-    if k == 3:
-        lands = after, gathered
-    else:
-        factors = _kronecker_factors(after)
-        if factors is None:
-            if _block_diagonal(after):
-                return CartanNode(layer), after
-            return CartanNode(layer, route), gathered
-        # the four-spin map moves only spins 1 and 2 (x2, x1+x2, x3, x4)
-        lands = factors[1], factors[1][:, src[::4] >> 2]
+    # P = P_A (x) 1 on the last spin: the even entries of src, halved
+    src = _route_source(route, k)[::2] >> 1
     saved = math.pi * (closed_pi_count(k, letters) - len(route))
-    if _interaction_sum(lands[1]) - _interaction_sum(lands[0]) >= saved:
+    if _absorb_cost(after, src, end_rows(route, k)[:-1]) >= saved:
         return CartanNode(layer), after
-    return CartanNode(layer, route), gathered
+    return CartanNode(layer, route), after[:, src]
 
 
 def _halves(pair: BlockPair, label: str) -> tuple[np.ndarray, CartanElement,

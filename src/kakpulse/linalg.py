@@ -20,6 +20,9 @@ from .errors import DimensionError, NumericError, ValidationError
 TOL_UNITARY = 1e-10
 TOL_HERMITIAN = 1e-10
 TOL_CSD = 1e-9
+# Cosine-sine angles within this of 0 or pi/2 count as exact ones, whose
+# columns carry a free gauge that :func:`cosine_sine` fixes.
+TOL_GAUGE = 1e-12
 
 _GOLDEN = 0.6180339887498949
 
@@ -211,6 +214,8 @@ def cosine_sine(u: np.ndarray) -> CosineSineBlocks:
     nonzero entry real positive (the compensating phases are pushed
     into ``l1`` columns and ``r0``/``r1`` rows, which leaves the product
     unchanged because diagonal phases commute with the middle factor).
+    On the columns whose angle is 0 or pi/2, ``l1`` is the one closest
+    to ``l0``, so a global phase of ``u`` does not change that gauge.
     """
     u = check_unitary(u)
     dim = u.shape[0]
@@ -238,6 +243,19 @@ def cosine_sine(u: np.ndarray) -> CosineSineBlocks:
         l1[:, j] *= ph.conjugate()
         r0[j, :] *= ph
         r1[j, :] *= ph
+
+    # Where an angle is 0 the middle keeps the blocks apart, and where it
+    # is pi/2 it swaps them, so l1's columns there carry a unitary gauge
+    # of their own, paid back on the partner rows of r1 or r0.  Fit it to
+    # l0 (orthogonal Procrustes: the polar factor of l1^dagger l0), so
+    # that it does not follow whatever gauge LAPACK returned.
+    for cols, partner in ((theta <= TOL_GAUGE, r1),
+                          (theta >= math.pi / 2 - TOL_GAUGE, r0)):
+        if cols.any():
+            a, _, bh = np.linalg.svd(l1[:, cols].conj().T @ l0[:, cols])
+            g = a @ bh
+            l1[:, cols] = l1[:, cols] @ g
+            partner[cols, :] = g.conj().T @ partner[cols, :]
 
     blocks = CosineSineBlocks(l0=l0, l1=l1, theta=theta, r0=r0, r1=r1,
                               residual=0.0)

@@ -16,14 +16,15 @@ Two kinds of route:
   string and returned to the identity by the shorter way.  It is used
   only when it needs strictly fewer pi couplings than one ladder per
   string.
-* **open**: a constant route at ``k = 3`` and ``k = 4`` that ends in a
-  linear map ``diag(A, 1)``: ``A`` on spins ``1..k-1``, spin ``k`` left
-  alone.  The factorization hands ``A`` to the neighbouring factor that
-  acts next, which costs the same whatever it is, so the network need
-  not return (the boundary absorption of Shende, Bullock & Markov, IEEE
-  TCAD 25, 1000 (2006), App. A).  An exact breadth-first search over
-  adjacent-CNOT states gives 3 CNOTs at ``k = 3`` and 10 at ``k = 4``
-  against 6 and 12 for the best closed networks (18 for ``N(3)``).
+* **open**: a constant route at each ``k = 3..7`` that ends in a linear
+  map ``diag(A, 1)``: ``A`` on spins ``1..k-1``, spin ``k`` left alone.
+  The factorization hands ``A`` to the neighbouring factor that acts
+  next, which absorbs it as a change of its input basis, so the network
+  need not return (the boundary absorption of Shende, Bullock & Markov,
+  IEEE TCAD 25, 1000 (2006), App. A).  Open routes take 3, 10, 21, 43
+  and 90 CNOTs at ``k = 3..7``, against 6, 18, 42, 90 and 186 for
+  ``N(k-1)``; 3 and 10 are optimal (an exact breadth-first search), the
+  rest come from the beam search recorded at :data:`OPEN_ROUTES`.
 
 Every CNOT is one pi coupling.  This module knows no matrices:
 :mod:`kakpulse.kak` reads the open routes and their end maps,
@@ -42,14 +43,49 @@ TOL_COEFF = 1e-12
 
 Route = tuple[tuple[int, int], ...]
 
-# k = 3: a swap of spins 1 and 2.  k = 4: the route with the fewest
-# strings rotated on a pair among the 10-CNOT routes; it ends in rows
-# x2, x1+x2, x3, x4.  Written out because the search takes seconds.
 OPEN_ROUTES: dict[int, Route] = {
     3: ((1, 2), (2, 1), (1, 2)),
     4: ((4, 3), (3, 4), (4, 3), (1, 2), (2, 1), (1, 2), (4, 3), (1, 2),
         (3, 4), (4, 3)),
+    5: ((5, 4), (4, 5), (4, 3), (3, 4), (1, 2), (2, 3), (1, 2), (2, 3),
+        (5, 4), (4, 3), (5, 4), (4, 3), (1, 2), (2, 3), (5, 4), (1, 2),
+        (2, 3), (3, 4), (4, 5), (4, 3), (5, 4)),
+    6: ((6, 5), (5, 4), (4, 5), (4, 3), (3, 4), (4, 5), (5, 4), (4, 3),
+        (1, 2), (2, 3), (1, 2), (2, 3), (5, 4), (4, 3), (5, 4), (6, 5),
+        (3, 2), (2, 3), (3, 4), (4, 3), (5, 4), (6, 5), (3, 4), (2, 1),
+        (1, 2), (2, 3), (5, 4), (6, 5), (3, 2), (4, 3), (5, 4), (6, 5),
+        (5, 4), (2, 3), (3, 4), (1, 2), (2, 1), (3, 2), (4, 3), (3, 4),
+        (4, 5), (5, 4), (6, 5)),
+    7: ((7, 6), (6, 5), (5, 4), (6, 5), (7, 6), (5, 4), (6, 5), (5, 6),
+        (6, 5), (3, 4), (2, 3), (3, 4), (2, 3), (3, 4), (6, 5), (5, 4),
+        (6, 5), (3, 4), (2, 3), (1, 2), (2, 3), (3, 4), (2, 3), (5, 4),
+        (1, 2), (2, 3), (3, 4), (6, 5), (5, 4), (2, 3), (3, 4), (6, 5),
+        (2, 3), (5, 4), (4, 5), (3, 4), (2, 3), (7, 6), (6, 5), (3, 4),
+        (7, 6), (6, 5), (5, 4), (2, 3), (5, 6), (3, 4), (6, 5), (1, 2),
+        (2, 3), (3, 4), (2, 3), (6, 7), (5, 4), (1, 2), (2, 3), (7, 6),
+        (3, 4), (2, 3), (3, 4), (6, 5), (4, 5), (5, 4), (5, 6), (6, 5),
+        (4, 3), (5, 4), (2, 3), (1, 2), (2, 3), (5, 4), (3, 2), (4, 3),
+        (5, 4), (1, 2), (2, 3), (3, 2), (4, 3), (5, 4), (2, 1), (1, 2),
+        (4, 3), (3, 2), (2, 3), (5, 4), (4, 3), (3, 4), (6, 5), (7, 6),
+        (5, 6), (6, 7)),
 }
+"""Open routes by spin count.
+
+Found by a beam search over adjacent-CNOT states, each the parity rows of
+the spins and the set of parities containing spin ``k`` held so far (on a
+spin or an adjacent pair).  States rank by parities held, then by the
+exact number of CNOTs left to reach a map ``diag(A, 1)``: a breadth-first
+search over the map's coset of that subgroup, which column ``k`` of the
+map and the last row of its inverse fix.  Once every parity is held the
+route ends by that shortest return.  Width 20,000 (seconds at ``k = 5``,
+under half a minute at ``k = 7``); widths of 200,000 at ``k = 5`` and
+300,000 at ``k = 6`` found no shorter route.  Among routes of the least
+length, the one with the fewest parities rotated on a pair is kept, since
+a pair costs its angle in coupling time.  ``k = 3`` is a swap of spins 1
+and 2, and ``k = 4`` ends in rows x2, x1+x2, x3, x4; at ``k = 5`` the map
+moves spin 4 (spin 3 holds x3+x4).  The search is not part of the
+package: it takes seconds to minutes.
+"""
 
 
 def nonzero_letters(element: CartanElement) -> tuple[str, ...]:
@@ -86,7 +122,7 @@ def end_rows(route: Route, k: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _leaves_last_spin(rows: tuple[int, ...]) -> bool:
+def leaves_last_spin(rows: tuple[int, ...]) -> bool:
     """Whether a map is ``diag(A, 1)``: spin ``k`` holds itself and no
     other spin holds it."""
     last = 1 << (len(rows) - 1)
@@ -105,7 +141,7 @@ def check_route(route, k: int) -> None:
                 and abs(cnot[0] - cnot[1]) == 1):
             raise ValidationError(
                 f"route step {cnot!r} is not a CNOT on adjacent spins of 1..{k}")
-    if not _leaves_last_spin(end_rows(route, k)):
+    if not leaves_last_spin(end_rows(route, k)):
         raise ValidationError(f"route does not leave spin {k} alone at its end")
 
 
@@ -200,7 +236,7 @@ def open_route(k: int, pattern: tuple[str, ...]) -> Route | None:
     if route is None or not pattern:
         return None
     cut = next(j for j in range(_stop(route, k, pattern), len(route) + 1)
-               if _leaves_last_spin(end_rows(route[:j], k)))
+               if leaves_last_spin(end_rows(route[:j], k)))
     if cut >= closed_pi_count(k, pattern):
         return None
     return route[:cut]

@@ -22,7 +22,7 @@ Four layers live here:
   network holds its parity: a free ``Rz`` on one spin, or one coupling
   on an adjacent pair.  The route is designed in
   :mod:`kakpulse.networks`.  A layer whose :class:`~kakpulse.kak.CartanNode`
-  records an open route (three or four spins) is lowered along it with
+  records an open route (three to seven spins) is lowered along it with
   no return: its end map belongs to the node, and the neighbouring
   factor already absorbed its inverse.  Any other layer takes the closed
   network, which stops after the last nonzero string and returns by the
@@ -36,9 +36,10 @@ Four layers live here:
   takes one rewrite-engine ladder per string.  A peephole pass then
   holds each spin's rotations until the next coupling that touches it
   and replaces a run by its x-z-x Euler triple when that is shorter, so
-  no spin receives more than three rotations between two couplings.
-  Rotations of at most :data:`TOL_ROTATION` (rounding noise) are left
-  out.  This is the one place where the emitted gauge is chosen.
+  no spin receives more than three rotations between two couplings.  It
+  also folds every coupling angle into ``[-pi, pi]``.  Rotations of at
+  most :data:`TOL_ROTATION` (rounding noise) are left out.  This is the
+  one place where the emitted gauge is chosen.
 * A scheduler that lowers a gate list onto a concrete chain with
   always-on couplings, inserting spin-echo refocusing pulses so that
   exactly one coupling is active during each delay.
@@ -390,12 +391,22 @@ def _merge_local_runs(gates: list[Gate]) -> list[Gate]:
     the end of the list: rotations on different spins commute, and a
     coupling blocks only its own two spins.  A run of two or more is
     replaced by its x-z-x Euler triple when that is strictly shorter; the
-    run's product is kept as a unit quaternion, four floats.  Every
-    global phase, the ``-1`` of each folded ``2*pi`` turn among them,
-    goes into one phase factor at the end.
+    run's product is kept as a unit quaternion, four floats.
+
+    Each coupling angle is folded into ``[-pi, pi]``: with
+    ``theta = r + 2*pi*m``, ``exp(-1j*theta*IzIz)`` is ``exp(-1j*r*IzIz)``
+    times ``(-1j*Z (x) Z)**m``, and a folded angle of zero emits no
+    coupling.  An odd ``m`` leaves a ``Z`` on each spin of the pair.  The
+    pass carries those as a frame, as the scheduler carries its flips:
+    a ``Z`` commutes with couplings and z turns and negates x and y
+    turns, so it moves to the end of the list, where two on a spin
+    cancel and a lone one becomes ``1j*Rz(pi)`` in that spin's last run.
+    Every global phase, the ``-1`` of each folded ``2*pi`` rotation among
+    them, goes into one phase factor at the end.
     """
     out: list[Gate] = []
     held: dict[int, list[LocalRotation]] = {}
+    framed: set[int] = set()  # spins that carry a Z from a folded coupling
     phase = 0.0
     turns = 0
 
@@ -416,20 +427,31 @@ def _merge_local_runs(gates: list[Gate]) -> list[Gate]:
 
     for g in gates:
         if isinstance(g, LocalRotation):
+            if g.qubit in framed and g.axis != "z":
+                g = LocalRotation(g.qubit, g.axis, -g.angle)
             held.setdefault(g.qubit, []).append(g)
         elif isinstance(g, CouplingEvolution):
-            release(g.left)
-            release(g.left + 1)
-            out.append(g)
+            r = math.remainder(g.angle, 2 * _PI)
+            m = round((g.angle - r) / (2 * _PI))
+            phase = math.remainder(phase - _HALF_PI * m, 2 * _PI)
+            if m % 2:
+                framed ^= set(g.pair)
+            if r:
+                release(g.left)
+                release(g.left + 1)
+                out.append(CouplingEvolution(g.left, r))
         elif isinstance(g, GlobalPhase):
             # reduced at every step: a sum that grows to hundreds of
             # radians would carry its rounding into the matrix
             phase = math.remainder(phase + g.phi, 2 * _PI)
         else:
             raise ValidationError(f"unknown gate object {g!r}")
+    for q in framed:
+        held.setdefault(q, []).append(LocalRotation(q, "z", _PI))
     for q in sorted(held):
         release(q)
-    phase = math.remainder(phase + _PI * (turns % 2), 2 * _PI)
+    phase = math.remainder(phase + _PI * (turns % 2) + _HALF_PI * len(framed),
+                           2 * _PI)
     if phase:
         out.append(GlobalPhase(phase))
     return out

@@ -2,12 +2,14 @@
 the last-spin split, demultiplexing, gate trees, and the full recursion."""
 
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import kakpulse.pulses
 from kakpulse import (
     BlockPair,
     CartanElement,
@@ -39,7 +41,8 @@ from kakpulse import (
     tree_to_json_dict,
     two_spin_factors,
 )
-from kakpulse.kak import _decompose, _interaction_sum, euler_xzx, su2_rotation
+from kakpulse.kak import (_decompose, _interaction_sum, _open_layer, euler_xzx,
+                          su2_rotation)
 from kakpulse.networks import OPEN_ROUTES
 
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -400,14 +403,16 @@ def routes(tree):
     return []
 
 
-@pytest.mark.parametrize("n", (3, 4, 5))
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
 def test_haar_trees_record_open_layers(n):
-    """Haar trees record open routes at three and four spins, on both
-    families, and the recorded maps stay inside every budget."""
+    """Haar trees record open routes at every size from three spins to
+    the top level, on both families, the recorded maps stay inside
+    every budget, and the routes survive tree JSON."""
     u = haar_unitary(2 ** n, 100 + n, special=True)
     tree, matrix = _decompose(u)
+    assert tree_from_json_dict(json.loads(json.dumps(tree_to_json_dict(tree)))) == tree
     found = routes(tree)
-    assert {k for k, _, _ in found} == set(range(3, min(n, 4) + 1))
+    assert {k for k, _, _ in found} == set(range(3, n + 1))
     assert {f for _, f, _ in found} == {CartanFamily.DIAGONAL,
                                         CartanFamily.OUTER_X}
     assert all(route == OPEN_ROUTES[k] for k, _, route in found)
@@ -415,6 +420,31 @@ def test_haar_trees_record_open_layers(n):
     assert np.max(np.abs(evaluate(tree, n) - u)) < residual_budget(n)
     got = gate_list_unitary(flatten(tree), n)
     assert np.max(np.abs(got - evaluate(tree, n))) < 1e-8
+
+
+@pytest.mark.parametrize("family", (CartanFamily.DIAGONAL, CartanFamily.OUTER_X))
+def test_five_spin_layer_hands_its_map_only_to_a_generic_neighbour(family):
+    """The five-spin route ends with spin 3 holding x3+x4, so its map
+    moves spin 4.  A generic neighbour absorbs it as a column gather, and
+    the pair keeps the product.  A Kronecker neighbour ``W (x) D`` with
+    ``D`` on spin 4 would have the map join what its route keeps apart,
+    and a block-diagonal one would lose its short circuit, so either
+    keeps the layer closed and is left as it is."""
+    rng = np.random.default_rng(55)
+    layer = CartanElement(n=5, family=family, coeffs={
+        s: rng.uniform(-3, 3) for s in family.strings(5)})
+    generic = haar_unitary(16, 56)
+    node, after = _open_layer(layer, generic)
+    assert node.route == OPEN_ROUTES[5]
+    got = np.kron(after, np.eye(2)) @ evaluate(node, 5)
+    want = np.kron(generic, np.eye(2)) @ expm_skew(layer.hamiltonian())
+    assert np.max(np.abs(got - want)) < 1e-12
+    kron = np.kron(haar_unitary(8, 57), haar_unitary(2, 58))
+    block = BlockPair(n=4, u0=haar_unitary(8, 59), u1=haar_unitary(8, 60)).realize()
+    for neighbour in (kron, block):
+        node, after = _open_layer(layer, neighbour)
+        assert node.route is None
+        assert after is neighbour
 
 
 def test_evaluate_two_spin_node():
@@ -598,6 +628,38 @@ def test_two_half_turns_merge_into_a_phase():
     half_turn = EulerNode(1, math.pi, 0.0, 0.0)
     assert flatten(half_turn) == [LocalRotation(1, "x", math.pi)]
     assert flatten(SequenceNode((half_turn, half_turn))) == [GlobalPhase(math.pi)]
+
+
+@pytest.mark.parametrize("theta", (3.5, -3.5, 2 * math.pi, -2 * math.pi,
+                                   2 * math.pi + 0.3, 5 * math.pi - 0.1,
+                                   4 * math.pi, -7.0, math.pi, -math.pi))
+def test_coupling_angles_fold_into_half_a_turn(theta):
+    """``exp(-1j*2*pi*IzIz) = -1j*Z (x) Z`` is local, so the lowering
+    runs every coupling at an angle in ``[-pi, pi]``, with z half turns
+    and a phase for the rest; an angle that folds to zero runs none."""
+    gates = [LocalRotation(1, "x", 0.4), CouplingEvolution(1, theta),
+             LocalRotation(2, "y", 0.3)]
+    folded = kakpulse.pulses._merge_local_runs(gates)
+    angles = [g.angle for g in folded if isinstance(g, CouplingEvolution)]
+    assert all(abs(a) <= math.pi for a in angles)
+    assert len(angles) == (math.remainder(theta, 2 * math.pi) != 0)
+    want = gate_list_unitary(gates, 2)
+    assert np.max(np.abs(gate_list_unitary(folded, 2) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("n", (4, 5))
+def test_haar_lowering_runs_no_coupling_above_half_a_turn(n):
+    """Haar trees lower some strings to couplings above pi; the emitted
+    list folds every one and still simulates to the tree."""
+    tree = decompose(haar_unitary(2 ** n, 100 + n, special=True))
+    unfolded = kakpulse.pulses._lower(tree)
+    assert any(abs(g.angle) > math.pi for g in unfolded
+               if isinstance(g, CouplingEvolution))
+    gates = flatten(tree)
+    assert all(abs(g.angle) <= math.pi for g in gates
+               if isinstance(g, CouplingEvolution))
+    got = gate_list_unitary(gates, n)
+    assert np.max(np.abs(got - evaluate(tree, n))) < residual_budget(n)
 
 
 def test_framed_couplings_realize_the_interaction():

@@ -31,6 +31,7 @@ from kakpulse import (
 )
 from kakpulse.networks import (
     OPEN_ROUTES,
+    chain_network,
     check_route,
     closed_pi_count,
     end_rows,
@@ -64,11 +65,16 @@ def test_ladder_pi_count_closed_form(n):
 @pytest.mark.parametrize("k, length, rows", [
     (3, 3, (0b010, 0b001, 0b100)),
     (4, 10, (0b0010, 0b0011, 0b0100, 0b1000)),
+    (5, 21, (0b00001, 0b00010, 0b01100, 0b01000, 0b10000)),
+    (6, 43, (0b001000, 0b011001, 0b000010, 0b001100, 0b001111, 0b100000)),
+    (7, 90, (0b0000100, 0b0010011, 0b0010001, 0b0000001, 0b0100011,
+             0b0011101, 0b1000000)),
 ])
 def test_open_routes(k, length, rows):
     """Each route holds every parity that contains spin k and ends in
     ``diag(A, 1)``: at three spins a swap of spins 1 and 2, at four the
-    rows x2, x1+x2, x3, x4."""
+    rows x2, x1+x2, x3, x4, and from five spins up maps that move the
+    spin next to the last one too."""
     route = OPEN_ROUTES[k]
     assert len(route) == length
     assert end_rows(route, k) == rows
@@ -122,15 +128,15 @@ def test_three_cnots_are_optimal_at_three_spins():
 
 
 def test_open_route_only_when_it_saves_pi_couplings():
-    for k in (3, 4):
+    for k in range(3, 8):
         for family in NETWORK_FAMILIES:
             dense = tuple(s.letters for s in family.strings(k))
             assert open_route(k, dense) == OPEN_ROUTES[k]
-            assert closed_pi_count(k, dense) == (6 if k == 3 else 18)
+            assert closed_pi_count(k, dense) == len(chain_network(k))
             # one string that its ladder moves for free
             assert open_route(k, dense[1:2]) is None
-    dense5 = tuple(s.letters for s in CartanFamily.DIAGONAL.strings(5))
-    assert open_route(5, dense5) is None
+    dense8 = tuple(s.letters for s in CartanFamily.DIAGONAL.strings(8))
+    assert open_route(8, dense8) is None
 
 
 def end_map_matrix(rows):
@@ -159,10 +165,10 @@ def test_a_route_must_hold_every_parity():
 
 @st.composite
 def recorded_layers(draw):
-    """A DIAGONAL or OUTER_X layer on three or four spins, dense or
+    """A DIAGONAL or OUTER_X layer on three to six spins, dense or
     sparse, recorded with the open route the factorization would take
     for it, or with the whole constant route when that would not pay."""
-    k = draw(st.sampled_from((3, 4)))
+    k = draw(st.sampled_from((3, 4, 5, 6)))
     family = draw(st.sampled_from(NETWORK_FAMILIES))
     dense = draw(st.booleans())
     coeffs = {}

@@ -45,6 +45,7 @@ from kakpulse import (
     residual_budget,
     su2_rotation,
     synthesize_pulses,
+    total_coupling_time,
 )
 from kakpulse.kak import _decompose
 from kakpulse.pulses import TOL_ROTATION
@@ -320,18 +321,40 @@ def coupling_angle(gates):
                for g in gates if isinstance(g, CouplingEvolution))
 
 
+def assert_open_layers_add_no_coupling(u, monkeypatch):
+    opened = flatten(decompose(u))
+    monkeypatch.setattr(kakpulse.kak, "open_route", lambda k, letters: None)
+    closed = flatten(decompose(u))
+    assert couplings(opened) <= couplings(closed)
+    assert coupling_angle(opened) <= coupling_angle(closed) + 1e-9
+
+
 @pytest.mark.parametrize("n", range(3, 6))
 @pytest.mark.parametrize("target", TARGETS, ids=lambda f: f.__name__)
 def test_open_layers_add_no_coupling(target, n, monkeypatch):
     """Against the same factorization with every layer closed, no
     structured target gains a coupling or coupling time: an end map goes
     only into a neighbour that does not spend more than it saves."""
-    u = target(n)
-    opened = flatten(decompose(u))
-    monkeypatch.setattr(kakpulse.kak, "open_route", lambda k, letters: None)
-    closed = flatten(decompose(u))
-    assert couplings(opened) <= couplings(closed)
-    assert coupling_angle(opened) <= coupling_angle(closed) + 1e-9
+    assert_open_layers_add_no_coupling(target(n), monkeypatch)
+
+
+def test_open_layers_add_no_coupling_at_six_spins(monkeypatch):
+    """The random diagonal at six spins: its diagonal ratios leave
+    ``v = I`` beside every five- and six-spin layer, a Kronecker
+    neighbour that those maps would leave, so only the four-spin layers
+    end open."""
+    u = random_diagonal(6)
+    assert open_sizes(decompose(u)) == {4}
+    assert_open_layers_add_no_coupling(u, monkeypatch)
+
+
+@pytest.mark.parametrize("target", (qft, bit_reversal, near_identity,
+                                    clustered_cs_angles),
+                         ids=lambda f: f.__name__)
+def test_five_spin_layers_end_open_on_generic_levels(target):
+    """Structured targets whose top levels take the generic route record
+    five-spin open layers, so the test above covers them."""
+    assert 5 in open_sizes(decompose(target(5)))
 
 
 def open_sizes(tree):
@@ -358,6 +381,21 @@ def test_four_spin_layer_ends_open_into_a_kronecker_neighbour(target,
     closed = flatten(decompose(u))
     assert couplings(opened) < couplings(closed)
     assert coupling_angle(opened) < coupling_angle(closed)
+
+
+@pytest.mark.parametrize("n, count", [(4, 46), (5, 128)])
+def test_global_phase_leaves_the_toffoli_program_alone(n, count):
+    """The Toffoli's cosine-sine angles are all 0 or pi/2, where ``l1``
+    carries a gauge of its own; fitted to ``l0``, it no longer follows
+    the input's global phase, and neither does the program."""
+    chain = ChainSpec(n, CHAIN_J[:n - 1])
+    costs = set()
+    for phi in (0.0, 0.7, 1.9, -2.4):
+        gates = flatten(decompose(toffoli_like(n) * np.exp(1j * phi)))
+        duration = total_coupling_time(synthesize_pulses(gates, chain))
+        costs.add((couplings(gates), round(duration, 9)))
+    assert len(costs) == 1
+    assert costs.pop()[0] == count
 
 
 def ladder_count(n):
