@@ -41,8 +41,10 @@ Four layers live here:
   most :data:`TOL_ROTATION` (rounding noise) are left out.  This is the
   one place where the emitted gauge is chosen.
 * A scheduler that lowers a gate list onto a concrete chain with
-  always-on couplings, inserting spin-echo refocusing pulses so that
-  exactly one coupling is active during each delay.
+  always-on couplings.  Couplings commute with each other and with z
+  rotations, so it places every gate as early as the gates it does not
+  commute with allow, and commuting couplings share delays; spin-echo
+  refocusing pulses cancel every pair that is not active in a delay.
 
 Every gate list built here, by every helper, is in time order: the
 first gate acts first.  Only the tree itself keeps matrix order (the
@@ -50,24 +52,28 @@ children of a ``SequenceNode``), and :func:`flatten` reverses those
 where it reads them.  The lowering emits each coupling with its signed
 angle; how a negative one is run is the scheduler's decision alone.
 
-The scheduler's refocusing rule: while pair ``(k, k+1)`` evolves, every
-spin at odd distance from the pair is flipped with a ``pi`` x-pulse at
-the half-time.  That toggle flips exactly one endpoint of every other
-coupling ``(j, j+1)``, which therefore changes sign between the two
-halves of the delay and cancels, while the target pair keeps its sign.
-The flips are not undone: the scheduler keeps them as a Pauli frame, the
+The scheduler's refocusing rule: while a set of pairs evolves, a ``pi``
+x-pulse at the half-time flips a set of spins that holds exactly one
+endpoint of every inactive pair and none or both of every active one.
+Each inactive coupling therefore changes sign between the two halves of
+the delay and cancels, while the active ones keep their signs.  For one
+active pair ``(k, k+1)`` the set is every spin at odd distance from it;
+with every pair active it is empty and the delay is not split.  The
+flips are not undone: the scheduler keeps them as a Pauli frame, the
 per-spin flip state that the simulator also tracks.  In the frame a
-coupling's sign is ``(-1)**(f_k xor f_(k+1))``, so a block whose angle
-has the other sign first flips spin ``k``, and a y or z rotation on a
-flipped spin is emitted with its angle negated.  The program ends by
-flipping back every spin that is still flipped.  Each flip is
-``-1j*sigma_x``, tracked in the program's global phase.
+coupling's sign is ``(-1)**(f_k xor f_(k+1))``, so before a delay the
+scheduler flips the fewest spins that give every active pair the sign of
+its angle, and a y or z rotation on a flipped spin is emitted with its
+angle negated.  The program ends by flipping back every spin that is
+still flipped.  Each flip is ``-1j*sigma_x``, tracked in the program's
+global phase.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -480,20 +486,37 @@ def compile_unitary(u: np.ndarray) -> list[Gate]:
 # Scheduling onto an always-on chain
 
 
-def refocusing_set(n: int, left: int) -> list[int]:
-    """Spins flipped while pair ``(left, left+1)`` evolves: all spins at
-    odd distance from the pair.  With this set, every other coupling has
-    exactly one flipped endpoint and averages away over the two delay
-    halves."""
-    if not 1 <= left < n:
-        raise RangeError(f"pair index {left} outside 1..{n - 1}")
-    out = []
-    for s in range(1, n + 1):
-        if s < left and (left - s) % 2 == 1:
-            out.append(s)
-        elif s > left + 1 and (s - left - 1) % 2 == 1:
-            out.append(s)
-    return out
+def refocusing_set(n: int, active: int | Iterable[int]) -> list[int]:
+    """Spins flipped at the half-time of a delay that evolves the pairs
+    ``active``: one pair index ``left``, for pair ``(left, left+1)``, or
+    a collection of them.
+
+    Every inactive pair gets exactly one flipped endpoint, so it changes
+    sign between the two halves of the delay and averages away; every
+    active pair gets none or both and keeps its sign.  On a chain two
+    sets do that, each the other's complement.  The smaller is taken,
+    and on a tie the one that leaves the first active pair unflipped.
+    For one pair that is every spin at odd distance from it; with every
+    pair active it is empty."""
+    pairs = frozenset(active if isinstance(active, Iterable) else (active,))
+    return list(_refocusing_set(n, pairs))
+
+
+@functools.lru_cache(maxsize=None)
+def _refocusing_set(n: int, pairs: frozenset[int]) -> tuple[int, ...]:
+    if not pairs:
+        raise RangeError("a refocused delay needs at least one active pair")
+    for left in pairs:
+        if not 1 <= left < n:
+            raise RangeError(f"pair index {left} outside 1..{n - 1}")
+    flip = [False] * (n + 1)  # by spin; index 0 unused
+    for j in range(1, n):
+        # spin j+1 differs from spin j exactly across an inactive pair
+        flip[j + 1] = flip[j] != (j not in pairs)
+    count = sum(flip)
+    if 2 * count > n or 2 * count == n and flip[min(pairs)]:
+        return tuple(s for s in range(1, n + 1) if not flip[s])
+    return tuple(s for s in range(1, n + 1) if flip[s])
 
 
 class _Frame:
@@ -514,15 +537,56 @@ class _Frame:
             self.program.events.append(HardPulse(s, "x", _PI))
         self.pulses += len(spins)
 
-    def fix_sign(self, left: int, theta: float) -> None:
-        """Toggle spin ``left`` when the frame's sign on the pair
-        ``(left, left+1)`` disagrees with the sign of ``theta``."""
-        if (self.flipped[left] != self.flipped[left + 1]) != (theta < 0):
-            self.toggle((left,))
+    def fix_sign(self, thetas: dict[int, float]) -> None:
+        """Toggle the fewest spins that give each pair ``(left, left+1)``
+        of ``thetas`` the sign of its angle in this frame,
+        ``(-1)**(f_left xor f_(left+1))``.
 
-    def refocus(self, left: int) -> None:
-        """The mid-block toggle of the block on ``(left, left+1)``."""
-        self.toggle(refocusing_set(self.program.chain.n, left))
+        A run of adjacent pairs has two solutions, complements on the
+        run's spins; the smaller is taken, and on a tie the one that
+        flips the run's first spin.  For one pair whose sign disagrees
+        that is spin ``left``."""
+        f = self.flipped
+        wrong = {k for k, theta in thetas.items()
+                 if (f[k] != f[k + 1]) != (theta < 0)}
+        if not wrong:
+            return
+        spins: list[int] = []
+        first, run = 0, []  # run[i]: whether spin first+i toggles
+
+        def close() -> None:
+            flip = 2 * sum(run) >= len(run)
+            spins.extend(first + i for i, r in enumerate(run) if r != flip)
+
+        for left in sorted(thetas):
+            if run and left != first + len(run) - 1:
+                close()
+                run = []
+            if not run:
+                first, run = left, [False]
+            run.append(run[-1] != (left in wrong))
+        if run:
+            close()
+        self.toggle(spins)
+
+    def refocus(self, active) -> None:
+        """The mid-delay toggle of a segment that evolves the pairs
+        ``active``."""
+        self.toggle(refocusing_set(self.program.chain.n, active))
+
+    def segment(self, thetas: dict[int, float], t: float) -> None:
+        """A delay of ``t`` seconds that evolves each pair ``(left,
+        left+1)`` of ``thetas`` with the sign of its angle and cancels
+        every other pair: the sign fixes, half the delay, the refocusing
+        toggle and the other half, or one delay when every pair is
+        active."""
+        self.fix_sign(thetas)
+        if len(thetas) == self.program.chain.n - 1:
+            self.program.events.append(Delay(t))
+            return
+        self.program.events.append(Delay(t / 2))
+        self.refocus(thetas)
+        self.program.events.append(Delay(t / 2))
 
     def rotation(self, g: LocalRotation) -> LocalRotation:
         """The pulse that realizes ``g`` in this frame."""
@@ -535,56 +599,121 @@ class _Frame:
         self.toggle([q for q, f in enumerate(self.flipped) if f])
 
 
+def _place(gates: list[Gate], chain: ChainSpec) -> tuple[dict, float]:
+    """ASAP list schedule of a gate list: ``(at, phase)``.
+
+    ``at`` maps each start time to the rotations and couplings that
+    start then, in list order; a coupling is ``(left, theta, t)`` with
+    ``theta`` reduced mod ``4*pi`` and nonzero and ``t`` its duration in
+    seconds.  Every coupling's end, ``start + t``, is a key, so the keys
+    are the breakpoints of the schedule.  A gate moves only past gates
+    it commutes with: a coupling waits for the last x or y rotation on
+    its two spins and for the previous coupling on its pair, an x or y
+    rotation for every earlier gate on its spin, and a z rotation only
+    for the last x or y rotation on its spin; ties keep list order.
+    ``phase`` sums the global phases, the ``-1`` of every ``4*pi``
+    removed among them."""
+    n = chain.n
+    xy = [0.0] * (n + 1)    # by spin: time of the last x or y rotation
+    busy = [0.0] * (n + 1)  # by spin: end of the last gate
+    pair_end = [0.0] * n    # by pair: end of the last coupling
+    at: dict[float, list] = {0.0: []}
+    phase = 0.0
+    for g in gates:
+        if isinstance(g, LocalRotation):
+            q = g.qubit
+            if q > n:
+                raise DimensionError(
+                    f"gate on spin {q} exceeds chain size {n}")
+            if g.axis == "z":
+                t = xy[q]
+            else:
+                t = xy[q] = busy[q]
+            at.setdefault(t, []).append(g)
+        elif isinstance(g, CouplingEvolution):
+            k = g.left
+            if k + 1 > n:
+                raise DimensionError(
+                    f"coupling on pair {g.pair} exceeds chain size {n}")
+            theta = math.remainder(g.angle, 4 * _PI)
+            phase = math.remainder(
+                phase + _PI * round((g.angle - theta) / (4 * _PI)), 2 * _PI)
+            if theta == 0:
+                continue
+            start = max(xy[k], xy[k + 1], pair_end[k])
+            t = abs(theta) / (2 * _PI * chain.coupling(k))
+            end = pair_end[k] = start + t
+            busy[k], busy[k + 1] = max(busy[k], end), max(busy[k + 1], end)
+            at.setdefault(start, []).append((k, theta, t))
+            at.setdefault(end, [])
+        elif isinstance(g, GlobalPhase):
+            phase = math.remainder(phase + g.phi, 2 * _PI)
+        else:
+            raise ValidationError(f"unknown gate object {g!r}")
+    return at, phase
+
+
 def synthesize_pulses(gates: list[Gate], chain: ChainSpec) -> PulseProgram:
     """Lower a time-ordered gate list onto a chain.
 
-    Local rotations become hard pulses.  Each coupling evolution becomes
-    a refocused delay block of duration ``|theta| / (2*pi*J_k)``.  The
-    angle is first reduced mod ``4*pi`` into ``[-2*pi, 2*pi]``, each
-    ``4*pi`` removed contributing a ``-1`` tracked in the global phase
-    (the ZZ evolution has period ``8*pi`` with value ``-identity`` at
-    ``4*pi``).  Gate lists carry signed coupling angles, and this is the
-    one place where a sign becomes pulses.
+    Local rotations become hard pulses, and each coupling evolution
+    runs ``|theta| / (2*pi*J_k)`` of always-on drift.  The angle is first
+    reduced mod ``4*pi`` into ``[-2*pi, 2*pi]``, each ``4*pi`` removed
+    contributing a ``-1`` tracked in the global phase (the ZZ evolution
+    has period ``8*pi`` with value ``-identity`` at ``4*pi``).  Gate
+    lists carry signed coupling angles, and this is the one place where
+    a sign becomes pulses.
 
-    The flips are scheduled in a Pauli frame (:class:`_Frame`) and never
-    undone block by block.  A block on pair ``k`` first toggles spin
-    ``k`` if the frame's sign on the pair, ``(-1)**(f_k xor f_(k+1))``,
-    disagrees with the sign of ``theta``; then it runs half the delay,
-    toggles :func:`refocusing_set` and runs the other half.  A y or z
-    rotation on a flipped spin is emitted with its angle negated, and the
-    program ends by toggling every spin that is still flipped.
+    Couplings commute with each other and with z rotations, so they
+    share delays.  :func:`_place` puts every gate on a time axis as early
+    as the gates it does not commute with allow, and a sweep over the
+    coupling ends cuts the axis into segments, each with one active set
+    of pairs.  A segment first toggles the fewest spins that give every
+    active pair the sign of its angle in the Pauli frame
+    (:meth:`_Frame.fix_sign`); then it runs half its delay, toggles
+    :func:`refocusing_set` of the active pairs and runs the other half.
+    A segment whose refocusing set is empty (every pair active) is one
+    delay.  The program lasts the critical path of the gate list, never
+    more than the sum of its couplings' times, and a coupling that runs
+    alone is one block of two half delays around its refocusing toggle.
+    The rotations that start at a breakpoint go out before its segment,
+    in list order; a y or z rotation on a flipped spin is emitted with
+    its angle negated, and the program ends by toggling every spin that
+    is still flipped.
     """
+    at, phase = _place(gates, chain)
     program = PulseProgram(chain=chain)
     frame = _Frame(program)
-    bound = chain.n
-    for g in gates:
-        if isinstance(g, GlobalPhase):
-            program.phase = math.remainder(program.phase + g.phi, 2 * _PI)
-        elif isinstance(g, LocalRotation):
-            if g.qubit > bound:
-                raise DimensionError(
-                    f"gate on spin {g.qubit} exceeds chain size {bound}")
-            program.events.append(frame.rotation(g))
-        elif isinstance(g, CouplingEvolution):
-            if g.left + 1 > bound:
-                raise DimensionError(
-                    f"coupling on pair {g.pair} exceeds chain size {bound}")
-            theta = math.remainder(g.angle, 4 * _PI)
-            program.phase = math.remainder(
-                program.phase + _PI * round((g.angle - theta) / (4 * _PI)),
-                2 * _PI)
-            if theta == 0:
+    thetas: dict[int, float] = {}  # by active pair: its angle
+    todo: dict[int, float] = {}    # by active pair: seconds still to run
+    ending: dict[float, list[int]] = {}  # by clock time: pairs that end then
+    times = sorted(at)
+    for now, then in zip(times, times[1:] + [None]):
+        for k in ending.pop(now, ()):
+            del thetas[k], todo[k]
+        for item in at[now]:
+            if isinstance(item, LocalRotation):
+                program.events.append(frame.rotation(item))
                 continue
-            frame.fix_sign(g.left, theta)
-            t = abs(theta) / (2 * _PI * chain.coupling(g.left))
-            program.events.append(Delay(t / 2))
-            frame.refocus(g.left)
-            program.events.append(Delay(t / 2))
-        else:
-            raise ValidationError(f"unknown gate object {g!r}")
+            k, theta, t = item
+            if now + t == now:
+                # too short to move the clock: a block of its own, here
+                frame.segment({k: theta}, t)
+            else:
+                thetas[k], todo[k] = theta, t
+                ending.setdefault(now + t, []).append(k)
+        if thetas:
+            # The segment lasts what is left of a coupling that ends at
+            # its end, so a coupling's segments add up to its own time,
+            # not to a difference of clock readings; what is left can
+            # round below zero only by a clock reading's last bit.
+            t = max(0.0, todo[ending[then][0]])
+            frame.segment(thetas, t)
+            for k in todo:
+                todo[k] -= t
     frame.restore()
     # each pulse of the frame is -1j*sigma_x
-    program.phase = math.remainder(program.phase + _HALF_PI * (frame.pulses % 4),
+    program.phase = math.remainder(phase + _HALF_PI * (frame.pulses % 4),
                                    2 * _PI)
     return program
 

@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .gates import ChainSpec, CouplingEvolution, GlobalPhase, LocalRotation
+from .gates import (ChainSpec, CouplingEvolution, Delay, GlobalPhase,
+                    LocalRotation)
 from .kak import decompose, euler_xzx, interaction_class, two_spin_factors
 from .linalg import expm_skew, haar_unitary, su2_rotation
 from .paulis import (
@@ -173,20 +174,24 @@ def _suite_identities() -> tuple[bool, str]:
 
 
 def _suite_refocus() -> tuple[bool, str]:
-    """Echoed delays activate exactly one coupling of an always-on chain,
-    and the Pauli frame carries the flips from block to block.  Single
-    blocks: every pair of 3- to 5-spin 100 Hz chains at four angles, plus
-    an unequal-J chain and an 80 Hz chain.  Then one twelve-block
-    sequence on each of those five chains, cycling over the pairs with
-    mixed signs and angles above 2 pi, with y and z rotations between the
-    blocks."""
+    """Echoed delays activate exactly the couplings they run on an
+    always-on chain, and the Pauli frame carries the flips from delay to
+    delay.  Single blocks: every pair of 3- to 5-spin 100 Hz chains at
+    four angles, plus an unequal-J chain and an 80 Hz chain.  Then one
+    twelve-block sequence on each of those five chains, cycling over the
+    pairs with mixed signs and angles above 2 pi, with y and z rotations
+    between the blocks.  Then shared delays: two pairs at different
+    angles on 5 spins; overlapping windows on an unequal 5-spin chain,
+    with z rotations inside them; and every pair of a 3-spin chain at
+    once, which must be one delay with no refocusing pulse."""
     chains = [ChainSpec.uniform(n, 100.0) for n in (3, 4, 5)]
     chains += [ChainSpec(3, (100.0, 140.0)), ChainSpec.uniform(4, 80.0)]
-    cases = [(spec, [CouplingEvolution(left, theta)])
+    cases = [(f"pair {left} at angle {theta:g}", spec,
+              [CouplingEvolution(left, theta)])
              for spec in chains[:3] for left in range(1, spec.n)
              for theta in (0.1, math.pi / 2, math.pi, 3.9)]
-    cases += [(chains[3], [CouplingEvolution(2, 0.1)]),
-              (chains[4], [CouplingEvolution(2, 3.9)])]
+    cases += [("pair 2 at angle 0.1", chains[3], [CouplingEvolution(2, 0.1)]),
+              ("pair 2 at angle 3.9", chains[4], [CouplingEvolution(2, 3.9)])]
     singles = len(cases)
     angles = (0.1, -math.pi / 2, 2 * math.pi + 0.4, -3.9, math.pi,
               -2 * math.pi - 1.1)
@@ -195,19 +200,34 @@ def _suite_refocus() -> tuple[bool, str]:
         for k in range(12):
             gates += [CouplingEvolution(1 + k % (spec.n - 1), angles[k % 6]),
                       LocalRotation(1 + k % spec.n, "yz"[k % 2], 0.3 + 0.2 * k)]
-        cases.append((spec, gates))
+        cases.append(("12-block sequence", spec, gates))
+    cases += [
+        ("two pairs at once", chains[2],
+         [CouplingEvolution(1, 0.7), CouplingEvolution(3, -1.9)]),
+        ("overlapping windows", ChainSpec(5, (100.0, 140.0, 90.0, 120.0)),
+         [CouplingEvolution(1, 2.5), CouplingEvolution(2, 0.8),
+          LocalRotation(2, "z", 0.4), LocalRotation(3, "x", 0.3),
+          LocalRotation(3, "z", -0.7), CouplingEvolution(3, -1.2),
+          CouplingEvolution(4, 0.5)]),
+    ]
+    every_pair = [CouplingEvolution(1, 0.9), CouplingEvolution(2, -0.9)]
+    cases.append(("every pair at once", chains[0], every_pair))
     worst = 0.0
-    for spec, gates in cases:
-        got = pulse_program_unitary(synthesize_pulses(gates, spec))
+    for what, spec, gates in cases:
+        program = synthesize_pulses(gates, spec)
+        got = pulse_program_unitary(program)
         resid = float(np.max(np.abs(got - gate_list_unitary(gates, spec.n))))
         if resid >= 1e-10:
-            what = (f"pair {gates[0].left} at angle {gates[0].angle:g}"
-                    if len(gates) == 1 else f"{len(gates) // 2}-block sequence")
             return False, (f"{what} on chain J={spec.couplings}: residual "
                            f"{resid:.3e} >= 1e-10")
         worst = max(worst, resid)
-    return True, (f"{singles} single-coupling blocks and {len(chains)} "
-                  f"twelve-block sequences, worst residual {worst:.1e}")
+        delays = sum(isinstance(e, Delay) for e in program.events)
+        if gates is every_pair and delays != 1:
+            return False, (f"{what} on chain J={spec.couplings}: {delays} "
+                           f"delays, not one unrefocused delay")
+    return True, (f"{singles} single-coupling blocks, {len(chains)} "
+                  f"twelve-block sequences and 3 shared-delay programs, "
+                  f"worst residual {worst:.1e}")
 
 
 def _suite_euler() -> tuple[bool, str]:

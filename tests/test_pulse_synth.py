@@ -121,16 +121,16 @@ def test_negative_angles():
 
 def assert_scheduled_exactly(gates, n):
     """Coupling signs are the scheduler's: on a uniform chain the program
-    reproduces the gate list, and each coupling is one block lasting
-    ``|theta| / (2*pi*J)``, ``theta`` its angle reduced mod ``4*pi``."""
+    reproduces the gate list, and its delays last at most the couplings'
+    own times ``|theta| / (2*pi*J)``, ``theta`` each angle reduced mod
+    ``4*pi``: couplings that share a delay cost it once."""
     program = synthesize_pulses(gates, ChainSpec.uniform(n, 100.0))
     want = gate_list_unitary(gates, n)
     assert np.max(np.abs(pulse_program_unitary(program) - want)) < 1e-10
-    blocks = [abs(math.remainder(g.angle, 4 * math.pi)) / (2 * math.pi * 100.0)
-              for g in gates if isinstance(g, CouplingEvolution)]
-    halves = [t / 2 for t in blocks if t for _ in range(2)]
-    delays = [e.duration for e in program.events if isinstance(e, Delay)]
-    assert delays == pytest.approx(halves, rel=1e-12, abs=0)
+    own = math.fsum(abs(math.remainder(g.angle, 4 * math.pi))
+                    / (2 * math.pi * 100.0)
+                    for g in gates if isinstance(g, CouplingEvolution))
+    assert total_coupling_time(program) <= own * (1 + 1e-12)
 
 
 def test_output_vocabulary_is_chain_native():
@@ -315,6 +315,24 @@ def test_refocusing_set_flips_every_other_coupling_once():
                 if j == left:
                     continue
                 assert len(flips & {j, j + 1}) == 1, (n, left, j)
+
+
+def test_refocusing_set_of_a_pair_set():
+    """Any set of active pairs: every inactive pair has one flipped
+    endpoint, every active pair none or both, and the set is the smaller
+    of the two that do this; every pair active flips nothing."""
+    for n in (3, 4, 5, 6):
+        for mask in range(1, 2 ** (n - 1)):
+            active = {j for j in range(1, n) if mask >> (j - 1) & 1}
+            flips = set(refocusing_set(n, active))
+            for j in range(1, n):
+                assert len(flips & {j, j + 1}) in ((0, 2) if j in active
+                                                   else (1,)), (n, active, j)
+            assert 2 * len(flips) <= n
+        assert refocusing_set(n, range(1, n)) == []
+    assert refocusing_set(5, {1, 3}) == [3, 4]
+    with pytest.raises(RangeError):
+        refocusing_set(4, [])
 
 
 # ---------------------------------------------------------------------------

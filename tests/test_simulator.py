@@ -47,6 +47,7 @@ from kakpulse import (
     pulse_program_unitary,
     refocusing_set,
     synthesize_pulses,
+    total_coupling_time,
 )
 from kakpulse.cli import main as cli_main
 
@@ -560,11 +561,56 @@ def signed_schedules(draw):
     return chain, gates + draw(rotations)
 
 
-def frame_pulses(gates, program):
-    """Split a scheduled program along its gate list: ``(blocks,
-    restore)``, with ``blocks`` the pair and the added pulses of each
-    coupling block, and ``restore`` the pulses after the last gate."""
-    events, i, blocks = program.events, 0, []
+def coupling_time(g, chain):
+    """Seconds of drift a coupling runs: its angle reduced mod 4*pi."""
+    return abs(math.remainder(g.angle, 4 * math.pi)) / (
+        2 * math.pi * chain.coupling(g.left))
+
+
+def blocks(earlier, later):
+    """Whether ``later`` must wait for ``earlier``: they share a spin and
+    do not both commute as diagonals, or they are couplings on one
+    pair, which run one after another."""
+    spins = (lambda g: set(g.pair) if isinstance(g, CouplingEvolution)
+             else {g.qubit})
+    if not spins(earlier) & spins(later):
+        return False
+    diagonal = (lambda g: isinstance(g, CouplingEvolution) or g.axis == "z")
+    if not (diagonal(earlier) and diagonal(later)):
+        return True
+    return (isinstance(earlier, CouplingEvolution)
+            and isinstance(later, CouplingEvolution)
+            and earlier.left == later.left)
+
+
+def asap(gates, chain):
+    """``[(gate, start, end)]``: every rotation and every coupling that
+    runs at all, started as soon as every earlier gate it does not
+    commute with has ended."""
+    placed = []
+    for g in gates:
+        if isinstance(g, GlobalPhase):
+            continue
+        t = 0.0
+        if isinstance(g, CouplingEvolution):
+            t = coupling_time(g, chain)
+            if t == 0 and not math.remainder(g.angle, 4 * math.pi):
+                continue
+        start = max((end for h, _, end in placed if blocks(h, g)), default=0.0)
+        placed.append((g, start, start + t))
+    return placed
+
+
+def frame_pulses(gates, chain, program):
+    """Split a scheduled program along the ASAP schedule of its gate list:
+    ``(segments, restore)``, with ``segments`` the active pairs and the
+    added pulses of each stretch of drift, and ``restore`` the pulses
+    after the last one.  The rotations that start at a breakpoint come
+    first, in list order, then the segment from that breakpoint on: sign
+    fixes, a delay, the refocusing toggle and a delay, or one delay when
+    every pair is active."""
+    placed = asap(gates, chain)
+    events, i, segments = program.events, 0, []
 
     def pulses_to_next_delay(i):
         start = i
@@ -572,25 +618,42 @@ def frame_pulses(gates, program):
             i += 1
         return events[start:i], i + 1
 
-    for g in gates:
-        if isinstance(g, LocalRotation):
-            e = events[i]
-            assert (e.qubit, e.axis, abs(e.angle)) == (g.qubit, g.axis, abs(g.angle))
-            i += 1
-        elif isinstance(g, CouplingEvolution) and math.remainder(g.angle, 4 * math.pi):
-            fix, i = pulses_to_next_delay(i)
+    def segment(i, active):
+        added, i = pulses_to_next_delay(i)
+        if len(active) < chain.n - 1:
             mid, i = pulses_to_next_delay(i)
-            blocks.append((g.left, fix + mid))
-    return blocks, events[i:]
+            added += mid
+        segments.append((active, added))
+        return i
+
+    times = sorted({0.0} | {end for _, _, end in placed})
+    for now, then in zip(times, times[1:] + [None]):
+        for g, start, end in placed:
+            if start != now:
+                continue
+            if isinstance(g, LocalRotation):
+                e = events[i]
+                assert (e.qubit, e.axis, abs(e.angle)) == (
+                    g.qubit, g.axis, abs(g.angle))
+                i += 1
+            elif end == now:  # too short to move the clock
+                i = segment(i, {g.left})
+        active = {g.left for g, start, end in placed
+                  if isinstance(g, CouplingEvolution) and start <= now
+                  and then is not None and end >= then and end > start}
+        if active:
+            i = segment(i, active)
+    return segments, events[i:]
 
 
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_frame_scheduler_on_signed_gate_lists(data):
-    """The scheduler carries its flips from block to block: the program
-    is the gate list, by the frame simulator and by the Kronecker oracle;
-    every spin is flipped an even number of times; and a block adds at
-    most one sign-fixing pulse to its refocusing set."""
+    """The scheduler carries its flips from segment to segment: the
+    program is the gate list, by the frame simulator and by the Kronecker
+    oracle; every spin is flipped an even number of times; and a segment
+    adds at most one sign-fixing pulse per active pair to the refocusing
+    set of its active pairs."""
     chain, gates = data.draw(signed_schedules())
     n = chain.n
     program = synthesize_pulses(gates, chain)
@@ -598,14 +661,88 @@ def test_frame_scheduler_on_signed_gate_lists(data):
     assert np.max(np.abs(pulse_program_unitary(program) - want)) < 1e-10
     assert np.max(np.abs(oracle_program(program)
                          - oracle_gate_list(gates, n))) < 1e-10
-    blocks, restore = frame_pulses(gates, program)
+    segments, restore = frame_pulses(gates, chain, program)
     flips = [0] * (n + 1)
-    for e in restore + [e for _, added in blocks for e in added]:
+    for e in restore + [e for _, added in segments for e in added]:
         assert (e.axis, e.angle) == ("x", math.pi)
         flips[e.qubit] += 1
     assert all(count % 2 == 0 for count in flips)
-    for left, added in blocks:
-        assert len(added) <= len(refocusing_set(n, left)) + 1
+    for active, added in segments:
+        assert len(added) <= len(active) + len(refocusing_set(n, active))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_program_lasts_the_critical_path(data):
+    """Couplings share delays as far as the gates they do not commute
+    with allow: the program lasts the ASAP critical path of its gate
+    list, and never longer than its couplings one after another."""
+    chain, gates = data.draw(signed_schedules())
+    program = synthesize_pulses(gates, chain)
+    path = max((end for _, _, end in asap(gates, chain)), default=0.0)
+    duration = total_coupling_time(program)
+    assert duration == pytest.approx(path, rel=1e-9, abs=1e-15)
+    serial = math.fsum(coupling_time(g, chain) for g in gates
+                       if isinstance(g, CouplingEvolution))
+    assert duration <= serial * (1 + 1e-12)
+
+
+class TestSharedDelays:
+    CHAIN = ChainSpec(4, (100.0, 130.0, 90.0))
+
+    def test_disjoint_couplings_share_one_delay(self):
+        """Nothing between two couplings on disjoint pairs: they start
+        together, and the program lasts the longer one, not the sum."""
+        gates = [CouplingEvolution(1, 0.8), CouplingEvolution(3, -1.5)]
+        program = synthesize_pulses(gates, self.CHAIN)
+        times = [coupling_time(g, self.CHAIN) for g in gates]
+        assert total_coupling_time(program) == pytest.approx(max(times),
+                                                             rel=1e-12)
+        assert np.max(np.abs(pulse_program_unitary(program)
+                             - gate_list_unitary(gates, 4))) < 1e-12
+
+    def test_a_coupling_too_short_for_the_clock(self):
+        """A coupling whose time does not move the clock at its start
+        runs as a block of its own there, while the coupling on pair 3
+        goes on around it."""
+        gates = [CouplingEvolution(1, 1.0), CouplingEvolution(3, 2.0),
+                 LocalRotation(2, "x", 0.3), CouplingEvolution(2, -1e-17),
+                 LocalRotation(2, "y", 0.5)]
+        program = synthesize_pulses(gates, self.CHAIN)
+        assert np.max(np.abs(pulse_program_unitary(program)
+                             - gate_list_unitary(gates, 4))) < 1e-12
+
+    def test_an_end_one_clock_tick_after_another(self):
+        """The coupling on pair 1 ends one clock tick after the third on
+        pair 3, and what is left of it after the segments before rounds
+        below zero; that last segment is an empty delay, not an error."""
+        gates = ([CouplingEvolution(1, 6.66561384722676),
+                  CouplingEvolution(3, 6.66561384722676)]
+                 + [LocalRotation(q, "x", 0.3) for q in (1, 2, 3, 4)]
+                 + [CouplingEvolution(1, 6.189061034245237)]
+                 + [CouplingEvolution(3, theta) for theta in (
+                     1.6331244450655469, 2.982938860946039,
+                     1.5729977282336498, 0.2721149670259897,
+                     0.7662965909147044, 0.30403826614701146,
+                     2.210985626389651, 0.25207609613505794)])
+        chain = ChainSpec.uniform(4, 100.0)
+        program = synthesize_pulses(gates, chain)
+        assert np.max(np.abs(pulse_program_unitary(program)
+                             - gate_list_unitary(gates, 4))) < 1e-10
+
+    def test_an_x_rotation_between_forces_two_blocks(self):
+        """An x rotation on the spin two couplings share does not commute
+        with either, so the second waits for it: two blocks, one after
+        the other, each refocused."""
+        chain = ChainSpec(3, (100.0, 100.0))
+        gates = [CouplingEvolution(1, 0.9), LocalRotation(2, "x", 0.4),
+                 CouplingEvolution(2, 0.9)]
+        program = synthesize_pulses(gates, chain)
+        assert sum(isinstance(e, Delay) for e in program.events) == 4
+        assert total_coupling_time(program) == pytest.approx(
+            2 * coupling_time(gates[0], chain), rel=1e-12)
+        assert np.max(np.abs(pulse_program_unitary(program)
+                             - gate_list_unitary(gates, 3))) < 1e-12
 
 
 class TestApplyLocal:

@@ -145,6 +145,23 @@ def test_structured_target_round_trip(target, n):
     assert np.max(np.abs(pulse_program_unitary(program) - u)) < 1e-9
 
 
+@pytest.mark.parametrize("n", range(3, 6))
+@pytest.mark.parametrize("target", TARGETS, ids=lambda f: f.__name__)
+def test_shared_delays_keep_the_gate_list(target, n):
+    """Couplings that share a delay still run the gate list, entrywise
+    and with its global phase, and the program never lasts longer than
+    one block per coupling would."""
+    chain = ChainSpec(n, CHAIN_J[:n - 1])
+    gates = flatten(decompose(target(n)))
+    program = synthesize_pulses(gates, chain)
+    want = gate_list_unitary(gates, n)
+    assert np.max(np.abs(pulse_program_unitary(program) - want)) < 1e-10
+    serial = math.fsum(abs(math.remainder(g.angle, 4 * math.pi))
+                       / (2 * math.pi * chain.coupling(g.left))
+                       for g in gates if isinstance(g, CouplingEvolution))
+    assert total_coupling_time(program) <= serial * (1 + 1e-12)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 @pytest.mark.parametrize("target", TARGETS, ids=lambda f: f.__name__)
 def test_one_pass_matrix_is_the_tree_matrix(target, n):
