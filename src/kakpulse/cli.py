@@ -53,11 +53,13 @@ from .simulate import distance, gate_list_unitary, pulse_program_unitary
 
 
 # Longest chain any subcommand accepts.  Measured round trips through
-# this CLI (one Haar target, one BLAS thread, 2-core machine): at 7 spins
-# decompose / pulses / verify take 6 / 2-3 / 4 s, at 8 spins 61 / 8 /
-# 46 s with 28 MB and 56 MB artifacts.  Larger inputs are rejected with
-# exit 3 before any matrix is built or any factorization starts.
-MAX_CLI_SPINS = 7
+# this CLI (`random --seed 100+n`, one BLAS thread, 2-core x86-64
+# machine, one process per command): at 7 spins decompose / pulses /
+# verify of the program take 2.0 / 1.2 / 1.9 s; at 8 spins 12 / 6.5 /
+# 22 s, with 18 MB and 27 MB artifacts and at most 340 MB resident.
+# Larger inputs are rejected with exit 3 before any matrix is built or
+# any factorization starts.
+MAX_CLI_SPINS = 8
 
 
 def _check_spins(n: int, what: str) -> None:

@@ -68,8 +68,10 @@ Every factorization routine re-multiplies its output and raises
 contract, with a path annotation pointing into the recursion.
 
 The recursion is one pass: each call returns its tree together with
-that tree's matrix.  A leaf's matrix is its node applied to the
-identity; a level composes its matrix from the matrices its children
+that tree's matrix.  A one-spin leaf's matrix is its node applied to
+the identity, and a two-spin leaf's is the product of its Euler leaves'
+2x2s, paired by ``kron``, around its middle, which is diagonal in the
+magic frame; a level composes its matrix from the matrices its children
 returned (each already checked at its own level) and the commuting
 layers, and checks that against its input
 under :func:`residual_budget`.  So every level checks the tree it
@@ -85,7 +87,6 @@ to gates.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -94,8 +95,9 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionError, NumericError, ValidationError
-from .linalg import (PAULI, apply_local, check_unitary, cosine_sine,
-                     golden_mix_eigvecs, permute_spins, spin_count,
+from .linalg import (PAULI, TOL_UNITARY, apply_local, check_square,
+                     check_unitary, cosine_sine, golden_mix_eigvecs, kron2,
+                     permute_spins, quaternion_matrix, spin_count,
                      su2_rotation, unitary_eig)
 from .networks import (Route, check_route, closed_pi_count, end_rows,
                        leaves_last_spin, nonzero_letters, open_route)
@@ -126,6 +128,7 @@ _MAGIC = np.array([
     [0, 1j, -1, 0],
     [1, 0, 0, -1j],
 ], dtype=complex) / math.sqrt(2)
+_MAGIC_H = _MAGIC.conj().T
 
 # Inverse of the linear map sending (global, xx, yy, zz) exponents to
 # magic-frame eigenphases.
@@ -158,25 +161,48 @@ def euler_xzx(u: np.ndarray) -> tuple[float, float, float]:
     ``[0, 2*pi)`` and ``beta`` in ``[0, 4*pi)`` (the upper half of the
     range picks the other sign sheet of the double cover).  Degenerate
     cases (``beta`` a multiple of ``pi``) fix the undetermined angle to
-    zero.  Reconstruction is exact to ``1e-12``.
+    zero.  Reconstruction is exact to :data:`TOL_EULER`.
+
+    The four entries are checked as Python complex numbers: every entry
+    of ``u^dagger u - I`` within
+    :data:`~kakpulse.linalg.TOL_UNITARY`, the determinant within ``1e-8``
+    of one, and the rotations the angles name, composed as a quaternion,
+    within :data:`TOL_EULER` of ``u`` entry by entry.
     """
-    u = check_unitary(u, what="single-spin operator")
+    u = check_square(u, "single-spin operator")
     if u.shape != (2, 2):
         raise DimensionError(f"expected a 2x2 matrix, got {u.shape}")
-    det = complex(np.linalg.det(u))
+    (a, b), (c, d) = u.tolist()
+    devs = (abs(a.conjugate() * a + c.conjugate() * c - 1),
+            abs(b.conjugate() * b + d.conjugate() * d - 1),
+            abs(a.conjugate() * b + c.conjugate() * d))
+    if not all(dev <= TOL_UNITARY for dev in devs):  # a nan fails too
+        raise ValidationError("single-spin operator is not unitary "
+                              f"(deviation {max(devs):.3e} > {TOL_UNITARY:g})")
+    det = a * d - b * c
     if abs(det - 1) > 1e-8:
         raise ValidationError("euler_xzx needs a special unitary "
                               f"(det deviates by {abs(det - 1):.3e})")
-    a, b = complex(u[0, 0]), complex(u[0, 1])
     # u = w - 1j*(x*sigma_x + y*sigma_y + z*sigma_z) has a = w - 1j*z and
     # b = -y - 1j*x in its first row
     alpha, beta, gamma = euler_xzx_angles((a.real, -b.imag, -b.real, -a.imag))
-    recon = su2_rotation("x", alpha) @ su2_rotation("z", beta) @ su2_rotation("x", gamma)
-    resid = float(np.max(np.abs(recon - u)))
+    w, x, y, z = _xzx_quaternion(alpha, beta, gamma)
+    resid = max(abs(complex(w, -z) - a), abs(complex(-y, -x) - b),
+                abs(complex(y, -x) - c), abs(complex(w, z) - d))
     if resid > TOL_EULER:
         raise NumericError("euler factorization residual too large",
                            residual=resid)
     return alpha, beta, gamma
+
+
+def _xzx_quaternion(alpha: float, beta: float,
+                    gamma: float) -> tuple[float, float, float, float]:
+    """The unit quaternion of ``Rx(alpha) Rz(beta) Rx(gamma)`` (see
+    :func:`euler_xzx_angles`), in closed form."""
+    cb, sb = math.cos(beta / 2), math.sin(beta / 2)
+    half_sum, half_dif = (alpha + gamma) / 2, (gamma - alpha) / 2
+    return (cb * math.cos(half_sum), cb * math.sin(half_sum),
+            sb * math.sin(half_dif), sb * math.cos(half_dif))
 
 
 def euler_xzx_angles(q) -> tuple[float, float, float]:
@@ -210,22 +236,21 @@ def euler_xzx_angles(q) -> tuple[float, float, float]:
 # Two spins
 
 
-def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``kron(a, b)`` of two 2x2s: the same products as ``np.kron``,
-    without its generic n-dimensional setup."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
-
-
 def _factor_local_pair(m: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
     """Write a Kronecker-product 4x4 as ``g * kron(a, b)`` with ``a, b``
-    special unitaries and ``|g| = 1``."""
+    special unitaries and ``|g| = 1``.
+
+    Realigned so that ``t[2*i0 + j0, 2*i1 + j1] = m[2*i0 + i1, 2*j0 + j1]``,
+    the product is the outer product of ``a``'s and ``b``'s entries, so
+    the column and the row of its first largest entry give ``a`` and
+    ``b``, both scaled to determinant one by one batched ``det``.
+    """
     t = m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    i, j = np.unravel_index(int(np.argmax(np.abs(t))), (4, 4))
-    a = t[:, j].reshape(2, 2)
-    b = (t[i, :] / t[i, j]).reshape(2, 2)
-    a = a / np.sqrt(complex(np.linalg.det(a)))
-    b = b / np.sqrt(complex(np.linalg.det(b)))
-    ab = _kron2(a, b)
+    i, j = divmod(int(np.argmax(np.abs(t))), 4)
+    a, b = np.array([t[:, j], t[i, :] / t[i, j]]).reshape(2, 2, 2)
+    root_a, root_b = np.sqrt(np.linalg.det(np.array([a, b])))
+    a, b = a / root_a, b / root_b
+    ab = kron2(a, b)
     g = complex(np.trace(ab.conj().T @ m) / 4)
     resid = float(np.max(np.abs(m - g * ab)))
     if resid > 1e-9 or abs(abs(g) - 1) > 1e-9:
@@ -248,11 +273,11 @@ def interaction_unitary(alphas) -> np.ndarray:
 
     In coupling units this is one ZZ evolution of angle ``alpha`` per
     axis, conjugated into the right frame; ``alphas = (pi, 0, 0)`` is the
-    interaction content of CNOT.  The three terms commute and each
-    ``sigma_a sigma_a`` squares to one, so this is the product of
-    ``cos(alpha_a/4) - 1j*sin(alpha_a/4)*sigma_a sigma_a``.
+    interaction content of CNOT.  The three terms commute and are
+    diagonal in the magic frame, with the signs :data:`_MAGIC_SIGNS`.
     """
-    return _apply_cartan(_interaction_element(alphas), np.eye(4, dtype=complex))
+    phases = np.exp(-0.25j * (np.asarray(alphas, dtype=float) @ _MAGIC_SIGNS))
+    return (_MAGIC * phases) @ _MAGIC_H
 
 
 @dataclass(frozen=True)
@@ -272,8 +297,16 @@ class TwoSpinFactors:
     residual: float
 
     def reconstruct(self) -> np.ndarray:
-        return (cmath.exp(1j * self.phase) * _kron2(self.l1, self.l2)
-                @ interaction_unitary(self.alphas) @ _kron2(self.r1, self.r2))
+        return (cmath.exp(1j * self.phase) * kron2(self.l1, self.l2)
+                @ interaction_unitary(self.alphas) @ kron2(self.r1, self.r2))
+
+
+# The constant moves of the chamber: ``1j*sigma`` (a half turn, up to a
+# sign) and the quarter turn about each axis, with its inverse.
+_AXES = ("x", "y", "z")
+_HALF_TURN = {axis: 1j * PAULI[axis] for axis in _AXES}
+_QUARTER_TURN = {axis: su2_rotation(axis, math.pi / 2) for axis in _AXES}
+_QUARTER_TURN_H = {axis: g.conj().T for axis, g in _QUARTER_TURN.items()}
 
 
 class _TwoSpinState:
@@ -283,35 +316,31 @@ class _TwoSpinState:
         self.phase = phase
         self.l1, self.l2 = l1, l2
         self.r1, self.r2 = r1, r2
-        self.alphas = np.array(alphas, dtype=float)
-
-    _AXIS = ("x", "y", "z")
+        self.alphas = [float(x) for x in alphas]
 
     def shift(self, j: int, direction: int):
         """``alphas[j] += 2*pi*direction`` compensated through the right
         locals and the global phase."""
         self.alphas[j] += 2 * math.pi * direction
-        q = 1j * PAULI[self._AXIS[j]]
+        q = _HALF_TURN[_AXES[j]]
         self.r1 = q @ self.r1
         self.r2 = q @ self.r2
         self.phase -= direction * math.pi / 2
 
     def swap(self, j: int, k: int):
         """Exchange two interaction axes via a quarter turn about the third."""
-        l = 3 - j - k
-        g = su2_rotation(self._AXIS[l], math.pi / 2)
-        gd = g.conj().T
+        axis = _AXES[3 - j - k]
+        g, gd = _QUARTER_TURN[axis], _QUARTER_TURN_H[axis]
         self.l1 = self.l1 @ gd
         self.l2 = self.l2 @ gd
         self.r1 = g @ self.r1
         self.r2 = g @ self.r2
-        self.alphas[[j, k]] = self.alphas[[k, j]]
+        self.alphas[j], self.alphas[k] = self.alphas[k], self.alphas[j]
 
     def negate_pair(self, j: int, k: int):
         """Flip the signs of two interaction angles via a half turn on
         spin 1 about the third axis."""
-        l = 3 - j - k
-        q = 1j * PAULI[self._AXIS[l]]
+        q = _HALF_TURN[_AXES[3 - j - k]]
         self.l1 = self.l1 @ q.conj().T
         self.r1 = q @ self.r1
         self.alphas[j] *= -1
@@ -343,7 +372,7 @@ def _canonicalize(state: _TwoSpinState) -> None:
         state.negate_pair(0, 2)
     if not (math.pi + 1e-9 >= a[0] >= a[1] - 1e-9
             and a[1] >= abs(a[2]) - 1e-9 and a[1] >= -1e-9):
-        raise NumericError(f"canonical chamber violated: {a.tolist()}")
+        raise NumericError(f"canonical chamber violated: {a}")
 
 
 def two_spin_factors(u: np.ndarray) -> TwoSpinFactors:
@@ -352,13 +381,20 @@ def two_spin_factors(u: np.ndarray) -> TwoSpinFactors:
     The interaction angles are a complete invariant: two unitaries share
     them exactly when they differ only by single-spin rotations and a
     phase.
+
+    Each call checks that ``u`` is unitary, that both magic-frame
+    factors split into local pairs, that the angles end in the canonical
+    chamber, and that the factors rebuild ``u`` within
+    :data:`TOL_TWO_SPIN`.  The checks are sized to a 4x4: the chamber
+    moves multiply constant 2x2s, and the rebuild writes the middle as
+    the diagonal it is in the magic frame (:func:`interaction_unitary`).
     """
     u = check_unitary(u, what="two-spin operator")
     if u.shape != (4, 4):
         raise DimensionError(f"expected a 4x4 matrix, got {u.shape}")
     phase0 = cmath.phase(complex(np.linalg.det(u))) / 4
     v = u * cmath.exp(-1j * phase0)
-    vm = _MAGIC.conj().T @ v @ _MAGIC
+    vm = _MAGIC_H @ v @ _MAGIC
     w = vm.T @ vm
 
     # Joint diagonalization of the commuting real/imaginary parts of the
@@ -387,21 +423,20 @@ def two_spin_factors(u: np.ndarray) -> TwoSpinFactors:
     wxyz = _GAMMA @ theta
     phase = phase0 + wxyz[0]
     alphas = -4.0 * wxyz[1:]
-    gl, l1, l2 = _factor_local_pair(_MAGIC @ q1 @ _MAGIC.conj().T)
-    gr, r1, r2 = _factor_local_pair(_MAGIC @ o.T.astype(complex) @ _MAGIC.conj().T)
+    gl, l1, l2 = _factor_local_pair(_MAGIC @ q1 @ _MAGIC_H)
+    gr, r1, r2 = _factor_local_pair(_MAGIC @ o.T.astype(complex) @ _MAGIC_H)
     phase += cmath.phase(gl) + cmath.phase(gr)
 
     state = _TwoSpinState(phase, l1, l2, alphas, r1, r2)
     _canonicalize(state)
-    result = TwoSpinFactors(
-        phase=float(state.phase), l1=state.l1, l2=state.l2,
-        alphas=tuple(float(x) for x in state.alphas),
-        r1=state.r1, r2=state.r2, residual=0.0)
-    resid = float(np.max(np.abs(result.reconstruct() - u)))
+    fields = dict(phase=float(state.phase), l1=state.l1, l2=state.l2,
+                  alphas=tuple(state.alphas), r1=state.r1, r2=state.r2)
+    recon = TwoSpinFactors(**fields, residual=0.0).reconstruct()
+    resid = float(np.max(np.abs(recon - u)))
     if resid > TOL_TWO_SPIN:
         raise NumericError("two-spin factorization residual too large",
                            residual=resid)
-    return dataclasses.replace(result, residual=resid)
+    return TwoSpinFactors(**fields, residual=resid)
 
 
 def interaction_class(u: np.ndarray) -> tuple[float, float, float]:
@@ -551,8 +586,8 @@ class EulerNode:
     gamma: float
 
     def matrix2(self) -> np.ndarray:
-        return (su2_rotation("x", self.alpha) @ su2_rotation("z", self.beta)
-                @ su2_rotation("x", self.gamma))
+        return quaternion_matrix(_xzx_quaternion(self.alpha, self.beta,
+                                                 self.gamma))
 
 
 @dataclass(frozen=True)
@@ -741,18 +776,22 @@ def _one_spin_node(u: np.ndarray) -> GateTree:
     return node
 
 
-def _two_spin_node(u: np.ndarray) -> SequenceNode:
+def _two_spin_node(u: np.ndarray) -> tuple[SequenceNode, np.ndarray]:
     """The canonical form as tree leaves, in matrix order: phase, the left
     local pair, one evolution under the maximal family ``{XX, YY, ZZ}``
-    and the right local pair."""
+    and the right local pair; and the matrix of those leaves, composed
+    as ``kron`` pairs of their Euler matrices around the middle."""
     f = two_spin_factors(u)
+    l1, l2 = _euler_node(1, f.l1), _euler_node(2, f.l2)
+    r1, r2 = _euler_node(1, f.r1), _euler_node(2, f.r2)
     children: list[GateTree] = [
-        _euler_node(1, f.l1), _euler_node(2, f.l2),
-        CartanNode(_interaction_element(f.alphas)),
-        _euler_node(1, f.r1), _euler_node(2, f.r2)]
+        l1, l2, CartanNode(_interaction_element(f.alphas)), r1, r2]
+    matrix = (kron2(l1.matrix2(), l2.matrix2()) @ interaction_unitary(f.alphas)
+              @ kron2(r1.matrix2(), r2.matrix2()))
     if abs(f.phase) > 1e-14:
         children.insert(0, PhaseNode(f.phase))
-    return SequenceNode(tuple(children))
+        matrix = cmath.exp(1j * f.phase) * matrix
+    return SequenceNode(tuple(children)), matrix
 
 
 def _last_spin_sectors(u: np.ndarray) -> np.ndarray:
@@ -840,7 +879,7 @@ def _interaction_sum(u: np.ndarray) -> float:
     permutations and pair sign flips, which keep the sum of ``|alphas|``
     folded into ``[-pi, pi]``, the canonical chamber's sum.
     """
-    m = _MAGIC.conj().T @ u @ _MAGIC
+    m = _MAGIC_H @ u @ _MAGIC
     m = m * cmath.exp(-1j * cmath.phase(complex(np.linalg.det(m))) / 4)
     phi = np.angle(np.linalg.eigvals(m.T @ m)) / 2
     if round(phi.sum() / math.pi) % 2:
@@ -967,7 +1006,7 @@ def decompose(u: np.ndarray) -> GateTree:
 def _decompose(u: np.ndarray) -> tuple[GateTree, np.ndarray]:
     """:func:`decompose` plus the dense matrix of the returned tree.
 
-    A leaf's matrix is its node applied to the identity; a level's
+    A leaf's matrix is built from its own nodes; a level's
     matrix is composed from its children's returned matrices, so each
     level checks the tree it realizes without walking its subtree again.
     """
@@ -980,8 +1019,7 @@ def _decompose(u: np.ndarray) -> tuple[GateTree, np.ndarray]:
     if factors is not None:
         return _kronecker_level(u, *factors)
     if n == 2:
-        node = _two_spin_node(u)
-        return node, _apply_tree(node, np.eye(4, dtype=complex), 2)
+        return _two_spin_node(u)
 
     if _block_diagonal(u):
         sectors = _last_spin_sectors(u)

@@ -56,6 +56,38 @@ def su2_rotation(axis: str, angle: float) -> np.ndarray:
     return math.cos(half) * _EYE2 - 1j * math.sin(half) * PAULI[axis]
 
 
+def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` of two 2x2s: the same products, without its
+    generic n-dimensional setup."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
+# A special unitary on one spin as a unit quaternion ``(w, x, y, z)``,
+# which stands for ``w - 1j*(x*sigma_x + y*sigma_y + z*sigma_z)``: four
+# floats, and a product of rotations costs a few float operations.
+QUATERNION_ONE = (1.0, 0.0, 0.0, 0.0)
+
+
+def quaternion_turn(q: tuple[float, float, float, float], axis: str,
+                    angle: float) -> tuple[float, float, float, float]:
+    """The unit quaternion of ``su2_rotation(axis, angle) @ U(q)``: a
+    Hamilton product with ``(cos(angle/2), sin(angle/2) along axis)``."""
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    w, x, y, z = q
+    if axis == "x":
+        return (c * w - s * x, c * x + s * w, c * y - s * z, c * z + s * y)
+    if axis == "y":
+        return (c * w - s * y, c * x + s * z, c * y + s * w, c * z - s * x)
+    return (c * w - s * z, c * x - s * y, c * y + s * x, c * z + s * w)
+
+
+def quaternion_matrix(q: tuple[float, float, float, float]) -> np.ndarray:
+    """``U(q)`` as a dense 2x2."""
+    w, x, y, z = q
+    return np.array([[complex(w, -z), complex(-y, -x)],
+                     [complex(y, -x), complex(w, z)]])
+
+
 def apply_local(acc: np.ndarray, ops) -> np.ndarray:
     """Left-multiply a ``2**n``-row accumulator by local operators.
 

@@ -83,6 +83,7 @@ from .gates import (ChainSpec, CouplingEvolution, Delay, Gate, GlobalPhase,
                     HardPulse, LocalRotation, PulseProgram, inverse_gate_list)
 from .kak import (CartanNode, EulerNode, GateTree, PhaseNode, SequenceNode,
                   decompose, euler_xzx_angles)
+from .linalg import QUATERNION_ONE, quaternion_turn
 from .networks import (TOL_COEFF, Route, closed_route, nonzero_letters,
                        parity_image, parity_points)
 from .paulis import CartanElement, CartanFamily, PauliString, _letter_product
@@ -360,20 +361,6 @@ def _xzx_steps(alpha: float, beta: float,
     return [s for s in steps if abs(s[1]) > TOL_ROTATION], turns
 
 
-def _turn(q: tuple[float, float, float, float], axis: str,
-          angle: float) -> tuple[float, float, float, float]:
-    """The unit quaternion of ``R_axis(angle) @ q`` (see
-    :func:`~kakpulse.kak.euler_xzx_angles`): a Hamilton product with
-    ``(cos(angle/2), sin(angle/2) along axis)``."""
-    c, s = math.cos(angle / 2), math.sin(angle / 2)
-    w, x, y, z = q
-    if axis == "x":
-        return (c * w - s * x, c * x + s * w, c * y - s * z, c * z + s * y)
-    if axis == "y":
-        return (c * w - s * y, c * x + s * z, c * y + s * w, c * z - s * x)
-    return (c * w - s * z, c * x - s * y, c * y + s * x, c * z + s * w)
-
-
 def _lower(tree: GateTree) -> list[Gate]:
     """The gates of each node, in time order, before the peephole."""
     if isinstance(tree, SequenceNode):
@@ -422,9 +409,9 @@ def _merge_local_runs(gates: list[Gate]) -> list[Gate]:
         # Two turns about different axes make one turn only when both are
         # half turns, so such a pair is not worth a product.
         if len(run) > 2 or len(run) == 2 and run[0].axis == run[1].axis:
-            product = (1.0, 0.0, 0.0, 0.0)
+            product = QUATERNION_ONE
             for g in run:
-                product = _turn(product, g.axis, g.angle)
+                product = quaternion_turn(product, g.axis, g.angle)
             steps, k = _xzx_steps(*euler_xzx_angles(product))
             if len(steps) < len(run):
                 run = [LocalRotation(q, axis, angle) for axis, angle in steps]

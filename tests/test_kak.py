@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import kakpulse.kak
 import kakpulse.pulses
 from kakpulse import (
     BlockPair,
@@ -41,8 +42,8 @@ from kakpulse import (
     tree_to_json_dict,
     two_spin_factors,
 )
-from kakpulse.kak import (_decompose, _interaction_sum, _open_layer, euler_xzx,
-                          su2_rotation)
+from kakpulse.kak import (TOL_TWO_SPIN, _decompose, _interaction_sum,
+                          _open_layer, euler_xzx, su2_rotation)
 from kakpulse.networks import OPEN_ROUTES
 
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -50,6 +51,7 @@ Y2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 Z2 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 # The entangled frame in which local pairs become real orthogonal; written
 # out by hand so the invariance check below does not lean on the library.
@@ -138,6 +140,24 @@ class TestEulerXZX:
         with pytest.raises(ValidationError):
             euler_xzx(haar_unitary(2, 3))  # det is a random phase
 
+    @pytest.mark.parametrize("m", [
+        [[2.0, 0.0], [0.0, 0.5]],  # det 1
+        [[1.0, 1e-9], [0.0, 1.0]],  # det 1, just off unitary
+        [[math.nan, 0.0], [0.0, 1.0]]])
+    def test_rejects_non_unitary(self, m):
+        with pytest.raises(ValidationError):
+            euler_xzx(np.array(m, dtype=complex))
+
+    def test_wrong_angles_fail_the_reconstruction(self, monkeypatch):
+        """The check rebuilds ``u`` from the angles it returns, so angles
+        off by 1e-9 cannot pass."""
+        real = kakpulse.kak.euler_xzx_angles
+        monkeypatch.setattr(
+            "kakpulse.kak.euler_xzx_angles",
+            lambda q: tuple(a + 1e-9 for a in real(q)))
+        with pytest.raises(NumericError):
+            euler_xzx(haar_unitary(2, 5, special=True))
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(DimensionError):
             euler_xzx(haar_unitary(4, 3))
@@ -198,8 +218,26 @@ class TestTwoSpinFactors:
             assert np.max(np.abs(got - base)) < 1e-9
 
     def test_cnot_interaction_content(self):
-        assert np.allclose(interaction_class(CNOT), (math.pi, 0.0, 0.0),
-                           atol=1e-9)
+        """CNOT and the other textbook gates land on their chamber points
+        (``alphas`` in units of pi) and are rebuilt within the budget."""
+        gates = {
+            "CNOT": (CNOT, (1, 0, 0)),
+            "SWAP": (SWAP, (1, 1, 1)),
+            "iSWAP": (np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0],
+                                [0, 0, 0, 1]]), (1, 1, 0)),
+            "sqrt(SWAP)": (scipy.linalg.sqrtm(SWAP), (0.5, 0.5, 0.5)),
+            "B": (scipy.linalg.expm(1j * math.pi / 4 * np.kron(X2, X2)
+                                    + 1j * math.pi / 8 * np.kron(Y2, Y2)),
+                  (1, 0.5, 0)),
+            "CNOT SWAP": (CNOT @ SWAP, (1, 1, 0)),
+        }
+        for name, (u, alphas) in gates.items():
+            f = two_spin_factors(u)
+            assert f.alphas == pytest.approx(
+                tuple(math.pi * a for a in alphas), abs=1e-12), name
+            assert interaction_class(u) == f.alphas, name
+            assert f.residual <= TOL_TWO_SPIN, name
+            assert np.max(np.abs(f.reconstruct() - u)) <= TOL_TWO_SPIN, name
 
     def test_cnot_against_magic_spectrum(self):
         """Locally-invariant cross-check that CNOT really sits at (pi,0,0):
@@ -216,6 +254,21 @@ class TestTwoSpinFactors:
     def test_rejects_wrong_size(self):
         with pytest.raises(ValidationError):
             two_spin_factors(haar_unitary(8, 1))
+
+    def test_rejects_non_unitary(self):
+        with pytest.raises(ValidationError):
+            two_spin_factors(np.diag([2.0, 0.5, 1.0, 1.0]).astype(complex))
+
+    def test_a_wrong_move_fails_the_reconstruction(self, monkeypatch):
+        """A chamber move that sorts the angles without turning the
+        locals leaves a factorization the final check must reject."""
+        def swap_angles_only(state, j, k):
+            state.alphas[j], state.alphas[k] = state.alphas[k], state.alphas[j]
+
+        monkeypatch.setattr(kakpulse.kak._TwoSpinState, "swap",
+                            swap_angles_only)
+        with pytest.raises(NumericError):
+            two_spin_factors(interaction_unitary((0.1, 0.3, 0.2)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ file that Kronecker-embeds and multiplies one step at a time, and hold
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from kakpulse import (
     ValidationError,
     apply_local,
     coupling_diagonal,
+    decompose,
     distance,
     drift_diagonal,
     evaluate,
@@ -49,6 +51,7 @@ from kakpulse import (
     synthesize_pulses,
     total_coupling_time,
 )
+from kakpulse import simulate
 from kakpulse.cli import main as cli_main
 
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -129,6 +132,28 @@ class TestGateListUnitary:
             gate_list_unitary([LocalRotation(3, "x", 0.1)], 2)
         with pytest.raises(DimensionError):
             gate_list_unitary([CouplingEvolution(2, 0.1)], 2)
+        # the same, inside a stretch below the top spin long enough to be
+        # simulated as a block
+        below = [LocalRotation(1 + k % 5, "xyz"[k % 3], 0.1 * k)
+                 for k in range(simulate.BLOCK_MIN_STEPS)]
+        for bad in (LocalRotation(7, "x", 0.1), CouplingEvolution(6, 0.1)):
+            with pytest.raises(DimensionError):
+                gate_list_unitary(below + [bad] + below, 6)
+
+    def test_compiled_lists_are_simulated_in_blocks(self):
+        """A compiled six-spin list is mostly stretches below the last
+        spin, which the kernel simulates as nested blocks; the result is
+        the one step-by-step simulation gives."""
+        u = haar_unitary(64, 106, special=True)
+        gates = flatten(decompose(u))
+        with mock.patch.object(simulate, "_frame_unitary",
+                               wraps=simulate._frame_unitary) as kernel:
+            blocked = gate_list_unitary(gates, 6)
+        sizes = {call.args[0] for call in kernel.call_args_list}
+        assert sizes == {6, 5, 4}
+        stepwise = simulated_gate_list(gates, 6, (7, simulate.BLOCK_MIN_STEPS))
+        assert np.max(np.abs(blocked - stepwise)) < 1e-12
+        assert np.max(np.abs(blocked - u)) < 1e-10
 
 
 def test_drift_diagonal():
@@ -299,6 +324,25 @@ def euler_matrix(node):
 ANGLES = st.floats(-4 * math.pi, 4 * math.pi, allow_nan=False)
 AXES = st.sampled_from("xyz")
 DURATIONS = st.one_of(st.just(0.0), st.floats(0.0, 0.01, allow_nan=False))
+# Exact +-pi x pulses are frame flips; every other pulse, +-pi about y or z
+# or a hair off pi about x, is a rotation that must break a diagonal run.
+FRAME_ANGLES = st.one_of(
+    st.sampled_from([math.pi, -math.pi, math.pi + 1e-9, math.pi - 1e-9,
+                     -math.pi + 1e-9, -math.pi - 1e-9]),
+    ANGLES)
+# When the kernel opens a block: the module's own rule, or every stretch
+# of four steps or more from two spins up, which nests blocks down to a
+# single spin.
+BLOCK_RULES = st.sampled_from([
+    (simulate.BLOCK_MIN_SPINS, simulate.BLOCK_MIN_STEPS), (2, 4)])
+
+
+def simulated_gate_list(gates, n, rule):
+    """``gate_list_unitary`` with the block rule ``(spins, steps)``."""
+    spins, steps = rule
+    with mock.patch.multiple(simulate, BLOCK_MIN_SPINS=spins,
+                             BLOCK_MIN_STEPS=steps):
+        return gate_list_unitary(gates, n)
 
 
 @st.composite
@@ -335,13 +379,53 @@ def alternating_runs(draw, local_run, diagonal_run, last):
 
 
 @st.composite
+def below_top(draw, n):
+    """A stretch that leaves spin ``n`` alone: rotations on spins
+    ``1..n-1``, x +-pi flips among them, and couplings on pairs
+    ``1..n-2``.  It is short, or about as long as the kernel's block
+    rule asks, so that some stretches are replayed step by step (their
+    flips stay in the frame) and others become blocks."""
+    size = draw(st.one_of(
+        st.integers(0, 6),
+        st.integers(simulate.BLOCK_MIN_STEPS - 4, simulate.BLOCK_MIN_STEPS + 16)))
+    out = []
+    for _ in range(size):
+        kind = draw(st.integers(0, 3))
+        if kind == 0 and n > 2:
+            out.append(CouplingEvolution(draw(st.integers(1, n - 2)),
+                                         draw(ANGLES)))
+        else:
+            angles = st.sampled_from([math.pi, -math.pi]) if kind == 1 \
+                else FRAME_ANGLES
+            out.append(LocalRotation(draw(st.integers(1, n - 1)),
+                                     "x" if kind == 1 else draw(AXES),
+                                     draw(angles)))
+    return out
+
+
+@st.composite
+def stretches(draw, n):
+    """Up to four stretches below the top spin, each followed by a z, x
+    or y turn on spin ``n`` or a coupling on the pair ``(n-1, n)``."""
+    out = []
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        out.extend(draw(below_top(n)))
+        if draw(st.booleans()):
+            out.append(LocalRotation(n, draw(AXES), draw(FRAME_ANGLES)))
+        else:
+            out.append(CouplingEvolution(n - 1, draw(ANGLES)))
+    return out
+
+
+@st.composite
 def gate_lists(draw, last):
-    n = draw(st.integers(2 if last == "coupling" else 1, 5))
+    n = draw(st.integers(2 if last == "coupling" else 1, 6))
     couplings = st.lists(
         st.builds(CouplingEvolution, st.integers(1, max(n - 1, 1)), ANGLES),
         min_size=1, max_size=3)
-    steps = draw(alternating_runs(rotation_run(n, LocalRotation),
-                                  couplings if n > 1 else st.just([]), last))
+    steps = draw(stretches(n))
+    steps += draw(alternating_runs(rotation_run(n, LocalRotation),
+                                   couplings if n > 1 else st.just([]), last))
     for _ in range(draw(st.integers(0, 3))):
         steps.insert(draw(st.integers(0, len(steps))),
                      GlobalPhase(draw(ANGLES)))
@@ -364,7 +448,7 @@ def test_fused_gate_list_matches_oracle(last, data):
     n, gates = data.draw(gate_lists(last))
     steps = [g for g in gates if not isinstance(g, GlobalPhase)]
     assert isinstance(steps[-1], LocalRotation if last == "local" else CouplingEvolution)
-    got = gate_list_unitary(gates, n)
+    got = simulated_gate_list(gates, n, data.draw(BLOCK_RULES))
     assert np.max(np.abs(got - oracle_gate_list(gates, n))) < 1e-12
 
 
@@ -376,14 +460,6 @@ def test_fused_pulse_program_matches_oracle(last, data):
     assert isinstance(program.events[-1], HardPulse if last == "local" else Delay)
     got = pulse_program_unitary(program)
     assert np.max(np.abs(got - oracle_program(program))) < 1e-12
-
-
-# Exact +-pi x pulses are frame flips; every other pulse, +-pi about y or z
-# or a hair off pi about x, is a rotation that must break a diagonal run.
-FRAME_ANGLES = st.one_of(
-    st.sampled_from([math.pi, -math.pi, math.pi + 1e-9, math.pi - 1e-9,
-                     -math.pi + 1e-9, -math.pi - 1e-9]),
-    ANGLES)
 
 
 @st.composite
@@ -403,12 +479,13 @@ def frame_steps(draw, n, kind, diagonal):
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_frame_gate_list_matches_oracle(data):
-    n = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(1, 6))
     couplings = st.builds(CouplingEvolution, st.integers(1, max(n - 1, 1)),
                           ANGLES)
-    gates = data.draw(frame_steps(n, LocalRotation, couplings))
+    gates = data.draw(stretches(n))
+    gates += data.draw(frame_steps(n, LocalRotation, couplings))
     gates.append(GlobalPhase(data.draw(ANGLES)))
-    got = gate_list_unitary(gates, n)
+    got = simulated_gate_list(gates, n, data.draw(BLOCK_RULES))
     assert np.max(np.abs(got - oracle_gate_list(gates, n))) < 1e-12
 
 
