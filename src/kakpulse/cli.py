@@ -55,8 +55,8 @@ from .simulate import distance, gate_list_unitary, pulse_program_unitary
 # Longest chain any subcommand accepts.  Measured round trips through
 # this CLI (`random --seed 100+n`, one BLAS thread, 2-core x86-64
 # machine, one process per command): at 7 spins decompose / pulses /
-# verify of the program take 2.0 / 1.2 / 1.9 s; at 8 spins 12 / 6.5 /
-# 22 s, with 18 MB and 27 MB artifacts and at most 340 MB resident.
+# verify of the program take 3.2 / 1.4 / 1.6 s; at 8 spins 12.6 / 6.0 /
+# 6.1 s, with 18 MB and 27 MB artifacts and at most 340 MB resident.
 # Larger inputs are rejected with exit 3 before any matrix is built or
 # any factorization starts.
 MAX_CLI_SPINS = 8
@@ -193,10 +193,14 @@ def cmd_pulses(input_path: str, out_path: str, chain: str | None = None,
     return 0
 
 
-def _realize_artifact(data, n: int, *, check: bool) -> np.ndarray:
-    """Simulate whatever artifact ``data`` holds into an ``n``-spin unitary."""
+def _realize_artifact(path: str, n: int, *, check: bool) -> np.ndarray:
+    """Simulate whatever artifact the file at ``path`` holds into an
+    ``n``-spin unitary.  The parsed JSON is let go before a simulation
+    starts, so the two do not add up to one memory peak."""
+    data = _read_json(path)
     if isinstance(data, dict) and "events" in data:
         program = PulseProgram.from_json_dict(data)
+        del data
         _check_spins(program.chain.n, "pulse-program chain")
         return pulse_program_unitary(program)
     if isinstance(data, dict) and "re" in data:
@@ -205,6 +209,7 @@ def _realize_artifact(data, n: int, *, check: bool) -> np.ndarray:
             check_unitary(u, what="artifact matrix")
         return u
     gates = _gates_from_artifact(data)
+    del data
     return gate_list_unitary(gates, n)
 
 
@@ -213,7 +218,7 @@ def cmd_verify(program_path: str, target_path: str, tol: float = 1e-6,
     _check_tol(tol)
     target = _load_matrix(target_path, check=check)
     n = spin_count(target.shape[0])
-    u = _realize_artifact(_read_json(program_path), n, check=check)
+    u = _realize_artifact(program_path, n, check=check)
     report = distance(u, target)
     print(report)
     if report_path is not None:

@@ -57,9 +57,10 @@ def su2_rotation(axis: str, angle: float) -> np.ndarray:
 
 
 def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron(a, b)`` of two 2x2s: the same products, without its
-    generic n-dimensional setup."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+    """``np.kron(a, b)`` of two 2x2s, or of each pair in two stacks of
+    them: the same products, without its generic n-dimensional setup."""
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]) \
+        .reshape(a.shape[:-2] + (4, 4))
 
 
 # A special unitary on one spin as a unit quaternion ``(w, x, y, z)``,
@@ -86,6 +87,18 @@ def quaternion_matrix(q: tuple[float, float, float, float]) -> np.ndarray:
     w, x, y, z = q
     return np.array([[complex(w, -z), complex(-y, -x)],
                      [complex(y, -x), complex(w, z)]])
+
+
+def quaternion_matrices(quaternions) -> np.ndarray:
+    """:func:`quaternion_matrix` of each of ``k`` quaternions, built as
+    one ``(k, 2, 2)`` array."""
+    w, x, y, z = np.asarray(quaternions, dtype=float).T
+    out = np.empty((len(w), 2, 2), dtype=complex)
+    out.real[:, 0, 0], out.imag[:, 0, 0] = w, -z
+    out.real[:, 0, 1], out.imag[:, 0, 1] = -y, -x
+    out.real[:, 1, 0], out.imag[:, 1, 0] = y, -x
+    out.real[:, 1, 1], out.imag[:, 1, 1] = w, z
+    return out
 
 
 def apply_local(acc: np.ndarray, ops) -> np.ndarray:

@@ -1,37 +1,55 @@
 """Dense simulators of gate lists and pulse programs, and fidelity reporting.
 
-Both simulators translate what they read into one stream of steps, and
-one kernel (:func:`_frame_unitary`) builds the full ``2^n x 2^n`` matrix
-from it.  A step is a single-spin rotation (a gate or a hard pulse) or
-``I_z I_z`` evolutions on a run of adjacent pairs: one pair for a
-coupling gate, every pair for a delay, by ``2*pi*J_k*t`` each, so the
-full drift is simulated, never an idealized coupling.
+Both simulators hand their steps to one kernel (:func:`_frame_unitary`),
+which builds the full ``2^n x 2^n`` matrix.  A step is a single-spin
+rotation (a gate or a hard pulse), a coupling gate (``I_z I_z`` on one
+pair) or a delay (``I_z I_z`` on every pair at once, by ``2*pi*J_k*t``
+each), so the full drift is simulated, never an idealized coupling.
 
-The kernel keeps a Pauli frame.  An x rotation by exactly ``+-pi`` is
-``-+i`` times a bit flip, so it only toggles its spin in an XOR mask and
-multiplies a scalar by ``-+i``; the matrix is not touched.  Every later
-step is conjugated through the flips instead: a pair evolution changes
-sign when exactly one of its spins is flipped, and a y or z rotation on
-a flipped spin has its angle negated (``X R_y(t) X = R_y(-t)``).  Between
-them, the steps form runs.  A diagonal run (pair evolutions, and z
-rotations arriving while no rotation run is open) sums its angles per
-pair and per spin and costs one ``exp``.  A rotation run keeps one unit
+The kernel plans, then applies.  The plan is a walk over the steps, in
+Python, that keeps a Pauli frame.  An x rotation by exactly ``+-pi`` is
+``-+i`` times a bit flip, so it only toggles its spin in the frame and
+multiplies a scalar by ``-+i``.  Every later step is conjugated through
+the flips instead: a pair evolution changes sign when exactly one of
+its spins is flipped, and a y or z rotation on a flipped spin has its
+angle negated (``X R_y(t) X = R_y(-t)``).  Between them the steps form
+runs.  A diagonal run (pair evolutions and z rotations) keeps its
+summed angles per pair and per spin; a rotation run keeps one unit
 quaternion per spin, four floats that each rotation turns
-(:func:`~kakpulse.linalg.quaternion_turn`), and costs one
-:func:`~kakpulse.linalg.apply_local` pass per spin it touches, or per
-pair of neighbouring spins, ``O(4^n)`` each.  The mask is applied once,
-as a row gather, at the end.  The algebra is exact, so a refocusing
-block with a wrong delay or a missing flip shows in the result.
+(:func:`~kakpulse.linalg.quaternion_turn`).  A run stays open past a
+step of the other kind that acts on other spins, since the two commute.
+The apply phase exponentiates the diagonal runs with one product with
+:func:`_diagonal_basis` and one ``exp`` per bounded chunk, builds all
+the 2x2s (and the 4x4 of each pair of neighbouring spins that turn in
+one run) in one array, and then makes one pass per run over the matrix,
+``O(4^n)``: a product with the diagonal, or one ``matmul`` per spin or
+pair that turns.  The flips are applied once, as a row gather, at the
+end.  The algebra is exact, so a refocusing block with a wrong delay or
+a missing flip shows in the result.
 
-From :data:`BLOCK_MIN_SPINS` spins up, a long stretch of steps that
-leaves the last spin alone (:data:`BLOCK_MIN_STEPS` or more) is one
-block, in the manner of the gate fusion of state-vector simulators
-(Haener & Steiger, SC'17): the kernel simulates the stretch on the
-leading ``n - 1`` spins, recursively, and applies that matrix, conjugated
-through the flips, in one ``apply_local`` pass.  A gate list from
-:func:`~kakpulse.pulses.flatten` is such stretches around each level's
-commuting layers, so its check costs ``O(8^n)`` rather than ``O(16^n)``.
-A pulse program never forms one, since every delay touches every pair.
+From :data:`BLOCK_MIN_SPINS` spins up, a stretch of at least
+:data:`BLOCK_MIN_STEPS` steps that is diagonal on the last spin ``n`` in
+the frame is one block, in the manner of the gate fusion of
+state-vector simulators (Haener & Steiger, SC'17).  Such a stretch may
+hold any step on spins ``1..n-1``, delays, couplings on every pair, and
+z rotations and x ``+-pi`` flips of spin ``n``.  In the frame it is
+``sum_b M_b (x) |b><b|`` over the value ``b`` of spin ``n``, and the
+kernel simulates both branches at once, as one ``2^(n-1) x 2^n`` array,
+by the same walk on the leading ``n - 1`` spins: on branch ``b`` a
+coupling of the pair ``(n-1, n)`` is a z rotation of spin ``n - 1`` of
+sign ``(-1)^b``, which the diagonal runs carry for free, since their
+angles stay on all ``n`` spins.  The flips of spin ``n`` inside the
+block are handed to the outer frame, whose flips conjugate the block (a
+flip of spin ``n`` swaps its branches); it is then applied with one
+product per branch.  A stretch that never touches spin ``n`` keeps a
+single branch and costs one ``apply_local`` pass.  Inside a block the
+spins after the leading ones stay diagonal, so blocks nest, and each
+level simulates a smaller array.  Gate lists and pulse programs share
+this one rule.  A gate list from :func:`~kakpulse.pulses.flatten` is
+long stretches below the last spin around each level's commuting
+layers, and a pulse program has few pulses on its last spins that are
+not flips or z turns, so at n = 8 a pulse program is simulated on
+arrays of ``16 x 256`` nearly throughout instead of ``256 x 256``.
 
 The check stays independent of what it checks in three ways.  Nothing
 here imports the factorization (:mod:`~kakpulse.kak`) or the lowering
@@ -46,6 +64,7 @@ round-trip benchmark re-simulates pulse programs with its own evaluator,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,7 +74,7 @@ from .errors import DimensionError, ValidationError
 from .gates import (CouplingEvolution, Delay, Gate, GlobalPhase, HardPulse,
                     LocalRotation, PulseProgram)
 from .linalg import (QUATERNION_ONE, apply_local, check_square, kron2,
-                     quaternion_matrix, quaternion_turn, spin_count,
+                     quaternion_matrices, quaternion_turn, spin_count,
                      su2_rotation)
 
 # exp(1j*pi/2 * k) for k = 0..3, exactly
@@ -89,165 +108,288 @@ def coupling_diagonal(n: int, left: int, angle: float) -> np.ndarray:
     return np.exp(-1j * angle * _zz_diagonal(n, left))
 
 
-# Stretches of at least this many steps off the last spin become one
-# block once the chain has BLOCK_MIN_SPINS spins or more; see
-# :func:`_frame_unitary`.
+# A stretch of at least BLOCK_MIN_STEPS steps that is diagonal on the
+# frame's last spin becomes one block once the frame has BLOCK_MIN_SPINS
+# spins or more; see :func:`_frame_unitary`.
 BLOCK_MIN_SPINS = 5
 BLOCK_MIN_STEPS = 64
+# A frame applies its plan once its diagonal runs hold this many matrix
+# entries, so memory stays bounded however long the program is.
+_EXP_CHUNK = 1 << 14
 
 
 class _Frame:
-    """The kernel's state on ``n`` spins: ``scalar * X^mask @ (run @ out)``.
+    """The walk's state on spins ``1..n``, of which every step leaves the
+    last ``n - spins`` diagonal: ``(-1j)**quarters * X^flips @ (ops @
+    angles @ runs @ out)``.
 
-    ``out`` holds every step applied so far, conjugated through the
-    flips; at most one run is open on top of it.  A diagonal run keeps
-    its angles on the rows of :func:`_diagonal_basis`, a rotation run
-    one unit quaternion per spin (see
-    :func:`~kakpulse.linalg.quaternion_turn`).
+    ``out`` holds the runs applied so far: one ``2^spins``-square per
+    branch (a value of the diagonal spins), side by side.  ``runs`` is
+    the plan not yet applied: diagonal runs (lists of angles on the rows
+    of :func:`_diagonal_basis`) and rotation runs (sorted tuples of
+    ``(spin, unit quaternion)``, see
+    :func:`~kakpulse.linalg.quaternion_turn`).  On top of it a diagonal
+    run (``angles``; ``touched`` has bit ``q`` set when it acts on spin
+    ``q``) and a rotation run (``ops``) may both be open, as long as
+    they act on different spins: then they commute, and either may be
+    closed first.
     """
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self, spins: int, n: int, rates):
+        self.spins, self.n, self.rates = spins, n, rates
         self.angles = [0.0] * (2 * n - 1)
-        self.diagonal_open = False
+        self.touched = 0
         self.ops: dict[int, tuple] = {}
         self.flipped = [False] * (n + 1)  # by spin; index 0 unused
         self.quarters = 0  # the scalar is (-1j)**quarters
-        self.out = np.eye(2 ** n, dtype=complex)
-        self.basis = _diagonal_basis(n)
+        self.runs: list = []
+        self.diagonals = 0  # diagonal runs in the plan
+        self.out = np.tile(np.eye(2 ** spins, dtype=complex), 2 ** (n - spins))
 
-    def step(self, s) -> None:
-        """One step of :func:`_frame_unitary`."""
-        if isinstance(s, LocalRotation):
-            self.rotation(s)
-        else:
-            self.couplings(*s)
+    def walk(self, steps) -> None:
+        """Conjugate each step through the flips and add it to the open
+        runs, closing one when the step does not commute with it."""
+        n, spins, rates = self.n, self.spins, self.rates
+        flipped, runs = self.flipped, self.runs
+        angles, touched, ops = self.angles, self.touched, self.ops
+        quarters, diagonals = self.quarters, self.diagonals
+        every = (2 << n) - 2  # bits 1..n
+        pi, rotate = math.pi, quaternion_turn
+        delay, coupling = Delay, CouplingEvolution
+        for s in steps:
+            kind = type(s)
+            # a delay acts on every pair, so it only reaches frames that
+            # keep all the chain's spins
+            if kind is delay:
+                if ops:
+                    runs.append(tuple(sorted(ops.items())))
+                    ops = {}
+                touched = every
+                t = s.duration
+                for left, rate in enumerate(rates, 1):
+                    flip = flipped[left] != flipped[left + 1]
+                    angles[left - 1] += -rate * t if flip else rate * t
+                continue
+            if kind is coupling:
+                left, angle = s.left, s.angle
+                if left >= n:
+                    raise DimensionError(f"coupling on pair ({left},"
+                                         f"{left + 1}) outside chain of {n}")
+                if left in ops or left + 1 in ops:
+                    runs.append(tuple(sorted(ops.items())))
+                    ops = {}
+                touched |= 3 << left
+                flip = flipped[left] != flipped[left + 1]
+                angles[left - 1] += -angle if flip else angle
+                continue
+            q, axis, angle = s.qubit, s.axis, s.angle
+            if q > n:
+                raise DimensionError(
+                    f"rotation on spin {q} outside chain of {n}")
+            if axis == "x" and abs(angle) == pi:  # -+i X on spin q
+                flipped[q] = not flipped[q]
+                quarters += 1 if angle > 0 else -1
+                continue
+            if axis != "x" and flipped[q]:
+                angle = -angle
+            if axis == "z" and q not in ops:
+                angles[n - 2 + q] += angle
+                touched |= 1 << q
+                continue
+            if touched >> q & 1:
+                runs.append(angles)
+                angles, touched = [0.0] * (2 * n - 1), 0
+                diagonals += 1
+                if diagonals << n >= _EXP_CHUNK:
+                    self._apply()
+                    diagonals = 0
+            ops[q] = rotate(ops.get(q, QUATERNION_ONE), axis, angle)
+        self.angles, self.touched, self.ops = angles, touched, ops
+        self.quarters, self.diagonals = quarters, diagonals
 
-    def rotation(self, step: LocalRotation) -> None:
-        n, q, axis, angle = self.n, step.qubit, step.axis, step.angle
-        if q > n:
-            raise DimensionError(f"rotation on spin {q} outside chain of {n}")
-        if axis == "x" and abs(angle) == math.pi:  # -+i X on spin q
-            self.flipped[q] = not self.flipped[q]
-            self.quarters += 1 if angle > 0 else -1
-            return
-        if axis != "x" and self.flipped[q]:
-            angle = -angle
-        if axis == "z" and not self.ops:
-            self.angles[n - 2 + q] += angle
-            self.diagonal_open = True
-            return
-        if self.diagonal_open:
-            self._close_diagonal()
-        self.ops[q] = quaternion_turn(self.ops.get(q, QUATERNION_ONE),
-                                      axis, angle)
-
-    def couplings(self, first: int, angles) -> None:
-        """``exp(-1j*angle*IzIz)`` on the pairs ``first, first + 1, ...``,
-        one angle each."""
-        if first + len(angles) > self.n:
-            raise DimensionError(
-                f"coupling on pair ({first + len(angles) - 1},"
-                f"{first + len(angles)}) outside chain of {self.n}")
+    def finish(self) -> "_Frame":
+        """Close the open runs and apply the plan."""
+        if self.touched:
+            self.runs.append(self.angles)
+            self.angles, self.touched = [0.0] * (2 * self.n - 1), 0
         if self.ops:
-            self._close_rotations()
-        f = self.flipped
-        for left, angle in enumerate(angles, first):
-            self.angles[left - 1] += -angle if f[left] != f[left + 1] else angle
-        self.diagonal_open = True
+            self.runs.append(tuple(sorted(self.ops.items())))
+            self.ops = {}
+        self._apply()
+        return self
 
-    def block(self, m: np.ndarray) -> None:
-        """Apply ``m``, the matrix of steps on the leading ``n - 1`` spins,
-        through the flips: ``X^F m X^F``, a gather of rows and columns."""
-        self._close_diagonal()
-        self._close_rotations()
-        mask = self._mask(self.n - 1)
-        if mask:
-            src = np.arange(len(m)) ^ mask
-            m = m[src[:, None], src]
-        self.out = apply_local(self.out, {1: m})
+    def block(self, sub: "_Frame") -> None:
+        """Apply ``sub``, a finished frame on spins ``1..spins-1``, through
+        the flips (``X^F m X^F``: a gather of rows, columns and, when
+        ``sub`` has a branch per value of spin ``spins`` and of the
+        diagonal spins, of branches), and take over its flips."""
+        self.finish()
+        k = 2 ** (self.spins - 1)
+        rows = np.arange(k) ^ self._mask(1, self.spins - 1)
+        m = sub.out
+        if sub.n == sub.spins:  # one branch
+            self.out = apply_local(self.out, {1: m[rows[:, None], rows]})
+        else:
+            branches = 2 ** (self.n - self.spins + 1)
+            swap = np.arange(branches) ^ self._mask(self.spins, self.n)
+            m = m.reshape(k, branches, k)[rows[:, None, None],
+                                          swap[:, None], rows]
+            out = self.out.reshape(k, branches, -1)
+            self.out = np.empty_like(self.out)
+            product = self.out.reshape(out.shape)
+            for b in range(branches):
+                np.matmul(m[:, b], out[:, b], out=product[:, b])
+        for q in range(1, sub.n + 1):
+            self.flipped[q] ^= sub.flipped[q]
+        self.quarters += sub.quarters
 
     def unitary(self, phase: float) -> np.ndarray:
-        self._close_diagonal()
-        self._close_rotations()
-        mask = self._mask(self.n)
+        """The finished matrix of a frame with no diagonal spins, times
+        ``exp(1j*phase)``."""
+        self.finish()
+        mask = self._mask(1, self.n)
         scalar = np.exp(1j * phase) * _QUARTER_TURNS[-self.quarters % 4]
         out = self.out
         return scalar * (out[np.arange(len(out)) ^ mask] if mask else out)
 
-    def _mask(self, spins: int) -> int:
-        """The flips of spins ``1..spins`` as a row mask on that many spins."""
-        return sum(1 << (spins - q) for q in range(1, spins + 1)
+    def _mask(self, first: int, last: int) -> int:
+        """The flips of spins ``first..last`` as a mask on that many bits."""
+        return sum(1 << (last - q) for q in range(first, last + 1)
                    if self.flipped[q])
 
-    def _close_diagonal(self) -> None:
-        if self.diagonal_open:
-            generator = np.array(self.angles) @ self.basis
-            self.out = np.exp(-1j * generator)[:, None] * self.out
-            self.angles = [0.0] * (2 * self.n - 1)
-            self.diagonal_open = False
-
-    def _close_rotations(self) -> None:
-        """Apply the rotation run.  Spins ``q`` and ``q + 1`` that both
-        turn share one 4x4 pass, which costs little more than a 2x2 one."""
-        if not self.ops:
+    def _apply(self) -> None:
+        """Apply the plan: the phases of every diagonal run from one
+        product with the basis and one ``exp``, every 2x2 from one array,
+        and the 4x4 of each pair of neighbouring spins that turn in one
+        run (one pass, which costs little more than a 2x2 one) from one
+        more; then one pass per run, or per spin or pair that turns."""
+        runs = self.runs
+        if not runs:
             return
-        ops = self.ops
-        local = {}
-        for q in sorted(ops):
-            if q - 1 in local and local[q - 1].shape == (2, 2):
-                local[q - 1] = kron2(local[q - 1], quaternion_matrix(ops[q]))
+        size = 2 ** self.spins
+        # one (shape, index) per pass: a diagonal run's phases, or the 2x2
+        # or 4x4 that acts on the matrix reshaped to `shape`
+        passes, diagonal, turns, pairs = [], [], [], []
+        for r in runs:
+            if type(r) is list:
+                passes.append((None, len(diagonal)))
+                diagonal.append(r)
+                continue
+            last = -1
+            for q, turn in r:
+                if q == last + 1 and passes[-1][0][1] == 2:
+                    passes[-1] = ((2 ** (last - 1), 4, -1), len(pairs))
+                    pairs.append(len(turns) - 1)
+                else:
+                    passes.append(((2 ** (q - 1), 2, -1), len(turns)))
+                turns.append(turn)
+                last = q
+        if diagonal:
+            generators = np.array(diagonal) @ _diagonal_basis(self.n)
+            phases = np.exp(-1j * generators).reshape(len(diagonal), size,
+                                                      -1, 1)
+        if turns:
+            turns = quaternion_matrices(turns)
+            pairs = kron2(turns[pairs], turns[[i + 1 for i in pairs]])
+        out = self.out
+        for shape, index in passes:
+            if shape is None:
+                out = out.reshape(size, -1, size)
+                out *= phases[index]
             else:
-                local[q] = quaternion_matrix(ops[q])
-        self.out = apply_local(self.out, local)
-        self.ops = {}
+                op = turns[index] if shape[1] == 2 else pairs[index]
+                out = np.matmul(op, out.reshape(shape))
+        self.out = out.reshape(size, -1)
+        runs.clear()
+        self.diagonals = 0
 
 
+@functools.lru_cache(maxsize=None)
 def _diagonal_basis(n: int) -> np.ndarray:
     """Rows ``IzIz`` of pairs ``1..n-1``, then ``sigma_z/2`` of spins
     ``1..n``: the diagonal run's angles are coefficients on them."""
-    return np.array([_zz_diagonal(n, left) for left in range(1, n)]
-                    + [_z_signs(n, q) / 2.0 for q in range(1, n + 1)])
+    basis = np.array([_zz_diagonal(n, left) for left in range(1, n)]
+                     + [_z_signs(n, q) / 2.0 for q in range(1, n + 1)])
+    basis.flags.writeable = False
+    return basis
 
 
-def _frame_unitary(n: int, steps, phase: float) -> np.ndarray:
-    """Matrix of time-ordered ``steps`` on ``n`` spins, times ``exp(1j*phase)``.
+def _frame_unitary(spins: int, steps, rates=(), n: int = 0) -> _Frame:
+    """The finished :class:`_Frame` of time-ordered ``steps`` on spins
+    ``1..n`` (``n = spins`` unless given), of which the steps leave the
+    last ``n - spins`` diagonal.
 
-    A step is a :class:`LocalRotation`, or a pair ``(first, angles)`` for
-    ``exp(-1j*angle*IzIz)`` on each pair ``first, first + 1, ...`` in
-    turn (one pair for a coupling gate, every pair for a delay).
+    A step is a :class:`LocalRotation`, a :class:`CouplingEvolution` or
+    a :class:`Delay`, whose pair ``k`` turns by ``rates[k-1]`` times its
+    duration.
 
-    From :data:`BLOCK_MIN_SPINS` spins up, a maximal stretch of at least
-    :data:`BLOCK_MIN_STEPS` steps that leaves spin ``n`` alone is
-    simulated on ``n - 1`` spins by this same function and applied as
-    one block.  Shorter stretches, and every step at fewer spins, go to
-    the frame one by one.
+    From :data:`BLOCK_MIN_SPINS` spins up, a stretch of at least
+    :data:`BLOCK_MIN_STEPS` steps that is diagonal on spin ``spins`` is
+    simulated by this same function on spins ``1..spins-1`` and applied
+    as one block.  The block keeps all ``n`` spins, and so a branch for
+    each value of the spins from ``spins`` on, unless the stretch never
+    touches them.  Such a stretch of one branch is cut out of a longer
+    one whenever it is long enough to be a block by itself, so that the
+    steps around it do not double its cost.  Shorter stretches, and
+    every step at fewer spins, go to the frame one by one.
     """
-    frame = _Frame(n)
-    blocks = n >= BLOCK_MIN_SPINS
-    stretch: list = []
+    n = n or spins
+    frame = _Frame(spins, n, rates)
+    if spins < BLOCK_MIN_SPINS:
+        frame.walk(steps)
+        return frame.finish()
+    # `stretch` is diagonal on spin `spins`; `touched` is whether it acts
+    # on a spin from `spins` on, and its last `plain` steps do not
+    stretch, touched, plain = [], False, 0
+    shortest, pi = BLOCK_MIN_STEPS, math.pi
     for s in steps:
-        if blocks and (s.qubit < n if isinstance(s, LocalRotation)
-                       else s[0] + len(s[1]) < n):
+        kind = type(s)
+        if kind is Delay:
+            on = True
+        elif kind is CouplingEvolution:
+            on = s.left + 1 >= spins if s.left < n else None
+        elif s.qubit < spins:
             stretch.append(s)
+            plain += 1
             continue
-        if stretch:
-            _close_stretch(frame, stretch)
-        frame.step(s)
+        elif s.qubit <= n and (s.axis == "z" or s.axis == "x"
+                               and abs(s.angle) == pi):
+            on = True
+        else:
+            on = None
+        if on is None:  # not diagonal on spin `spins`, or off the chain
+            if stretch:
+                _close_stretch(frame, stretch, touched, plain)
+                stretch, touched, plain = [], False, 0
+            frame.walk((s,))
+            continue
+        if on and plain >= shortest:
+            _close_stretch(frame, stretch, touched, plain)
+            stretch = []
+        stretch.append(s)
+        if on:
+            touched, plain = True, 0
+        else:
+            plain += 1
     if stretch:
-        _close_stretch(frame, stretch)
-    return frame.unitary(phase)
+        _close_stretch(frame, stretch, touched, plain)
+    return frame.finish()
 
 
-def _close_stretch(frame: _Frame, stretch: list) -> None:
-    """Apply a stretch that leaves the frame's last spin alone, as one
-    block when it is long enough, and empty it."""
-    if len(stretch) >= BLOCK_MIN_STEPS:
-        frame.block(_frame_unitary(frame.n - 1, stretch, 0.0))
-    else:
-        for s in stretch:
-            frame.step(s)
-    stretch.clear()
+def _close_stretch(frame: _Frame, stretch: list, touched: bool,
+                   plain: int) -> None:
+    """Add a stretch that is diagonal on the frame's spin ``spins``, whose
+    last ``plain`` steps act on no spin from ``spins`` on: as one block
+    when it is long enough, as two when those steps are."""
+    if BLOCK_MIN_STEPS <= plain < len(stretch):
+        _close_stretch(frame, stretch[:-plain], True, 0)
+        stretch, touched = stretch[-plain:], False
+    if len(stretch) < BLOCK_MIN_STEPS:
+        frame.walk(stretch)
+        return
+    spins = frame.spins - 1
+    frame.block(_frame_unitary(spins, stretch, frame.rates,
+                               frame.n if touched else spins))
 
 
 def gate_list_unitary(gates: list[Gate], n: int) -> np.ndarray:
@@ -261,13 +403,11 @@ def gate_list_unitary(gates: list[Gate], n: int) -> np.ndarray:
             # a scalar commutes with every other step; reduced as it is
             # added, so a long sum carries no rounding into the matrix
             phase = math.remainder(phase + g.phi, 2 * math.pi)
-        elif isinstance(g, LocalRotation):
+        elif isinstance(g, (LocalRotation, CouplingEvolution)):
             steps.append(g)
-        elif isinstance(g, CouplingEvolution):
-            steps.append((g.left, (g.angle,)))
         else:
             raise ValidationError(f"unknown gate object {g!r}")
-    return _frame_unitary(n, steps, phase)
+    return _frame_unitary(n, steps).unitary(phase)
 
 
 def drift_diagonal(program_chain) -> np.ndarray:
@@ -282,18 +422,11 @@ def drift_diagonal(program_chain) -> np.ndarray:
 def pulse_program_unitary(program: PulseProgram) -> np.ndarray:
     """Matrix of a pulse program: hard pulses interleaved with drift."""
     chain = program.chain
+    for e in program.events:
+        if not isinstance(e, (HardPulse, Delay)):
+            raise ValidationError(f"unknown event object {e!r}")
     rates = [2 * math.pi * chain.coupling(left) for left in range(1, chain.n)]
-
-    def steps():
-        for e in program.events:
-            if isinstance(e, HardPulse):
-                yield e
-            elif isinstance(e, Delay):
-                yield 1, [rate * e.duration for rate in rates]
-            else:
-                raise ValidationError(f"unknown event object {e!r}")
-
-    return _frame_unitary(chain.n, steps(), program.phase)
+    return _frame_unitary(chain.n, program.events, rates).unitary(program.phase)
 
 
 @dataclass(frozen=True)

@@ -230,3 +230,24 @@ def test_matrix_json_validation():
     with pytest.raises(DimensionError):
         matrix_from_json_dict({"dim": 3, "re": [[1, 0], [0, 1]],
                                "im": [[0, 0], [0, 0]]})
+
+
+def test_stacked_quaternions_and_kronecker_products():
+    """The simulator builds its 2x2s and 4x4s as stacks; each member is
+    what the one-at-a-time forms give."""
+    from kakpulse.linalg import (kron2, quaternion_matrices,
+                                 quaternion_matrix, quaternion_turn)
+    rng = np.random.default_rng(12)
+    quaternions = []
+    for _ in range(6):
+        q = (1.0, 0.0, 0.0, 0.0)
+        for axis in "xzy":
+            q = quaternion_turn(q, axis, rng.uniform(-4, 4))
+        quaternions.append(q)
+    stack = quaternion_matrices(quaternions)
+    for q, m in zip(quaternions, stack):
+        assert np.array_equal(m, quaternion_matrix(q))
+    pairs = kron2(stack[:3], stack[3:])
+    for a, b, m in zip(stack[:3], stack[3:], pairs):
+        assert np.array_equal(m, kron2(a, b))
+        assert np.allclose(m, np.kron(a, b), atol=1e-15)

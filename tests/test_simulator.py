@@ -133,12 +133,20 @@ class TestGateListUnitary:
         with pytest.raises(DimensionError):
             gate_list_unitary([CouplingEvolution(2, 0.1)], 2)
         # the same, inside a stretch below the top spin long enough to be
-        # simulated as a block
+        # simulated as a block, and between two stretches that are
+        # diagonal on the top spin and as long
         below = [LocalRotation(1 + k % 5, "xyz"[k % 3], 0.1 * k)
                  for k in range(simulate.BLOCK_MIN_STEPS)]
-        for bad in (LocalRotation(7, "x", 0.1), CouplingEvolution(6, 0.1)):
-            with pytest.raises(DimensionError):
-                gate_list_unitary(below + [bad] + below, 6)
+        diagonal = [[CouplingEvolution(5, 0.3), LocalRotation(6, "z", 0.2),
+                     LocalRotation(6, "x", math.pi),
+                     LocalRotation(1 + k % 5, "xy"[k % 2], 0.1)][k % 4]
+                    for k in range(simulate.BLOCK_MIN_STEPS)]
+        for bad, spin in ((LocalRotation(7, "x", 0.1), "spin 7"),
+                          (LocalRotation(7, "x", math.pi), "spin 7"),
+                          (CouplingEvolution(6, 0.1), "pair \\(6,7\\)")):
+            for stretch in (below, diagonal):
+                with pytest.raises(DimensionError, match=spin):
+                    gate_list_unitary(stretch + [bad] + stretch, 6)
 
     def test_compiled_lists_are_simulated_in_blocks(self):
         """A compiled six-spin list is mostly stretches below the last
@@ -198,8 +206,39 @@ class TestPulseProgramUnitary:
         invalid as any other pulse there."""
         program = PulseProgram(chain=ChainSpec.uniform(3),
                                events=[Delay(0.001), pulse, Delay(0.001)])
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="spin 4"):
             pulse_program_unitary(program)
+        # the same on spin 7 of six, between two stretches that are
+        # diagonal on spin 6 and long enough to be simulated as blocks
+        diagonal = [[Delay(0.001), HardPulse(6, "z", 0.2),
+                     HardPulse(6, "x", math.pi),
+                     HardPulse(1 + k % 5, "xy"[k % 2], 0.1)][k % 4]
+                    for k in range(simulate.BLOCK_MIN_STEPS)]
+        bad = HardPulse(7, pulse.axis, pulse.angle)
+        program = PulseProgram(chain=ChainSpec.uniform(6),
+                               events=diagonal + [bad] + diagonal)
+        with pytest.raises(DimensionError, match="spin 7"):
+            pulse_program_unitary(program)
+
+    def test_compiled_programs_are_simulated_in_blocks(self):
+        """A compiled six-spin program is mostly stretches diagonal on the
+        last spin, since its pulses on that spin are few, and the kernel
+        simulates them as nested blocks of two branches; the result is
+        the one step-by-step simulation gives."""
+        u = haar_unitary(64, 106, special=True)
+        program = synthesize_pulses(flatten(decompose(u)),
+                                    ChainSpec.uniform(6, 100.0))
+        with mock.patch.object(simulate, "_frame_unitary",
+                               wraps=simulate._frame_unitary) as kernel:
+            blocked = pulse_program_unitary(program)
+        top, *blocks = kernel.call_args_list
+        assert {call.args[0] for call in blocks} == {5, 4}
+        # every block keeps all six spins, so it has a branch per value of
+        # the spins after its own
+        assert {call.args[3] for call in blocks} == {6}
+        stepwise = simulated_program(program, (7, simulate.BLOCK_MIN_STEPS))
+        assert np.max(np.abs(blocked - stepwise)) < 1e-12
+        assert np.max(np.abs(blocked - u)) < 1e-10
 
     @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
     def test_rejects_a_non_finite_phase(self, phase):
@@ -337,17 +376,28 @@ BLOCK_RULES = st.sampled_from([
     (simulate.BLOCK_MIN_SPINS, simulate.BLOCK_MIN_STEPS), (2, 4)])
 
 
+def block_rule(rule):
+    """Set the kernel's block rule ``(spins, steps)`` for a ``with`` block."""
+    spins, steps = rule
+    return mock.patch.multiple(simulate, BLOCK_MIN_SPINS=spins,
+                               BLOCK_MIN_STEPS=steps)
+
+
 def simulated_gate_list(gates, n, rule):
     """``gate_list_unitary`` with the block rule ``(spins, steps)``."""
-    spins, steps = rule
-    with mock.patch.multiple(simulate, BLOCK_MIN_SPINS=spins,
-                             BLOCK_MIN_STEPS=steps):
+    with block_rule(rule):
         return gate_list_unitary(gates, n)
 
 
+def simulated_program(program, rule):
+    """``pulse_program_unitary`` with the block rule ``(spins, steps)``."""
+    with block_rule(rule):
+        return pulse_program_unitary(program)
+
+
 @st.composite
-def unequal_chains(draw, min_n=1):
-    n = draw(st.integers(min_n, 5))
+def unequal_chains(draw, min_n=1, max_n=5):
+    n = draw(st.integers(min_n, max_n))
     js = draw(st.lists(st.floats(20.0, 250.0, allow_nan=False),
                        min_size=n - 1, max_size=n - 1, unique=True))
     return ChainSpec(n, tuple(js))
@@ -379,41 +429,63 @@ def alternating_runs(draw, local_run, diagonal_run, last):
 
 
 @st.composite
-def below_top(draw, n):
-    """A stretch that leaves spin ``n`` alone: rotations on spins
-    ``1..n-1``, x +-pi flips among them, and couplings on pairs
-    ``1..n-2``.  It is short, or about as long as the kernel's block
-    rule asks, so that some stretches are replayed step by step (their
-    flips stay in the frame) and others become blocks."""
+def last_spin_diagonal(draw, n, kind, diagonal, below):
+    """A stretch that is diagonal on spin ``n``: rotations (or pulses) on
+    spins ``1..n-1``, x +-pi flips among them and diagonal steps drawn
+    from ``below`` (none when it is None), which leave spin ``n`` alone;
+    or all that, diagonal steps drawn from ``diagonal`` instead, and z
+    turns and x +-pi flips of spin ``n``.  It is short, or about as long
+    as the kernel's block rule asks, so that some stretches are replayed
+    step by step (their flips stay in the frame) and others become
+    blocks, of one branch or of two."""
+    touch = draw(st.booleans())
+    steps = diagonal if touch else below
     size = draw(st.one_of(
         st.integers(0, 6),
         st.integers(simulate.BLOCK_MIN_STEPS - 4, simulate.BLOCK_MIN_STEPS + 16)))
+    flip = st.sampled_from([math.pi, -math.pi])
     out = []
     for _ in range(size):
-        kind = draw(st.integers(0, 3))
-        if kind == 0 and n > 2:
-            out.append(CouplingEvolution(draw(st.integers(1, n - 2)),
-                                         draw(ANGLES)))
+        choice = draw(st.integers(0, 4))
+        if choice == 0 and steps is not None:
+            out.append(draw(steps))
+        elif choice == 1 and touch:
+            out.append(kind(n, "z", draw(ANGLES)) if draw(st.booleans())
+                       else kind(n, "x", draw(flip)))
         else:
-            angles = st.sampled_from([math.pi, -math.pi]) if kind == 1 \
-                else FRAME_ANGLES
-            out.append(LocalRotation(draw(st.integers(1, n - 1)),
-                                     "x" if kind == 1 else draw(AXES),
-                                     draw(angles)))
+            flipped = choice == 2
+            out.append(kind(draw(st.integers(1, n - 1)),
+                            "x" if flipped else draw(AXES),
+                            draw(flip if flipped else FRAME_ANGLES)))
     return out
 
 
+def pair_couplings(first, last):
+    """Couplings on the pairs ``first..last``."""
+    return st.builds(CouplingEvolution, st.integers(first, last), ANGLES)
+
+
 @st.composite
-def stretches(draw, n):
-    """Up to four stretches below the top spin, each followed by a z, x
-    or y turn on spin ``n`` or a coupling on the pair ``(n-1, n)``."""
+def stretches(draw, n, program=False):
+    """Up to four stretches diagonal on the top spin, each followed by a
+    z, x or y turn on spin ``n`` or by a coupling on the pair
+    ``(n-1, n)``; in a pulse program, by a pulse on spin ``n`` or a
+    delay."""
+    if n == 1:
+        return []
+    if program:
+        kind, below = HardPulse, None
+        inside = after = st.builds(Delay, DURATIONS)
+    else:
+        kind, below = LocalRotation, pair_couplings(1, n - 2) if n > 2 else None
+        inside, after = pair_couplings(1, n - 1), pair_couplings(n - 1, n - 1)
     out = []
-    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
-        out.extend(draw(below_top(n)))
+    for _ in range(draw(st.integers(0, 4))):
+        out.extend(draw(last_spin_diagonal(n, kind, inside, below)))
         if draw(st.booleans()):
-            out.append(LocalRotation(n, draw(AXES), draw(FRAME_ANGLES)))
+            out.append(kind(n, draw(AXES), draw(FRAME_ANGLES)))
         else:
-            out.append(CouplingEvolution(n - 1, draw(ANGLES)))
+            out.append(draw(after))
     return out
 
 
@@ -434,10 +506,11 @@ def gate_lists(draw, last):
 
 @st.composite
 def programs(draw, last):
-    chain = draw(unequal_chains())
-    delays = st.lists(st.builds(Delay, DURATIONS), min_size=1, max_size=3)
-    events = draw(alternating_runs(rotation_run(chain.n, HardPulse),
-                                   delays, last))
+    chain = draw(unequal_chains(max_n=6))
+    events = draw(stretches(chain.n, program=True))
+    events += draw(alternating_runs(
+        rotation_run(chain.n, HardPulse),
+        st.lists(st.builds(Delay, DURATIONS), min_size=1, max_size=3), last))
     return PulseProgram(chain=chain, events=events, phase=draw(ANGLES))
 
 
@@ -458,7 +531,7 @@ def test_fused_gate_list_matches_oracle(last, data):
 def test_fused_pulse_program_matches_oracle(last, data):
     program = data.draw(programs(last))
     assert isinstance(program.events[-1], HardPulse if last == "local" else Delay)
-    got = pulse_program_unitary(program)
+    got = simulated_program(program, data.draw(BLOCK_RULES))
     assert np.max(np.abs(got - oracle_program(program))) < 1e-12
 
 
@@ -492,12 +565,13 @@ def test_frame_gate_list_matches_oracle(data):
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_frame_pulse_program_matches_oracle(data):
-    chain = data.draw(unequal_chains())
-    events = data.draw(frame_steps(chain.n, HardPulse,
-                                   st.builds(Delay, DURATIONS)))
+    chain = data.draw(unequal_chains(max_n=6))
+    events = data.draw(stretches(chain.n, program=True))
+    events += data.draw(frame_steps(chain.n, HardPulse,
+                                    st.builds(Delay, DURATIONS)))
     program = PulseProgram(chain=chain, events=events,
                            phase=data.draw(ANGLES))
-    got = pulse_program_unitary(program)
+    got = simulated_program(program, data.draw(BLOCK_RULES))
     assert np.max(np.abs(got - oracle_program(program))) < 1e-12
 
 
