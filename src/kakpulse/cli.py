@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, _json_int
 from .gates import (
     ChainSpec,
     CouplingEvolution,
@@ -94,7 +94,7 @@ def _matrix_from_artifact(data, what: str) -> np.ndarray:
     """Convert a matrix object once its declared ``dim`` is within
     :data:`MAX_CLI_SPINS`, so an oversized file builds no array."""
     try:
-        dim = int(data["dim"])
+        dim = _json_int(data["dim"], "matrix dim")
     except (KeyError, TypeError, ValueError):
         dim = 0  # malformed; matrix_from_json_dict says how
     _check_spins(dim.bit_length() - 1, f"{what} ({dim}x{dim})")

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the readers of JSON
+fields that raise them."""
 
 from __future__ import annotations
 
@@ -38,3 +39,22 @@ class NumericError(RuntimeError):
         base = str(self.args[0]).split(" [at ")[0].split(" (residual")[0]
         return NumericError(base, residual=self.residual,
                             path=(step, *self.path))
+
+
+def _json_int(value, what: str) -> int:
+    """``value`` as an ``int`` when it is a JSON integer; ``2.0`` is one,
+    but a bool, a string or ``2.9`` is a :class:`ValidationError`, where
+    ``int()`` would read ``true`` as 1 and truncate ``2.9`` to 2."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def _json_array(value, what: str) -> list:
+    """``value`` when it is a JSON array; a string would otherwise be
+    read letter by letter as one."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a JSON array, got {value!r}")
+    return value

@@ -36,7 +36,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Union
 
-from .errors import DimensionError, RangeError, ValidationError
+from .errors import (DimensionError, RangeError, ValidationError, _json_array,
+                     _json_int)
 
 AXES = ("x", "y", "z")
 
@@ -132,14 +133,6 @@ def gate_list_to_json(gates: list[Gate]) -> list[dict]:
     return out
 
 
-def _json_array(value, what: str) -> list:
-    """``value`` when it is a JSON array; a string would otherwise be
-    read letter by letter as one."""
-    if not isinstance(value, list):
-        raise ValidationError(f"{what} must be a JSON array, got {value!r}")
-    return value
-
-
 def gate_list_from_json(data: list[dict]) -> list[Gate]:
     if not isinstance(data, list):
         raise ValidationError("gate list must be a JSON array")
@@ -148,10 +141,11 @@ def gate_list_from_json(data: list[dict]) -> list[Gate]:
         try:
             kind = item["kind"]
             if kind == "local":
-                out.append(LocalRotation(int(item["q"]), str(item["axis"]),
+                out.append(LocalRotation(_json_int(item["q"], "gate spin"),
+                                         str(item["axis"]),
                                          float(item["angle"])))
             elif kind == "zz":
-                left, right = (int(v) for v in
+                left, right = (_json_int(v, "coupling spin") for v in
                                _json_array(item["pair"], "coupling pair"))
                 if right != left + 1:
                     raise ValidationError(
@@ -207,7 +201,7 @@ class ChainSpec:
     def from_json_dict(cls, data: dict) -> "ChainSpec":
         try:
             couplings = _json_array(data["J"], "chain couplings J")
-            return cls(n=int(data["n"]),
+            return cls(n=_json_int(data["n"], "chain size n"),
                        couplings=tuple(float(x) for x in couplings))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed chain object: {exc}") from exc
@@ -262,7 +256,8 @@ class PulseProgram:
             for k, item in enumerate(data.get("events", [])):
                 kind = item["kind"]
                 if kind == "pulse":
-                    events.append(HardPulse(int(item["q"]), str(item["axis"]),
+                    events.append(HardPulse(_json_int(item["q"], "pulse spin"),
+                                            str(item["axis"]),
                                             float(item["angle"])))
                 elif kind == "delay":
                     events.append(Delay(float(item["t"])))

@@ -94,7 +94,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, ValidationError
+from .errors import DimensionError, NumericError, ValidationError, _json_int
 from .linalg import (PAULI, TOL_UNITARY, apply_local, check_square,
                      check_unitary, cosine_sine, golden_mix_eigvecs, kron2,
                      permute_spins, quaternion_matrix, spin_count,
@@ -717,12 +717,13 @@ def tree_from_json_dict(data: dict) -> GateTree:
             return SequenceNode(tuple(tree_from_json_dict(c)
                                       for c in data["children"]))
         if kind == "euler":
-            return EulerNode(int(data["q"]), float(data["alpha"]),
+            return EulerNode(_json_int(data["q"], "Euler spin"),
+                             float(data["alpha"]),
                              float(data["beta"]), float(data["gamma"]))
         if kind == "phase":
             return PhaseNode(float(data["phi"]))
         if kind == "commuting_evolution":
-            n = int(data["n"])
+            n = _json_int(data["n"], "commuting-evolution size n")
             coeffs = data["coeffs"]
             if not isinstance(coeffs, dict):
                 raise ValidationError(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, NumericError, ValidationError
+from .errors import DimensionError, NumericError, ValidationError, _json_int
 
 TOL_UNITARY = 1e-10
 TOL_HERMITIAN = 1e-10
@@ -25,6 +25,10 @@ TOL_CSD = 1e-9
 TOL_GAUGE = 1e-12
 
 _GOLDEN = 0.6180339887498949
+# :func:`unitary_eig` accepts a basis whose residual and eigenvalue
+# moduli are within this, and gives up after this many mixing angles.
+_TOL_EIG = 1e-10
+_EIG_TRIES = 12
 
 # The Pauli matrices, keyed by the rotation axes of the gate vocabulary.
 PAULI = {
@@ -184,15 +188,15 @@ def golden_mix_eigvecs(a: np.ndarray, b: np.ndarray, tries: int):
         yield np.linalg.eigh(math.cos(t) * a + math.sin(t) * b)[1]
 
 
-def unitary_eig(u: np.ndarray, *, tol: float = 1e-10,
-                max_tries: int = 12) -> tuple[np.ndarray, np.ndarray]:
+def unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a unitary with an orthonormal eigenbasis.
 
     ``numpy.linalg.eig`` does not guarantee orthonormal eigenvectors for
     degenerate spectra, so we diagonalize a random Hermitian combination
     ``cos(t) * Re(u) + sin(t) * Im-part(u)`` instead; both parts commute
     with ``u``, and a generic ``t`` separates clustered eigenvalues.
-    Retries with different mixing angles until the residual passes.
+    Retries with different mixing angles, at most ``_EIG_TRIES``, until
+    the residual is below ``_TOL_EIG``.
 
     Returns ``(w, v)`` with ``u @ v = v @ diag(w)``, ``v`` unitary and
     eigenvalues sorted by phase angle in ``(-pi, pi]``.
@@ -201,10 +205,10 @@ def unitary_eig(u: np.ndarray, *, tol: float = 1e-10,
     hc = (u + u.conj().T) / 2
     hs = (u - u.conj().T) / 2j
     last = np.inf
-    for v in golden_mix_eigvecs(hc, hs, max_tries):
+    for v in golden_mix_eigvecs(hc, hs, _EIG_TRIES):
         w = np.einsum("ij,jk,ki->i", v.conj().T, u, v)
         resid = float(np.max(np.abs(u @ v - v * w)))
-        if resid < tol and np.max(np.abs(np.abs(w) - 1)) < tol:
+        if resid < _TOL_EIG and np.max(np.abs(np.abs(w) - 1)) < _TOL_EIG:
             order = np.argsort(np.angle(w), kind="stable")
             return w[order], v[:, order]
         last = min(last, resid)
@@ -335,7 +339,7 @@ def matrix_to_json_dict(m: np.ndarray) -> dict:
 
 def matrix_from_json_dict(data: dict) -> np.ndarray:
     try:
-        dim = int(data["dim"])
+        dim = _json_int(data["dim"], "matrix dim")
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:

@@ -31,8 +31,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
-from .linalg import check_square, spin_count
+from .errors import DimensionError, ValidationError, _json_int
+from .linalg import TOL_HERMITIAN, check_square, spin_count
 
 MAX_SPINS = 12
 
@@ -234,7 +234,7 @@ class PauliExpansion:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PauliExpansion":
-        n = int(data["n"])
+        n = _json_int(data["n"], "expansion size n")
         terms = {PauliString(k): float(v) for k, v in data.get("terms", {}).items()}
         for s in terms:
             if s.n != n:
@@ -259,26 +259,26 @@ def _sigma_coefficients(block: np.ndarray, prefix: list[str],
         prefix.pop()
 
 
-def expand(h: np.ndarray, *, atol: float = 1e-12,
-           herm_tol: float = 1e-10) -> PauliExpansion:
+def expand(h: np.ndarray, *, atol: float = 1e-12) -> PauliExpansion:
     """Expand a Hermitian matrix over realized product operators.
 
     Coefficients with magnitude at most ``atol`` are dropped.  Raises
-    :class:`ValidationError` if ``h`` is not Hermitian to ``herm_tol`` or
-    its dimension is not a power of two.
+    :class:`ValidationError` if ``h`` is not Hermitian to
+    :data:`~kakpulse.linalg.TOL_HERMITIAN` or its dimension is not a
+    power of two.
     """
     h = check_square(h, "matrix to expand")
     n = spin_count(h.shape[0])
     if n > MAX_SPINS:
         raise DimensionError(f"{n} spins exceeds the limit of {MAX_SPINS}")
-    if np.max(np.abs(h - h.conj().T)) > herm_tol:
+    if np.max(np.abs(h - h.conj().T)) > TOL_HERMITIAN:
         raise ValidationError("matrix is not Hermitian within tolerance")
     raw: dict[str, complex] = {}
     _sigma_coefficients(h, [], raw)
     terms: dict[PauliString, float] = {}
     ident = 0.0
     for letters, c in raw.items():
-        if abs(c.imag) > herm_tol:
+        if abs(c.imag) > TOL_HERMITIAN:
             raise ValidationError("expansion produced a complex coefficient; "
                                   "input is not Hermitian enough")
         s = PauliString(letters)

@@ -2,14 +2,15 @@
 
 Four layers live here:
 
-* A symbolic rewrite engine that turns ``exp(-1j * theta * B_P)`` for an
-  arbitrary string ``P`` into single-spin rotations plus
-  nearest-neighbour ZZ coupling evolutions.  The engine conjugates the
-  target string down to a single adjacent ZZ pair using two kinds of
-  exactly-tracked moves: local frame rotations (to turn letters into Z)
-  and ``pi`` two-spin evolutions (to shorten the support or walk it
-  across gaps).  All bookkeeping is done on letters and signs, never
-  numerically, so the output is exact up to floating-point rotation
+* A ladder that turns ``exp(-1j * theta * B_P)`` for an arbitrary
+  string ``P`` into single-spin rotations plus nearest-neighbour ZZ
+  coupling evolutions.  A frame rotation turns each X or Y letter into
+  Z; then the leftmost Z walks right by two literal moves, each a few
+  ``pi`` couplings between ``pi/2`` rotations: a gap move carries it
+  across an empty spin, and a fold move merges it into the next Z.  The
+  walk stops at one adjacent ZZ pair, which takes the coupling, and the
+  ladder is undone after it.  Every move maps a Z string to a Z string
+  with sign ``+1``, so the output is exact up to floating-point rotation
   angles.
 * A family lowering that shares those ``pi`` evolutions across a whole
   commuting family instead of paying one ladder per string.  A
@@ -33,10 +34,10 @@ Four layers live here:
   :func:`~kakpulse.kak.decompose` into one gate list: Euler leaves
   become up to three rotations and commuting layers go through the
   family lowering; the ``MAXIMAL`` two-spin middle ``{XX, YY, ZZ}``
-  takes one rewrite-engine ladder per string.  A peephole pass then
-  holds each spin's rotations until the next coupling that touches it
-  and replaces a run by its x-z-x Euler triple when that is shorter, so
-  no spin receives more than three rotations between two couplings.  It
+  takes one ladder per string.  A peephole pass then holds each spin's
+  rotations until the next coupling that touches it and replaces a run
+  by its x-z-x Euler triple when that is shorter, so no spin receives
+  more than three rotations between two couplings.  It
   also folds every coupling angle into ``[-pi, pi]``.  Rotations of at
   most :data:`TOL_ROTATION` (rounding noise) are left out.  This is the
   one place where the emitted gauge is chosen.
@@ -74,7 +75,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +86,7 @@ from .kak import (CartanNode, EulerNode, GateTree, PhaseNode, SequenceNode,
 from .linalg import QUATERNION_ONE, quaternion_turn
 from .networks import (TOL_COEFF, Route, closed_route, nonzero_letters,
                        parity_image, parity_points)
-from .paulis import CartanElement, CartanFamily, PauliString, _letter_product
+from .paulis import CartanElement, CartanFamily, PauliString
 
 # Rotations of at most this angle are left out of a gate list: the
 # factorization's rounding noise reaches 2e-12 rad on QFT and bit-reversal
@@ -96,132 +96,46 @@ TOL_ROTATION = 1e-11
 _PI = math.pi
 _HALF_PI = math.pi / 2
 
-# Frame rotation R with Ad_R(sigma_z) = sigma_letter.
-_FRAME_FOR_LETTER = {
-    "X": ("y", _HALF_PI),
-    "Y": ("x", -_HALF_PI),
-}
-
-
-@dataclass(frozen=True)
-class _PairOp:
-    """Conjugator ``exp(-1j * sign * pi * I_(a,la) I_(b,lb))``."""
-
-    a: int
-    la: str
-    b: int
-    lb: str
-    sign: int
-
-    def inverse(self) -> "_PairOp":
-        return _PairOp(self.a, self.la, self.b, self.lb, -self.sign)
-
-
-def _conjugate(op: LocalRotation | _PairOp,
-               term: dict[int, str]) -> tuple[int, dict[int, str]]:
-    """Adjoint of a conjugator on a signed string ``{site: letter}``:
-    ``(sign, new_term)``.
-
-    Each conjugator is a turn ``exp(-1j*s*pi/4*sigma_P)``: a rotation has
-    ``P = axis`` and ``s = angle/(pi/2)``, a pair ``P = la lb`` and
-    ``s = sign``.  A term ``T`` that commutes with ``P`` is unchanged; a
-    half turn negates it, and a quarter turn maps it to
-    ``-1j*s*P*T``, again a single signed string.
-    """
-    if isinstance(op, LocalRotation):
-        turn, s = {op.qubit: op.axis.upper()}, op.angle / _HALF_PI
-    else:
-        turn, s = {op.a: op.la, op.b: op.lb}, op.sign
-    clashes = sum(1 for site, x in turn.items()
-                  if term.get(site, "1") not in ("1", x))
-    if clashes % 2 == 0:
-        return 1, term
-    if math.isclose(abs(s), 2):
-        return -1, term
-    if not math.isclose(abs(s), 1):
-        raise ValidationError(f"unsupported symbolic turn {op!r}")
-    factor = -1j * round(s)
-    new = dict(term)
-    for site, x in turn.items():
-        phase, letter = _letter_product(x, term.get(site, "1"))
-        factor *= phase
-        if letter == "1":
-            new.pop(site, None)
-        else:
-            new[site] = letter
-    sign = int(round(factor.real))
-    if abs(factor - sign) > 1e-12 or sign not in (-1, 1):
-        raise ValidationError("conjugation produced a non-real sign")
-    return sign, new
-
-
-def _frame_gates(op: _PairOp) -> list[LocalRotation]:
-    """Local rotations V with ``exp(op) = V exp(-1j*sign*pi*IzIz) V^dag``."""
-    return [LocalRotation(site, *_FRAME_FOR_LETTER[letter])
-            for site, letter in ((op.b, op.lb), (op.a, op.la)) if letter != "Z"]
-
-
-def _op_gates(ops) -> list[Gate]:
-    """Gates of a sequence of conjugators, each a local rotation (its own
-    gate) or a ``pi`` pair evolution ``V^dag``, coupling, ``V`` on
-    adjacent spins."""
-    out: list[Gate] = []
-    for op in ops:
-        if isinstance(op, LocalRotation):
-            out.append(op)
-            continue
-        if op.b != op.a + 1:
-            raise ValidationError("pair conjugators must act on adjacent spins")
-        frame = _frame_gates(op)
-        out += (inverse_gate_list(frame)
-                + [CouplingEvolution(op.a, op.sign * _PI)] + frame)
-    return out
-
 
 @functools.lru_cache(maxsize=None)
-def _reduce_to_adjacent_zz(letters: str) -> tuple[tuple, int, int]:
-    """Conjugate a weight >= 2 string down to an adjacent ZZ pair.
+def _ladder(letters: str) -> tuple[tuple[Gate, ...], int]:
+    """``(gates, left)`` for a string of weight two or more: a Clifford
+    ``W`` whose gates, run in order, carry ``sigma_letters`` to
+    ``sigma_(Z@left, Z@left+1)``, so ``exp(-1j*t*sigma_letters)`` is the
+    gates, ``exp(-1j*t*Z_left Z_left+1)`` and the gates' inverse.
 
-    Returns ``(ops, left, sign)`` where applying the adjoints of ``ops``
-    in order maps ``sigma_letters`` to ``sign * sigma_(Z@left, Z@left+1)``.
+    Each X takes ``Ry(-pi/2)`` and each Y ``Rx(pi/2)``, in site order,
+    which leaves a string of Zs.  Then the leftmost Z walks right until
+    two adjacent Zs are left.  Across an empty spin ``q+1`` it moves by
+    a gap move, the YZ and XY half turns on ``(q, q+1)`` and
+    ``Ry(q+1, -pi/2)``: two ``pi`` couplings.  Into the Z on ``q+1`` it
+    folds by ``Ry(q+1, pi/2)`` and the ZY half turn: one ``pi`` coupling.
+    Every step maps a Z string to a Z string with sign ``+1``.
     """
-    string = PauliString(letters)
-    ops: list = []
-    term = {k: string.letter(k) for k in string.support}
-    sign = 1
-
-    def push(*new):
-        nonlocal sign, term
-        for op in new:
-            s, term = _conjugate(op, term)
-            sign *= s
-        ops.extend(new)
-
-    for site in sorted(term):
-        if term[site] == "X":
-            push(LocalRotation(site, "y", -_HALF_PI))
-        elif term[site] == "Y":
-            push(LocalRotation(site, "x", _HALF_PI))
-
-    while True:
-        sites = sorted(term)
-        if len(sites) == 2 and sites[1] == sites[0] + 1:
-            break
-        s1, s2 = sites[0], sites[1]
-        if s2 == s1 + 1:
-            # Shorten: rotate the right partner to X, then a ZY half turn
-            # absorbs the left Z into it.
-            push(LocalRotation(s2, "y", _HALF_PI), _PairOp(s1, "Z", s2, "Y", -1))
-            if sorted(term)[0] != s2:
-                raise ValidationError("support shortening failed")
+    sites = [q + 1 for q, x in enumerate(letters) if x != "1"]
+    out: list[Gate] = [
+        LocalRotation(q, "y", -_HALF_PI) if letters[q - 1] == "X"
+        else LocalRotation(q, "x", _HALF_PI)
+        for q in sites if letters[q - 1] != "Z"]
+    while not (len(sites) == 2 and sites[1] == sites[0] + 1):
+        q = sites[0]
+        if sites[1] == q + 1:
+            # fold: Ry(q+1, pi/2), then the ZY half turn
+            out += [LocalRotation(q + 1, "y", _HALF_PI),
+                    LocalRotation(q + 1, "x", _HALF_PI), CouplingEvolution(q, -_PI),
+                    LocalRotation(q + 1, "x", -_HALF_PI)]
+            sites.pop(0)
         else:
-            # Walk the leftmost Z one site to the right across a gap.
-            push(_PairOp(s1, "Y", s1 + 1, "Z", 1), _PairOp(s1, "X", s1 + 1, "Y", 1),
-                 LocalRotation(s1 + 1, "y", -_HALF_PI))
-    left = sorted(term)[0]
-    if term != {left: "Z", left + 1: "Z"}:
-        raise ValidationError("reduction did not reach an adjacent ZZ pair")
-    return tuple(ops), left, sign
+            # gap: the YZ half turn, the XY half turn, Ry(q+1, -pi/2)
+            out += [LocalRotation(q, "x", _HALF_PI), CouplingEvolution(q, _PI),
+                    LocalRotation(q, "x", -_HALF_PI),
+                    LocalRotation(q, "y", -_HALF_PI),
+                    LocalRotation(q + 1, "x", _HALF_PI), CouplingEvolution(q, _PI),
+                    LocalRotation(q + 1, "x", -_HALF_PI),
+                    LocalRotation(q, "y", _HALF_PI),
+                    LocalRotation(q + 1, "y", -_HALF_PI)]
+            sites[0] = q + 1
+    return tuple(out), sites[0]
 
 
 def pauli_evolution_gates(string: PauliString | str, angle: float) -> list[Gate]:
@@ -245,14 +159,11 @@ def pauli_evolution_gates(string: PauliString | str, angle: float) -> list[Gate]
     if abs(angle) <= TOL_COEFF:
         return []
 
-    ops, left, sign = _reduce_to_adjacent_zz(s.letters)
-    # sigma_P = sign * W sigma_ZZ W^dag  with  W = op1^dag ... opm^dag,
-    # hence exp(-i th B_P) = W exp(-i th sign B_ZZ) W^dag: W^dag runs the
-    # ops in order, W their inverses in reverse, and B_ZZ = 2 IzIz
-    # doubles the coupling angle, whose sign the scheduler handles.
-    theta = 2 * angle * sign
-    return (_op_gates(ops) + [CouplingEvolution(left, theta)]
-            + _op_gates([op.inverse() for op in reversed(ops)]))
+    ladder, left = _ladder(s.letters)
+    # B_ZZ = 2 IzIz doubles the coupling angle, whose sign the scheduler
+    # handles.
+    return [*ladder, CouplingEvolution(left, 2 * angle),
+            *inverse_gate_list(ladder)]
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +173,14 @@ def pauli_evolution_gates(string: PauliString | str, angle: float) -> list[Gate]
 @functools.lru_cache(maxsize=None)
 def _cnot_gates(control: int, target: int) -> tuple[Gate, ...]:
     """Gates, in time order, whose product is ``CNOT(control -> target)``
-    on adjacent spins times ``exp(1j*pi/4)``: a ZX half turn, then
+    on adjacent spins times ``exp(1j*pi/4)``: a ZX half turn (a ``pi``
+    coupling between ``Ry(-pi/2)`` and ``Ry(pi/2)`` on the target), then
     ``Rx(-pi/2)`` on the target and ``Rz(-pi/2)`` on the control."""
-    if control < target:
-        pair = _PairOp(control, "Z", target, "X", 1)
-    else:
-        pair = _PairOp(target, "X", control, "Z", 1)
-    return tuple(_op_gates([pair, LocalRotation(target, "x", -_HALF_PI),
-                            LocalRotation(control, "z", -_HALF_PI)]))
+    return (LocalRotation(target, "y", -_HALF_PI),
+            CouplingEvolution(min(control, target), _PI),
+            LocalRotation(target, "y", _HALF_PI),
+            LocalRotation(target, "x", -_HALF_PI),
+            LocalRotation(control, "z", -_HALF_PI))
 
 
 def _network_gates(k: int, items: list[tuple[PauliString, float]],

@@ -387,6 +387,38 @@ class TestVerify:
         assert "PASS" not in captured.out and "FAIL" not in captured.out
         assert "JSON array" in captured.err
 
+    @pytest.mark.parametrize("field, value", [
+        ("q", 2.9), ("pair", [1.5, 2.5]), ("pulse", True), ("n", 3.5),
+        ("dim", 8.5)])
+    def test_non_integral_index_is_invalid(self, artifacts, tmp_path, capsys,
+                                           field, value):
+        """A spin, pair, chain size or dimension that is not a JSON
+        integer is invalid input: ``2.9`` is not spin 2, and ``true`` is
+        not spin 1."""
+        target, d_path, p_path = artifacts
+        artifact, path = (p_path, tmp_path / "bad.json")
+        if field in ("q", "pair"):
+            artifact, data = d_path, read_json(d_path)
+            kind = "local" if field == "q" else "zz"
+            next(g for g in data["gates"] if g["kind"] == kind)[field] = value
+        elif field == "pulse":
+            data = read_json(p_path)
+            next(e for e in data["events"] if e["kind"] == "pulse")["q"] = value
+        elif field == "n":
+            data = read_json(p_path)
+            data["chain"]["n"] = value
+        else:
+            artifact, path = target, tmp_path / "bad_target.json"
+            data = read_json(target)
+            data["dim"] = value
+        path.write_text(json.dumps(data))
+        args = ([str(artifact), str(path)] if field == "dim"
+                else [str(path), str(target)])
+        assert main(["verify", *args]) == 3
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+        assert "must be an integer" in captured.err
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tolerance_is_rejected_before_simulating(
             self, artifacts, monkeypatch, capsys, tol):

@@ -617,6 +617,18 @@ def test_tree_json_rejects_malformed():
                              "beta": 0.0, "gamma": 0.0})
 
 
+def test_tree_json_rejects_non_integral_spins():
+    euler = {"node": "euler", "q": 1, "alpha": 0.1, "beta": 0.2, "gamma": 0.3}
+    layer = {"node": "commuting_evolution", "n": 3, "family": "outer_x",
+             "coeffs": {"ZZX": 0.4}}
+    assert tree_from_json_dict({**euler, "q": 1.0}) == tree_from_json_dict(euler)
+    for node, field, value in ((euler, "q", 1.9), (euler, "q", True),
+                               (euler, "q", "1"), (layer, "n", 3.5),
+                               (layer, "n", True)):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            tree_from_json_dict({**node, field: value})
+
+
 def test_tree_json_rejects_malformed_commuting_evolution():
     """A coefficient table or a route of the wrong shape is a validation
     failure, not an attribute error."""

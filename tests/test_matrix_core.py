@@ -232,6 +232,14 @@ def test_matrix_json_validation():
                                "im": [[0, 0], [0, 0]]})
 
 
+def test_matrix_json_rejects_a_non_integral_dim():
+    data = matrix_to_json_dict(np.eye(2, dtype=complex))
+    assert np.array_equal(matrix_from_json_dict({**data, "dim": 2.0}), np.eye(2))
+    for dim in (2.5, True, "2"):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            matrix_from_json_dict({**data, "dim": dim})
+
+
 def test_stacked_quaternions_and_kronecker_products():
     """The simulator builds its 2x2s and 4x4s as stacks; each member is
     what the one-at-a-time forms give."""

@@ -20,12 +20,14 @@ from kakpulse import (
     CartanFamily,
     CartanNode,
     ChainSpec,
+    CouplingEvolution,
     PauliString,
     ValidationError,
     evaluate,
     expm_skew,
     flatten,
     gate_list_unitary,
+    pauli_evolution_gates,
     pulse_program_unitary,
     synthesize_pulses,
 )
@@ -40,7 +42,6 @@ from kakpulse.networks import (
     open_route,
     parity_points,
 )
-from kakpulse.pulses import _PairOp, _reduce_to_adjacent_zz
 
 NETWORK_FAMILIES = (CartanFamily.DIAGONAL, CartanFamily.OUTER_X)
 
@@ -51,15 +52,15 @@ def last_spin_parities(k):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_ladder_pi_count_closed_form(n):
-    """Every {1, Z} string of weight two or more: the closed form is the
-    rewrite engine's count of pi couplings, two per pair conjugator."""
-    for letters in itertools.product("1Z", repeat=n):
+    """Every string of weight two or more, over all four letters: the
+    closed form is the number of pi couplings its ladder emits."""
+    for letters in itertools.product("1XYZ", repeat=n):
         word = "".join(letters)
-        if word.count("Z") < 2:
+        if len(word) - word.count("1") < 2:
             continue
-        ops = _reduce_to_adjacent_zz(word)[0]
-        assert ladder_pi_count(word) == 2 * sum(isinstance(op, _PairOp)
-                                                for op in ops), word
+        pis = sum(isinstance(g, CouplingEvolution) and abs(g.angle) == math.pi
+                  for g in pauli_evolution_gates(word, 0.37))
+        assert ladder_pi_count(word) == pis, word
 
 
 @pytest.mark.parametrize("k, length, rows", [

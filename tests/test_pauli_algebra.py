@@ -354,6 +354,9 @@ def test_expansion_json_identity_key_only_when_nonzero():
 def test_expansion_json_rejects_mismatched_terms():
     with pytest.raises(ValidationError):
         PauliExpansion.from_json_dict({"n": 2, "terms": {"XXX": 1.0}})
+    for n in (2.5, True, "2"):  # not truncated or cast to a size
+        with pytest.raises(ValidationError, match="must be an integer"):
+            PauliExpansion.from_json_dict({"n": n, "terms": {"XX": 1.0}})
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""String-evolution rewriting and pulse scheduling.
+"""String-evolution ladders and pulse scheduling.
 
-The rewrite engine's only contract is dense: exp(-i*angle*B_P) must come
-out of the gate list exactly, for every string.  A commuting-family
+The ladder's only contract is dense: exp(-i*angle*B_P) must come out
+of the gate list exactly, for every string.  A commuting-family
 element must come out exactly too, and its parity network may never
 spend more pi couplings than one ladder per string.  The scheduler's
 contract is that an always-on chain plus echo pulses reproduces each
@@ -35,6 +35,7 @@ from kakpulse import (
     ValidationError,
     cartan_evolution_gates,
     expm_skew,
+    gate_list_from_json,
     gate_list_spin_bound,
     gate_list_to_json,
     gate_list_unitary,
@@ -76,7 +77,7 @@ def all_weighted_words(n):
 
 
 # ---------------------------------------------------------------------------
-# Rewrite engine
+# Ladders
 
 
 def test_single_letter_strings_compile_to_one_rotation():
@@ -100,11 +101,10 @@ def test_every_three_spin_string():
         assert np.max(np.abs(got - evolution_oracle(word, theta))) < 1e-12, word
 
 
-def test_sampled_four_spin_strings():
+def test_every_four_spin_string():
+    """All 255 strings against the dense oracle, each at its own angle."""
     rng = np.random.default_rng(33)
-    words = all_weighted_words(4)
-    for _ in range(40):
-        word = words[rng.integers(len(words))]
+    for word in all_weighted_words(4):
         theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
         gates = pauli_evolution_gates(word, theta)
         got = gate_list_unitary(gates, 4)
@@ -292,6 +292,12 @@ class TestChainSpec:
         assert ChainSpec.from_json_dict(chain.to_json_dict()) == chain
         with pytest.raises(ValidationError):
             ChainSpec.from_json_dict({"n": 3})
+
+    def test_json_rejects_a_non_integral_size(self):
+        assert ChainSpec.from_json_dict({"n": 3.0, "J": [90.0, 110.0]}).n == 3
+        for n in (2.7, True, "3"):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                ChainSpec.from_json_dict({"n": n, "J": [90.0, 110.0]})
 
 
 def test_refocusing_set_examples():
@@ -499,6 +505,32 @@ def test_program_json_rejects_unknown_events():
             "chain": {"n": 2, "J": [100.0]},
             "events": [{"kind": "chirp", "t": 1.0}],
         })
+
+
+def test_gate_list_json_rejects_non_integral_spins():
+    """A spin is a JSON integer: ``2.0`` reads as spin 2, but ``2.9``,
+    ``true`` and ``"2"`` are not truncated or cast to one."""
+    assert gate_list_from_json([
+        {"kind": "local", "q": 2.0, "axis": "x", "angle": 0.1},
+        {"kind": "zz", "pair": [1.0, 2], "angle": 0.2},
+    ]) == [LocalRotation(2, "x", 0.1), CouplingEvolution(1, 0.2)]
+    for q in (2.9, True, "2", math.nan):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            gate_list_from_json([{"kind": "local", "q": q, "axis": "x",
+                                  "angle": 0.1}])
+    for pair in ([1.5, 2.5], [True, 2], ["1", "2"]):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            gate_list_from_json([{"kind": "zz", "pair": pair, "angle": 0.2}])
+
+
+def test_program_json_rejects_non_integral_spins():
+    program = {"chain": {"n": 2, "J": [100.0]},
+               "events": [{"kind": "pulse", "q": 1, "axis": "x", "angle": 0.3}]}
+    assert PulseProgram.from_json_dict(program).events == [HardPulse(1, "x", 0.3)]
+    for q in (True, 1.5, "1"):
+        program["events"][0]["q"] = q
+        with pytest.raises(ValidationError, match="must be an integer"):
+            PulseProgram.from_json_dict(program)
 
 
 def test_event_validation():
