@@ -67,18 +67,34 @@ Every factorization routine re-multiplies its output and raises
 :class:`~kakpulse.errors.NumericError` if the residual exceeds its
 contract, with a path annotation pointing into the recursion.
 
-The recursion is one pass: each call returns its tree together with
-that tree's matrix.  A one-spin leaf's matrix is its node applied to
-the identity, and a two-spin leaf's is the product of its Euler leaves'
-2x2s, paired by ``kron``, around its middle, which is diagonal in the
-magic frame; a level composes its matrix from the matrices its children
-returned (each already checked at its own level) and the commuting
-layers, and checks that against its input
-under :func:`residual_budget`.  So every level checks the tree it
-emits, not the intermediate factors, without walking its subtree again.
-Commuting-family exponentials are applied string by string, each
-``sigma_s`` as a signed permutation of rows.  :func:`evaluate` stays
-the independent re-walk of a finished tree.
+The recursion goes one depth at a time, since every sub-problem at a
+depth has the same size (:func:`_decompose_depth`).  First each one is
+screened (one stacked unitarity check and Kronecker screen per depth),
+picks its route and runs its split and demultiplexes, and the depth
+decides its open layers, with the interaction sums of all their
+two-spin neighbours from one stacked ``eigvals``.  Then the factors of
+every level go down as one list; at the two-spin depth all of a
+target's leaves (64 at five spins, 4,096 at eight) are factored in one
+stacked pass (:func:`_two_spin_leaves`).  Last, each level composes its
+tree and matrix from its factors' results.  Stacked ``matmul``,
+``det``, ``eigh``, ``eigvals`` and elementwise calls give each matrix
+the bits its own call would (as checked with NumPy 2.4 on OpenBLAS),
+and scalars stay ``cmath`` scalars, so the trees are those a
+depth-first recursion builds, bit for bit.  Each
+sub-problem carries its path in the recursion, and a check that fails
+inside a stacked pass reports the first failing matrix with its path.
+
+Every level returns its tree together with that tree's matrix.  A
+one-spin leaf's matrix is its node applied to the identity, and a
+two-spin leaf's is the product of its Euler leaves' 2x2s, paired by
+``kron``, around its middle, which is diagonal in the magic frame; a
+level composes its matrix from the matrices its factors returned (each
+already checked at its own level) and the commuting layers, and checks
+that against its input under :func:`residual_budget`.  So every level
+checks the tree it emits, not the intermediate factors, without walking
+its subtree again.  Commuting-family exponentials are applied string by
+string, each ``sigma_s`` as a signed permutation of rows.
+:func:`evaluate` stays the independent re-walk of a finished tree.
 
 This module only factors; :func:`kakpulse.pulses.flatten` lowers a tree
 to gates.
@@ -89,15 +105,16 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Callable, Union
 
 import numpy as np
 
 from .errors import DimensionError, NumericError, ValidationError, _json_int
 from .linalg import (PAULI, TOL_UNITARY, apply_local, check_square,
-                     check_unitary, cosine_sine, golden_mix_eigvecs, kron2,
-                     permute_spins, quaternion_matrix, spin_count,
+                     check_unitaries, check_unitary, cosine_sine,
+                     golden_mix_eigvecs, kron2, permute_spins,
+                     quaternion_matrices, quaternion_matrix, spin_count,
                      su2_rotation, unitary_eig)
 from .networks import (Route, check_route, closed_pi_count, end_rows,
                        leaves_last_spin, nonzero_letters, open_route)
@@ -173,6 +190,13 @@ def euler_xzx(u: np.ndarray) -> tuple[float, float, float]:
     if u.shape != (2, 2):
         raise DimensionError(f"expected a 2x2 matrix, got {u.shape}")
     (a, b), (c, d) = u.tolist()
+    return _euler_entries(a, b, c, d)
+
+
+def _euler_entries(a: complex, b: complex, c: complex,
+                   d: complex) -> tuple[float, float, float]:
+    """:func:`euler_xzx` of ``[[a, b], [c, d]]``, given as Python complex
+    numbers, with all of its checks."""
     devs = (abs(a.conjugate() * a + c.conjugate() * c - 1),
             abs(b.conjugate() * b + d.conjugate() * d - 1),
             abs(a.conjugate() * b + c.conjugate() * d))
@@ -236,26 +260,42 @@ def euler_xzx_angles(q) -> tuple[float, float, float]:
 # Two spins
 
 
-def _factor_local_pair(m: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
-    """Write a Kronecker-product 4x4 as ``g * kron(a, b)`` with ``a, b``
-    special unitaries and ``|g| = 1``.
+def _check_stack(failed: np.ndarray, paths, message: str,
+                 residuals: np.ndarray | None = None) -> None:
+    """Raise :class:`~kakpulse.errors.NumericError` for the first matrix
+    of a stack that ``failed``, with its residual and on its path."""
+    bad = failed.nonzero()[0]
+    if bad.size:
+        k = bad[0]
+        resid = None if residuals is None else float(residuals[k])
+        raise _on_path(NumericError(message, residual=resid), paths[k])
+
+
+def _factor_local_pairs(ms: np.ndarray,
+                        paths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Write each Kronecker-product 4x4 of a stack as ``g * kron(a, b)``
+    with ``a, b`` special unitaries and ``|g| = 1``; return the stacks of
+    ``g``, ``a`` and ``b``.
 
     Realigned so that ``t[2*i0 + j0, 2*i1 + j1] = m[2*i0 + i1, 2*j0 + j1]``,
     the product is the outer product of ``a``'s and ``b``'s entries, so
     the column and the row of its first largest entry give ``a`` and
-    ``b``, both scaled to determinant one by one batched ``det``.
+    ``b``, both scaled to determinant one by one batched ``det``.  A
+    failure names the first failing matrix's entry of ``paths``.
     """
-    t = m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    i, j = divmod(int(np.argmax(np.abs(t))), 4)
-    a, b = np.array([t[:, j], t[i, :] / t[i, j]]).reshape(2, 2, 2)
-    root_a, root_b = np.sqrt(np.linalg.det(np.array([a, b])))
-    a, b = a / root_a, b / root_b
+    count = len(ms)
+    rows = np.arange(count)
+    t = ms.reshape(count, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(count, 4, 4)
+    i, j = np.divmod(np.abs(t).reshape(count, 16).argmax(axis=1), 4)
+    a = t[rows, :, j].reshape(count, 2, 2)
+    b = (t[rows, i, :] / t[rows, i, j][:, None]).reshape(count, 2, 2)
+    roots = np.sqrt(np.linalg.det(np.stack([a, b], axis=1)))
+    a, b = a / roots[:, 0, None, None], b / roots[:, 1, None, None]
     ab = kron2(a, b)
-    g = complex(np.trace(ab.conj().T @ m) / 4)
-    resid = float(np.max(np.abs(m - g * ab)))
-    if resid > 1e-9 or abs(abs(g) - 1) > 1e-9:
-        raise NumericError("operator is not a local Kronecker pair",
-                           residual=resid)
+    g = np.trace(ab.conj().swapaxes(1, 2) @ ms, axis1=1, axis2=2) / 4
+    resid = np.max(np.abs(ms - g[:, None, None] * ab), axis=(1, 2))
+    _check_stack((resid > 1e-9) | (np.abs(np.abs(g) - 1) > 1e-9), paths,
+                 "operator is not a local Kronecker pair", resid)
     return g, a, b
 
 
@@ -275,9 +315,19 @@ def interaction_unitary(alphas) -> np.ndarray:
     axis, conjugated into the right frame; ``alphas = (pi, 0, 0)`` is the
     interaction content of CNOT.  The three terms commute and are
     diagonal in the magic frame, with the signs :data:`_MAGIC_SIGNS`.
+    A ``(k, 3)`` stack of angles gives the ``k`` middles.
     """
-    phases = np.exp(-0.25j * (np.asarray(alphas, dtype=float) @ _MAGIC_SIGNS))
+    alphas = np.asarray(alphas, dtype=float)
+    phases = np.exp(-0.25j * np.matmul(alphas[..., None, :], _MAGIC_SIGNS))
     return (_MAGIC * phases) @ _MAGIC_H
+
+
+def _canonical_products(phases, l1, l2, alphas, r1, r2) -> np.ndarray:
+    """``exp(1j*phase) * (l1 (x) l2) @ middle @ (r1 (x) r2)`` of each leaf
+    of stacked canonical factors."""
+    scale = np.array([cmath.exp(1j * phase) for phase in phases])
+    return (scale[:, None, None] * kron2(l1, l2) @ interaction_unitary(alphas)
+            @ kron2(r1, r2))
 
 
 @dataclass(frozen=True)
@@ -297,54 +347,78 @@ class TwoSpinFactors:
     residual: float
 
     def reconstruct(self) -> np.ndarray:
-        return (cmath.exp(1j * self.phase) * kron2(self.l1, self.l2)
-                @ interaction_unitary(self.alphas) @ kron2(self.r1, self.r2))
+        return _canonical_products(
+            [self.phase], self.l1[None], self.l2[None], [self.alphas],
+            self.r1[None], self.r2[None])[0]
 
 
 # The constant moves of the chamber: ``1j*sigma`` (a half turn, up to a
-# sign) and the quarter turn about each axis, with its inverse.
+# sign) and the quarter turn about each axis, with their inverses.
 _AXES = ("x", "y", "z")
 _HALF_TURN = {axis: 1j * PAULI[axis] for axis in _AXES}
+_HALF_TURN_H = {axis: q.conj().T for axis, q in _HALF_TURN.items()}
 _QUARTER_TURN = {axis: su2_rotation(axis, math.pi / 2) for axis in _AXES}
 _QUARTER_TURN_H = {axis: g.conj().T for axis, g in _QUARTER_TURN.items()}
 
 
 class _TwoSpinState:
-    """Mutable canonicalization state for the interaction angles."""
+    """Canonicalization state of one leaf: its phase and interaction
+    angles, which every chamber move updates at once, and the constant
+    turns it puts on the locals, recorded in order in ``turns`` (for
+    ``l1``, ``l2``, ``r1``, ``r2``) for :func:`_turn_locals` to apply."""
 
-    def __init__(self, phase, l1, l2, alphas, r1, r2):
+    def __init__(self, phase, alphas):
         self.phase = phase
-        self.l1, self.l2 = l1, l2
-        self.r1, self.r2 = r1, r2
         self.alphas = [float(x) for x in alphas]
+        self.turns: tuple[list, ...] = ([], [], [], [])
 
     def shift(self, j: int, direction: int):
         """``alphas[j] += 2*pi*direction`` compensated through the right
         locals and the global phase."""
         self.alphas[j] += 2 * math.pi * direction
         q = _HALF_TURN[_AXES[j]]
-        self.r1 = q @ self.r1
-        self.r2 = q @ self.r2
+        self.turns[2].append(q)
+        self.turns[3].append(q)
         self.phase -= direction * math.pi / 2
 
     def swap(self, j: int, k: int):
         """Exchange two interaction axes via a quarter turn about the third."""
         axis = _AXES[3 - j - k]
-        g, gd = _QUARTER_TURN[axis], _QUARTER_TURN_H[axis]
-        self.l1 = self.l1 @ gd
-        self.l2 = self.l2 @ gd
-        self.r1 = g @ self.r1
-        self.r2 = g @ self.r2
+        for slot in (0, 1):
+            self.turns[slot].append(_QUARTER_TURN_H[axis])
+        for slot in (2, 3):
+            self.turns[slot].append(_QUARTER_TURN[axis])
         self.alphas[j], self.alphas[k] = self.alphas[k], self.alphas[j]
 
     def negate_pair(self, j: int, k: int):
         """Flip the signs of two interaction angles via a half turn on
         spin 1 about the third axis."""
-        q = _HALF_TURN[_AXES[3 - j - k]]
-        self.l1 = self.l1 @ q.conj().T
-        self.r1 = q @ self.r1
+        axis = _AXES[3 - j - k]
+        self.turns[0].append(_HALF_TURN_H[axis])
+        self.turns[2].append(_HALF_TURN[axis])
         self.alphas[j] *= -1
         self.alphas[k] *= -1
+
+
+def _turn_locals(locals_, states) -> list[np.ndarray]:
+    """The stacks ``(l1, l2, r1, r2)`` after the turns each leaf's state
+    recorded, in the order they were made (``l @ g`` on the left pair,
+    ``g @ r`` on the right).  Leaves whose turns match share one stacked
+    product per turn; the chamber leaves few distinct sequences."""
+    out = []
+    for slot, stack in enumerate(locals_):
+        groups: dict[tuple[int, ...], tuple[list, list[int]]] = {}
+        for i, state in enumerate(states):
+            turns = state.turns[slot]
+            if turns:
+                groups.setdefault(tuple(map(id, turns)), (turns, []))[1].append(i)
+        for turns, idx in groups.values():
+            group = stack[idx]
+            for turn in turns:
+                group = group @ turn if slot < 2 else turn @ group
+            stack[idx] = group
+        out.append(stack)
+    return out
 
 
 def _canonicalize(state: _TwoSpinState) -> None:
@@ -375,6 +449,14 @@ def _canonicalize(state: _TwoSpinState) -> None:
         raise NumericError(f"canonical chamber violated: {a}")
 
 
+def _diagonals(values: np.ndarray) -> np.ndarray:
+    """``np.diag`` of each row of a stack of vectors."""
+    out = np.zeros(values.shape + values.shape[-1:], dtype=values.dtype)
+    idx = np.arange(values.shape[-1])
+    out[..., idx, idx] = values
+    return out
+
+
 def two_spin_factors(u: np.ndarray) -> TwoSpinFactors:
     """Canonical magic-basis factorization of a two-spin unitary.
 
@@ -385,58 +467,86 @@ def two_spin_factors(u: np.ndarray) -> TwoSpinFactors:
     Each call checks that ``u`` is unitary, that both magic-frame
     factors split into local pairs, that the angles end in the canonical
     chamber, and that the factors rebuild ``u`` within
-    :data:`TOL_TWO_SPIN`.  The checks are sized to a 4x4: the chamber
-    moves multiply constant 2x2s, and the rebuild writes the middle as
-    the diagonal it is in the magic frame (:func:`interaction_unitary`).
+    :data:`TOL_TWO_SPIN`.  It is :func:`_two_spin_stack` of a stack of
+    one, the pass that factors all of a target's leaves at once.
     """
     u = check_unitary(u, what="two-spin operator")
     if u.shape != (4, 4):
         raise DimensionError(f"expected a 4x4 matrix, got {u.shape}")
-    phase0 = cmath.phase(complex(np.linalg.det(u))) / 4
-    v = u * cmath.exp(-1j * phase0)
-    vm = _MAGIC_H @ v @ _MAGIC
-    w = vm.T @ vm
+    return _two_spin_stack(u[None], [()])[0]
 
-    # Joint diagonalization of the commuting real/imaginary parts of the
+
+def _two_spin_stack(us: np.ndarray, paths) -> list[TwoSpinFactors]:
+    """:func:`two_spin_factors` of each unitary of a ``(k, 4, 4)`` stack.
+
+    Every leaf runs the operations of a lone factorization in the same
+    order, only stacked: NumPy's stacked ``matmul``, ``det``, ``eigh``
+    and elementwise calls give each matrix the bits its own call would,
+    and scalars stay ``cmath`` scalars.  Golden-mix candidates are drawn
+    again only for the leaves whose candidate failed; the chamber moves
+    are decided leaf by leaf and applied as stacked products.  Each check
+    runs over the whole stack, and the first failing leaf is reported
+    with its entry of ``paths`` (its place in the recursion).
+    """
+    count = len(us)
+    phase0 = np.array([cmath.phase(complex(d)) / 4 for d in np.linalg.det(us)])
+    v = us * np.array([cmath.exp(-1j * p) for p in phase0])[:, None, None]
+    vm = _MAGIC_H @ v @ _MAGIC
+    w = vm.swapaxes(1, 2) @ vm
+
+    # Joint diagonalization of the commuting real/imaginary parts of each
     # complex-symmetric w by a real orthogonal matrix.
-    o = None
-    for cand in golden_mix_eigvecs(w.real, w.imag, 16):
-        off = cand.T @ w @ cand
-        if np.max(np.abs(off - np.diag(np.diagonal(off)))) < 1e-11:
-            o = cand
+    o = np.empty((count, 4, 4))
+    pending = np.arange(count)
+    for k in range(16):
+        cand = golden_mix_eigvecs(w.real[pending], w.imag[pending], k)
+        off = cand.swapaxes(1, 2) @ w[pending] @ cand
+        diag = _diagonals(np.diagonal(off, axis1=1, axis2=2))
+        done = np.max(np.abs(off - diag), axis=(1, 2)) < 1e-11
+        o[pending[done]] = cand[done]
+        pending = pending[~done]
+        if not pending.size:
             break
-    if o is None:
-        raise NumericError("failed to diagonalize the magic-frame invariant")
-    if np.linalg.det(o) < 0:
-        o[:, 3] = -o[:, 3]
-    lam = np.diagonal(o.T @ w @ o)
+    if pending.size:
+        raise _on_path(NumericError(
+            "failed to diagonalize the magic-frame invariant"), paths[pending[0]])
+    flip = np.linalg.det(o) < 0
+    o[flip, :, 3] = -o[flip, :, 3]
+    lam = np.diagonal(o.swapaxes(1, 2) @ w @ o, axis1=1, axis2=2)
     theta = np.angle(lam) / 2
-    q1 = vm @ o @ np.diag(np.exp(-1j * theta))
-    if np.linalg.det(q1).real < 0:
-        theta[0] += math.pi
-        q1 = vm @ o @ np.diag(np.exp(-1j * theta))
-    if np.max(np.abs(q1.imag)) > 1e-9:
-        raise NumericError("magic-frame left factor is not real",
-                           residual=float(np.max(np.abs(q1.imag))))
+    q1 = vm @ o @ _diagonals(np.exp(-1j * theta))
+    negative = np.flatnonzero(np.linalg.det(q1).real < 0)
+    if negative.size:
+        theta[negative, 0] += math.pi
+        q1[negative] = (vm[negative] @ o[negative]
+                        @ _diagonals(np.exp(-1j * theta[negative])))
+    imag = np.max(np.abs(q1.imag), axis=(1, 2))
+    _check_stack(imag > 1e-9, paths, "magic-frame left factor is not real", imag)
     q1 = q1.real.astype(complex)
 
-    wxyz = _GAMMA @ theta
-    phase = phase0 + wxyz[0]
-    alphas = -4.0 * wxyz[1:]
-    gl, l1, l2 = _factor_local_pair(_MAGIC @ q1 @ _MAGIC_H)
-    gr, r1, r2 = _factor_local_pair(_MAGIC @ o.T.astype(complex) @ _MAGIC_H)
-    phase += cmath.phase(gl) + cmath.phase(gr)
-
-    state = _TwoSpinState(phase, l1, l2, alphas, r1, r2)
-    _canonicalize(state)
-    fields = dict(phase=float(state.phase), l1=state.l1, l2=state.l2,
-                  alphas=tuple(state.alphas), r1=state.r1, r2=state.r2)
-    recon = TwoSpinFactors(**fields, residual=0.0).reconstruct()
-    resid = float(np.max(np.abs(recon - u)))
-    if resid > TOL_TWO_SPIN:
-        raise NumericError("two-spin factorization residual too large",
-                           residual=resid)
-    return TwoSpinFactors(**fields, residual=resid)
+    wxyz = np.matmul(_GAMMA, theta[..., None])[..., 0]
+    phase = phase0 + wxyz[:, 0]
+    alphas = -4.0 * wxyz[:, 1:]
+    gl, l1, l2 = _factor_local_pairs(_MAGIC @ q1 @ _MAGIC_H, paths)
+    gr, r1, r2 = _factor_local_pairs(
+        _MAGIC @ o.swapaxes(1, 2).astype(complex) @ _MAGIC_H, paths)
+    states = [_TwoSpinState(p + (cmath.phase(a) + cmath.phase(b)), alpha)
+              for p, a, b, alpha in zip(phase, gl, gr, alphas)]
+    for k, state in enumerate(states):
+        try:
+            _canonicalize(state)
+        except NumericError as exc:
+            raise _on_path(exc, paths[k]) from exc
+    l1, l2, r1, r2 = _turn_locals((l1, l2, r1, r2), states)
+    phases = [float(state.phase) for state in states]
+    angles = [tuple(state.alphas) for state in states]
+    recon = _canonical_products(phases, l1, l2, angles, r1, r2)
+    resid = np.max(np.abs(recon - us), axis=(1, 2))
+    _check_stack(resid > TOL_TWO_SPIN, paths,
+                 "two-spin factorization residual too large", resid)
+    return [TwoSpinFactors(phase=phases[k], l1=l1[k], l2=l2[k], alphas=angles[k],
+                           r1=r1[k], r2=r2[k], residual=float(resid[k]))
+            for k in range(count)]
 
 
 def interaction_class(u: np.ndarray) -> tuple[float, float, float]:
@@ -750,6 +860,14 @@ def tree_from_json_dict(data: dict) -> GateTree:
 # Full recursion
 
 
+def _on_path(exc: NumericError, path: tuple[str, ...]) -> NumericError:
+    """``exc`` with ``path`` prepended, as the levels on it would add their
+    steps one by one."""
+    for step in reversed(path):
+        exc = exc.with_path(step)
+    return exc
+
+
 def _euler_node(qubit: int, u2: np.ndarray) -> EulerNode:
     alpha, beta, gamma = euler_xzx(u2)
     return EulerNode(qubit=qubit, alpha=alpha, beta=beta, gamma=gamma)
@@ -777,22 +895,43 @@ def _one_spin_node(u: np.ndarray) -> GateTree:
     return node
 
 
-def _two_spin_node(u: np.ndarray) -> tuple[SequenceNode, np.ndarray]:
-    """The canonical form as tree leaves, in matrix order: phase, the left
-    local pair, one evolution under the maximal family ``{XX, YY, ZZ}``
-    and the right local pair; and the matrix of those leaves, composed
-    as ``kron`` pairs of their Euler matrices around the middle."""
-    f = two_spin_factors(u)
-    l1, l2 = _euler_node(1, f.l1), _euler_node(2, f.l2)
-    r1, r2 = _euler_node(1, f.r1), _euler_node(2, f.r2)
-    children: list[GateTree] = [
-        l1, l2, CartanNode(_interaction_element(f.alphas)), r1, r2]
-    matrix = (kron2(l1.matrix2(), l2.matrix2()) @ interaction_unitary(f.alphas)
-              @ kron2(r1.matrix2(), r2.matrix2()))
-    if abs(f.phase) > 1e-14:
-        children.insert(0, PhaseNode(f.phase))
-        matrix = cmath.exp(1j * f.phase) * matrix
-    return SequenceNode(tuple(children)), matrix
+def _two_spin_leaves(us: np.ndarray,
+                     paths) -> list[tuple[SequenceNode, np.ndarray]]:
+    """The canonical form of each two-spin unitary of a stack as tree
+    leaves, in matrix order: phase, the left local pair, one evolution
+    under the maximal family ``{XX, YY, ZZ}`` and the right local pair;
+    and the matrix of those leaves, composed as ``kron`` pairs of their
+    Euler matrices around the middle.
+
+    One pass serves the whole stack: :func:`_two_spin_stack`, the Euler
+    angles of all locals read from one ``tolist`` (each checked as
+    :func:`euler_xzx` checks it), and the leaf matrices as stacked
+    products."""
+    factors = _two_spin_stack(us, paths)
+    entries = np.array([[f.l1, f.l2, f.r1, f.r2] for f in factors])
+    trees, angles = [], []
+    for f, path, locals_ in zip(factors, paths, entries.tolist()):
+        try:
+            l1, l2, r1, r2 = (EulerNode(q, *_euler_entries(a, b, c, d))
+                              for q, ((a, b), (c, d)) in zip((1, 2, 1, 2), locals_))
+        except NumericError as exc:
+            raise _on_path(exc, path) from exc
+        children: list[GateTree] = [
+            l1, l2, CartanNode(_interaction_element(f.alphas)), r1, r2]
+        if abs(f.phase) > 1e-14:
+            children.insert(0, PhaseNode(f.phase))
+        trees.append(SequenceNode(tuple(children)))
+        angles += [(e.alpha, e.beta, e.gamma) for e in (l1, l2, r1, r2)]
+    m = quaternion_matrices([_xzx_quaternion(*a) for a in angles]
+                            ).reshape(len(factors), 4, 2, 2)
+    matrices = (kron2(m[:, 0], m[:, 1])
+                @ interaction_unitary([f.alphas for f in factors])
+                @ kron2(m[:, 2], m[:, 3]))
+    phased = [k for k, f in enumerate(factors) if abs(f.phase) > 1e-14]
+    if phased:
+        scale = np.array([cmath.exp(1j * factors[k].phase) for k in phased])
+        matrices[phased] = scale[:, None, None] * matrices[phased]
+    return list(zip(trees, matrices))
 
 
 def _last_spin_sectors(u: np.ndarray) -> np.ndarray:
@@ -803,51 +942,34 @@ def _last_spin_sectors(u: np.ndarray) -> np.ndarray:
     return u.reshape(half, 2, half, 2).transpose(1, 3, 0, 2)
 
 
-def _kronecker_factors(u: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(d, w)`` with ``u = kron(w, d)``, ``d`` and ``w`` unitary and
-    ``d`` on the last spin, when that holds within :data:`TOL_TRIVIAL`;
-    otherwise ``None``.
+def _kronecker_screen(us: np.ndarray) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """For each matrix ``u`` of a ``(k, d, d)`` stack: ``(d, w)`` with
+    ``u = kron(w, d)``, ``d`` and ``w`` unitary and ``d`` on the last
+    spin, when that holds within :data:`TOL_TRIVIAL`; otherwise ``None``.
 
     ``w`` is a large last-spin block scaled to unit columns and each
     entry of ``d`` is one block's overlap with ``w``; the threshold is on
     the reconstruction error of that pair.  An accepted ``d`` is then
     replaced by its nearest unitary, which the Euler leaf needs.
     """
-    blocks = _last_spin_sectors(u)
-    half = blocks.shape[2]
-    flat = blocks.reshape(4, half * half)
-    norms = (flat.real ** 2 + flat.imag ** 2).sum(axis=1)
+    count, half = len(us), us.shape[1] // 2
+    rows = np.arange(count)
+    flat = us.reshape(count, half, 2, half, 2).transpose(0, 2, 4, 1, 3) \
+        .reshape(count, 4, half * half)
+    norms = (flat.real ** 2 + flat.imag ** 2).sum(axis=2)
     # the first block holding at least half the largest weight: a tie
     # is not broken by rounding
-    k = int(np.argmax(norms >= 0.5 * norms.max()))
-    w = flat[k] * math.sqrt(half / norms[k])
-    d = (flat @ w.conj()) / half
-    if float(np.max(np.abs(flat - d[:, None] * w))) > TOL_TRIVIAL:
-        return None
-    left, _, right = np.linalg.svd(d.reshape(2, 2))
-    return left @ right, w.reshape(half, half)
-
-
-def _kronecker_level(u: np.ndarray, d: np.ndarray,
-                     w: np.ndarray) -> tuple[GateTree, np.ndarray]:
-    """Tree and matrix of ``u = kron(w, d)``: the tree of ``w`` on the
-    leading spins, beside an Euler leaf for ``d`` on the last spin unless
-    ``d`` is a scalar.  Every phase goes into ``w``."""
-    n = spin_count(u.shape[0])
-    delta = cmath.phase(complex(np.linalg.det(d))) / 2
-    ds = d * cmath.exp(-1j * delta)
-    sign = _su2_sign(ds)
-    try:
-        tree, mw = _decompose(w * (cmath.exp(1j * delta) * (sign or 1)))
-    except NumericError as exc:
-        raise exc.with_path(f"n={n}/kronecker-factor") from exc
-    matrix = np.kron(mw, _EYE2)
-    if not sign:
-        leaf = _euler_node(n, ds)
-        tree = SequenceNode((leaf, tree))
-        matrix = _apply_tree(leaf, matrix, n)
-    _check_level(matrix, u)
-    return tree, matrix
+    k = (norms >= 0.5 * norms.max(axis=1, keepdims=True)).argmax(axis=1)
+    w = flat[rows, k] * np.sqrt(half / norms[rows, k])[:, None]
+    d = np.matmul(flat, w.conj()[..., None])[..., 0] / half
+    err = np.abs(flat - d[..., None] * w[:, None, :]).reshape(count, -1).max(axis=1)
+    found = (~(err > TOL_TRIVIAL)).nonzero()[0]
+    out: list[tuple[np.ndarray, np.ndarray] | None] = [None] * count
+    if found.size:
+        left, _, right = np.linalg.svd(d[found].reshape(-1, 2, 2))
+        for i, unit in zip(found.tolist(), left @ right):
+            out[i] = unit, w[i].reshape(half, half)
+    return out
 
 
 def _check_level(matrix: np.ndarray, u: np.ndarray) -> None:
@@ -867,10 +989,11 @@ def _block_diagonal(u: np.ndarray) -> bool:
                float(np.max(np.abs(sectors[1, 0])))) <= TOL_TRIVIAL
 
 
-def _interaction_sum(u: np.ndarray) -> float:
-    """``sum(|alphas|)`` of the canonical interaction angles of a
-    two-spin unitary (what its middle spends on couplings, in angle),
-    read off the magic-frame spectrum alone.
+def _interaction_sums(us) -> np.ndarray:
+    """``sum(|alphas|)`` of the canonical interaction angles of each
+    two-spin unitary of a stack (what its middle spends on couplings, in
+    angle), read off the magic-frame spectrum alone, with one stacked
+    ``eigvals``.
 
     In the magic frame ``u`` is ``O1 D O2`` with ``O1, O2`` in SO(4) and
     ``D = diag(exp(1j*phi))``, ``phi = -alphas @ _MAGIC_SIGNS / 4``, so
@@ -880,53 +1003,54 @@ def _interaction_sum(u: np.ndarray) -> float:
     permutations and pair sign flips, which keep the sum of ``|alphas|``
     folded into ``[-pi, pi]``, the canonical chamber's sum.
     """
-    m = _MAGIC_H @ u @ _MAGIC
-    m = m * cmath.exp(-1j * cmath.phase(complex(np.linalg.det(m))) / 4)
-    phi = np.angle(np.linalg.eigvals(m.T @ m)) / 2
-    if round(phi.sum() / math.pi) % 2:
-        phi[0] += math.pi
-    alphas = -_MAGIC_SIGNS @ phi
-    return float(np.sum(np.abs(np.remainder(alphas + math.pi, 2 * math.pi)
-                               - math.pi)))
+    m = _MAGIC_H @ np.asarray(us) @ _MAGIC
+    m = m * np.array([cmath.exp(-1j * cmath.phase(complex(d)) / 4)
+                      for d in np.linalg.det(m)])[:, None, None]
+    phi = np.angle(np.linalg.eigvals(m.swapaxes(1, 2) @ m)) / 2
+    phi[np.round(phi.sum(axis=1) / math.pi) % 2 == 1, 0] += math.pi
+    alphas = np.matmul(-_MAGIC_SIGNS, phi[..., None])[..., 0]
+    return np.sum(np.abs(np.remainder(alphas + math.pi, 2 * math.pi)
+                         - math.pi), axis=1)
 
 
-def _absorb_cost(after: np.ndarray, src: np.ndarray,
-                 rows: tuple[int, ...]) -> float:
-    """What ``after`` spends more, in coupling angle, once it absorbs
-    the inverse of the end map ``A`` (GF(2) ``rows`` on ``after``'s
-    spins; ``src`` its gather, so ``after @ P_A^-1`` is
-    ``after[:, src]``).
+def _absorber(after: np.ndarray, src: np.ndarray,
+              rows: tuple[int, ...]) -> float | tuple[np.ndarray, np.ndarray]:
+    """What ``after`` spends more, in coupling angle, once it absorbs the
+    inverse of the end map ``A`` (GF(2) ``rows`` on ``after``'s spins;
+    ``src`` its gather, so ``after @ P_A^-1`` is ``after[:, src]``): a
+    cost, or the two-spin factor and gather whose growth in interaction
+    angle is the cost.
 
-    The neighbour is judged as :func:`_decompose` will route it.  A
+    The neighbour is judged as :func:`decompose` will route it.  A
     two-spin factor spends the growth of its interaction angles
-    (:func:`_interaction_sum`).  A Kronecker factor ``W (x) D`` passes
+    (:func:`_interaction_sums`).  A Kronecker factor ``W (x) D`` passes
     the map on to ``W`` when ``A`` leaves its last spin alone, and costs
     ``inf`` when it does not, since the map would join what the
     Kronecker route keeps apart.  A block-diagonal factor costs ``inf``
     too; a generic one costs the same whatever it absorbs, so 0.
     """
     if len(rows) == 2:
-        return _interaction_sum(after[:, src]) - _interaction_sum(after)
-    factors = _kronecker_factors(after)
+        return after, src
+    factors = _kronecker_screen(after[None])[0]
     if factors is None:
         return math.inf if _block_diagonal(after) else 0.0
     if not leaves_last_spin(rows):
         return math.inf
     # P_A = P_A' (x) 1 on the last spin: the even entries of src, halved
-    return _absorb_cost(factors[1], src[::2] >> 1, rows[:-1])
+    return _absorber(factors[1], src[::2] >> 1, rows[:-1])
 
 
-def _open_layer(layer: CartanElement,
-                after: np.ndarray) -> tuple[CartanNode, np.ndarray]:
-    """The node of a commuting layer and the factor ``after`` that acts
-    right after it, on the leading spins.
+def _open_layers(requests) -> list[tuple[CartanNode, np.ndarray]]:
+    """For each ``(layer, after)`` of a commuting layer and the factor
+    that acts right after it, on the leading spins: the layer's node and
+    that factor as the recursion goes on with it.
 
     A ``DIAGONAL`` or ``OUTER_X`` layer on three or more spins whose
     open network (:func:`~kakpulse.networks.open_route`) needs fewer pi
     couplings than its closed lowering records the route, and ``after``
     absorbs the inverse of its end map ``P = P_A (x) 1``:
     ``after @ P^-1`` is a column gather.  That is done only where the
-    neighbour spends less (:func:`_absorb_cost`) than the network saves:
+    neighbour spends less (:func:`_absorber`) than the network saves:
 
     * a neighbour that takes the generic route absorbs at any size;
     * a block-diagonal one keeps the layer closed;
@@ -936,18 +1060,40 @@ def _open_layer(layer: CartanElement,
       Kronecker neighbour at four, the ``v = I`` of a diagonal ratio
       among them) absorbs when its interaction angles grow by less than
       the pi couplings saved.
+
+    The interaction sums of every two-spin neighbour in ``requests``
+    come from one stacked :func:`_interaction_sums`.
     """
-    k = layer.n
-    letters = nonzero_letters(layer)
-    route = open_route(k, letters)
-    if route is None:
-        return CartanNode(layer), after
-    # P = P_A (x) 1 on the last spin: the even entries of src, halved
-    src = _route_source(route, k)[::2] >> 1
-    saved = math.pi * (closed_pi_count(k, letters) - len(route))
-    if _absorb_cost(after, src, end_rows(route, k)[:-1]) >= saved:
-        return CartanNode(layer), after
-    return CartanNode(layer, route), after[:, src]
+    plans, neighbours = [], []
+    for layer, after in requests:
+        k = layer.n
+        letters = nonzero_letters(layer)
+        route = open_route(k, letters)
+        if route is None:
+            plans.append(None)
+            continue
+        # P = P_A (x) 1 on the last spin: the even entries of src, halved
+        src = _route_source(route, k)[::2] >> 1
+        saved = math.pi * (closed_pi_count(k, letters) - len(route))
+        cost = _absorber(after, src, end_rows(route, k)[:-1])
+        if isinstance(cost, tuple):
+            neighbours.append(cost)
+        plans.append((route, src, saved, cost))
+    if neighbours:
+        sums = _interaction_sums([m[:, s] for m, s in neighbours]
+                                 + [m for m, _ in neighbours])
+        growth = iter(sums[:len(neighbours)] - sums[len(neighbours):])
+    out = []
+    for (layer, after), plan in zip(requests, plans):
+        if plan is not None:
+            route, src, saved, cost = plan
+            if isinstance(cost, tuple):
+                cost = next(growth)
+            if not cost >= saved:
+                out.append((CartanNode(layer, route), after[:, src]))
+                continue
+        out.append((CartanNode(layer), after))
+    return out
 
 
 def _halves(pair: BlockPair, label: str) -> tuple[np.ndarray, CartanElement,
@@ -959,21 +1105,85 @@ def _halves(pair: BlockPair, label: str) -> tuple[np.ndarray, CartanElement,
         raise exc.with_path(label) from exc
 
 
-def _block_tree(v: np.ndarray, z: CartanElement, w: np.ndarray,
-                label: str) -> tuple[GateTree, np.ndarray]:
-    """Tree of a demultiplexed block factor ``(v, z, w)`` and that tree's
-    matrix, composed from the matrices its halves returned; ``v`` may
-    absorb the end map of ``z``'s open network first."""
-    node, v = _open_layer(z, v)
-    try:
-        tv, mv = _decompose(v)
-        tw, mw = _decompose(w)
-    except NumericError as exc:
-        raise exc.with_path(label) from exc
+def _block_product(v: tuple[GateTree, np.ndarray], node: CartanNode,
+                   w: tuple[GateTree, np.ndarray]) -> tuple[GateTree, np.ndarray]:
+    """Tree and matrix of a demultiplexed block factor from its halves'
+    trees and matrices and the node of its diagonal layer."""
+    (tv, mv), (tw, mw) = v, w
     acc = np.kron(mw, _EYE2)
-    acc = _apply_tree(node, acc, z.n)
+    acc = _apply_tree(node, acc, node.element.n)
     acc = apply_local(acc, {1: mv})
     return SequenceNode((tv, node, tw)), acc
+
+
+@dataclass
+class _Level:
+    """One sub-problem between planning and composing: the factors it
+    hands down, the path step each carries, its commuting layers with
+    the index of the factor that acts right after each, how its tree and
+    matrix are composed from the layers' nodes and the factors' trees
+    and matrices, and those nodes once the depth has decided them."""
+
+    factors: list[np.ndarray]
+    labels: list[str]
+    layers: list[tuple[CartanElement, int]]
+    compose: Callable[[list[CartanNode], list[tuple[GateTree, np.ndarray]]],
+                      tuple[GateTree, np.ndarray]]
+    nodes: list[CartanNode] = field(default_factory=list)
+
+
+def _kronecker_level(n: int, d: np.ndarray, w: np.ndarray) -> _Level:
+    """``u = kron(w, d)``: the tree of ``w`` on the leading spins, beside
+    an Euler leaf for ``d`` on the last spin unless ``d`` is a scalar.
+    Every phase goes into ``w``."""
+    delta = cmath.phase(complex(np.linalg.det(d))) / 2
+    ds = d * cmath.exp(-1j * delta)
+    sign = _su2_sign(ds)
+
+    def compose(nodes, results):
+        (tree, mw), = results
+        matrix = np.kron(mw, _EYE2)
+        if not sign:
+            leaf = _euler_node(n, ds)
+            tree = SequenceNode((leaf, tree))
+            matrix = _apply_tree(leaf, matrix, n)
+        return tree, matrix
+
+    return _Level([w * (cmath.exp(1j * delta) * (sign or 1))],
+                  [f"n={n}/kronecker-factor"], [], compose)
+
+
+def _block_level(n: int, u: np.ndarray) -> _Level:
+    """Both off-diagonal blocks vanish: the one block pair, demultiplexed."""
+    sectors = _last_spin_sectors(u)
+    label = f"n={n}/block"
+    v, z, w = _halves(BlockPair(n=n, u0=sectors[0, 0], u1=sectors[1, 1]), label)
+    return _Level([v, w], [label, label], [(z, 0)],
+                  lambda nodes, results: _block_product(results[0], nodes[0],
+                                                        results[1]))
+
+
+def _generic_level(n: int, u: np.ndarray) -> _Level:
+    """The cosine-sine split and its two demultiplexed block factors.
+    The left block acts after the split layer, so its ``w`` may absorb
+    that layer's end map; each block's ``v`` may absorb its own
+    diagonal layer's."""
+    try:
+        k1, y, k2 = split_last_qubit(u)
+    except NumericError as exc:
+        raise exc.with_path(f"n={n}") from exc
+    left, right = f"n={n}/left-block", f"n={n}/right-block"
+    v1, z1, w1 = _halves(k1, left)
+    v2, z2, w2 = _halves(k2, right)
+
+    def compose(nodes, results):
+        node, node1, node2 = nodes
+        t1, m1 = _block_product(results[0], node1, results[1])
+        t2, m2 = _block_product(results[2], node2, results[3])
+        return SequenceNode((t1, node, t2)), m1 @ _apply_tree(node, m2, n)
+
+    return _Level([v1, w1, v2, w2], [left, left, right, right],
+                  [(y, 1), (z1, 0), (z2, 2)], compose)
 
 
 def decompose(u: np.ndarray) -> GateTree:
@@ -1005,40 +1215,79 @@ def decompose(u: np.ndarray) -> GateTree:
 
 
 def _decompose(u: np.ndarray) -> tuple[GateTree, np.ndarray]:
-    """:func:`decompose` plus the dense matrix of the returned tree.
+    """:func:`decompose` plus the dense matrix of the returned tree: the
+    depth-by-depth recursion (:func:`_decompose_depth`) from a list of
+    one.  A leaf's matrix is built from its own nodes and a level's is
+    composed from its factors' matrices, so each level checks the tree
+    it realizes without walking its subtree again."""
+    return _decompose_depth([u], [()])[0]
 
-    A leaf's matrix is built from its own nodes; a level's
-    matrix is composed from its children's returned matrices, so each
-    level checks the tree it realizes without walking its subtree again.
+
+def _decompose_depth(us: list, paths: list[tuple[str, ...]]
+                     ) -> list[tuple[GateTree, np.ndarray]]:
+    """Tree and matrix of each sub-problem of one depth of the recursion,
+    all of one size; ``paths[i]`` is where problem ``i`` sits, which a
+    :class:`~kakpulse.errors.NumericError` from it names.
+
+    The depth goes in three steps.  Each problem is screened (one
+    stacked unitarity check and Kronecker screen for the depth), picks
+    its route and runs its split and demultiplexes; the open-layer
+    decisions of the whole depth follow (:func:`_open_layers`).  Then
+    the factors of every level go down as one list, and two-spin
+    problems are factored in one stacked pass
+    (:func:`_two_spin_leaves`).  Last, each level composes its tree and
+    matrix from its factors' results and checks that matrix against its
+    input under :func:`residual_budget`.
     """
-    u = check_unitary(u, what="operator to factor")
-    n = spin_count(u.shape[0])
+    if not us:
+        return []
+    stack = check_unitaries(
+        np.array([check_square(u, "operator to factor") for u in us]),
+        what="operator to factor")
+    n = spin_count(stack.shape[1])
     if n == 1:
-        node = _one_spin_node(u)
-        return node, _apply_tree(node, np.eye(2, dtype=complex), 1)
-    factors = _kronecker_factors(u)
-    if factors is not None:
-        return _kronecker_level(u, *factors)
-    if n == 2:
-        return _two_spin_node(u)
-
-    if _block_diagonal(u):
-        sectors = _last_spin_sectors(u)
-        label = f"n={n}/block"
-        pair = BlockPair(n=n, u0=sectors[0, 0], u1=sectors[1, 1])
-        tree, matrix = _block_tree(*_halves(pair, label), label)
-    else:
+        return [(node, _apply_tree(node, np.eye(2, dtype=complex), 1))
+                for node in map(_one_spin_node, stack)]
+    levels: list[_Level | None] = []  # None: a two-spin leaf
+    for u, factors, path in zip(stack, _kronecker_screen(stack), paths):
         try:
-            k1, y, k2 = split_last_qubit(u)
+            if factors is not None:
+                levels.append(_kronecker_level(n, *factors))
+            elif n == 2:
+                levels.append(None)
+            elif _block_diagonal(u):
+                levels.append(_block_level(n, u))
+            else:
+                levels.append(_generic_level(n, u))
         except NumericError as exc:
-            raise exc.with_path(f"n={n}") from exc
-        left, right = f"n={n}/left-block", f"n={n}/right-block"
-        v1, z1, w1 = _halves(k1, left)
-        # the left block acts after the split layer: its w takes y's end map
-        node, w1 = _open_layer(y, w1)
-        t1, m1 = _block_tree(v1, z1, w1, left)
-        t2, m2 = _block_tree(*_halves(k2, right), right)
-        tree = SequenceNode((t1, node, t2))
-        matrix = m1 @ _apply_tree(node, m2, n)
-    _check_level(matrix, u)
-    return tree, matrix
+            raise _on_path(exc, path) from exc
+
+    planned = [(level, path) for level, path in zip(levels, paths)
+               if level is not None]
+    decided = iter(_open_layers([(layer, level.factors[k])
+                                 for level, _ in planned
+                                 for layer, k in level.layers]))
+    for level, _ in planned:
+        for _, k in level.layers:
+            node, level.factors[k] = next(decided)
+            level.nodes.append(node)
+    results = iter(_decompose_depth(
+        [factor for level, _ in planned for factor in level.factors],
+        [path + (label,) for level, path in planned for label in level.labels]))
+    leaves = [k for k, level in enumerate(levels) if level is None]
+    two_spin = iter(_two_spin_leaves(stack[leaves], [paths[k] for k in leaves])
+                    if leaves else [])
+
+    out = []
+    for u, level, path in zip(stack, levels, paths):
+        if level is None:
+            out.append(next(two_spin))
+            continue
+        try:
+            tree, matrix = level.compose(
+                level.nodes, [next(results) for _ in level.factors])
+            _check_level(matrix, u)
+        except NumericError as exc:
+            raise _on_path(exc, path) from exc
+        out.append((tree, matrix))
+    return out

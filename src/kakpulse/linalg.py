@@ -132,10 +132,22 @@ def check_unitary(u: np.ndarray, *, tol: float = TOL_UNITARY,
                   what: str = "operator") -> np.ndarray:
     """Return ``u`` as a complex array after verifying unitarity."""
     u = check_square(u, what)
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if not dev <= tol:  # a nan deviation fails too
-        raise ValidationError(f"{what} is not unitary (deviation {dev:.3e} > {tol:g})")
+    check_unitaries(u[None], tol=tol, what=what)
     return u
+
+
+def check_unitaries(us: np.ndarray, *, tol: float = TOL_UNITARY,
+                    what: str = "operator") -> np.ndarray:
+    """:func:`check_unitary` of each matrix of a ``(k, d, d)`` stack, at
+    once; the first one that fails is the one reported."""
+    us = np.asarray(us, dtype=complex)
+    dev = np.abs(us.conj().swapaxes(1, 2) @ us - np.eye(us.shape[-1])) \
+        .reshape(len(us), -1).max(axis=1)
+    bad = (~(dev <= tol)).nonzero()[0]  # a nan deviation fails too
+    if bad.size:
+        raise ValidationError(f"{what} is not unitary "
+                              f"(deviation {dev[bad[0]]:.3e} > {tol:g})")
+    return us
 
 
 def check_hermitian(h: np.ndarray, *, tol: float = TOL_HERMITIAN,
@@ -174,18 +186,17 @@ def haar_unitary(dim: int, seed, *, special: bool = False) -> np.ndarray:
     return q
 
 
-def golden_mix_eigvecs(a: np.ndarray, b: np.ndarray, tries: int):
-    """Yield the ``eigh`` eigenvectors of ``cos(t) * a + sin(t) * b`` for
-    ``t = 0.1234 + phi * k``, ``k = 0 .. tries - 1``.
+def golden_mix_eigvecs(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """The ``eigh`` eigenvectors of ``cos(t) * a + sin(t) * b`` for
+    ``t = 0.1234 + phi * k`` (of each pair, for two stacks of matrices).
 
     For commuting Hermitian ``a`` and ``b``, a generic mixing angle ``t``
     gives a joint eigenbasis; the golden-ratio steps keep successive
-    angles far apart, so a caller that rejects a candidate (clustered
-    eigenvalues that the mix failed to separate) draws a new one.
+    angles far apart, so a caller that rejects candidate ``k`` (clustered
+    eigenvalues that the mix failed to separate) draws candidate ``k + 1``.
     """
-    for k in range(tries):
-        t = 0.1234 + _GOLDEN * k
-        yield np.linalg.eigh(math.cos(t) * a + math.sin(t) * b)[1]
+    t = 0.1234 + _GOLDEN * k
+    return np.linalg.eigh(math.cos(t) * a + math.sin(t) * b)[1]
 
 
 def unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +216,8 @@ def unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hc = (u + u.conj().T) / 2
     hs = (u - u.conj().T) / 2j
     last = np.inf
-    for v in golden_mix_eigvecs(hc, hs, _EIG_TRIES):
+    for k in range(_EIG_TRIES):
+        v = golden_mix_eigvecs(hc, hs, k)
         w = np.einsum("ij,jk,ki->i", v.conj().T, u, v)
         resid = float(np.max(np.abs(u @ v - v * w)))
         if resid < _TOL_EIG and np.max(np.abs(np.abs(w) - 1)) < _TOL_EIG:

@@ -387,6 +387,23 @@ class TestVerify:
         assert "PASS" not in captured.out and "FAIL" not in captured.out
         assert "JSON array" in captured.err
 
+    @pytest.mark.parametrize("which", ["gates", "events"])
+    def test_bad_item_is_named_by_its_index(self, artifacts, tmp_path, capsys,
+                                            which):
+        """A bad field in one item of a long list is invalid input, and
+        the message says which item."""
+        target, d_path, p_path = artifacts
+        artifact = d_path if which == "gates" else p_path
+        data = read_json(artifact)
+        data[which][3] = ({"kind": "zz", "pair": [1.5, 2.5], "angle": 0.2}
+                          if which == "gates" else {"kind": "delay", "t": -1.0})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["verify", str(bad), str(target)]) == 3
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+        assert "at index 3:" in captured.err
+
     @pytest.mark.parametrize("field, value", [
         ("q", 2.9), ("pair", [1.5, 2.5]), ("pulse", True), ("n", 3.5),
         ("dim", 8.5)])

@@ -42,8 +42,8 @@ from kakpulse import (
     tree_to_json_dict,
     two_spin_factors,
 )
-from kakpulse.kak import (TOL_TWO_SPIN, _decompose, _interaction_sum,
-                          _open_layer, euler_xzx, su2_rotation)
+from kakpulse.kak import (TOL_TWO_SPIN, _decompose, _interaction_sums,
+                          _open_layers, euler_xzx, su2_rotation)
 from kakpulse.networks import OPEN_ROUTES
 
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -443,9 +443,9 @@ def test_interaction_sum_is_the_canonical_angle_sum():
         cases.append(cmath.exp(1j * seed) * np.kron(locals_[0], locals_[1])
                      @ interaction_unitary(rng.uniform(-7, 7, 3))
                      @ np.kron(locals_[2], locals_[3]))
-    for u in cases:
+    for u, got in zip(cases, _interaction_sums(cases)):
         want = sum(abs(a) for a in two_spin_factors(u).alphas)
-        assert abs(_interaction_sum(u) - want) < 1e-12
+        assert abs(got - want) < 1e-12
 
 
 def routes(tree):
@@ -487,7 +487,7 @@ def test_five_spin_layer_hands_its_map_only_to_a_generic_neighbour(family):
     layer = CartanElement(n=5, family=family, coeffs={
         s: rng.uniform(-3, 3) for s in family.strings(5)})
     generic = haar_unitary(16, 56)
-    node, after = _open_layer(layer, generic)
+    node, after = _open_layers([(layer, generic)])[0]
     assert node.route == OPEN_ROUTES[5]
     got = np.kron(after, np.eye(2)) @ evaluate(node, 5)
     want = np.kron(generic, np.eye(2)) @ expm_skew(layer.hamiltonian())
@@ -495,7 +495,7 @@ def test_five_spin_layer_hands_its_map_only_to_a_generic_neighbour(family):
     kron = np.kron(haar_unitary(8, 57), haar_unitary(2, 58))
     block = BlockPair(n=4, u0=haar_unitary(8, 59), u1=haar_unitary(8, 60)).realize()
     for neighbour in (kron, block):
-        node, after = _open_layer(layer, neighbour)
+        node, after = _open_layers([(layer, neighbour)])[0]
         assert node.route is None
         assert after is neighbour
 
@@ -600,6 +600,82 @@ def test_one_pass_check_catches_a_bad_child(block, monkeypatch):
     with pytest.raises(NumericError) as info:
         decompose(haar_unitary(16, 92))
     assert info.value.path == (f"n=4/{block}-block", "n=3")
+    assert 5e-7 < info.value.residual < 5e-6
+
+
+def first_mix_blind_spot(seed):
+    """A two-spin unitary whose magic-frame invariant ``w`` has two
+    eigenvalues placed symmetrically about the first golden mixing
+    angle, so the first candidate basis cannot split them."""
+    t0, rng = 0.1234, np.random.default_rng(seed)
+    two_phi = np.array([t0 + 0.7, t0 - 0.7, 1.9, 0.0])
+    two_phi[3] = -two_phi[:3].sum()
+    frames = [np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(2)]
+    for o in frames:
+        o[:, 0] *= np.sign(np.linalg.det(o))  # into SO(4)
+    magic = frames[0] @ np.diag(np.exp(0.5j * two_phi)) @ frames[1]
+    return kakpulse.kak._MAGIC @ magic @ kakpulse.kak._MAGIC_H
+
+
+def test_leaf_factors_do_not_depend_on_their_batch_mates(monkeypatch):
+    """Each entry of the stacked two-spin pass is bitwise what a lone
+    ``two_spin_factors`` call returns, whatever else is in the stack, and
+    only the leaf whose first candidate failed draws a second one."""
+    iswap = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0],
+                      [0, 0, 0, 1]])
+    stack = ([haar_unitary(4, seed) for seed in range(5)]
+             + [CNOT, SWAP, iswap, np.eye(4, dtype=complex),
+                np.kron(haar_unitary(2, 8), haar_unitary(2, 9)),
+                first_mix_blind_spot(10)]
+             + [haar_unitary(4, seed, special=True) for seed in range(11, 14)])
+    drawn = []
+    honest = kakpulse.kak.golden_mix_eigvecs
+
+    def counted(a, b, k):
+        drawn.append((len(a), k))
+        return honest(a, b, k)
+
+    monkeypatch.setattr(kakpulse.kak, "golden_mix_eigvecs", counted)
+    stacked = kakpulse.kak._two_spin_stack(np.array(stack), [()] * len(stack))
+    assert drawn == [(len(stack), 0), (1, 1)]
+    for u, got in zip(stack, stacked):
+        want = two_spin_factors(u)
+        assert (got.phase, got.alphas, got.residual) == \
+            (want.phase, want.alphas, want.residual)
+        for name in ("l1", "l2", "r1", "r2"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def leaf_path(leaf, n):
+    """Where two-spin leaf number ``leaf`` (in tree order) of a generic
+    ``n``-spin target sits: each level hands down its left block's two
+    halves, then its right block's."""
+    steps = []
+    for k in range(n, 2, -1):
+        quarter = leaf // 4 ** (k - 3) % 4
+        steps.append(f"n={k}/{'left' if quarter < 2 else 'right'}-block")
+    return tuple(steps)
+
+
+@pytest.mark.parametrize("leaf", [38, 46, 62])
+def test_a_failing_leaf_in_the_stacked_pass_names_its_path(leaf, monkeypatch):
+    """One leaf of the five-spin right block knocked off by 1e-6 after
+    its chamber moves fails the stacked pass's reconstruction check, and
+    the error names that leaf's blocks, not its batch-mates'."""
+    assert leaf_path(leaf, 5) != leaf_path(leaf - 1, 5)
+    honest = kakpulse.kak._turn_locals
+
+    def knocked(locals_, states):
+        l1, l2, r1, r2 = honest(locals_, states)
+        if len(states) == 64:
+            l1[leaf] = l1[leaf] @ su2_rotation("x", 2e-6)
+        return l1, l2, r1, r2
+
+    monkeypatch.setattr(kakpulse.kak, "_turn_locals", knocked)
+    with pytest.raises(NumericError) as info:
+        decompose(haar_unitary(32, 105, special=True))
+    assert info.value.path == leaf_path(leaf, 5)
+    assert info.value.path[0] == "n=5/right-block"
     assert 5e-7 < info.value.residual < 5e-6
 
 

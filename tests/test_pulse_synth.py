@@ -533,6 +533,38 @@ def test_program_json_rejects_non_integral_spins():
             PulseProgram.from_json_dict(program)
 
 
+def test_gate_list_json_errors_name_the_item():
+    """A bad field deep in a long list is reported with its index, and a
+    validation error keeps its class."""
+    good = {"kind": "local", "q": 1, "axis": "x", "angle": 0.1}
+    for bad, match in (({"kind": "zz", "pair": [1.5, 2.5], "angle": 0.2},
+                        "gate at index 3: coupling spin must be an integer"),
+                       ({"kind": "local", "q": 1, "axis": "w", "angle": 0.1},
+                        "gate at index 3: axis must be one of"),
+                       ({"kind": "phase"}, "malformed gate at index 3: 'phi'"),
+                       ({"kind": "swap"}, "gate at index 3: unknown gate kind")):
+        with pytest.raises(ValidationError, match=match):
+            gate_list_from_json([good, good, good, bad, good])
+
+
+def test_program_json_errors_name_the_event():
+    program = {"chain": {"n": 2, "J": [100.0]},
+               "events": [{"kind": "delay", "t": 0.1}] * 5}
+    for bad, error, match in (
+            ({"kind": "delay", "t": -1.0}, RangeError,
+             "event at index 3: delay must be non-negative"),
+            ({"kind": "pulse", "q": 1.5, "axis": "x", "angle": 0.3},
+             ValidationError, "event at index 3: pulse spin must be an integer"),
+            ({"kind": "delay"}, ValidationError,
+             "malformed event at index 3: 't'"),
+            ({"kind": "chirp", "t": 1.0}, ValidationError,
+             "event at index 3: unknown event kind")):
+        events = list(program["events"])
+        events[3] = bad
+        with pytest.raises(error, match=match):
+            PulseProgram.from_json_dict({**program, "events": events})
+
+
 def test_event_validation():
     with pytest.raises(RangeError):
         Delay(-1e-9)

@@ -476,16 +476,17 @@ def test_near_trivial_targets_keep_every_contract(structure, n, eps):
 def test_corrupt_kronecker_factor_names_its_level(monkeypatch):
     """A leading-spin factor knocked off by 1e-6 still factors cleanly on
     its own, so only the Kronecker level's own check can see it."""
-    honest = kakpulse.kak._kronecker_factors
+    honest = kakpulse.kak._kronecker_screen
 
-    def corrupt(u):
-        found = honest(u)
-        if found is not None and u.shape[0] == 16:
-            d, w = found
-            found = d, w @ np.kron(su2_rotation("x", 2e-6), np.eye(4))
+    def corrupt(us):
+        found = honest(us)
+        if us.shape[1] == 16:
+            turn = np.kron(su2_rotation("x", 2e-6), np.eye(4))
+            found = [None if pair is None else (pair[0], pair[1] @ turn)
+                     for pair in found]
         return found
 
-    monkeypatch.setattr(kakpulse.kak, "_kronecker_factors", corrupt)
+    monkeypatch.setattr(kakpulse.kak, "_kronecker_screen", corrupt)
     with pytest.raises(NumericError) as info:
         decompose(haar_kronecker(4))
     assert info.value.path == ("n=4",)
