@@ -133,41 +133,39 @@ def gate_list_to_json(gates: list[Gate]) -> list[dict]:
     return out
 
 
-def _load_items(items, what: str, load) -> list:
-    """``load(item)`` of each item of a JSON array; every error from an
-    item names its index, and a validation error keeps its class."""
-    out = []
-    for k, item in enumerate(items):
-        try:
-            out.append(load(item))
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ValidationError):
-                raise type(exc)(f"{what} at index {k}: {exc}") from exc
-            raise ValidationError(f"malformed {what} at index {k}: {exc}") from exc
-    return out
-
-
-def _gate_from_json(item: dict) -> Gate:
-    kind = item["kind"]
-    if kind == "local":
-        return LocalRotation(_json_int(item["q"], "gate spin"),
-                             str(item["axis"]), float(item["angle"]))
-    if kind == "zz":
-        left, right = (_json_int(v, "coupling spin") for v in
-                       _json_array(item["pair"], "coupling pair"))
-        if right != left + 1:
-            raise ValidationError(
-                f"coupling pair must be adjacent, got [{left}, {right}]")
-        return CouplingEvolution(left, float(item["angle"]))
-    if kind == "phase":
-        return GlobalPhase(float(item["phi"]))
-    raise ValidationError(f"unknown gate kind {kind!r}")
+def _item_error(exc: Exception, what: str, k: int) -> ValidationError:
+    """``exc``, raised while loading item ``k`` of a JSON array, as an
+    error that names the index; a validation error keeps its class."""
+    if isinstance(exc, ValidationError):
+        return type(exc)(f"{what} at index {k}: {exc}")
+    return ValidationError(f"malformed {what} at index {k}: {exc}")
 
 
 def gate_list_from_json(data: list[dict]) -> list[Gate]:
     if not isinstance(data, list):
         raise ValidationError("gate list must be a JSON array")
-    return _load_items(data, "gate", _gate_from_json)
+    out: list[Gate] = []
+    for k, item in enumerate(data):
+        try:
+            kind = item["kind"]
+            if kind == "local":
+                out.append(LocalRotation(_json_int(item["q"], "gate spin"),
+                                         str(item["axis"]),
+                                         float(item["angle"])))
+            elif kind == "zz":
+                left, right = (_json_int(v, "coupling spin") for v in
+                               _json_array(item["pair"], "coupling pair"))
+                if right != left + 1:
+                    raise ValidationError(
+                        f"coupling pair must be adjacent, got [{left}, {right}]")
+                out.append(CouplingEvolution(left, float(item["angle"])))
+            elif kind == "phase":
+                out.append(GlobalPhase(float(item["phi"])))
+            else:
+                raise ValidationError(f"unknown gate kind {kind!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _item_error(exc, "gate", k) from exc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +231,6 @@ class Delay:
 PulseEvent = Union[HardPulse, Delay]
 
 
-def _event_from_json(item: dict) -> PulseEvent:
-    kind = item["kind"]
-    if kind == "pulse":
-        return HardPulse(_json_int(item["q"], "pulse spin"), str(item["axis"]),
-                         float(item["angle"]))
-    if kind == "delay":
-        return Delay(float(item["t"]))
-    raise ValidationError(f"unknown event kind {kind!r}")
-
-
 @dataclass
 class PulseProgram:
     """Time-ordered pulse/delay schedule plus an accumulated global phase."""
@@ -270,7 +258,20 @@ class PulseProgram:
     def from_json_dict(cls, data: dict) -> "PulseProgram":
         try:
             chain = ChainSpec.from_json_dict(data["chain"])
-            events = _load_items(data.get("events", []), "event", _event_from_json)
+            events: list[PulseEvent] = []
+            for k, item in enumerate(data.get("events", [])):
+                try:
+                    kind = item["kind"]
+                    if kind == "pulse":
+                        events.append(HardPulse(_json_int(item["q"], "pulse spin"),
+                                                str(item["axis"]),
+                                                float(item["angle"])))
+                    elif kind == "delay":
+                        events.append(Delay(float(item["t"])))
+                    else:
+                        raise ValidationError(f"unknown event kind {kind!r}")
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise _item_error(exc, "event", k) from exc
             return cls(chain=chain, events=events,
                        phase=float(data.get("phase", 0.0)))
         except (KeyError, TypeError, ValueError) as exc:

@@ -60,7 +60,7 @@ spins instead of returning to the identity, and the factor that acts
 next absorbs that map before it is factored: the ``v`` of a block for a
 ``DIAGONAL`` layer, the ``w`` of the left block for an ``OUTER_X`` one.
 It does so only where that factor does not spend more than the network
-saves (:func:`_open_layer`).  The layer's :class:`CartanNode` records
+saves (:func:`_open_layers`).  The layer's :class:`CartanNode` records
 the route, so its matrix, and each level's check, include the map.
 
 Every factorization routine re-multiplies its output and raises
@@ -356,69 +356,46 @@ class TwoSpinFactors:
 # sign) and the quarter turn about each axis, with their inverses.
 _AXES = ("x", "y", "z")
 _HALF_TURN = {axis: 1j * PAULI[axis] for axis in _AXES}
-_HALF_TURN_H = {axis: q.conj().T for axis, q in _HALF_TURN.items()}
 _QUARTER_TURN = {axis: su2_rotation(axis, math.pi / 2) for axis in _AXES}
 _QUARTER_TURN_H = {axis: g.conj().T for axis, g in _QUARTER_TURN.items()}
 
 
 class _TwoSpinState:
-    """Canonicalization state of one leaf: its phase and interaction
-    angles, which every chamber move updates at once, and the constant
-    turns it puts on the locals, recorded in order in ``turns`` (for
-    ``l1``, ``l2``, ``r1``, ``r2``) for :func:`_turn_locals` to apply."""
+    """Mutable canonicalization state for the interaction angles."""
 
-    def __init__(self, phase, alphas):
+    def __init__(self, phase, l1, l2, alphas, r1, r2):
         self.phase = phase
+        self.l1, self.l2 = l1, l2
+        self.r1, self.r2 = r1, r2
         self.alphas = [float(x) for x in alphas]
-        self.turns: tuple[list, ...] = ([], [], [], [])
 
     def shift(self, j: int, direction: int):
         """``alphas[j] += 2*pi*direction`` compensated through the right
         locals and the global phase."""
         self.alphas[j] += 2 * math.pi * direction
         q = _HALF_TURN[_AXES[j]]
-        self.turns[2].append(q)
-        self.turns[3].append(q)
+        self.r1 = q @ self.r1
+        self.r2 = q @ self.r2
         self.phase -= direction * math.pi / 2
 
     def swap(self, j: int, k: int):
         """Exchange two interaction axes via a quarter turn about the third."""
         axis = _AXES[3 - j - k]
-        for slot in (0, 1):
-            self.turns[slot].append(_QUARTER_TURN_H[axis])
-        for slot in (2, 3):
-            self.turns[slot].append(_QUARTER_TURN[axis])
+        g, gd = _QUARTER_TURN[axis], _QUARTER_TURN_H[axis]
+        self.l1 = self.l1 @ gd
+        self.l2 = self.l2 @ gd
+        self.r1 = g @ self.r1
+        self.r2 = g @ self.r2
         self.alphas[j], self.alphas[k] = self.alphas[k], self.alphas[j]
 
     def negate_pair(self, j: int, k: int):
         """Flip the signs of two interaction angles via a half turn on
         spin 1 about the third axis."""
-        axis = _AXES[3 - j - k]
-        self.turns[0].append(_HALF_TURN_H[axis])
-        self.turns[2].append(_HALF_TURN[axis])
+        q = _HALF_TURN[_AXES[3 - j - k]]
+        self.l1 = self.l1 @ q.conj().T
+        self.r1 = q @ self.r1
         self.alphas[j] *= -1
         self.alphas[k] *= -1
-
-
-def _turn_locals(locals_, states) -> list[np.ndarray]:
-    """The stacks ``(l1, l2, r1, r2)`` after the turns each leaf's state
-    recorded, in the order they were made (``l @ g`` on the left pair,
-    ``g @ r`` on the right).  Leaves whose turns match share one stacked
-    product per turn; the chamber leaves few distinct sequences."""
-    out = []
-    for slot, stack in enumerate(locals_):
-        groups: dict[tuple[int, ...], tuple[list, list[int]]] = {}
-        for i, state in enumerate(states):
-            turns = state.turns[slot]
-            if turns:
-                groups.setdefault(tuple(map(id, turns)), (turns, []))[1].append(i)
-        for turns, idx in groups.values():
-            group = stack[idx]
-            for turn in turns:
-                group = group @ turn if slot < 2 else turn @ group
-            stack[idx] = group
-        out.append(stack)
-    return out
 
 
 def _canonicalize(state: _TwoSpinState) -> None:
@@ -473,20 +450,24 @@ def two_spin_factors(u: np.ndarray) -> TwoSpinFactors:
     u = check_unitary(u, what="two-spin operator")
     if u.shape != (4, 4):
         raise DimensionError(f"expected a 4x4 matrix, got {u.shape}")
-    return _two_spin_stack(u[None], [()])[0]
+    phases, l1, l2, alphas, r1, r2, residuals = _two_spin_stack(u[None], [()])
+    return TwoSpinFactors(phase=float(phases[0]), l1=l1[0], l2=l2[0],
+                          alphas=tuple(alphas[0].tolist()), r1=r1[0], r2=r2[0],
+                          residual=float(residuals[0]))
 
 
-def _two_spin_stack(us: np.ndarray, paths) -> list[TwoSpinFactors]:
-    """:func:`two_spin_factors` of each unitary of a ``(k, 4, 4)`` stack.
+def _two_spin_stack(us: np.ndarray, paths) -> tuple[np.ndarray, ...]:
+    """:func:`two_spin_factors` of each unitary of a ``(k, 4, 4)`` stack,
+    as the stacks ``(phases, l1, l2, alphas, r1, r2, residuals)``.
 
     Every leaf runs the operations of a lone factorization in the same
     order, only stacked: NumPy's stacked ``matmul``, ``det``, ``eigh``
     and elementwise calls give each matrix the bits its own call would,
     and scalars stay ``cmath`` scalars.  Golden-mix candidates are drawn
     again only for the leaves whose candidate failed; the chamber moves
-    are decided leaf by leaf and applied as stacked products.  Each check
-    runs over the whole stack, and the first failing leaf is reported
-    with its entry of ``paths`` (its place in the recursion).
+    turn each leaf's own locals.  Each check runs over the whole stack,
+    and the first failing leaf is reported with its entry of ``paths``
+    (its place in the recursion).
     """
     count = len(us)
     phase0 = np.array([cmath.phase(complex(d)) / 4 for d in np.linalg.det(us)])
@@ -530,23 +511,22 @@ def _two_spin_stack(us: np.ndarray, paths) -> list[TwoSpinFactors]:
     gl, l1, l2 = _factor_local_pairs(_MAGIC @ q1 @ _MAGIC_H, paths)
     gr, r1, r2 = _factor_local_pairs(
         _MAGIC @ o.swapaxes(1, 2).astype(complex) @ _MAGIC_H, paths)
-    states = [_TwoSpinState(p + (cmath.phase(a) + cmath.phase(b)), alpha)
-              for p, a, b, alpha in zip(phase, gl, gr, alphas)]
-    for k, state in enumerate(states):
+    states = [_TwoSpinState(p + (cmath.phase(a) + cmath.phase(b)), *locals_)
+              for p, a, b, locals_ in zip(phase, gl, gr, zip(l1, l2, alphas, r1, r2))]
+    for state, path in zip(states, paths):
         try:
             _canonicalize(state)
         except NumericError as exc:
-            raise _on_path(exc, paths[k]) from exc
-    l1, l2, r1, r2 = _turn_locals((l1, l2, r1, r2), states)
-    phases = [float(state.phase) for state in states]
-    angles = [tuple(state.alphas) for state in states]
-    recon = _canonical_products(phases, l1, l2, angles, r1, r2)
+            raise _on_path(exc, path) from exc
+    phases = np.array([float(state.phase) for state in states])
+    alphas = np.array([state.alphas for state in states])
+    l1, l2, r1, r2 = (np.array([getattr(state, name) for state in states])
+                      for name in ("l1", "l2", "r1", "r2"))
+    recon = _canonical_products(phases, l1, l2, alphas, r1, r2)
     resid = np.max(np.abs(recon - us), axis=(1, 2))
     _check_stack(resid > TOL_TWO_SPIN, paths,
                  "two-spin factorization residual too large", resid)
-    return [TwoSpinFactors(phase=phases[k], l1=l1[k], l2=l2[k], alphas=angles[k],
-                           r1=r1[k], r2=r2[k], residual=float(resid[k]))
-            for k in range(count)]
+    return phases, l1, l2, alphas, r1, r2, resid
 
 
 def interaction_class(u: np.ndarray) -> tuple[float, float, float]:
@@ -907,29 +887,29 @@ def _two_spin_leaves(us: np.ndarray,
     angles of all locals read from one ``tolist`` (each checked as
     :func:`euler_xzx` checks it), and the leaf matrices as stacked
     products."""
-    factors = _two_spin_stack(us, paths)
-    entries = np.array([[f.l1, f.l2, f.r1, f.r2] for f in factors])
+    phases, l1s, l2s, alphas, r1s, r2s, _ = _two_spin_stack(us, paths)
+    entries = np.stack([l1s, l2s, r1s, r2s], axis=1)
     trees, angles = [], []
-    for f, path, locals_ in zip(factors, paths, entries.tolist()):
+    for phase, alpha, path, locals_ in zip(phases.tolist(), alphas, paths,
+                                           entries.tolist()):
         try:
             l1, l2, r1, r2 = (EulerNode(q, *_euler_entries(a, b, c, d))
                               for q, ((a, b), (c, d)) in zip((1, 2, 1, 2), locals_))
         except NumericError as exc:
             raise _on_path(exc, path) from exc
         children: list[GateTree] = [
-            l1, l2, CartanNode(_interaction_element(f.alphas)), r1, r2]
-        if abs(f.phase) > 1e-14:
-            children.insert(0, PhaseNode(f.phase))
+            l1, l2, CartanNode(_interaction_element(alpha)), r1, r2]
+        if abs(phase) > 1e-14:
+            children.insert(0, PhaseNode(phase))
         trees.append(SequenceNode(tuple(children)))
         angles += [(e.alpha, e.beta, e.gamma) for e in (l1, l2, r1, r2)]
     m = quaternion_matrices([_xzx_quaternion(*a) for a in angles]
-                            ).reshape(len(factors), 4, 2, 2)
-    matrices = (kron2(m[:, 0], m[:, 1])
-                @ interaction_unitary([f.alphas for f in factors])
+                            ).reshape(len(us), 4, 2, 2)
+    matrices = (kron2(m[:, 0], m[:, 1]) @ interaction_unitary(alphas)
                 @ kron2(m[:, 2], m[:, 3]))
-    phased = [k for k, f in enumerate(factors) if abs(f.phase) > 1e-14]
-    if phased:
-        scale = np.array([cmath.exp(1j * factors[k].phase) for k in phased])
+    phased = np.flatnonzero(np.abs(phases) > 1e-14)
+    if phased.size:
+        scale = np.array([cmath.exp(1j * phase) for phase in phases[phased].tolist()])
         matrices[phased] = scale[:, None, None] * matrices[phased]
     return list(zip(trees, matrices))
 

@@ -636,14 +636,15 @@ def test_leaf_factors_do_not_depend_on_their_batch_mates(monkeypatch):
         return honest(a, b, k)
 
     monkeypatch.setattr(kakpulse.kak, "golden_mix_eigvecs", counted)
-    stacked = kakpulse.kak._two_spin_stack(np.array(stack), [()] * len(stack))
+    phases, l1, l2, alphas, r1, r2, residuals = kakpulse.kak._two_spin_stack(
+        np.array(stack), [()] * len(stack))
     assert drawn == [(len(stack), 0), (1, 1)]
-    for u, got in zip(stack, stacked):
+    for k, u in enumerate(stack):
         want = two_spin_factors(u)
-        assert (got.phase, got.alphas, got.residual) == \
+        assert (phases[k], tuple(alphas[k]), residuals[k]) == \
             (want.phase, want.alphas, want.residual)
-        for name in ("l1", "l2", "r1", "r2"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        for got, name in ((l1, "l1"), (l2, "l2"), (r1, "r1"), (r2, "r2")):
+            assert got[k].tobytes() == getattr(want, name).tobytes()
 
 
 def leaf_path(leaf, n):
@@ -663,17 +664,18 @@ def test_a_failing_leaf_in_the_stacked_pass_names_its_path(leaf, monkeypatch):
     its chamber moves fails the stacked pass's reconstruction check, and
     the error names that leaf's blocks, not its batch-mates'."""
     assert leaf_path(leaf, 5) != leaf_path(leaf - 1, 5)
-    honest = kakpulse.kak._turn_locals
+    honest, calls = kakpulse.kak._canonicalize, []
 
-    def knocked(locals_, states):
-        l1, l2, r1, r2 = honest(locals_, states)
-        if len(states) == 64:
-            l1[leaf] = l1[leaf] @ su2_rotation("x", 2e-6)
-        return l1, l2, r1, r2
+    def knocked(state):
+        honest(state)
+        if len(calls) == leaf:
+            state.l1 = state.l1 @ su2_rotation("x", 2e-6)
+        calls.append(state)
 
-    monkeypatch.setattr(kakpulse.kak, "_turn_locals", knocked)
+    monkeypatch.setattr(kakpulse.kak, "_canonicalize", knocked)
     with pytest.raises(NumericError) as info:
         decompose(haar_unitary(32, 105, special=True))
+    assert len(calls) == 64  # all leaves went through one stack
     assert info.value.path == leaf_path(leaf, 5)
     assert info.value.path[0] == "n=5/right-block"
     assert 5e-7 < info.value.residual < 5e-6
