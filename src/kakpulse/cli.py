@@ -55,8 +55,8 @@ from .simulate import distance, gate_list_unitary, pulse_program_unitary
 # Longest chain any subcommand accepts.  Measured round trips through
 # this CLI (`random --seed 100+n`, one BLAS thread, 2-core x86-64
 # machine, one process per command): at 7 spins decompose / pulses /
-# verify of the program take 2.1-3.3 / 1.4 / 1.6 s; at 8 spins
-# 8.7-10.9 / 6.0 / 6.1 s, with 18 MB and 27 MB artifacts and at most
+# verify of the program take 2.2-2.5 / 1.4 / 1.6 s; at 8 spins
+# 6.1-8.5 / 6.0 / 6.1 s, with 18 MB and 27 MB artifacts and at most
 # 340 MB resident.
 # Larger inputs are rejected with exit 3 before any matrix is built or
 # any factorization starts.

@@ -41,6 +41,14 @@ class NumericError(RuntimeError):
                             path=(step, *self.path))
 
 
+def _on_path(exc: NumericError, path: tuple[str, ...]) -> NumericError:
+    """``exc`` with ``path`` prepended, as the levels on it would add their
+    steps one by one."""
+    for step in reversed(path):
+        exc = exc.with_path(step)
+    return exc
+
+
 def _json_int(value, what: str) -> int:
     """``value`` as an ``int`` when it is a JSON integer; ``2.0`` is one,
     but a bool, a string or ``2.9`` is a :class:`ValidationError`, where

@@ -68,21 +68,26 @@ Every factorization routine re-multiplies its output and raises
 contract, with a path annotation pointing into the recursion.
 
 The recursion goes one depth at a time, since every sub-problem at a
-depth has the same size (:func:`_decompose_depth`).  First each one is
-screened (one stacked unitarity check and Kronecker screen per depth),
-picks its route and runs its split and demultiplexes, and the depth
-decides its open layers, with the interaction sums of all their
-two-spin neighbours from one stacked ``eigvals``.  Then the factors of
-every level go down as one list; at the two-spin depth all of a
-target's leaves (64 at five spins, 4,096 at eight) are factored in one
-stacked pass (:func:`_two_spin_leaves`).  Last, each level composes its
-tree and matrix from its factors' results.  Stacked ``matmul``,
-``det``, ``eigh``, ``eigvals`` and elementwise calls give each matrix
-the bits its own call would (as checked with NumPy 2.4 on OpenBLAS),
-and scalars stay ``cmath`` scalars, so the trees are those a
-depth-first recursion builds, bit for bit.  Each
-sub-problem carries its path in the recursion, and a check that fails
-inside a stacked pass reports the first failing matrix with its path.
+depth has the same size (:func:`_decompose_depth`).  First the depth
+is screened (one stacked unitarity check and Kronecker screen) and each
+problem picks its route.  All generic problems are split in one stacked
+cosine-sine pass (:func:`_split_stack`; ``scipy.linalg.cossin`` is the
+one call left per problem), then every block pair of the depth, from
+generic and block-diagonal problems alike, is demultiplexed in one
+stacked pass (:func:`_demultiplex_stack`, with one stacked ``eigh`` per
+golden-mix candidate), and the depth decides its open layers, with the
+interaction sums of all their two-spin neighbours from one stacked
+``eigvals``.  Then the factors of every level go down as one list; at
+the two-spin depth all of a target's leaves (64 at five spins, 4,096 at
+eight) are factored in one stacked pass (:func:`_two_spin_leaves`).
+Last, each level composes its tree and matrix from its factors'
+results.  Stacked ``matmul``, ``det``, ``eigh``, ``eigvals``,
+``einsum`` and elementwise calls give each matrix the bits its own call
+would (as checked with NumPy 2.4 on OpenBLAS), and scalars stay
+``cmath`` scalars, so the trees are those a depth-first recursion
+builds, bit for bit.  Each sub-problem carries its path in the
+recursion, and a check that fails inside a stacked pass reports the
+first failing matrix with its path.
 
 Every level returns its tree together with that tree's matrix.  A
 one-spin leaf's matrix is its node applied to the identity, and a
@@ -110,12 +115,13 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, ValidationError, _json_int
-from .linalg import (PAULI, TOL_UNITARY, apply_local, check_square,
-                     check_unitaries, check_unitary, cosine_sine,
-                     golden_mix_eigvecs, kron2, permute_spins,
-                     quaternion_matrices, quaternion_matrix, spin_count,
-                     su2_rotation, unitary_eig)
+from .errors import (DimensionError, NumericError, ValidationError, _json_int,
+                     _on_path)
+from .linalg import (PAULI, TOL_UNITARY, _check_stack, _cosine_sine_stack,
+                     _unitary_eig_stack, apply_local, check_square,
+                     check_unitaries, check_unitary, golden_mix_eigvecs, kron2,
+                     permute_spins, quaternion_matrices, quaternion_matrix,
+                     spin_count, su2_rotation)
 from .networks import (Route, check_route, closed_pi_count, end_rows,
                        leaves_last_spin, nonzero_letters, open_route)
 from .paulis import (CartanElement, CartanFamily, PauliString,
@@ -258,17 +264,6 @@ def euler_xzx_angles(q) -> tuple[float, float, float]:
 
 # ---------------------------------------------------------------------------
 # Two spins
-
-
-def _check_stack(failed: np.ndarray, paths, message: str,
-                 residuals: np.ndarray | None = None) -> None:
-    """Raise :class:`~kakpulse.errors.NumericError` for the first matrix
-    of a stack that ``failed``, with its residual and on its path."""
-    bad = failed.nonzero()[0]
-    if bad.size:
-        k = bad[0]
-        resid = None if residuals is None else float(residuals[k])
-        raise _on_path(NumericError(message, residual=resid), paths[k])
 
 
 def _factor_local_pairs(ms: np.ndarray,
@@ -566,32 +561,33 @@ class BlockPair:
 
 
 def _walsh(values: np.ndarray) -> np.ndarray:
-    """Coefficients over diagonal sign patterns: fast Walsh-Hadamard
-    transform scaled so that ``values[j] = sum_D out[D] * (-1)^popcount(D&j)``."""
+    """Coefficients over diagonal sign patterns, of each row of a stack:
+    fast Walsh-Hadamard transform scaled so that
+    ``values[..., j] = sum_D out[..., D] * (-1)^popcount(D&j)``."""
     h = np.array(values, dtype=float)
-    size = len(h)
+    size = h.shape[-1]
     step = 1
     while step < size:
-        for base in range(0, size, 2 * step):
-            top = h[base:base + step].copy()
-            bot = h[base + step:base + 2 * step].copy()
-            h[base:base + step] = top + bot
-            h[base + step:base + 2 * step] = top - bot
+        pairs = h.reshape(h.shape[:-1] + (size // (2 * step), 2, step))
+        top = pairs[..., 0, :].copy()
+        pairs[..., 0, :] += pairs[..., 1, :]
+        np.subtract(top, pairs[..., 1, :], out=pairs[..., 1, :])
         step *= 2
     return h / size
 
 
-def _walsh_element(family: CartanFamily, values: np.ndarray,
-                   scale: float) -> CartanElement:
-    """The element ``sum_D scale * w_D * B_s(D)`` over the Walsh
-    coefficients ``w_D`` of ``values``, one per mask ``D`` of the leading
-    spins; ``s(D)`` is the family's string for that mask (its strings are
-    ordered by mask).  Coefficients below ``1e-14`` are left out."""
-    n = spin_count(len(values)) + 1
+def _walsh_elements(family: CartanFamily, values: np.ndarray,
+                    scale: float) -> list[CartanElement]:
+    """For each row of ``values``, one value per mask ``D`` of the leading
+    spins, the element ``sum_D scale * w_D * B_s(D)`` over the Walsh
+    coefficients ``w_D`` of the row; ``s(D)`` is the family's string for
+    that mask (its strings are ordered by mask).  Coefficients below
+    ``1e-14`` are left out."""
+    n = spin_count(values.shape[1]) + 1
     strings = family.strings(n)
-    return CartanElement(n=n, family=family, coeffs={
-        strings[mask]: scale * w_d
-        for mask, w_d in enumerate(_walsh(values)) if abs(w_d) >= 1e-14})
+    return [CartanElement(n=n, family=family, coeffs={
+        strings[mask]: scale * w_d for mask, w_d in enumerate(row)
+        if abs(w_d) >= 1e-14}) for row in _walsh(values).tolist()]
 
 
 def split_last_qubit(u: np.ndarray) -> tuple[BlockPair, CartanElement, BlockPair]:
@@ -606,25 +602,49 @@ def split_last_qubit(u: np.ndarray) -> tuple[BlockPair, CartanElement, BlockPair
     middle is written in its own frame, with no change of basis.
 
     Accepts any unitary on at least three spins; its phases stay in the
-    blocks of ``k1`` and ``k2``.
+    blocks of ``k1`` and ``k2``.  It is :func:`_split_stack` of a stack
+    of one, the pass that splits every generic problem of a recursion
+    depth at once.
     """
     u = check_unitary(u)
     n = spin_count(u.shape[0])
     if n < 3:
         raise ValidationError("the last-spin split needs three or more spins; "
                               "use two_spin_factors below that")
-    perm = [n - 1] + list(range(n - 1))
-    cs = cosine_sine(permute_spins(u, perm))
-    k1 = BlockPair(n=n, u0=cs.l0, u1=1j * cs.l1)
-    k2 = BlockPair(n=n, u0=cs.r0, u1=-1j * cs.r1)
-    y = _walsh_element(CartanFamily.OUTER_X, cs.theta, 2.0)
+    (l0, l1), (y,), (r0, r1) = _split_stack(u[None], [(f"n={n}",)])
+    return BlockPair(n=n, u0=l0[0], u1=l1[0]), y, BlockPair(n=n, u0=r0[0], u1=r1[0])
 
-    recon = k1.realize() @ _apply_cartan(y, k2.realize())
-    resid = float(np.max(np.abs(recon - u)))
-    if resid > TOL_SPLIT:
-        raise NumericError("last-spin split residual too large",
-                           residual=resid, path=(f"n={n}",))
-    return k1, y, k2
+
+def _split_stack(us: np.ndarray, paths) -> tuple[tuple[np.ndarray, np.ndarray],
+                                                 list[CartanElement],
+                                                 tuple[np.ndarray, np.ndarray]]:
+    """:func:`split_last_qubit` of each unitary of a ``(k, d, d)`` stack:
+    the stacked blocks ``(u0, u1)`` of ``k1``, the list of ``y`` and the
+    stacked blocks of ``k2``.
+
+    One reshape brings the whole stack to the last-spin-leading frame,
+    :func:`~kakpulse.linalg._cosine_sine_stack` splits it, and the Walsh
+    transforms of all angles run as one.  Each ``y`` is checked to
+    realize its middle ``exp(-1j*theta_j*sigma_x)`` within
+    :data:`TOL_SPLIT`: the middle is a 2x2 on the last spin for each
+    leading index ``j``, so applied to the two columns ``sum_j |j, b>``
+    it gives all of them.  A failure names its problem's entry of
+    ``paths``.
+    """
+    count, dim = us.shape[:2]
+    half = dim // 2
+    # rows and columns b_1 .. b_n become b_n b_1 .. b_(n-1)
+    lead = us.reshape(count, half, 2, half, 2).transpose(0, 2, 1, 4, 3).reshape(us.shape)
+    l0, l1, theta, r0, r1, _ = _cosine_sine_stack(lead, paths)
+    ys = _walsh_elements(CartanFamily.OUTER_X, theta, 2.0)
+
+    probe = np.tile(_EYE2, (half, 1))
+    got = np.array([_apply_cartan(y, probe) for y in ys]).reshape(count, half, 2, 2)
+    want = (np.cos(theta)[..., None, None] * _EYE2
+            - 1j * np.sin(theta)[..., None, None] * PAULI["x"])
+    resid = np.abs(got - want).max(axis=(1, 2, 3))
+    _check_stack(resid > TOL_SPLIT, paths, "last-spin split residual too large", resid)
+    return (l0, 1j * l1), ys, (r0, -1j * r1)
 
 
 def demultiplex(pair: BlockPair) -> tuple[np.ndarray, CartanElement, np.ndarray]:
@@ -639,27 +659,44 @@ def demultiplex(pair: BlockPair) -> tuple[np.ndarray, CartanElement, np.ndarray]
     phase, is the lone ``1...1Z`` term of ``z``.  A product
     ``u0 @ u1^dagger`` that is already diagonal within
     :data:`TOL_TRIVIAL` keeps ``v = I``, which the recursion lowers to
-    nothing.
+    nothing.  It is :func:`_demultiplex_stack` of a stack of one, the
+    pass that serves every block pair of a recursion depth at once.
     """
-    n = pair.n
-    if n < 2:
+    if pair.n < 2:
         raise ValidationError("demultiplexing needs at least two spins")
-    ratio = pair.u0 @ pair.u1.conj().T
-    lam = np.diagonal(ratio)
-    if float(np.max(np.abs(ratio - np.diag(lam)))) <= TOL_TRIVIAL:
-        v = np.eye(len(lam), dtype=complex)
-    else:
-        lam, v = unitary_eig(ratio)
+    v, (z,), w = _demultiplex_stack(np.asarray(pair.u0, dtype=complex)[None],
+                                    np.asarray(pair.u1, dtype=complex)[None], [()])
+    return v[0], z, w[0]
+
+
+def _demultiplex_stack(u0s: np.ndarray, u1s: np.ndarray,
+                       paths) -> tuple[np.ndarray, list[CartanElement], np.ndarray]:
+    """:func:`demultiplex` of each block pair ``(u0s[i], u1s[i])`` of two
+    ``(k, h, h)`` stacks, as the stacks of ``v`` and ``w`` and the list
+    of ``z``.
+
+    The ratios and their ``TOL_TRIVIAL`` diagonal screen run over the
+    whole stack; the ratios that fail it go through one
+    :func:`~kakpulse.linalg._unitary_eig_stack`, and the ``w`` and the
+    ``TOL_SPLIT`` residuals of all pairs are stacked products.  A failure
+    names its pair's entry of ``paths``.
+    """
+    count, half = u0s.shape[:2]
+    ratio = u0s @ u1s.conj().swapaxes(1, 2)
+    lam = np.diagonal(ratio, axis1=1, axis2=2).copy()
+    off = np.abs(ratio - _diagonals(lam)).max(axis=(1, 2))
+    mixed = (~(off <= TOL_TRIVIAL)).nonzero()[0]
+    v = _diagonals(np.ones((count, half), dtype=complex))
+    if mixed.size:
+        lam[mixed], v[mixed] = _unitary_eig_stack(ratio[mixed],
+                                                  [paths[i] for i in mixed])
     d = np.angle(lam) / 2
-    w = (np.exp(-1j * d)[:, None] * v.conj().T) @ pair.u0
-
-    resid = max(
-        float(np.max(np.abs((v * np.exp(1j * d)) @ w - pair.u0))),
-        float(np.max(np.abs((v * np.exp(-1j * d)) @ w - pair.u1))))
-    if resid > TOL_SPLIT:
-        raise NumericError("demultiplexing residual too large", residual=resid)
-
-    return v, _walsh_element(CartanFamily.DIAGONAL, d, -2.0), w
+    w = (np.exp(-1j * d)[:, :, None] * v.conj().swapaxes(1, 2)) @ u0s
+    resid = np.maximum(
+        np.abs((v * np.exp(1j * d)[:, None, :]) @ w - u0s).max(axis=(1, 2)),
+        np.abs((v * np.exp(-1j * d)[:, None, :]) @ w - u1s).max(axis=(1, 2)))
+    _check_stack(resid > TOL_SPLIT, paths, "demultiplexing residual too large", resid)
+    return v, _walsh_elements(CartanFamily.DIAGONAL, d, -2.0), w
 
 
 # ---------------------------------------------------------------------------
@@ -840,14 +877,6 @@ def tree_from_json_dict(data: dict) -> GateTree:
 # Full recursion
 
 
-def _on_path(exc: NumericError, path: tuple[str, ...]) -> NumericError:
-    """``exc`` with ``path`` prepended, as the levels on it would add their
-    steps one by one."""
-    for step in reversed(path):
-        exc = exc.with_path(step)
-    return exc
-
-
 def _euler_node(qubit: int, u2: np.ndarray) -> EulerNode:
     alpha, beta, gamma = euler_xzx(u2)
     return EulerNode(qubit=qubit, alpha=alpha, beta=beta, gamma=gamma)
@@ -915,11 +944,12 @@ def _two_spin_leaves(us: np.ndarray,
 
 
 def _last_spin_sectors(u: np.ndarray) -> np.ndarray:
-    """View of ``u`` with ``out[a, b]`` the ``2**(n-1)`` block
-    ``<a| u |b>`` of the last spin: the blocks of the last-spin-leading
-    frame, read in place without permuting ``u``."""
-    half = u.shape[0] // 2
-    return u.reshape(half, 2, half, 2).transpose(1, 3, 0, 2)
+    """View of ``u`` (or of each matrix of a stack) with ``out[a, b]`` the
+    ``2**(n-1)`` block ``<a| u |b>`` of the last spin: the blocks of the
+    last-spin-leading frame, read in place without permuting ``u``."""
+    half, lead = u.shape[-1] // 2, u.ndim - 2
+    return u.reshape(u.shape[:-2] + (half, 2, half, 2)).transpose(
+        *range(lead), lead + 1, lead + 3, lead, lead + 2)
 
 
 def _kronecker_screen(us: np.ndarray) -> list[tuple[np.ndarray, np.ndarray] | None]:
@@ -1076,15 +1106,6 @@ def _open_layers(requests) -> list[tuple[CartanNode, np.ndarray]]:
     return out
 
 
-def _halves(pair: BlockPair, label: str) -> tuple[np.ndarray, CartanElement,
-                                                  np.ndarray]:
-    """:func:`demultiplex`, with ``label`` on the path of its failure."""
-    try:
-        return demultiplex(pair)
-    except NumericError as exc:
-        raise exc.with_path(label) from exc
-
-
 def _block_product(v: tuple[GateTree, np.ndarray], node: CartanNode,
                    w: tuple[GateTree, np.ndarray]) -> tuple[GateTree, np.ndarray]:
     """Tree and matrix of a demultiplexed block factor from its halves'
@@ -1133,28 +1154,24 @@ def _kronecker_level(n: int, d: np.ndarray, w: np.ndarray) -> _Level:
                   [f"n={n}/kronecker-factor"], [], compose)
 
 
-def _block_level(n: int, u: np.ndarray) -> _Level:
-    """Both off-diagonal blocks vanish: the one block pair, demultiplexed."""
-    sectors = _last_spin_sectors(u)
+def _block_level(n: int, halves) -> _Level:
+    """Both off-diagonal blocks vanish: the one block pair, demultiplexed
+    into ``halves = (v, z, w)``."""
+    v, z, w = halves
     label = f"n={n}/block"
-    v, z, w = _halves(BlockPair(n=n, u0=sectors[0, 0], u1=sectors[1, 1]), label)
     return _Level([v, w], [label, label], [(z, 0)],
                   lambda nodes, results: _block_product(results[0], nodes[0],
                                                         results[1]))
 
 
-def _generic_level(n: int, u: np.ndarray) -> _Level:
-    """The cosine-sine split and its two demultiplexed block factors.
-    The left block acts after the split layer, so its ``w`` may absorb
-    that layer's end map; each block's ``v`` may absorb its own
-    diagonal layer's."""
-    try:
-        k1, y, k2 = split_last_qubit(u)
-    except NumericError as exc:
-        raise exc.with_path(f"n={n}") from exc
-    left, right = f"n={n}/left-block", f"n={n}/right-block"
-    v1, z1, w1 = _halves(k1, left)
-    v2, z2, w2 = _halves(k2, right)
+def _generic_level(n: int, y: CartanElement, left, right) -> _Level:
+    """The cosine-sine split's layer ``y`` and its two block factors,
+    demultiplexed into ``left`` and ``right`` halves ``(v, z, w)``.  The
+    left block acts after the split layer, so its ``w`` may absorb that
+    layer's end map; each block's ``v`` may absorb its own diagonal
+    layer's."""
+    (v1, z1, w1), (v2, z2, w2) = left, right
+    labels = [f"n={n}/left-block"] * 2 + [f"n={n}/right-block"] * 2
 
     def compose(nodes, results):
         node, node1, node2 = nodes
@@ -1162,8 +1179,42 @@ def _generic_level(n: int, u: np.ndarray) -> _Level:
         t2, m2 = _block_product(results[2], node2, results[3])
         return SequenceNode((t1, node, t2)), m1 @ _apply_tree(node, m2, n)
 
-    return _Level([v1, w1, v2, w2], [left, left, right, right],
-                  [(y, 1), (z1, 0), (z2, 2)], compose)
+    return _Level([v1, w1, v2, w2], labels, [(y, 1), (z1, 0), (z2, 2)], compose)
+
+
+def _split_levels(n: int, stack: np.ndarray, paths, generic: list[int],
+                  blocks: list[int]) -> dict[int, _Level]:
+    """The levels of a depth's generic and block-diagonal problems (their
+    indices into ``stack``), keyed by index.
+
+    All generic problems are split in one :func:`_split_stack`, and then
+    every block pair of the depth, each generic problem's left and right
+    block and each block-diagonal problem's sector pair, is
+    demultiplexed in one :func:`_demultiplex_stack`.
+    """
+    u0s, u1s, pair_paths = [], [], []
+    ys: list[CartanElement] = []
+    if generic:
+        (l0, l1), ys, (r0, r1) = _split_stack(
+            stack[generic], [paths[i] + (f"n={n}",) for i in generic])
+        # each problem's left block, then its right one
+        u0s.append(np.stack([l0, r0], axis=1).reshape(-1, *l0.shape[1:]))
+        u1s.append(np.stack([l1, r1], axis=1).reshape(-1, *l1.shape[1:]))
+        pair_paths += [paths[i] + (f"n={n}/{side}-block",)
+                       for i in generic for side in ("left", "right")]
+    if blocks:
+        sectors = _last_spin_sectors(stack[blocks])
+        u0s.append(sectors[:, 0, 0])
+        u1s.append(sectors[:, 1, 1])
+        pair_paths += [paths[i] + (f"n={n}/block",) for i in blocks]
+    v, zs, w = _demultiplex_stack(np.concatenate(u0s), np.concatenate(u1s),
+                                  pair_paths)
+    halves = list(zip(v, zs, w))
+    levels = {i: _generic_level(n, y, halves[2 * j], halves[2 * j + 1])
+              for j, (i, y) in enumerate(zip(generic, ys))}
+    levels.update((i, _block_level(n, halves[2 * len(generic) + j]))
+                  for j, i in enumerate(blocks))
+    return levels
 
 
 def decompose(u: np.ndarray) -> GateTree:
@@ -1209,15 +1260,16 @@ def _decompose_depth(us: list, paths: list[tuple[str, ...]]
     all of one size; ``paths[i]`` is where problem ``i`` sits, which a
     :class:`~kakpulse.errors.NumericError` from it names.
 
-    The depth goes in three steps.  Each problem is screened (one
-    stacked unitarity check and Kronecker screen for the depth), picks
-    its route and runs its split and demultiplexes; the open-layer
-    decisions of the whole depth follow (:func:`_open_layers`).  Then
-    the factors of every level go down as one list, and two-spin
-    problems are factored in one stacked pass
-    (:func:`_two_spin_leaves`).  Last, each level composes its tree and
-    matrix from its factors' results and checks that matrix against its
-    input under :func:`residual_budget`.
+    The depth goes in three steps.  The depth is screened (one stacked
+    unitarity check and Kronecker screen) and each problem picks its
+    route; the generic problems are split in one stack and every block
+    pair of the depth is demultiplexed in another
+    (:func:`_split_levels`), and the open-layer decisions of the whole
+    depth follow (:func:`_open_layers`).  Then the factors of every level
+    go down as one list, and two-spin problems are factored in one
+    stacked pass (:func:`_two_spin_leaves`).  Last, each level composes
+    its tree and matrix from its factors' results and checks that matrix
+    against its input under :func:`residual_budget`.
     """
     if not us:
         return []
@@ -1228,19 +1280,18 @@ def _decompose_depth(us: list, paths: list[tuple[str, ...]]
     if n == 1:
         return [(node, _apply_tree(node, np.eye(2, dtype=complex), 1))
                 for node in map(_one_spin_node, stack)]
-    levels: list[_Level | None] = []  # None: a two-spin leaf
-    for u, factors, path in zip(stack, _kronecker_screen(stack), paths):
-        try:
-            if factors is not None:
-                levels.append(_kronecker_level(n, *factors))
-            elif n == 2:
-                levels.append(None)
-            elif _block_diagonal(u):
-                levels.append(_block_level(n, u))
-            else:
-                levels.append(_generic_level(n, u))
-        except NumericError as exc:
-            raise _on_path(exc, path) from exc
+    levels: list[_Level | None] = []  # None: a two-spin leaf, or not yet split
+    generic, blocks = [], []
+    for i, (u, factors) in enumerate(zip(stack, _kronecker_screen(stack))):
+        if factors is not None:
+            levels.append(_kronecker_level(n, *factors))
+            continue
+        levels.append(None)
+        if n > 2:
+            (blocks if _block_diagonal(u) else generic).append(i)
+    if generic or blocks:
+        for i, level in _split_levels(n, stack, paths, generic, blocks).items():
+            levels[i] = level
 
     planned = [(level, path) for level, path in zip(levels, paths)
                if level is not None]

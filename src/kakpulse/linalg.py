@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, NumericError, ValidationError, _json_int
+from .errors import (DimensionError, NumericError, ValidationError, _json_int,
+                     _on_path)
 
 TOL_UNITARY = 1e-10
 TOL_HERMITIAN = 1e-10
@@ -199,6 +200,17 @@ def golden_mix_eigvecs(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.eigh(math.cos(t) * a + math.sin(t) * b)[1]
 
 
+def _check_stack(failed: np.ndarray, paths, message: str,
+                 residuals: np.ndarray | None = None) -> None:
+    """Raise :class:`~kakpulse.errors.NumericError` for the first matrix
+    of a stack that ``failed``, with its residual and on its path."""
+    bad = failed.nonzero()[0]
+    if bad.size:
+        k = bad[0]
+        resid = None if residuals is None else float(residuals[k])
+        raise _on_path(NumericError(message, residual=resid), paths[k])
+
+
 def unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a unitary with an orthonormal eigenbasis.
 
@@ -207,25 +219,55 @@ def unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``cos(t) * Re(u) + sin(t) * Im-part(u)`` instead; both parts commute
     with ``u``, and a generic ``t`` separates clustered eigenvalues.
     Retries with different mixing angles, at most ``_EIG_TRIES``, until
-    the residual is below ``_TOL_EIG``.
+    the residual and every eigenvalue's distance from the unit circle
+    are below ``_TOL_EIG``.
 
     Returns ``(w, v)`` with ``u @ v = v @ diag(w)``, ``v`` unitary and
-    eigenvalues sorted by phase angle in ``(-pi, pi]``.
+    eigenvalues sorted by phase angle in ``(-pi, pi]``.  It is
+    :func:`_unitary_eig_stack` of a stack of one: the pass that
+    diagonalizes every block ratio of a recursion depth at once, where
+    only the matrices whose candidate failed draw the next one.
     """
-    u = check_unitary(u)
-    hc = (u + u.conj().T) / 2
-    hs = (u - u.conj().T) / 2j
-    last = np.inf
+    w, v = _unitary_eig_stack(check_square(u)[None], [()])
+    return w[0], v[0]
+
+
+def _unitary_eig_stack(us: np.ndarray, paths) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`unitary_eig` of each matrix of a ``(k, d, d)`` stack, as the
+    stacks ``(w, v)``, after one stacked unitarity check.
+
+    Every candidate basis is drawn for the whole stack at once (stacked
+    ``eigh`` gives each matrix the bits its own call would), and candidate
+    ``k + 1`` only for the matrices whose candidate ``k`` failed.  A
+    matrix that never converges is reported with its entry of ``paths``.
+    """
+    us = check_unitaries(us)
+    uh = us.conj().swapaxes(1, 2)
+    hc = (us + uh) / 2
+    hs = (us - uh) / 2j
+    pending = rows = np.arange(len(us))
+    last = np.inf  # each pending matrix's best residual so far
     for k in range(_EIG_TRIES):
-        v = golden_mix_eigvecs(hc, hs, k)
-        w = np.einsum("ij,jk,ki->i", v.conj().T, u, v)
-        resid = float(np.max(np.abs(u @ v - v * w)))
-        if resid < _TOL_EIG and np.max(np.abs(np.abs(w) - 1)) < _TOL_EIG:
-            order = np.argsort(np.angle(w), kind="stable")
-            return w[order], v[:, order]
-        last = min(last, resid)
-    raise NumericError("unitary eigendecomposition did not converge",
-                       residual=last)
+        cand = golden_mix_eigvecs(hc, hs, k)
+        vals = np.einsum("nji,njk,nki->ni", cand.conj(), us, cand)
+        resid = np.abs(us @ cand - cand * vals[:, None, :]).max(axis=(1, 2))
+        failed = ~((resid < _TOL_EIG)
+                   & (np.abs(np.abs(vals) - 1).max(axis=1) < _TOL_EIG))
+        if k:
+            w[pending], v[pending] = vals, cand
+        else:
+            w, v = vals, cand
+        if not failed.any():
+            break
+        # only the matrices whose candidate failed draw the next one
+        pending, last = pending[failed], np.minimum(last, resid)[failed]
+        us, hc, hs = us[failed], hc[failed], hs[failed]
+    else:
+        raise _on_path(NumericError("unitary eigendecomposition did not converge",
+                                    residual=float(last[0])), paths[pending[0]])
+    order = np.argsort(np.angle(w), axis=1, kind="stable")
+    rows = rows[:, None]
+    return w[rows, order], v.swapaxes(1, 2)[rows, order].swapaxes(1, 2)
 
 
 @dataclass(frozen=True)
@@ -248,23 +290,23 @@ class CosineSineBlocks:
     def half(self) -> int:
         return self.l0.shape[0]
 
-    def middle(self) -> np.ndarray:
-        c, s = np.cos(self.theta), np.sin(self.theta)
-        m = self.half
-        out = np.zeros((2 * m, 2 * m), dtype=complex)
-        out[:m, :m] = np.diag(c)
-        out[:m, m:] = np.diag(-s)
-        out[m:, :m] = np.diag(s)
-        out[m:, m:] = np.diag(c)
-        return out
-
     def reconstruct(self) -> np.ndarray:
-        m = self.half
-        left = np.zeros((2 * m, 2 * m), dtype=complex)
-        left[:m, :m], left[m:, m:] = self.l0, self.l1
-        right = np.zeros((2 * m, 2 * m), dtype=complex)
-        right[:m, :m], right[m:, m:] = self.r0, self.r1
-        return left @ self.middle() @ right
+        return _cosine_sine_products(self.l0[None], self.l1[None],
+                                     self.theta[None], self.r0[None],
+                                     self.r1[None])[0]
+
+
+def _cosine_sine_products(l0, l1, theta, r0, r1) -> np.ndarray:
+    """``blkdiag(l0, l1) @ [[C, -S], [S, C]] @ blkdiag(r0, r1)`` of each
+    entry of stacked cosine-sine factors, block by block."""
+    count, m = theta.shape
+    c, s = np.cos(theta)[:, None, :], np.sin(theta)[:, None, :]
+    out = np.empty((count, 2 * m, 2 * m), dtype=complex)
+    out[:, :m, :m] = (l0 * c) @ r0
+    out[:, :m, m:] = -(l0 * s) @ r1
+    out[:, m:, :m] = (l1 * s) @ r0
+    out[:, m:, m:] = (l1 * c) @ r1
+    return out
 
 
 def cosine_sine(u: np.ndarray) -> CosineSineBlocks:
@@ -277,55 +319,72 @@ def cosine_sine(u: np.ndarray) -> CosineSineBlocks:
     unchanged because diagonal phases commute with the middle factor).
     On the columns whose angle is 0 or pi/2, ``l1`` is the one closest
     to ``l0``, so a global phase of ``u`` does not change that gauge.
+    The factors must rebuild ``u`` within :data:`TOL_CSD`.  It is
+    :func:`_cosine_sine_stack` of a stack of one: the pass that splits
+    every generic problem of a recursion depth at once, with ``cossin``
+    the only call it makes per matrix.
     """
     u = check_unitary(u)
     dim = u.shape[0]
     if dim % 2:
         raise DimensionError(f"cosine-sine factorization needs even dimension, got {dim}")
-    m = dim // 2
-    (l0, l1), theta, (r0h, r1h) = scipy.linalg.cossin(
-        u, p=m, q=m, separate=True)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    l0, l1 = np.asarray(l0, dtype=complex), np.asarray(l1, dtype=complex)
-    r0, r1 = np.asarray(r0h, dtype=complex), np.asarray(r1h, dtype=complex)
+    l0, l1, theta, r0, r1, resid = _cosine_sine_stack(u[None], [()])
+    return CosineSineBlocks(l0=l0[0], l1=l1[0], theta=theta[0], r0=r0[0],
+                            r1=r1[0], residual=float(resid[0]))
 
-    order = np.argsort(np.round(theta, 14), kind="stable")
-    theta = theta[order]
-    l0, l1 = l0[:, order], l1[:, order]
-    r0, r1 = r0[order, :], r1[order, :]
 
-    # column phase gauge from l0
-    for j in range(m):
-        col = l0[:, j]
-        big = np.abs(col) > 1e-9  # unit columns: at least one entry passes
-        idx = int(np.argmax(big)) if big.any() else int(np.argmax(np.abs(col)))
-        ph = col[idx] / abs(col[idx])
-        l0[:, j] *= ph.conjugate()
-        l1[:, j] *= ph.conjugate()
-        r0[j, :] *= ph
-        r1[j, :] *= ph
+def _cosine_sine_stack(us: np.ndarray, paths) -> tuple[np.ndarray, ...]:
+    """:func:`cosine_sine` of each unitary of a ``(k, 2m, 2m)`` stack, as
+    the stacks ``(l0, l1, theta, r0, r1, residuals)``.
+
+    ``scipy.linalg.cossin`` runs once per matrix; the angle sort, the
+    column-phase gauge and the reconstruction check run over the whole
+    stack, and the Procrustes gauge only on the matrices with an angle at
+    0 or pi/2.  Each matrix gets the bits a lone call gives it, and the
+    first one that fails the check is reported with its entry of
+    ``paths``.
+    """
+    m = us.shape[1] // 2
+    parts = [scipy.linalg.cossin(u, p=m, q=m, separate=True) for u in us]
+    l0, l1, r0, r1 = (np.array([part[side][block] for part in parts], dtype=complex)
+                      for side, block in ((0, 0), (0, 1), (2, 0), (2, 1)))
+    theta = np.array([np.atleast_1d(part[1]) for part in parts], dtype=float)
+
+    order = np.argsort(np.round(theta, 14), axis=1, kind="stable")
+    rows = np.arange(len(us))[:, None]
+    theta = theta[rows, order]
+    l0, l1 = (x.swapaxes(1, 2)[rows, order].swapaxes(1, 2) for x in (l0, l1))
+    r0, r1 = (x[rows, order] for x in (r0, r1))
+
+    # column phase gauge from l0: its first entry above 1e-9 (a unit
+    # column has one), divided by its modulus as hypot, which gives the
+    # bits of the scalar abs
+    first = (np.abs(l0) > 1e-9).argmax(axis=1)
+    pivot = l0.swapaxes(1, 2)[rows, np.arange(m), first]
+    ph = pivot / np.hypot(pivot.real, pivot.imag)
+    l0 *= ph.conj()[:, None, :]
+    l1 *= ph.conj()[:, None, :]
+    r0 *= ph[:, :, None]
+    r1 *= ph[:, :, None]
 
     # Where an angle is 0 the middle keeps the blocks apart, and where it
     # is pi/2 it swaps them, so l1's columns there carry a unitary gauge
     # of their own, paid back on the partner rows of r1 or r0.  Fit it to
     # l0 (orthogonal Procrustes: the polar factor of l1^dagger l0), so
     # that it does not follow whatever gauge LAPACK returned.
-    for cols, partner in ((theta <= TOL_GAUGE, r1),
-                          (theta >= math.pi / 2 - TOL_GAUGE, r0)):
-        if cols.any():
-            a, _, bh = np.linalg.svd(l1[:, cols].conj().T @ l0[:, cols])
-            g = a @ bh
-            l1[:, cols] = l1[:, cols] @ g
-            partner[cols, :] = g.conj().T @ partner[cols, :]
+    zero, right = theta <= TOL_GAUGE, theta >= math.pi / 2 - TOL_GAUGE
+    for i in np.flatnonzero((zero | right).any(axis=1)):
+        for cols, partner in ((zero[i], r1[i]), (right[i], r0[i])):
+            if cols.any():
+                a, _, bh = np.linalg.svd(l1[i][:, cols].conj().T @ l0[i][:, cols])
+                g = a @ bh
+                l1[i][:, cols] = l1[i][:, cols] @ g
+                partner[cols, :] = g.conj().T @ partner[cols, :]
 
-    blocks = CosineSineBlocks(l0=l0, l1=l1, theta=theta, r0=r0, r1=r1,
-                              residual=0.0)
-    resid = float(np.max(np.abs(blocks.reconstruct() - u)))
-    if resid > TOL_CSD:
-        raise NumericError("cosine-sine factorization residual too large",
-                           residual=resid)
-    return CosineSineBlocks(l0=l0, l1=l1, theta=theta, r0=r0, r1=r1,
-                            residual=resid)
+    resid = np.abs(_cosine_sine_products(l0, l1, theta, r0, r1) - us).max(axis=(1, 2))
+    _check_stack(resid > TOL_CSD, paths,
+                 "cosine-sine factorization residual too large", resid)
+    return l0, l1, theta, r0, r1, resid
 
 
 def permute_spins(u: np.ndarray, perm: tuple[int, ...] | list[int]) -> np.ndarray:

@@ -584,19 +584,19 @@ def test_one_pass_check_catches_a_bad_child(block, monkeypatch):
     """A block factor knocked off by 1e-6 still factors cleanly on its
     own, so only the enclosing level's check can see it.  It must, and
     the error must name the block the bad child sits in."""
-    calls = []
+    honest = kakpulse.kak._demultiplex_stack
 
-    def perturbed(pair):
-        v, z, w = demultiplex(pair)
-        if pair.n == 3:
-            calls.append(pair)
-            # the n = 4 left block makes the first four of these calls,
-            # its right block the next four
-            if len(calls) == (1 if block == "left" else 5):
-                v = v @ np.kron(su2_rotation("x", 2e-6), np.eye(2))
-        return v, z, w
+    def perturbed(u0s, u1s, paths):
+        v, zs, w = honest(u0s, u1s, paths)
+        if u0s.shape[1] == 4:
+            # the n = 3 depth demultiplexes its eight pairs in one stack:
+            # the n = 4 left block's halves give the first four, its
+            # right block's the next four
+            k = 0 if block == "left" else 4
+            v[k] = v[k] @ np.kron(su2_rotation("x", 2e-6), np.eye(2))
+        return v, zs, w
 
-    monkeypatch.setattr("kakpulse.kak.demultiplex", perturbed)
+    monkeypatch.setattr(kakpulse.kak, "_demultiplex_stack", perturbed)
     with pytest.raises(NumericError) as info:
         decompose(haar_unitary(16, 92))
     assert info.value.path == (f"n=4/{block}-block", "n=3")
@@ -678,6 +678,109 @@ def test_a_failing_leaf_in_the_stacked_pass_names_its_path(leaf, monkeypatch):
     assert len(calls) == 64  # all leaves went through one stack
     assert info.value.path == leaf_path(leaf, 5)
     assert info.value.path[0] == "n=5/right-block"
+    assert 5e-7 < info.value.residual < 5e-6
+
+
+def split_frame_target(theta, seed):
+    """A three-spin unitary whose last-spin split has the angles
+    ``theta``, between Haar block factors."""
+    c, s = np.diag(np.cos(theta)), np.diag(np.sin(theta))
+    blocks = [haar_unitary(4, seed + k) for k in range(4)]
+    split = (scipy.linalg.block_diag(*blocks[:2]) @ np.block([[c, -s], [s, c]])
+             @ scipy.linalg.block_diag(*blocks[2:]))
+    return kakpulse.permute_spins(split, [1, 2, 0])
+
+
+def test_splits_do_not_depend_on_their_batch_mates():
+    """Each entry of the stacked split is bitwise what a lone
+    ``split_last_qubit`` call returns, whatever else is in the stack: Haar
+    inputs, a permutation and an input whose angles sit at 0 and pi/2, so
+    that the Procrustes gauge runs on those two alone."""
+    gauged = [toffoli := np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]],
+              split_frame_target(np.array([0.0, 0.4, 1.1, math.pi / 2]), 30)]
+    for u in gauged:
+        theta = kakpulse.cosine_sine(kakpulse.permute_spins(u, [2, 0, 1])).theta
+        assert theta[0] <= kakpulse.linalg.TOL_GAUGE
+        assert theta[-1] >= math.pi / 2 - kakpulse.linalg.TOL_GAUGE
+    stack = ([haar_unitary(8, seed, special=True) for seed in range(3)] + gauged
+             + [haar_unitary(8, seed) for seed in range(3, 6)])
+    (l0, l1), ys, (r0, r1) = kakpulse.kak._split_stack(np.array(stack),
+                                                       [()] * len(stack))
+    assert toffoli is stack[3]
+    for k, u in enumerate(stack):
+        k1, y, k2 = split_last_qubit(u)
+        assert ys[k] == y
+        for got, want in ((l0, k1.u0), (l1, k1.u1), (r0, k2.u0), (r1, k2.u1)):
+            assert got[k].tobytes() == want.tobytes()
+
+
+def test_demultiplexes_do_not_depend_on_their_batch_mates(monkeypatch):
+    """Each entry of the stacked demultiplex is bitwise what a lone
+    ``demultiplex`` call returns, whatever else is in the stack; a pair
+    whose ratio is already diagonal draws no eigenbasis, and only the
+    pair whose ratio has two eigenphases placed symmetrically about the
+    first golden mixing angle draws a second candidate."""
+    t0, rng = 0.1234, np.random.default_rng(40)
+    frame = np.linalg.qr(rng.standard_normal((4, 4))
+                         + 1j * rng.standard_normal((4, 4)))[0]
+    blind = (frame * np.exp(1j * np.array([t0 + 0.7, t0 - 0.7, 1.9, -0.4]))
+             ) @ frame.conj().T
+    diagonal = np.diag(np.exp(1j * np.array([0.3, -1.2, 2.0, 0.1])))
+    pairs = ([(haar_unitary(4, 2 * s), haar_unitary(4, 2 * s + 1)) for s in range(3)]
+             + [(diagonal @ haar_unitary(4, 7), haar_unitary(4, 7)),
+                (blind @ haar_unitary(4, 8), haar_unitary(4, 8))]
+             + [(haar_unitary(4, 2 * s, special=True),
+                 haar_unitary(4, 2 * s + 1, special=True)) for s in range(5, 8)])
+    drawn = []
+    honest = kakpulse.linalg.golden_mix_eigvecs
+
+    def counted(a, b, k):
+        drawn.append((len(a), k))
+        return honest(a, b, k)
+
+    monkeypatch.setattr(kakpulse.linalg, "golden_mix_eigvecs", counted)
+    v, zs, w = kakpulse.kak._demultiplex_stack(
+        np.array([u0 for u0, _ in pairs]), np.array([u1 for _, u1 in pairs]),
+        [()] * len(pairs))
+    assert drawn == [(len(pairs) - 1, 0), (1, 1)]
+    assert v[3].tobytes() == np.eye(4, dtype=complex).tobytes()
+    for k, (u0, u1) in enumerate(pairs):
+        want_v, want_z, want_w = demultiplex(BlockPair(n=3, u0=u0, u1=u1))
+        assert zs[k] == want_z
+        assert v[k].tobytes() == want_v.tobytes()
+        assert w[k].tobytes() == want_w.tobytes()
+
+
+def three_spin_path(problem):
+    """Where three-spin problem number ``problem`` (in depth order) of a
+    generic five-spin target sits: each level hands down its left
+    block's two halves, then its right block's."""
+    return (f"n=5/{'left' if problem // 8 == 0 else 'right'}-block",
+            f"n=4/{'left' if problem % 4 < 2 else 'right'}-block")
+
+
+@pytest.mark.parametrize("problem", [4, 6, 14])
+def test_a_failing_split_in_the_stacked_pass_names_its_path(problem, monkeypatch):
+    """One cosine-sine split of the five-spin target's three-spin depth,
+    its ``l0`` knocked off by 2e-6, fails the stacked reconstruction
+    check, with all 16 splits of that depth in one stack; the error
+    names that problem's blocks, not its batch-mates'."""
+    assert three_spin_path(problem) != three_spin_path(problem - 1)
+    honest, calls = scipy.linalg.cossin, []
+
+    def knocked(u, **kwargs):
+        (l0, l1), theta, (r0, r1) = honest(u, **kwargs)
+        if u.shape == (8, 8):
+            if len(calls) == problem:
+                l0 = l0 @ np.kron(su2_rotation("x", 2e-6), np.eye(2))
+            calls.append(u)
+        return (l0, l1), theta, (r0, r1)
+
+    monkeypatch.setattr(scipy.linalg, "cossin", knocked)
+    with pytest.raises(NumericError, match="cosine-sine") as info:
+        decompose(haar_unitary(32, 105, special=True))
+    assert len(calls) == 16  # the whole depth went through one stack
+    assert info.value.path == three_spin_path(problem) + ("n=3",)
     assert 5e-7 < info.value.residual < 5e-6
 
 
