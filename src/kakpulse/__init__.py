@@ -62,6 +62,7 @@ from .gates import (
     gate_list_from_json,
     gate_list_spin_bound,
     gate_list_to_json,
+    gate_list_to_json_text,
     inverse_gate_list,
 )
 from .kak import (
@@ -82,6 +83,7 @@ from .kak import (
     split_last_qubit,
     tree_from_json_dict,
     tree_to_json_dict,
+    tree_to_json_text,
     two_spin_factors,
 )
 from .pulses import (
@@ -122,7 +124,8 @@ __all__ = [
     "diagonal_strings",
     "distance", "drift_diagonal", "euler_xzx", "evaluate", "expand",
     "expm_skew", "flatten", "gate_list_from_json", "gate_list_spin_bound",
-    "gate_list_to_json", "gate_list_unitary", "haar_unitary",
+    "gate_list_to_json", "gate_list_to_json_text", "gate_list_unitary",
+    "haar_unitary",
     "interaction_class", "interaction_unitary", "inverse_gate_list",
     "is_maximal_abelian", "local_rotation_matrix",
     "matrix_from_json_dict", "matrix_to_json_dict",
@@ -131,6 +134,6 @@ __all__ = [
     "pulse_program_unitary", "refocusing_set", "residual_budget",
     "spin_count", "split_last_qubit", "su2_rotation", "subspace_tag",
     "synthesize_pulses", "total_coupling_time", "tree_from_json_dict",
-    "tree_to_json_dict",
+    "tree_to_json_dict", "tree_to_json_text",
     "two_spin_factors", "unitary_eig",
 ]

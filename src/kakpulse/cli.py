@@ -16,7 +16,13 @@ including a chain longer than :data:`MAX_CLI_SPINS`); 4 numeric failure
 
 All artifacts are JSON.  Files are written with sorted keys and no
 incidental whitespace, so identical inputs produce byte-identical
-outputs; human-readable summaries go to standard output only.
+outputs; human-readable summaries go to standard output only.  The two
+compile artifacts, ``decompose``'s tree and gate list and ``pulses``'
+program, are written as that text straight from their objects
+(:func:`~kakpulse.kak.tree_to_json_text`,
+:func:`~kakpulse.gates.gate_list_to_json_text`,
+:meth:`~kakpulse.gates.PulseProgram.to_json_text`); their form is the
+one ``json.dumps`` gives the dict forms with sorted keys.
 """
 
 from __future__ import annotations
@@ -37,9 +43,9 @@ from .gates import (
     PulseProgram,
     gate_list_from_json,
     gate_list_spin_bound,
-    gate_list_to_json,
+    gate_list_to_json_text,
 )
-from .kak import decompose, residual_budget, tree_to_json_dict
+from .kak import decompose, residual_budget, tree_to_json_text
 from .linalg import (
     check_unitary,
     haar_unitary,
@@ -55,9 +61,9 @@ from .simulate import distance, gate_list_unitary, pulse_program_unitary
 # Longest chain any subcommand accepts.  Measured round trips through
 # this CLI (`random --seed 100+n`, one BLAS thread, 2-core x86-64
 # machine, one process per command): at 7 spins decompose / pulses /
-# verify of the program take 2.2-2.5 / 1.4 / 1.6 s; at 8 spins
-# 6.1-8.5 / 6.0 / 6.1 s, with 18 MB and 27 MB artifacts and at most
-# 340 MB resident.
+# verify of the program take 1.9-2.0 / 1.2-1.6 / 1.5 s; at 8 spins
+# 5.4-6.8 / 3.8-5.1 / 6.2 s, with 18 MB and 27 MB artifacts and at most
+# 256 MB resident (verify; decompose 195 MB, pulses 250 MB).
 # Larger inputs are rejected with exit 3 before any matrix is built or
 # any factorization starts.
 MAX_CLI_SPINS = 8
@@ -85,10 +91,15 @@ def _read_json(path: str):
         return json.load(fh)
 
 
-def _write_json(path: str, obj) -> None:
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _write_text(path: str, *parts: str) -> None:
+    """Write the concatenated ``parts`` and a closing newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.writelines(parts)
+        fh.write("\n")
+
+
+def _write_json(path: str, obj) -> None:
+    _write_text(path, json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
 def _matrix_from_artifact(data, what: str) -> np.ndarray:
@@ -147,17 +158,19 @@ def cmd_decompose(input_path: str, out_path: str, n: int | None = None,
     gates = flatten(tree)
     recon = gate_list_unitary(gates, spins)
     resid = float(np.max(np.abs(recon - u)))
-    _write_json(out_path, {
-        "n": spins,
-        "residual": resid,
-        "tree": tree_to_json_dict(tree),
-        "gates": gate_list_to_json(gates),
-    })
-    n_local = sum(isinstance(g, LocalRotation) for g in gates)
-    n_zz = sum(isinstance(g, CouplingEvolution) for g in gates)
-    n_pi = sum(isinstance(g, CouplingEvolution) and abs(g.angle) == math.pi
-               for g in gates)
-    n_phase = sum(isinstance(g, GlobalPhase) for g in gates)
+    # nothing checks the residual for being finite: json spells nan NaN
+    _write_text(out_path, '{"gates":', gate_list_to_json_text(gates),
+                f',"n":{spins},"residual":{json.dumps(resid)},"tree":',
+                tree_to_json_text(tree), "}")
+    n_local = n_zz = n_pi = n_phase = 0
+    for g in gates:
+        if isinstance(g, LocalRotation):
+            n_local += 1
+        elif isinstance(g, CouplingEvolution):
+            n_zz += 1
+            n_pi += abs(g.angle) == math.pi
+        elif isinstance(g, GlobalPhase):
+            n_phase += 1
     print(f"reconstruction residual {resid:.3e} (budget {budget:.3e})")
     print(f"{n_local} local rotations, {n_zz} coupling evolutions "
           f"({n_pi} at angle pi), {n_phase} phase factors")
@@ -186,7 +199,7 @@ def cmd_pulses(input_path: str, out_path: str, chain: str | None = None,
         _check_spins(spins, "the chain")
         spec = ChainSpec.uniform(spins, 100.0)
     program = synthesize_pulses(gates, spec)
-    _write_json(out_path, program.to_json_dict())
+    _write_text(out_path, program.to_json_text())
     t = total_coupling_time(program)
     print(f"total coupling time {t:.9f} s")
     print(f"{pulse_count(program)} pulses, {len(program.events)} events, "

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the readers of JSON
-fields that raise them."""
+"""Exception types shared across the package, the readers of JSON
+fields that raise them, and the spelling of a number in JSON text."""
 
 from __future__ import annotations
+
+import json
 
 
 class ValidationError(ValueError):
@@ -66,3 +68,13 @@ def _json_array(value, what: str) -> list:
     if not isinstance(value, list):
         raise ValidationError(f"{what} must be a JSON array, got {value!r}")
     return value
+
+
+def _json_number(value) -> str:
+    """``json.dumps(value)`` for a number, without its call for a finite
+    ``float``, which json spells ``float.__repr__(value)``.  An ``int``,
+    NumPy's ``float64`` (whose own ``repr`` reads ``np.float64(...)``),
+    ``nan`` and ``inf`` go through ``json.dumps``."""
+    if type(value) is float and value - value == 0.0:
+        return float.__repr__(value)
+    return json.dumps(value)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import (DimensionError, RangeError, ValidationError, _json_array,
-                     _json_int)
+                     _json_int, _json_number)
 
 AXES = ("x", "y", "z")
 
@@ -131,6 +131,26 @@ def gate_list_to_json(gates: list[Gate]) -> list[dict]:
         else:
             raise ValidationError(f"unknown gate object {g!r}")
     return out
+
+
+def gate_list_to_json_text(gates: list[Gate]) -> str:
+    """``gate_list_to_json(gates)`` as the text ``json.dumps(...,
+    sort_keys=True, separators=(",", ":"))`` makes of it, written one
+    gate at a time with the keys already in sorted order."""
+    num = _json_number
+    out = []
+    for g in gates:
+        if isinstance(g, LocalRotation):
+            out.append(f'{{"angle":{num(g.angle)},"axis":"{g.axis}",'
+                       f'"kind":"local","q":{g.qubit}}}')
+        elif isinstance(g, CouplingEvolution):
+            out.append(f'{{"angle":{num(g.angle)},"kind":"zz",'
+                       f'"pair":[{g.left},{g.left + 1}]}}')
+        elif isinstance(g, GlobalPhase):
+            out.append(f'{{"kind":"phase","phi":{num(g.phi)}}}')
+        else:
+            raise ValidationError(f"unknown gate object {g!r}")
+    return f"[{','.join(out)}]"
 
 
 def _item_error(exc: Exception, what: str, k: int) -> ValidationError:
@@ -253,6 +273,22 @@ class PulseProgram:
                 events.append({"kind": "delay", "t": e.duration})
         return {"chain": self.chain.to_json_dict(), "events": events,
                 "phase": self.phase}
+
+    def to_json_text(self) -> str:
+        """``to_json_dict()`` as the text ``json.dumps(...,
+        sort_keys=True, separators=(",", ":"))`` makes of it, written one
+        event at a time with the keys already in sorted order."""
+        num = _json_number
+        events = []
+        for e in self.events:
+            if isinstance(e, HardPulse):
+                events.append(f'{{"angle":{num(e.angle)},"axis":"{e.axis}",'
+                              f'"kind":"pulse","q":{e.qubit}}}')
+            else:
+                events.append(f'{{"kind":"delay","t":{num(e.duration)}}}')
+        couplings = ",".join(map(num, self.chain.couplings))
+        return (f'{{"chain":{{"J":[{couplings}],"n":{self.chain.n}}},'
+                f'"events":[{",".join(events)}],"phase":{num(self.phase)}}}')
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PulseProgram":

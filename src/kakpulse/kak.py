@@ -116,7 +116,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import (DimensionError, NumericError, ValidationError, _json_int,
-                     _on_path)
+                     _json_number, _on_path)
 from .linalg import (PAULI, TOL_UNITARY, _check_stack, _cosine_sine_stack,
                      _unitary_eig_stack, apply_local, check_square,
                      check_unitaries, check_unitary, golden_mix_eigvecs, kron2,
@@ -835,6 +835,44 @@ def tree_to_json_dict(tree: GateTree) -> dict:
             out["route"] = [list(cnot) for cnot in tree.route]
         return out
     raise ValidationError(f"unknown tree node {tree!r}")
+
+
+def tree_to_json_text(tree: GateTree) -> str:
+    """``tree_to_json_dict(tree)`` as the text ``json.dumps(...,
+    sort_keys=True, separators=(",", ":"))`` makes of it, written node by
+    node with the keys already in sorted order."""
+    parts: list[str] = []
+    _add_tree_text(tree, parts)
+    return "".join(parts)
+
+
+def _add_tree_text(tree: GateTree, parts: list[str]) -> None:
+    num = _json_number
+    if isinstance(tree, SequenceNode):
+        parts.append('{"children":[')
+        for k, child in enumerate(tree.children):
+            if k:
+                parts.append(",")
+            _add_tree_text(child, parts)
+        parts.append('],"node":"sequence"}')
+    elif isinstance(tree, EulerNode):
+        parts.append(f'{{"alpha":{num(tree.alpha)},"beta":{num(tree.beta)},'
+                     f'"gamma":{num(tree.gamma)},"node":"euler",'
+                     f'"q":{tree.qubit}}}')
+    elif isinstance(tree, PhaseNode):
+        parts.append(f'{{"node":"phase","phi":{num(tree.phi)}}}')
+    elif isinstance(tree, CartanNode):
+        e = tree.element
+        # every string of an element has its n letters, so the entries
+        # sort as their letters do
+        coeffs = ",".join(sorted([f'"{s.letters}":{num(c)}'
+                                  for s, c in e.coeffs.items()]))
+        route = ("" if tree.route is None else ',"route":[' + ",".join(
+            [f"[{control},{target}]" for control, target in tree.route]) + "]")
+        parts.append(f'{{"coeffs":{{{coeffs}}},"family":"{e.family.value}",'
+                     f'"n":{e.n},"node":"commuting_evolution"{route}}}')
+    else:
+        raise ValidationError(f"unknown tree node {tree!r}")
 
 
 def tree_from_json_dict(data: dict) -> GateTree:

@@ -1,0 +1,117 @@
+"""Text writers of the compile artifacts against their dict forms.
+
+``decompose`` and ``pulses`` write their artifacts with
+``tree_to_json_text``, ``gate_list_to_json_text`` and
+``PulseProgram.to_json_text``.  Each must write exactly the text that
+``json.dumps(..., sort_keys=True, separators=(",", ":"))`` makes of the
+matching dict form, so the artifacts keep their bytes.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from kakpulse import (
+    CartanElement,
+    CartanFamily,
+    CartanNode,
+    ChainSpec,
+    CouplingEvolution,
+    Delay,
+    EulerNode,
+    GlobalPhase,
+    HardPulse,
+    LocalRotation,
+    PauliString,
+    PhaseNode,
+    PulseProgram,
+    SequenceNode,
+    ValidationError,
+    decompose,
+    flatten,
+    gate_list_to_json,
+    gate_list_to_json_text,
+    haar_unitary,
+    synthesize_pulses,
+    tree_to_json_dict,
+    tree_to_json_text,
+)
+from kakpulse.networks import OPEN_ROUTES
+
+# floats whose spelling json takes care over: a signed zero, the least
+# subnormal, the exponent forms on either side of repr's switch, a NumPy
+# scalar (whose own repr reads np.float64(...)) and an integer
+ANGLES = (-0.0, 5e-324, 1e-07, 1e16, np.float64(0.1) + np.float64(0.2), 2)
+
+
+def canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_haar_artifacts(n):
+    tree = decompose(haar_unitary(2 ** n, 100 + n, special=True))
+    gates = flatten(tree)
+    program = synthesize_pulses(gates, ChainSpec.uniform(n, 100.0))
+    assert tree_to_json_text(tree) == canonical(tree_to_json_dict(tree))
+    assert gate_list_to_json_text(gates) == canonical(gate_list_to_json(gates))
+    assert program.to_json_text() == canonical(program.to_json_dict())
+
+
+def test_hand_made_gates():
+    gates = [g for a in ANGLES for g in (
+        LocalRotation(2, "y", a), CouplingEvolution(3, a), GlobalPhase(a))]
+    assert gate_list_to_json_text(gates) == canonical(gate_list_to_json(gates))
+    assert gate_list_to_json_text([]) == "[]"
+
+
+def test_hand_made_program():
+    events = [e for a in ANGLES for e in (HardPulse(1, "x", a), Delay(abs(a)))]
+    for chain, phase in ((ChainSpec(3, (np.float64(120.5), 1e16)), ANGLES[4]),
+                         (ChainSpec(2, (80,)), -0.0), (ChainSpec(1, ()), 2)):
+        program = PulseProgram(chain, events, phase)
+        assert program.to_json_text() == canonical(program.to_json_dict())
+    empty = PulseProgram(ChainSpec.uniform(2))
+    assert empty.to_json_text() == canonical(empty.to_json_dict())
+
+
+def test_hand_made_tree():
+    """Every node kind, a route, an empty sequence, and coefficients
+    listed out of their letters' order."""
+    outer = CartanElement(3, CartanFamily.OUTER_X, {
+        PauliString("ZZX"): ANGLES[0], PauliString("1ZX"): ANGLES[1],
+        PauliString("Z1X"): ANGLES[2], PauliString("11X"): ANGLES[4]})
+    middle = CartanElement(2, CartanFamily.MAXIMAL, {
+        PauliString("ZZ"): ANGLES[3], PauliString("XX"): ANGLES[5]})
+    tree = SequenceNode((
+        PhaseNode(ANGLES[0]),
+        CartanNode(outer, OPEN_ROUTES[3]),
+        SequenceNode(()),
+        SequenceNode(tuple(EulerNode(q, a, ANGLES[-1 - q], ANGLES[q])
+                           for q, a in enumerate(ANGLES[:4], start=1))),
+        CartanNode(middle),
+        CartanNode(CartanElement(3, CartanFamily.DIAGONAL)),
+        PhaseNode(ANGLES[4]),
+    ))
+    text = tree_to_json_text(tree)
+    assert text == canonical(tree_to_json_dict(tree))
+    assert '"route":[[1,2],[2,1],[1,2]]' in text
+    assert '{"children":[],"node":"sequence"}' in text
+    # nothing checks an Euler or phase node for being finite
+    for node in (SequenceNode(()), PhaseNode(float("nan")), CartanNode(middle),
+                 EulerNode(1, float("nan"), float("inf"), -float("inf"))):
+        assert tree_to_json_text(node) == canonical(tree_to_json_dict(node))
+
+
+def test_unknown_objects_are_rejected_like_the_dict_forms():
+    stranger = object()
+    with pytest.raises(ValidationError, match="unknown gate object"):
+        gate_list_to_json([GlobalPhase(0.1), stranger])
+    with pytest.raises(ValidationError, match="unknown gate object"):
+        gate_list_to_json_text([GlobalPhase(0.1), stranger])
+    tree = SequenceNode((PhaseNode(0.1), SequenceNode((stranger,))))
+    with pytest.raises(ValidationError, match="unknown tree node"):
+        tree_to_json_dict(tree)
+    with pytest.raises(ValidationError, match="unknown tree node"):
+        tree_to_json_text(tree)

@@ -141,6 +141,23 @@ class TestDecompose:
                      "--tol", "1e-30"]) == 4
         assert "exceeds budget" in capsys.readouterr().err
 
+    def test_nan_residual_is_written_and_fails(self, tmp_path, capsys,
+                                              monkeypatch):
+        """Nothing checks the self-check's residual for being finite: a
+        nan one fails the budget with exit 4, and the artifact still
+        holds it, spelled ``NaN`` as json spells it."""
+        target = make_target(tmp_path)
+        monkeypatch.setattr(
+            "kakpulse.cli.gate_list_unitary",
+            lambda gates, n: np.full((2 ** n, 2 ** n), np.nan, dtype=complex))
+        out_path = tmp_path / "d.json"
+        assert main(["decompose", "--input", str(target),
+                     "--output", str(out_path)]) == 4
+        assert "exceeds budget" in capsys.readouterr().err
+        text = out_path.read_text()
+        assert ',"residual":NaN,' in text
+        assert math.isnan(json.loads(text)["residual"])
+
     def test_zero_budget_is_invalid(self, tmp_path):
         target = make_target(tmp_path)
         assert main(["decompose", "--input", str(target),

@@ -15,6 +15,7 @@ keep every contract whichever route the threshold sends them down.
 """
 
 import itertools
+import json
 import math
 import typing
 
@@ -37,6 +38,8 @@ from kakpulse import (
     decompose,
     evaluate,
     flatten,
+    gate_list_to_json,
+    gate_list_to_json_text,
     gate_list_unitary,
     haar_unitary,
     permute_spins,
@@ -46,6 +49,8 @@ from kakpulse import (
     su2_rotation,
     synthesize_pulses,
     total_coupling_time,
+    tree_to_json_dict,
+    tree_to_json_text,
 )
 from kakpulse.kak import _decompose
 from kakpulse.pulses import TOL_ROTATION
@@ -143,6 +148,22 @@ def test_structured_target_round_trip(target, n):
     assert np.max(np.abs(gate_list_unitary(gates, n) - u)) < 1e-9
     program = synthesize_pulses(gates, ChainSpec(n, CHAIN_J[:n - 1]))
     assert np.max(np.abs(pulse_program_unitary(program) - u)) < 1e-9
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+@pytest.mark.parametrize("target", TARGETS, ids=lambda f: f.__name__)
+def test_artifact_text_is_the_canonical_dump(target, n):
+    """The text writers of the compile artifacts spell exactly what
+    ``json.dumps`` with sorted keys makes of the dict forms."""
+    def canonical(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    tree = decompose(target(n))
+    gates = flatten(tree)
+    program = synthesize_pulses(gates, ChainSpec(n, CHAIN_J[:n - 1]))
+    assert tree_to_json_text(tree) == canonical(tree_to_json_dict(tree))
+    assert gate_list_to_json_text(gates) == canonical(gate_list_to_json(gates))
+    assert program.to_json_text() == canonical(program.to_json_dict())
 
 
 @pytest.mark.parametrize("n", range(3, 6))
