@@ -23,11 +23,13 @@ class NumericError(RuntimeError):
 
     Carries the offending residual and, for recursive factorizations, the
     path of the sub-problem where the failure occurred so that a failure
-    deep inside a nested call is attributable.
+    deep inside a nested call is attributable; ``message`` is the text
+    without either, from which a copy on a longer path is written.
     """
 
     def __init__(self, message: str, *, residual: float | None = None,
                  path: tuple[str, ...] = ()):
+        self.message = message
         self.residual = residual
         self.path = path
         if path:
@@ -38,17 +40,13 @@ class NumericError(RuntimeError):
 
     def with_path(self, step: str) -> "NumericError":
         """Return a copy of this error with ``step`` prepended to its path."""
-        base = str(self.args[0]).split(" [at ")[0].split(" (residual")[0]
-        return NumericError(base, residual=self.residual,
-                            path=(step, *self.path))
+        return _on_path(self, (step,))
 
 
 def _on_path(exc: NumericError, path: tuple[str, ...]) -> NumericError:
-    """``exc`` with ``path`` prepended, as the levels on it would add their
-    steps one by one."""
-    for step in reversed(path):
-        exc = exc.with_path(step)
-    return exc
+    """A copy of ``exc`` with ``path`` prepended to its own."""
+    return NumericError(exc.message, residual=exc.residual,
+                        path=(*path, *exc.path))
 
 
 def _json_int(value, what: str) -> int:
@@ -60,6 +58,18 @@ def _json_int(value, what: str) -> int:
     if type(value) is float and value.is_integer():
         return int(value)
     raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def _json_float(value, what: str) -> float:
+    """``value`` as a ``float`` when it is a JSON number; a bool or a
+    string is a :class:`ValidationError`, where ``float()`` would read
+    ``true`` as 1.0 and ``"0.5"`` as 0.5.  Hot readers test
+    ``type(value) is float`` inline and call this for anything else."""
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        return float(value)
+    raise ValidationError(f"{what} must be a number, got {value!r}")
 
 
 def _json_array(value, what: str) -> list:

@@ -37,9 +37,8 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import (DimensionError, RangeError, ValidationError, _json_array,
-                     _json_int, _json_number)
-
-AXES = ("x", "y", "z")
+                     _json_float, _json_int, _json_number)
+from .linalg import AXES
 
 
 @dataclass(frozen=True)
@@ -169,18 +168,21 @@ def gate_list_from_json(data: list[dict]) -> list[Gate]:
         try:
             kind = item["kind"]
             if kind == "local":
-                out.append(LocalRotation(_json_int(item["q"], "gate spin"),
-                                         str(item["axis"]),
-                                         float(item["angle"])))
+                angle = item["angle"]
+                out.append(LocalRotation(
+                    _json_int(item["q"], "gate spin"), str(item["axis"]),
+                    angle if type(angle) is float else _json_float(angle, "angle")))
             elif kind == "zz":
                 left, right = (_json_int(v, "coupling spin") for v in
                                _json_array(item["pair"], "coupling pair"))
                 if right != left + 1:
                     raise ValidationError(
                         f"coupling pair must be adjacent, got [{left}, {right}]")
-                out.append(CouplingEvolution(left, float(item["angle"])))
+                angle = item["angle"]
+                out.append(CouplingEvolution(left, angle if type(angle) is float
+                                             else _json_float(angle, "angle")))
             elif kind == "phase":
-                out.append(GlobalPhase(float(item["phi"])))
+                out.append(GlobalPhase(_json_float(item["phi"], "phase")))
             else:
                 raise ValidationError(f"unknown gate kind {kind!r}")
         except (KeyError, TypeError, ValueError) as exc:
@@ -228,7 +230,8 @@ class ChainSpec:
         try:
             couplings = _json_array(data["J"], "chain couplings J")
             return cls(n=_json_int(data["n"], "chain size n"),
-                       couplings=tuple(float(x) for x in couplings))
+                       couplings=tuple(_json_float(x, "coupling J")
+                                       for x in couplings))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed chain object: {exc}") from exc
 
@@ -299,17 +302,21 @@ class PulseProgram:
                 try:
                     kind = item["kind"]
                     if kind == "pulse":
-                        events.append(HardPulse(_json_int(item["q"], "pulse spin"),
-                                                str(item["axis"]),
-                                                float(item["angle"])))
+                        angle = item["angle"]
+                        events.append(HardPulse(
+                            _json_int(item["q"], "pulse spin"), str(item["axis"]),
+                            angle if type(angle) is float
+                            else _json_float(angle, "angle")))
                     elif kind == "delay":
-                        events.append(Delay(float(item["t"])))
+                        t = item["t"]
+                        events.append(Delay(
+                            t if type(t) is float else _json_float(t, "delay t")))
                     else:
                         raise ValidationError(f"unknown event kind {kind!r}")
                 except (KeyError, TypeError, ValueError) as exc:
                     raise _item_error(exc, "event", k) from exc
             return cls(chain=chain, events=events,
-                       phase=float(data.get("phase", 0.0)))
+                       phase=_json_float(data.get("phase", 0.0), "program phase"))
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ValidationError):
                 raise

@@ -65,41 +65,40 @@ the route, so its matrix, and each level's check, include the map.
 
 Every factorization routine re-multiplies its output and raises
 :class:`~kakpulse.errors.NumericError` if the residual exceeds its
-contract, with a path annotation pointing into the recursion.
+contract.  Each sub-problem carries its path in the recursion, and a
+check that fails inside a stacked pass names the first failing matrix
+with its path.
 
 The recursion goes one depth at a time, since every sub-problem at a
-depth has the same size (:func:`_decompose_depth`).  First the depth
-is screened (one stacked unitarity check and Kronecker screen) and each
+depth has the same size (:func:`_decompose_depth`).  The depth is
+screened (one stacked unitarity check and Kronecker screen) and each
 problem picks its route.  All generic problems are split in one stacked
 cosine-sine pass (:func:`_split_stack`; ``scipy.linalg.cossin`` is the
-one call left per problem), then every block pair of the depth, from
-generic and block-diagonal problems alike, is demultiplexed in one
-stacked pass (:func:`_demultiplex_stack`, with one stacked ``eigh`` per
-golden-mix candidate), and the depth decides its open layers, with the
-interaction sums of all their two-spin neighbours from one stacked
-``eigvals``.  Then the factors of every level go down as one list; at
-the two-spin depth all of a target's leaves (64 at five spins, 4,096 at
-eight) are factored in one stacked pass (:func:`_two_spin_leaves`).
-Last, each level composes its tree and matrix from its factors'
-results.  Stacked ``matmul``, ``det``, ``eigh``, ``eigvals``,
-``einsum`` and elementwise calls give each matrix the bits its own call
-would (as checked with NumPy 2.4 on OpenBLAS), and scalars stay
-``cmath`` scalars, so the trees are those a depth-first recursion
-builds, bit for bit.  Each sub-problem carries its path in the
-recursion, and a check that fails inside a stacked pass reports the
-first failing matrix with its path.
+one call left per problem), every block pair of the depth is
+demultiplexed in another (:func:`_demultiplex_stack`, with one stacked
+``eigh`` per golden-mix candidate), and the depth decides its open
+layers, with the interaction sums of all their two-spin neighbours from
+one stacked ``eigvals``.  The factors of every level then go down as
+one list; at the two-spin depth all of a target's leaves (64 at five
+spins, 4,096 at eight) are factored in one stacked pass
+(:func:`_two_spin_leaves`), each move into the canonical chamber a
+masked update of the stack (:func:`_chamber`).  Last, each level
+composes its tree and matrix from its factors' results.  Stacked
+``matmul``, ``det``, ``eigh``, ``eigvals``, ``einsum`` and elementwise
+calls give each matrix the bits its own call would (as checked with
+NumPy 2.4 on OpenBLAS), and scalars stay ``cmath`` scalars, so the
+trees are those a depth-first recursion builds, bit for bit.
 
-Every level returns its tree together with that tree's matrix.  A
-one-spin leaf's matrix is its node applied to the identity, and a
-two-spin leaf's is the product of its Euler leaves' 2x2s, paired by
-``kron``, around its middle, which is diagonal in the magic frame; a
-level composes its matrix from the matrices its factors returned (each
-already checked at its own level) and the commuting layers, and checks
-that against its input under :func:`residual_budget`.  So every level
-checks the tree it emits, not the intermediate factors, without walking
-its subtree again.  Commuting-family exponentials are applied string by
-string, each ``sigma_s`` as a signed permutation of rows.
-:func:`evaluate` stays the independent re-walk of a finished tree.
+Every level returns its tree together with that tree's matrix: a
+one-spin leaf's is its node applied to the identity, a two-spin leaf's
+the canonical product (:func:`_canonical_products`) of its phase and
+Euler leaves around its middle, and a level's is composed from its
+factors' matrices (each checked at its own level) and its commuting
+layers, then checked against its input under :func:`residual_budget`.
+So every level checks the tree it emits without walking its subtree
+again.  Commuting-family exponentials are applied string by string,
+each ``sigma_s`` as a signed permutation of rows.  :func:`evaluate`
+stays the independent re-walk of a finished tree.
 
 This module only factors; :func:`kakpulse.pulses.flatten` lowers a tree
 to gates.
@@ -115,13 +114,13 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import (DimensionError, NumericError, ValidationError, _json_int,
-                     _json_number, _on_path)
-from .linalg import (PAULI, TOL_UNITARY, _check_stack, _cosine_sine_stack,
-                     _unitary_eig_stack, apply_local, check_square,
-                     check_unitaries, check_unitary, golden_mix_eigvecs, kron2,
-                     permute_spins, quaternion_matrices, quaternion_matrix,
-                     spin_count, su2_rotation)
+from .errors import (DimensionError, NumericError, ValidationError, _json_float,
+                     _json_int, _json_number, _on_path)
+from .linalg import (AXES, PAULI, TOL_UNITARY, _check_stack,
+                     _cosine_sine_stack, _unitary_eig_stack, apply_local,
+                     check_square, check_unitaries, check_unitary,
+                     golden_mix_eigvecs, kron2, quaternion_matrices,
+                     quaternion_matrix, spin_count, su2_rotation)
 from .networks import (Route, check_route, closed_pi_count, end_rows,
                        leaves_last_spin, nonzero_letters, open_route)
 from .paulis import (CartanElement, CartanFamily, PauliString,
@@ -348,77 +347,64 @@ class TwoSpinFactors:
 
 
 # The constant moves of the chamber: ``1j*sigma`` (a half turn, up to a
-# sign) and the quarter turn about each axis, with their inverses.
-_AXES = ("x", "y", "z")
-_HALF_TURN = {axis: 1j * PAULI[axis] for axis in _AXES}
-_QUARTER_TURN = {axis: su2_rotation(axis, math.pi / 2) for axis in _AXES}
-_QUARTER_TURN_H = {axis: g.conj().T for axis, g in _QUARTER_TURN.items()}
+# sign) and the quarter turn about each axis.
+_HALF_TURN = {axis: 1j * PAULI[axis] for axis in AXES}
+_QUARTER_TURN = {axis: su2_rotation(axis, math.pi / 2) for axis in AXES}
 
 
-class _TwoSpinState:
-    """Mutable canonicalization state for the interaction angles."""
+def _chamber(phases, alphas, l1, l2, r1, r2, paths) -> None:
+    """Move each leaf's interaction angles into the canonical chamber of
+    :class:`TwoSpinFactors`, turning its locals and phase to match, in
+    place.  Each move is a masked update taken by the leaves it applies
+    to (``rows``), in the order of a lone canonicalization: the ``2*pi``
+    shifts of each angle, down then up; three bubble passes of the two
+    swaps; one of three pair negations; the fix for ``alphas[0] = pi``.
+    The chamber is checked once over the stack, and the first leaf
+    outside it is named with its entry of ``paths`` and its angles.
+    """
+    a, slack = alphas, 1e-12
 
-    def __init__(self, phase, l1, l2, alphas, r1, r2):
-        self.phase = phase
-        self.l1, self.l2 = l1, l2
-        self.r1, self.r2 = r1, r2
-        self.alphas = [float(x) for x in alphas]
+    def shift(rows, j, direction):
+        # alphas[j] += 2*pi*direction, paid for by the right locals and the phase
+        a[rows, j] += 2 * math.pi * direction
+        for right in (r1, r2):
+            right[rows] = _HALF_TURN[AXES[j]] @ right[rows]
+        phases[rows] -= direction * math.pi / 2
 
-    def shift(self, j: int, direction: int):
-        """``alphas[j] += 2*pi*direction`` compensated through the right
-        locals and the global phase."""
-        self.alphas[j] += 2 * math.pi * direction
-        q = _HALF_TURN[_AXES[j]]
-        self.r1 = q @ self.r1
-        self.r2 = q @ self.r2
-        self.phase -= direction * math.pi / 2
+    def negate_pair(rows, j, k):
+        # two angles change sign by a half turn on spin 1 about the third axis
+        q = _HALF_TURN[AXES[3 - j - k]]
+        l1[rows] = l1[rows] @ q.conj().T
+        r1[rows] = q @ r1[rows]
+        a[rows[:, None], (j, k)] *= -1
 
-    def swap(self, j: int, k: int):
-        """Exchange two interaction axes via a quarter turn about the third."""
-        axis = _AXES[3 - j - k]
-        g, gd = _QUARTER_TURN[axis], _QUARTER_TURN_H[axis]
-        self.l1 = self.l1 @ gd
-        self.l2 = self.l2 @ gd
-        self.r1 = g @ self.r1
-        self.r2 = g @ self.r2
-        self.alphas[j], self.alphas[k] = self.alphas[k], self.alphas[j]
-
-    def negate_pair(self, j: int, k: int):
-        """Flip the signs of two interaction angles via a half turn on
-        spin 1 about the third axis."""
-        q = _HALF_TURN[_AXES[3 - j - k]]
-        self.l1 = self.l1 @ q.conj().T
-        self.r1 = q @ self.r1
-        self.alphas[j] *= -1
-        self.alphas[k] *= -1
-
-
-def _canonicalize(state: _TwoSpinState) -> None:
-    a = state.alphas
-    slack = 1e-12
     for j in range(3):
-        while a[j] > math.pi + slack:
-            state.shift(j, -1)
-        while a[j] < -math.pi + slack:
-            state.shift(j, +1)
+        while (rows := (a[:, j] > math.pi + slack).nonzero()[0]).size:
+            shift(rows, j, -1)
+        while (rows := (a[:, j] < -math.pi + slack).nonzero()[0]).size:
+            shift(rows, j, +1)
     for _ in range(3):  # bubble sort by magnitude, descending
-        if abs(a[1]) > abs(a[0]) + slack:
-            state.swap(0, 1)
-        if abs(a[2]) > abs(a[1]) + slack:
-            state.swap(1, 2)
-    negatives = [j for j in range(2) if a[j] < -slack]
-    if len(negatives) == 2:
-        state.negate_pair(0, 1)
-    elif negatives == [0]:
-        state.negate_pair(0, 2)
-    elif negatives == [1]:
-        state.negate_pair(1, 2)
-    if a[0] > math.pi - slack and a[2] < -slack:
-        state.shift(0, -1)
-        state.negate_pair(0, 2)
-    if not (math.pi + 1e-9 >= a[0] >= a[1] - 1e-9
-            and a[1] >= abs(a[2]) - 1e-9 and a[1] >= -1e-9):
-        raise NumericError(f"canonical chamber violated: {a}")
+        # axes j and j + 1 trade places by a quarter turn about the third
+        for j, g in ((0, _QUARTER_TURN["z"]), (1, _QUARTER_TURN["x"])):
+            bigger = np.abs(a[:, j + 1]) > np.abs(a[:, j]) + slack
+            if (rows := bigger.nonzero()[0]).size:  # a move no leaf takes costs nothing
+                for left, right in ((l1, r1), (l2, r2)):
+                    left[rows] = left[rows] @ g.conj().T
+                    right[rows] = g @ right[rows]
+                a[rows[:, None], (j, j + 1)] = a[rows[:, None], (j + 1, j)]
+    negative0, negative1 = a[:, 0] < -slack, a[:, 1] < -slack
+    for negated, j, k in ((negative0 & negative1, 0, 1),
+                          (negative0 & ~negative1, 0, 2),
+                          (~negative0 & negative1, 1, 2)):
+        if (rows := negated.nonzero()[0]).size:
+            negate_pair(rows, j, k)
+    if (rows := ((a[:, 0] > math.pi - slack) & (a[:, 2] < -slack)).nonzero()[0]).size:
+        shift(rows, 0, -1)
+        negate_pair(rows, 0, 2)
+    held = ((math.pi + 1e-9 >= a[:, 0]) & (a[:, 0] >= a[:, 1] - 1e-9)
+            & (a[:, 1] >= np.abs(a[:, 2]) - 1e-9) & (a[:, 1] >= -1e-9))
+    _check_stack(~held, paths,
+                 f"canonical chamber violated: {a[held.argmin()].tolist()}")
 
 
 def _diagonals(values: np.ndarray) -> np.ndarray:
@@ -459,10 +445,11 @@ def _two_spin_stack(us: np.ndarray, paths) -> tuple[np.ndarray, ...]:
     order, only stacked: NumPy's stacked ``matmul``, ``det``, ``eigh``
     and elementwise calls give each matrix the bits its own call would,
     and scalars stay ``cmath`` scalars.  Golden-mix candidates are drawn
-    again only for the leaves whose candidate failed; the chamber moves
-    turn each leaf's own locals.  Each check runs over the whole stack,
-    and the first failing leaf is reported with its entry of ``paths``
-    (its place in the recursion).
+    again only for the leaves whose candidate failed, all left and right
+    magic-frame factors split in one :func:`_factor_local_pairs`, and the
+    chamber moves are masked updates (:func:`_chamber`).  Each check runs
+    over the whole stack, and the first failing leaf is reported with its
+    entry of ``paths`` (its place in the recursion).
     """
     count = len(us)
     phase0 = np.array([cmath.phase(complex(d)) / 4 for d in np.linalg.det(us)])
@@ -501,22 +488,15 @@ def _two_spin_stack(us: np.ndarray, paths) -> tuple[np.ndarray, ...]:
     q1 = q1.real.astype(complex)
 
     wxyz = np.matmul(_GAMMA, theta[..., None])[..., 0]
-    phase = phase0 + wxyz[:, 0]
     alphas = -4.0 * wxyz[:, 1:]
-    gl, l1, l2 = _factor_local_pairs(_MAGIC @ q1 @ _MAGIC_H, paths)
-    gr, r1, r2 = _factor_local_pairs(
-        _MAGIC @ o.swapaxes(1, 2).astype(complex) @ _MAGIC_H, paths)
-    states = [_TwoSpinState(p + (cmath.phase(a) + cmath.phase(b)), *locals_)
-              for p, a, b, locals_ in zip(phase, gl, gr, zip(l1, l2, alphas, r1, r2))]
-    for state, path in zip(states, paths):
-        try:
-            _canonicalize(state)
-        except NumericError as exc:
-            raise _on_path(exc, path) from exc
-    phases = np.array([float(state.phase) for state in states])
-    alphas = np.array([state.alphas for state in states])
-    l1, l2, r1, r2 = (np.array([getattr(state, name) for state in states])
-                      for name in ("l1", "l2", "r1", "r2"))
+    # the left factors of every leaf, then the right ones
+    g, a, b = _factor_local_pairs(np.concatenate([
+        _MAGIC @ q1 @ _MAGIC_H,
+        _MAGIC @ o.swapaxes(1, 2).astype(complex) @ _MAGIC_H]), [*paths, *paths])
+    phases = phase0 + wxyz[:, 0] + np.array([cmath.phase(gl) + cmath.phase(gr)
+                                             for gl, gr in zip(g[:count], g[count:])])
+    l1, r1, l2, r2 = a[:count], a[count:], b[:count], b[count:]
+    _chamber(phases, alphas, l1, l2, r1, r2, paths)
     recon = _canonical_products(phases, l1, l2, alphas, r1, r2)
     resid = np.max(np.abs(recon - us), axis=(1, 2))
     _check_stack(resid > TOL_TWO_SPIN, paths,
@@ -551,13 +531,10 @@ class BlockPair:
         return self.u0.shape[0]
 
     def realize(self) -> np.ndarray:
-        half = self.half
-        out = np.zeros((2 * half, 2 * half), dtype=complex)
-        out[:half, :half] = self.u0
-        out[half:, half:] = self.u1
-        # permuted frame has the last spin leading; undo it
-        perm = list(range(1, self.n)) + [0]
-        return permute_spins(out, perm)
+        out = np.zeros((2 * self.half, 2 * self.half), dtype=complex)
+        sectors = _last_spin_sectors(out)
+        sectors[0, 0], sectors[1, 1] = self.u0, self.u1
+        return out
 
 
 def _walsh(values: np.ndarray) -> np.ndarray:
@@ -588,6 +565,15 @@ def _walsh_elements(family: CartanFamily, values: np.ndarray,
     return [CartanElement(n=n, family=family, coeffs={
         strings[mask]: scale * w_d for mask, w_d in enumerate(row)
         if abs(w_d) >= 1e-14}) for row in _walsh(values).tolist()]
+
+
+def _last_spin_sectors(u: np.ndarray) -> np.ndarray:
+    """View of ``u`` (or of each matrix of a stack) with ``out[a, b]`` the
+    ``2**(n-1)`` block ``<a| u |b>`` of the last spin: the blocks of the
+    last-spin-leading frame, read in place without permuting ``u``."""
+    half, lead = u.shape[-1] // 2, u.ndim - 2
+    return u.reshape(u.shape[:-2] + (half, 2, half, 2)).transpose(
+        *range(lead), lead + 1, lead + 3, lead, lead + 2)
 
 
 def split_last_qubit(u: np.ndarray) -> tuple[BlockPair, CartanElement, BlockPair]:
@@ -622,7 +608,8 @@ def _split_stack(us: np.ndarray, paths) -> tuple[tuple[np.ndarray, np.ndarray],
     the stacked blocks ``(u0, u1)`` of ``k1``, the list of ``y`` and the
     stacked blocks of ``k2``.
 
-    One reshape brings the whole stack to the last-spin-leading frame,
+    One copy of the last spin's blocks (:func:`_last_spin_sectors`)
+    brings the whole stack to the last-spin-leading frame,
     :func:`~kakpulse.linalg._cosine_sine_stack` splits it, and the Walsh
     transforms of all angles run as one.  Each ``y`` is checked to
     realize its middle ``exp(-1j*theta_j*sigma_x)`` within
@@ -631,10 +618,9 @@ def _split_stack(us: np.ndarray, paths) -> tuple[tuple[np.ndarray, np.ndarray],
     it gives all of them.  A failure names its problem's entry of
     ``paths``.
     """
-    count, dim = us.shape[:2]
-    half = dim // 2
+    count, half = len(us), us.shape[1] // 2
     # rows and columns b_1 .. b_n become b_n b_1 .. b_(n-1)
-    lead = us.reshape(count, half, 2, half, 2).transpose(0, 2, 1, 4, 3).reshape(us.shape)
+    lead = _last_spin_sectors(us).swapaxes(2, 3).reshape(us.shape)
     l0, l1, theta, r0, r1, _ = _cosine_sine_stack(lead, paths)
     ys = _walsh_elements(CartanFamily.OUTER_X, theta, 2.0)
 
@@ -883,10 +869,10 @@ def tree_from_json_dict(data: dict) -> GateTree:
                                       for c in data["children"]))
         if kind == "euler":
             return EulerNode(_json_int(data["q"], "Euler spin"),
-                             float(data["alpha"]),
-                             float(data["beta"]), float(data["gamma"]))
+                             *(_json_float(data[k], f"Euler angle {k}")
+                               for k in ("alpha", "beta", "gamma")))
         if kind == "phase":
-            return PhaseNode(float(data["phi"]))
+            return PhaseNode(_json_float(data["phi"], "phase"))
         if kind == "commuting_evolution":
             n = _json_int(data["n"], "commuting-evolution size n")
             coeffs = data["coeffs"]
@@ -896,7 +882,8 @@ def tree_from_json_dict(data: dict) -> GateTree:
                     f"got {type(coeffs).__name__}")
             elem = CartanElement(
                 n=n, family=CartanFamily(data["family"]),
-                coeffs={PauliString(k): float(v) for k, v in coeffs.items()})
+                coeffs={PauliString(k): _json_float(v, f"coefficient of {k}")
+                        for k, v in coeffs.items()})
             route = data.get("route")
             if route is not None:
                 if not isinstance(route, list):
@@ -915,28 +902,25 @@ def tree_from_json_dict(data: dict) -> GateTree:
 # Full recursion
 
 
-def _euler_node(qubit: int, u2: np.ndarray) -> EulerNode:
-    alpha, beta, gamma = euler_xzx(u2)
-    return EulerNode(qubit=qubit, alpha=alpha, beta=beta, gamma=gamma)
-
-
-def _su2_sign(s: np.ndarray) -> int:
-    """``1`` or ``-1`` when the special unitary ``s`` is ``+-I`` within
+def _su2_part(u: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """``(phi, s, sign)`` with ``u = exp(1j*phi) * s``, ``s`` special
+    unitary, and ``sign`` ``1`` or ``-1`` when ``s`` is ``+-I`` within
     :data:`TOL_EULER`, else ``0``.  Euler angles would spend two pi turns
     on ``-I``, so callers move that sign into a phase."""
+    phi = cmath.phase(complex(np.linalg.det(u))) / 2
+    s = u * cmath.exp(-1j * phi)
     for sign in (1, -1):
         if float(np.max(np.abs(s - sign * _EYE2))) <= TOL_EULER:
-            return sign
-    return 0
+            return phi, s, sign
+    return phi, s, 0
 
 
 def _one_spin_node(u: np.ndarray) -> GateTree:
     """Euler leaf after a phase leaf; a scalar gives the phase leaf alone."""
-    phi = cmath.phase(complex(np.linalg.det(u))) / 2
-    s = u * cmath.exp(-1j * phi)
-    if _su2_sign(s) == -1:
+    phi, s, sign = _su2_part(u)
+    if sign == -1:
         return PhaseNode(math.remainder(phi + math.pi, 2 * math.pi))
-    node: GateTree = _euler_node(1, s)
+    node: GateTree = EulerNode(1, *euler_xzx(s))
     if abs(phi) > 1e-12:
         node = SequenceNode((PhaseNode(phi), node))
     return node
@@ -947,14 +931,16 @@ def _two_spin_leaves(us: np.ndarray,
     """The canonical form of each two-spin unitary of a stack as tree
     leaves, in matrix order: phase, the left local pair, one evolution
     under the maximal family ``{XX, YY, ZZ}`` and the right local pair;
-    and the matrix of those leaves, composed as ``kron`` pairs of their
-    Euler matrices around the middle.
+    and the matrix of those leaves, the :func:`_canonical_products` of
+    their phase and Euler matrices.
 
     One pass serves the whole stack: :func:`_two_spin_stack`, the Euler
     angles of all locals read from one ``tolist`` (each checked as
     :func:`euler_xzx` checks it), and the leaf matrices as stacked
     products."""
     phases, l1s, l2s, alphas, r1s, r2s, _ = _two_spin_stack(us, paths)
+    # a phase leaf only above 1e-14; the leaf matrices take the same phases
+    phases = np.where(np.abs(phases) > 1e-14, phases, 0.0)
     entries = np.stack([l1s, l2s, r1s, r2s], axis=1)
     trees, angles = [], []
     for phase, alpha, path, locals_ in zip(phases.tolist(), alphas, paths,
@@ -966,28 +952,15 @@ def _two_spin_leaves(us: np.ndarray,
             raise _on_path(exc, path) from exc
         children: list[GateTree] = [
             l1, l2, CartanNode(_interaction_element(alpha)), r1, r2]
-        if abs(phase) > 1e-14:
+        if phase:
             children.insert(0, PhaseNode(phase))
         trees.append(SequenceNode(tuple(children)))
         angles += [(e.alpha, e.beta, e.gamma) for e in (l1, l2, r1, r2)]
     m = quaternion_matrices([_xzx_quaternion(*a) for a in angles]
                             ).reshape(len(us), 4, 2, 2)
-    matrices = (kron2(m[:, 0], m[:, 1]) @ interaction_unitary(alphas)
-                @ kron2(m[:, 2], m[:, 3]))
-    phased = np.flatnonzero(np.abs(phases) > 1e-14)
-    if phased.size:
-        scale = np.array([cmath.exp(1j * phase) for phase in phases[phased].tolist()])
-        matrices[phased] = scale[:, None, None] * matrices[phased]
+    matrices = _canonical_products(phases, m[:, 0], m[:, 1], alphas,
+                                   m[:, 2], m[:, 3])
     return list(zip(trees, matrices))
-
-
-def _last_spin_sectors(u: np.ndarray) -> np.ndarray:
-    """View of ``u`` (or of each matrix of a stack) with ``out[a, b]`` the
-    ``2**(n-1)`` block ``<a| u |b>`` of the last spin: the blocks of the
-    last-spin-leading frame, read in place without permuting ``u``."""
-    half, lead = u.shape[-1] // 2, u.ndim - 2
-    return u.reshape(u.shape[:-2] + (half, 2, half, 2)).transpose(
-        *range(lead), lead + 1, lead + 3, lead, lead + 2)
 
 
 def _kronecker_screen(us: np.ndarray) -> list[tuple[np.ndarray, np.ndarray] | None]:
@@ -1002,8 +975,7 @@ def _kronecker_screen(us: np.ndarray) -> list[tuple[np.ndarray, np.ndarray] | No
     """
     count, half = len(us), us.shape[1] // 2
     rows = np.arange(count)
-    flat = us.reshape(count, half, 2, half, 2).transpose(0, 2, 4, 1, 3) \
-        .reshape(count, 4, half * half)
+    flat = _last_spin_sectors(us).reshape(count, 4, half * half)
     norms = (flat.real ** 2 + flat.imag ** 2).sum(axis=2)
     # the first block holding at least half the largest weight: a tie
     # is not broken by rounding
@@ -1175,15 +1147,13 @@ def _kronecker_level(n: int, d: np.ndarray, w: np.ndarray) -> _Level:
     """``u = kron(w, d)``: the tree of ``w`` on the leading spins, beside
     an Euler leaf for ``d`` on the last spin unless ``d`` is a scalar.
     Every phase goes into ``w``."""
-    delta = cmath.phase(complex(np.linalg.det(d))) / 2
-    ds = d * cmath.exp(-1j * delta)
-    sign = _su2_sign(ds)
+    delta, ds, sign = _su2_part(d)
 
     def compose(nodes, results):
         (tree, mw), = results
         matrix = np.kron(mw, _EYE2)
         if not sign:
-            leaf = _euler_node(n, ds)
+            leaf = EulerNode(n, *euler_xzx(ds))
             tree = SequenceNode((leaf, tree))
             matrix = _apply_tree(leaf, matrix, n)
         return tree, matrix

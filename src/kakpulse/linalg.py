@@ -9,6 +9,7 @@ inaccurate results.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,8 @@ _GOLDEN = 0.6180339887498949
 _TOL_EIG = 1e-10
 _EIG_TRIES = 12
 
-# The Pauli matrices, keyed by the rotation axes of the gate vocabulary.
+# The rotation axes of the gate vocabulary, and their Pauli matrices.
+AXES = ("x", "y", "z")
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -408,12 +410,26 @@ def matrix_to_json_dict(m: np.ndarray) -> dict:
             "im": np.imag(m).tolist()}
 
 
+def _json_grid(rows, what: str) -> np.ndarray:
+    """A JSON array of rows of numbers as a float array.  A bool or a
+    string entry is a :class:`~kakpulse.errors.ValidationError`, where
+    ``np.asarray(..., dtype=float)`` would read ``true`` as 1.0 and
+    ``"0.5"`` as 0.5."""
+    kinds = set(map(type, itertools.chain.from_iterable(rows)))
+    if not kinds <= {float, int}:
+        names = ", ".join(sorted(kind.__name__ for kind in kinds - {float, int}))
+        raise ValidationError(
+            f"matrix field {what!r} must hold numbers, got {names}")
+    return np.asarray(rows, dtype=float)
+
+
 def matrix_from_json_dict(data: dict) -> np.ndarray:
     try:
         dim = _json_int(data["dim"], "matrix dim")
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data["im"], dtype=float)
+        re, im = (_json_grid(data[key], key) for key in ("re", "im"))
     except (KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, ValidationError):
+            raise
         raise ValidationError(f"malformed matrix object: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise DimensionError(

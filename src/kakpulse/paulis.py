@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError, _json_int
+from .errors import DimensionError, ValidationError, _json_float, _json_int
 from .linalg import TOL_HERMITIAN, check_square, spin_count
 
 MAX_SPINS = 12
@@ -235,11 +235,13 @@ class PauliExpansion:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PauliExpansion":
         n = _json_int(data["n"], "expansion size n")
-        terms = {PauliString(k): float(v) for k, v in data.get("terms", {}).items()}
+        terms = {PauliString(k): _json_float(v, f"coefficient of {k}")
+                 for k, v in data.get("terms", {}).items()}
         for s in terms:
             if s.n != n:
                 raise ValidationError(f"term {s} has length {s.n}, expected {n}")
-        return cls(n=n, terms=terms, identity_coeff=float(data.get("identity", 0.0)))
+        return cls(n=n, terms=terms, identity_coeff=_json_float(
+            data.get("identity", 0.0), "identity coefficient"))
 
 
 def _sigma_coefficients(block: np.ndarray, prefix: list[str],

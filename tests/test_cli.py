@@ -453,6 +453,41 @@ class TestVerify:
         assert "PASS" not in captured.out and "FAIL" not in captured.out
         assert "must be an integer" in captured.err
 
+    @pytest.mark.parametrize("place, value", [
+        ("gate", "0.5"), ("gate", True), ("pulse", "0.5"), ("delay", "0.001"),
+        ("J", "100"), ("target", True), ("target", "0.5")])
+    def test_a_number_spelled_otherwise_is_invalid(self, artifacts, tmp_path,
+                                                   capsys, place, value):
+        """A string or a bool where a number belongs is invalid input:
+        ``"0.5"`` is not read as 0.5, nor ``true`` as 1."""
+        target, d_path, p_path = artifacts
+        bad = tmp_path / "bad.json"
+        if place == "gate":
+            data = read_json(d_path)
+            next(g for g in data["gates"] if g["kind"] == "local")["angle"] = value
+            bad.write_text(json.dumps(data))
+            assert main(["pulses", "--input", str(bad), "--output",
+                         str(tmp_path / "out.json")]) == 3
+            assert not (tmp_path / "out.json").exists()
+        elif place == "target":
+            data = read_json(target)
+            data["re"][0][0] = value
+            bad.write_text(json.dumps(data))
+        else:
+            data = read_json(p_path)
+            if place == "J":
+                data["chain"]["J"][0] = value
+            else:
+                kind = "delay" if place == "delay" else "pulse"
+                event = next(e for e in data["events"] if e["kind"] == kind)
+                event["t" if kind == "delay" else "angle"] = value
+            bad.write_text(json.dumps(data))
+        args = [str(d_path), str(bad)] if place == "target" else [str(bad), str(target)]
+        assert main(["verify", *args]) == 3
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+        assert "must be a number" in captured.err or "must hold numbers" in captured.err
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tolerance_is_rejected_before_simulating(
             self, artifacts, monkeypatch, capsys, tol):
@@ -549,7 +584,7 @@ class TestSelftest:
     def test_detects_uncanonical_two_spin_angles(self, monkeypatch, capsys):
         """Skipping the canonicalization leaves interaction angles outside
         the chamber while every factorization still reconstructs."""
-        monkeypatch.setattr(kakpulse.kak, "_canonicalize", lambda state: None)
+        monkeypatch.setattr(kakpulse.kak, "_chamber", lambda *stacks: None)
         assert main(["selftest", "--suite", "twospin"]) == 1
         captured = capsys.readouterr()
         assert "twospin      FAIL  chamber violated" in captured.out

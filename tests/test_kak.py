@@ -44,6 +44,7 @@ from kakpulse import (
 )
 from kakpulse.kak import (TOL_TWO_SPIN, _decompose, _interaction_sums,
                           _open_layers, euler_xzx, su2_rotation)
+from kakpulse.errors import _on_path
 from kakpulse.networks import OPEN_ROUTES
 
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -262,12 +263,9 @@ class TestTwoSpinFactors:
     def test_a_wrong_move_fails_the_reconstruction(self, monkeypatch):
         """A chamber move that sorts the angles without turning the
         locals leaves a factorization the final check must reject."""
-        def swap_angles_only(state, j, k):
-            state.alphas[j], state.alphas[k] = state.alphas[k], state.alphas[j]
-
-        monkeypatch.setattr(kakpulse.kak._TwoSpinState, "swap",
-                            swap_angles_only)
-        with pytest.raises(NumericError):
+        monkeypatch.setattr(kakpulse.kak, "_QUARTER_TURN",
+                            dict.fromkeys("xyz", np.eye(2, dtype=complex)))
+        with pytest.raises(NumericError, match="two-spin factorization residual"):
             two_spin_factors(interaction_unitary((0.1, 0.3, 0.2)))
 
 
@@ -617,34 +615,114 @@ def first_mix_blind_spot(seed):
     return kakpulse.kak._MAGIC @ magic @ kakpulse.kak._MAGIC_H
 
 
+def chamber_moves(alphas):
+    """The moves a lone canonicalization makes on the angles ``alphas``,
+    replayed one leaf at a time on the angles alone: the set of branches
+    taken and the angles they end at."""
+    a, taken, slack = list(alphas), set(), 1e-12
+    for j in range(3):
+        while a[j] > math.pi + slack:
+            a[j] -= 2 * math.pi
+            taken.add(("down", j))
+        while a[j] < -math.pi + slack:
+            a[j] += 2 * math.pi
+            taken.add(("up", j))
+    for _ in range(3):
+        for j in range(2):
+            if abs(a[j + 1]) > abs(a[j]) + slack:
+                a[j], a[j + 1] = a[j + 1], a[j]
+                taken.add(("swap", j))
+    pair = {(True, True): (0, 1), (True, False): (0, 2),
+            (False, True): (1, 2)}.get((a[0] < -slack, a[1] < -slack))
+    if pair:
+        a[pair[0]], a[pair[1]] = -a[pair[0]], -a[pair[1]]
+        taken.add(("negate", *pair))
+    if a[0] > math.pi - slack and a[2] < -slack:
+        a[0], a[2] = -(a[0] - 2 * math.pi), -a[2]
+        taken.add(("fix",))
+    return taken, a
+
+
+CHAMBER_BRANCHES = ({(move, j) for move in ("down", "up") for j in range(3)}
+                    | {("swap", 0), ("swap", 1), ("negate", 0, 1),
+                       ("negate", 0, 2), ("negate", 1, 2), ("fix",)})
+
+
+def dressed(alphas, seed):
+    """``interaction_unitary(alphas)`` between Haar local pairs."""
+    def pair(s):
+        return np.kron(haar_unitary(2, s), haar_unitary(2, s + 1))
+
+    return pair(seed) @ interaction_unitary(alphas) @ pair(seed + 2)
+
+
 def test_leaf_factors_do_not_depend_on_their_batch_mates(monkeypatch):
     """Each entry of the stacked two-spin pass is bitwise what a lone
     ``two_spin_factors`` call returns, whatever else is in the stack, and
-    only the leaf whose first candidate failed draws a second one."""
+    only the leaf whose first candidate failed draws a second one.  The
+    dressed leaves take every branch of the stacked chamber between them,
+    and each leaf's angles end where its own moves, replayed alone, take
+    them."""
     iswap = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0],
                       [0, 0, 0, 1]])
     stack = ([haar_unitary(4, seed) for seed in range(5)]
              + [CNOT, SWAP, iswap, np.eye(4, dtype=complex),
                 np.kron(haar_unitary(2, 8), haar_unitary(2, 9)),
                 first_mix_blind_spot(10)]
-             + [haar_unitary(4, seed, special=True) for seed in range(11, 14)])
-    drawn = []
-    honest = kakpulse.kak.golden_mix_eigvecs
+             + [haar_unitary(4, seed, special=True) for seed in range(11, 14)]
+             + [dressed(alphas, 7) for alphas in (
+                 (-0.3, 0.2, -0.1), (3.5, 0.1, -0.2), (-5.0, -4.0, -3.0),
+                 (6.7, 2.6, 2.1), (0.3, 3.5, 0.1), (math.pi, 0.3, 0.2))])
+    drawn, entering = [], []
+    honest_mix, honest_chamber = kakpulse.kak.golden_mix_eigvecs, kakpulse.kak._chamber
 
     def counted(a, b, k):
         drawn.append((len(a), k))
-        return honest(a, b, k)
+        return honest_mix(a, b, k)
+
+    def recorded(phases, alphas, *stacks):
+        entering.append(alphas.copy())
+        honest_chamber(phases, alphas, *stacks)
 
     monkeypatch.setattr(kakpulse.kak, "golden_mix_eigvecs", counted)
+    monkeypatch.setattr(kakpulse.kak, "_chamber", recorded)
     phases, l1, l2, alphas, r1, r2, residuals = kakpulse.kak._two_spin_stack(
         np.array(stack), [()] * len(stack))
     assert drawn == [(len(stack), 0), (1, 1)]
+    replayed = [chamber_moves(a) for a in entering[0].tolist()]
+    assert set().union(*(taken for taken, _ in replayed)) == CHAMBER_BRANCHES
+    assert np.array([a for _, a in replayed]).tobytes() == alphas.tobytes()
     for k, u in enumerate(stack):
         want = two_spin_factors(u)
         assert (phases[k], tuple(alphas[k]), residuals[k]) == \
             (want.phase, want.alphas, want.residual)
         for got, name in ((l1, "l1"), (l2, "l2"), (r1, "r1"), (r2, "r2")):
             assert got[k].tobytes() == getattr(want, name).tobytes()
+
+
+def test_a_leaf_outside_the_chamber_is_named_with_its_angles():
+    """The chamber check runs once over the stack and reports the first
+    leaf whose angles it cannot place, with that leaf's path and angles."""
+    count = 3
+    locals_ = [np.tile(np.eye(2, dtype=complex), (count, 1, 1)) for _ in range(4)]
+    alphas = np.array([[0.3, 0.2, 0.1], [math.nan, 0.0, 0.0], [math.nan, 1.0, 0.0]])
+    with pytest.raises(NumericError) as info:
+        kakpulse.kak._chamber(np.zeros(count), alphas, *locals_,
+                              [("a",), ("b",), ("c",)])
+    assert info.value.path == ("b",)
+    assert info.value.message == "canonical chamber violated: [nan, 0.0, 0.0]"
+
+
+def test_a_path_step_keeps_the_whole_message():
+    """Each step prepended to an error's path leaves its message whole,
+    even one that reads like the decorations the path and residual add."""
+    exc = NumericError("bad value (residual guess) here [at home]", residual=1e-3)
+    moved = exc.with_path("n=3").with_path("n=4")
+    assert str(moved) == ("bad value (residual guess) here [at home] "
+                          "[at n=4 / n=3] (residual 1.000e-03)")
+    assert moved.path == ("n=4", "n=3")
+    assert moved.message == exc.message
+    assert str(_on_path(exc, ("n=4", "n=3"))) == str(moved)
 
 
 def leaf_path(leaf, n):
@@ -664,18 +742,17 @@ def test_a_failing_leaf_in_the_stacked_pass_names_its_path(leaf, monkeypatch):
     its chamber moves fails the stacked pass's reconstruction check, and
     the error names that leaf's blocks, not its batch-mates'."""
     assert leaf_path(leaf, 5) != leaf_path(leaf - 1, 5)
-    honest, calls = kakpulse.kak._canonicalize, []
+    honest, calls = kakpulse.kak._chamber, []
 
-    def knocked(state):
-        honest(state)
-        if len(calls) == leaf:
-            state.l1 = state.l1 @ su2_rotation("x", 2e-6)
-        calls.append(state)
+    def knocked(phases, alphas, l1, l2, r1, r2, paths):
+        honest(phases, alphas, l1, l2, r1, r2, paths)
+        l1[leaf] = l1[leaf] @ su2_rotation("x", 2e-6)
+        calls.append(len(phases))
 
-    monkeypatch.setattr(kakpulse.kak, "_canonicalize", knocked)
+    monkeypatch.setattr(kakpulse.kak, "_chamber", knocked)
     with pytest.raises(NumericError) as info:
         decompose(haar_unitary(32, 105, special=True))
-    assert len(calls) == 64  # all leaves went through one stack
+    assert calls == [64]  # all leaves went through one stack
     assert info.value.path == leaf_path(leaf, 5)
     assert info.value.path[0] == "n=5/right-block"
     assert 5e-7 < info.value.residual < 5e-6
@@ -795,6 +872,23 @@ def test_tree_json_rejects_malformed():
     with pytest.raises(ValidationError):
         tree_from_json_dict({"node": "euler", "q": 1, "alpha": "wat",
                              "beta": 0.0, "gamma": 0.0})
+
+
+def test_tree_json_reads_only_numbers_as_angles():
+    """Euler angles, phases and layer coefficients are JSON numbers: a
+    string (``"inf"`` included) or a bool is not cast to one."""
+    euler = {"node": "euler", "q": 1, "alpha": 0.1, "beta": 0.2, "gamma": 0.3}
+    phase = {"node": "phase", "phi": 0.4}
+    layer = {"node": "commuting_evolution", "n": 3, "family": "outer_x",
+             "coeffs": {"ZZX": 0.4}}
+    assert tree_from_json_dict({**euler, "alpha": 1}) == EulerNode(1, 1.0, 0.2, 0.3)
+    for value in ("inf", "0.5", True, None):
+        for node, field in ((euler, "alpha"), (euler, "beta"), (euler, "gamma"),
+                            (phase, "phi")):
+            with pytest.raises(ValidationError, match="must be a number"):
+                tree_from_json_dict({**node, field: value})
+        with pytest.raises(ValidationError, match="must be a number"):
+            tree_from_json_dict({**layer, "coeffs": {"ZZX": value}})
 
 
 def test_tree_json_rejects_non_integral_spins():

@@ -240,6 +240,20 @@ def test_matrix_json_rejects_a_non_integral_dim():
             matrix_from_json_dict({**data, "dim": dim})
 
 
+def test_matrix_json_reads_only_numbers():
+    """A grid entry is a JSON number: a bool or a string is not cast to
+    one, even among numbers."""
+    data = matrix_to_json_dict(np.eye(2, dtype=complex))
+    assert np.array_equal(matrix_from_json_dict({**data, "re": [[1, 0], [0, 1]]}),
+                          np.eye(2))
+    for grid in ([[True, False], [False, True]], [[1.0, 0.0], [0.0, True]],
+                 [["1", "0"], ["0", "1"]], [[1.0, 0.0], [0.0, "1"]],
+                 [[1.0, None], [0.0, 1.0]], [[[1.0], [0.0]], [[0.0], [1.0]]]):
+        for field in ("re", "im"):
+            with pytest.raises(ValidationError, match="must hold numbers"):
+                matrix_from_json_dict({**data, field: grid})
+
+
 def test_stacked_quaternions_and_kronecker_products():
     """The simulator builds its 2x2s and 4x4s as stacks; each member is
     what the one-at-a-time forms give."""

@@ -359,6 +359,16 @@ def test_expansion_json_rejects_mismatched_terms():
             PauliExpansion.from_json_dict({"n": n, "terms": {"XX": 1.0}})
 
 
+def test_expansion_json_reads_only_numbers_as_coefficients():
+    assert PauliExpansion.from_json_dict(
+        {"n": 2, "terms": {"XX": 1}, "identity": 2}).identity_coeff == 2.0
+    for value in ("0.5", True, None):
+        with pytest.raises(ValidationError, match="must be a number"):
+            PauliExpansion.from_json_dict({"n": 2, "terms": {"XX": value}})
+        with pytest.raises(ValidationError, match="must be a number"):
+            PauliExpansion.from_json_dict({"n": 2, "terms": {}, "identity": value})
+
+
 # ---------------------------------------------------------------------------
 # Sector tags
 

@@ -533,6 +533,52 @@ def test_program_json_rejects_non_integral_spins():
             PulseProgram.from_json_dict(program)
 
 
+def test_gate_list_json_reads_only_numbers_as_angles():
+    """An angle or a phase is a JSON number: an integer reads as a float,
+    but a string or a bool is not cast to one."""
+    assert gate_list_from_json([
+        {"kind": "local", "q": 1, "axis": "x", "angle": 1},
+        {"kind": "zz", "pair": [1, 2], "angle": 0.2},
+        {"kind": "phase", "phi": -1},
+    ]) == [LocalRotation(1, "x", 1.0), CouplingEvolution(1, 0.2), GlobalPhase(-1.0)]
+    for value in ("0.5", True, "inf", None):
+        for item in ({"kind": "local", "q": 1, "axis": "x", "angle": value},
+                     {"kind": "zz", "pair": [1, 2], "angle": value},
+                     {"kind": "phase", "phi": value}):
+            with pytest.raises(ValidationError, match="must be a number"):
+                gate_list_from_json([item])
+
+
+def test_program_json_reads_only_numbers():
+    """Pulse angles, delays, the program phase and the chain couplings
+    are JSON numbers, not strings or bools."""
+    program = {"chain": {"n": 2, "J": [100]}, "phase": 0,
+               "events": [{"kind": "pulse", "q": 1, "axis": "x", "angle": 1},
+                          {"kind": "delay", "t": 0.001}]}
+    assert PulseProgram.from_json_dict(program) == PulseProgram(
+        ChainSpec(2, (100.0,)), [HardPulse(1, "x", 1.0), Delay(0.001)], 0.0)
+    for place, value in (("angle", "0.5"), ("angle", True), ("t", "0.001"),
+                         ("t", False), ("phase", "0"), ("J", "100"), ("J", True)):
+        bad = json.loads(json.dumps(program))
+        if place == "angle":
+            bad["events"][0]["angle"] = value
+        elif place == "t":
+            bad["events"][1]["t"] = value
+        elif place == "phase":
+            bad["phase"] = value
+        else:
+            bad["chain"]["J"] = [value]
+        with pytest.raises(ValidationError, match="must be a number"):
+            PulseProgram.from_json_dict(bad)
+
+
+def test_chain_json_reads_only_numbers_as_couplings():
+    assert ChainSpec.from_json_dict({"n": 3, "J": [90, 110.0]}).couplings == (90.0, 110.0)
+    for j in ("100", True, None):
+        with pytest.raises(ValidationError, match="must be a number"):
+            ChainSpec.from_json_dict({"n": 2, "J": [j]})
+
+
 def test_gate_list_json_errors_name_the_item():
     """A bad field deep in a long list is reported with its index, and a
     validation error keeps its class."""
