@@ -7,6 +7,10 @@ product-operator algebra (:mod:`.paulis`), dense matrix utilities
 (:mod:`.linalg`), the gate and pulse vocabulary (:mod:`.gates`), the
 recursive factorization (:mod:`.kak`), the lowering of trees to gates
 and pulses (:mod:`.pulses`) and the simulator (:mod:`.simulate`).
+:func:`decompose` is the one entry point of the factorization, on any
+number of spins: each of its steps (the cosine-sine split, the
+demultiplexing and the two-spin canonical form) runs as one private
+stacked pass over a whole recursion depth.
 """
 
 from .errors import (
@@ -18,7 +22,6 @@ from .errors import (
 from .paulis import (
     CartanElement,
     CartanFamily,
-    PauliExpansion,
     PauliString,
     PauliTerm,
     Subspace,
@@ -28,7 +31,6 @@ from .paulis import (
     commutator,
     commutes,
     diagonal_strings,
-    expand,
     is_maximal_abelian,
     maximal_abelian_strings,
     multiply,
@@ -36,11 +38,9 @@ from .paulis import (
     subspace_tag,
 )
 from .linalg import (
-    CosineSineBlocks,
     apply_local,
     check_hermitian,
     check_unitary,
-    cosine_sine,
     expm_skew,
     haar_unitary,
     matrix_from_json_dict,
@@ -48,7 +48,6 @@ from .linalg import (
     permute_spins,
     spin_count,
     su2_rotation,
-    unitary_eig,
 )
 from .gates import (
     ChainSpec,
@@ -66,25 +65,19 @@ from .gates import (
     inverse_gate_list,
 )
 from .kak import (
-    BlockPair,
     CartanNode,
     EulerNode,
     GateTree,
     PhaseNode,
     SequenceNode,
-    TwoSpinFactors,
     decompose,
-    demultiplex,
     euler_xzx,
     evaluate,
-    interaction_class,
     interaction_unitary,
     residual_budget,
-    split_last_qubit,
     tree_from_json_dict,
     tree_to_json_dict,
     tree_to_json_text,
-    two_spin_factors,
 )
 from .pulses import (
     cartan_evolution_gates,
@@ -109,31 +102,30 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockPair", "CartanElement", "CartanFamily", "CartanNode", "ChainSpec",
-    "CosineSineBlocks", "CouplingEvolution", "Delay", "DimensionError",
+    "CartanElement", "CartanFamily", "CartanNode", "ChainSpec",
+    "CouplingEvolution", "Delay", "DimensionError",
     "EulerNode", "FidelityReport", "Gate", "GateTree", "GlobalPhase",
     "HardPulse", "LocalRotation", "NumericError",
-    "PauliExpansion", "PauliString", "PauliTerm", "PhaseNode",
+    "PauliString", "PauliTerm", "PhaseNode",
     "PulseProgram", "RangeError", "SequenceNode", "Subspace",
-    "TwoSpinFactors", "ValidationError",
+    "ValidationError",
     "apply_local", "basis_strings", "block_cartan_strings",
     "block_diagonal_dimension",
     "cartan_evolution_gates", "check_hermitian", "check_unitary",
-    "commutator", "commutes", "compile_unitary", "cosine_sine",
-    "coupling_diagonal", "decompose", "demultiplex",
+    "commutator", "commutes", "compile_unitary",
+    "coupling_diagonal", "decompose",
     "diagonal_strings",
-    "distance", "drift_diagonal", "euler_xzx", "evaluate", "expand",
+    "distance", "drift_diagonal", "euler_xzx", "evaluate",
     "expm_skew", "flatten", "gate_list_from_json", "gate_list_spin_bound",
     "gate_list_to_json", "gate_list_to_json_text", "gate_list_unitary",
     "haar_unitary",
-    "interaction_class", "interaction_unitary", "inverse_gate_list",
+    "interaction_unitary", "inverse_gate_list",
     "is_maximal_abelian", "local_rotation_matrix",
     "matrix_from_json_dict", "matrix_to_json_dict",
     "maximal_abelian_strings", "multiply", "outer_cartan_strings",
     "pauli_evolution_gates", "permute_spins", "pulse_count",
     "pulse_program_unitary", "refocusing_set", "residual_budget",
-    "spin_count", "split_last_qubit", "su2_rotation", "subspace_tag",
+    "spin_count", "su2_rotation", "subspace_tag",
     "synthesize_pulses", "total_coupling_time", "tree_from_json_dict",
     "tree_to_json_dict", "tree_to_json_text",
-    "two_spin_factors", "unitary_eig",
 ]

@@ -22,8 +22,9 @@ Any maximal abelian subalgebra of the mixing sector serves as ``A``,
 since all of them are conjugate under block-diagonal frames.  The split
 takes the one the cosine-sine step hands it, the trailing-X strings
 ``{1, Z}^(n-1) X`` weighted by the Walsh coefficients of its angles, and
-applies no change of basis; the diagonal layers of :func:`demultiplex`
-are the same Walsh sums over ``{1, Z}^(n-1) Z``.
+applies no change of basis; the diagonal layers of demultiplexing
+(:func:`_demultiplex_stack`) are the same Walsh sums over
+``{1, Z}^(n-1) Z``.
 
 Trivial sub-problems cost nothing.  Each level of two or more spins
 reads the four blocks of its last spin in place (no permutation) and
@@ -39,13 +40,13 @@ takes the first of three routes that fits:
   the two-spin canonical form.
 
 No level normalizes a determinant.  Both routes from three spins up pass
-their sector blocks to :func:`demultiplex` as they are, and a block
+their sector blocks to demultiplexing as they are, and a block
 pair's relative phase becomes the lone ``1...1Z`` term of its diagonal
 layer (the central element of the block-diagonal algebra), so a block is
 ``[tree, diagonal layer, tree]`` and phase leaves appear only in one-
 and two-spin subtrees.
 
-Inside :func:`demultiplex`, a block ratio ``u0 @ u1^dagger`` that is
+In demultiplexing, a block ratio ``u0 @ u1^dagger`` that is
 already diagonal keeps the identity as its eigenbasis, so that half
 problem is an identity which the Kronecker route lowers to nothing.
 The first two routes and the diagonal short cut are taken only when
@@ -118,9 +119,9 @@ from .errors import (DimensionError, NumericError, ValidationError, _json_float,
                      _json_int, _json_number, _on_path)
 from .linalg import (AXES, PAULI, TOL_UNITARY, _check_stack,
                      _cosine_sine_stack, _unitary_eig_stack, apply_local,
-                     check_square, check_unitaries, check_unitary,
-                     golden_mix_eigvecs, kron2, quaternion_matrices,
-                     quaternion_matrix, spin_count, su2_rotation)
+                     check_square, check_unitaries, golden_mix_eigvecs,
+                     kron2, quaternion_matrices, quaternion_matrix,
+                     spin_count, su2_rotation)
 from .networks import (Route, check_route, closed_pi_count, end_rows,
                        leaves_last_spin, nonzero_letters, open_route)
 from .paulis import (CartanElement, CartanFamily, PauliString,
@@ -324,28 +325,6 @@ def _canonical_products(phases, l1, l2, alphas, r1, r2) -> np.ndarray:
             @ kron2(r1, r2))
 
 
-@dataclass(frozen=True)
-class TwoSpinFactors:
-    """Canonical form ``u = exp(1j*phase) * (l1 (x) l2) @ middle @ (r1 (x) r2)``
-    with ``middle = interaction_unitary(alphas)`` and the interaction
-    angles in the canonical chamber
-    ``pi >= alphas[0] >= alphas[1] >= |alphas[2]| >= 0``
-    (``alphas[2] >= 0`` when ``alphas[0] = pi``)."""
-
-    phase: float
-    l1: np.ndarray
-    l2: np.ndarray
-    alphas: tuple[float, float, float]
-    r1: np.ndarray
-    r2: np.ndarray
-    residual: float
-
-    def reconstruct(self) -> np.ndarray:
-        return _canonical_products(
-            [self.phase], self.l1[None], self.l2[None], [self.alphas],
-            self.r1[None], self.r2[None])[0]
-
-
 # The constant moves of the chamber: ``1j*sigma`` (a half turn, up to a
 # sign) and the quarter turn about each axis.
 _HALF_TURN = {axis: 1j * PAULI[axis] for axis in AXES}
@@ -354,11 +333,11 @@ _QUARTER_TURN = {axis: su2_rotation(axis, math.pi / 2) for axis in AXES}
 
 def _chamber(phases, alphas, l1, l2, r1, r2, paths) -> None:
     """Move each leaf's interaction angles into the canonical chamber of
-    :class:`TwoSpinFactors`, turning its locals and phase to match, in
+    :func:`_two_spin_stack`, turning its locals and phase to match, in
     place.  Each move is a masked update taken by the leaves it applies
-    to (``rows``), in the order of a lone canonicalization: the ``2*pi``
-    shifts of each angle, down then up; three bubble passes of the two
-    swaps; one of three pair negations; the fix for ``alphas[0] = pi``.
+    to (``rows``), in a fixed order: the ``2*pi`` shifts of each angle,
+    down then up; three bubble passes of the two swaps; one of three
+    pair negations; the fix for ``alphas[0] = pi``.
     The chamber is checked once over the stack, and the first leaf
     outside it is named with its entry of ``paths`` and its angles.
     """
@@ -415,36 +394,26 @@ def _diagonals(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def two_spin_factors(u: np.ndarray) -> TwoSpinFactors:
-    """Canonical magic-basis factorization of a two-spin unitary.
-
-    The interaction angles are a complete invariant: two unitaries share
-    them exactly when they differ only by single-spin rotations and a
-    phase.
-
-    Each call checks that ``u`` is unitary, that both magic-frame
-    factors split into local pairs, that the angles end in the canonical
-    chamber, and that the factors rebuild ``u`` within
-    :data:`TOL_TWO_SPIN`.  It is :func:`_two_spin_stack` of a stack of
-    one, the pass that factors all of a target's leaves at once.
-    """
-    u = check_unitary(u, what="two-spin operator")
-    if u.shape != (4, 4):
-        raise DimensionError(f"expected a 4x4 matrix, got {u.shape}")
-    phases, l1, l2, alphas, r1, r2, residuals = _two_spin_stack(u[None], [()])
-    return TwoSpinFactors(phase=float(phases[0]), l1=l1[0], l2=l2[0],
-                          alphas=tuple(alphas[0].tolist()), r1=r1[0], r2=r2[0],
-                          residual=float(residuals[0]))
-
-
 def _two_spin_stack(us: np.ndarray, paths) -> tuple[np.ndarray, ...]:
-    """:func:`two_spin_factors` of each unitary of a ``(k, 4, 4)`` stack,
-    as the stacks ``(phases, l1, l2, alphas, r1, r2, residuals)``.
+    """Canonical magic-basis factorization of each two-spin unitary of a
+    ``(k, 4, 4)`` stack, as the stacks
+    ``(phases, l1, l2, alphas, r1, r2, residuals)``.
 
-    Every leaf runs the operations of a lone factorization in the same
-    order, only stacked: NumPy's stacked ``matmul``, ``det``, ``eigh``
-    and elementwise calls give each matrix the bits its own call would,
-    and scalars stay ``cmath`` scalars.  Golden-mix candidates are drawn
+    Each ``u`` is ``exp(1j*phase) * (l1 (x) l2) @ middle @ (r1 (x) r2)``
+    with ``middle = interaction_unitary(alphas)``, special unitary
+    locals, and the interaction angles in the canonical chamber
+    ``pi >= alphas[0] >= alphas[1] >= |alphas[2]| >= 0``
+    (``alphas[2] >= 0`` when ``alphas[0] = pi``).  The angles are a
+    complete invariant: two unitaries share them exactly when they differ
+    only by single-spin rotations and a phase.  The inputs must be
+    unitary (callers check them); each leaf is checked to have magic-frame
+    factors that split into local pairs, angles that end in the chamber,
+    and factors that rebuild it within :data:`TOL_TWO_SPIN`.
+
+    Every leaf runs the same operations in the same order, only stacked:
+    NumPy's stacked ``matmul``, ``det``, ``eigh`` and elementwise calls
+    give each matrix the bits a stack of one gives it, and scalars stay
+    ``cmath`` scalars.  Golden-mix candidates are drawn
     again only for the leaves whose candidate failed, all left and right
     magic-frame factors split in one :func:`_factor_local_pairs`, and the
     chamber moves are masked updates (:func:`_chamber`).  Each check runs
@@ -504,37 +473,8 @@ def _two_spin_stack(us: np.ndarray, paths) -> tuple[np.ndarray, ...]:
     return phases, l1, l2, alphas, r1, r2, resid
 
 
-def interaction_class(u: np.ndarray) -> tuple[float, float, float]:
-    """Canonical interaction angles of a two-spin unitary."""
-    return two_spin_factors(u).alphas
-
-
 # ---------------------------------------------------------------------------
 # Last-spin split for three or more spins
-
-
-@dataclass(frozen=True)
-class BlockPair:
-    """Block-diagonal factor after sorting by the last spin's sector.
-
-    Realizes ``blkdiag(u0, u1)`` brought back to the original spin order;
-    ``u0``/``u1`` act on the leading spins and are any unitaries, their
-    determinants and relative phase included.
-    """
-
-    n: int
-    u0: np.ndarray
-    u1: np.ndarray
-
-    @property
-    def half(self) -> int:
-        return self.u0.shape[0]
-
-    def realize(self) -> np.ndarray:
-        out = np.zeros((2 * self.half, 2 * self.half), dtype=complex)
-        sectors = _last_spin_sectors(out)
-        sectors[0, 0], sectors[1, 1] = self.u0, self.u1
-        return out
 
 
 def _walsh(values: np.ndarray) -> np.ndarray:
@@ -576,37 +516,24 @@ def _last_spin_sectors(u: np.ndarray) -> np.ndarray:
         *range(lead), lead + 1, lead + 3, lead, lead + 2)
 
 
-def split_last_qubit(u: np.ndarray) -> tuple[BlockPair, CartanElement, BlockPair]:
-    """Factor ``u = k1 * exp(-1j*H_Y) * k2`` with block-diagonal ``k1, k2``
-    and ``H_Y`` over the trailing-X family ``{1, Z}^(n-1) X``.
+def _split_stack(us: np.ndarray, paths) -> tuple[tuple[np.ndarray, np.ndarray],
+                                                 list[CartanElement],
+                                                 tuple[np.ndarray, np.ndarray]]:
+    """Factor each unitary ``u`` of a ``(k, d, d)`` stack on three or more
+    spins as ``u = k1 * exp(-1j*H_Y) * k2``, with block-diagonal ``k1,
+    k2`` and ``H_Y`` over the trailing-X family ``{1, Z}^(n-1) X``;
+    return the stacked blocks ``(u0, u1)`` of ``k1``, the list of the
+    ``y = H_Y`` and the stacked blocks of ``k2``.  A block factor acts as
+    ``u0`` on the leading spins where the last spin is 0 and as ``u1``
+    where it is 1.
 
     The cosine-sine middle ``[[C, -S], [S, C]]`` is
     ``blkdiag(1, i) exp(-1j*theta_j*sigma_x) blkdiag(1, -i)`` on each
     diagonal index ``j`` of the leading spins, so ``k1 = (l0, i*l1)``,
     ``k2 = (r0, -i*r1)`` and ``H_Y`` carries ``2*w_D`` on the string of
     mask ``D`` for the Walsh coefficients ``w_D`` of the angles: the
-    middle is written in its own frame, with no change of basis.
-
-    Accepts any unitary on at least three spins; its phases stay in the
-    blocks of ``k1`` and ``k2``.  It is :func:`_split_stack` of a stack
-    of one, the pass that splits every generic problem of a recursion
-    depth at once.
-    """
-    u = check_unitary(u)
-    n = spin_count(u.shape[0])
-    if n < 3:
-        raise ValidationError("the last-spin split needs three or more spins; "
-                              "use two_spin_factors below that")
-    (l0, l1), (y,), (r0, r1) = _split_stack(u[None], [(f"n={n}",)])
-    return BlockPair(n=n, u0=l0[0], u1=l1[0]), y, BlockPair(n=n, u0=r0[0], u1=r1[0])
-
-
-def _split_stack(us: np.ndarray, paths) -> tuple[tuple[np.ndarray, np.ndarray],
-                                                 list[CartanElement],
-                                                 tuple[np.ndarray, np.ndarray]]:
-    """:func:`split_last_qubit` of each unitary of a ``(k, d, d)`` stack:
-    the stacked blocks ``(u0, u1)`` of ``k1``, the list of ``y`` and the
-    stacked blocks of ``k2``.
+    middle is written in its own frame, with no change of basis.  The
+    phases of ``u`` stay in the blocks.
 
     One copy of the last spin's blocks (:func:`_last_spin_sectors`)
     brings the whole stack to the last-spin-leading frame,
@@ -633,33 +560,21 @@ def _split_stack(us: np.ndarray, paths) -> tuple[tuple[np.ndarray, np.ndarray],
     return (l0, 1j * l1), ys, (r0, -1j * r1)
 
 
-def demultiplex(pair: BlockPair) -> tuple[np.ndarray, CartanElement, np.ndarray]:
-    """Rewrite ``blkdiag(u0, u1)`` as ``(v, v)`` then a diagonal commuting
-    layer then ``(w, w)``.
-
-    Returns ``(v, z, w)`` with ``u0 = v @ exp(1j*D) @ w`` and
-    ``u1 = v @ exp(-1j*D) @ w``, where ``D = angle(lambda)/2`` for the
-    eigenvalues ``lambda`` of ``u0 @ u1^dagger`` and ``exp(-1j*H_z)``
-    for the returned diagonal-family element ``z`` realizes the ``+-D``
-    pair on the full space.  The mean of ``D``, the blocks' relative
-    phase, is the lone ``1...1Z`` term of ``z``.  A product
-    ``u0 @ u1^dagger`` that is already diagonal within
-    :data:`TOL_TRIVIAL` keeps ``v = I``, which the recursion lowers to
-    nothing.  It is :func:`_demultiplex_stack` of a stack of one, the
-    pass that serves every block pair of a recursion depth at once.
-    """
-    if pair.n < 2:
-        raise ValidationError("demultiplexing needs at least two spins")
-    v, (z,), w = _demultiplex_stack(np.asarray(pair.u0, dtype=complex)[None],
-                                    np.asarray(pair.u1, dtype=complex)[None], [()])
-    return v[0], z, w[0]
-
-
 def _demultiplex_stack(u0s: np.ndarray, u1s: np.ndarray,
                        paths) -> tuple[np.ndarray, list[CartanElement], np.ndarray]:
-    """:func:`demultiplex` of each block pair ``(u0s[i], u1s[i])`` of two
-    ``(k, h, h)`` stacks, as the stacks of ``v`` and ``w`` and the list
-    of ``z``.
+    """Rewrite each block pair ``(u0, u1) = (u0s[i], u1s[i])`` of two
+    ``(k, h, h)`` stacks as ``(v, v)`` then a diagonal commuting layer
+    then ``(w, w)``; return the stacks of ``v`` and ``w`` and the list of
+    ``z``.
+
+    Each pair has ``u0 = v @ exp(1j*D) @ w`` and
+    ``u1 = v @ exp(-1j*D) @ w``, where ``D = angle(lambda)/2`` for the
+    eigenvalues ``lambda`` of ``u0 @ u1^dagger``, and ``exp(-1j*H_z)``
+    for the diagonal-family element ``z`` realizes the ``+-D`` pair on
+    the full space.  The mean of ``D``, the blocks' relative phase, is
+    the lone ``1...1Z`` term of ``z``.  A ratio ``u0 @ u1^dagger`` that
+    is already diagonal within :data:`TOL_TRIVIAL` keeps ``v = I``,
+    which the recursion lowers to nothing.
 
     The ratios and their ``TOL_TRIVIAL`` diagonal screen run over the
     whole stack; the ratios that fail it go through one

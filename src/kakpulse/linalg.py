@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -23,11 +22,11 @@ TOL_UNITARY = 1e-10
 TOL_HERMITIAN = 1e-10
 TOL_CSD = 1e-9
 # Cosine-sine angles within this of 0 or pi/2 count as exact ones, whose
-# columns carry a free gauge that :func:`cosine_sine` fixes.
+# columns carry a free gauge that :func:`_cosine_sine_stack` fixes.
 TOL_GAUGE = 1e-12
 
 _GOLDEN = 0.6180339887498949
-# :func:`unitary_eig` accepts a basis whose residual and eigenvalue
+# :func:`_unitary_eig_stack` accepts a basis whose residual and eigenvalue
 # moduli are within this, and gives up after this many mixing angles.
 _TOL_EIG = 1e-10
 _EIG_TRIES = 12
@@ -213,30 +212,19 @@ def _check_stack(failed: np.ndarray, paths, message: str,
         raise _on_path(NumericError(message, residual=resid), paths[k])
 
 
-def unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a unitary with an orthonormal eigenbasis.
+def _unitary_eig_stack(us: np.ndarray, paths) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of each unitary of a ``(k, d, d)`` stack with an
+    orthonormal eigenbasis, as the stacks ``(w, v)``, after one stacked
+    unitarity check: ``u @ v = v @ diag(w)``, ``v`` unitary and the
+    eigenvalues sorted by phase angle in ``(-pi, pi]``.
 
     ``numpy.linalg.eig`` does not guarantee orthonormal eigenvectors for
-    degenerate spectra, so we diagonalize a random Hermitian combination
-    ``cos(t) * Re(u) + sin(t) * Im-part(u)`` instead; both parts commute
-    with ``u``, and a generic ``t`` separates clustered eigenvalues.
-    Retries with different mixing angles, at most ``_EIG_TRIES``, until
-    the residual and every eigenvalue's distance from the unit circle
-    are below ``_TOL_EIG``.
-
-    Returns ``(w, v)`` with ``u @ v = v @ diag(w)``, ``v`` unitary and
-    eigenvalues sorted by phase angle in ``(-pi, pi]``.  It is
-    :func:`_unitary_eig_stack` of a stack of one: the pass that
-    diagonalizes every block ratio of a recursion depth at once, where
-    only the matrices whose candidate failed draw the next one.
-    """
-    w, v = _unitary_eig_stack(check_square(u)[None], [()])
-    return w[0], v[0]
-
-
-def _unitary_eig_stack(us: np.ndarray, paths) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`unitary_eig` of each matrix of a ``(k, d, d)`` stack, as the
-    stacks ``(w, v)``, after one stacked unitarity check.
+    degenerate spectra, so each ``u`` is diagonalized through the
+    Hermitian mix ``cos(t) * (u + u^dagger)/2 + sin(t) * (u - u^dagger)/2j``
+    instead (:func:`golden_mix_eigvecs`); both parts commute with ``u``,
+    and a generic ``t`` separates clustered eigenvalues.  A candidate basis
+    passes when its residual and every eigenvalue's distance from the
+    unit circle are below ``_TOL_EIG``; at most ``_EIG_TRIES`` are drawn.
 
     Every candidate basis is drawn for the whole stack at once (stacked
     ``eigh`` gives each matrix the bits its own call would), and candidate
@@ -272,32 +260,6 @@ def _unitary_eig_stack(us: np.ndarray, paths) -> tuple[np.ndarray, np.ndarray]:
     return w[rows, order], v.swapaxes(1, 2)[rows, order].swapaxes(1, 2)
 
 
-@dataclass(frozen=True)
-class CosineSineBlocks:
-    """Result of a balanced cosine-sine factorization.
-
-    ``u = blkdiag(l0, l1) @ [[C, -S], [S, C]] @ blkdiag(r0, r1)`` with
-    ``C = diag(cos(theta))``, ``S = diag(sin(theta))`` and angles sorted
-    ascending in ``[0, pi/2]``.
-    """
-
-    l0: np.ndarray
-    l1: np.ndarray
-    theta: np.ndarray
-    r0: np.ndarray
-    r1: np.ndarray
-    residual: float
-
-    @property
-    def half(self) -> int:
-        return self.l0.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        return _cosine_sine_products(self.l0[None], self.l1[None],
-                                     self.theta[None], self.r0[None],
-                                     self.r1[None])[0]
-
-
 def _cosine_sine_products(l0, l1, theta, r0, r1) -> np.ndarray:
     """``blkdiag(l0, l1) @ [[C, -S], [S, C]] @ blkdiag(r0, r1)`` of each
     entry of stacked cosine-sine factors, block by block."""
@@ -311,39 +273,25 @@ def _cosine_sine_products(l0, l1, theta, r0, r1) -> np.ndarray:
     return out
 
 
-def cosine_sine(u: np.ndarray) -> CosineSineBlocks:
-    """Balanced CS decomposition of an even-dimensional unitary.
-
-    Thin wrapper over ``scipy.linalg.cossin`` that fixes a deterministic
-    gauge: angles ascending, and each column of ``l0`` has its first
-    nonzero entry real positive (the compensating phases are pushed
-    into ``l1`` columns and ``r0``/``r1`` rows, which leaves the product
-    unchanged because diagonal phases commute with the middle factor).
-    On the columns whose angle is 0 or pi/2, ``l1`` is the one closest
-    to ``l0``, so a global phase of ``u`` does not change that gauge.
-    The factors must rebuild ``u`` within :data:`TOL_CSD`.  It is
-    :func:`_cosine_sine_stack` of a stack of one: the pass that splits
-    every generic problem of a recursion depth at once, with ``cossin``
-    the only call it makes per matrix.
-    """
-    u = check_unitary(u)
-    dim = u.shape[0]
-    if dim % 2:
-        raise DimensionError(f"cosine-sine factorization needs even dimension, got {dim}")
-    l0, l1, theta, r0, r1, resid = _cosine_sine_stack(u[None], [()])
-    return CosineSineBlocks(l0=l0[0], l1=l1[0], theta=theta[0], r0=r0[0],
-                            r1=r1[0], residual=float(resid[0]))
-
-
 def _cosine_sine_stack(us: np.ndarray, paths) -> tuple[np.ndarray, ...]:
-    """:func:`cosine_sine` of each unitary of a ``(k, 2m, 2m)`` stack, as
-    the stacks ``(l0, l1, theta, r0, r1, residuals)``.
+    """Balanced cosine-sine factorization of each unitary of a
+    ``(k, 2m, 2m)`` stack, as the stacks
+    ``(l0, l1, theta, r0, r1, residuals)``: each
+    ``u = blkdiag(l0, l1) @ [[C, -S], [S, C]] @ blkdiag(r0, r1)`` with
+    ``C = diag(cos(theta))``, ``S = diag(sin(theta))`` and the angles
+    ascending in ``[0, pi/2]``.  The inputs must be unitary (callers
+    check them).
 
-    ``scipy.linalg.cossin`` runs once per matrix; the angle sort, the
-    column-phase gauge and the reconstruction check run over the whole
-    stack, and the Procrustes gauge only on the matrices with an angle at
-    0 or pi/2.  Each matrix gets the bits a lone call gives it, and the
-    first one that fails the check is reported with its entry of
+    ``scipy.linalg.cossin`` runs once per matrix, and a deterministic
+    gauge is fixed over the whole stack: each column of ``l0`` has its
+    first nonzero entry real positive (the compensating phases go into
+    the columns of ``l1`` and the rows of ``r0`` and ``r1``, which
+    leaves the product unchanged because diagonal phases commute with
+    the middle factor).  On the columns whose angle is 0 or pi/2, ``l1``
+    is the one closest to ``l0``, so a global phase of ``u`` does not
+    change that gauge.  The factors must rebuild ``u`` within
+    :data:`TOL_CSD`.  Each matrix gets the bits a stack of one gives it,
+    and the first one that fails the check is reported with its entry of
     ``paths``.
     """
     m = us.shape[1] // 2

@@ -16,10 +16,11 @@ letters realizes as the basis-normalized product operator
 
 so that ``tr(B_r @ B_s) = 2**(n-2) * delta_rs``, while the all-identity
 string realizes as the identity matrix.  Every coefficient produced by
-:func:`multiply`, :func:`commutator` and :func:`expand` is relative to
-these realizations; getting this scale wrong by a factor of two is the
-classic mistake in the rotating-frame literature, so it is pinned down
-here once and tested heavily.
+:func:`multiply` and :func:`commutator`, and every coefficient of a
+:class:`CartanElement`, is relative to these realizations; getting this
+scale wrong by a factor of two is the classic mistake in the
+rotating-frame literature, so it is pinned down here once and tested
+heavily.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError, _json_float, _json_int
-from .linalg import TOL_HERMITIAN, check_square, spin_count
+from .errors import DimensionError, ValidationError
 
 MAX_SPINS = 12
 
@@ -200,97 +200,6 @@ def basis_strings(n: int) -> list[PauliString]:
         raise ValidationError(f"n must be in [1, {MAX_SPINS}], got {n}")
     out = [PauliString("".join(w)) for w in itertools.product("1XYZ", repeat=n)]
     return [s for s in out if s.weight > 0]
-
-
-# ---------------------------------------------------------------------------
-# Hermitian expansion
-
-
-@dataclass
-class PauliExpansion:
-    """Real coefficients of a Hermitian operator over realized strings.
-
-    ``H = identity_coeff * I + sum_s terms[s] * B_s``.
-    """
-
-    n: int
-    terms: dict[PauliString, float]
-    identity_coeff: float = 0.0
-
-    def to_matrix(self) -> np.ndarray:
-        out = self.identity_coeff * np.eye(2 ** self.n, dtype=complex)
-        for s, c in self.terms.items():
-            out += c * s.to_matrix()
-        return out
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "terms": {s.letters: c for s, c in sorted(self.terms.items())},
-        }
-        if self.identity_coeff:
-            out["identity"] = self.identity_coeff
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PauliExpansion":
-        n = _json_int(data["n"], "expansion size n")
-        terms = {PauliString(k): _json_float(v, f"coefficient of {k}")
-                 for k, v in data.get("terms", {}).items()}
-        for s in terms:
-            if s.n != n:
-                raise ValidationError(f"term {s} has length {s.n}, expected {n}")
-        return cls(n=n, terms=terms, identity_coeff=_json_float(
-            data.get("identity", 0.0), "identity coefficient"))
-
-
-def _sigma_coefficients(block: np.ndarray, prefix: list[str],
-                        out: dict[str, complex]) -> None:
-    # Recursive quadrant transform: peel one spin per level.  The four
-    # quadrant combinations are the sigma-basis coefficients of that spin.
-    m = block.shape[0] // 2
-    if m == 0:
-        out["".join(prefix)] = complex(block[0, 0])
-        return
-    h00, h01 = block[:m, :m], block[:m, m:]
-    h10, h11 = block[m:, :m], block[m:, m:]
-    for letter, sub in (("1", (h00 + h11) / 2), ("X", (h01 + h10) / 2),
-                        ("Y", 1j * (h01 - h10) / 2), ("Z", (h00 - h11) / 2)):
-        prefix.append(letter)
-        _sigma_coefficients(sub, prefix, out)
-        prefix.pop()
-
-
-def expand(h: np.ndarray, *, atol: float = 1e-12) -> PauliExpansion:
-    """Expand a Hermitian matrix over realized product operators.
-
-    Coefficients with magnitude at most ``atol`` are dropped.  Raises
-    :class:`ValidationError` if ``h`` is not Hermitian to
-    :data:`~kakpulse.linalg.TOL_HERMITIAN` or its dimension is not a
-    power of two.
-    """
-    h = check_square(h, "matrix to expand")
-    n = spin_count(h.shape[0])
-    if n > MAX_SPINS:
-        raise DimensionError(f"{n} spins exceeds the limit of {MAX_SPINS}")
-    if np.max(np.abs(h - h.conj().T)) > TOL_HERMITIAN:
-        raise ValidationError("matrix is not Hermitian within tolerance")
-    raw: dict[str, complex] = {}
-    _sigma_coefficients(h, [], raw)
-    terms: dict[PauliString, float] = {}
-    ident = 0.0
-    for letters, c in raw.items():
-        if abs(c.imag) > TOL_HERMITIAN:
-            raise ValidationError("expansion produced a complex coefficient; "
-                                  "input is not Hermitian enough")
-        s = PauliString(letters)
-        if s.weight == 0:
-            ident = c.real
-            continue
-        val = 2.0 * c.real  # sigma-coefficient -> B-coefficient (B = sigma/2)
-        if abs(val) > atol:
-            terms[s] = val
-    return PauliExpansion(n=n, terms=terms, identity_coeff=ident)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +444,3 @@ class CartanElement:
         """Coefficients in the family's canonical string order."""
         order = _family_order(self.family, self.n)
         return sorted(self.coeffs.items(), key=lambda kv: order[kv[0]])
-
-    def norm(self) -> float:
-        return float(np.sqrt(sum(c * c for c in self.coeffs.values())))

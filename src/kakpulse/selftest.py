@@ -15,7 +15,7 @@ import numpy as np
 
 from .gates import (ChainSpec, CouplingEvolution, Delay, GlobalPhase,
                     LocalRotation)
-from .kak import decompose, euler_xzx, interaction_class, two_spin_factors
+from .kak import _canonical_products, _two_spin_stack, decompose, euler_xzx
 from .linalg import expm_skew, haar_unitary, su2_rotation
 from .paulis import (
     CartanFamily,
@@ -252,29 +252,36 @@ def _suite_euler() -> tuple[bool, str]:
 def _suite_twospin() -> tuple[bool, str]:
     """Two-spin closed form on Haar samples: phase-free residual, canonical
     chamber, angle invariance under random single-spin dressing; and the
-    CNOT class."""
+    CNOT class.  The samples, their dressed copies and CNOT are factored
+    as three stacks of the pass :func:`~kakpulse.decompose` runs on its
+    two-spin leaves."""
     rng = np.random.default_rng(314159)
-    worst_resid = worst_dress = 0.0
-    for k in range(1000):
+    us, dressed = [], []
+    for _ in range(1000):
         u = haar_unitary(4, rng)
-        f = two_spin_factors(u)
-        worst_resid = max(worst_resid, distance(f.reconstruct(), u).frobenius)
-        a1, a2, a3 = f.alphas
+        dress = [haar_unitary(2, rng, special=True) for _ in range(4)]
+        us.append(u)
+        dressed.append(np.kron(dress[0], dress[1]) @ u @ np.kron(dress[2], dress[3]))
+    paths = [(f"sample {k}",) for k in range(len(us))]
+    phases, l1, l2, alphas, r1, r2, _ = _two_spin_stack(np.array(us), paths)
+    recon = _canonical_products(phases, l1, l2, alphas, r1, r2)
+    worst_resid = max(distance(m, u).frobenius for m, u in zip(recon, us))
+    for k, angles in enumerate(map(tuple, alphas.tolist())):
+        a1, a2, a3 = angles
         in_chamber = (math.pi + 1e-12 >= a1 >= a2 >= abs(a3) - 1e-12
                       and (abs(a1 - math.pi) > 1e-12 or a3 >= -1e-12))
         if not in_chamber:
-            return False, f"chamber violated on sample {k}: {f.alphas}"
-        dress = [haar_unitary(2, rng, special=True) for _ in range(4)]
-        v = np.kron(dress[0], dress[1]) @ u @ np.kron(dress[2], dress[3])
-        shift = np.abs(np.asarray(interaction_class(v)) - np.asarray(f.alphas))
-        worst_dress = max(worst_dress, float(np.max(shift)))
+            return False, f"chamber violated on sample {k}: {angles}"
+    shift = np.abs(_two_spin_stack(np.array(dressed), paths)[3] - alphas)
+    worst_dress = float(np.max(shift))
     if worst_resid >= 1e-9:
         return False, f"two-spin residual {worst_resid:.3e} >= 1e-9"
     if worst_dress >= 1e-9:
         return False, f"local dressing moved the angles by {worst_dress:.3e}"
-    alphas = interaction_class(np.eye(4, dtype=complex)[[0, 1, 3, 2]])  # CNOT
-    if not np.allclose(alphas, (math.pi, 0.0, 0.0), atol=1e-9):
-        return False, f"CNOT interaction class came out as {alphas}"
+    cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+    cnot_alphas = tuple(_two_spin_stack(cnot[None], [("CNOT",)])[3][0].tolist())
+    if not np.allclose(cnot_alphas, (math.pi, 0.0, 0.0), atol=1e-9):
+        return False, f"CNOT interaction class came out as {cnot_alphas}"
     return True, (f"1000 Haar samples in chamber, worst residual {worst_resid:.1e}, "
                   f"worst dressing shift {worst_dress:.1e}; CNOT at (pi, 0, 0)")
 

@@ -12,7 +12,6 @@ import scipy.linalg
 import kakpulse.kak
 import kakpulse.pulses
 from kakpulse import (
-    BlockPair,
     CartanElement,
     CartanFamily,
     CartanNode,
@@ -28,22 +27,21 @@ from kakpulse import (
     ValidationError,
     compile_unitary,
     decompose,
-    demultiplex,
     evaluate,
     expm_skew,
     flatten,
     gate_list_unitary,
     haar_unitary,
-    interaction_class,
     interaction_unitary,
     residual_budget,
-    split_last_qubit,
     tree_from_json_dict,
     tree_to_json_dict,
-    two_spin_factors,
 )
-from kakpulse.kak import (TOL_TWO_SPIN, _decompose, _interaction_sums,
-                          _open_layers, euler_xzx, su2_rotation)
+from kakpulse.kak import (TOL_TWO_SPIN, _canonical_products, _decompose,
+                          _demultiplex_stack, _interaction_sums,
+                          _last_spin_sectors, _open_layers, _split_stack,
+                          _two_spin_stack, euler_xzx, su2_rotation)
+from kakpulse.linalg import _cosine_sine_stack
 from kakpulse.errors import _on_path
 from kakpulse.networks import OPEN_ROUTES
 
@@ -70,6 +68,17 @@ def pauli_dense(word):
     for c in word:
         out = np.kron(out, table[c])
     return out / 2.0
+
+
+def last_spin_blocks(u0, u1):
+    """The operator that acts as ``u0`` on the leading spins where the
+    last spin is 0 and as ``u1`` where it is 1."""
+    return np.kron(u0, np.diag([1, 0])) + np.kron(u1, np.diag([0, 1]))
+
+
+def stack_of(us):
+    """``us`` as one complex stack, with an empty path for each entry."""
+    return np.array(us, dtype=complex), [()] * len(us)
 
 
 def magic_spectrum(u):
@@ -181,42 +190,43 @@ def test_interaction_unitary_matches_expm():
 class TestTwoSpinFactors:
     def test_haar_samples(self):
         rng = np.random.default_rng(200)
-        for _ in range(500):
-            u = haar_unitary(4, rng)
-            f = two_spin_factors(u)
-            assert np.max(np.abs(f.reconstruct() - u)) < 1e-10
-            assert f.residual < 1e-10
+        us = [haar_unitary(4, rng) for _ in range(500)]
+        *factors, residuals = _two_spin_stack(*stack_of(us))
+        assert np.max(np.abs(_canonical_products(*factors) - us)) < 1e-10
+        assert np.max(residuals) < 1e-10
 
     def test_canonical_chamber(self):
         rng = np.random.default_rng(201)
-        for _ in range(300):
-            a1, a2, a3 = two_spin_factors(haar_unitary(4, rng)).alphas
+        us = [haar_unitary(4, rng) for _ in range(300)]
+        for a1, a2, a3 in _two_spin_stack(*stack_of(us))[3]:
             assert math.pi + 1e-12 >= a1 >= a2 >= abs(a3) - 1e-12
             if a1 >= math.pi - 1e-12:
                 assert a3 >= -1e-12
 
     def test_locals_are_special(self):
-        f = two_spin_factors(haar_unitary(4, 17))
-        for q in (f.l1, f.l2, f.r1, f.r2):
+        _, l1, l2, _, r1, r2, _ = _two_spin_stack(haar_unitary(4, 17)[None], [()])
+        for q in (l1[0], l2[0], r1[0], r2[0]):
             assert abs(np.linalg.det(q) - 1) < 1e-9
             assert np.allclose(q @ q.conj().T, np.eye(2), atol=1e-9)
 
     def test_interaction_point_is_a_fixed_point(self):
         u = interaction_unitary((0.3, 0.2, 0.1))
-        f = two_spin_factors(u)
-        assert np.allclose(f.alphas, (0.3, 0.2, 0.1), atol=1e-10)
+        alphas = _two_spin_stack(u[None], [()])[3][0]
+        assert np.allclose(alphas, (0.3, 0.2, 0.1), atol=1e-10)
 
     def test_dressing_invariance(self):
         rng = np.random.default_rng(202)
+        us, dressed = [], []
         for _ in range(50):
             u = haar_unitary(4, rng)
-            base = np.asarray(two_spin_factors(u).alphas)
-            dressed = np.kron(haar_unitary(2, rng, special=True),
-                              haar_unitary(2, rng, special=True)) @ u @ \
-                np.kron(haar_unitary(2, rng, special=True),
-                        haar_unitary(2, rng, special=True))
-            got = np.asarray(two_spin_factors(dressed).alphas)
-            assert np.max(np.abs(got - base)) < 1e-9
+            us.append(u)
+            dressed.append(np.kron(haar_unitary(2, rng, special=True),
+                                   haar_unitary(2, rng, special=True)) @ u @
+                           np.kron(haar_unitary(2, rng, special=True),
+                                   haar_unitary(2, rng, special=True)))
+        base = _two_spin_stack(*stack_of(us))[3]
+        got = _two_spin_stack(*stack_of(dressed))[3]
+        assert np.max(np.abs(got - base)) < 1e-9
 
     def test_cnot_interaction_content(self):
         """CNOT and the other textbook gates land on their chamber points
@@ -232,13 +242,14 @@ class TestTwoSpinFactors:
                   (1, 0.5, 0)),
             "CNOT SWAP": (CNOT @ SWAP, (1, 1, 0)),
         }
-        for name, (u, alphas) in gates.items():
-            f = two_spin_factors(u)
-            assert f.alphas == pytest.approx(
+        us = [u for u, _ in gates.values()]
+        *factors, residuals = _two_spin_stack(*stack_of(us))
+        recon = _canonical_products(*factors)
+        for k, (name, (u, alphas)) in enumerate(gates.items()):
+            assert tuple(factors[3][k]) == pytest.approx(
                 tuple(math.pi * a for a in alphas), abs=1e-12), name
-            assert interaction_class(u) == f.alphas, name
-            assert f.residual <= TOL_TWO_SPIN, name
-            assert np.max(np.abs(f.reconstruct() - u)) <= TOL_TWO_SPIN, name
+            assert residuals[k] <= TOL_TWO_SPIN, name
+            assert np.max(np.abs(recon[k] - u)) <= TOL_TWO_SPIN, name
 
     def test_cnot_against_magic_spectrum(self):
         """Locally-invariant cross-check that CNOT really sits at (pi,0,0):
@@ -248,17 +259,9 @@ class TestTwoSpinFactors:
         assert np.allclose(got, want, atol=1e-10)
 
     def test_identity_input(self):
-        f = two_spin_factors(np.eye(4, dtype=complex))
-        assert np.allclose(f.alphas, 0.0, atol=1e-12)
-        assert np.max(np.abs(f.reconstruct() - np.eye(4))) < 1e-10
-
-    def test_rejects_wrong_size(self):
-        with pytest.raises(ValidationError):
-            two_spin_factors(haar_unitary(8, 1))
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValidationError):
-            two_spin_factors(np.diag([2.0, 0.5, 1.0, 1.0]).astype(complex))
+        *factors, _ = _two_spin_stack(np.eye(4, dtype=complex)[None], [()])
+        assert np.allclose(factors[3], 0.0, atol=1e-12)
+        assert np.max(np.abs(_canonical_products(*factors)[0] - np.eye(4))) < 1e-10
 
     def test_a_wrong_move_fails_the_reconstruction(self, monkeypatch):
         """A chamber move that sorts the angles without turning the
@@ -266,56 +269,58 @@ class TestTwoSpinFactors:
         monkeypatch.setattr(kakpulse.kak, "_QUARTER_TURN",
                             dict.fromkeys("xyz", np.eye(2, dtype=complex)))
         with pytest.raises(NumericError, match="two-spin factorization residual"):
-            two_spin_factors(interaction_unitary((0.1, 0.3, 0.2)))
+            _two_spin_stack(interaction_unitary((0.1, 0.3, 0.2))[None], [()])
 
 
 # ---------------------------------------------------------------------------
 # The last-spin split
 
 
+def split_one(u):
+    """The last-spin split ``(k1, y, k2)`` of one unitary, a stack of one;
+    ``k1`` and ``k2`` as the full operators their blocks make."""
+    (l0, l1), (y,), (r0, r1) = _split_stack(u[None], [()])
+    return last_spin_blocks(l0[0], l1[0]), y, last_spin_blocks(r0[0], r1[0])
+
+
 class TestSplitLastQubit:
     def test_reconstruction(self):
         for n, seed in ((3, 0), (3, 1), (4, 2)):
             u = haar_unitary(2 ** n, seed, special=True)
-            k1, y, k2 = split_last_qubit(u)
-            recon = k1.realize() @ expm_skew(y.hamiltonian()) @ k2.realize()
+            k1, y, k2 = split_one(u)
+            recon = k1 @ expm_skew(y.hamiltonian()) @ k2
             assert np.max(np.abs(recon - u)) < 1e-9
 
     def test_middle_lives_on_the_trailing_x_family(self):
         u = haar_unitary(8, 3, special=True)
-        _, y, _ = split_last_qubit(u)
+        _, y, _ = split_one(u)
         assert y.family is CartanFamily.OUTER_X
         assert all(s.letters[-1] == "X" for s in y.coeffs)
 
     def test_block_factors_are_unitary(self):
         u = haar_unitary(8, 4, special=True)
-        k1, _, k2 = split_last_qubit(u)
-        for pair in (k1, k2):
-            for blk in (pair.u0, pair.u1):
-                assert np.max(np.abs(blk.conj().T @ blk - np.eye(4))) < 1e-12
+        blocks, _, more = _split_stack(u[None], [()])
+        for blk in (*blocks, *more):
+            assert np.max(np.abs(blk[0].conj().T @ blk[0] - np.eye(4))) < 1e-12
 
     def test_pure_family_evolution_spectrum(self):
         """Feeding exp(-iH) for H over the commuting family must return a
         middle with the same spectrum as H (the sides only re-gauge it)."""
         h = 0.3 * pauli_dense("11X") + 0.5 * pauli_dense("XXX")
-        _, y, _ = split_last_qubit(expm_skew(h))
+        _, y, _ = split_one(expm_skew(h))
         got = np.sort(np.linalg.eigvalsh(y.hamiltonian()))
         want = np.sort(np.linalg.eigvalsh(h))
         assert np.max(np.abs(got - want)) < 1e-9
 
     def test_single_string_evolution(self):
-        _, y, _ = split_last_qubit(expm_skew(0.4 * pauli_dense("XXX")))
+        _, y, _ = split_one(expm_skew(0.4 * pauli_dense("XXX")))
         eigs = np.abs(np.linalg.eigvalsh(y.hamiltonian()))
         assert np.allclose(eigs, 0.2, atol=1e-9)
 
-    def test_rejects_two_spins(self):
-        with pytest.raises(ValidationError):
-            split_last_qubit(haar_unitary(4, 0, special=True))
-
     def test_accepts_non_special(self):
         u = haar_unitary(8, 5)  # determinant is a random phase
-        k1, y, k2 = split_last_qubit(u)
-        recon = k1.realize() @ expm_skew(y.hamiltonian()) @ k2.realize()
+        k1, y, k2 = split_one(u)
+        recon = k1 @ expm_skew(y.hamiltonian()) @ k2
         assert np.max(np.abs(recon - u)) < 1e-9
 
 
@@ -324,47 +329,50 @@ class TestDemultiplex:
     def make_pair(n, seed, phase=0.0):
         """Blocks that are not special, ``u0`` turned by a relative phase."""
         half = 2 ** (n - 1)
-        return BlockPair(n=n,
-                         u0=haar_unitary(half, seed) * cmath.exp(1j * phase),
-                         u1=haar_unitary(half, seed + 1))
+        return (haar_unitary(half, seed) * cmath.exp(1j * phase),
+                haar_unitary(half, seed + 1))
 
     def test_realize_layout(self):
-        pair = self.make_pair(3, 10)
-        got = pair.realize()
-        # spin 3 selects the sector: |0> on the last spin -> u0
+        """A block pair written through the last spin's sector view sits
+        where spin 3 selects it: |0> on the last spin -> u0."""
+        u0, u1 = self.make_pair(3, 10)
+        got = np.zeros((8, 8), dtype=complex)
+        sectors = _last_spin_sectors(got)
+        sectors[0, 0], sectors[1, 1] = u0, u1
         want = np.zeros((8, 8), dtype=complex)
         for i in range(4):
             for j in range(4):
-                want[2 * i, 2 * j] = pair.u0[i, j]
-                want[2 * i + 1, 2 * j + 1] = pair.u1[i, j]
-        assert np.allclose(got, want, atol=1e-14)
+                want[2 * i, 2 * j] = u0[i, j]
+                want[2 * i + 1, 2 * j + 1] = u1[i, j]
+        assert np.array_equal(got, want)
+        assert np.array_equal(last_spin_blocks(u0, u1), want)
 
     def test_factorization_identity(self):
         for n, seed, phase in ((2, 20, 0.0), (3, 30, 0.37), (4, 40, -1.1)):
-            pair = self.make_pair(n, seed, phase)
-            v, z, w = demultiplex(pair)
-            recon = np.kron(v, np.eye(2)) @ expm_skew(z.hamiltonian()) \
-                @ np.kron(w, np.eye(2))
-            assert np.max(np.abs(recon - pair.realize())) < 1e-9
+            u0, u1 = self.make_pair(n, seed, phase)
+            v, (z,), w = _demultiplex_stack(u0[None], u1[None], [()])
+            recon = np.kron(v[0], np.eye(2)) @ expm_skew(z.hamiltonian()) \
+                @ np.kron(w[0], np.eye(2))
+            assert np.max(np.abs(recon - last_spin_blocks(u0, u1))) < 1e-9
 
     def test_diagonal_layer_family(self):
         """Every string is diagonal, and the lone ``1...1Z`` term carries
         the mean of ``D``: the blocks' relative phase
         ``det(u0) / det(u1) = exp(-1j * c * half)``."""
-        pair = self.make_pair(3, 50, 0.2)
-        _, z, _ = demultiplex(pair)
+        u0, u1 = self.make_pair(3, 50, 0.2)
+        _, (z,), _ = _demultiplex_stack(u0[None], u1[None], [()])
         assert z.family is CartanFamily.DIAGONAL
         for s in z.coeffs:
             assert set(s.letters) <= {"1", "Z"}
         c = z.coeffs[PauliString("1" * (z.n - 1) + "Z")]
-        ratio = np.linalg.det(pair.u0) / np.linalg.det(pair.u1)
-        assert abs(cmath.exp(-1j * c * pair.half) - ratio) < 1e-10
+        ratio = np.linalg.det(u0) / np.linalg.det(u1)
+        assert abs(cmath.exp(-1j * c * len(u0)) - ratio) < 1e-10
 
     def test_equal_blocks_need_no_layer(self):
         u0 = haar_unitary(4, 60, special=True)
-        v, z, w = demultiplex(BlockPair(n=3, u0=u0, u1=u0))
+        v, (z,), w = _demultiplex_stack(u0[None], u0[None], [()])
         assert z.coeffs == {}
-        assert np.max(np.abs(v @ w - u0)) < 1e-10
+        assert np.max(np.abs(v[0] @ w[0] - u0)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +449,8 @@ def test_interaction_sum_is_the_canonical_angle_sum():
         cases.append(cmath.exp(1j * seed) * np.kron(locals_[0], locals_[1])
                      @ interaction_unitary(rng.uniform(-7, 7, 3))
                      @ np.kron(locals_[2], locals_[3]))
-    for u, got in zip(cases, _interaction_sums(cases)):
-        want = sum(abs(a) for a in two_spin_factors(u).alphas)
+    alphas = _two_spin_stack(*stack_of(cases))[3]
+    for got, want in zip(_interaction_sums(cases), np.abs(alphas).sum(axis=1)):
         assert abs(got - want) < 1e-12
 
 
@@ -491,7 +499,7 @@ def test_five_spin_layer_hands_its_map_only_to_a_generic_neighbour(family):
     want = np.kron(generic, np.eye(2)) @ expm_skew(layer.hamiltonian())
     assert np.max(np.abs(got - want)) < 1e-12
     kron = np.kron(haar_unitary(8, 57), haar_unitary(2, 58))
-    block = BlockPair(n=4, u0=haar_unitary(8, 59), u1=haar_unitary(8, 60)).realize()
+    block = last_spin_blocks(haar_unitary(8, 59), haar_unitary(8, 60))
     for neighbour in (kron, block):
         node, after = _open_layers([(layer, neighbour)])[0]
         assert node.route is None
@@ -499,10 +507,10 @@ def test_five_spin_layer_hands_its_map_only_to_a_generic_neighbour(family):
 
 
 def test_evaluate_two_spin_node():
-    f = two_spin_factors(haar_unitary(4, 77))
+    *factors, _ = _two_spin_stack(haar_unitary(4, 77)[None], [()])
     tree = decompose(haar_unitary(4, 77))
     got = evaluate(tree, 3)  # embedded at the left edge of a longer chain
-    want = np.kron(f.reconstruct(), np.eye(2))
+    want = np.kron(_canonical_products(*factors)[0], np.eye(2))
     assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -534,7 +542,7 @@ class TestDecompose:
         coefficients ``alpha/2``, right Euler pair."""
         u = haar_unitary(4, 2)
         tree = decompose(u)
-        f = two_spin_factors(u)
+        alphas = _two_spin_stack(u[None], [()])[3][0]
         assert [type(c) for c in tree.children] == [
             PhaseNode, EulerNode, EulerNode, CartanNode, EulerNode, EulerNode]
         assert [c.qubit for c in tree.children[1:3] + tree.children[4:]] \
@@ -542,8 +550,7 @@ class TestDecompose:
         middle = tree.children[3].element
         assert middle.family is CartanFamily.MAXIMAL
         assert [(s.letters, c) for s, c in middle.items()] == [
-            ("XX", f.alphas[0] / 2), ("YY", f.alphas[1] / 2),
-            ("ZZ", f.alphas[2] / 2)]
+            ("XX", alphas[0] / 2), ("YY", alphas[1] / 2), ("ZZ", alphas[2] / 2)]
         assert np.max(np.abs(evaluate(tree, 2) - u)) < residual_budget(2)
 
     def test_three_and_four_spins(self):
@@ -657,8 +664,8 @@ def dressed(alphas, seed):
 
 
 def test_leaf_factors_do_not_depend_on_their_batch_mates(monkeypatch):
-    """Each entry of the stacked two-spin pass is bitwise what a lone
-    ``two_spin_factors`` call returns, whatever else is in the stack, and
+    """Each entry of the stacked two-spin pass is bitwise what a one-leaf
+    stack of the same unitary returns, whatever else is in the stack, and
     only the leaf whose first candidate failed draws a second one.  The
     dressed leaves take every branch of the stacked chamber between them,
     and each leaf's angles end where its own moves, replayed alone, take
@@ -686,18 +693,15 @@ def test_leaf_factors_do_not_depend_on_their_batch_mates(monkeypatch):
 
     monkeypatch.setattr(kakpulse.kak, "golden_mix_eigvecs", counted)
     monkeypatch.setattr(kakpulse.kak, "_chamber", recorded)
-    phases, l1, l2, alphas, r1, r2, residuals = kakpulse.kak._two_spin_stack(
-        np.array(stack), [()] * len(stack))
+    stacked = _two_spin_stack(*stack_of(stack))
     assert drawn == [(len(stack), 0), (1, 1)]
     replayed = [chamber_moves(a) for a in entering[0].tolist()]
     assert set().union(*(taken for taken, _ in replayed)) == CHAMBER_BRANCHES
-    assert np.array([a for _, a in replayed]).tobytes() == alphas.tobytes()
+    assert np.array([a for _, a in replayed]).tobytes() == stacked[3].tobytes()
     for k, u in enumerate(stack):
-        want = two_spin_factors(u)
-        assert (phases[k], tuple(alphas[k]), residuals[k]) == \
-            (want.phase, want.alphas, want.residual)
-        for got, name in ((l1, "l1"), (l2, "l2"), (r1, "r1"), (r2, "r2")):
-            assert got[k].tobytes() == getattr(want, name).tobytes()
+        alone = _two_spin_stack(*stack_of([u]))
+        for got, want in zip(stacked, alone):
+            assert got[k].tobytes() == want[0].tobytes()
 
 
 def test_a_leaf_outside_the_chamber_is_named_with_its_angles():
@@ -769,30 +773,30 @@ def split_frame_target(theta, seed):
 
 
 def test_splits_do_not_depend_on_their_batch_mates():
-    """Each entry of the stacked split is bitwise what a lone
-    ``split_last_qubit`` call returns, whatever else is in the stack: Haar
+    """Each entry of the stacked split is bitwise what a stack of one
+    returns, whatever else is in the stack: Haar
     inputs, a permutation and an input whose angles sit at 0 and pi/2, so
     that the Procrustes gauge runs on those two alone."""
     gauged = [np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]],
               split_frame_target(np.array([0.0, 0.4, 1.1, math.pi / 2]), 30)]
     for u in gauged:
-        theta = kakpulse.cosine_sine(kakpulse.permute_spins(u, [2, 0, 1])).theta
+        lead = kakpulse.permute_spins(u, [2, 0, 1])
+        theta = _cosine_sine_stack(lead[None], [()])[2][0]
         assert theta[0] <= kakpulse.linalg.TOL_GAUGE
         assert theta[-1] >= math.pi / 2 - kakpulse.linalg.TOL_GAUGE
     stack = ([haar_unitary(8, seed, special=True) for seed in range(3)] + gauged
              + [haar_unitary(8, seed) for seed in range(3, 6)])
-    (l0, l1), ys, (r0, r1) = kakpulse.kak._split_stack(np.array(stack),
-                                                       [()] * len(stack))
+    (l0, l1), ys, (r0, r1) = _split_stack(*stack_of(stack))
     for k, u in enumerate(stack):
-        k1, y, k2 = split_last_qubit(u)
+        (a0, a1), (y,), (b0, b1) = _split_stack(*stack_of([u]))
         assert ys[k] == y
-        for got, want in ((l0, k1.u0), (l1, k1.u1), (r0, k2.u0), (r1, k2.u1)):
-            assert got[k].tobytes() == want.tobytes()
+        for got, want in ((l0, a0), (l1, a1), (r0, b0), (r1, b1)):
+            assert got[k].tobytes() == want[0].tobytes()
 
 
 def test_demultiplexes_do_not_depend_on_their_batch_mates(monkeypatch):
-    """Each entry of the stacked demultiplex is bitwise what a lone
-    ``demultiplex`` call returns, whatever else is in the stack; a pair
+    """Each entry of the stacked demultiplex is bitwise what a stack of one
+    pair returns, whatever else is in the stack; a pair
     whose ratio is already diagonal draws no eigenbasis, and only the
     pair whose ratio has two eigenphases placed symmetrically about the
     first golden mixing angle draws a second candidate."""
@@ -815,16 +819,16 @@ def test_demultiplexes_do_not_depend_on_their_batch_mates(monkeypatch):
         return honest(a, b, k)
 
     monkeypatch.setattr(kakpulse.linalg, "golden_mix_eigvecs", counted)
-    v, zs, w = kakpulse.kak._demultiplex_stack(
+    v, zs, w = _demultiplex_stack(
         np.array([u0 for u0, _ in pairs]), np.array([u1 for _, u1 in pairs]),
         [()] * len(pairs))
     assert drawn == [(len(pairs) - 1, 0), (1, 1)]
     assert v[3].tobytes() == np.eye(4, dtype=complex).tobytes()
     for k, (u0, u1) in enumerate(pairs):
-        want_v, want_z, want_w = demultiplex(BlockPair(n=3, u0=u0, u1=u1))
+        want_v, (want_z,), want_w = _demultiplex_stack(u0[None], u1[None], [()])
         assert zs[k] == want_z
-        assert v[k].tobytes() == want_v.tobytes()
-        assert w[k].tobytes() == want_w.tobytes()
+        assert v[k].tobytes() == want_v[0].tobytes()
+        assert w[k].tobytes() == want_w[0].tobytes()
 
 
 def three_spin_path(problem):

@@ -51,6 +51,12 @@ def test_networks_reads_only_strings():
     assert import_graph()["networks"] <= {"errors", "paulis"}
 
 
+def test_paulis_reads_only_errors():
+    """The string algebra is exact bookkeeping over letters: it reads no
+    dense kernel, so every layer above can use it."""
+    assert import_graph()["paulis"] <= {"errors"}
+
+
 def test_simulate_reads_only_the_vocabulary():
     assert import_graph()["simulate"] <= {"errors", "gates", "linalg"}
 

@@ -1,5 +1,6 @@
 """Matrix utilities: validated exponentials, Haar sampling, robust
-eigendecomposition, the cosine-sine factorization, and spin permutation."""
+eigendecomposition, the cosine-sine factorization (both as stacks of one),
+and spin permutation."""
 
 import json
 
@@ -9,19 +10,18 @@ import scipy.linalg
 
 from kakpulse import (
     DimensionError,
-    NumericError,
     ValidationError,
     check_hermitian,
     check_unitary,
-    cosine_sine,
     expm_skew,
     haar_unitary,
     matrix_from_json_dict,
     matrix_to_json_dict,
     permute_spins,
     spin_count,
-    unitary_eig,
 )
+from kakpulse.linalg import (_cosine_sine_products, _cosine_sine_stack,
+                             _unitary_eig_stack)
 
 
 def kron_all(mats):
@@ -121,7 +121,7 @@ class TestUnitaryEig:
     def test_random_unitaries(self):
         for dim, seed in ((2, 1), (4, 2), (8, 3)):
             u = haar_unitary(dim, seed)
-            w, v = unitary_eig(u)
+            (w,), (v,) = _unitary_eig_stack(u[None], [()])
             assert np.max(np.abs(u @ v - v * w)) < 1e-10
             assert np.allclose(v.conj().T @ v, np.eye(dim), atol=1e-10)
             assert np.allclose(np.abs(w), 1, atol=1e-10)
@@ -136,13 +136,12 @@ class TestUnitaryEig:
             scipy.linalg.block_diag(haar_unitary(2, 4), haar_unitary(2, 4)),
         ]
         for u in cases:
-            w, v = unitary_eig(u)
+            (w,), (v,) = _unitary_eig_stack(u[None], [()])
             assert np.max(np.abs(u @ v - v * w)) < 1e-10
             assert np.allclose(v.conj().T @ v, np.eye(u.shape[0]), atol=1e-10)
 
     def test_eigenvalues_sorted_by_phase(self):
-        u = haar_unitary(8, 17)
-        w, _ = unitary_eig(u)
+        (w,), _ = _unitary_eig_stack(haar_unitary(8, 17)[None], [()])
         assert np.all(np.diff(np.angle(w)) >= -1e-12)
 
 
@@ -150,49 +149,44 @@ class TestCosineSine:
     def test_reconstruction(self):
         for dim, seed in ((2, 0), (4, 1), (8, 2), (16, 3)):
             u = haar_unitary(dim, seed)
-            cs = cosine_sine(u)
-            assert np.max(np.abs(cs.reconstruct() - u)) < 1e-9
-            assert cs.residual < 1e-9
+            *factors, residuals = _cosine_sine_stack(u[None], [()])
+            assert np.max(np.abs(_cosine_sine_products(*factors)[0] - u)) < 1e-9
+            assert residuals[0] < 1e-9
 
     def test_angles_sorted_in_quarter_circle(self):
         for seed in range(4):
-            cs = cosine_sine(haar_unitary(8, seed))
-            assert np.all(cs.theta >= -1e-12)
-            assert np.all(cs.theta <= np.pi / 2 + 1e-12)
-            assert np.all(np.diff(cs.theta) >= -1e-12)
+            (theta,) = _cosine_sine_stack(haar_unitary(8, seed)[None], [()])[2]
+            assert np.all(theta >= -1e-12)
+            assert np.all(theta <= np.pi / 2 + 1e-12)
+            assert np.all(np.diff(theta) >= -1e-12)
 
     def test_blocks_are_unitary(self):
-        cs = cosine_sine(haar_unitary(8, 11))
-        for blk in (cs.l0, cs.l1, cs.r0, cs.r1):
+        l0, l1, _, r0, r1, _ = _cosine_sine_stack(haar_unitary(8, 11)[None], [()])
+        for blk in (l0[0], l1[0], r0[0], r1[0]):
             assert np.allclose(blk @ blk.conj().T, np.eye(4), atol=1e-10)
 
     def test_deterministic(self):
         u = haar_unitary(8, 23)
-        a, b = cosine_sine(u), cosine_sine(u)
-        for x, y in ((a.l0, b.l0), (a.theta, b.theta), (a.r1, b.r1)):
+        a, b = (_cosine_sine_stack(u[None], [()]) for _ in range(2))
+        for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     def test_angles_invariant_under_block_dressing(self):
         """The cosine-sine angles are a two-sided block-diagonal invariant."""
         u = haar_unitary(8, 31)
-        base = cosine_sine(u).theta
+        base = _cosine_sine_stack(u[None], [()])[2]
         rng = np.random.default_rng(5)
         for _ in range(10):
             left = scipy.linalg.block_diag(haar_unitary(4, rng),
                                            haar_unitary(4, rng))
             right = scipy.linalg.block_diag(haar_unitary(4, rng),
                                             haar_unitary(4, rng))
-            dressed = cosine_sine(left @ u @ right).theta
+            dressed = _cosine_sine_stack((left @ u @ right)[None], [()])[2]
             assert np.max(np.abs(dressed - base)) < 1e-9
 
     def test_identity_gives_zero_angles(self):
-        cs = cosine_sine(np.eye(4, dtype=complex))
-        assert np.allclose(cs.theta, 0)
-
-    def test_odd_dimension_rejected(self):
-        q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
-        with pytest.raises(DimensionError):
-            cosine_sine(q.astype(complex))
+        theta = _cosine_sine_stack(np.eye(4, dtype=complex)[None], [()])[2]
+        assert np.allclose(theta, 0)
 
 
 class TestPermuteSpins:

@@ -1,5 +1,5 @@
-"""Product-operator algebra: multiplication, commutators, Hermitian
-expansions, sector tags, and the commuting generator families.
+"""Product-operator algebra: multiplication, commutators, sector tags,
+the commuting generator families and their elements.
 
 Everything numeric is checked against dense matrices built locally from
 the 2x2 Pauli matrices, so the symbolic algebra never gets to grade its
@@ -7,7 +7,6 @@ own homework.
 """
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from kakpulse import (
     CartanElement,
     CartanFamily,
     DimensionError,
-    PauliExpansion,
     PauliString,
     Subspace,
     ValidationError,
@@ -29,7 +27,6 @@ from kakpulse import (
     commutator,
     commutes,
     diagonal_strings,
-    expand,
     is_maximal_abelian,
     maximal_abelian_strings,
     multiply,
@@ -284,92 +281,6 @@ def test_basis_strings_range():
 
 
 # ---------------------------------------------------------------------------
-# Hermitian expansion
-
-
-def random_hermitian(n, seed):
-    rng = np.random.default_rng(seed)
-    dim = 2 ** n
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (g + g.conj().T) / 2
-
-
-class TestExpand:
-    def test_round_trip(self):
-        for n, seed in ((1, 5), (2, 6), (3, 7)):
-            h = random_hermitian(n, seed)
-            ex = expand(h)
-            assert np.max(np.abs(ex.to_matrix() - h)) < 1e-12
-
-    def test_single_basis_element(self):
-        ex = expand(dense("Z1"))
-        assert ex.identity_coeff == 0.0
-        assert ex.terms == {PauliString("Z1"): 1.0}
-
-    def test_identity_component_reported_separately(self):
-        h = 0.7 * np.eye(4) + 0.3 * dense("XX")
-        ex = expand(h)
-        assert ex.identity_coeff == pytest.approx(0.7)
-        assert set(ex.terms) == {PauliString("XX")}
-        assert ex.terms[PauliString("XX")] == pytest.approx(0.3)
-
-    def test_coefficients_match_trace_formula(self):
-        """c_s must equal tr(B_s H) / 2**(n-2), the inner-product recipe."""
-        h = random_hermitian(3, 99)
-        ex = expand(h)
-        for s in basis_strings(3):
-            want = np.trace(dense(s.letters) @ h).real / 2.0
-            assert ex.terms.get(s, 0.0) == pytest.approx(want, abs=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValidationError):
-            expand(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_rejects_bad_dimension(self):
-        with pytest.raises(DimensionError):
-            expand(np.eye(3))
-
-    def test_atol_drops_small_terms(self):
-        h = dense("XX") + 1e-9 * dense("YY")
-        assert PauliString("YY") not in expand(h, atol=1e-6).terms
-        assert PauliString("YY") in expand(h, atol=1e-12).terms
-
-
-def test_expansion_json_round_trip():
-    ex = PauliExpansion(n=2, terms={PauliString("XX"): 0.5,
-                                    PauliString("Z1"): -1.25})
-    back = PauliExpansion.from_json_dict(ex.to_json_dict())
-    assert back == ex
-
-
-def test_expansion_json_identity_key_only_when_nonzero():
-    plain = PauliExpansion(n=2, terms={PauliString("XX"): 0.5})
-    assert "identity" not in plain.to_json_dict()
-    shifted = PauliExpansion(n=2, terms={}, identity_coeff=0.25)
-    data = shifted.to_json_dict()
-    assert data["identity"] == 0.25
-    assert PauliExpansion.from_json_dict(data).identity_coeff == 0.25
-
-
-def test_expansion_json_rejects_mismatched_terms():
-    with pytest.raises(ValidationError):
-        PauliExpansion.from_json_dict({"n": 2, "terms": {"XXX": 1.0}})
-    for n in (2.5, True, "2"):  # not truncated or cast to a size
-        with pytest.raises(ValidationError, match="must be an integer"):
-            PauliExpansion.from_json_dict({"n": n, "terms": {"XX": 1.0}})
-
-
-def test_expansion_json_reads_only_numbers_as_coefficients():
-    assert PauliExpansion.from_json_dict(
-        {"n": 2, "terms": {"XX": 1}, "identity": 2}).identity_coeff == 2.0
-    for value in ("0.5", True, None):
-        with pytest.raises(ValidationError, match="must be a number"):
-            PauliExpansion.from_json_dict({"n": 2, "terms": {"XX": value}})
-        with pytest.raises(ValidationError, match="must be a number"):
-            PauliExpansion.from_json_dict({"n": 2, "terms": {}, "identity": value})
-
-
-# ---------------------------------------------------------------------------
 # Sector tags
 
 
@@ -506,7 +417,6 @@ def test_cartan_element_hamiltonian():
         coeffs={PauliString("ZZX"): -0.2, PauliString("11X"): 0.3})
     want = -0.2 * dense("ZZX") + 0.3 * dense("11X")
     assert np.allclose(elem.hamiltonian(), want)
-    assert elem.norm() == pytest.approx(math.hypot(0.2, 0.3))
 
 
 def test_cartan_element_items_in_family_order():
@@ -556,4 +466,3 @@ def test_cartan_element_rejects_non_finite():
 def test_cartan_element_empty_is_zero():
     elem = CartanElement(n=2, family=CartanFamily.DIAGONAL, coeffs={})
     assert np.array_equal(elem.hamiltonian(), np.zeros((4, 4)))
-    assert elem.norm() == 0.0
