@@ -28,6 +28,7 @@ one ``json.dumps`` gives the dict forms with sorted keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -60,10 +61,10 @@ from .simulate import distance, gate_list_unitary, pulse_program_unitary
 
 # Longest chain any subcommand accepts.  Measured round trips through
 # this CLI (`random --seed 100+n`, one BLAS thread, 2-core x86-64
-# machine, one process per command): at 7 spins decompose / pulses /
-# verify of the program take 1.9-2.0 / 1.2-1.6 / 1.5 s; at 8 spins
-# 5.4-6.8 / 3.8-5.1 / 6.2 s, with 18 MB and 27 MB artifacts and at most
-# 256 MB resident (verify; decompose 195 MB, pulses 250 MB).
+# machine, one process per command, three runs): at 7 spins decompose /
+# pulses / verify of the program take 1.3-1.4 / 1.0-1.1 / 1.3-1.4 s; at
+# 8 spins 5.9-7.0 / 4.7-5.0 / 4.4-5.6 s, with 18 MB and 27 MB artifacts
+# and at most 229 MB resident (verify; decompose 185 MB, pulses 223 MB).
 # Larger inputs are rejected with exit 3 before any matrix is built or
 # any factorization starts.
 MAX_CLI_SPINS = 8
@@ -88,7 +89,13 @@ def _check_tol(tol: float) -> None:
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            # arrays or objects nested deeper than the parser can recurse
+            # make an unreadable artifact, not a crash
+            raise json.JSONDecodeError(
+                "nested too deeply to parse", "", 0) from exc
 
 
 def _write_text(path: str, *parts: str) -> None:
@@ -273,7 +280,12 @@ def cmd_selftest(suite: str | None = None) -> int:
 # Argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs
+    about 1 ms, mostly gettext lookups, which is a fifth of a three-spin
+    compile.  ``parse_args`` returns a new namespace on every call, so
+    nothing parsed is shared between calls."""
     parser = argparse.ArgumentParser(
         prog="kakpulse",
         description="Factor unitaries into local rotations plus nearest-"

@@ -5,6 +5,11 @@ Routines validate their inputs, fix deterministic gauges for outputs
 that are only unique up to phases or ordering, and raise
 :class:`~kakpulse.errors.NumericError` rather than returning silently
 inaccurate results.
+
+SciPy is loaded only when a factorization runs: its one use is the
+cosine-sine split of :func:`_cosine_sine_stack`, so importing this
+module, or running the ``random``, ``pulses`` or ``verify`` command,
+does not import it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ import itertools
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (DimensionError, NumericError, ValidationError, _json_int,
                      _on_path)
@@ -294,6 +298,11 @@ def _cosine_sine_stack(us: np.ndarray, paths) -> tuple[np.ndarray, ...]:
     and the first one that fails the check is reported with its entry of
     ``paths``.
     """
+    # imported here, not with the module: importing scipy.linalg is 55-61 %
+    # of a fresh process's import of the CLI (python -X importtime, 180-300
+    # of 305-490 ms), and only this pass uses it
+    import scipy.linalg
+
     m = us.shape[1] // 2
     parts = [scipy.linalg.cossin(u, p=m, q=m, separate=True) for u in us]
     l0, l1, r0, r1 = (np.array([part[side][block] for part in parts], dtype=complex)

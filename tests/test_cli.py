@@ -10,11 +10,13 @@ are a stable contract: 0 success, 1 verification/self-test failure,
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -706,6 +708,88 @@ class TestErrorPaths:
         assert main(["decompose", "--input", str(bad),
                      "--output", str(tmp_path / "d.json")]) == 3
 
+    @pytest.mark.parametrize("slot", ["decompose", "pulses", "verify program",
+                                      "verify target"])
+    def test_deeply_nested_json_is_unreadable(self, tmp_path, capsys, slot):
+        """Arrays nested past the parser's recursion limit are an
+        unreadable artifact (exit 2), wherever a command reads a file."""
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        target, out = make_target(tmp_path), str(tmp_path / "out.json")
+        argv = {
+            "decompose": ["decompose", "--input", str(deep), "--output", out],
+            "pulses": ["pulses", "--input", str(deep), "--output", out],
+            "verify program": ["verify", str(deep), str(target)],
+            "verify target": ["verify", str(target), str(deep)],
+        }[slot]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "unreadable artifact" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_recursion_error_elsewhere_still_raises(self, tmp_path,
+                                                    monkeypatch):
+        """Only reading a file turns a ``RecursionError`` into exit 2; one
+        raised by the pipeline is a bug and surfaces as itself."""
+        def recurse(u):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(kakpulse.cli, "decompose", recurse)
+        with pytest.raises(RecursionError):
+            main(["decompose", "--input", str(make_target(tmp_path)),
+                  "--output", str(tmp_path / "d.json")])
+
+
+class TestParser:
+    """The argument parser is built once per process and holds nothing
+    of a parsed command line."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        kakpulse.cli._build_parser.cache_clear()
+        yield
+        kakpulse.cli._build_parser.cache_clear()
+
+    def test_only_the_first_call_builds(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        target = make_target(tmp_path)
+        first = len(built)
+        assert first > 0
+        d_path = tmp_path / "d.json"
+        assert main(["decompose", "--input", str(target),
+                     "--output", str(d_path)]) == 0
+        assert main(["verify", str(d_path), str(target)]) == 0
+        assert len(built) == first
+
+    def test_a_value_given_once_does_not_leak(self, tmp_path):
+        three = make_target(tmp_path, n=3, name="three.json")
+        two = make_target(tmp_path, n=2, name="two.json")
+        d_path = tmp_path / "d.json"
+        assert main(["decompose", "--input", str(three), "--n", "3",
+                     "--output", str(d_path)]) == 0
+        assert main(["decompose", "--input", str(two),
+                     "--output", str(tmp_path / "d2.json")]) == 0
+
+        off = tmp_path / "off.json"
+        write_matrix(off, matrix_from_json_dict(read_json(three)) * (1 + 3e-8))
+        assert main(["verify", str(d_path), str(off), "--no-check"]) == 0
+        assert main(["verify", str(d_path), str(off)]) == 3
+
+    def test_a_usage_error_leaves_the_next_call_working(self, tmp_path):
+        make_target(tmp_path, name="a.json")
+        with pytest.raises(SystemExit) as info:
+            main(["decompose", "--output", str(tmp_path / "d.json")])
+        assert info.value.code == 2
+        b = make_target(tmp_path, name="b.json")
+        assert (tmp_path / "a.json").read_bytes() == b.read_bytes()
+
 
 def test_module_entry_point(tmp_path):
     """The package under test runs as ``python -m kakpulse.cli`` in a fresh
@@ -724,3 +808,37 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, cwd=tmp_path, env=env)
     assert proc.returncode == 0
     assert "euler" in proc.stdout and "pass" in proc.stdout
+
+
+def test_only_factorization_loads_scipy(tmp_path):
+    """A fresh process imports the package and the CLI, and runs
+    ``random``, ``pulses`` and ``verify``, without loading
+    ``scipy.linalg``; ``decompose`` loads it for the cosine-sine split."""
+    script = """
+import json, sys
+import kakpulse, kakpulse.cli
+from kakpulse.cli import main
+from kakpulse.gates import gate_list_from_json
+from kakpulse.linalg import matrix_to_json_dict
+from kakpulse.simulate import gate_list_unitary
+
+gates = [{"kind": "local", "q": 1, "axis": "x", "angle": 0.5},
+         {"kind": "zz", "pair": [1, 2], "angle": 1.25},
+         {"kind": "local", "q": 3, "axis": "y", "angle": -0.75}]
+json.dump(gates, open("gates.json", "w"))
+json.dump(matrix_to_json_dict(gate_list_unitary(gate_list_from_json(gates), 3)),
+          open("target.json", "w"))
+assert main(["random", "--n", "3", "--seed", "1", "--output", "u.json"]) == 0
+assert main(["pulses", "--input", "gates.json", "--n", "3",
+             "--output", "program.json"]) == 0
+assert main(["verify", "program.json", "target.json"]) == 0
+assert "scipy.linalg" not in sys.modules, "scipy.linalg loaded before decompose"
+assert main(["decompose", "--input", "u.json", "--output", "d.json"]) == 0
+assert "scipy.linalg" in sys.modules, "decompose ran without scipy.linalg"
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
