@@ -54,6 +54,7 @@ from .gates import (
     CouplingEvolution,
     Delay,
     Gate,
+    GateList,
     GlobalPhase,
     HardPulse,
     LocalRotation,
@@ -104,7 +105,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CartanElement", "CartanFamily", "CartanNode", "ChainSpec",
     "CouplingEvolution", "Delay", "DimensionError",
-    "EulerNode", "FidelityReport", "Gate", "GateTree", "GlobalPhase",
+    "EulerNode", "FidelityReport", "Gate", "GateList", "GateTree",
+    "GlobalPhase",
     "HardPulse", "LocalRotation", "NumericError",
     "PauliString", "PauliTerm", "PhaseNode",
     "PulseProgram", "RangeError", "SequenceNode", "Subspace",

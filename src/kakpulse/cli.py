@@ -35,12 +35,9 @@ import sys
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, _json_int
+from .errors import DimensionError, NumericError, ValidationError, _json_int
 from .gates import (
     ChainSpec,
-    CouplingEvolution,
-    GlobalPhase,
-    LocalRotation,
     PulseProgram,
     gate_list_from_json,
     gate_list_spin_bound,
@@ -62,9 +59,10 @@ from .simulate import distance, gate_list_unitary, pulse_program_unitary
 # Longest chain any subcommand accepts.  Measured round trips through
 # this CLI (`random --seed 100+n`, one BLAS thread, 2-core x86-64
 # machine, one process per command, three runs): at 7 spins decompose /
-# pulses / verify of the program take 1.3-1.4 / 1.0-1.1 / 1.3-1.4 s; at
-# 8 spins 5.9-7.0 / 4.7-5.0 / 4.4-5.6 s, with 18 MB and 27 MB artifacts
-# and at most 229 MB resident (verify; decompose 185 MB, pulses 223 MB).
+# pulses / verify of the program take 1.0-1.2 / 0.56-0.60 / 0.72-0.90 s;
+# at 8 spins 4.4-4.5 / 1.7-3.0 / 3.1-4.0 s, with 18 MB and 27 MB
+# artifacts and at most 199 MB resident (verify; decompose 169 MB,
+# pulses 191 MB).
 # Larger inputs are rejected with exit 3 before any matrix is built or
 # any factorization starts.
 MAX_CLI_SPINS = 8
@@ -169,15 +167,10 @@ def cmd_decompose(input_path: str, out_path: str, n: int | None = None,
     _write_text(out_path, '{"gates":', gate_list_to_json_text(gates),
                 f',"n":{spins},"residual":{json.dumps(resid)},"tree":',
                 tree_to_json_text(tree), "}")
-    n_local = n_zz = n_pi = n_phase = 0
-    for g in gates:
-        if isinstance(g, LocalRotation):
-            n_local += 1
-        elif isinstance(g, CouplingEvolution):
-            n_zz += 1
-            n_pi += abs(g.angle) == math.pi
-        elif isinstance(g, GlobalPhase):
-            n_phase += 1
+    kinds = gates.kinds
+    n_pi = sum(kind == "zz" and abs(angle) == math.pi
+               for kind, angle in zip(kinds, gates.angles))
+    n_local, n_zz, n_phase = map(kinds.count, ("local", "zz", "phase"))
     print(f"reconstruction residual {resid:.3e} (budget {budget:.3e})")
     print(f"{n_local} local rotations, {n_zz} coupling evolutions "
           f"({n_pi} at angle pi), {n_phase} phase factors")
@@ -209,7 +202,7 @@ def cmd_pulses(input_path: str, out_path: str, chain: str | None = None,
     _write_text(out_path, program.to_json_text())
     t = total_coupling_time(program)
     print(f"total coupling time {t:.9f} s")
-    print(f"{pulse_count(program)} pulses, {len(program.events)} events, "
+    print(f"{pulse_count(program)} pulses, {len(program.kinds)} events, "
           f"{spec.n}-spin chain")
     return 0
 
@@ -217,12 +210,18 @@ def cmd_pulses(input_path: str, out_path: str, chain: str | None = None,
 def _realize_artifact(path: str, n: int, *, check: bool) -> np.ndarray:
     """Simulate whatever artifact the file at ``path`` holds into an
     ``n``-spin unitary.  The parsed JSON is let go before a simulation
-    starts, so the two do not add up to one memory peak."""
+    starts, so the two do not add up to one memory peak, and a pulse
+    program on a chain of another size is rejected before it is
+    simulated."""
     data = _read_json(path)
     if isinstance(data, dict) and "events" in data:
         program = PulseProgram.from_json_dict(data)
         del data
         _check_spins(program.chain.n, "pulse-program chain")
+        if program.chain.n != n:
+            raise DimensionError(
+                f"the pulse program runs on {program.chain.n} spins, "
+                f"the target acts on {n}")
         return pulse_program_unitary(program)
     if isinstance(data, dict) and "re" in data:
         u = _matrix_from_artifact(data, "artifact matrix")

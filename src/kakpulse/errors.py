@@ -3,7 +3,10 @@ fields that raise them, and the spelling of a number in JSON text."""
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+from collections.abc import Iterator
 
 
 class ValidationError(ValueError):
@@ -88,3 +91,18 @@ def _json_number(value) -> str:
     if type(value) is float and value - value == 0.0:
         return float.__repr__(value)
     return json.dumps(value)
+
+
+def _json_numbers(values: list, chunk: int = 4096) -> Iterator[str]:
+    """:func:`_json_number` of each of ``values``, in order.  A chunk of
+    finite floats, what the writers mostly see, is spelled by one
+    ``repr`` of the chunk, whose C loop calls ``float.__repr__`` on each;
+    only one chunk's spellings are held at a time."""
+    return itertools.chain.from_iterable(
+        _spell_chunk(values[lo:lo + chunk]) for lo in range(0, len(values), chunk))
+
+
+def _spell_chunk(values: list) -> list[str]:
+    if set(map(type, values)) == {float} and math.isfinite(sum(values)):
+        return repr(values)[1:-1].split(", ")
+    return list(map(_json_number, values))

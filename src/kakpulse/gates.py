@@ -13,6 +13,33 @@ list of events on it: hard pulses, which are instantaneous
 lowering in :mod:`~kakpulse.pulses` writes these and the simulator in
 :mod:`~kakpulse.simulate` reads them, so neither depends on the other.
 
+Column forms and views
+----------------------
+A gate list and a pulse program are each held as parallel columns,
+plain Python lists with one entry per gate or event, since every stage
+walks them in a Python loop:
+
+* :class:`GateList`: ``kinds`` (``"local"``, ``"zz"`` or ``"phase"``,
+  as the JSON spells them), ``sites`` (the rotated spin, the left spin
+  ``k`` of the coupled pair ``(k, k+1)``, or 0 for a phase), ``axes``
+  (``"x"``, ``"y"`` or ``"z"``, or None) and ``angles`` (the rotation
+  or coupling angle, or the phase).
+* :class:`PulseProgram`: ``kinds`` (``"pulse"`` or ``"delay"``),
+  ``qubits`` (the pulsed spin, or 0), ``axes`` (or None) and ``values``
+  (the pulse angle, or the delay in seconds), beside its ``chain`` and
+  ``phase``.
+
+The readers check every item as the classes above check their fields,
+with the same messages; the columns the lowering builds are trusted.
+:class:`LocalRotation`, :class:`CouplingEvolution`, :class:`GlobalPhase`
+and :class:`Delay` are views: iterating a :class:`GateList` or reading
+:attr:`PulseProgram.events` builds them on demand, and either column
+form can be built from them.  Every function that takes a gate list
+takes a :class:`GateList` or any iterable of those views.  The dict
+forms (:func:`gate_list_to_json`, :meth:`PulseProgram.to_json_dict`)
+are written from the views, and the text writers write the same text
+from the columns.
+
 Conventions
 -----------
 * ``LocalRotation(q, axis, angle)`` realizes ``exp(-1j * angle * I_axis)``
@@ -33,11 +60,12 @@ Spins are 1-based; spin 1 is the leftmost Kronecker factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from typing import Union
 
 from .errors import (DimensionError, RangeError, ValidationError, _json_array,
-                     _json_float, _json_int, _json_number)
+                     _json_float, _json_int, _json_number, _json_numbers)
 from .linalg import AXES
 
 
@@ -99,24 +127,103 @@ class GlobalPhase:
 Gate = Union[LocalRotation, CouplingEvolution, GlobalPhase]
 
 
-def inverse_gate_list(gates: list[Gate]) -> list[Gate]:
-    """Time-ordered inverse of a time-ordered gate list."""
-    return [g.inverse() for g in reversed(gates)]
+class GateList:
+    """A time-ordered gate list as four parallel columns: ``kinds``,
+    ``sites``, ``axes`` and ``angles`` (see the module docstring).
+
+    ``GateList(gates)`` builds the columns from :data:`Gate` views, and
+    iterating yields the views back; a list of views compares equal to
+    the gate list they make."""
+
+    __slots__ = ("kinds", "sites", "axes", "angles")
+
+    def __init__(self, gates: Iterable[Gate] = ()):
+        self.kinds: list[str] = []
+        self.sites: list[int] = []
+        self.axes: list[str | None] = []
+        self.angles: list[float] = []
+        for g in gates:
+            if isinstance(g, LocalRotation):
+                self.add("local", g.qubit, g.axis, g.angle)
+            elif isinstance(g, CouplingEvolution):
+                self.add("zz", g.left, None, g.angle)
+            elif isinstance(g, GlobalPhase):
+                self.add("phase", 0, None, g.phi)
+            else:
+                raise ValidationError(f"unknown gate object {g!r}")
+
+    @classmethod
+    def _of(cls, kinds, sites, axes, angles) -> "GateList":
+        """The gate list of columns that are already checked."""
+        out = cls.__new__(cls)
+        out.kinds, out.sites, out.axes, out.angles = kinds, sites, axes, angles
+        return out
+
+    def add(self, kind: str, site: int, axis: str | None,
+            angle: float) -> None:
+        """Append one gate, given as its four column entries."""
+        self.kinds.append(kind)
+        self.sites.append(site)
+        self.axes.append(axis)
+        self.angles.append(angle)
+
+    def columns(self) -> tuple[list, list, list, list]:
+        return self.kinds, self.sites, self.axes, self.angles
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, k: int) -> Gate:
+        return _gate_view(self.kinds[k], self.sites[k], self.axes[k],
+                          self.angles[k])
+
+    def __iter__(self):
+        return map(_gate_view, *self.columns())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, GateList):
+            return self.columns() == other.columns()
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"GateList({list(self)!r})"
 
 
-def gate_list_spin_bound(gates: list[Gate]) -> int:
+def _gate_view(kind: str, site: int, axis: str | None, angle: float) -> Gate:
+    if kind == "local":
+        return LocalRotation(site, axis, angle)
+    if kind == "zz":
+        return CouplingEvolution(site, angle)
+    return GlobalPhase(angle)
+
+
+def _as_gate_list(gates: GateList | Iterable[Gate]) -> GateList:
+    """``gates`` itself when it is a :class:`GateList`, else the gate
+    list of its views."""
+    return gates if isinstance(gates, GateList) else GateList(gates)
+
+
+def inverse_gate_list(gates: GateList | Iterable[Gate]) -> GateList:
+    """Time-ordered inverse of a time-ordered gate list: the gates in
+    reverse order, each angle and phase negated."""
+    kinds, sites, axes, angles = _as_gate_list(gates).columns()
+    return GateList._of(kinds[::-1], sites[::-1], axes[::-1],
+                        [-a for a in reversed(angles)])
+
+
+def gate_list_spin_bound(gates: GateList | Iterable[Gate]) -> int:
     """Largest spin index touched (0 for a purely global list)."""
-    top = 0
-    for g in gates:
-        if isinstance(g, LocalRotation):
-            top = max(top, g.qubit)
-        elif isinstance(g, CouplingEvolution):
-            top = max(top, g.left + 1)
-    return top
+    gates = _as_gate_list(gates)
+    return max((site + (kind == "zz")
+                for kind, site in zip(gates.kinds, gates.sites)), default=0)
 
 
-def gate_list_to_json(gates: list[Gate]) -> list[dict]:
-    """Serialize a time-ordered gate list."""
+def gate_list_to_json(gates: GateList | Iterable[Gate]) -> list[dict]:
+    """Serialize a time-ordered gate list, one dict per gate view."""
     out = []
     for g in gates:
         if isinstance(g, LocalRotation):
@@ -132,23 +239,23 @@ def gate_list_to_json(gates: list[Gate]) -> list[dict]:
     return out
 
 
-def gate_list_to_json_text(gates: list[Gate]) -> str:
+def gate_list_to_json_text(gates: GateList | Iterable[Gate]) -> str:
     """``gate_list_to_json(gates)`` as the text ``json.dumps(...,
-    sort_keys=True, separators=(",", ":"))`` makes of it, written one
-    gate at a time with the keys already in sorted order."""
-    num = _json_number
+    sort_keys=True, separators=(",", ":"))`` makes of it, written from
+    the columns one gate at a time with the keys already in sorted
+    order."""
+    kinds, sites, axes, angles = _as_gate_list(gates).columns()
     out = []
-    for g in gates:
-        if isinstance(g, LocalRotation):
-            out.append(f'{{"angle":{num(g.angle)},"axis":"{g.axis}",'
-                       f'"kind":"local","q":{g.qubit}}}')
-        elif isinstance(g, CouplingEvolution):
-            out.append(f'{{"angle":{num(g.angle)},"kind":"zz",'
-                       f'"pair":[{g.left},{g.left + 1}]}}')
-        elif isinstance(g, GlobalPhase):
-            out.append(f'{{"kind":"phase","phi":{num(g.phi)}}}')
+    for kind, site, axis, angle in zip(kinds, sites, axes,
+                                       _json_numbers(angles)):
+        if kind == "local":
+            out.append(f'{{"angle":{angle},"axis":"{axis}",'
+                       f'"kind":"local","q":{site}}}')
+        elif kind == "zz":
+            out.append(f'{{"angle":{angle},"kind":"zz",'
+                       f'"pair":[{site},{site + 1}]}}')
         else:
-            raise ValidationError(f"unknown gate object {g!r}")
+            out.append(f'{{"kind":"phase","phi":{angle}}}')
     return f"[{','.join(out)}]"
 
 
@@ -160,34 +267,89 @@ def _item_error(exc: Exception, what: str, k: int) -> ValidationError:
     return ValidationError(f"malformed {what} at index {k}: {exc}")
 
 
-def gate_list_from_json(data: list[dict]) -> list[Gate]:
+# The view of one JSON item, read field by field in a fixed order, so
+# that the first fault of a malformed item raises the error that names
+# it.  The readers take a well-formed item's fields directly and call
+# these only for an item that is not, or whose numbers need converting.
+
+def _rotation_item(item: dict, what: str) -> LocalRotation:
+    angle = item["angle"]
+    return LocalRotation(_json_int(item["q"], what), str(item["axis"]),
+                         angle if type(angle) is float
+                         else _json_float(angle, "angle"))
+
+
+def _coupling_item(item: dict) -> CouplingEvolution:
+    left, right = (_json_int(v, "coupling spin") for v in
+                   _json_array(item["pair"], "coupling pair"))
+    if right != left + 1:
+        raise ValidationError(
+            f"coupling pair must be adjacent, got [{left}, {right}]")
+    angle = item["angle"]
+    return CouplingEvolution(left, angle if type(angle) is float
+                             else _json_float(angle, "angle"))
+
+
+def _delay_item(item: dict) -> Delay:
+    t = item["t"]
+    return Delay(t if type(t) is float else _json_float(t, "delay t"))
+
+
+def gate_list_from_json(data: list[dict]) -> GateList:
+    """The gate list of a JSON array of gate objects, in columns.
+
+    Each item is checked as its view checks itself, and a fault names
+    the item's index."""
     if not isinstance(data, list):
         raise ValidationError("gate list must be a JSON array")
-    out: list[Gate] = []
+    kinds: list[str] = []
+    sites: list[int] = []
+    axes: list[str | None] = []
+    angles: list[float] = []
+    inf = math.inf
     for k, item in enumerate(data):
         try:
             kind = item["kind"]
             if kind == "local":
-                angle = item["angle"]
-                out.append(LocalRotation(
-                    _json_int(item["q"], "gate spin"), str(item["axis"]),
-                    angle if type(angle) is float else _json_float(angle, "angle")))
+                try:
+                    q, axis, angle = item["q"], item["axis"], item["angle"]
+                    ok = (type(q) is int and q > 0 and axis in AXES
+                          and type(angle) is float and -inf < angle < inf)
+                except KeyError:
+                    ok = False
+                if not ok:
+                    g = _rotation_item(item, "gate spin")
+                    q, axis, angle = g.qubit, g.axis, g.angle
+                kinds.append("local")
+                sites.append(q)
+                axes.append(axis)
             elif kind == "zz":
-                left, right = (_json_int(v, "coupling spin") for v in
-                               _json_array(item["pair"], "coupling pair"))
-                if right != left + 1:
-                    raise ValidationError(
-                        f"coupling pair must be adjacent, got [{left}, {right}]")
-                angle = item["angle"]
-                out.append(CouplingEvolution(left, angle if type(angle) is float
-                                             else _json_float(angle, "angle")))
+                try:
+                    pair, angle = item["pair"], item["angle"]
+                    q = pair[0]
+                    ok = (type(pair) is list and len(pair) == 2
+                          and type(q) is int and q > 0
+                          and type(pair[1]) is int and pair[1] == q + 1
+                          and type(angle) is float and -inf < angle < inf)
+                except (KeyError, TypeError, IndexError):
+                    ok = False
+                if not ok:
+                    g = _coupling_item(item)
+                    q, angle = g.left, g.angle
+                kinds.append("zz")
+                sites.append(q)
+                axes.append(None)
             elif kind == "phase":
-                out.append(GlobalPhase(_json_float(item["phi"], "phase")))
+                angle = GlobalPhase(_json_float(item["phi"], "phase")).phi
+                kinds.append("phase")
+                sites.append(0)
+                axes.append(None)
             else:
                 raise ValidationError(f"unknown gate kind {kind!r}")
+            angles.append(angle)
         except (KeyError, TypeError, ValueError) as exc:
             raise _item_error(exc, "gate", k) from exc
-    return out
+    return GateList._of(kinds, sites, axes, angles)
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +416,65 @@ class Delay:
 PulseEvent = Union[HardPulse, Delay]
 
 
-@dataclass
+def _event_view(kind: str, q: int, axis: str | None, value: float) -> PulseEvent:
+    return HardPulse(q, axis, value) if kind == "pulse" else Delay(value)
+
+
 class PulseProgram:
-    """Time-ordered pulse/delay schedule plus an accumulated global phase."""
+    """Time-ordered pulse/delay schedule plus an accumulated global phase.
 
-    chain: ChainSpec
-    events: list[PulseEvent] = field(default_factory=list)
-    phase: float = 0.0
+    The events are four columns, ``kinds``, ``qubits``, ``axes`` and
+    ``values`` (see the module docstring); ``PulseProgram(chain,
+    events, phase)`` builds them from :data:`PulseEvent` views, and
+    :attr:`events` reads the views back."""
 
-    def __post_init__(self):
-        if not math.isfinite(self.phase):
+    __slots__ = ("chain", "kinds", "qubits", "axes", "values", "phase")
+
+    def __init__(self, chain: ChainSpec, events: Iterable[PulseEvent] = (),
+                 phase: float = 0.0):
+        self.chain = chain
+        self.kinds: list[str] = []
+        self.qubits: list[int] = []
+        self.axes: list[str | None] = []
+        self.values: list[float] = []
+        for e in events:
+            if isinstance(e, HardPulse):
+                self._append("pulse", e.qubit, e.axis, e.angle)
+            elif isinstance(e, Delay):
+                self._append("delay", 0, None, e.duration)
+            else:
+                raise ValidationError(f"unknown event object {e!r}")
+        if not math.isfinite(phase):
             raise ValidationError("program phase must be finite")
+        self.phase = phase
+
+    def _append(self, kind: str, q: int, axis: str | None,
+                value: float) -> None:
+        self.kinds.append(kind)
+        self.qubits.append(q)
+        self.axes.append(axis)
+        self.values.append(value)
+
+    def columns(self) -> tuple[list, list, list, list]:
+        return self.kinds, self.qubits, self.axes, self.values
+
+    @property
+    def events(self) -> list[PulseEvent]:
+        """The events as views, built on each read: changing the list
+        does not change the program."""
+        return list(map(_event_view, *self.columns()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PulseProgram):
+            return NotImplemented
+        return (self.chain == other.chain and self.phase == other.phase
+                and self.columns() == other.columns())
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"PulseProgram(chain={self.chain!r}, events={self.events!r}, "
+                f"phase={self.phase!r})")
 
     def to_json_dict(self) -> dict:
         events = []
@@ -279,45 +489,71 @@ class PulseProgram:
 
     def to_json_text(self) -> str:
         """``to_json_dict()`` as the text ``json.dumps(...,
-        sort_keys=True, separators=(",", ":"))`` makes of it, written one
-        event at a time with the keys already in sorted order."""
-        num = _json_number
+        sort_keys=True, separators=(",", ":"))`` makes of it, written from
+        the columns one event at a time with the keys already in sorted
+        order."""
         events = []
-        for e in self.events:
-            if isinstance(e, HardPulse):
-                events.append(f'{{"angle":{num(e.angle)},"axis":"{e.axis}",'
-                              f'"kind":"pulse","q":{e.qubit}}}')
+        for kind, q, axis, value in zip(self.kinds, self.qubits, self.axes,
+                                        _json_numbers(self.values)):
+            if kind == "pulse":
+                events.append(f'{{"angle":{value},"axis":"{axis}",'
+                              f'"kind":"pulse","q":{q}}}')
             else:
-                events.append(f'{{"kind":"delay","t":{num(e.duration)}}}')
-        couplings = ",".join(map(num, self.chain.couplings))
+                events.append(f'{{"kind":"delay","t":{value}}}')
+        couplings = ",".join(map(_json_number, self.chain.couplings))
         return (f'{{"chain":{{"J":[{couplings}],"n":{self.chain.n}}},'
-                f'"events":[{",".join(events)}],"phase":{num(self.phase)}}}')
+                f'"events":[{",".join(events)}],'
+                f'"phase":{_json_number(self.phase)}}}')
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PulseProgram":
+        """The program of a JSON object, its events in columns.
+
+        Each event is checked as its view checks itself, and a fault
+        names the event's index."""
         try:
             chain = ChainSpec.from_json_dict(data["chain"])
-            events: list[PulseEvent] = []
-            for k, item in enumerate(data.get("events", [])):
+            items = _json_array(data.get("events", []), "program events")
+            kinds: list[str] = []
+            qubits: list[int] = []
+            axes: list[str | None] = []
+            values: list[float] = []
+            inf = math.inf
+            for k, item in enumerate(items):
                 try:
                     kind = item["kind"]
                     if kind == "pulse":
-                        angle = item["angle"]
-                        events.append(HardPulse(
-                            _json_int(item["q"], "pulse spin"), str(item["axis"]),
-                            angle if type(angle) is float
-                            else _json_float(angle, "angle")))
+                        try:
+                            q, axis, value = item["q"], item["axis"], item["angle"]
+                            ok = (type(q) is int and q > 0 and axis in AXES
+                                  and type(value) is float
+                                  and -inf < value < inf)
+                        except KeyError:
+                            ok = False
+                        if not ok:
+                            e = _rotation_item(item, "pulse spin")
+                            q, axis, value = e.qubit, e.axis, e.angle
+                        kinds.append("pulse")
+                        qubits.append(q)
+                        axes.append(axis)
                     elif kind == "delay":
-                        t = item["t"]
-                        events.append(Delay(
-                            t if type(t) is float else _json_float(t, "delay t")))
+                        value = item["t"]
+                        if not (type(value) is float and 0.0 <= value < inf):
+                            value = _delay_item(item).duration
+                        kinds.append("delay")
+                        qubits.append(0)
+                        axes.append(None)
                     else:
                         raise ValidationError(f"unknown event kind {kind!r}")
+                    values.append(value)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise _item_error(exc, "event", k) from exc
-            return cls(chain=chain, events=events,
-                       phase=_json_float(data.get("phase", 0.0), "program phase"))
+            program = cls(chain, (), _json_float(data.get("phase", 0.0),
+                                                 "program phase"))
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ValidationError):
                 raise
             raise ValidationError(f"malformed pulse program: {exc}") from exc
+        program.kinds, program.qubits = kinds, qubits
+        program.axes, program.values = axes, values
+        return program

@@ -47,6 +47,15 @@ Four layers live here:
   commute with allow, and commuting couplings share delays; spin-echo
   refocusing pulses cancel every pair that is not active in a delay.
 
+Gate lists are built and read here as the columns of a
+:class:`~kakpulse.gates.GateList`, and the scheduler writes the columns
+of a :class:`~kakpulse.gates.PulseProgram`; no stage builds an object per
+gate or event.  The family lowering and the ladders fill the columns
+from templates cached per family, spin count, route and set of nonzero
+strings: the gates with the rotated strings' angles left open, filled
+from each element's coefficients (``c`` for a rotation, ``2 * c`` for a
+coupling).
+
 Every gate list built here, by every helper, is in time order: the
 first gate acts first.  Only the tree itself keeps matrix order (the
 children of a ``SequenceNode``), and :func:`flatten` reverses those
@@ -75,17 +84,17 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterable
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, RangeError, ValidationError
-from .gates import (ChainSpec, CouplingEvolution, Delay, Gate, GlobalPhase,
-                    HardPulse, LocalRotation, PulseProgram, inverse_gate_list)
+from .gates import ChainSpec, Gate, GateList, PulseProgram, _as_gate_list
 from .kak import (CartanNode, EulerNode, GateTree, PhaseNode, SequenceNode,
                   decompose, euler_xzx_angles)
 from .linalg import QUATERNION_ONE, quaternion_turn
-from .networks import (TOL_COEFF, Route, closed_route, nonzero_letters,
-                       parity_image, parity_points)
+from .networks import (TOL_COEFF, Route, closed_route, parity_image,
+                       parity_points)
 from .paulis import CartanElement, CartanFamily, PauliString
 
 # Rotations of at most this angle are left out of a gate list: the
@@ -97,9 +106,61 @@ _PI = math.pi
 _HALF_PI = math.pi / 2
 
 
+class _Slot(NamedTuple):
+    """An angle a template leaves open: coefficient ``index`` of the
+    lowered element, doubled when it becomes a coupling angle."""
+
+    index: int
+    doubled: bool
+
+
+# A row is one gate's column entries, (kind, site, axis, angle), whose
+# angle may be a _Slot.
+Row = tuple[str, int, "str | None", "float | _Slot"]
+
+
+class _Template(NamedTuple):
+    """The columns of a lowering whose angles at ``slots``, ``(position,
+    index, doubled)``, are filled from the element's coefficients."""
+
+    kinds: tuple[str, ...]
+    sites: tuple[int, ...]
+    axes: tuple[str | None, ...]
+    angles: tuple[float, ...]
+    slots: tuple[tuple[int, int, bool], ...]
+
+
+def _template(rows: list[Row]) -> _Template:
+    slots = tuple((pos, a.index, a.doubled)
+                  for pos, (_, _, _, a) in enumerate(rows) if type(a) is _Slot)
+    kinds, sites, axes, angles = zip(*rows) if rows else ((), (), (), ())
+    return _Template(kinds, sites, axes,
+                     tuple(0.0 if type(a) is _Slot else a for a in angles),
+                     slots)
+
+
+def _emit(out: GateList, template: _Template, coeffs) -> None:
+    """Append ``template`` to ``out`` with its slots filled from
+    ``coeffs``: ``c``, or ``2 * c`` for a coupling."""
+    kinds, sites, axes, angles = out.columns()
+    kinds.extend(template.kinds)
+    sites.extend(template.sites)
+    axes.extend(template.axes)
+    base = len(angles)
+    angles.extend(template.angles)
+    for pos, index, doubled in template.slots:
+        c = coeffs[index]
+        angles[base + pos] = 2 * c if doubled else c
+
+
+def _inverse_rows(rows) -> list[Row]:
+    return [(kind, site, axis, -angle)
+            for kind, site, axis, angle in reversed(rows)]
+
+
 @functools.lru_cache(maxsize=None)
-def _ladder(letters: str) -> tuple[tuple[Gate, ...], int]:
-    """``(gates, left)`` for a string of weight two or more: a Clifford
+def _ladder(letters: str) -> tuple[tuple[Row, ...], int]:
+    """``(rows, left)`` for a string of weight two or more: a Clifford
     ``W`` whose gates, run in order, carry ``sigma_letters`` to
     ``sigma_(Z@left, Z@left+1)``, so ``exp(-1j*t*sigma_letters)`` is the
     gates, ``exp(-1j*t*Z_left Z_left+1)`` and the gates' inverse.
@@ -113,32 +174,52 @@ def _ladder(letters: str) -> tuple[tuple[Gate, ...], int]:
     Every step maps a Z string to a Z string with sign ``+1``.
     """
     sites = [q + 1 for q, x in enumerate(letters) if x != "1"]
-    out: list[Gate] = [
-        LocalRotation(q, "y", -_HALF_PI) if letters[q - 1] == "X"
-        else LocalRotation(q, "x", _HALF_PI)
+    out: list[Row] = [
+        ("local", q, "y", -_HALF_PI) if letters[q - 1] == "X"
+        else ("local", q, "x", _HALF_PI)
         for q in sites if letters[q - 1] != "Z"]
     while not (len(sites) == 2 and sites[1] == sites[0] + 1):
         q = sites[0]
         if sites[1] == q + 1:
             # fold: Ry(q+1, pi/2), then the ZY half turn
-            out += [LocalRotation(q + 1, "y", _HALF_PI),
-                    LocalRotation(q + 1, "x", _HALF_PI), CouplingEvolution(q, -_PI),
-                    LocalRotation(q + 1, "x", -_HALF_PI)]
+            out += [("local", q + 1, "y", _HALF_PI),
+                    ("local", q + 1, "x", _HALF_PI), ("zz", q, None, -_PI),
+                    ("local", q + 1, "x", -_HALF_PI)]
             sites.pop(0)
         else:
             # gap: the YZ half turn, the XY half turn, Ry(q+1, -pi/2)
-            out += [LocalRotation(q, "x", _HALF_PI), CouplingEvolution(q, _PI),
-                    LocalRotation(q, "x", -_HALF_PI),
-                    LocalRotation(q, "y", -_HALF_PI),
-                    LocalRotation(q + 1, "x", _HALF_PI), CouplingEvolution(q, _PI),
-                    LocalRotation(q + 1, "x", -_HALF_PI),
-                    LocalRotation(q, "y", _HALF_PI),
-                    LocalRotation(q + 1, "y", -_HALF_PI)]
+            out += [("local", q, "x", _HALF_PI), ("zz", q, None, _PI),
+                    ("local", q, "x", -_HALF_PI),
+                    ("local", q, "y", -_HALF_PI),
+                    ("local", q + 1, "x", _HALF_PI), ("zz", q, None, _PI),
+                    ("local", q + 1, "x", -_HALF_PI),
+                    ("local", q, "y", _HALF_PI),
+                    ("local", q + 1, "y", -_HALF_PI)]
             sites[0] = q + 1
     return tuple(out), sites[0]
 
 
-def pauli_evolution_gates(string: PauliString | str, angle: float) -> list[Gate]:
+def _string_rows(letters: str, index: int) -> list[Row]:
+    """Rows of ``exp(-1j * c * B_letters)`` with ``c`` coefficient
+    ``index``: one rotation for a single letter, else the ladder, the
+    coupling of ``2 * c`` and the ladder's inverse."""
+    sites = [q + 1 for q, x in enumerate(letters) if x != "1"]
+    if len(sites) == 1:
+        q = sites[0]
+        return [("local", q, letters[q - 1].lower(), _Slot(index, False))]
+    ladder, left = _ladder(letters)
+    # B_ZZ = 2 IzIz doubles the coupling angle, whose sign the scheduler
+    # handles.
+    return [*ladder, ("zz", left, None, _Slot(index, True)),
+            *_inverse_rows(ladder)]
+
+
+@functools.lru_cache(maxsize=None)
+def _string_template(letters: str) -> _Template:
+    return _template(_string_rows(letters, 0))
+
+
+def pauli_evolution_gates(string: PauliString | str, angle: float) -> GateList:
     """Gates realizing ``exp(-1j * angle * B_string)``.
 
     ``B_string`` is the basis-normalized realization (``sigma/2``), so a
@@ -153,17 +234,10 @@ def pauli_evolution_gates(string: PauliString | str, angle: float) -> list[Gate]
         raise ValidationError("evolution angle must be finite")
     if s.weight == 0:
         raise ValidationError("cannot compile the identity string")
-    if s.weight == 1:
-        site = s.support[0]
-        return [LocalRotation(site, s.letter(site).lower(), angle)]
-    if abs(angle) <= TOL_COEFF:
-        return []
-
-    ladder, left = _ladder(s.letters)
-    # B_ZZ = 2 IzIz doubles the coupling angle, whose sign the scheduler
-    # handles.
-    return [*ladder, CouplingEvolution(left, 2 * angle),
-            *inverse_gate_list(ladder)]
+    out = GateList()
+    if s.weight == 1 or abs(angle) > TOL_COEFF:
+        _emit(out, _string_template(s.letters), (angle,))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,47 +245,79 @@ def pauli_evolution_gates(string: PauliString | str, angle: float) -> list[Gate]
 
 
 @functools.lru_cache(maxsize=None)
-def _cnot_gates(control: int, target: int) -> tuple[Gate, ...]:
-    """Gates, in time order, whose product is ``CNOT(control -> target)``
+def _cnot_rows(control: int, target: int) -> tuple[Row, ...]:
+    """Rows, in time order, whose product is ``CNOT(control -> target)``
     on adjacent spins times ``exp(1j*pi/4)``: a ZX half turn (a ``pi``
     coupling between ``Ry(-pi/2)`` and ``Ry(pi/2)`` on the target), then
     ``Rx(-pi/2)`` on the target and ``Rz(-pi/2)`` on the control."""
-    return (LocalRotation(target, "y", -_HALF_PI),
-            CouplingEvolution(min(control, target), _PI),
-            LocalRotation(target, "y", _HALF_PI),
-            LocalRotation(target, "x", -_HALF_PI),
-            LocalRotation(control, "z", -_HALF_PI))
+    return (("local", target, "y", -_HALF_PI),
+            ("zz", min(control, target), None, _PI),
+            ("local", target, "y", _HALF_PI),
+            ("local", target, "x", -_HALF_PI),
+            ("local", control, "z", -_HALF_PI))
 
 
-def _network_gates(k: int, items: list[tuple[PauliString, float]],
-                   route: Route) -> list[Gate]:
-    """Gates of ``P exp(-1j*H)`` for a ``DIAGONAL`` element, with ``P``
-    the end map of ``route`` (the identity for a closed one): the network
-    with each string rotated once at its step, then one global phase
-    that cancels the CNOTs' ``exp(1j*pi/4)`` factors."""
+def _network_rows(k: int, pattern: tuple[str, ...], route: Route) -> list[Row]:
+    """Rows of ``P exp(-1j*H)`` for a ``DIAGONAL`` element with nonzero
+    strings ``pattern``, with ``P`` the end map of ``route`` (the
+    identity for a closed one): the network with each string rotated
+    once at its step, then one global phase that cancels the CNOTs'
+    ``exp(1j*pi/4)`` factors."""
     points = parity_points(route, k)
-    at_step: dict[int, list[Gate]] = {}
-    for s, c in items:
-        point = points.get(parity_image(s.letters))
+    at_step: dict[int, list[Row]] = {}
+    for index, letters in enumerate(pattern):
+        point = points.get(parity_image(letters))
         if point is None:
-            raise ValidationError(f"route {route} never holds the parity of {s}")
+            raise ValidationError(
+                f"route {route} never holds the parity of {letters}")
         step, site, on_pair = point
         at_step.setdefault(step, []).append(
-            CouplingEvolution(site, 2 * c) if on_pair
-            else LocalRotation(site, "z", c))
-    out: list[Gate] = []
+            ("zz", site, None, _Slot(index, True)) if on_pair
+            else ("local", site, "z", _Slot(index, False)))
+    out: list[Row] = []
     for step, cnot in enumerate(route):
         out.extend(at_step.get(step, ()))
-        out.extend(_cnot_gates(*cnot))
+        out.extend(_cnot_rows(*cnot))
     out.extend(at_step.get(len(route), ()))
     phase = math.remainder(-_PI / 4 * len(route), 2 * _PI)
     if phase:
-        out.append(GlobalPhase(phase))
+        out.append(("phase", 0, None, phase))
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _family_template(family: CartanFamily, k: int, route: Route | None,
+                     pattern: tuple[str, ...]) -> _Template:
+    """The lowering of every element of ``family`` on ``k`` spins whose
+    nonzero strings are ``pattern``, along ``route`` or, without one,
+    one ladder per string."""
+    if route is None:
+        return _template([row for index, letters in enumerate(pattern)
+                          for row in _string_rows(letters, index)])
+    rows = _network_rows(k, pattern, route)
+    if family is CartanFamily.OUTER_X:
+        rows = [("local", k, "y", -_HALF_PI), *rows, ("local", k, "y", _HALF_PI)]
+    return _template(rows)
+
+
+def _emit_element(out: GateList, element: CartanElement,
+                  route: Route | None) -> None:
+    """Append the gates of ``exp(-1j * element)`` to ``out``; see
+    :func:`cartan_evolution_gates`."""
+    items = [(s, c) for s, c in element.items() if abs(c) > TOL_COEFF]
+    network = element.n >= 3 and element.family is not CartanFamily.MAXIMAL
+    if route is not None and not network:
+        raise ValidationError(
+            f"a {element.family.value} element on {element.n} spins takes no route")
+    pattern = tuple(s.letters for s, _ in items)
+    if route is None and items and network:
+        route = closed_route(element.n, pattern)
+    _emit(out, _family_template(element.family, element.n, route, pattern),
+          [c for _, c in items])
+
+
 def cartan_evolution_gates(element: CartanElement,
-                           route: Route | None = None) -> list[Gate]:
+                           route: Route | None = None) -> GateList:
     """Gates for ``exp(-1j * H)`` with ``H`` a commuting-family element;
     coefficients of magnitude at most :data:`TOL_COEFF` are dropped.
 
@@ -226,20 +332,13 @@ def cartan_evolution_gates(element: CartanElement,
     route.  Otherwise (and always for ``MAXIMAL``) the family commutes,
     so the exponential splits into one string evolution per coefficient,
     emitted in canonical family order.
+
+    The gates come from a template cached per family, spin count, route
+    and set of nonzero strings, whose open angles are filled from the
+    coefficients.
     """
-    items = [(s, c) for s, c in element.items() if abs(c) > TOL_COEFF]
-    network = element.n >= 3 and element.family is not CartanFamily.MAXIMAL
-    if route is not None and not network:
-        raise ValidationError(
-            f"a {element.family.value} element on {element.n} spins takes no route")
-    if route is None and items and network:
-        route = closed_route(element.n, nonzero_letters(element))
-    if route is None:
-        return [g for s, c in items for g in pauli_evolution_gates(s, c)]
-    out = _network_gates(element.n, items, route)
-    if element.family is CartanFamily.OUTER_X:
-        turn = LocalRotation(element.n, "y", -_HALF_PI)
-        out = [turn, *out, turn.inverse()]
+    out = GateList()
+    _emit_element(out, element, route)
     return out
 
 
@@ -272,23 +371,35 @@ def _xzx_steps(alpha: float, beta: float,
     return [s for s in steps if abs(s[1]) > TOL_ROTATION], turns
 
 
-def _lower(tree: GateTree) -> list[Gate]:
+def _lower(tree: GateTree) -> GateList:
     """The gates of each node, in time order, before the peephole."""
+    out = GateList()
+    _lower_into(tree, out)
+    return out
+
+
+def _lower_into(tree: GateTree, out: GateList) -> None:
     if isinstance(tree, SequenceNode):
         # children are in matrix order: index 0 acts last
-        return [g for child in reversed(tree.children) for g in _lower(child)]
-    if isinstance(tree, EulerNode):
+        for child in reversed(tree.children):
+            _lower_into(child, out)
+    elif isinstance(tree, EulerNode):
         steps, turns = _xzx_steps(tree.alpha, tree.beta, tree.gamma)
-        return ([LocalRotation(tree.qubit, axis, angle) for axis, angle in steps]
-                + [GlobalPhase(_PI)] * (turns % 2))
-    if isinstance(tree, PhaseNode):
-        return [GlobalPhase(tree.phi)]
-    if isinstance(tree, CartanNode):
-        return cartan_evolution_gates(tree.element, tree.route)
-    raise ValidationError(f"unknown tree node {tree!r}")
+        for axis, angle in steps:
+            out.add("local", tree.qubit, axis, angle)
+        if turns % 2:
+            out.add("phase", 0, None, _PI)
+    elif isinstance(tree, PhaseNode):
+        if not math.isfinite(tree.phi):
+            raise ValidationError("phase must be finite")
+        out.add("phase", 0, None, tree.phi)
+    elif isinstance(tree, CartanNode):
+        _emit_element(out, tree.element, tree.route)
+    else:
+        raise ValidationError(f"unknown tree node {tree!r}")
 
 
-def _merge_local_runs(gates: list[Gate]) -> list[Gate]:
+def _merge_local_runs(gates: GateList | Iterable[Gate]) -> GateList:
     """One pass that shortens the runs of rotations on each spin.
 
     A rotation is held until the next coupling that touches its spin, or
@@ -308,61 +419,67 @@ def _merge_local_runs(gates: list[Gate]) -> list[Gate]:
     Every global phase, the ``-1`` of each folded ``2*pi`` rotation among
     them, goes into one phase factor at the end.
     """
-    out: list[Gate] = []
-    held: dict[int, list[LocalRotation]] = {}
+    out = GateList()
+    kinds, sites, axes, angles = out.columns()
+    held: dict[int, list[tuple[str, float]]] = {}  # by spin: its run
     framed: set[int] = set()  # spins that carry a Z from a folded coupling
     phase = 0.0
     turns = 0
 
     def release(q: int) -> None:
         nonlocal turns
-        run = [g for g in held.pop(q, ()) if abs(g.angle) > TOL_ROTATION]
+        run = [step for step in held.pop(q, ()) if abs(step[1]) > TOL_ROTATION]
         # Two turns about different axes make one turn only when both are
         # half turns, so such a pair is not worth a product.
-        if len(run) > 2 or len(run) == 2 and run[0].axis == run[1].axis:
+        if len(run) > 2 or len(run) == 2 and run[0][0] == run[1][0]:
             product = QUATERNION_ONE
-            for g in run:
-                product = quaternion_turn(product, g.axis, g.angle)
+            for axis, angle in run:
+                product = quaternion_turn(product, axis, angle)
             steps, k = _xzx_steps(*euler_xzx_angles(product))
             if len(steps) < len(run):
-                run = [LocalRotation(q, axis, angle) for axis, angle in steps]
+                run = steps
                 turns += k
-        out.extend(run)
+        for axis, angle in run:
+            kinds.append("local")
+            sites.append(q)
+            axes.append(axis)
+            angles.append(angle)
 
-    for g in gates:
-        if isinstance(g, LocalRotation):
-            if g.qubit in framed and g.axis != "z":
-                g = LocalRotation(g.qubit, g.axis, -g.angle)
-            held.setdefault(g.qubit, []).append(g)
-        elif isinstance(g, CouplingEvolution):
-            r = math.remainder(g.angle, 2 * _PI)
-            m = round((g.angle - r) / (2 * _PI))
+    for kind, q, axis, angle in zip(*_as_gate_list(gates).columns()):
+        if kind == "local":
+            if q in framed and axis != "z":
+                angle = -angle
+            held.setdefault(q, []).append((axis, angle))
+        elif kind == "zz":
+            r = math.remainder(angle, 2 * _PI)
+            m = round((angle - r) / (2 * _PI))
             phase = math.remainder(phase - _HALF_PI * m, 2 * _PI)
             if m % 2:
-                framed ^= set(g.pair)
+                framed ^= {q, q + 1}
             if r:
-                release(g.left)
-                release(g.left + 1)
-                out.append(CouplingEvolution(g.left, r))
-        elif isinstance(g, GlobalPhase):
+                release(q)
+                release(q + 1)
+                kinds.append("zz")
+                sites.append(q)
+                axes.append(None)
+                angles.append(r)
+        else:
             # reduced at every step: a sum that grows to hundreds of
             # radians would carry its rounding into the matrix
-            phase = math.remainder(phase + g.phi, 2 * _PI)
-        else:
-            raise ValidationError(f"unknown gate object {g!r}")
+            phase = math.remainder(phase + angle, 2 * _PI)
     for q in framed:
-        held.setdefault(q, []).append(LocalRotation(q, "z", _PI))
+        held.setdefault(q, []).append(("z", _PI))
     for q in sorted(held):
         release(q)
     phase = math.remainder(phase + _PI * (turns % 2) + _HALF_PI * len(framed),
                            2 * _PI)
     if phase:
-        out.append(GlobalPhase(phase))
+        out.add("phase", 0, None, phase)
     return out
 
 
-def flatten(tree: GateTree) -> list[Gate]:
-    """Lower a gate tree to a gate list.
+def flatten(tree: GateTree) -> GateList:
+    """Lower a gate tree to a gate list, in columns.
 
     Euler leaves become up to three rotations, and commuting-family
     evolutions, the two-spin ``{XX, YY, ZZ}`` middle among them, go
@@ -375,7 +492,7 @@ def flatten(tree: GateTree) -> list[Gate]:
     return _merge_local_runs(_lower(tree))
 
 
-def compile_unitary(u: np.ndarray) -> list[Gate]:
+def compile_unitary(u: np.ndarray) -> GateList:
     """One-call pipeline: factor ``u`` and lower it to gates."""
     return flatten(decompose(u))
 
@@ -421,19 +538,33 @@ class _Frame:
     """Per-spin x-flip state of a program being written: the Pauli frame
     that :func:`~kakpulse.simulate._frame_unitary` tracks when it reads
     the program back.  On a flipped spin, ``sigma_z`` and ``sigma_y``
-    change sign, and so does every coupling with one flipped end."""
+    change sign, and so does every coupling with one flipped end.  The
+    frame appends its pulses and delays to the program's columns."""
 
     def __init__(self, program: PulseProgram):
         self.program = program
+        self.columns = program.columns()
         self.flipped = [False] * (program.chain.n + 1)  # by spin; index 0 unused
         self.pulses = 0
 
     def toggle(self, spins) -> None:
         """One x pi-pulse on each of ``spins``."""
+        kinds, qubits, axes, values = self.columns
+        flipped = self.flipped
         for s in spins:
-            self.flipped[s] = not self.flipped[s]
-            self.program.events.append(HardPulse(s, "x", _PI))
+            flipped[s] = not flipped[s]
+            kinds.append("pulse")
+            qubits.append(s)
+            axes.append("x")
+            values.append(_PI)
         self.pulses += len(spins)
+
+    def delay(self, t: float) -> None:
+        kinds, qubits, axes, values = self.columns
+        kinds.append("delay")
+        qubits.append(0)
+        axes.append(None)
+        values.append(t)
 
     def fix_sign(self, thetas: dict[int, float]) -> None:
         """Toggle the fewest spins that give each pair ``(left, left+1)``
@@ -480,79 +611,71 @@ class _Frame:
         active."""
         self.fix_sign(thetas)
         if len(thetas) == self.program.chain.n - 1:
-            self.program.events.append(Delay(t))
+            self.delay(t)
             return
-        self.program.events.append(Delay(t / 2))
+        self.delay(t / 2)
         self.refocus(thetas)
-        self.program.events.append(Delay(t / 2))
-
-    def rotation(self, g: LocalRotation) -> LocalRotation:
-        """The pulse that realizes ``g`` in this frame."""
-        if g.axis != "x" and self.flipped[g.qubit]:
-            return LocalRotation(g.qubit, g.axis, -g.angle)
-        return g
+        self.delay(t / 2)
 
     def restore(self) -> None:
         """Toggle every spin that is still flipped."""
         self.toggle([q for q, f in enumerate(self.flipped) if f])
 
 
-def _place(gates: list[Gate], chain: ChainSpec) -> tuple[dict, float]:
+def _place(gates: GateList, chain: ChainSpec) -> tuple[dict, float]:
     """ASAP list schedule of a gate list: ``(at, phase)``.
 
     ``at`` maps each start time to the rotations and couplings that
-    start then, in list order; a coupling is ``(left, theta, t)`` with
-    ``theta`` reduced mod ``4*pi`` and nonzero and ``t`` its duration in
-    seconds.  Every coupling's end, ``start + t``, is a key, so the keys
-    are the breakpoints of the schedule.  A gate moves only past gates
-    it commutes with: a coupling waits for the last x or y rotation on
-    its two spins and for the previous coupling on its pair, an x or y
-    rotation for every earlier gate on its spin, and a z rotation only
-    for the last x or y rotation on its spin; ties keep list order.
-    ``phase`` sums the global phases, the ``-1`` of every ``4*pi``
-    removed among them."""
-    n = chain.n
+    start then, in list order; a rotation is its index in the list, a
+    coupling is ``(left, theta, t)`` with ``theta`` reduced mod ``4*pi``
+    and nonzero and ``t`` its duration in seconds.  Every coupling's
+    end, ``start + t``, is a key, so the keys are the breakpoints of the
+    schedule.  A gate moves only past gates it commutes with: a coupling
+    waits for the last x or y rotation on its two spins and for the
+    previous coupling on its pair, an x or y rotation for every earlier
+    gate on its spin, and a z rotation only for the last x or y rotation
+    on its spin; ties keep list order.  ``phase`` sums the global
+    phases, the ``-1`` of every ``4*pi`` removed among them."""
+    n, js = chain.n, chain.couplings
     xy = [0.0] * (n + 1)    # by spin: time of the last x or y rotation
     busy = [0.0] * (n + 1)  # by spin: end of the last gate
     pair_end = [0.0] * n    # by pair: end of the last coupling
     at: dict[float, list] = {0.0: []}
     phase = 0.0
-    for g in gates:
-        if isinstance(g, LocalRotation):
-            q = g.qubit
+    for i, (kind, q, axis, angle) in enumerate(zip(*gates.columns())):
+        if kind == "local":
             if q > n:
                 raise DimensionError(
                     f"gate on spin {q} exceeds chain size {n}")
-            if g.axis == "z":
+            if axis == "z":
                 t = xy[q]
             else:
                 t = xy[q] = busy[q]
-            at.setdefault(t, []).append(g)
-        elif isinstance(g, CouplingEvolution):
-            k = g.left
-            if k + 1 > n:
+            at.setdefault(t, []).append(i)
+        elif kind == "zz":
+            if q + 1 > n:
                 raise DimensionError(
-                    f"coupling on pair {g.pair} exceeds chain size {n}")
-            theta = math.remainder(g.angle, 4 * _PI)
+                    f"coupling on pair {(q, q + 1)} exceeds chain size {n}")
+            theta = math.remainder(angle, 4 * _PI)
             phase = math.remainder(
-                phase + _PI * round((g.angle - theta) / (4 * _PI)), 2 * _PI)
+                phase + _PI * round((angle - theta) / (4 * _PI)), 2 * _PI)
             if theta == 0:
                 continue
-            start = max(xy[k], xy[k + 1], pair_end[k])
-            t = abs(theta) / (2 * _PI * chain.coupling(k))
-            end = pair_end[k] = start + t
-            busy[k], busy[k + 1] = max(busy[k], end), max(busy[k + 1], end)
-            at.setdefault(start, []).append((k, theta, t))
+            start = max(xy[q], xy[q + 1], pair_end[q])
+            t = abs(theta) / (2 * _PI * js[q - 1])
+            end = pair_end[q] = start + t
+            busy[q], busy[q + 1] = max(busy[q], end), max(busy[q + 1], end)
+            at.setdefault(start, []).append((q, theta, t))
             at.setdefault(end, [])
-        elif isinstance(g, GlobalPhase):
-            phase = math.remainder(phase + g.phi, 2 * _PI)
         else:
-            raise ValidationError(f"unknown gate object {g!r}")
+            phase = math.remainder(phase + angle, 2 * _PI)
     return at, phase
 
 
-def synthesize_pulses(gates: list[Gate], chain: ChainSpec) -> PulseProgram:
-    """Lower a time-ordered gate list onto a chain.
+def synthesize_pulses(gates: GateList | Iterable[Gate],
+                      chain: ChainSpec) -> PulseProgram:
+    """Lower a time-ordered gate list onto a chain, as a program in
+    columns.
 
     Local rotations become hard pulses, and each coupling evolution
     runs ``|theta| / (2*pi*J_k)`` of always-on drift.  The angle is first
@@ -579,9 +702,13 @@ def synthesize_pulses(gates: list[Gate], chain: ChainSpec) -> PulseProgram:
     its angle negated, and the program ends by toggling every spin that
     is still flipped.
     """
+    gates = _as_gate_list(gates)
     at, phase = _place(gates, chain)
-    program = PulseProgram(chain=chain)
+    program = PulseProgram(chain)
     frame = _Frame(program)
+    flipped = frame.flipped
+    kinds, qubits, axes, values = frame.columns
+    sites, turn_axes, angles = gates.sites, gates.axes, gates.angles
     thetas: dict[int, float] = {}  # by active pair: its angle
     todo: dict[int, float] = {}    # by active pair: seconds still to run
     ending: dict[float, list[int]] = {}  # by clock time: pairs that end then
@@ -590,8 +717,13 @@ def synthesize_pulses(gates: list[Gate], chain: ChainSpec) -> PulseProgram:
         for k in ending.pop(now, ()):
             del thetas[k], todo[k]
         for item in at[now]:
-            if isinstance(item, LocalRotation):
-                program.events.append(frame.rotation(item))
+            if type(item) is int:
+                # the pulse that realizes the rotation in this frame
+                q, axis, angle = sites[item], turn_axes[item], angles[item]
+                kinds.append("pulse")
+                qubits.append(q)
+                axes.append(axis)
+                values.append(-angle if axis != "x" and flipped[q] else angle)
                 continue
             k, theta, t = item
             if now + t == now:
@@ -618,8 +750,9 @@ def synthesize_pulses(gates: list[Gate], chain: ChainSpec) -> PulseProgram:
 
 def total_coupling_time(program: PulseProgram) -> float:
     """Sum of all delay durations in seconds."""
-    return sum(e.duration for e in program.events if isinstance(e, Delay))
+    return sum(t for kind, t in zip(program.kinds, program.values)
+               if kind == "delay")
 
 
 def pulse_count(program: PulseProgram) -> int:
-    return sum(1 for e in program.events if isinstance(e, HardPulse))
+    return program.kinds.count("pulse")

@@ -13,8 +13,7 @@ import math
 
 import numpy as np
 
-from .gates import (ChainSpec, CouplingEvolution, Delay, GlobalPhase,
-                    LocalRotation)
+from .gates import ChainSpec, CouplingEvolution, GateList, LocalRotation
 from .kak import _canonical_products, _two_spin_stack, decompose, euler_xzx
 from .linalg import expm_skew, haar_unitary, su2_rotation
 from .paulis import (
@@ -221,7 +220,7 @@ def _suite_refocus() -> tuple[bool, str]:
             return False, (f"{what} on chain J={spec.couplings}: residual "
                            f"{resid:.3e} >= 1e-10")
         worst = max(worst, resid)
-        delays = sum(isinstance(e, Delay) for e in program.events)
+        delays = program.kinds.count("delay")
         if gates is every_pair and delays != 1:
             return False, (f"{what} on chain J={spec.couplings}: {delays} "
                            f"delays, not one unrefocused delay")
@@ -286,13 +285,20 @@ def _suite_twospin() -> tuple[bool, str]:
                   f"worst dressing shift {worst_dress:.1e}; CNOT at (pi, 0, 0)")
 
 
-def _in_vocabulary(g, n: int) -> bool:
-    """On-chain local rotation, adjacent coupling or scalar phase factor."""
-    if isinstance(g, LocalRotation):
-        return 1 <= g.qubit <= n and g.axis in "xyz"
-    if isinstance(g, CouplingEvolution):
-        return 1 <= g.left < n  # acts on the adjacent pair (left, left+1)
-    return isinstance(g, GlobalPhase)
+def _outside_vocabulary(gates: GateList, n: int) -> int | None:
+    """Index of the first gate that is not an on-chain local rotation, an
+    adjacent coupling or a scalar phase factor, if any."""
+    for k, (kind, site, axis) in enumerate(zip(gates.kinds, gates.sites,
+                                               gates.axes)):
+        if kind == "local":
+            ok = 1 <= site <= n and axis in ("x", "y", "z")
+        elif kind == "zz":
+            ok = 1 <= site < n  # acts on the adjacent pair (site, site+1)
+        else:
+            ok = kind == "phase"
+        if not ok:
+            return k
+    return None
 
 
 def _suite_recursive() -> tuple[bool, str]:
@@ -303,9 +309,11 @@ def _suite_recursive() -> tuple[bool, str]:
         for seed in range(base, base + count):
             u = haar_unitary(2 ** n, seed, special=True)
             gates = flatten(decompose(u))
-            bad = next((g for g in gates if not _in_vocabulary(g, n)), None)
+            bad = _outside_vocabulary(gates, n)
             if bad is not None:
-                return False, f"{bad!r} is outside the {n}-spin vocabulary, seed {seed}"
+                entry = tuple(column[bad] for column in gates.columns())
+                return False, (f"gate {entry} is outside the {n}-spin "
+                               f"vocabulary, seed {seed}")
             resid = float(np.max(np.abs(gate_list_unitary(gates, n) - u)))
             if resid >= budget:
                 return False, f"residual {resid:.3e} >= {budget:g} at n={n}, seed {seed}"

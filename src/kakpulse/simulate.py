@@ -6,6 +6,17 @@ rotation (a gate or a hard pulse), a coupling gate (``I_z I_z`` on one
 pair) or a delay (``I_z I_z`` on every pair at once, by ``2*pi*J_k*t``
 each), so the full drift is simulated, never an idealized coupling.
 
+The steps are the columns of a :class:`~kakpulse.gates.GateList`
+(without its phases, which the simulator sums apart) or of a
+:class:`~kakpulse.gates.PulseProgram`, read as they are: four parallel
+lists ``(kinds, sites, axes, values)``.  A step of kind ``"local"`` or
+``"pulse"`` is a rotation of spin ``sites[i]`` about ``axes[i]`` by
+``values[i]``; ``"zz"`` is a coupling of the pair ``(sites[i],
+sites[i] + 1)`` by ``values[i]``; ``"delay"`` is a delay of
+``values[i]`` seconds.  The kernel cuts them into stretches by index
+and walks each stretch as slices of the columns, building no object
+per step.
+
 The kernel plans, then applies.  The plan is a walk over the steps, in
 Python, that keeps a Pauli frame.  An x rotation by exactly ``+-pi`` is
 ``-+i`` times a bit flip, so it only toggles its spin in the frame and
@@ -65,14 +76,15 @@ round-trip benchmark re-simulates pulse programs with its own evaluator,
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .gates import (CouplingEvolution, Delay, Gate, GlobalPhase, HardPulse,
-                    LocalRotation, PulseProgram)
+from .gates import Gate, GateList, PulseProgram, _as_gate_list
 from .linalg import (QUATERNION_ONE, apply_local, check_square, kron2,
                      quaternion_matrices, quaternion_turn, spin_count,
                      su2_rotation)
@@ -147,7 +159,8 @@ class _Frame:
         self.out = np.tile(np.eye(2 ** spins, dtype=complex), 2 ** (n - spins))
 
     def walk(self, steps) -> None:
-        """Conjugate each step through the flips and add it to the open
+        """Conjugate each of the step columns ``steps`` (see
+        :func:`_frame_unitary`) through the flips and add it to the open
         runs, closing one when the step does not commute with it."""
         n, spins, rates = self.n, self.spins, self.rates
         flipped, runs = self.flipped, self.runs
@@ -155,34 +168,29 @@ class _Frame:
         quarters, diagonals = self.quarters, self.diagonals
         every = (2 << n) - 2  # bits 1..n
         pi, rotate = math.pi, quaternion_turn
-        delay, coupling = Delay, CouplingEvolution
-        for s in steps:
-            kind = type(s)
+        for kind, q, axis, angle in zip(*steps):
             # a delay acts on every pair, so it only reaches frames that
             # keep all the chain's spins
-            if kind is delay:
+            if kind == "delay":
                 if ops:
                     runs.append(tuple(sorted(ops.items())))
                     ops = {}
                 touched = every
-                t = s.duration
                 for left, rate in enumerate(rates, 1):
                     flip = flipped[left] != flipped[left + 1]
-                    angles[left - 1] += -rate * t if flip else rate * t
+                    angles[left - 1] += -rate * angle if flip else rate * angle
                 continue
-            if kind is coupling:
-                left, angle = s.left, s.angle
-                if left >= n:
-                    raise DimensionError(f"coupling on pair ({left},"
-                                         f"{left + 1}) outside chain of {n}")
-                if left in ops or left + 1 in ops:
+            if kind == "zz":
+                if q >= n:
+                    raise DimensionError(f"coupling on pair ({q},"
+                                         f"{q + 1}) outside chain of {n}")
+                if q in ops or q + 1 in ops:
                     runs.append(tuple(sorted(ops.items())))
                     ops = {}
-                touched |= 3 << left
-                flip = flipped[left] != flipped[left + 1]
-                angles[left - 1] += -angle if flip else angle
+                touched |= 3 << q
+                flip = flipped[q] != flipped[q + 1]
+                angles[q - 1] += -angle if flip else angle
                 continue
-            q, axis, angle = s.qubit, s.axis, s.angle
             if q > n:
                 raise DimensionError(
                     f"rotation on spin {q} outside chain of {n}")
@@ -314,14 +322,19 @@ def _diagonal_basis(n: int) -> np.ndarray:
     return basis
 
 
+def _cut(steps, lo: int, hi: int) -> tuple[list, ...]:
+    """Steps ``lo..hi-1`` of the step columns ``steps``."""
+    return tuple(column[lo:hi] for column in steps)
+
+
 def _frame_unitary(spins: int, steps, rates=(), n: int = 0) -> _Frame:
     """The finished :class:`_Frame` of time-ordered ``steps`` on spins
     ``1..n`` (``n = spins`` unless given), of which the steps leave the
     last ``n - spins`` diagonal.
 
-    A step is a :class:`LocalRotation`, a :class:`CouplingEvolution` or
-    a :class:`Delay`, whose pair ``k`` turns by ``rates[k-1]`` times its
-    duration.
+    ``steps`` are four columns, ``(kinds, sites, axes, values)``, in
+    the walk's step format (see the module docstring); a delay's pair
+    ``k`` turns by ``rates[k-1]`` times its duration.
 
     From :data:`BLOCK_MIN_SPINS` spins up, a stretch of at least
     :data:`BLOCK_MIN_STEPS` steps that is diagonal on spin ``spins`` is
@@ -331,82 +344,91 @@ def _frame_unitary(spins: int, steps, rates=(), n: int = 0) -> _Frame:
     touches them.  Such a stretch of one branch is cut out of a longer
     one whenever it is long enough to be a block by itself, so that the
     steps around it do not double its cost.  Shorter stretches, and
-    every step at fewer spins, go to the frame one by one.
+    every step at fewer spins, go to the frame's walk.
     """
     n = n or spins
     frame = _Frame(spins, n, rates)
     if spins < BLOCK_MIN_SPINS:
         frame.walk(steps)
         return frame.finish()
-    # `stretch` is diagonal on spin `spins`; `touched` is whether it acts
-    # on a spin from `spins` on, and its last `plain` steps do not
-    stretch, touched, plain = [], False, 0
+    # steps lo..i-1 are either a stretch that is diagonal on spin
+    # `spins`, or (`walking`) steps that are not, walked as they come;
+    # `touched` is whether the stretch acts on a spin from `spins` on,
+    # and its last `plain` steps do not
+    lo, walking, touched, plain = 0, False, False, 0
     shortest, pi = BLOCK_MIN_STEPS, math.pi
-    for s in steps:
-        kind = type(s)
-        if kind is Delay:
+    for i, kind, q, axis, value in zip(itertools.count(), *steps):
+        if kind == "delay":
             on = True
-        elif kind is CouplingEvolution:
-            on = s.left + 1 >= spins if s.left < n else None
-        elif s.qubit < spins:
-            stretch.append(s)
-            plain += 1
-            continue
-        elif s.qubit <= n and (s.axis == "z" or s.axis == "x"
-                               and abs(s.angle) == pi):
+        elif kind == "zz":
+            on = q + 1 >= spins if q < n else None
+        elif q < spins:
+            on = False
+        elif q <= n and (axis == "z" or axis == "x" and abs(value) == pi):
             on = True
         else:
             on = None
         if on is None:  # not diagonal on spin `spins`, or off the chain
-            if stretch:
-                _close_stretch(frame, stretch, touched, plain)
-                stretch, touched, plain = [], False, 0
-            frame.walk((s,))
+            if not walking:
+                if lo < i:
+                    _close_stretch(frame, steps, lo, i, touched, plain)
+                lo, walking = i, True
             continue
-        if on and plain >= shortest:
-            _close_stretch(frame, stretch, touched, plain)
-            stretch = []
-        stretch.append(s)
+        if walking:
+            frame.walk(_cut(steps, lo, i))
+            lo, walking, touched, plain = i, False, False, 0
+        elif on and plain >= shortest:
+            _close_stretch(frame, steps, lo, i, touched, plain)
+            lo = i
         if on:
             touched, plain = True, 0
         else:
             plain += 1
-    if stretch:
-        _close_stretch(frame, stretch, touched, plain)
+    end = len(steps[0])
+    if walking:
+        frame.walk(_cut(steps, lo, end))
+    elif lo < end:
+        _close_stretch(frame, steps, lo, end, touched, plain)
     return frame.finish()
 
 
-def _close_stretch(frame: _Frame, stretch: list, touched: bool,
+def _close_stretch(frame: _Frame, steps, lo: int, hi: int, touched: bool,
                    plain: int) -> None:
-    """Add a stretch that is diagonal on the frame's spin ``spins``, whose
-    last ``plain`` steps act on no spin from ``spins`` on: as one block
-    when it is long enough, as two when those steps are."""
-    if BLOCK_MIN_STEPS <= plain < len(stretch):
-        _close_stretch(frame, stretch[:-plain], True, 0)
-        stretch, touched = stretch[-plain:], False
-    if len(stretch) < BLOCK_MIN_STEPS:
-        frame.walk(stretch)
+    """Add steps ``lo..hi-1``, a stretch that is diagonal on the frame's
+    spin ``spins``, whose last ``plain`` steps act on no spin from
+    ``spins`` on: as one block when it is long enough, as two when those
+    steps are."""
+    if BLOCK_MIN_STEPS <= plain < hi - lo:
+        _close_stretch(frame, steps, lo, hi - plain, True, 0)
+        lo, touched = hi - plain, False
+    if hi - lo < BLOCK_MIN_STEPS:
+        frame.walk(_cut(steps, lo, hi))
         return
     spins = frame.spins - 1
-    frame.block(_frame_unitary(spins, stretch, frame.rates,
+    frame.block(_frame_unitary(spins, _cut(steps, lo, hi), frame.rates,
                                frame.n if touched else spins))
 
 
-def gate_list_unitary(gates: list[Gate], n: int) -> np.ndarray:
+def gate_list_unitary(gates: GateList | Iterable[Gate], n: int) -> np.ndarray:
     """Matrix of a time-ordered gate list on ``n`` spins."""
     if n < 1:
         raise ValidationError(f"need at least one spin, got {n}")
+    gates = _as_gate_list(gates)
+    kinds, steps = gates.kinds, gates.columns()
+    # the phases' indices, found by the list's own scan
+    cuts = [-1]
+    for _ in range(kinds.count("phase")):
+        cuts.append(kinds.index("phase", cuts[-1] + 1))
     phase = 0.0
-    steps: list = []
-    for g in gates:
-        if isinstance(g, GlobalPhase):
-            # a scalar commutes with every other step; reduced as it is
-            # added, so a long sum carries no rounding into the matrix
-            phase = math.remainder(phase + g.phi, 2 * math.pi)
-        elif isinstance(g, (LocalRotation, CouplingEvolution)):
-            steps.append(g)
-        else:
-            raise ValidationError(f"unknown gate object {g!r}")
+    for k in cuts[1:]:
+        # a scalar commutes with every other step; reduced as it is
+        # added, so a long sum carries no rounding into the matrix
+        phase = math.remainder(phase + gates.angles[k], 2 * math.pi)
+    if len(cuts) > 1:
+        cuts.append(len(kinds))
+        steps = tuple(list(itertools.chain.from_iterable(
+            column[a + 1:b] for a, b in zip(cuts, cuts[1:])))
+            for column in steps)
     return _frame_unitary(n, steps).unitary(phase)
 
 
@@ -422,11 +444,9 @@ def drift_diagonal(program_chain) -> np.ndarray:
 def pulse_program_unitary(program: PulseProgram) -> np.ndarray:
     """Matrix of a pulse program: hard pulses interleaved with drift."""
     chain = program.chain
-    for e in program.events:
-        if not isinstance(e, (HardPulse, Delay)):
-            raise ValidationError(f"unknown event object {e!r}")
     rates = [2 * math.pi * chain.coupling(left) for left in range(1, chain.n)]
-    return _frame_unitary(chain.n, program.events, rates).unitary(program.phase)
+    return _frame_unitary(chain.n, program.columns(),
+                          rates).unitary(program.phase)
 
 
 @dataclass(frozen=True)

@@ -406,6 +406,40 @@ class TestVerify:
         assert "PASS" not in captured.out and "FAIL" not in captured.out
         assert "JSON array" in captured.err
 
+    @pytest.mark.parametrize("events", ["abc", {"kind": "delay"}, 5],
+                             ids=["string", "object", "number"])
+    def test_events_must_be_an_array(self, artifacts, tmp_path, capsys,
+                                     events):
+        """A program's ``events`` is a JSON array: a string is not read
+        letter by letter, an object not key by key, and a number is not
+        a malformed program of some other kind."""
+        target, _, p_path = artifacts
+        data = read_json(p_path)
+        data["events"] = events
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["verify", str(bad), str(target)]) == 3
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+        assert "program events must be a JSON array" in captured.err
+
+    def test_size_mismatch_is_rejected_before_simulating(
+            self, artifacts, tmp_path, monkeypatch, capsys):
+        """A three-spin program against a two-spin target is invalid
+        input, and the message names both spin counts; the program is
+        not simulated first."""
+        _, _, p_path = artifacts
+        target = make_target(tmp_path, n=2, name="u2.json")
+
+        def never(program):
+            raise AssertionError("the program was simulated")
+
+        monkeypatch.setattr(kakpulse.cli, "pulse_program_unitary", never)
+        assert main(["verify", str(p_path), str(target)]) == 3
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+        assert "runs on 3 spins, the target acts on 2" in captured.err
+
     @pytest.mark.parametrize("which", ["gates", "events"])
     def test_bad_item_is_named_by_its_index(self, artifacts, tmp_path, capsys,
                                             which):

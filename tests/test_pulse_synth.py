@@ -257,7 +257,7 @@ def test_single_string_keeps_its_ladder(family, k):
 
 def test_inverse_gate_list_cancels():
     gates = pauli_evolution_gates("XYZ", 1.3)
-    both = gates + inverse_gate_list(gates)
+    both = [*gates, *inverse_gate_list(gates)]
     got = gate_list_unitary(both, 3)
     assert np.max(np.abs(got - np.eye(8))) < 1e-12
 
@@ -473,10 +473,11 @@ class TestFrameFaults:
         lost = []
 
         def lossy(frame, *args):
-            before = len(frame.program.events)
+            columns = frame.program.columns()
+            before = len(columns[0])
             honest(frame, *args)
-            if not lost and len(frame.program.events) > before:
-                lost.append(frame.program.events.pop(before))
+            if not lost and len(columns[0]) > before:
+                lost.append([column.pop(before) for column in columns])
 
         monkeypatch.setattr(kakpulse.pulses._Frame, method, lossy)
         code, _ = self.round_trip(tmp_path)
