@@ -58,11 +58,11 @@ from .simulate import distance, gate_list_unitary, pulse_program_unitary
 
 # Longest chain any subcommand accepts.  Measured round trips through
 # this CLI (`random --seed 100+n`, one BLAS thread, 2-core x86-64
-# machine, one process per command, three runs): at 7 spins decompose /
-# pulses / verify of the program take 1.0-1.2 / 0.56-0.60 / 0.72-0.90 s;
-# at 8 spins 4.4-4.5 / 1.7-3.0 / 3.1-4.0 s, with 18 MB and 27 MB
-# artifacts and at most 199 MB resident (verify; decompose 169 MB,
-# pulses 191 MB).
+# machine under load, one process per command, three runs): at 7 spins
+# decompose / pulses / verify of the program take 1.8-2.0 / 0.60-0.93 /
+# 1.0-1.3 s; at 8 spins 4.5-6.5 / 2.1-3.2 / 4.8-5.5 s, with 18 MB and
+# 27 MB artifacts and at most 199 MB resident (verify; decompose 172 MB,
+# pulses 196 MB).
 # Larger inputs are rejected with exit 3 before any matrix is built or
 # any factorization starts.
 MAX_CLI_SPINS = 8

@@ -93,13 +93,18 @@ def _json_number(value) -> str:
     return json.dumps(value)
 
 
-def _json_numbers(values: list, chunk: int = 4096) -> Iterator[str]:
+# Floats spelled by one ``repr`` at a time in :func:`_json_numbers`.
+_SPELL_CHUNK = 4096
+
+
+def _json_numbers(values: list) -> Iterator[str]:
     """:func:`_json_number` of each of ``values``, in order.  A chunk of
     finite floats, what the writers mostly see, is spelled by one
     ``repr`` of the chunk, whose C loop calls ``float.__repr__`` on each;
     only one chunk's spellings are held at a time."""
     return itertools.chain.from_iterable(
-        _spell_chunk(values[lo:lo + chunk]) for lo in range(0, len(values), chunk))
+        _spell_chunk(values[lo:lo + _SPELL_CHUNK])
+        for lo in range(0, len(values), _SPELL_CHUNK))
 
 
 def _spell_chunk(values: list) -> list[str]:

@@ -384,6 +384,8 @@ def _lower_into(tree: GateTree, out: GateList) -> None:
         for child in reversed(tree.children):
             _lower_into(child, out)
     elif isinstance(tree, EulerNode):
+        if tree.qubit < 1:
+            raise ValidationError(f"spin index must be >= 1, got {tree.qubit}")
         steps, turns = _xzx_steps(tree.alpha, tree.beta, tree.gamma)
         for axis, angle in steps:
             out.add("local", tree.qubit, axis, angle)
@@ -420,7 +422,7 @@ def _merge_local_runs(gates: GateList | Iterable[Gate]) -> GateList:
     them, goes into one phase factor at the end.
     """
     out = GateList()
-    kinds, sites, axes, angles = out.columns()
+    add = out.add
     held: dict[int, list[tuple[str, float]]] = {}  # by spin: its run
     framed: set[int] = set()  # spins that carry a Z from a folded coupling
     phase = 0.0
@@ -440,10 +442,7 @@ def _merge_local_runs(gates: GateList | Iterable[Gate]) -> GateList:
                 run = steps
                 turns += k
         for axis, angle in run:
-            kinds.append("local")
-            sites.append(q)
-            axes.append(axis)
-            angles.append(angle)
+            add("local", q, axis, angle)
 
     for kind, q, axis, angle in zip(*_as_gate_list(gates).columns()):
         if kind == "local":
@@ -459,10 +458,7 @@ def _merge_local_runs(gates: GateList | Iterable[Gate]) -> GateList:
             if r:
                 release(q)
                 release(q + 1)
-                kinds.append("zz")
-                sites.append(q)
-                axes.append(None)
-                angles.append(r)
+                add("zz", q, None, r)
         else:
             # reduced at every step: a sum that grows to hundreds of
             # radians would carry its rounding into the matrix
@@ -543,28 +539,19 @@ class _Frame:
 
     def __init__(self, program: PulseProgram):
         self.program = program
-        self.columns = program.columns()
         self.flipped = [False] * (program.chain.n + 1)  # by spin; index 0 unused
         self.pulses = 0
 
     def toggle(self, spins) -> None:
         """One x pi-pulse on each of ``spins``."""
-        kinds, qubits, axes, values = self.columns
         flipped = self.flipped
         for s in spins:
             flipped[s] = not flipped[s]
-            kinds.append("pulse")
-            qubits.append(s)
-            axes.append("x")
-            values.append(_PI)
+            self.program.add("pulse", s, "x", _PI)
         self.pulses += len(spins)
 
     def delay(self, t: float) -> None:
-        kinds, qubits, axes, values = self.columns
-        kinds.append("delay")
-        qubits.append(0)
-        axes.append(None)
-        values.append(t)
+        self.program.add("delay", 0, None, t)
 
     def fix_sign(self, thetas: dict[int, float]) -> None:
         """Toggle the fewest spins that give each pair ``(left, left+1)``
@@ -707,7 +694,6 @@ def synthesize_pulses(gates: GateList | Iterable[Gate],
     program = PulseProgram(chain)
     frame = _Frame(program)
     flipped = frame.flipped
-    kinds, qubits, axes, values = frame.columns
     sites, turn_axes, angles = gates.sites, gates.axes, gates.angles
     thetas: dict[int, float] = {}  # by active pair: its angle
     todo: dict[int, float] = {}    # by active pair: seconds still to run
@@ -720,10 +706,8 @@ def synthesize_pulses(gates: GateList | Iterable[Gate],
             if type(item) is int:
                 # the pulse that realizes the rotation in this frame
                 q, axis, angle = sites[item], turn_axes[item], angles[item]
-                kinds.append("pulse")
-                qubits.append(q)
-                axes.append(axis)
-                values.append(-angle if axis != "x" and flipped[q] else angle)
+                program.add("pulse", q, axis,
+                                -angle if axis != "x" and flipped[q] else angle)
                 continue
             k, theta, t = item
             if now + t == now:

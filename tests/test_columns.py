@@ -35,8 +35,11 @@ from kakpulse import (
     gate_list_to_json_text,
     inverse_gate_list,
     pulse_count,
+    flatten,
     total_coupling_time,
+    tree_from_json_dict,
 )
+from kakpulse import errors
 from kakpulse.errors import _json_array, _json_float, _json_int
 
 
@@ -107,9 +110,50 @@ def test_unknown_objects_have_no_columns():
 
 
 def test_events_are_read_as_a_new_list():
+    """``events`` is a list of views built on each read, so changing it
+    leaves the program alone; ``add`` appends to the columns."""
     program = PulseProgram(ChainSpec.uniform(2), [Delay(0.1)])
     program.events.append(Delay(0.2))
     assert program.events == [Delay(0.1)]
+    program.add("pulse", 2, "y", 0.3)
+    assert program.events == [Delay(0.1), HardPulse(2, "y", 0.3)]
+
+
+def test_a_slice_of_a_gate_list_is_a_gate_list():
+    gates = [LocalRotation(1, "x", 0.1), CouplingEvolution(1, 0.2),
+             GlobalPhase(0.3), LocalRotation(2, "z", 0.4)]
+    columns = GateList(gates)
+    for k in (slice(1, 3), slice(None, None, -1), slice(5, 9)):
+        part = columns[k]
+        assert isinstance(part, GateList) and part == gates[k]
+    assert columns[-1] == gates[-1]
+
+
+def test_floats_are_spelled_across_chunk_boundaries(monkeypatch):
+    """The writers spell the floats a chunk at a time; with a chunk of
+    three, ten gates span four chunks, one of them with an integer and
+    one with a NumPy scalar, which are spelled one by one."""
+    monkeypatch.setattr(errors, "_SPELL_CHUNK", 3)
+    angles = [0.1, -0.0, 5e-324, 1e16, 2, 0.5, np.float64(0.25), math.pi,
+              -1e-07, 3.0]
+    gates = [LocalRotation(1 + k % 3, "xyz"[k % 3], a) if k % 2
+             else CouplingEvolution(1 + k % 2, a) for k, a in enumerate(angles)]
+    assert gate_list_to_json_text(gates) == canonical(gate_list_to_json(gates))
+    program = PulseProgram(ChainSpec.uniform(3), [
+        Delay(abs(a)) if k % 2 else HardPulse(2, "x", a)
+        for k, a in enumerate(angles)], 0.7)
+    assert program.to_json_text() == canonical(program.to_json_dict())
+
+
+def test_lowering_checks_the_spin_of_an_euler_leaf():
+    """The lowering writes rotations into the columns unchecked, so an
+    Euler leaf read from JSON with spin 0 is refused there."""
+    leaf = {"node": "euler", "q": 0, "alpha": 0.1, "beta": 0.2, "gamma": 0.3}
+    with pytest.raises(ValidationError, match="spin index must be >= 1, got 0"):
+        flatten(tree_from_json_dict(leaf))
+    with pytest.raises(ValidationError, match="spin index must be >= 1, got 0"):
+        flatten(tree_from_json_dict({"node": "sequence", "children": [
+            {**leaf, "q": 1}, leaf]}))
 
 
 # ---------------------------------------------------------------------------
