@@ -59,10 +59,10 @@ from .simulate import distance, gate_list_unitary, pulse_program_unitary
 # Longest chain any subcommand accepts.  Measured round trips through
 # this CLI (`random --seed 100+n`, one BLAS thread, 2-core x86-64
 # machine under load, one process per command, three runs): at 7 spins
-# decompose / pulses / verify of the program take 1.8-2.0 / 0.60-0.93 /
-# 1.0-1.3 s; at 8 spins 4.5-6.5 / 2.1-3.2 / 4.8-5.5 s, with 18 MB and
-# 27 MB artifacts and at most 199 MB resident (verify; decompose 172 MB,
-# pulses 196 MB).
+# decompose / pulses / verify of the program take 1.4-1.9 / 0.87-0.92 /
+# 1.2-1.6 s; at 8 spins 5.2-6.0 / 2.5-3.0 / 4.9-5.9 s, with 18 MB and
+# 27 MB artifacts and at most 199 MB resident (verify; decompose 143 MB,
+# pulses 192 MB).
 # Larger inputs are rejected with exit 3 before any matrix is built or
 # any factorization starts.
 MAX_CLI_SPINS = 8

@@ -99,15 +99,25 @@ _SPELL_CHUNK = 4096
 
 def _json_numbers(values: list) -> Iterator[str]:
     """:func:`_json_number` of each of ``values``, in order.  A chunk of
-    finite floats, what the writers mostly see, is spelled by one
-    ``repr`` of the chunk, whose C loop calls ``float.__repr__`` on each;
-    only one chunk's spellings are held at a time."""
+    finite floats, what the writers mostly see, spells each distinct
+    value once, by one ``repr`` of the distinct values, whose C loop
+    calls ``float.__repr__`` on each (a program repeats most of its
+    angles and delays); only one chunk's spellings are held at a time."""
     return itertools.chain.from_iterable(
         _spell_chunk(values[lo:lo + _SPELL_CHUNK])
         for lo in range(0, len(values), _SPELL_CHUNK))
 
 
 def _spell_chunk(values: list) -> list[str]:
-    if set(map(type, values)) == {float} and math.isfinite(sum(values)):
-        return repr(values)[1:-1].split(", ")
-    return list(map(_json_number, values))
+    if set(map(type, values)) != {float} or not math.isfinite(sum(values)):
+        return list(map(_json_number, values))
+    distinct = list(dict.fromkeys(values))
+    spelling = dict(zip(distinct, repr(distinct)[1:-1].split(", ")))
+    out = list(map(spelling.__getitem__, values))
+    if 0.0 in spelling:
+        # -0.0 == 0.0, so the two zeros share a key: spell each zero itself
+        i = -1
+        for _ in range(values.count(0.0)):
+            i = values.index(0.0, i + 1)
+            out[i] = float.__repr__(values[i])
+    return out

@@ -74,8 +74,8 @@ The recursion goes one depth at a time, since every sub-problem at a
 depth has the same size (:func:`_decompose_depth`).  The depth is
 screened (one stacked unitarity check and Kronecker screen) and each
 problem picks its route.  All generic problems are split in one stacked
-cosine-sine pass (:func:`_split_stack`; ``scipy.linalg.cossin`` is the
-one call left per problem), every block pair of the depth is
+cosine-sine pass (:func:`_split_stack`, in NumPy with one stacked
+``svd`` for the whole depth), every block pair of the depth is
 demultiplexed in another (:func:`_demultiplex_stack`, with one stacked
 ``eigh`` per golden-mix candidate), and the depth decides its open
 layers, with the interaction sums of all their two-spin neighbours from
@@ -85,10 +85,11 @@ spins, 4,096 at eight) are factored in one stacked pass
 (:func:`_two_spin_leaves`), each move into the canonical chamber a
 masked update of the stack (:func:`_chamber`).  Last, each level
 composes its tree and matrix from its factors' results.  Stacked
-``matmul``, ``det``, ``eigh``, ``eigvals``, ``einsum`` and elementwise
-calls give each matrix the bits its own call would (as checked with
-NumPy 2.4 on OpenBLAS), and scalars stay ``cmath`` scalars, so the
-trees are those a depth-first recursion builds, bit for bit.
+``matmul``, ``det``, ``eigh``, ``eigvals``, ``svd``, ``einsum`` and
+elementwise calls give each matrix the bits its own call would (as
+checked with NumPy 2.4 on OpenBLAS), and scalars stay ``cmath``
+scalars, so the trees are those a depth-first recursion builds, bit
+for bit.
 
 Every level returns its tree together with that tree's matrix: a
 one-spin leaf's is its node applied to the identity, a two-spin leaf's

@@ -1,15 +1,11 @@
 """Dense linear-algebra kernel: validated unitary factorizations.
 
-Everything here is plain numpy/scipy with explicit accuracy contracts.
-Routines validate their inputs, fix deterministic gauges for outputs
-that are only unique up to phases or ordering, and raise
-:class:`~kakpulse.errors.NumericError` rather than returning silently
-inaccurate results.
-
-SciPy is loaded only when a factorization runs: its one use is the
-cosine-sine split of :func:`_cosine_sine_stack`, so importing this
-module, or running the ``random``, ``pulses`` or ``verify`` command,
-does not import it.
+Everything here is plain NumPy with explicit accuracy contracts, the
+cosine-sine split of :func:`_cosine_sine_stack` included: the package
+does not use SciPy.  Routines validate their inputs, fix deterministic
+gauges for outputs that are only unique up to phases or ordering, and
+raise :class:`~kakpulse.errors.NumericError` rather than returning
+silently inaccurate results.
 """
 
 from __future__ import annotations
@@ -28,6 +24,9 @@ TOL_CSD = 1e-9
 # Cosine-sine angles within this of 0 or pi/2 count as exact ones, whose
 # columns carry a free gauge that :func:`_cosine_sine_stack` fixes.
 TOL_GAUGE = 1e-12
+# On such columns, the fit of l1 to l0 needs the smallest singular value
+# of l1^dagger l0 above this.
+_TOL_FIT = 1e-6
 
 _GOLDEN = 0.6180339887498949
 # :func:`_unitary_eig_stack` accepts a basis whose residual and eigenvalue
@@ -277,6 +276,64 @@ def _cosine_sine_products(l0, l1, theta, r0, r1) -> np.ndarray:
     return out
 
 
+def _nearest_standard_basis(q: np.ndarray) -> np.ndarray:
+    """The orthonormal basis of the span of the ``(d, k)`` orthonormal
+    columns ``q`` closest to ``k`` standard basis vectors.
+
+    The vectors are picked greedily, each the one of largest projection
+    onto what the earlier picks leave of the span (pivoted Gram-Schmidt;
+    a tie goes to the lowest index), and the basis is ``q`` times the
+    polar factor of ``q^dagger E`` for the picked vectors ``E`` in index
+    order, the orthogonal Procrustes fit.  It depends only on the span,
+    not on the basis ``q`` spells it in.
+    """
+    coords = q.conj().T.copy()  # column i: the projection of e_i
+    picks = []
+    for _ in range(q.shape[1]):
+        norms = np.linalg.norm(coords, axis=0)
+        i = int(np.flatnonzero(norms >= norms.max() - 1e-9)[0])
+        picks.append(i)
+        x = coords[:, i] / norms[i]
+        coords -= np.outer(x, x.conj() @ coords)
+    a, _, bh = np.linalg.svd(q.conj().T[:, sorted(picks)])
+    return q @ (a @ bh)
+
+
+def _split_factors(u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The cosine-sine factors ``(l0, l1, theta, r0, r1)`` of each
+    unitary of a ``(k, 2m, 2m)`` stack, before any gauge is fixed: the
+    split proper of :func:`_cosine_sine_stack`, one stacked SVD and a few
+    stacked products, with no per-matrix call."""
+    count, m = len(u), u.shape[1] // 2
+    # singular values fall, so the sine block's reversed pair with the
+    # cosine block's, in ascending angle
+    uu, sv, vh = np.linalg.svd(np.concatenate([u[:, :m, :m], u[:, m:, :m]]))
+    theta = np.arctan2(sv[count:, ::-1], sv[:count])
+    lo, hi = math.pi / 8, 3 * math.pi / 8
+    clipped = np.clip(theta, lo, hi)
+    gaps = np.empty((count, m + 1))
+    gaps[:, 0], gaps[:, -1] = clipped[:, 0] - lo, hi - clipped[:, -1]
+    np.subtract(clipped[:, 1:], clipped[:, :-1], out=gaps[:, 1:-1])
+    from_sine = np.arange(m) < gaps.argmax(axis=1)[:, None]
+
+    r0 = np.where(from_sine[:, :, None], vh[count:, ::-1], vh[:count])
+    # each left block's columns rotated by r0 and normalized, where that
+    # block's singular vectors were not taken: their lengths, the cosines
+    # of the sine block's angles (below 3pi/8) and the sines of the
+    # cosine block's (above pi/8), are well away from 0
+    rotated = (u[:, :, :m] @ r0.conj().swapaxes(1, 2)).reshape(count, 2, m, m)
+    lengths = np.sqrt(np.square(np.abs(rotated)).sum(axis=2))
+    lengths[:, 0][~from_sine] = lengths[:, 1][from_sine] = 1.0
+    rotated /= lengths[:, :, None, :]
+    left = from_sine[:, None, :]
+    l0 = np.where(left, rotated[:, 0], uu[:count])
+    l1 = np.where(left, uu[count:, :, ::-1], rotated[:, 1])
+    c, s = np.cos(theta), np.sin(theta)
+    r1 = np.where((s > c)[:, :, None], -(l0.conj().swapaxes(1, 2) @ u[:, :m, m:]),
+                  l1.conj().swapaxes(1, 2) @ u[:, m:, m:]) / np.maximum(s, c)[:, :, None]
+    return l0, l1, theta, r0, r1
+
+
 def _cosine_sine_stack(us: np.ndarray, paths) -> tuple[np.ndarray, ...]:
     """Balanced cosine-sine factorization of each unitary of a
     ``(k, 2m, 2m)`` stack, as the stacks
@@ -286,56 +343,89 @@ def _cosine_sine_stack(us: np.ndarray, paths) -> tuple[np.ndarray, ...]:
     ascending in ``[0, pi/2]``.  The inputs must be unitary (callers
     check them).
 
-    ``scipy.linalg.cossin`` runs once per matrix, and a deterministic
-    gauge is fixed over the whole stack: each column of ``l0`` has its
-    first nonzero entry real positive (the compensating phases go into
-    the columns of ``l1`` and the rows of ``r0`` and ``r1``, which
-    leaves the product unchanged because diagonal phases commute with
-    the middle factor).  On the columns whose angle is 0 or pi/2, ``l1``
-    is the one closest to ``l0``, so a global phase of ``u`` does not
-    change that gauge.  The factors must rebuild ``u`` within
-    :data:`TOL_CSD`.  Each matrix gets the bits a stack of one gives it,
-    and the first one that fails the check is reported with its entry of
-    ``paths``.
+    The split runs on the whole stack at once, with no per-matrix call,
+    and keeps full accuracy where a split loses it (tiny sines, tiny
+    cosines, clustered angles).  Each ``u`` is first divided by the
+    phase of its largest entry, which goes back into ``r0`` and ``r1``,
+    so a global phase of ``u`` changes neither ``l0``, ``l1``, ``theta``
+    nor the exact zeros of a structured input.  Then, with ``u11``,
+    ``u12``, ``u21`` and ``u22`` its blocks:
+
+    * One stacked SVD of ``u11`` and ``u21`` gives the cosines and the
+      sines, and ``theta = arctan2(s, c)``.  The rows of ``r0`` come from
+      the right singular vectors of ``u21`` below a cut and from those of
+      ``u11`` above it, each where its singular values are well apart.
+      The cut is the widest gap between the angles clipped to
+      ``[pi/8, 3pi/8]``, so a cluster of (near-)equal angles comes from
+      one source, and the two sources meet across a gap of at least
+      ``pi / (4 (m + 1))``.
+    * Where ``r0`` comes from ``u11``, the left singular vectors of
+      ``u11`` are ``l0``, and ``l1`` is ``u21 @ r0^dagger`` with its
+      columns normalized, their lengths the sines, above ``sin(pi/8)``;
+      where it comes from ``u21``, the other way round.  So a tiny
+      cosine or sine never divides, and its vector, orthogonal to the
+      others, keeps full accuracy.
+    * Each row of ``r1`` comes from whichever right block is larger
+      there: ``-l0^dagger u12 / s`` or ``l1^dagger u22 / c``.
+
+    This is :func:`_split_factors`.
+
+    Deterministic gauges follow.  On each cluster of angles within
+    :data:`TOL_GAUGE` of 0 or of pi/2, where the columns of ``l0`` carry
+    a unitary gauge of their own, ``l0`` takes the basis of their span
+    closest to standard basis vectors (:func:`_nearest_standard_basis`),
+    paid back on the rows of ``r0`` (at 0) or ``r1`` (at pi/2); so the
+    tree does not depend on the basis the SVD picked there.  Then each
+    column of ``l0`` has its first nonzero entry real positive (the
+    compensating phases go into the columns of ``l1`` and the rows of
+    ``r0`` and ``r1``, which leaves the product unchanged because
+    diagonal phases commute with the middle factor).  On those clusters
+    ``l1`` is the one closest to ``l0`` where that fit is determined.
+    The factors must rebuild ``u`` within :data:`TOL_CSD`.  Each matrix
+    gets the bits a stack of one gives it, and the first one that fails
+    the check is reported with its entry of ``paths``.
     """
-    # imported here, not with the module: importing scipy.linalg is 55-61 %
-    # of a fresh process's import of the CLI (python -X importtime, 180-300
-    # of 305-490 ms), and only this pass uses it
-    import scipy.linalg
+    count, m = len(us), us.shape[1] // 2
+    flat = us.reshape(count, -1)
+    peak = flat[np.arange(count), np.abs(flat).argmax(axis=1)]
+    phase = (peak / np.abs(peak))[:, None, None]
+    l0, l1, theta, r0, r1 = _split_factors(us * phase.conj())
 
-    m = us.shape[1] // 2
-    parts = [scipy.linalg.cossin(u, p=m, q=m, separate=True) for u in us]
-    l0, l1, r0, r1 = (np.array([part[side][block] for part in parts], dtype=complex)
-                      for side, block in ((0, 0), (0, 1), (2, 0), (2, 1)))
-    theta = np.array([np.atleast_1d(part[1]) for part in parts], dtype=float)
-
-    order = np.argsort(np.round(theta, 14), axis=1, kind="stable")
-    rows = np.arange(len(us))[:, None]
-    theta = theta[rows, order]
-    l0, l1 = (x.swapaxes(1, 2)[rows, order].swapaxes(1, 2) for x in (l0, l1))
-    r0, r1 = (x[rows, order] for x in (r0, r1))
+    zero, right = theta <= TOL_GAUGE, theta >= math.pi / 2 - TOL_GAUGE
+    gauged = np.flatnonzero((zero | right).any(axis=1))
+    for i in gauged:
+        for cols, partner in ((zero[i], r0[i]), (right[i], r1[i])):
+            if cols.any():
+                basis = _nearest_standard_basis(l0[i][:, cols])
+                partner[cols, :] = (basis.conj().T @ l0[i][:, cols]) @ partner[cols, :]
+                l0[i][:, cols] = basis
 
     # column phase gauge from l0: its first entry above 1e-9 (a unit
     # column has one), divided by its modulus as hypot, which gives the
     # bits of the scalar abs
+    rows = np.arange(count)[:, None]
     first = (np.abs(l0) > 1e-9).argmax(axis=1)
     pivot = l0.swapaxes(1, 2)[rows, np.arange(m), first]
     ph = pivot / np.hypot(pivot.real, pivot.imag)
     l0 *= ph.conj()[:, None, :]
     l1 *= ph.conj()[:, None, :]
-    r0 *= ph[:, :, None]
-    r1 *= ph[:, :, None]
+    r0 *= ph[:, :, None] * phase
+    r1 *= ph[:, :, None] * phase
 
     # Where an angle is 0 the middle keeps the blocks apart, and where it
     # is pi/2 it swaps them, so l1's columns there carry a unitary gauge
     # of their own, paid back on the partner rows of r1 or r0.  Fit it to
     # l0 (orthogonal Procrustes: the polar factor of l1^dagger l0), so
-    # that it does not follow whatever gauge LAPACK returned.
-    zero, right = theta <= TOL_GAUGE, theta >= math.pi / 2 - TOL_GAUGE
-    for i in np.flatnonzero((zero | right).any(axis=1)):
+    # that it does not follow the basis the split happened to pick.  A
+    # singular l1^dagger l0 (as when the two spans are orthogonal, on a
+    # permutation) does not fix the fit, whose polar factor would only
+    # turn rounding noise into a basis, so l1 keeps the split's there.
+    for i in gauged:
         for cols, partner in ((zero[i], r1[i]), (right[i], r0[i])):
             if cols.any():
-                a, _, bh = np.linalg.svd(l1[i][:, cols].conj().T @ l0[i][:, cols])
+                a, sv, bh = np.linalg.svd(l1[i][:, cols].conj().T @ l0[i][:, cols])
+                if sv[-1] <= _TOL_FIT:
+                    continue
                 g = a @ bh
                 l1[i][:, cols] = l1[i][:, cols] @ g
                 partner[cols, :] = g.conj().T @ partner[cols, :]

@@ -844,10 +844,10 @@ def test_module_entry_point(tmp_path):
     assert "euler" in proc.stdout and "pass" in proc.stdout
 
 
-def test_only_factorization_loads_scipy(tmp_path):
-    """A fresh process imports the package and the CLI, and runs
-    ``random``, ``pulses`` and ``verify``, without loading
-    ``scipy.linalg``; ``decompose`` loads it for the cosine-sine split."""
+def test_no_command_loads_scipy(tmp_path):
+    """A fresh process imports the package and the CLI and runs every
+    command, ``decompose`` and the factoring self-test suites included,
+    without loading ``scipy``: the cosine-sine split is NumPy."""
     script = """
 import json, sys
 import kakpulse, kakpulse.cli
@@ -862,13 +862,17 @@ gates = [{"kind": "local", "q": 1, "axis": "x", "angle": 0.5},
 json.dump(gates, open("gates.json", "w"))
 json.dump(matrix_to_json_dict(gate_list_unitary(gate_list_from_json(gates), 3)),
           open("target.json", "w"))
-assert main(["random", "--n", "3", "--seed", "1", "--output", "u.json"]) == 0
-assert main(["pulses", "--input", "gates.json", "--n", "3",
-             "--output", "program.json"]) == 0
-assert main(["verify", "program.json", "target.json"]) == 0
-assert "scipy.linalg" not in sys.modules, "scipy.linalg loaded before decompose"
+assert main(["random", "--n", "4", "--seed", "1", "--output", "u.json"]) == 0
 assert main(["decompose", "--input", "u.json", "--output", "d.json"]) == 0
-assert "scipy.linalg" in sys.modules, "decompose ran without scipy.linalg"
+assert main(["pulses", "--input", "d.json", "--output", "program.json"]) == 0
+assert main(["verify", "program.json", "u.json"]) == 0
+assert main(["pulses", "--input", "gates.json", "--n", "3",
+             "--output", "program3.json"]) == 0
+assert main(["verify", "program3.json", "target.json"]) == 0
+for suite in ("twospin", "recursive"):
+    assert main(["selftest", "--suite", suite]) == 0
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
 """
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -145,6 +145,22 @@ def test_floats_are_spelled_across_chunk_boundaries(monkeypatch):
     assert program.to_json_text() == canonical(program.to_json_dict())
 
 
+def test_repeated_floats_are_spelled_once_and_both_zeros_apart():
+    """A chunk spells each distinct float once; ``-0.0 == 0.0``, so the
+    two zeros share one key there and each is spelled by itself."""
+    angles = [0.5, -0.0, 0.0, 0.5, -0.0, math.pi, 0.0, 0.5, -math.pi, 0.0, -0.0]
+    assert list(errors._json_numbers(angles)) == [json.dumps(a) for a in angles]
+    assert list(errors._json_numbers([0.0, 0.0])) == ["0.0", "0.0"]
+    assert list(errors._json_numbers([-0.0])) == ["-0.0"]
+    gates = [LocalRotation(1, "x", a) if k % 2 else CouplingEvolution(1, a)
+             for k, a in enumerate(angles)]
+    assert gate_list_to_json_text(gates) == canonical(gate_list_to_json(gates))
+    program = PulseProgram(ChainSpec.uniform(2), [
+        Delay(abs(a)) if k % 3 == 0 else HardPulse(2, "y", a)
+        for k, a in enumerate(angles)], -0.0)
+    assert program.to_json_text() == canonical(program.to_json_dict())
+
+
 def test_lowering_checks_the_spin_of_an_euler_leaf():
     """The lowering writes rotations into the columns unchecked, so an
     Euler leaf read from JSON with spin 0 is refused there."""

@@ -842,24 +842,24 @@ def three_spin_path(problem):
 @pytest.mark.parametrize("problem", [4, 6, 14])
 def test_a_failing_split_in_the_stacked_pass_names_its_path(problem, monkeypatch):
     """One cosine-sine split of the five-spin target's three-spin depth,
-    its ``l0`` knocked off by 2e-6, fails the stacked reconstruction
-    check, with all 16 splits of that depth in one stack; the error
-    names that problem's blocks, not its batch-mates'."""
+    its ``l0`` knocked off by 2e-6 as the split computes it, fails the
+    stacked reconstruction check, with all 16 splits of that depth in
+    one stack; the error names that problem's blocks, not its
+    batch-mates'."""
     assert three_spin_path(problem) != three_spin_path(problem - 1)
-    honest, calls = scipy.linalg.cossin, []
+    honest, stacks = kakpulse.linalg._split_factors, []
 
-    def knocked(u, **kwargs):
-        (l0, l1), theta, (r0, r1) = honest(u, **kwargs)
-        if u.shape == (8, 8):
-            if len(calls) == problem:
-                l0 = l0 @ np.kron(su2_rotation("x", 2e-6), np.eye(2))
-            calls.append(u)
-        return (l0, l1), theta, (r0, r1)
+    def knocked(u):
+        l0, l1, theta, r0, r1 = honest(u)
+        if u.shape[1:] == (8, 8):
+            stacks.append(len(u))
+            l0[problem] = l0[problem] @ np.kron(su2_rotation("x", 2e-6), np.eye(2))
+        return l0, l1, theta, r0, r1
 
-    monkeypatch.setattr(scipy.linalg, "cossin", knocked)
+    monkeypatch.setattr(kakpulse.linalg, "_split_factors", knocked)
     with pytest.raises(NumericError, match="cosine-sine") as info:
         decompose(haar_unitary(32, 105, special=True))
-    assert len(calls) == 16  # the whole depth went through one stack
+    assert stacks == [16]  # the whole depth went through one stack
     assert info.value.path == three_spin_path(problem) + ("n=3",)
     assert 5e-7 < info.value.residual < 5e-6
 
