@@ -89,11 +89,10 @@ def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except RecursionError as exc:
-            # arrays or objects nested deeper than the parser can recurse
-            # make an unreadable artifact, not a crash
-            raise json.JSONDecodeError(
-                "nested too deeply to parse", "", 0) from exc
+        except (RecursionError, UnicodeDecodeError) as exc:
+            # arrays or objects nested deeper than the parser can recurse,
+            # and bytes that are not UTF-8, make an unreadable artifact
+            raise json.JSONDecodeError(str(exc), "", 0) from exc
 
 
 def _write_text(path: str, *parts: str) -> None:

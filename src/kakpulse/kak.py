@@ -628,9 +628,9 @@ class PhaseNode:
 class CartanNode:
     """Evolution ``exp(-1j*H)`` under one commuting-family element.
 
-    A ``DIAGONAL`` or ``OUTER_X`` layer on three or more spins may record
-    the open parity network it is lowered along
-    (:data:`~kakpulse.networks.OPEN_ROUTES`).  The node is then
+    A ``DIAGONAL`` or ``OUTER_X`` layer on three or more spins, and no
+    other, may record the open parity network it is lowered along
+    (:func:`~kakpulse.networks.open_route`).  The node is then
     ``P exp(-1j*H)``, with ``P`` the permutation of basis states that the
     route's end map ``diag(A, 1)`` makes, and the factor that acts next
     carries ``P``'s inverse.
@@ -641,9 +641,7 @@ class CartanNode:
 
     def __post_init__(self):
         if self.route is not None:
-            if self.element.family is CartanFamily.MAXIMAL:
-                raise ValidationError("a maximal-family layer takes no route")
-            check_route(self.route, self.element.n)
+            check_route(self.route, self.element)
 
 
 @dataclass(frozen=True)

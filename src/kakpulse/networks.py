@@ -10,24 +10,23 @@ bit ``q - 1`` for spin ``q``, and each string is rotated once where the
 network holds its parity.  A route is a tuple of ``(control, target)``
 CNOTs in time order.
 
-Two kinds of route:
+Each ``k`` has one route, :func:`full_route`, that holds every such parity
+and ends in the identity, and a layer is lowered along a cut of it:
 
-* **closed**: the chain network ``N(k-1)``, cut after the last nonzero
-  string and returned to the identity by the shorter way.  It is used
-  only when it needs strictly fewer pi couplings than one ladder per
-  string.
-* **open**: a constant route at each ``k = 3..7`` that ends in a linear
-  map ``diag(A, 1)``: ``A`` on spins ``1..k-1``, spin ``k`` left alone.
-  The factorization hands ``A`` to the neighbouring factor that acts
-  next, which absorbs it as a change of its input basis, so the network
-  need not return (the boundary absorption of Shende, Bullock & Markov,
-  IEEE TCAD 25, 1000 (2006), App. A).  Open routes take 3, 10, 21, 43
-  and 90 CNOTs at ``k = 3..7``, against 6, 18, 42, 90 and 186 for
-  ``N(k-1)``; 3 and 10 are optimal (an exact breadth-first search), the
-  rest come from the beam search recorded at :data:`OPEN_ROUTES`.
+* **open** (:func:`open_route`): cut where the map is ``diag(A, 1)``,
+  ``A`` on spins ``1..k-1`` and spin ``k`` left alone.  The
+  factorization hands ``A`` to the neighbouring factor that acts next,
+  which absorbs it as a change of its input basis, so the network need
+  not return (the boundary absorption of Shende, Bullock & Markov, IEEE
+  TCAD 25, 1000 (2006), App. A): 3, 10, 21, 43 and 90 CNOTs for a dense
+  layer at ``k = 3..7``.
+* **closed** (:func:`closed_route`): cut after the last nonzero string
+  and returned to the identity by the shorter way: 6, 12, 22, 61 and
+  110 CNOTs for a dense layer, used only when that is strictly fewer pi
+  couplings than one ladder per string.
 
 Every CNOT is one pi coupling.  This module knows no matrices:
-:mod:`kakpulse.kak` reads the open routes and their end maps,
+:mod:`kakpulse.kak` reads the open cuts and their end maps,
 :mod:`kakpulse.pulses` the points where a route holds each parity.
 """
 
@@ -36,26 +35,29 @@ from __future__ import annotations
 import functools
 
 from .errors import ValidationError
-from .paulis import CartanElement
+from .paulis import CartanElement, CartanFamily
 
 # Commuting-family coefficients of at most this magnitude emit no gates.
 TOL_COEFF = 1e-12
 
 Route = tuple[tuple[int, int], ...]
 
-OPEN_ROUTES: dict[int, Route] = {
-    3: ((1, 2), (2, 1), (1, 2)),
+ROUTES: dict[int, Route] = {
+    3: ((1, 2), (2, 1), (1, 2)) + ((1, 2), (2, 1), (1, 2)),
     4: ((4, 3), (3, 4), (4, 3), (1, 2), (2, 1), (1, 2), (4, 3), (1, 2),
-        (3, 4), (4, 3)),
+        (3, 4), (4, 3)) + ((2, 1), (1, 2)),
     5: ((5, 4), (4, 5), (4, 3), (3, 4), (1, 2), (2, 3), (1, 2), (2, 3),
         (5, 4), (4, 3), (5, 4), (4, 3), (1, 2), (2, 3), (5, 4), (1, 2),
-        (2, 3), (3, 4), (4, 5), (4, 3), (5, 4)),
+        (2, 3), (3, 4), (4, 5), (4, 3), (5, 4)) + ((4, 3),),
     6: ((6, 5), (5, 4), (4, 5), (4, 3), (3, 4), (4, 5), (5, 4), (4, 3),
         (1, 2), (2, 3), (1, 2), (2, 3), (5, 4), (4, 3), (5, 4), (6, 5),
         (3, 2), (2, 3), (3, 4), (4, 3), (5, 4), (6, 5), (3, 4), (2, 1),
         (1, 2), (2, 3), (5, 4), (6, 5), (3, 2), (4, 3), (5, 4), (6, 5),
         (5, 4), (2, 3), (3, 4), (1, 2), (2, 1), (3, 2), (4, 3), (3, 4),
-        (4, 5), (5, 4), (6, 5)),
+        (4, 5), (5, 4), (6, 5))
+       + ((1, 2), (2, 3), (1, 2), (3, 2), (2, 1), (1, 2), (3, 4), (4, 3),
+          (3, 2), (4, 5), (5, 4), (4, 3), (2, 3), (3, 4), (3, 2), (2, 3),
+          (2, 1), (1, 2)),
     7: ((7, 6), (6, 5), (5, 4), (6, 5), (7, 6), (5, 4), (6, 5), (5, 6),
         (6, 5), (3, 4), (2, 3), (3, 4), (2, 3), (3, 4), (6, 5), (5, 4),
         (6, 5), (3, 4), (2, 3), (1, 2), (2, 3), (3, 4), (2, 3), (5, 4),
@@ -67,50 +69,47 @@ OPEN_ROUTES: dict[int, Route] = {
         (4, 3), (5, 4), (2, 3), (1, 2), (2, 3), (5, 4), (3, 2), (4, 3),
         (5, 4), (1, 2), (2, 3), (3, 2), (4, 3), (5, 4), (2, 1), (1, 2),
         (4, 3), (3, 2), (2, 3), (5, 4), (4, 3), (3, 4), (6, 5), (7, 6),
-        (5, 6), (6, 7)),
+        (5, 6), (6, 7))
+       + ((3, 2), (3, 4), (2, 3), (1, 2), (3, 4), (5, 6), (4, 5), (3, 4),
+          (4, 3), (3, 2), (6, 5), (5, 6), (5, 4), (4, 5), (2, 3), (3, 4),
+          (2, 1), (3, 2), (1, 2), (2, 3)),
 }
-"""Open routes by spin count.
+"""Routes by spin count: an open part, then the shortest return of its
+end map to the identity.
 
-Found by a beam search over adjacent-CNOT states, each the parity rows of
-the spins and the set of parities containing spin ``k`` held so far (on a
-spin or an adjacent pair).  States rank by parities held, then by the
-exact number of CNOTs left to reach a map ``diag(A, 1)``: a breadth-first
-search over the map's coset of that subgroup, which column ``k`` of the
-map and the last row of its inverse fix.  Once every parity is held the
-route ends by that shortest return.  Width 20,000 (seconds at ``k = 5``,
-under half a minute at ``k = 7``); widths of 200,000 at ``k = 5`` and
-300,000 at ``k = 6`` found no shorter route.  Among routes of the least
-length, the one with the fewest parities rotated on a pair is kept, since
-a pair costs its angle in coupling time.  ``k = 3`` is a swap of spins 1
-and 2, and ``k = 4`` ends in rows x2, x1+x2, x3, x4; at ``k = 5`` the map
-moves spin 4 (spin 3 holds x3+x4).  The search is not part of the
-package: it takes seconds to minutes.
+The open part (3, 10, 21, 43 and 90 CNOTs) comes from a beam search of
+width 20,000 over adjacent-CNOT states (the parity rows, and the
+parities containing spin ``k`` held so far on a spin or an adjacent
+pair), ranked by parities held and then by the exact number of CNOTs
+left to a map ``diag(A, 1)``.  Widths of 200,000 at ``k = 5`` and
+300,000 at ``k = 6`` found nothing shorter, and 3 and 10 are optimal.
+Of the shortest parts, the one with the fewest parities rotated on a
+pair is kept, since a pair costs its angle in coupling time.  The return
+(3, 2, 1, 18 and 20 CNOTs) is a shortest adjacent-CNOT word from the
+part's :func:`end_rows` to the identity, by a breadth-first search from
+both ends (a minute at ``k = 7``).  It holds no parity of spin ``k``
+first, so the open cuts are those of the open part.  The 12 CNOTs at
+``k = 4`` are the shortest closed network.  Neither search is part of
+the package.
 """
+
+
+@functools.lru_cache(maxsize=None)
+def full_route(k: int) -> Route | None:
+    """:data:`ROUTES` up to seven spins, from eight spin ``k`` as a bus
+    around the route ``R`` on ``k - 1``: ``C(k,k-1) R C(k-1,k) C(k,k-1)
+    R C(k,k-1) C(k-1,k) C(k,k-1)``, 226 CNOTs at ``k = 8``."""
+    if k in ROUTES or k < 3:
+        return ROUTES.get(k)
+    inner = full_route(k - 1)
+    return (((k, k - 1),) + inner + ((k - 1, k), (k, k - 1)) + inner
+            + ((k, k - 1), (k - 1, k), (k, k - 1)))
 
 
 def nonzero_letters(element: CartanElement) -> tuple[str, ...]:
     """Letters of the strings that emit gates: those with a coefficient
     above :data:`TOL_COEFF`, in canonical family order."""
     return tuple(s.letters for s, c in element.items() if abs(c) > TOL_COEFF)
-
-
-@functools.lru_cache(maxsize=None)
-def chain_network(k: int) -> Route:
-    """The closed parity network on spins ``1..k``.
-
-    ``N(j)`` acts on spins ``1..j+1`` with spin ``j+1`` as the bus:
-    ``C(j+1,j) N(j-1) C(j,j+1) C(j+1,j) N(j-1) C(j+1,j) C(j,j+1)
-    C(j+1,j)``, with ``N(1)`` empty; it returns every spin to its start.
-    A ``k``-spin family uses ``N(k-1)``: 6, 18, 42, 90 and 186 CNOTs at
-    ``k = 3..7``.
-    """
-    def net(j: int) -> list[tuple[int, int]]:
-        if j < 2:
-            return []
-        bus, inner = j + 1, net(j - 1)
-        return ([(bus, j)] + inner + [(j, bus), (bus, j)] + inner
-                + [(bus, j), (j, bus), (bus, j)])
-    return tuple(net(k - 1))
 
 
 def end_rows(route: Route, k: int) -> tuple[int, ...]:
@@ -129,10 +128,15 @@ def leaves_last_spin(rows: tuple[int, ...]) -> bool:
     return rows[-1] == last and all(r < last for r in rows[:-1])
 
 
-def check_route(route, k: int) -> None:
-    """Raise :class:`ValidationError` unless ``route`` is a tuple of
-    adjacent ``(control, target)`` CNOTs on spins ``1..k`` that ends in a
-    map ``diag(A, 1)``."""
+def check_route(route, element: CartanElement) -> None:
+    """Raise :class:`ValidationError` unless ``element`` is a
+    ``DIAGONAL`` or ``OUTER_X`` element on ``k >= 3`` spins and ``route``
+    a tuple of adjacent ``(control, target)`` CNOTs on spins ``1..k``
+    that ends in a map ``diag(A, 1)``."""
+    k = element.n
+    if k < 3 or element.family is CartanFamily.MAXIMAL:
+        raise ValidationError(
+            f"a {element.family.value} element on {k} spins takes no route")
     if not isinstance(route, tuple):
         raise ValidationError(f"a route is a tuple of CNOTs, got {route!r}")
     for cnot in route:
@@ -204,11 +208,13 @@ def closed_route(k: int, pattern: tuple[str, ...]) -> Route | None:
     """The closed network for the nonzero strings ``pattern``, or None
     when the per-string ladders need no more pi couplings.
 
-    The network runs until the last string's rotation step, then returns
-    by the shorter of the rest of :func:`chain_network` and the CNOTs
-    applied so far in reverse.
+    :func:`full_route` runs until the last string's rotation step, then
+    returns by the shorter of its rest and the CNOTs applied so far in
+    reverse.
     """
-    seq = chain_network(k)
+    seq = full_route(k)
+    if seq is None or not pattern:
+        return None
     stop = _stop(seq, k, pattern)
     back = min(seq[stop:], seq[:stop][::-1], key=len)
     if stop + len(back) >= sum(map(ladder_pi_count, pattern)):
@@ -218,25 +224,23 @@ def closed_route(k: int, pattern: tuple[str, ...]) -> Route | None:
 
 def closed_pi_count(k: int, pattern: tuple[str, ...]) -> int:
     """pi couplings of the closed lowering: the network or the ladders."""
-    route = closed_route(k, pattern) if pattern else None
-    if route is None:
-        return sum(map(ladder_pi_count, pattern))
-    return len(route)
+    seq = closed_route(k, pattern)
+    return sum(map(ladder_pi_count, pattern)) if seq is None else len(seq)
 
 
 @functools.lru_cache(maxsize=4096)
 def open_route(k: int, pattern: tuple[str, ...]) -> Route | None:
-    """The open route for ``pattern``, or None when there is none at
-    ``k`` or it needs no fewer pi couplings than :func:`closed_pi_count`.
+    """The open route for ``pattern``, or None when it needs no fewer pi
+    couplings than :func:`closed_pi_count`.
 
-    The constant route of :data:`OPEN_ROUTES` is cut at the first step,
-    from its last rotation on, where its map is ``diag(A, 1)``.
+    :func:`full_route` is cut at the first step, from its last rotation on,
+    where its map is ``diag(A, 1)``.
     """
-    route = OPEN_ROUTES.get(k)
-    if route is None or not pattern:
+    seq = full_route(k)
+    if seq is None or not pattern:
         return None
-    cut = next(j for j in range(_stop(route, k, pattern), len(route) + 1)
-               if leaves_last_spin(end_rows(route[:j], k)))
+    cut = next(j for j in range(_stop(seq, k, pattern), len(seq) + 1)
+               if leaves_last_spin(end_rows(seq[:j], k)))
     if cut >= closed_pi_count(k, pattern):
         return None
-    return route[:cut]
+    return seq[:cut]

@@ -21,15 +21,15 @@ Four layers live here:
   coupling plus local rotations) walks the parities of the spins
   through every string, and each string is rotated once where the
   network holds its parity: a free ``Rz`` on one spin, or one coupling
-  on an adjacent pair.  The route is designed in
-  :mod:`kakpulse.networks`.  A layer whose :class:`~kakpulse.kak.CartanNode`
-  records an open route (three to seven spins) is lowered along it with
-  no return: its end map belongs to the node, and the neighbouring
-  factor already absorbed its inverse.  Any other layer takes the closed
-  network, which stops after the last nonzero string and returns by the
-  shorter way, and only when it needs strictly fewer ``pi`` couplings
-  than the ladders; that choice depends only on which strings are
-  nonzero and is cached on that pattern.
+  on an adjacent pair.  Each spin count has one route, designed in
+  :mod:`kakpulse.networks`, and a layer runs a cut of it.  A layer whose
+  :class:`~kakpulse.kak.CartanNode` records an open cut is lowered along
+  it with no return: its end map belongs to the node, and the
+  neighbouring factor already absorbed its inverse.  Any other layer
+  takes the closed cut, which stops after the last nonzero string and
+  returns by the shorter way, and only when it needs strictly fewer
+  ``pi`` couplings than the ladders; that choice depends only on which
+  strings are nonzero and is cached on that pattern.
 * The tree lowering :func:`flatten`, which turns the gate tree of
   :func:`~kakpulse.kak.decompose` into one gate list: Euler leaves
   become up to three rotations and commuting layers go through the
@@ -93,8 +93,8 @@ from .gates import ChainSpec, Gate, GateList, PulseProgram, _as_gate_list
 from .kak import (CartanNode, EulerNode, GateTree, PhaseNode, SequenceNode,
                   decompose, euler_xzx_angles)
 from .linalg import QUATERNION_ONE, quaternion_turn
-from .networks import (TOL_COEFF, Route, closed_route, parity_image,
-                       parity_points)
+from .networks import (TOL_COEFF, Route, check_route, closed_route,
+                       parity_image, parity_points)
 from .paulis import CartanElement, CartanFamily, PauliString
 
 # Rotations of at most this angle are left out of a gate list: the
@@ -305,12 +305,10 @@ def _emit_element(out: GateList, element: CartanElement,
     """Append the gates of ``exp(-1j * element)`` to ``out``; see
     :func:`cartan_evolution_gates`."""
     items = [(s, c) for s, c in element.items() if abs(c) > TOL_COEFF]
-    network = element.n >= 3 and element.family is not CartanFamily.MAXIMAL
-    if route is not None and not network:
-        raise ValidationError(
-            f"a {element.family.value} element on {element.n} spins takes no route")
     pattern = tuple(s.letters for s, _ in items)
-    if route is None and items and network:
+    if route is not None:
+        check_route(route, element)
+    elif element.family is not CartanFamily.MAXIMAL:
         route = closed_route(element.n, pattern)
     _emit(out, _family_template(element.family, element.n, route, pattern),
           [c for _, c in items])
@@ -321,17 +319,17 @@ def cartan_evolution_gates(element: CartanElement,
     """Gates for ``exp(-1j * H)`` with ``H`` a commuting-family element;
     coefficients of magnitude at most :data:`TOL_COEFF` are dropped.
 
-    With a ``route`` (an open network that :func:`~kakpulse.kak.decompose`
+    With a ``route`` (an open cut that :func:`~kakpulse.kak.decompose`
     recorded), a ``DIAGONAL`` or ``OUTER_X`` element is lowered along it
     with no return, so the gates realize ``P exp(-1j*H)`` with ``P`` the
     route's end map.  Without one, a ``DIAGONAL`` element on three or
-    more spins is lowered as one closed network when that spends fewer
-    pi couplings than one ladder per string.  An ``OUTER_X`` element is
-    the ``DIAGONAL`` element with the same coefficients between
-    ``Ry(-pi/2)`` and ``Ry(pi/2)`` on the last spin, and takes the same
-    route.  Otherwise (and always for ``MAXIMAL``) the family commutes,
-    so the exponential splits into one string evolution per coefficient,
-    emitted in canonical family order.
+    more spins is lowered along :func:`~kakpulse.networks.closed_route`
+    when that spends fewer pi couplings than one ladder per string.  An
+    ``OUTER_X`` element is the ``DIAGONAL`` element with the same
+    coefficients between ``Ry(-pi/2)`` and ``Ry(pi/2)`` on the last spin,
+    and takes the same route.  Otherwise (and always for ``MAXIMAL``)
+    the family commutes, so the exponential splits into one string
+    evolution per coefficient, emitted in canonical family order.
 
     The gates come from a template cached per family, spin count, route
     and set of nonzero strings, whose open angles are filled from the

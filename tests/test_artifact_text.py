@@ -37,7 +37,7 @@ from kakpulse import (
     tree_to_json_dict,
     tree_to_json_text,
 )
-from kakpulse.networks import OPEN_ROUTES
+from kakpulse.networks import nonzero_letters, open_route
 
 # floats whose spelling json takes care over: a signed zero, the least
 # subnormal, the exponent forms on either side of repr's switch, a NumPy
@@ -86,7 +86,7 @@ def test_hand_made_tree():
         PauliString("ZZ"): ANGLES[3], PauliString("XX"): ANGLES[5]})
     tree = SequenceNode((
         PhaseNode(ANGLES[0]),
-        CartanNode(outer, OPEN_ROUTES[3]),
+        CartanNode(outer, open_route(3, nonzero_letters(outer))),
         SequenceNode(()),
         SequenceNode(tuple(EulerNode(q, a, ANGLES[-1 - q], ANGLES[q])
                            for q, a in enumerate(ANGLES[:4], start=1))),

@@ -761,6 +761,25 @@ class TestErrorPaths:
         assert "unreadable artifact" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("slot", ["decompose", "pulses", "verify program",
+                                      "verify target"])
+    def test_non_utf8_file_is_unreadable(self, tmp_path, capsys, slot):
+        """Bytes that are not UTF-8 are an unreadable artifact (exit 2),
+        like truncated JSON, wherever a command reads a file."""
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        target, out = make_target(tmp_path), str(tmp_path / "out.json")
+        argv = {
+            "decompose": ["decompose", "--input", str(bad), "--output", out],
+            "pulses": ["pulses", "--input", str(bad), "--output", out],
+            "verify program": ["verify", str(bad), str(target)],
+            "verify target": ["verify", str(target), str(bad)],
+        }[slot]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "unreadable artifact" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_recursion_error_elsewhere_still_raises(self, tmp_path,
                                                     monkeypatch):
         """Only reading a file turns a ``RecursionError`` into exit 2; one

@@ -43,7 +43,7 @@ from kakpulse.kak import (TOL_TWO_SPIN, _canonical_products, _decompose,
                           _two_spin_stack, euler_xzx, su2_rotation)
 from kakpulse.linalg import _cosine_sine_stack
 from kakpulse.errors import _on_path
-from kakpulse.networks import OPEN_ROUTES
+from kakpulse.networks import open_route
 
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -462,6 +462,12 @@ def routes(tree):
     return []
 
 
+def dense_open_route(k):
+    """The open route of a layer whose every string is nonzero."""
+    return open_route(k, tuple(s.letters
+                               for s in CartanFamily.DIAGONAL.strings(k)))
+
+
 @pytest.mark.parametrize("n", (3, 4, 5, 6))
 def test_haar_trees_record_open_layers(n):
     """Haar trees record open routes at every size from three spins to
@@ -474,7 +480,7 @@ def test_haar_trees_record_open_layers(n):
     assert {k for k, _, _ in found} == set(range(3, n + 1))
     assert {f for _, f, _ in found} == {CartanFamily.DIAGONAL,
                                         CartanFamily.OUTER_X}
-    assert all(route == OPEN_ROUTES[k] for k, _, route in found)
+    assert all(route == dense_open_route(k) for k, _, route in found)
     assert np.max(np.abs(matrix - evaluate(tree, n))) < 1e-12
     assert np.max(np.abs(evaluate(tree, n) - u)) < residual_budget(n)
     got = gate_list_unitary(flatten(tree), n)
@@ -494,7 +500,7 @@ def test_five_spin_layer_hands_its_map_only_to_a_generic_neighbour(family):
         s: rng.uniform(-3, 3) for s in family.strings(5)})
     generic = haar_unitary(16, 56)
     node, after = _open_layers([(layer, generic)])[0]
-    assert node.route == OPEN_ROUTES[5]
+    assert node.route == dense_open_route(5)
     got = np.kron(after, np.eye(2)) @ evaluate(node, 5)
     want = np.kron(generic, np.eye(2)) @ expm_skew(layer.hamiltonian())
     assert np.max(np.abs(got - want)) < 1e-12
@@ -924,7 +930,7 @@ def test_tree_json_rejects_malformed_commuting_evolution():
                              "family": "maximal", "coeffs": {"ZZ": 0.1},
                              "route": [[1, 2], [2, 1], [1, 2]]})
     loaded = tree_from_json_dict({**node, "route": [[1, 2], [2, 1], [1, 2]]})
-    assert loaded.route == OPEN_ROUTES[3]
+    assert loaded.route == dense_open_route(3)
     assert tree_from_json_dict(tree_to_json_dict(loaded)) == loaded
 
 

@@ -1,5 +1,5 @@
-"""Parity-network design: the closed-form ladder count, the open routes
-and the lowering of a layer recorded open.
+"""Parity-network design: the closed-form ladder count, the route table,
+its open and closed cuts and the lowering of a layer recorded open.
 
 An open route ends in a linear map ``diag(A, 1)`` of the spins instead
 of the identity; the tree node that records it is ``P exp(-1j*H)``, and
@@ -30,13 +30,16 @@ from kakpulse import (
     pauli_evolution_gates,
     pulse_program_unitary,
     synthesize_pulses,
+    tree_from_json_dict,
+    tree_to_json_dict,
 )
 from kakpulse.networks import (
-    OPEN_ROUTES,
-    chain_network,
+    ROUTES,
     check_route,
     closed_pi_count,
+    closed_route,
     end_rows,
+    full_route,
     ladder_pi_count,
     nonzero_letters,
     open_route,
@@ -48,6 +51,23 @@ NETWORK_FAMILIES = (CartanFamily.DIAGONAL, CartanFamily.OUTER_X)
 
 def last_spin_parities(k):
     return [m for m in range(1 << k) if m >> (k - 1) & 1]
+
+
+def dense_letters(k):
+    return tuple(s.letters for s in CartanFamily.DIAGONAL.strings(k))
+
+
+def dense_open_route(k):
+    """The open route of a layer whose every string is nonzero."""
+    return open_route(k, dense_letters(k))
+
+
+def identity_rows(k):
+    return tuple(1 << q for q in range(k))
+
+
+def adjacent_cnots(k):
+    return [c for q in range(1, k) for c in ((q, q + 1), (q + 1, q))]
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -72,16 +92,69 @@ def test_ladder_pi_count_closed_form(n):
              0b0011101, 0b1000000)),
 ])
 def test_open_routes(k, length, rows):
-    """Each route holds every parity that contains spin k and ends in
-    ``diag(A, 1)``: at three spins a swap of spins 1 and 2, at four the
-    rows x2, x1+x2, x3, x4, and from five spins up maps that move the
-    spin next to the last one too."""
-    route = OPEN_ROUTES[k]
+    """A dense layer's open route holds every parity that contains spin
+    k and ends in ``diag(A, 1)``: at three spins a swap of spins 1 and
+    2, at four the rows x2, x1+x2, x3, x4, and from five spins up maps
+    that move the spin next to the last one too."""
+    route = dense_open_route(k)
     assert len(route) == length
     assert end_rows(route, k) == rows
-    check_route(route, k)
+    check_route(route, CartanElement(n=k, family=CartanFamily.DIAGONAL))
     points = parity_points(route, k)
     assert all(m in points for m in last_spin_parities(k))
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_each_route_returns_to_the_identity(k):
+    """Every route of the table holds every parity that contains spin k,
+    each where its open part holds it, and ends in the identity."""
+    route = ROUTES[k]
+    assert end_rows(route, k) == identity_rows(k)
+    points = parity_points(route, k)
+    open_points = parity_points(dense_open_route(k), k)
+    assert all(points[m] == open_points[m] for m in last_spin_parities(k))
+
+
+@pytest.mark.parametrize("k", (8, 9))
+def test_route_past_the_table_is_a_bus_around_the_route_below(k):
+    """From eight spins on, spin k runs twice around the route on k - 1
+    spins, six CNOTs beside it; the route still holds every parity that
+    contains spin k and ends in the identity."""
+    route = full_route(k)
+    assert len(route) == 2 * len(full_route(k - 1)) + 6
+    assert end_rows(route, k) == identity_rows(k)
+    points = parity_points(route, k)
+    assert all(m in points for m in last_spin_parities(k))
+
+
+def test_dense_eight_spin_layer_runs_the_whole_route():
+    assert closed_pi_count(8, dense_letters(8)) == len(full_route(8)) == 226
+
+
+def shortest_return(rows):
+    """Fewest adjacent CNOTs that take the map ``rows`` to the identity:
+    a breadth-first search over the maps."""
+    k, goal = len(rows), identity_rows(len(rows))
+    depth, queue = {rows: 0}, deque([rows])
+    while queue:
+        state = queue.popleft()
+        if state == goal:
+            return depth[state]
+        for control, target in adjacent_cnots(k):
+            nxt = list(state)
+            nxt[target - 1] ^= state[control - 1]
+            nxt = tuple(nxt)
+            if nxt not in depth:
+                depth[nxt] = depth[state] + 1
+                queue.append(nxt)
+    raise AssertionError("no return found")
+
+
+@pytest.mark.parametrize("k, back", [(3, 3), (4, 2), (5, 1)])
+def test_route_returns_by_a_shortest_word(k, back):
+    cut = len(dense_open_route(k))
+    assert len(ROUTES[k]) - cut == back
+    assert shortest_return(end_rows(ROUTES[k][:cut], k)) == back
 
 
 def shortest_network(k, open_end):
@@ -100,7 +173,7 @@ def shortest_network(k, open_end):
             return rows[-1] == last and all(r < last for r in rows[:-1])
         return rows == start
 
-    start = tuple(1 << q for q in range(k))
+    start = identity_rows(k)
     first = (start, held(start))
     depth = {first: 0}
     queue = deque([first])
@@ -108,36 +181,44 @@ def shortest_network(k, open_end):
         rows, seen = state = queue.popleft()
         if done(rows, seen):
             return depth[state]
-        for q in range(k - 1):
-            for control, target in ((q, q + 1), (q + 1, q)):
-                nxt = list(rows)
-                nxt[target] ^= rows[control]
-                nxt = tuple(nxt)
-                key = (nxt, seen | held(nxt))
-                if key not in depth:
-                    depth[key] = depth[state] + 1
-                    queue.append(key)
+        for control, target in adjacent_cnots(k):
+            nxt = list(rows)
+            nxt[target - 1] ^= rows[control - 1]
+            nxt = tuple(nxt)
+            key = (nxt, seen | held(nxt))
+            if key not in depth:
+                depth[key] = depth[state] + 1
+                queue.append(key)
     raise AssertionError("no network found")
 
 
 def test_three_cnots_are_optimal_at_three_spins():
     """A breadth-first search over adjacent-CNOT states: an open end
-    needs 3 CNOTs where a closed one needs 6, the length of the route
-    and of ``N(2)``."""
-    assert shortest_network(3, open_end=True) == len(OPEN_ROUTES[3])
-    assert shortest_network(3, open_end=False) == 6
+    needs 3 CNOTs where a closed one needs 6, the lengths of the open
+    route and of the whole route."""
+    assert shortest_network(3, open_end=True) == len(dense_open_route(3))
+    assert shortest_network(3, open_end=False) == len(ROUTES[3]) == 6
+
+
+def test_closed_route_is_optimal_at_four_spins():
+    assert shortest_network(4, open_end=False) == len(ROUTES[4]) == 12
+
+
+def test_closed_five_spin_layer_costs_22_pi_couplings():
+    assert closed_pi_count(5, dense_letters(5)) == 22
 
 
 def test_open_route_only_when_it_saves_pi_couplings():
     for k in range(3, 8):
         for family in NETWORK_FAMILIES:
             dense = tuple(s.letters for s in family.strings(k))
-            assert open_route(k, dense) == OPEN_ROUTES[k]
-            assert closed_pi_count(k, dense) == len(chain_network(k))
+            assert open_route(k, dense) == dense_open_route(k)
+            # at three spins the whole route ties with the ladders
+            assert closed_route(k, dense) == (ROUTES[k] if k > 3 else None)
+            assert closed_pi_count(k, dense) == len(ROUTES[k])
             # one string that its ladder moves for free
             assert open_route(k, dense[1:2]) is None
-    dense8 = tuple(s.letters for s in CartanFamily.DIAGONAL.strings(8))
-    assert open_route(8, dense8) is None
+    assert open_route(8, dense_letters(8)) is None
 
 
 def end_map_matrix(rows):
@@ -164,11 +245,24 @@ def test_a_route_must_hold_every_parity():
         flatten(CartanNode(elem, ()))
 
 
+@pytest.mark.parametrize("family", tuple(CartanFamily), ids=lambda f: f.value)
+def test_no_network_lowers_a_two_spin_route(family):
+    """A route on a two-spin layer is rejected where the node is built,
+    from code or from tree JSON, not first where it is lowered."""
+    elem = CartanElement(n=2, family=family,
+                         coeffs={family.strings(2)[0]: 0.5})
+    with pytest.raises(ValidationError, match="takes no route"):
+        CartanNode(elem, ())
+    data = {**tree_to_json_dict(CartanNode(elem)), "route": []}
+    with pytest.raises(ValidationError, match="takes no route"):
+        tree_from_json_dict(data)
+
+
 @st.composite
 def recorded_layers(draw):
     """A DIAGONAL or OUTER_X layer on three to six spins, dense or
     sparse, recorded with the open route the factorization would take
-    for it, or with the whole constant route when that would not pay."""
+    for it, or with a dense layer's open route when that would not pay."""
     k = draw(st.sampled_from((3, 4, 5, 6)))
     family = draw(st.sampled_from(NETWORK_FAMILIES))
     dense = draw(st.booleans())
@@ -178,7 +272,7 @@ def recorded_layers(draw):
             coeffs[s] = draw(st.floats(-2 * math.pi, 2 * math.pi,
                                        allow_nan=False))
     elem = CartanElement(n=k, family=family, coeffs=coeffs)
-    route = open_route(k, nonzero_letters(elem)) or OPEN_ROUTES[k]
+    route = open_route(k, nonzero_letters(elem)) or dense_open_route(k)
     return CartanNode(elem, route)
 
 

@@ -231,10 +231,11 @@ def test_network_never_spends_more_pi_couplings_than_ladders(elem):
 
 
 @pytest.mark.parametrize("k, network, ladders", [
-    (3, 6, 6), (4, 18, 30), (5, 42, 102), (6, 90, 294), (7, 186, 774)])
+    (3, 6, 6), (4, 12, 30), (5, 22, 102), (6, 61, 294), (7, 110, 774)])
 @pytest.mark.parametrize("family", NETWORK_FAMILIES, ids=lambda f: f.value)
 def test_dense_family_pi_coupling_counts(family, k, network, ladders):
-    """A dense family runs the whole network N(k-1), the trailing-X
+    """A dense family runs the whole closed route, the open part of
+    :data:`~kakpulse.networks.ROUTES` and its return, the trailing-X
     family between its two turns on spin k, except at k = 3, where every
     family ties with its ladders and keeps them."""
     elem = CartanElement(n=k, family=family,
