@@ -414,14 +414,19 @@ def cnot_after_multiplexed_ry():
     return np.kron(cnot, np.eye(4)) @ scipy.linalg.block_diag(*turns)
 
 
-def test_four_spin_layer_ends_open_into_a_kronecker_neighbour(monkeypatch):
+@pytest.mark.parametrize("target", (identity, random_diagonal, toffoli_like),
+                         ids=lambda f: f.__name__)
+def test_four_spin_layer_ends_open_into_a_kronecker_neighbour(target,
+                                                              monkeypatch):
     """Both left blocks of the split are ``CNOT (x) 1``, a Kronecker
-    neighbour of the four-spin cosine-sine layer.  The layer's end map
-    moves only spins 1 and 2, so it lands on the CNOT, whose interaction
-    angles do not grow, below the 2 pi couplings the open route saves.
-    (On an identity neighbour, the ``v = I`` of a diagonal ratio, the
-    map grows by exactly 2 pi, and the tie keeps the layer closed.)"""
-    u = cnot_after_multiplexed_ry()
+    neighbour of the four-spin cosine-sine layer; the target, applied
+    first and block-diagonal on spin 1, only changes the right blocks.
+    The layer's end map moves only spins 1 and 2, so it lands on the
+    CNOT, whose interaction angles do not grow, below the 2 pi couplings
+    the open route saves.  (On an identity neighbour, the ``v = I`` of a
+    diagonal ratio, the map grows by exactly 2 pi, and the tie keeps the
+    layer closed.)"""
+    u = cnot_after_multiplexed_ry() @ target(4)
     tree = decompose(u)
     assert 4 in open_sizes(tree)
     opened = flatten(tree)
