@@ -61,7 +61,6 @@ from .gates import (
     PulseProgram,
     gate_list_from_json,
     gate_list_spin_bound,
-    gate_list_to_json,
     gate_list_to_json_text,
     inverse_gate_list,
 )
@@ -77,7 +76,6 @@ from .kak import (
     interaction_unitary,
     residual_budget,
     tree_from_json_dict,
-    tree_to_json_dict,
     tree_to_json_text,
 )
 from .pulses import (
@@ -119,7 +117,7 @@ __all__ = [
     "diagonal_strings",
     "distance", "drift_diagonal", "euler_xzx", "evaluate",
     "expm_skew", "flatten", "gate_list_from_json", "gate_list_spin_bound",
-    "gate_list_to_json", "gate_list_to_json_text", "gate_list_unitary",
+    "gate_list_to_json_text", "gate_list_unitary",
     "haar_unitary",
     "interaction_unitary", "inverse_gate_list",
     "is_maximal_abelian", "local_rotation_matrix",
@@ -129,5 +127,5 @@ __all__ = [
     "pulse_program_unitary", "refocusing_set", "residual_budget",
     "spin_count", "su2_rotation", "subspace_tag",
     "synthesize_pulses", "total_coupling_time", "tree_from_json_dict",
-    "tree_to_json_dict", "tree_to_json_text",
+    "tree_to_json_text",
 ]

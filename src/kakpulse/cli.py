@@ -21,8 +21,8 @@ compile artifacts, ``decompose``'s tree and gate list and ``pulses``'
 program, are written as that text straight from their objects
 (:func:`~kakpulse.kak.tree_to_json_text`,
 :func:`~kakpulse.gates.gate_list_to_json_text`,
-:meth:`~kakpulse.gates.PulseProgram.to_json_text`); their form is the
-one ``json.dumps`` gives the dict forms with sorted keys.
+:meth:`~kakpulse.gates.PulseProgram.to_json_text`), which define their
+keys.
 """
 
 from __future__ import annotations

@@ -37,10 +37,24 @@ messages; ``add`` appends an entry unchecked.
 and :class:`Delay` are views: iterating a :class:`GateList` or reading
 :attr:`PulseProgram.events` builds them on demand, and either column
 form can be built from them.  Every function that takes a gate list
-takes a :class:`GateList` or any iterable of those views.  The dict
-forms (:func:`gate_list_to_json`, :meth:`PulseProgram.to_json_dict`)
-are written from the views, and the text writers write the same text
-from the columns.
+takes a :class:`GateList` or any iterable of those views.
+
+JSON forms
+----------
+:func:`gate_list_to_json_text` and :meth:`PulseProgram.to_json_text`
+write the artifacts from the columns, as canonical JSON text: keys in
+sorted order, no whitespace, each number spelled as ``json.dumps``
+spells it.  :func:`gate_list_from_json` and
+:meth:`PulseProgram.from_json_dict` read them back.
+
+* A gate list is an array of gates, each one of
+  ``{"angle": a, "axis": "x"|"y"|"z", "kind": "local", "q": q}``,
+  ``{"angle": a, "kind": "zz", "pair": [k, k + 1]}`` and
+  ``{"kind": "phase", "phi": phi}``.
+* A pulse program is ``{"chain": {"J": [J_1, ...], "n": n}, "events":
+  [...], "phase": phi}``, each event one of
+  ``{"angle": a, "axis": "x"|"y"|"z", "kind": "pulse", "q": q}`` and
+  ``{"kind": "delay", "t": seconds}``.
 
 Conventions
 -----------
@@ -227,28 +241,10 @@ def gate_list_spin_bound(gates: GateList | Iterable[Gate]) -> int:
                 for kind, site in zip(gates.kinds, gates.sites)), default=0)
 
 
-def gate_list_to_json(gates: GateList | Iterable[Gate]) -> list[dict]:
-    """Serialize a time-ordered gate list, one dict per gate view."""
-    out = []
-    for g in gates:
-        if isinstance(g, LocalRotation):
-            out.append({"kind": "local", "q": g.qubit, "axis": g.axis,
-                        "angle": g.angle})
-        elif isinstance(g, CouplingEvolution):
-            out.append({"kind": "zz", "pair": [g.left, g.left + 1],
-                        "angle": g.angle})
-        elif isinstance(g, GlobalPhase):
-            out.append({"kind": "phase", "phi": g.phi})
-        else:
-            raise ValidationError(f"unknown gate object {g!r}")
-    return out
-
-
 def gate_list_to_json_text(gates: GateList | Iterable[Gate]) -> str:
-    """``gate_list_to_json(gates)`` as the text ``json.dumps(...,
-    sort_keys=True, separators=(",", ":"))`` makes of it, written from
-    the columns one gate at a time with the keys already in sorted
-    order."""
+    """The gate list as JSON text: an array of gate objects (see the
+    module docstring), written from the columns one gate at a time with
+    the keys already in sorted order."""
     kinds, sites, axes, angles = _as_gate_list(gates).columns()
     out = []
     for kind, site, axis, angle in zip(kinds, sites, axes,
@@ -272,22 +268,13 @@ def _item_error(exc: Exception, what: str, k: int) -> ValidationError:
     return ValidationError(f"malformed {what} at index {k}: {exc}")
 
 
-# The view of one JSON item, read field by field in a fixed order, so
-# that the first fault of a malformed item raises the error that names
-# it.  The readers take a well-formed item's fields directly and call
-# these only for an item that is not, or whose numbers need converting.
-
-def _rotation_item(item: dict, what: str) -> LocalRotation:
-    angle = item["angle"]
-    return LocalRotation(_json_int(item["q"], what), str(item["axis"]),
-                         angle if type(angle) is float
-                         else _json_float(angle, "angle"))
-
+# The fields of one JSON item of each kind.  A well-formed item's fields
+# are taken as they stand; any other item is read field by field in a
+# fixed order, so that its first fault raises the error that names it.
 
 def _rotation_fields(item: dict, what: str) -> tuple[int, str, float]:
-    """``(q, axis, angle)`` of a rotation item: taken directly when they
-    pass :class:`LocalRotation`'s checks as they stand, else read
-    through :func:`_rotation_item`, whose error names the first fault."""
+    """``(q, axis, angle)`` of a rotation item, checked as
+    :class:`LocalRotation` checks them; ``what`` names the spin."""
     try:
         q, axis, angle = item["q"], item["axis"], item["angle"]
         if (type(q) is int and q > 0 and axis in AXES
@@ -295,24 +282,44 @@ def _rotation_fields(item: dict, what: str) -> tuple[int, str, float]:
             return q, axis, angle
     except KeyError:
         pass
-    g = _rotation_item(item, what)
+    angle = item["angle"]
+    g = LocalRotation(_json_int(item["q"], what), str(item["axis"]),
+                      angle if type(angle) is float
+                      else _json_float(angle, "angle"))
     return g.qubit, g.axis, g.angle
 
 
-def _coupling_item(item: dict) -> CouplingEvolution:
+def _coupling_fields(item: dict) -> tuple[int, float]:
+    """``(left, angle)`` of a coupling item, checked as
+    :class:`CouplingEvolution` checks them, its pair adjacent."""
+    try:
+        pair, angle = item["pair"], item["angle"]
+        left = pair[0]
+        if (type(pair) is list and len(pair) == 2
+                and type(left) is int and left > 0
+                and type(pair[1]) is int and pair[1] == left + 1
+                and type(angle) is float and -math.inf < angle < math.inf):
+            return left, angle
+    except (KeyError, TypeError, IndexError):
+        pass
     left, right = (_json_int(v, "coupling spin") for v in
                    _json_array(item["pair"], "coupling pair"))
     if right != left + 1:
         raise ValidationError(
             f"coupling pair must be adjacent, got [{left}, {right}]")
     angle = item["angle"]
-    return CouplingEvolution(left, angle if type(angle) is float
-                             else _json_float(angle, "angle"))
+    g = CouplingEvolution(left, angle if type(angle) is float
+                          else _json_float(angle, "angle"))
+    return g.left, g.angle
 
 
-def _delay_item(item: dict) -> Delay:
+def _delay_fields(item: dict) -> float:
+    """The duration of a delay item, checked as :class:`Delay` checks
+    it."""
     t = item["t"]
-    return Delay(t if type(t) is float else _json_float(t, "delay t"))
+    if type(t) is float and 0.0 <= t < math.inf:
+        return t
+    return Delay(t if type(t) is float else _json_float(t, "delay t")).duration
 
 
 def gate_list_from_json(data: list[dict]) -> GateList:
@@ -326,7 +333,7 @@ def gate_list_from_json(data: list[dict]) -> GateList:
     # appended inline, not by out.add: the call would cost this loop,
     # and the program reader, about 15 %
     kinds, sites, axes, angles = out.columns()
-    for k, item in enumerate(data):
+    for item in data:
         try:
             # each branch sets the kind to its literal, not the item's copy
             kind = item["kind"]
@@ -335,26 +342,15 @@ def gate_list_from_json(data: list[dict]) -> GateList:
                 q, axis, angle = _rotation_fields(item, "gate spin")
             elif kind == "zz":
                 kind, axis = "zz", None
-                try:
-                    pair, angle = item["pair"], item["angle"]
-                    q = pair[0]
-                    ok = (type(pair) is list and len(pair) == 2
-                          and type(q) is int and q > 0
-                          and type(pair[1]) is int and pair[1] == q + 1
-                          and type(angle) is float
-                          and -math.inf < angle < math.inf)
-                except (KeyError, TypeError, IndexError):
-                    ok = False
-                if not ok:
-                    g = _coupling_item(item)
-                    q, angle = g.left, g.angle
+                q, angle = _coupling_fields(item)
             elif kind == "phase":
                 kind, q, axis = "phase", 0, None
                 angle = GlobalPhase(_json_float(item["phi"], "phase")).phi
             else:
                 raise ValidationError(f"unknown gate kind {kind!r}")
         except (KeyError, TypeError, ValueError) as exc:
-            raise _item_error(exc, "gate", k) from exc
+            # the columns hold one entry per item read before this one
+            raise _item_error(exc, "gate", len(kinds)) from exc
         kinds.append(kind)
         sites.append(q)
         axes.append(axis)
@@ -384,6 +380,11 @@ class ChainSpec:
         for k, j in enumerate(self.couplings, start=1):
             if not (math.isfinite(j) and j > 0):
                 raise RangeError(f"coupling J_{k} must be positive, got {j}")
+            # a coupling of |angle| <= 4*pi runs |angle| / (2*pi*J) <= 2 / J
+            # seconds, which JSON cannot spell when it is not finite
+            if not math.isfinite(2 / j):
+                raise RangeError(
+                    f"coupling J_{k} must leave 2 / J_{k} finite, got {j}")
 
     @classmethod
     def uniform(cls, n: int, j: float = 100.0) -> "ChainSpec":
@@ -393,9 +394,6 @@ class ChainSpec:
         if not 1 <= left <= self.n - 1:
             raise RangeError(f"pair index {left} outside 1..{self.n - 1}")
         return self.couplings[left - 1]
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "J": list(self.couplings)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ChainSpec":
@@ -420,7 +418,8 @@ class Delay:
 
     def __post_init__(self):
         if not (math.isfinite(self.duration) and self.duration >= 0):
-            raise RangeError(f"delay must be non-negative, got {self.duration}")
+            raise RangeError(
+                f"delay must be non-negative and finite, got {self.duration}")
 
 
 PulseEvent = Union[HardPulse, Delay]
@@ -487,22 +486,10 @@ class PulseProgram:
         return (f"PulseProgram(chain={self.chain!r}, events={self.events!r}, "
                 f"phase={self.phase!r})")
 
-    def to_json_dict(self) -> dict:
-        events = []
-        for e in self.events:
-            if isinstance(e, HardPulse):
-                events.append({"kind": "pulse", "q": e.qubit, "axis": e.axis,
-                               "angle": e.angle})
-            else:
-                events.append({"kind": "delay", "t": e.duration})
-        return {"chain": self.chain.to_json_dict(), "events": events,
-                "phase": self.phase}
-
     def to_json_text(self) -> str:
-        """``to_json_dict()`` as the text ``json.dumps(...,
-        sort_keys=True, separators=(",", ":"))`` makes of it, written from
-        the columns one event at a time with the keys already in sorted
-        order."""
+        """The program as JSON text: its chain, its events and its phase
+        (see the module docstring), written from the columns one event
+        at a time with the keys already in sorted order."""
         events = []
         for kind, q, axis, value in zip(self.kinds, self.qubits, self.axes,
                                         _json_numbers(self.values)):
@@ -529,7 +516,7 @@ class PulseProgram:
             qubits: list[int] = []
             axes: list[str | None] = []
             values: list[float] = []
-            for k, item in enumerate(items):
+            for item in items:
                 try:
                     # each branch sets the kind to its literal, as in
                     # gate_list_from_json
@@ -539,13 +526,11 @@ class PulseProgram:
                         q, axis, value = _rotation_fields(item, "pulse spin")
                     elif kind == "delay":
                         kind, q, axis = "delay", 0, None
-                        value = item["t"]
-                        if not (type(value) is float and 0.0 <= value < math.inf):
-                            value = _delay_item(item).duration
+                        value = _delay_fields(item)
                     else:
                         raise ValidationError(f"unknown event kind {kind!r}")
                 except (KeyError, TypeError, ValueError) as exc:
-                    raise _item_error(exc, "event", k) from exc
+                    raise _item_error(exc, "event", len(kinds)) from exc
                 kinds.append(kind)
                 qubits.append(q)
                 axes.append(axis)

@@ -717,30 +717,19 @@ def _apply_cartan(element: CartanElement, acc: np.ndarray) -> np.ndarray:
     return blocks.reshape(acc.shape)
 
 
-def tree_to_json_dict(tree: GateTree) -> dict:
-    if isinstance(tree, SequenceNode):
-        return {"node": "sequence",
-                "children": [tree_to_json_dict(c) for c in tree.children]}
-    if isinstance(tree, EulerNode):
-        return {"node": "euler", "q": tree.qubit, "alpha": tree.alpha,
-                "beta": tree.beta, "gamma": tree.gamma}
-    if isinstance(tree, PhaseNode):
-        return {"node": "phase", "phi": tree.phi}
-    if isinstance(tree, CartanNode):
-        e = tree.element
-        out = {"node": "commuting_evolution", "n": e.n,
-               "family": e.family.value,
-               "coeffs": {s.letters: c for s, c in e.items()}}
-        if tree.route is not None:
-            out["route"] = [list(cnot) for cnot in tree.route]
-        return out
-    raise ValidationError(f"unknown tree node {tree!r}")
-
-
 def tree_to_json_text(tree: GateTree) -> str:
-    """``tree_to_json_dict(tree)`` as the text ``json.dumps(...,
-    sort_keys=True, separators=(",", ":"))`` makes of it, written node by
-    node with the keys already in sorted order."""
+    """The tree as canonical JSON text, written node by node with the
+    keys already in sorted order and each number spelled as
+    ``json.dumps`` spells it.  A node is one of
+
+    * ``{"children": [...], "node": "sequence"}``;
+    * ``{"alpha": a, "beta": b, "gamma": c, "node": "euler", "q": q}``;
+    * ``{"node": "phase", "phi": phi}``;
+    * ``{"coeffs": {letters: c, ...}, "family": f, "n": n, "node":
+      "commuting_evolution"}``, plus ``"route": [[control, target],
+      ...]`` when the layer ends open.
+
+    :func:`tree_from_json_dict` reads it back."""
     parts: list[str] = []
     _add_tree_text(tree, parts)
     return "".join(parts)
@@ -993,7 +982,8 @@ def _open_layers(requests) -> list[tuple[CartanNode, np.ndarray]]:
     * a two-spin factor (``after`` at three spins, the ``W`` of a
       Kronecker neighbour at four, the ``v = I`` of a diagonal ratio
       among them) absorbs when its interaction angles grow by less than
-      the pi couplings saved.
+      the pi couplings saved, by more than :data:`TOL_TWO_SPIN`, so an
+      exact tie keeps the layer closed, whatever its last bits.
 
     The interaction sums of every two-spin neighbour in ``requests``
     come from one stacked :func:`_interaction_sums`.
@@ -1023,7 +1013,7 @@ def _open_layers(requests) -> list[tuple[CartanNode, np.ndarray]]:
             route, src, saved, cost = plan
             if isinstance(cost, tuple):
                 cost = next(growth)
-            if not cost >= saved:
+            if cost < saved - TOL_TWO_SPIN:
                 out.append((CartanNode(layer, route), after[:, src]))
                 continue
         out.append((CartanNode(layer), after))

@@ -30,11 +30,12 @@ from kakpulse.gates import (
     CouplingEvolution,
     PulseProgram,
     gate_list_from_json,
-    gate_list_to_json,
 )
 from kakpulse.kak import residual_budget
 from kakpulse.linalg import haar_unitary, matrix_from_json_dict, matrix_to_json_dict
 from kakpulse.simulate import gate_list_unitary, pulse_program_unitary
+
+from artifact_oracle import gate_list_to_json
 
 
 def read_json(path):
@@ -261,6 +262,27 @@ class TestPulses:
                 "--output", str(tmp_path / "p.json")]
         assert main(base + ["--chain", "abc"]) == 3
         assert main(base + ["--chain", "100,-50"]) == 3
+
+    @pytest.mark.parametrize("j, code", [("5e-324", 3), ("1e-320", 3),
+                                         ("6e-309", 3), ("1e-300", 0)])
+    def test_chain_too_weak_to_schedule(self, tmp_path, capsys, j, code):
+        """A coupling so weak that ``2 / J`` overflows would write delays
+        of ``Infinity``, which is not JSON: the chain is refused and no
+        file is written.  At 1e-300 Hz every delay is finite and the
+        program verifies."""
+        target = make_target(tmp_path)
+        d_path, p_path = tmp_path / "d.json", tmp_path / "p.json"
+        assert main(["decompose", "--input", str(target),
+                     "--output", str(d_path)]) == 0
+        assert main(["pulses", "--input", str(d_path), "--output",
+                     str(p_path), "--chain", f"{j},100"]) == code
+        if code:
+            assert not p_path.exists()
+            assert "coupling J_1 must leave 2 / J_1 finite" in (
+                capsys.readouterr().err)
+        else:
+            assert "Infinity" not in p_path.read_text()
+            assert main(["verify", str(p_path), str(target)]) == 0
 
     def test_gate_beyond_chain(self, tmp_path):
         gates = gate_list_to_json([CouplingEvolution(3, 0.3)])

@@ -5,10 +5,11 @@ A :class:`~kakpulse.gates.GateList` holds its gates, and a
 ``LocalRotation``, ``CouplingEvolution``, ``GlobalPhase``, ``HardPulse``
 and ``Delay`` are views that the columns build on demand.  Here the
 columns round-trip to the views, their text is the canonical dump of the
-views' dict form, and the two readers, one entry point each, reject
-every malformed item with the error that reading that item into its view
-raises, named by its index.  The readers share the check of a rotation
-item, so both are held to the same oracle.
+views' reference dict form (``artifact_oracle``), and the two readers,
+one entry point each, reject every malformed item with the error that
+reading that item into its view raises, named by its index.  The
+readers share the check of a rotation item, so both are held to the
+same oracle.
 """
 
 import json
@@ -31,7 +32,6 @@ from kakpulse import (
     ValidationError,
     gate_list_from_json,
     gate_list_spin_bound,
-    gate_list_to_json,
     gate_list_to_json_text,
     inverse_gate_list,
     pulse_count,
@@ -42,9 +42,7 @@ from kakpulse import (
 from kakpulse import errors
 from kakpulse.errors import _json_array, _json_float, _json_int
 
-
-def canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+from artifact_oracle import canonical, gate_list_to_json, program_to_json_dict
 
 
 SPINS = st.integers(1, 9)
@@ -95,7 +93,7 @@ def test_program_columns_round_trip_to_the_views(chain, events, phase):
     program = PulseProgram(chain, events, phase)
     assert program.events == events
     text = program.to_json_text()
-    assert text == canonical(program.to_json_dict())
+    assert text == canonical(program_to_json_dict(program))
     assert PulseProgram.from_json_dict(json.loads(text)) == program
     assert pulse_count(program) == sum(isinstance(e, HardPulse) for e in events)
     assert total_coupling_time(program) == sum(
@@ -142,7 +140,7 @@ def test_floats_are_spelled_across_chunk_boundaries(monkeypatch):
     program = PulseProgram(ChainSpec.uniform(3), [
         Delay(abs(a)) if k % 2 else HardPulse(2, "x", a)
         for k, a in enumerate(angles)], 0.7)
-    assert program.to_json_text() == canonical(program.to_json_dict())
+    assert program.to_json_text() == canonical(program_to_json_dict(program))
 
 
 def test_repeated_floats_are_spelled_once_and_both_zeros_apart():
@@ -158,7 +156,7 @@ def test_repeated_floats_are_spelled_once_and_both_zeros_apart():
     program = PulseProgram(ChainSpec.uniform(2), [
         Delay(abs(a)) if k % 3 == 0 else HardPulse(2, "y", a)
         for k, a in enumerate(angles)], -0.0)
-    assert program.to_json_text() == canonical(program.to_json_dict())
+    assert program.to_json_text() == canonical(program_to_json_dict(program))
 
 
 def test_lowering_checks_the_spin_of_an_euler_leaf():

@@ -35,7 +35,6 @@ from kakpulse import (
     interaction_unitary,
     residual_budget,
     tree_from_json_dict,
-    tree_to_json_dict,
 )
 from kakpulse.kak import (TOL_TWO_SPIN, _canonical_products, _decompose,
                           _demultiplex_stack, _interaction_sums,
@@ -44,6 +43,8 @@ from kakpulse.kak import (TOL_TWO_SPIN, _canonical_products, _decompose,
 from kakpulse.linalg import _cosine_sine_stack
 from kakpulse.errors import _on_path
 from kakpulse.networks import open_route
+
+from artifact_oracle import tree_to_json_dict
 
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

@@ -31,7 +31,6 @@ from kakpulse import (
     pulse_program_unitary,
     synthesize_pulses,
     tree_from_json_dict,
-    tree_to_json_dict,
 )
 from kakpulse.networks import (
     ROUTES,
@@ -45,6 +44,8 @@ from kakpulse.networks import (
     open_route,
     parity_points,
 )
+
+from artifact_oracle import tree_to_json_dict
 
 NETWORK_FAMILIES = (CartanFamily.DIAGONAL, CartanFamily.OUTER_X)
 

@@ -37,7 +37,6 @@ from kakpulse import (
     expm_skew,
     gate_list_from_json,
     gate_list_spin_bound,
-    gate_list_to_json,
     gate_list_unitary,
     haar_unitary,
     inverse_gate_list,
@@ -51,6 +50,12 @@ from kakpulse import (
 )
 from kakpulse.cli import main
 from kakpulse.pulses import TOL_COEFF
+
+from artifact_oracle import (
+    chain_to_json_dict,
+    gate_list_to_json,
+    program_to_json_dict,
+)
 
 SIGMA = {
     "1": np.eye(2, dtype=complex),
@@ -283,6 +288,14 @@ class TestChainSpec:
         with pytest.raises(RangeError):
             ChainSpec(2, (-5.0,))
 
+    @pytest.mark.parametrize("j", [5e-324, 1e-320, 6e-309])
+    def test_couplings_must_leave_every_delay_finite(self, j):
+        with pytest.raises(RangeError, match="must leave 2 / J_2 finite"):
+            ChainSpec(3, (100.0, j))
+        with pytest.raises(ValidationError, match="malformed chain object"):
+            ChainSpec.from_json_dict({"n": 2, "J": [j]})
+        assert ChainSpec(2, (1e-300,)).couplings == (1e-300,)
+
     def test_pair_index_range(self):
         chain = ChainSpec.uniform(3)
         with pytest.raises(RangeError):
@@ -290,7 +303,7 @@ class TestChainSpec:
 
     def test_json_round_trip(self):
         chain = ChainSpec(3, (90.0, 110.0))
-        assert ChainSpec.from_json_dict(chain.to_json_dict()) == chain
+        assert ChainSpec.from_json_dict(chain_to_json_dict(chain)) == chain
         with pytest.raises(ValidationError):
             ChainSpec.from_json_dict({"n": 3})
 
@@ -497,7 +510,7 @@ def test_program_json_round_trip():
         [LocalRotation(1, "x", 0.4), CouplingEvolution(1, 2.2),
          GlobalPhase(-0.9)],
         ChainSpec(3, (100.0, 140.0)))
-    back = PulseProgram.from_json_dict(program.to_json_dict())
+    back = PulseProgram.from_json_dict(program_to_json_dict(program))
     assert back == program
 
 

@@ -1,0 +1,268 @@
+"""The first fault of every item kind the two artifact readers take.
+
+``gate_list_from_json`` reads ``local``, ``zz`` and ``phase`` gates and
+``PulseProgram.from_json_dict`` reads ``pulse`` and ``delay`` events.
+Each case changes the fields of one well-formed item, placed after a
+good one, and names the error class and the exact message the reader
+raises for it, or the column entries ``(site, axis, value)`` it reads.
+A fault names the item's index; an item with two faults raises the
+error of the one the reader meets first.  ``{at}`` stands for
+``gate at index 1`` or ``event at index 1`` and ``{spin}`` for
+``gate spin`` or ``pulse spin``.
+"""
+
+import math
+
+import pytest
+
+from kakpulse import (PulseProgram, RangeError, ValidationError,
+                      gate_list_from_json)
+
+NAN, INF = math.nan, math.inf
+DROP = object()  # a field left out of the item
+
+ROTATION = [
+    ('missing q', dict(q=DROP),
+     (ValidationError, "malformed {at}: 'q'")),
+    ('missing axis', dict(axis=DROP),
+     (ValidationError, "malformed {at}: 'axis'")),
+    ('missing angle', dict(angle=DROP),
+     (ValidationError, "malformed {at}: 'angle'")),
+    ('missing kind', dict(kind=DROP),
+     (ValidationError, "malformed {at}: 'kind'")),
+    ('bool q', dict(q=True),
+     (ValidationError, '{at}: {spin} must be an integer, got True')),
+    ('string q', dict(q='1'),
+     (ValidationError, "{at}: {spin} must be an integer, got '1'")),
+    ('non-integral q', dict(q=1.5),
+     (ValidationError, '{at}: {spin} must be an integer, got 1.5')),
+    ('integral float q', dict(q=2.0),
+     (2, 'x', 0.5)),
+    ('null q', dict(q=None),
+     (ValidationError, '{at}: {spin} must be an integer, got None')),
+    ('zero q', dict(q=0),
+     (ValidationError, '{at}: spin index must be >= 1, got 0')),
+    ('negative q', dict(q=-1),
+     (ValidationError, '{at}: spin index must be >= 1, got -1')),
+    ('unknown axis', dict(axis='w'),
+     (ValidationError, "{at}: axis must be one of ('x', 'y', 'z'), got 'w'")),
+    ('numeric axis', dict(axis=1),
+     (ValidationError, "{at}: axis must be one of ('x', 'y', 'z'), got '1'")),
+    ('null axis', dict(axis=None),
+     (ValidationError, "{at}: axis must be one of ('x', 'y', 'z'), "
+                       "got 'None'")),
+    ('string angle', dict(angle='0.5'),
+     (ValidationError, "{at}: angle must be a number, got '0.5'")),
+    ('bool angle', dict(angle=True),
+     (ValidationError, '{at}: angle must be a number, got True')),
+    ('null angle', dict(angle=None),
+     (ValidationError, '{at}: angle must be a number, got None')),
+    ('nan angle', dict(angle=NAN),
+     (ValidationError, '{at}: rotation angle must be finite')),
+    ('inf angle', dict(angle=INF),
+     (ValidationError, '{at}: rotation angle must be finite')),
+    ('-inf angle', dict(angle=-INF),
+     (ValidationError, '{at}: rotation angle must be finite')),
+    ('integer angle', dict(angle=1),
+     (1, 'x', 1.0)),
+    ('negative angle', dict(angle=-0.5),
+     (1, 'x', -0.5)),
+    ('zero q and string angle', dict(q=0, angle='0.5'),
+     (ValidationError, "{at}: angle must be a number, got '0.5'")),
+    ('bool q and nan angle', dict(q=True, angle=NAN),
+     (ValidationError, '{at}: {spin} must be an integer, got True')),
+    ('unknown axis and string angle', dict(axis='w', angle='0.5'),
+     (ValidationError, "{at}: angle must be a number, got '0.5'")),
+    ('zero q and unknown axis', dict(q=0, axis='w'),
+     (ValidationError, '{at}: spin index must be >= 1, got 0')),
+    ('missing axis and bool q', dict(axis=DROP, q=True),
+     (ValidationError, '{at}: {spin} must be an integer, got True')),
+    ('missing q and string angle', dict(q=DROP, angle='0.5'),
+     (ValidationError, "malformed {at}: 'q'")),
+]
+
+COUPLING = [
+    ('missing pair', dict(pair=DROP),
+     (ValidationError, "malformed {at}: 'pair'")),
+    ('missing angle', dict(angle=DROP),
+     (ValidationError, "malformed {at}: 'angle'")),
+    ('short pair', dict(pair=[1]),
+     (ValidationError, 'malformed {at}: not enough values to unpack '
+                       '(expected 2, got 1)')),
+    ('long pair', dict(pair=[1, 2, 3]),
+     (ValidationError, 'malformed {at}: too many values to unpack '
+                       '(expected 2)')),
+    ('long pair with a string', dict(pair=[1, 2, 'x']),
+     (ValidationError, "{at}: coupling spin must be an integer, got 'x'")),
+    ('empty pair', dict(pair=[]),
+     (ValidationError, 'malformed {at}: not enough values to unpack '
+                       '(expected 2, got 0)')),
+    ('reversed pair', dict(pair=[2, 1]),
+     (ValidationError, '{at}: coupling pair must be adjacent, got [2, 1]')),
+    ('non-adjacent pair', dict(pair=[1, 3]),
+     (ValidationError, '{at}: coupling pair must be adjacent, got [1, 3]')),
+    ('string pair', dict(pair='12'),
+     (ValidationError, "{at}: coupling pair must be a JSON array, got '12'")),
+    ('object pair', dict(pair={}),
+     (ValidationError, '{at}: coupling pair must be a JSON array, got {}')),
+    ('null pair', dict(pair=None),
+     (ValidationError, '{at}: coupling pair must be a JSON array, got None')),
+    ('bool spin', dict(pair=[True, 2]),
+     (ValidationError, '{at}: coupling spin must be an integer, got True')),
+    ('bool second spin', dict(pair=[1, True]),
+     (ValidationError, '{at}: coupling spin must be an integer, got True')),
+    ('string spin', dict(pair=['1', 2]),
+     (ValidationError, "{at}: coupling spin must be an integer, got '1'")),
+    ('non-integral spins', dict(pair=[1.5, 2.5]),
+     (ValidationError, '{at}: coupling spin must be an integer, got 1.5')),
+    ('integral float spins', dict(pair=[1.0, 2.0]),
+     (1, None, 0.3)),
+    ('zero spin', dict(pair=[0, 1]),
+     (ValidationError, '{at}: pair index must be >= 1, got 0')),
+    ('negative spin', dict(pair=[-1, 0]),
+     (ValidationError, '{at}: pair index must be >= 1, got -1')),
+    ('string angle', dict(angle='0.5'),
+     (ValidationError, "{at}: angle must be a number, got '0.5'")),
+    ('bool angle', dict(angle=True),
+     (ValidationError, '{at}: angle must be a number, got True')),
+    ('null angle', dict(angle=None),
+     (ValidationError, '{at}: angle must be a number, got None')),
+    ('nan angle', dict(angle=NAN),
+     (ValidationError, '{at}: coupling angle must be finite')),
+    ('inf angle', dict(angle=INF),
+     (ValidationError, '{at}: coupling angle must be finite')),
+    ('integer angle', dict(angle=1),
+     (1, None, 1.0)),
+    ('negative angle', dict(angle=-0.3),
+     (1, None, -0.3)),
+    ('non-adjacent pair and string angle', dict(pair=[1, 3], angle='0.5'),
+     (ValidationError, '{at}: coupling pair must be adjacent, got [1, 3]')),
+    ('zero spin and nan angle', dict(pair=[0, 1], angle=NAN),
+     (ValidationError, '{at}: pair index must be >= 1, got 0')),
+    ('bool spin and missing angle', dict(pair=[True, 2], angle=DROP),
+     (ValidationError, '{at}: coupling spin must be an integer, got True')),
+    ('missing pair and string angle', dict(pair=DROP, angle='0.5'),
+     (ValidationError, "malformed {at}: 'pair'")),
+]
+
+PHASE = [
+    ('missing phi', dict(phi=DROP),
+     (ValidationError, "malformed {at}: 'phi'")),
+    ('string phi', dict(phi='0.5'),
+     (ValidationError, "{at}: phase must be a number, got '0.5'")),
+    ('bool phi', dict(phi=True),
+     (ValidationError, '{at}: phase must be a number, got True')),
+    ('null phi', dict(phi=None),
+     (ValidationError, '{at}: phase must be a number, got None')),
+    ('nan phi', dict(phi=NAN),
+     (ValidationError, '{at}: phase must be finite')),
+    ('inf phi', dict(phi=INF),
+     (ValidationError, '{at}: phase must be finite')),
+    ('integer phi', dict(phi=1),
+     (0, None, 1.0)),
+    ('negative phi', dict(phi=-0.1),
+     (0, None, -0.1)),
+]
+
+DELAY = [
+    ('missing t', dict(t=DROP),
+     (ValidationError, "malformed {at}: 't'")),
+    ('string t', dict(t='0.5'),
+     (ValidationError, "{at}: delay t must be a number, got '0.5'")),
+    ('bool t', dict(t=True),
+     (ValidationError, '{at}: delay t must be a number, got True')),
+    ('null t', dict(t=None),
+     (ValidationError, '{at}: delay t must be a number, got None')),
+    ('nan t', dict(t=NAN),
+     (RangeError, '{at}: delay must be non-negative and finite, got nan')),
+    ('inf t', dict(t=INF),
+     (RangeError, '{at}: delay must be non-negative and finite, got inf')),
+    ('-inf t', dict(t=-INF),
+     (RangeError, '{at}: delay must be non-negative and finite, got -inf')),
+    ('negative t', dict(t=-1.0),
+     (RangeError, '{at}: delay must be non-negative and finite, got -1.0')),
+    ('negative integer t', dict(t=-1),
+     (RangeError, '{at}: delay must be non-negative and finite, got -1.0')),
+    ('negative zero t', dict(t=-0.0),
+     (0, None, -0.0)),
+    ('integer t', dict(t=2),
+     (0, None, 2.0)),
+    ('zero t', dict(t=0),
+     (0, None, 0.0)),
+    ('string negative t', dict(t='-1'),
+     (ValidationError, "{at}: delay t must be a number, got '-1'")),
+]
+
+
+GATES = (
+    [("local", {"kind": "local", "q": 1, "axis": "x", "angle": 0.5}, case)
+     for case in ROTATION]
+    + [("zz", {"kind": "zz", "pair": [1, 2], "angle": 0.3}, case)
+       for case in COUPLING]
+    + [("phase", {"kind": "phase", "phi": 0.1}, case) for case in PHASE]
+    + [("gate", item, (label, {}, expected)) for label, item, expected in (
+        ("unknown kind", {"kind": "pulse", "q": 1, "axis": "x", "angle": 0.5},
+         (ValidationError, "{at}: unknown gate kind 'pulse'")),
+        ("null kind", {"kind": None},
+         (ValidationError, "{at}: unknown gate kind None")))]
+)
+EVENTS = (
+    [("pulse", {"kind": "pulse", "q": 1, "axis": "x", "angle": 0.5}, case)
+     for case in ROTATION]
+    + [("delay", {"kind": "delay", "t": 0.001}, case) for case in DELAY]
+    + [("event", {"kind": "local", "q": 1, "axis": "x", "angle": 0.5},
+        ("unknown kind", {},
+         (ValidationError, "{at}: unknown event kind 'local'")))]
+)
+
+
+def changed(item: dict, fields: dict) -> dict:
+    out = dict(item)
+    for key, value in fields.items():
+        if value is DROP:
+            del out[key]
+        else:
+            out[key] = value
+    return out
+
+
+def read_gate(item):
+    gates = gate_list_from_json([{"kind": "phase", "phi": 0.0}, item])
+    return gates.kinds[1], gates.sites[1], gates.axes[1], gates.angles[1]
+
+
+def read_event(item):
+    program = PulseProgram.from_json_dict({
+        "chain": {"n": 3, "J": [100.0, 90.0]},
+        "events": [{"kind": "delay", "t": 0.0}, item]})
+    return (program.kinds[1], program.qubits[1], program.axes[1],
+            program.values[1])
+
+
+def check(read, kind, item, expected, at, spin):
+    if isinstance(expected[0], type):
+        cls, message = expected
+        message = message.replace("{at}", at).replace("{spin}", spin)
+        with pytest.raises(ValidationError) as info:
+            read(item)
+        assert type(info.value) is cls
+        assert str(info.value) == message
+    else:
+        # repr tells 2 from 2.0 and -0.0 from 0.0
+        assert repr(read(item)) == repr((kind, *expected))
+
+
+@pytest.mark.parametrize("kind, item, case", GATES,
+                         ids=[f"{k}-{c[0]}" for k, _, c in GATES])
+def test_gate_list_first_fault(kind, item, case):
+    _, fields, expected = case
+    check(read_gate, kind, changed(item, fields), expected,
+          "gate at index 1", "gate spin")
+
+
+@pytest.mark.parametrize("kind, item, case", EVENTS,
+                         ids=[f"{k}-{c[0]}" for k, _, c in EVENTS])
+def test_pulse_program_first_fault(kind, item, case):
+    _, fields, expected = case
+    check(read_event, kind, changed(item, fields), expected,
+          "event at index 1", "pulse spin")

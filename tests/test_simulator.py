@@ -54,6 +54,8 @@ from kakpulse import (
 from kakpulse import simulate
 from kakpulse.cli import main as cli_main
 
+from artifact_oracle import program_to_json_dict
+
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 Z2 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -624,7 +626,7 @@ class TestFrameKeepsTheDrift:
         target.write_text(json.dumps(matrix_to_json_dict(
             gate_list_unitary([self.GATE], 3))))
         path = tmp_path / "program.json"
-        path.write_text(json.dumps(program.to_json_dict()))
+        path.write_text(json.dumps(program_to_json_dict(program)))
         assert cli_main(["verify", str(path), str(target)]) == (
             0 if verdict == "PASS" else 1)
         assert verdict in capsys.readouterr().out

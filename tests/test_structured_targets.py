@@ -15,7 +15,6 @@ keep every contract whichever route the threshold sends them down.
 """
 
 import itertools
-import json
 import math
 import typing
 
@@ -38,7 +37,6 @@ from kakpulse import (
     decompose,
     evaluate,
     flatten,
-    gate_list_to_json,
     gate_list_to_json_text,
     gate_list_unitary,
     haar_unitary,
@@ -49,11 +47,17 @@ from kakpulse import (
     su2_rotation,
     synthesize_pulses,
     total_coupling_time,
-    tree_to_json_dict,
     tree_to_json_text,
 )
 from kakpulse.kak import _decompose
 from kakpulse.pulses import TOL_ROTATION
+
+from artifact_oracle import (
+    canonical,
+    gate_list_to_json,
+    program_to_json_dict,
+    tree_to_json_dict,
+)
 
 CHAIN_J = (120.0, 80.0, 140.0, 95.0)
 
@@ -154,16 +158,13 @@ def test_structured_target_round_trip(target, n):
 @pytest.mark.parametrize("target", TARGETS, ids=lambda f: f.__name__)
 def test_artifact_text_is_the_canonical_dump(target, n):
     """The text writers of the compile artifacts spell exactly what
-    ``json.dumps`` with sorted keys makes of the dict forms."""
-    def canonical(obj):
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
+    ``json.dumps`` with sorted keys makes of the reference dict forms."""
     tree = decompose(target(n))
     gates = flatten(tree)
     program = synthesize_pulses(gates, ChainSpec(n, CHAIN_J[:n - 1]))
     assert tree_to_json_text(tree) == canonical(tree_to_json_dict(tree))
     assert gate_list_to_json_text(gates) == canonical(gate_list_to_json(gates))
-    assert program.to_json_text() == canonical(program.to_json_dict())
+    assert program.to_json_text() == canonical(program_to_json_dict(program))
 
 
 @pytest.mark.parametrize("n", range(3, 6))
@@ -384,6 +385,25 @@ def test_open_layers_add_no_coupling_at_six_spins(monkeypatch):
     u = random_diagonal(6)
     assert open_sizes(decompose(u)) == set()
     assert_open_layers_add_no_coupling(u, monkeypatch)
+
+
+def test_exact_tie_keeps_the_layer_closed(monkeypatch):
+    """Bit reversal at three spins meets an exact tie: absorbing an open
+    layer's end map grows its two-spin neighbour's interaction angles by
+    a whole multiple of pi, as much as the route saves, up to rounding.
+    A tie keeps the layer closed, whichever way the last bits fall."""
+    growths = []
+    sums = kakpulse.kak._interaction_sums
+
+    def spy(us):
+        out = sums(us)
+        growths.extend(out[:len(us) // 2] - out[len(us) // 2:])
+        return out
+
+    monkeypatch.setattr(kakpulse.kak, "_interaction_sums", spy)
+    assert open_sizes(decompose(bit_reversal(3))) == set()
+    assert any(g > 1 and abs(g / math.pi - round(g / math.pi)) < 1e-12
+               for g in growths), growths
 
 
 @pytest.mark.parametrize("target", (qft, bit_reversal, near_identity,
