@@ -51,13 +51,7 @@ from .linalg import (
 )
 from .gates import (
     ChainSpec,
-    CouplingEvolution,
-    Delay,
-    Gate,
     GateList,
-    GlobalPhase,
-    HardPulse,
-    LocalRotation,
     PulseProgram,
     gate_list_from_json,
     gate_list_spin_bound,
@@ -90,11 +84,8 @@ from .pulses import (
 )
 from .simulate import (
     FidelityReport,
-    coupling_diagonal,
     distance,
-    drift_diagonal,
     gate_list_unitary,
-    local_rotation_matrix,
     pulse_program_unitary,
 )
 
@@ -102,25 +93,21 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CartanElement", "CartanFamily", "CartanNode", "ChainSpec",
-    "CouplingEvolution", "Delay", "DimensionError",
-    "EulerNode", "FidelityReport", "Gate", "GateList", "GateTree",
-    "GlobalPhase",
-    "HardPulse", "LocalRotation", "NumericError",
-    "PauliString", "PauliTerm", "PhaseNode",
+    "DimensionError", "EulerNode", "FidelityReport", "GateList", "GateTree",
+    "NumericError", "PauliString", "PauliTerm", "PhaseNode",
     "PulseProgram", "RangeError", "SequenceNode", "Subspace",
     "ValidationError",
     "apply_local", "basis_strings", "block_cartan_strings",
     "block_diagonal_dimension",
     "cartan_evolution_gates", "check_hermitian", "check_unitary",
-    "commutator", "commutes", "compile_unitary",
-    "coupling_diagonal", "decompose",
+    "commutator", "commutes", "compile_unitary", "decompose",
     "diagonal_strings",
-    "distance", "drift_diagonal", "euler_xzx", "evaluate",
+    "distance", "euler_xzx", "evaluate",
     "expm_skew", "flatten", "gate_list_from_json", "gate_list_spin_bound",
     "gate_list_to_json_text", "gate_list_unitary",
     "haar_unitary",
     "interaction_unitary", "inverse_gate_list",
-    "is_maximal_abelian", "local_rotation_matrix",
+    "is_maximal_abelian",
     "matrix_from_json_dict", "matrix_to_json_dict",
     "maximal_abelian_strings", "multiply", "outer_cartan_strings",
     "pauli_evolution_gates", "permute_spins", "pulse_count",

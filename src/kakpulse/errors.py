@@ -41,10 +41,6 @@ class NumericError(RuntimeError):
             message = f"{message} (residual {residual:.3e})"
         super().__init__(message)
 
-    def with_path(self, step: str) -> "NumericError":
-        """Return a copy of this error with ``step`` prepended to its path."""
-        return _on_path(self, (step,))
-
 
 def _on_path(exc: NumericError, path: tuple[str, ...]) -> NumericError:
     """A copy of ``exc`` with ``path`` prepended to its own."""

@@ -7,14 +7,14 @@ reversed product.
 
 The chain a program runs on is a :class:`ChainSpec` (spin count and
 always-on couplings), and a :class:`PulseProgram` is a time-ordered
-list of events on it: hard pulses, which are instantaneous
-:class:`LocalRotation` s (``HardPulse`` names the same class), and
-:class:`Delay` s of free evolution under every coupling at once.  The
-lowering in :mod:`~kakpulse.pulses` writes these and the simulator in
-:mod:`~kakpulse.simulate` reads them, so neither depends on the other.
+list of events on it: hard pulses, which are instantaneous local
+rotations, and delays of free evolution under every coupling at once.
+The lowering in :mod:`~kakpulse.pulses` writes these and the simulator
+in :mod:`~kakpulse.simulate` reads them, so neither depends on the
+other.
 
-Column forms and views
-----------------------
+Columns and rows
+----------------
 A gate list and a pulse program are each held as parallel columns,
 plain Python lists with one entry per gate or event, since every stage
 walks them in a Python loop:
@@ -29,15 +29,14 @@ walks them in a Python loop:
   (the pulse angle, or the delay in seconds), beside its ``chain`` and
   ``phase``.
 
-The readers check every item as the classes above check their fields,
-with the same messages.  The columns the lowering builds are trusted,
-so it checks a tree leaf's spin and phase itself, with the same
-messages; ``add`` appends an entry unchecked.
-:class:`LocalRotation`, :class:`CouplingEvolution`, :class:`GlobalPhase`
-and :class:`Delay` are views: iterating a :class:`GateList` or reading
-:attr:`PulseProgram.events` builds them on demand, and either column
-form can be built from them.  Every function that takes a gate list
-takes a :class:`GateList` or any iterable of those views.
+A gate or an event is a row of its four column entries, ``(kind, site,
+axis, angle)``.  Iterating a :class:`GateList` yields its rows, and
+``GateList(rows)`` and ``PulseProgram(chain, rows, phase)`` build
+checked columns from rows.  Each item kind has one check, which those
+two constructors and the readers share, so a fault raises the same
+class and message either way, naming the row's or the item's index.
+The columns the lowering builds are trusted: it checks a tree leaf's
+spin itself, with the same message; ``add`` appends an entry unchecked.
 
 JSON forms
 ----------
@@ -58,17 +57,18 @@ spells it.  :func:`gate_list_from_json` and
 
 Conventions
 -----------
-* ``LocalRotation(q, axis, angle)`` realizes ``exp(-1j * angle * I_axis)``
-  on spin ``q`` with ``I_axis = sigma_axis / 2``; angles are radians and
-  a ``2*pi`` rotation equals ``-1``.
-* ``CouplingEvolution(left, angle)`` realizes
+* A rotation ``("local", q, axis, angle)`` realizes
+  ``exp(-1j * angle * I_axis)`` on spin ``q`` with
+  ``I_axis = sigma_axis / 2``; angles are radians and a ``2*pi``
+  rotation equals ``-1``.
+* A coupling ``("zz", left, None, angle)`` realizes
   ``exp(-1j * angle * I_z I_z)`` on the pair ``(left, left + 1)``.  Note
   the period in ``angle`` is ``8*pi`` and the value at ``4*pi`` is
   ``-identity``, because the generator has eigenvalues ``+-1/4``.  The
   angle may have either sign: the scheduler keeps a frame of x pi-flips
   and flips the left spin first when the frame's sign on the pair
   disagrees with the angle's.
-* ``GlobalPhase(phi)`` multiplies by ``exp(1j * phi)``.
+* A phase ``("phase", 0, None, phi)`` multiplies by ``exp(1j * phi)``.
 
 Spins are 1-based; spin 1 is the leftmost Kronecker factor.
 """
@@ -76,97 +76,100 @@ Spins are 1-based; spin 1 is the leftmost Kronecker factor.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from typing import Union
 
 from .errors import (DimensionError, RangeError, ValidationError, _json_array,
                      _json_float, _json_int, _json_number, _json_numbers)
 from .linalg import AXES
 
-
-@dataclass(frozen=True)
-class LocalRotation:
-    """``exp(-1j * angle * sigma_axis / 2)`` on one spin."""
-
-    qubit: int
-    axis: str
-    angle: float
-
-    def __post_init__(self):
-        if self.qubit < 1:
-            raise ValidationError(f"spin index must be >= 1, got {self.qubit}")
-        if self.axis not in AXES:
-            raise ValidationError(f"axis must be one of {AXES}, got {self.axis!r}")
-        if not math.isfinite(self.angle):
-            raise ValidationError("rotation angle must be finite")
-
-    def inverse(self) -> "LocalRotation":
-        return LocalRotation(self.qubit, self.axis, -self.angle)
+# The check of each item kind, which returns the item's row.  The row
+# constructors and the readers share it; a reader calls it once an
+# item's fields have their JSON types.
 
 
-@dataclass(frozen=True)
-class CouplingEvolution:
-    """``exp(-1j * angle * I_z I_z)`` on the pair ``(left, left + 1)``."""
-
-    left: int
-    angle: float
-
-    def __post_init__(self):
-        if self.left < 1:
-            raise ValidationError(f"pair index must be >= 1, got {self.left}")
-        if not math.isfinite(self.angle):
-            raise ValidationError("coupling angle must be finite")
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.left, self.left + 1)
-
-    def inverse(self) -> "CouplingEvolution":
-        return CouplingEvolution(self.left, -self.angle)
+def _rotation_row(kind: str, q: int, axis: str, angle: float) -> tuple:
+    """A rotation or a pulse: ``exp(-1j * angle * sigma_axis / 2)`` on
+    spin ``q``."""
+    if q < 1:
+        raise ValidationError(f"spin index must be >= 1, got {q}")
+    if axis not in AXES:
+        raise ValidationError(f"axis must be one of {AXES}, got {axis!r}")
+    if not math.isfinite(angle):
+        raise ValidationError("rotation angle must be finite")
+    return kind, q, axis, angle
 
 
-@dataclass(frozen=True)
-class GlobalPhase:
-    """Multiply the circuit by ``exp(1j * phi)``."""
-
-    phi: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.phi):
-            raise ValidationError("phase must be finite")
-
-    def inverse(self) -> "GlobalPhase":
-        return GlobalPhase(-self.phi)
+def _coupling_row(left: int, angle: float) -> tuple:
+    """A coupling: ``exp(-1j * angle * I_z I_z)`` on ``(left, left + 1)``."""
+    if left < 1:
+        raise ValidationError(f"pair index must be >= 1, got {left}")
+    if not math.isfinite(angle):
+        raise ValidationError("coupling angle must be finite")
+    return "zz", left, None, angle
 
 
-Gate = Union[LocalRotation, CouplingEvolution, GlobalPhase]
+def _phase_row(phi: float) -> tuple:
+    """A global phase ``exp(1j * phi)``."""
+    if not math.isfinite(phi):
+        raise ValidationError("phase must be finite")
+    return "phase", 0, None, phi
+
+
+def _delay_row(t: float) -> tuple:
+    """Free evolution under the chain couplings for ``t`` seconds."""
+    if not (math.isfinite(t) and t >= 0):
+        raise RangeError(f"delay must be non-negative and finite, got {t}")
+    return "delay", 0, None, t
+
+
+def _item_error(exc: Exception, what: str, k: int) -> ValidationError:
+    """``exc``, raised while loading item ``k`` of a JSON array or of a
+    list of rows, as an error that names the index; a validation error
+    keeps its class."""
+    if isinstance(exc, ValidationError):
+        return type(exc)(f"{what} at index {k}: {exc}")
+    return ValidationError(f"malformed {what} at index {k}: {exc}")
+
+
+def _add_rows(out, rows: Iterable[tuple], row: Callable, what: str) -> None:
+    """Add each of ``rows`` to ``out`` as ``row`` checks it."""
+    for k, entries in enumerate(rows):
+        try:
+            entries = row(entries)
+        except (TypeError, ValueError) as exc:
+            raise _item_error(exc, what, k) from exc
+        out.add(*entries)
+
+
+def _gate_row(row: tuple) -> tuple:
+    """The checked row of a gate."""
+    kind, site, axis, angle = row
+    if kind == "local":
+        return _rotation_row("local", site, axis, angle)
+    if kind == "zz":
+        return _coupling_row(site, angle)
+    if kind == "phase":
+        return _phase_row(angle)
+    raise ValidationError(f"unknown gate kind {kind!r}")
 
 
 class GateList:
     """A time-ordered gate list as four parallel columns: ``kinds``,
     ``sites``, ``axes`` and ``angles`` (see the module docstring).
 
-    ``GateList(gates)`` builds the columns from :data:`Gate` views, and
-    iterating yields the views back; a list of views compares equal to
-    the gate list they make."""
+    ``GateList(rows)`` checks each ``(kind, site, axis, angle)`` row as
+    the reader checks a gate, iterating yields the rows back, and
+    ``gates[k]`` is row ``k``."""
 
     __slots__ = ("kinds", "sites", "axes", "angles")
 
-    def __init__(self, gates: Iterable[Gate] = ()):
+    def __init__(self, rows: Iterable[tuple] = ()):
         self.kinds: list[str] = []
         self.sites: list[int] = []
         self.axes: list[str | None] = []
         self.angles: list[float] = []
-        for g in gates:
-            if isinstance(g, LocalRotation):
-                self.add("local", g.qubit, g.axis, g.angle)
-            elif isinstance(g, CouplingEvolution):
-                self.add("zz", g.left, None, g.angle)
-            elif isinstance(g, GlobalPhase):
-                self.add("phase", 0, None, g.phi)
-            else:
-                raise ValidationError(f"unknown gate object {g!r}")
+        _add_rows(self, rows, _gate_row, "gate")
 
     @classmethod
     def _of(cls, kinds, sites, axes, angles) -> "GateList":
@@ -189,22 +192,19 @@ class GateList:
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def __getitem__(self, k: int | slice) -> Gate | "GateList":
-        """The view of gate ``k``, or the gate list of a slice."""
+    def __getitem__(self, k: int | slice) -> tuple | "GateList":
+        """Row ``k``, or the gate list of a slice."""
         if isinstance(k, slice):
             return GateList._of(*(column[k] for column in self.columns()))
-        return _gate_view(self.kinds[k], self.sites[k], self.axes[k],
-                          self.angles[k])
+        return self.kinds[k], self.sites[k], self.axes[k], self.angles[k]
 
     def __iter__(self):
-        return map(_gate_view, *self.columns())
+        return zip(*self.columns())
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, GateList):
-            return self.columns() == other.columns()
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
+        if not isinstance(other, GateList):
+            return NotImplemented
+        return self.columns() == other.columns()
 
     __hash__ = None
 
@@ -212,40 +212,25 @@ class GateList:
         return f"GateList({list(self)!r})"
 
 
-def _gate_view(kind: str, site: int, axis: str | None, angle: float) -> Gate:
-    if kind == "local":
-        return LocalRotation(site, axis, angle)
-    if kind == "zz":
-        return CouplingEvolution(site, angle)
-    return GlobalPhase(angle)
-
-
-def _as_gate_list(gates: GateList | Iterable[Gate]) -> GateList:
-    """``gates`` itself when it is a :class:`GateList`, else the gate
-    list of its views."""
-    return gates if isinstance(gates, GateList) else GateList(gates)
-
-
-def inverse_gate_list(gates: GateList | Iterable[Gate]) -> GateList:
+def inverse_gate_list(gates: GateList) -> GateList:
     """Time-ordered inverse of a time-ordered gate list: the gates in
     reverse order, each angle and phase negated."""
-    kinds, sites, axes, angles = _as_gate_list(gates).columns()
+    kinds, sites, axes, angles = gates.columns()
     return GateList._of(kinds[::-1], sites[::-1], axes[::-1],
                         [-a for a in reversed(angles)])
 
 
-def gate_list_spin_bound(gates: GateList | Iterable[Gate]) -> int:
+def gate_list_spin_bound(gates: GateList) -> int:
     """Largest spin index touched (0 for a purely global list)."""
-    gates = _as_gate_list(gates)
     return max((site + (kind == "zz")
                 for kind, site in zip(gates.kinds, gates.sites)), default=0)
 
 
-def gate_list_to_json_text(gates: GateList | Iterable[Gate]) -> str:
+def gate_list_to_json_text(gates: GateList) -> str:
     """The gate list as JSON text: an array of gate objects (see the
     module docstring), written from the columns one gate at a time with
     the keys already in sorted order."""
-    kinds, sites, axes, angles = _as_gate_list(gates).columns()
+    kinds, sites, axes, angles = gates.columns()
     out = []
     for kind, site, axis, angle in zip(kinds, sites, axes,
                                        _json_numbers(angles)):
@@ -260,38 +245,28 @@ def gate_list_to_json_text(gates: GateList | Iterable[Gate]) -> str:
     return f"[{','.join(out)}]"
 
 
-def _item_error(exc: Exception, what: str, k: int) -> ValidationError:
-    """``exc``, raised while loading item ``k`` of a JSON array, as an
-    error that names the index; a validation error keeps its class."""
-    if isinstance(exc, ValidationError):
-        return type(exc)(f"{what} at index {k}: {exc}")
-    return ValidationError(f"malformed {what} at index {k}: {exc}")
-
-
 # The fields of one JSON item of each kind.  A well-formed item's fields
 # are taken as they stand; any other item is read field by field in a
 # fixed order, so that its first fault raises the error that names it.
 
-def _rotation_fields(item: dict, what: str) -> tuple[int, str, float]:
-    """``(q, axis, angle)`` of a rotation item, checked as
-    :class:`LocalRotation` checks them; ``what`` names the spin."""
+def _rotation_fields(item: dict, kind: str, what: str) -> tuple:
+    """The row of a rotation item of ``kind``, checked by
+    :func:`_rotation_row`; ``what`` names the spin."""
     try:
         q, axis, angle = item["q"], item["axis"], item["angle"]
         if (type(q) is int and q > 0 and axis in AXES
                 and type(angle) is float and -math.inf < angle < math.inf):
-            return q, axis, angle
+            return kind, q, axis, angle
     except KeyError:
         pass
     angle = item["angle"]
-    g = LocalRotation(_json_int(item["q"], what), str(item["axis"]),
-                      angle if type(angle) is float
-                      else _json_float(angle, "angle"))
-    return g.qubit, g.axis, g.angle
+    q, axis = _json_int(item["q"], what), str(item["axis"])
+    return _rotation_row(kind, q, axis, _json_float(angle, "angle"))
 
 
-def _coupling_fields(item: dict) -> tuple[int, float]:
-    """``(left, angle)`` of a coupling item, checked as
-    :class:`CouplingEvolution` checks them, its pair adjacent."""
+def _coupling_fields(item: dict) -> tuple:
+    """The row of a coupling item, checked by :func:`_coupling_row`, its
+    pair adjacent."""
     try:
         pair, angle = item["pair"], item["angle"]
         left = pair[0]
@@ -299,7 +274,7 @@ def _coupling_fields(item: dict) -> tuple[int, float]:
                 and type(left) is int and left > 0
                 and type(pair[1]) is int and pair[1] == left + 1
                 and type(angle) is float and -math.inf < angle < math.inf):
-            return left, angle
+            return "zz", left, None, angle
     except (KeyError, TypeError, IndexError):
         pass
     left, right = (_json_int(v, "coupling spin") for v in
@@ -307,26 +282,22 @@ def _coupling_fields(item: dict) -> tuple[int, float]:
     if right != left + 1:
         raise ValidationError(
             f"coupling pair must be adjacent, got [{left}, {right}]")
-    angle = item["angle"]
-    g = CouplingEvolution(left, angle if type(angle) is float
-                          else _json_float(angle, "angle"))
-    return g.left, g.angle
+    return _coupling_row(left, _json_float(item["angle"], "angle"))
 
 
-def _delay_fields(item: dict) -> float:
-    """The duration of a delay item, checked as :class:`Delay` checks
-    it."""
+def _delay_fields(item: dict) -> tuple:
+    """The row of a delay item, checked by :func:`_delay_row`."""
     t = item["t"]
     if type(t) is float and 0.0 <= t < math.inf:
-        return t
-    return Delay(t if type(t) is float else _json_float(t, "delay t")).duration
+        return "delay", 0, None, t
+    return _delay_row(_json_float(t, "delay t"))
 
 
 def gate_list_from_json(data: list[dict]) -> GateList:
     """The gate list of a JSON array of gate objects, in columns.
 
-    Each item is checked as its view checks itself, and a fault names
-    the item's index."""
+    Each item is checked as its kind's row is, and a fault names the
+    item's index."""
     if not isinstance(data, list):
         raise ValidationError("gate list must be a JSON array")
     out = GateList()
@@ -335,22 +306,20 @@ def gate_list_from_json(data: list[dict]) -> GateList:
     kinds, sites, axes, angles = out.columns()
     for item in data:
         try:
-            # each branch sets the kind to its literal, not the item's copy
+            # each row holds its kind's literal, not the item's copy
             kind = item["kind"]
             if kind == "local":
-                kind = "local"
-                q, axis, angle = _rotation_fields(item, "gate spin")
+                row = _rotation_fields(item, "local", "gate spin")
             elif kind == "zz":
-                kind, axis = "zz", None
-                q, angle = _coupling_fields(item)
+                row = _coupling_fields(item)
             elif kind == "phase":
-                kind, q, axis = "phase", 0, None
-                angle = GlobalPhase(_json_float(item["phi"], "phase")).phi
+                row = _phase_row(_json_float(item["phi"], "phase"))
             else:
                 raise ValidationError(f"unknown gate kind {kind!r}")
         except (KeyError, TypeError, ValueError) as exc:
             # the columns hold one entry per item read before this one
             raise _item_error(exc, "gate", len(kinds)) from exc
+        kind, q, axis, angle = row
         kinds.append(kind)
         sites.append(q)
         axes.append(axis)
@@ -385,6 +354,16 @@ class ChainSpec:
             if not math.isfinite(2 / j):
                 raise RangeError(
                     f"coupling J_{k} must leave 2 / J_{k} finite, got {j}")
+        if self.couplings:
+            # the longest such delay turns the strongest pair by
+            # 4*pi * J_hi / J_lo, which the simulator holds as a float
+            j_lo, j_hi = min(self.couplings), max(self.couplings)
+            if not math.isfinite(4 * math.pi * j_hi / j_lo):
+                lo = self.couplings.index(j_lo) + 1
+                hi = self.couplings.index(j_hi) + 1
+                raise RangeError(
+                    f"couplings J_{hi} and J_{lo} must leave 4*pi * J_{hi} "
+                    f"/ J_{lo} finite, got {j_hi} and {j_lo}")
 
     @classmethod
     def uniform(cls, n: int, j: float = 100.0) -> "ChainSpec":
@@ -406,53 +385,34 @@ class ChainSpec:
             raise ValidationError(f"malformed chain object: {exc}") from exc
 
 
-# An instantaneous pulse is a local rotation applied at one instant.
-HardPulse = LocalRotation
-
-
-@dataclass(frozen=True)
-class Delay:
-    """Free evolution under the chain couplings for ``duration`` seconds."""
-
-    duration: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.duration) and self.duration >= 0):
-            raise RangeError(
-                f"delay must be non-negative and finite, got {self.duration}")
-
-
-PulseEvent = Union[HardPulse, Delay]
-
-
-def _event_view(kind: str, q: int, axis: str | None, value: float) -> PulseEvent:
-    return HardPulse(q, axis, value) if kind == "pulse" else Delay(value)
+def _event_row(row: tuple) -> tuple:
+    """The checked row of an event."""
+    kind, q, axis, value = row
+    if kind == "pulse":
+        return _rotation_row("pulse", q, axis, value)
+    if kind == "delay":
+        return _delay_row(value)
+    raise ValidationError(f"unknown event kind {kind!r}")
 
 
 class PulseProgram:
     """Time-ordered pulse/delay schedule plus an accumulated global phase.
 
     The events are four columns, ``kinds``, ``qubits``, ``axes`` and
-    ``values`` (see the module docstring); ``PulseProgram(chain,
-    events, phase)`` builds them from :data:`PulseEvent` views, and
-    :attr:`events` reads the views back."""
+    ``values`` (see the module docstring); ``PulseProgram(chain, rows,
+    phase)`` checks each ``(kind, q, axis, value)`` row as the reader
+    checks an event."""
 
     __slots__ = ("chain", "kinds", "qubits", "axes", "values", "phase")
 
-    def __init__(self, chain: ChainSpec, events: Iterable[PulseEvent] = (),
+    def __init__(self, chain: ChainSpec, rows: Iterable[tuple] = (),
                  phase: float = 0.0):
         self.chain = chain
         self.kinds: list[str] = []
         self.qubits: list[int] = []
         self.axes: list[str | None] = []
         self.values: list[float] = []
-        for e in events:
-            if isinstance(e, HardPulse):
-                self.add("pulse", e.qubit, e.axis, e.angle)
-            elif isinstance(e, Delay):
-                self.add("delay", 0, None, e.duration)
-            else:
-                raise ValidationError(f"unknown event object {e!r}")
+        _add_rows(self, rows, _event_row, "event")
         if not math.isfinite(phase):
             raise ValidationError("program phase must be finite")
         self.phase = phase
@@ -468,12 +428,6 @@ class PulseProgram:
     def columns(self) -> tuple[list, list, list, list]:
         return self.kinds, self.qubits, self.axes, self.values
 
-    @property
-    def events(self) -> list[PulseEvent]:
-        """The events as views, built on each read: changing the list
-        does not change the program."""
-        return list(map(_event_view, *self.columns()))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PulseProgram):
             return NotImplemented
@@ -483,8 +437,8 @@ class PulseProgram:
     __hash__ = None
 
     def __repr__(self) -> str:
-        return (f"PulseProgram(chain={self.chain!r}, events={self.events!r}, "
-                f"phase={self.phase!r})")
+        return (f"PulseProgram({self.chain!r}, "
+                f"{list(zip(*self.columns()))!r}, {self.phase!r})")
 
     def to_json_text(self) -> str:
         """The program as JSON text: its chain, its events and its phase
@@ -507,7 +461,7 @@ class PulseProgram:
     def from_json_dict(cls, data: dict) -> "PulseProgram":
         """The program of a JSON object, its events in columns.
 
-        Each event is checked as its view checks itself, and a fault
+        Each event is checked as its kind's row is, and a fault
         names the event's index."""
         try:
             chain = ChainSpec.from_json_dict(data["chain"])
@@ -518,19 +472,18 @@ class PulseProgram:
             values: list[float] = []
             for item in items:
                 try:
-                    # each branch sets the kind to its literal, as in
+                    # each row holds its kind's literal, as in
                     # gate_list_from_json
                     kind = item["kind"]
                     if kind == "pulse":
-                        kind = "pulse"
-                        q, axis, value = _rotation_fields(item, "pulse spin")
+                        row = _rotation_fields(item, "pulse", "pulse spin")
                     elif kind == "delay":
-                        kind, q, axis = "delay", 0, None
-                        value = _delay_fields(item)
+                        row = _delay_fields(item)
                     else:
                         raise ValidationError(f"unknown event kind {kind!r}")
                 except (KeyError, TypeError, ValueError) as exc:
                     raise _item_error(exc, "event", len(kinds)) from exc
+                kind, q, axis, value = row
                 kinds.append(kind)
                 qubits.append(q)
                 axes.append(axis)

@@ -89,7 +89,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, RangeError, ValidationError
-from .gates import ChainSpec, Gate, GateList, PulseProgram, _as_gate_list
+from .gates import ChainSpec, GateList, PulseProgram, _phase_row
 from .kak import (CartanNode, EulerNode, GateTree, PhaseNode, SequenceNode,
                   decompose, euler_xzx_angles)
 from .linalg import QUATERNION_ONE, quaternion_turn
@@ -390,16 +390,14 @@ def _lower_into(tree: GateTree, out: GateList) -> None:
         if turns % 2:
             out.add("phase", 0, None, _PI)
     elif isinstance(tree, PhaseNode):
-        if not math.isfinite(tree.phi):
-            raise ValidationError("phase must be finite")
-        out.add("phase", 0, None, tree.phi)
+        out.add(*_phase_row(tree.phi))
     elif isinstance(tree, CartanNode):
         _emit_element(out, tree.element, tree.route)
     else:
         raise ValidationError(f"unknown tree node {tree!r}")
 
 
-def _merge_local_runs(gates: GateList | Iterable[Gate]) -> GateList:
+def _merge_local_runs(gates: GateList) -> GateList:
     """One pass that shortens the runs of rotations on each spin.
 
     A rotation is held until the next coupling that touches its spin, or
@@ -442,7 +440,7 @@ def _merge_local_runs(gates: GateList | Iterable[Gate]) -> GateList:
         for axis, angle in run:
             add("local", q, axis, angle)
 
-    for kind, q, axis, angle in zip(*_as_gate_list(gates).columns()):
+    for kind, q, axis, angle in zip(*gates.columns()):
         if kind == "local":
             if q in framed and axis != "z":
                 angle = -angle
@@ -657,8 +655,7 @@ def _place(gates: GateList, chain: ChainSpec) -> tuple[dict, float]:
     return at, phase
 
 
-def synthesize_pulses(gates: GateList | Iterable[Gate],
-                      chain: ChainSpec) -> PulseProgram:
+def synthesize_pulses(gates: GateList, chain: ChainSpec) -> PulseProgram:
     """Lower a time-ordered gate list onto a chain, as a program in
     columns.
 
@@ -687,7 +684,6 @@ def synthesize_pulses(gates: GateList | Iterable[Gate],
     its angle negated, and the program ends by toggling every spin that
     is still flipped.
     """
-    gates = _as_gate_list(gates)
     at, phase = _place(gates, chain)
     program = PulseProgram(chain)
     frame = _Frame(program)

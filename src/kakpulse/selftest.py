@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .gates import ChainSpec, CouplingEvolution, GateList, LocalRotation
+from .gates import ChainSpec, GateList
 from .kak import _canonical_products, _two_spin_stack, decompose, euler_xzx
 from .linalg import expm_skew, haar_unitary, su2_rotation
 from .paulis import (
@@ -186,33 +186,34 @@ def _suite_refocus() -> tuple[bool, str]:
     chains = [ChainSpec.uniform(n, 100.0) for n in (3, 4, 5)]
     chains += [ChainSpec(3, (100.0, 140.0)), ChainSpec.uniform(4, 80.0)]
     cases = [(f"pair {left} at angle {theta:g}", spec,
-              [CouplingEvolution(left, theta)])
+              [("zz", left, None, theta)])
              for spec in chains[:3] for left in range(1, spec.n)
              for theta in (0.1, math.pi / 2, math.pi, 3.9)]
-    cases += [("pair 2 at angle 0.1", chains[3], [CouplingEvolution(2, 0.1)]),
-              ("pair 2 at angle 3.9", chains[4], [CouplingEvolution(2, 3.9)])]
+    cases += [("pair 2 at angle 0.1", chains[3], [("zz", 2, None, 0.1)]),
+              ("pair 2 at angle 3.9", chains[4], [("zz", 2, None, 3.9)])]
     singles = len(cases)
     angles = (0.1, -math.pi / 2, 2 * math.pi + 0.4, -3.9, math.pi,
               -2 * math.pi - 1.1)
     for spec in chains:
-        gates = []
+        rows = []
         for k in range(12):
-            gates += [CouplingEvolution(1 + k % (spec.n - 1), angles[k % 6]),
-                      LocalRotation(1 + k % spec.n, "yz"[k % 2], 0.3 + 0.2 * k)]
-        cases.append(("12-block sequence", spec, gates))
+            rows += [("zz", 1 + k % (spec.n - 1), None, angles[k % 6]),
+                     ("local", 1 + k % spec.n, "yz"[k % 2], 0.3 + 0.2 * k)]
+        cases.append(("12-block sequence", spec, rows))
     cases += [
         ("two pairs at once", chains[2],
-         [CouplingEvolution(1, 0.7), CouplingEvolution(3, -1.9)]),
+         [("zz", 1, None, 0.7), ("zz", 3, None, -1.9)]),
         ("overlapping windows", ChainSpec(5, (100.0, 140.0, 90.0, 120.0)),
-         [CouplingEvolution(1, 2.5), CouplingEvolution(2, 0.8),
-          LocalRotation(2, "z", 0.4), LocalRotation(3, "x", 0.3),
-          LocalRotation(3, "z", -0.7), CouplingEvolution(3, -1.2),
-          CouplingEvolution(4, 0.5)]),
+         [("zz", 1, None, 2.5), ("zz", 2, None, 0.8),
+          ("local", 2, "z", 0.4), ("local", 3, "x", 0.3),
+          ("local", 3, "z", -0.7), ("zz", 3, None, -1.2),
+          ("zz", 4, None, 0.5)]),
     ]
-    every_pair = [CouplingEvolution(1, 0.9), CouplingEvolution(2, -0.9)]
+    every_pair = [("zz", 1, None, 0.9), ("zz", 2, None, -0.9)]
     cases.append(("every pair at once", chains[0], every_pair))
     worst = 0.0
-    for what, spec, gates in cases:
+    for what, spec, rows in cases:
+        gates = GateList(rows)
         program = synthesize_pulses(gates, spec)
         got = pulse_program_unitary(program)
         resid = float(np.max(np.abs(got - gate_list_unitary(gates, spec.n))))
@@ -221,7 +222,7 @@ def _suite_refocus() -> tuple[bool, str]:
                            f"{resid:.3e} >= 1e-10")
         worst = max(worst, resid)
         delays = program.kinds.count("delay")
-        if gates is every_pair and delays != 1:
+        if rows is every_pair and delays != 1:
             return False, (f"{what} on chain J={spec.couplings}: {delays} "
                            f"delays, not one unrefocused delay")
     return True, (f"{singles} single-coupling blocks, {len(chains)} "
@@ -288,8 +289,7 @@ def _suite_twospin() -> tuple[bool, str]:
 def _outside_vocabulary(gates: GateList, n: int) -> int | None:
     """Index of the first gate that is not an on-chain local rotation, an
     adjacent coupling or a scalar phase factor, if any."""
-    for k, (kind, site, axis) in enumerate(zip(gates.kinds, gates.sites,
-                                               gates.axes)):
+    for k, (kind, site, axis, _) in enumerate(gates):
         if kind == "local":
             ok = 1 <= site <= n and axis in ("x", "y", "z")
         elif kind == "zz":
@@ -311,8 +311,7 @@ def _suite_recursive() -> tuple[bool, str]:
             gates = flatten(decompose(u))
             bad = _outside_vocabulary(gates, n)
             if bad is not None:
-                entry = tuple(column[bad] for column in gates.columns())
-                return False, (f"gate {entry} is outside the {n}-spin "
+                return False, (f"gate {gates[bad]} is outside the {n}-spin "
                                f"vocabulary, seed {seed}")
             resid = float(np.max(np.abs(gate_list_unitary(gates, n) - u)))
             if resid >= budget:

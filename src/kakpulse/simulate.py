@@ -78,27 +78,17 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .gates import Gate, GateList, PulseProgram, _as_gate_list
+from .gates import GateList, PulseProgram
 from .linalg import (QUATERNION_ONE, apply_local, check_square, kron2,
-                     quaternion_matrices, quaternion_turn, spin_count,
-                     su2_rotation)
+                     quaternion_matrices, quaternion_turn, spin_count)
 
 # exp(1j*pi/2 * k) for k = 0..3, exactly
 _QUARTER_TURNS = (1, 1j, -1, -1j)
-
-
-def local_rotation_matrix(n: int, qubit: int, axis: str, angle: float) -> np.ndarray:
-    """Dense ``exp(-1j*angle*sigma_axis/2)`` embedded on spin ``qubit``."""
-    if not 1 <= qubit <= n:
-        raise DimensionError(f"spin {qubit} outside 1..{n}")
-    return apply_local(np.eye(2 ** n, dtype=complex),
-                       {qubit: su2_rotation(axis, angle)})
 
 
 def _z_signs(n: int, qubit: int) -> np.ndarray:
@@ -106,18 +96,6 @@ def _z_signs(n: int, qubit: int) -> np.ndarray:
     idx = np.arange(2 ** n)
     bit = (idx >> (n - qubit)) & 1
     return 1.0 - 2.0 * bit
-
-
-def _zz_diagonal(n: int, left: int) -> np.ndarray:
-    """Diagonal of ``I_z I_z`` on the pair ``(left, left+1)``."""
-    return _z_signs(n, left) * _z_signs(n, left + 1) / 4.0
-
-
-def coupling_diagonal(n: int, left: int, angle: float) -> np.ndarray:
-    """Diagonal of ``exp(-1j*angle*IzIz)`` on pair ``(left, left+1)``."""
-    if not 1 <= left <= n - 1:
-        raise DimensionError(f"pair ({left},{left + 1}) outside chain of {n}")
-    return np.exp(-1j * angle * _zz_diagonal(n, left))
 
 
 # A stretch of at least BLOCK_MIN_STEPS steps that is diagonal on the
@@ -316,8 +294,9 @@ class _Frame:
 def _diagonal_basis(n: int) -> np.ndarray:
     """Rows ``IzIz`` of pairs ``1..n-1``, then ``sigma_z/2`` of spins
     ``1..n``: the diagonal run's angles are coefficients on them."""
-    basis = np.array([_zz_diagonal(n, left) for left in range(1, n)]
-                     + [_z_signs(n, q) / 2.0 for q in range(1, n + 1)])
+    z = [_z_signs(n, q) for q in range(1, n + 1)]
+    basis = np.array([z[k] * z[k + 1] / 4.0 for k in range(n - 1)]
+                     + [signs / 2.0 for signs in z])
     basis.flags.writeable = False
     return basis
 
@@ -409,11 +388,10 @@ def _close_stretch(frame: _Frame, steps, lo: int, hi: int, touched: bool,
                                frame.n if touched else spins))
 
 
-def gate_list_unitary(gates: GateList | Iterable[Gate], n: int) -> np.ndarray:
+def gate_list_unitary(gates: GateList, n: int) -> np.ndarray:
     """Matrix of a time-ordered gate list on ``n`` spins."""
     if n < 1:
         raise ValidationError(f"need at least one spin, got {n}")
-    gates = _as_gate_list(gates)
     kinds, steps = gates.kinds, gates.columns()
     # the phases' indices, found by the list's own scan
     cuts = [-1]
@@ -430,15 +408,6 @@ def gate_list_unitary(gates: GateList | Iterable[Gate], n: int) -> np.ndarray:
             column[a + 1:b] for a, b in zip(cuts, cuts[1:])))
             for column in steps)
     return _frame_unitary(n, steps).unitary(phase)
-
-
-def drift_diagonal(program_chain) -> np.ndarray:
-    """Diagonal of the always-on coupling Hamiltonian, in rad/s."""
-    n = program_chain.n
-    h = np.zeros(2 ** n)
-    for left in range(1, n):
-        h += 2 * math.pi * program_chain.coupling(left) * _zz_diagonal(n, left)
-    return h
 
 
 def pulse_program_unitary(program: PulseProgram) -> np.ndarray:

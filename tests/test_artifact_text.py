@@ -16,12 +16,8 @@ from kakpulse import (
     CartanFamily,
     CartanNode,
     ChainSpec,
-    CouplingEvolution,
-    Delay,
     EulerNode,
-    GlobalPhase,
-    HardPulse,
-    LocalRotation,
+    GateList,
     PauliString,
     PhaseNode,
     PulseProgram,
@@ -38,9 +34,14 @@ from kakpulse.networks import nonzero_letters, open_route
 
 from artifact_oracle import (
     canonical,
+    delay_row,
     gate_list_to_json,
+    local_row,
+    phase_row,
     program_to_json_dict,
+    pulse_row,
     tree_to_json_dict,
+    zz_row,
 )
 
 # floats whose spelling json takes care over: a signed zero, the least
@@ -60,14 +61,15 @@ def test_haar_artifacts(n):
 
 
 def test_hand_made_gates():
-    gates = [g for a in ANGLES for g in (
-        LocalRotation(2, "y", a), CouplingEvolution(3, a), GlobalPhase(a))]
+    gates = GateList(g for a in ANGLES for g in (
+        local_row(2, "y", a), zz_row(3, a), phase_row(a)))
     assert gate_list_to_json_text(gates) == canonical(gate_list_to_json(gates))
-    assert gate_list_to_json_text([]) == "[]"
+    assert gate_list_to_json_text(GateList()) == "[]"
 
 
 def test_hand_made_program():
-    events = [e for a in ANGLES for e in (HardPulse(1, "x", a), Delay(abs(a)))]
+    events = [e for a in ANGLES for e in (pulse_row(1, "x", a),
+                                          delay_row(abs(a)))]
     for chain, phase in ((ChainSpec(3, (np.float64(120.5), 1e16)), ANGLES[4]),
                          (ChainSpec(2, (80,)), -0.0), (ChainSpec(1, ()), 2)):
         program = PulseProgram(chain, events, phase)
@@ -105,12 +107,12 @@ def test_hand_made_tree():
 
 
 def test_unknown_objects_are_rejected_like_the_dict_forms():
-    stranger = object()
-    with pytest.raises(ValidationError, match="unknown gate object"):
-        gate_list_to_json([GlobalPhase(0.1), stranger])
-    with pytest.raises(ValidationError, match="unknown gate object"):
-        gate_list_to_json_text([GlobalPhase(0.1), stranger])
-    tree = SequenceNode((PhaseNode(0.1), SequenceNode((stranger,))))
+    stranger = ("swap", 1, None, 0.1)
+    with pytest.raises(ValidationError, match="unknown gate kind 'swap'"):
+        gate_list_to_json([phase_row(0.1), stranger])
+    with pytest.raises(ValidationError, match="unknown gate kind 'swap'"):
+        GateList([phase_row(0.1), stranger])
+    tree = SequenceNode((PhaseNode(0.1), SequenceNode((object(),))))
     with pytest.raises(ValidationError, match="unknown tree node"):
         tree_to_json_dict(tree)
     with pytest.raises(ValidationError, match="unknown tree node"):

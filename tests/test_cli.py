@@ -26,16 +26,12 @@ import kakpulse.kak
 import kakpulse.paulis
 import kakpulse.pulses
 from kakpulse.cli import main
-from kakpulse.gates import (
-    CouplingEvolution,
-    PulseProgram,
-    gate_list_from_json,
-)
+from kakpulse.gates import GateList, PulseProgram, gate_list_from_json
 from kakpulse.kak import residual_budget
 from kakpulse.linalg import haar_unitary, matrix_from_json_dict, matrix_to_json_dict
 from kakpulse.simulate import gate_list_unitary, pulse_program_unitary
 
-from artifact_oracle import gate_list_to_json
+from artifact_oracle import gate_list_to_json, zz_row
 
 
 def read_json(path):
@@ -108,9 +104,9 @@ class TestDecompose:
                      "--output", str(out_path)]) == 0
         out = capsys.readouterr().out
         gates = gate_list_from_json(read_json(out_path)["gates"])
-        n_zz = sum(isinstance(g, CouplingEvolution) for g in gates)
-        n_pi = sum(isinstance(g, CouplingEvolution) and abs(g.angle) == math.pi
-                   for g in gates)
+        n_zz = gates.kinds.count("zz")
+        n_pi = sum(kind == "zz" and abs(angle) == math.pi
+                   for kind, _, _, angle in gates)
         assert 0 < n_pi < n_zz
         assert f"{n_zz} coupling evolutions ({n_pi} at angle pi)" in out
 
@@ -228,7 +224,7 @@ class TestPulses:
         assert np.max(np.abs(pulse_program_unitary(program) - u)) < 1e-6
 
     def test_chain_flag_sets_couplings(self, tmp_path, capsys):
-        gates = gate_list_to_json([CouplingEvolution(2, 0.7)])
+        gates = gate_list_to_json([zz_row(2, 0.7)])
         g_path = tmp_path / "g.json"
         g_path.write_text(json.dumps(gates))
         p_path = tmp_path / "p.json"
@@ -239,7 +235,7 @@ class TestPulses:
         assert program.chain.couplings == (120.0, 80.0)
 
     def test_pi_coupling_at_100_hz_takes_5_ms(self, tmp_path, capsys):
-        gates = gate_list_to_json([CouplingEvolution(1, math.pi)])
+        gates = gate_list_to_json([zz_row(1, math.pi)])
         g_path = tmp_path / "g.json"
         g_path.write_text(json.dumps(gates))
         assert main(["pulses", "--input", str(g_path),
@@ -247,7 +243,7 @@ class TestPulses:
         assert "total coupling time 0.005000000 s" in capsys.readouterr().out
 
     def test_chain_disagrees_with_n(self, tmp_path):
-        gates = gate_list_to_json([CouplingEvolution(1, 0.3)])
+        gates = gate_list_to_json([zz_row(1, 0.3)])
         g_path = tmp_path / "g.json"
         g_path.write_text(json.dumps(gates))
         assert main(["pulses", "--input", str(g_path),
@@ -255,7 +251,7 @@ class TestPulses:
                      "--chain", "100", "--n", "4"]) == 3
 
     def test_bad_chain_values(self, tmp_path):
-        gates = gate_list_to_json([CouplingEvolution(1, 0.3)])
+        gates = gate_list_to_json([zz_row(1, 0.3)])
         g_path = tmp_path / "g.json"
         g_path.write_text(json.dumps(gates))
         base = ["pulses", "--input", str(g_path),
@@ -284,8 +280,39 @@ class TestPulses:
             assert "Infinity" not in p_path.read_text()
             assert main(["verify", str(p_path), str(target)]) == 0
 
+    @pytest.mark.parametrize("chain, code", [
+        ("2e-308,100", 3), ("1e-307,100", 3), ("1e-306,100", 3),
+        ("100,1e-306", 3), ("1e-305,100", 0), ("100,1e-305", 0)])
+    def test_chain_too_wide_to_simulate(self, tmp_path, capsys, chain, code):
+        """A delay runs up to ``2 / J_lo`` seconds, which turns the
+        strongest pair by ``4*pi * J_hi / J_lo``; where that overflows,
+        ``verify`` would simulate turns that are not finite.  The chain
+        is refused and no file is written.  Below that, a compiled
+        program and one of two 2*pi couplings on pair 1 verify."""
+        target = tmp_path / "u.json"
+        assert main(["random", "--n", "3", "--seed", "7",
+                     "--output", str(target)]) == 0
+        d_path = tmp_path / "d.json"
+        assert main(["decompose", "--input", str(target),
+                     "--output", str(d_path)]) == 0
+        twice = [zz_row(1, 2 * math.pi)] * 2
+        g_path, g_target = tmp_path / "g.json", tmp_path / "g-target.json"
+        g_path.write_text(json.dumps(gate_list_to_json(twice)))
+        write_matrix(g_target, gate_list_unitary(GateList(twice), 3))
+        capsys.readouterr()
+        for gates, want in ((d_path, target), (g_path, g_target)):
+            p_path = tmp_path / "p.json"
+            assert main(["pulses", "--input", str(gates), "--output",
+                         str(p_path), "--chain", chain]) == code
+            if code:
+                assert not p_path.exists()
+                assert "must leave 4*pi * J_" in capsys.readouterr().err
+            else:
+                assert main(["verify", str(p_path), str(want)]) == 0
+                p_path.unlink()
+
     def test_gate_beyond_chain(self, tmp_path):
-        gates = gate_list_to_json([CouplingEvolution(3, 0.3)])
+        gates = gate_list_to_json([zz_row(3, 0.3)])
         g_path = tmp_path / "g.json"
         g_path.write_text(json.dumps(gates))
         assert main(["pulses", "--input", str(g_path),
@@ -665,7 +692,7 @@ class TestSpinLimit:
 
     def gate_list(self, tmp_path):
         path = tmp_path / "g.json"
-        path.write_text(json.dumps(gate_list_to_json([CouplingEvolution(1, 0.3)])))
+        path.write_text(json.dumps(gate_list_to_json([zz_row(1, 0.3)])))
         return path
 
     def assert_limit_error(self, capsys):

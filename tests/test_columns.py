@@ -1,15 +1,16 @@
-"""The column forms of gate lists and pulse programs against their views.
+"""The column forms of gate lists and pulse programs against their rows.
 
 A :class:`~kakpulse.gates.GateList` holds its gates, and a
-:class:`~kakpulse.gates.PulseProgram` its events, as parallel columns;
-``LocalRotation``, ``CouplingEvolution``, ``GlobalPhase``, ``HardPulse``
-and ``Delay`` are views that the columns build on demand.  Here the
-columns round-trip to the views, their text is the canonical dump of the
-views' reference dict form (``artifact_oracle``), and the two readers,
-one entry point each, reject every malformed item with the error that
-reading that item into its view raises, named by its index.  The
-readers share the check of a rotation item, so both are held to the
-same oracle.
+:class:`~kakpulse.gates.PulseProgram` its events, as parallel columns,
+and a gate or an event is a row ``(kind, site, axis, angle)`` of them,
+a view of the columns that iterating builds on demand.  Here the
+columns round-trip to the rows, their text is the canonical
+dump of the rows' reference dict form (``artifact_oracle``), and the two
+readers, one entry point each, reject every malformed item with the
+error that reading that item into one of the reference gate and event
+objects (``artifact_oracle``) raises, named by its index.  The readers
+share the check of a rotation item, so both are held to the same
+oracle.
 """
 
 import json
@@ -22,12 +23,7 @@ from hypothesis import strategies as st
 
 from kakpulse import (
     ChainSpec,
-    CouplingEvolution,
-    Delay,
     GateList,
-    GlobalPhase,
-    HardPulse,
-    LocalRotation,
     PulseProgram,
     ValidationError,
     gate_list_from_json,
@@ -42,10 +38,19 @@ from kakpulse import (
 from kakpulse import errors
 from kakpulse.errors import _json_array, _json_float, _json_int
 
-from artifact_oracle import canonical, gate_list_to_json, program_to_json_dict
+from artifact_oracle import (
+    CouplingEvolution,
+    Delay,
+    GlobalPhase,
+    LocalRotation,
+    canonical,
+    gate_list_to_json,
+    program_to_json_dict,
+)
 
 
 SPINS = st.integers(1, 9)
+AXES = st.sampled_from("xyz")
 # finite angles, with the spellings json takes care over: signed zero,
 # subnormals, exponent forms, integers and NumPy scalars
 ANGLES = st.one_of(
@@ -56,12 +61,15 @@ ANGLES = st.one_of(
 DURATIONS = st.one_of(st.floats(0, 1e3), st.sampled_from([0.0, -0.0, 5e-324]),
                       st.integers(0, 3))
 GATES = st.one_of(
-    st.builds(LocalRotation, SPINS, st.sampled_from("xyz"), ANGLES),
-    st.builds(CouplingEvolution, SPINS, ANGLES),
-    st.builds(GlobalPhase, ANGLES))
+    st.tuples(st.just("local"), SPINS, AXES, ANGLES),
+    st.tuples(st.just("zz"), SPINS, st.none(), ANGLES),
+    st.tuples(st.just("phase"), st.just(0), st.none(), ANGLES))
 EVENTS = st.one_of(
-    st.builds(HardPulse, SPINS, st.sampled_from("xyz"), ANGLES),
-    st.builds(Delay, DURATIONS))
+    st.tuples(st.just("pulse"), SPINS, AXES, ANGLES),
+    st.tuples(st.just("delay"), st.just(0), st.none(), DURATIONS))
+# the names a repr spells, NumPy's for its scalars
+NAMES = {"GateList": GateList, "PulseProgram": PulseProgram,
+         "ChainSpec": ChainSpec, "np": np}
 
 
 @st.composite
@@ -71,60 +79,68 @@ def chains(draw):
         st.floats(1.0, 500.0), min_size=n - 1, max_size=n - 1))))
 
 
-@given(gates=st.lists(GATES, max_size=40))
+@given(rows=st.lists(GATES, max_size=40))
 @settings(max_examples=150, deadline=None)
-def test_gate_columns_round_trip_to_the_views(gates):
-    columns = GateList(gates)
-    assert len(columns) == len(gates)
-    assert list(columns) == gates and columns == gates
-    assert [columns[k] for k in range(len(gates))] == gates
-    text = gate_list_to_json_text(columns)
-    assert text == canonical(gate_list_to_json(gates))
-    assert gate_list_from_json(json.loads(text)) == columns
-    assert list(inverse_gate_list(columns)) == [g.inverse() for g in reversed(gates)]
-    assert gate_list_spin_bound(columns) == max(
-        (g.qubit if isinstance(g, LocalRotation) else g.left + 1
-         for g in gates if not isinstance(g, GlobalPhase)), default=0)
+def test_gate_columns_round_trip_to_the_views(rows):
+    gates = GateList(rows)
+    assert len(gates) == len(rows)
+    assert list(gates) == rows
+    assert [gates[k] for k in range(len(rows))] == rows
+    assert eval(repr(gates), NAMES) == gates
+    text = gate_list_to_json_text(gates)
+    assert text == canonical(gate_list_to_json(rows))
+    assert gate_list_from_json(json.loads(text)) == gates
+    assert list(inverse_gate_list(gates)) == [
+        (kind, site, axis, -angle)
+        for kind, site, axis, angle in reversed(rows)]
+    assert gate_list_spin_bound(gates) == max(
+        (site if kind == "local" else site + 1
+         for kind, site, _, _ in rows if kind != "phase"), default=0)
 
 
-@given(chain=chains(), events=st.lists(EVENTS, max_size=40), phase=ANGLES)
+@given(chain=chains(), rows=st.lists(EVENTS, max_size=40), phase=ANGLES)
 @settings(max_examples=150, deadline=None)
-def test_program_columns_round_trip_to_the_views(chain, events, phase):
-    program = PulseProgram(chain, events, phase)
-    assert program.events == events
+def test_program_columns_round_trip_to_the_views(chain, rows, phase):
+    program = PulseProgram(chain, rows, phase)
+    assert list(zip(*program.columns())) == rows
+    assert eval(repr(program), NAMES) == program
     text = program.to_json_text()
     assert text == canonical(program_to_json_dict(program))
     assert PulseProgram.from_json_dict(json.loads(text)) == program
-    assert pulse_count(program) == sum(isinstance(e, HardPulse) for e in events)
+    assert pulse_count(program) == sum(row[0] == "pulse" for row in rows)
     assert total_coupling_time(program) == sum(
-        e.duration for e in events if isinstance(e, Delay))
+        t for kind, _, _, t in rows if kind == "delay")
 
 
 def test_unknown_objects_have_no_columns():
-    with pytest.raises(ValidationError, match="unknown gate object"):
-        GateList([GlobalPhase(0.1), Delay(0.1)])
-    with pytest.raises(ValidationError, match="unknown event object"):
-        PulseProgram(ChainSpec.uniform(2), [Delay(0.1), GlobalPhase(0.1)])
+    """A row of a kind the other form holds is refused, as its reader
+    refuses the item."""
+    with pytest.raises(ValidationError, match="unknown gate kind 'delay'"):
+        GateList([("phase", 0, None, 0.1), ("delay", 0, None, 0.1)])
+    with pytest.raises(ValidationError, match="unknown event kind 'phase'"):
+        PulseProgram(ChainSpec.uniform(2), [("delay", 0, None, 0.1),
+                                            ("phase", 0, None, 0.1)])
 
 
-def test_events_are_read_as_a_new_list():
-    """``events`` is a list of views built on each read, so changing it
-    leaves the program alone; ``add`` appends to the columns."""
-    program = PulseProgram(ChainSpec.uniform(2), [Delay(0.1)])
-    program.events.append(Delay(0.2))
-    assert program.events == [Delay(0.1)]
-    program.add("pulse", 2, "y", 0.3)
-    assert program.events == [Delay(0.1), HardPulse(2, "y", 0.3)]
+def test_gate_lists_compare_only_with_gate_lists():
+    """``==`` compares columns; a list of the same rows is not a gate
+    list, nor is a program."""
+    rows = [("local", 1, "x", 0.1), ("zz", 1, None, 0.2)]
+    gates = GateList(rows)
+    assert gates == GateList(rows) and gates != GateList(rows[:1])
+    assert gates != rows and gates != tuple(rows)
+    program = PulseProgram(ChainSpec.uniform(2), [("delay", 0, None, 0.1)])
+    assert gates != program and program != list(zip(*program.columns()))
 
 
 def test_a_slice_of_a_gate_list_is_a_gate_list():
-    gates = [LocalRotation(1, "x", 0.1), CouplingEvolution(1, 0.2),
-             GlobalPhase(0.3), LocalRotation(2, "z", 0.4)]
-    columns = GateList(gates)
+    rows = [("local", 1, "x", 0.1), ("zz", 1, None, 0.2),
+            ("phase", 0, None, 0.3), ("local", 2, "z", 0.4)]
+    gates = GateList(rows)
     for k in (slice(1, 3), slice(None, None, -1), slice(5, 9)):
-        part = columns[k]
-        assert isinstance(part, GateList) and part == gates[k]
-    assert columns[-1] == gates[-1]
+        part = gates[k]
+        assert isinstance(part, GateList) and list(part) == rows[k]
+    assert gates[-1] == rows[-1]
 
 
 def test_floats_are_spelled_across_chunk_boundaries(monkeypatch):
@@ -134,11 +150,12 @@ def test_floats_are_spelled_across_chunk_boundaries(monkeypatch):
     monkeypatch.setattr(errors, "_SPELL_CHUNK", 3)
     angles = [0.1, -0.0, 5e-324, 1e16, 2, 0.5, np.float64(0.25), math.pi,
               -1e-07, 3.0]
-    gates = [LocalRotation(1 + k % 3, "xyz"[k % 3], a) if k % 2
-             else CouplingEvolution(1 + k % 2, a) for k, a in enumerate(angles)]
+    gates = GateList(("local", 1 + k % 3, "xyz"[k % 3], a) if k % 2
+                     else ("zz", 1 + k % 2, None, a)
+                     for k, a in enumerate(angles))
     assert gate_list_to_json_text(gates) == canonical(gate_list_to_json(gates))
     program = PulseProgram(ChainSpec.uniform(3), [
-        Delay(abs(a)) if k % 2 else HardPulse(2, "x", a)
+        ("delay", 0, None, abs(a)) if k % 2 else ("pulse", 2, "x", a)
         for k, a in enumerate(angles)], 0.7)
     assert program.to_json_text() == canonical(program_to_json_dict(program))
 
@@ -150,11 +167,11 @@ def test_repeated_floats_are_spelled_once_and_both_zeros_apart():
     assert list(errors._json_numbers(angles)) == [json.dumps(a) for a in angles]
     assert list(errors._json_numbers([0.0, 0.0])) == ["0.0", "0.0"]
     assert list(errors._json_numbers([-0.0])) == ["-0.0"]
-    gates = [LocalRotation(1, "x", a) if k % 2 else CouplingEvolution(1, a)
-             for k, a in enumerate(angles)]
+    gates = GateList(("local", 1, "x", a) if k % 2 else ("zz", 1, None, a)
+                     for k, a in enumerate(angles))
     assert gate_list_to_json_text(gates) == canonical(gate_list_to_json(gates))
     program = PulseProgram(ChainSpec.uniform(2), [
-        Delay(abs(a)) if k % 3 == 0 else HardPulse(2, "y", a)
+        ("delay", 0, None, abs(a)) if k % 3 == 0 else ("pulse", 2, "y", a)
         for k, a in enumerate(angles)], -0.0)
     assert program.to_json_text() == canonical(program_to_json_dict(program))
 
@@ -171,7 +188,7 @@ def test_lowering_checks_the_spin_of_an_euler_leaf():
 
 
 # ---------------------------------------------------------------------------
-# Malformed items: the readers against a reading into views
+# Malformed items: the readers against a reading into the reference objects
 
 
 def rotation_view(item, what):
@@ -182,10 +199,12 @@ def rotation_view(item, what):
 
 
 def gate_view(item):
-    """One gate item read into its view, field by field."""
+    """The row of one gate item, read into its reference object field by
+    field."""
     kind = item["kind"]
     if kind == "local":
-        return rotation_view(item, "gate spin")
+        g = rotation_view(item, "gate spin")
+        return "local", g.qubit, g.axis, g.angle
     if kind == "zz":
         left, right = (_json_int(v, "coupling spin") for v in
                        _json_array(item["pair"], "coupling pair"))
@@ -193,21 +212,26 @@ def gate_view(item):
             raise ValidationError(
                 f"coupling pair must be adjacent, got [{left}, {right}]")
         angle = item["angle"]
-        return CouplingEvolution(left, angle if type(angle) is float
-                                 else _json_float(angle, "angle"))
+        g = CouplingEvolution(left, angle if type(angle) is float
+                              else _json_float(angle, "angle"))
+        return "zz", g.left, None, g.angle
     if kind == "phase":
-        return GlobalPhase(_json_float(item["phi"], "phase"))
+        return "phase", 0, None, GlobalPhase(_json_float(item["phi"],
+                                                         "phase")).phi
     raise ValidationError(f"unknown gate kind {kind!r}")
 
 
 def event_view(item):
-    """One event item read into its view, field by field."""
+    """The row of one event item, read into its reference object field by
+    field."""
     kind = item["kind"]
     if kind == "pulse":
-        return rotation_view(item, "pulse spin")
+        e = rotation_view(item, "pulse spin")
+        return "pulse", e.qubit, e.axis, e.angle
     if kind == "delay":
         t = item["t"]
-        return Delay(t if type(t) is float else _json_float(t, "delay t"))
+        return "delay", 0, None, Delay(t if type(t) is float
+                                       else _json_float(t, "delay t")).duration
     raise ValidationError(f"unknown event kind {kind!r}")
 
 
@@ -226,10 +250,10 @@ def views_of(items, view, what):
 def program_of_views(data):
     try:
         chain = ChainSpec.from_json_dict(data["chain"])
-        events = views_of(_json_array(data.get("events", []), "program events"),
-                          event_view, "event")
-        return PulseProgram(chain, events,
-                            _json_float(data.get("phase", 0.0), "program phase"))
+        rows = views_of(_json_array(data.get("events", []), "program events"),
+                        event_view, "event")
+        _json_float(data.get("phase", 0.0), "program phase")
+        return chain, rows
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ValidationError):
             raise
@@ -286,8 +310,9 @@ def outcome(read, data):
 @given(data=st.data())
 @settings(max_examples=600, deadline=None)
 def test_readers_reject_malformed_items_as_the_views_do(entry, data):
-    """Each reader fails on the first bad item with the error its view
-    raises, under the same index; an item that reads, reads the same."""
+    """Each reader fails on the first bad item with the error its
+    reference object raises, under the same index; an item that reads,
+    reads the same."""
     items = GATE_ITEMS if entry == "gates" else EVENT_ITEMS
     good = data.draw(st.lists(items, max_size=4))
     bad = data.draw(st.lists(malformed(items), min_size=1, max_size=3))
@@ -299,6 +324,7 @@ def test_readers_reject_malformed_items_as_the_views_do(entry, data):
     else:
         program = {"chain": {"n": 3, "J": [100.0, 120.0]}, "events": batch,
                    "phase": 0.5}
-        got = outcome(lambda d: PulseProgram.from_json_dict(d).events, program)
-        want = outcome(lambda d: program_of_views(d).events, program)
+        got = outcome(lambda d: zip(*PulseProgram.from_json_dict(d).columns()),
+                      program)
+        want = outcome(lambda d: program_of_views(d)[1], program)
     assert got == want

@@ -15,11 +15,9 @@ from kakpulse import (
     CartanElement,
     CartanFamily,
     CartanNode,
-    CouplingEvolution,
     DimensionError,
     EulerNode,
-    GlobalPhase,
-    LocalRotation,
+    GateList,
     NumericError,
     PauliString,
     PhaseNode,
@@ -44,7 +42,7 @@ from kakpulse.linalg import _cosine_sine_stack
 from kakpulse.errors import _on_path
 from kakpulse.networks import open_route
 
-from artifact_oracle import tree_to_json_dict
+from artifact_oracle import local_row, phase_row, tree_to_json_dict, zz_row
 
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -573,7 +571,7 @@ class TestDecompose:
 
     def test_identity_lowered_without_couplings(self):
         gates = compile_unitary(np.eye(4, dtype=complex))
-        assert sum(isinstance(g, CouplingEvolution) for g in gates) == 0
+        assert gates.kinds.count("zz") == 0
         assert np.max(np.abs(gate_list_unitary(gates, 2) - np.eye(4))) < 1e-10
 
     def test_rejects_non_unitary(self):
@@ -728,7 +726,7 @@ def test_a_path_step_keeps_the_whole_message():
     """Each step prepended to an error's path leaves its message whole,
     even one that reads like the decorations the path and residual add."""
     exc = NumericError("bad value (residual guess) here [at home]", residual=1e-3)
-    moved = exc.with_path("n=3").with_path("n=4")
+    moved = _on_path(_on_path(exc, ("n=3",)), ("n=4",))
     assert str(moved) == ("bad value (residual guess) here [at home] "
                           "[at n=4 / n=3] (residual 1.000e-03)")
     assert moved.path == ("n=4", "n=3")
@@ -976,8 +974,9 @@ def test_flatten_cartan_node():
 def test_two_half_turns_merge_into_a_phase():
     """Rx(pi) Rx(pi) = -I: the peephole emits no rotation, only the sign."""
     half_turn = EulerNode(1, math.pi, 0.0, 0.0)
-    assert flatten(half_turn) == [LocalRotation(1, "x", math.pi)]
-    assert flatten(SequenceNode((half_turn, half_turn))) == [GlobalPhase(math.pi)]
+    assert list(flatten(half_turn)) == [local_row(1, "x", math.pi)]
+    assert list(flatten(SequenceNode((half_turn, half_turn)))) == [
+        phase_row(math.pi)]
 
 
 @pytest.mark.parametrize("theta", (3.5, -3.5, 2 * math.pi, -2 * math.pi,
@@ -987,10 +986,10 @@ def test_coupling_angles_fold_into_half_a_turn(theta):
     """``exp(-1j*2*pi*IzIz) = -1j*Z (x) Z`` is local, so the lowering
     runs every coupling at an angle in ``[-pi, pi]``, with z half turns
     and a phase for the rest; an angle that folds to zero runs none."""
-    gates = [LocalRotation(1, "x", 0.4), CouplingEvolution(1, theta),
-             LocalRotation(2, "y", 0.3)]
+    gates = GateList([local_row(1, "x", 0.4), zz_row(1, theta),
+                      local_row(2, "y", 0.3)])
     folded = kakpulse.pulses._merge_local_runs(gates)
-    angles = [g.angle for g in folded if isinstance(g, CouplingEvolution)]
+    angles = [angle for kind, _, _, angle in folded if kind == "zz"]
     assert all(abs(a) <= math.pi for a in angles)
     assert len(angles) == (math.remainder(theta, 2 * math.pi) != 0)
     want = gate_list_unitary(gates, 2)
@@ -1003,11 +1002,11 @@ def test_haar_lowering_runs_no_coupling_above_half_a_turn(n):
     list folds every one and still simulates to the tree."""
     tree = decompose(haar_unitary(2 ** n, 100 + n, special=True))
     unfolded = kakpulse.pulses._lower(tree)
-    assert any(abs(g.angle) > math.pi for g in unfolded
-               if isinstance(g, CouplingEvolution))
+    assert any(abs(angle) > math.pi for kind, _, _, angle in unfolded
+               if kind == "zz")
     gates = flatten(tree)
-    assert all(abs(g.angle) <= math.pi for g in gates
-               if isinstance(g, CouplingEvolution))
+    assert all(abs(angle) <= math.pi for kind, _, _, angle in gates
+               if kind == "zz")
     got = gate_list_unitary(gates, n)
     assert np.max(np.abs(got - evaluate(tree, n))) < residual_budget(n)
 
@@ -1016,14 +1015,18 @@ def test_framed_couplings_realize_the_interaction():
     """The classic conjugation pattern: y-frames turn ZZ into XX, x-frames
     into YY, so three framed coupling blocks give the full interaction."""
     a1, a2, a3 = 0.7, 0.4, -0.2
-    ky = [LocalRotation(1, "y", math.pi / 2), LocalRotation(2, "y", math.pi / 2)]
-    kxi = [LocalRotation(1, "x", -math.pi / 2), LocalRotation(2, "x", -math.pi / 2)]
+    ky = [local_row(1, "y", math.pi / 2), local_row(2, "y", math.pi / 2)]
+    kxi = [local_row(1, "x", -math.pi / 2), local_row(2, "x", -math.pi / 2)]
+
+    def undone(rows):
+        return [(kind, q, axis, -angle) for kind, q, axis, angle in rows]
+
     matrix_order = (
-        ky + [CouplingEvolution(1, a1)] + [g.inverse() for g in ky]
-        + kxi + [CouplingEvolution(1, a2)] + [g.inverse() for g in kxi]
-        + [CouplingEvolution(1, a3)]
+        ky + [zz_row(1, a1)] + undone(ky)
+        + kxi + [zz_row(1, a2)] + undone(kxi)
+        + [zz_row(1, a3)]
     )
-    got = gate_list_unitary(list(reversed(matrix_order)), 2)
+    got = gate_list_unitary(GateList(reversed(matrix_order)), 2)
     assert np.max(np.abs(got - interaction_unitary((a1, a2, a3)))) < 1e-12
 
 
@@ -1031,7 +1034,7 @@ def test_compile_unitary_end_to_end():
     u = haar_unitary(8, 99, special=True)
     gates = compile_unitary(u)
     assert np.max(np.abs(gate_list_unitary(gates, 3) - u)) < 1e-8
-    for g in gates:
-        assert isinstance(g, (LocalRotation, CouplingEvolution, GlobalPhase))
-        if isinstance(g, CouplingEvolution):
-            assert 1 <= g.left <= 2
+    for kind, site, _, _ in gates:
+        assert kind in ("local", "zz", "phase")
+        if kind == "zz":
+            assert 1 <= site <= 2

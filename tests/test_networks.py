@@ -20,7 +20,6 @@ from kakpulse import (
     CartanFamily,
     CartanNode,
     ChainSpec,
-    CouplingEvolution,
     PauliString,
     ValidationError,
     evaluate,
@@ -79,8 +78,8 @@ def test_ladder_pi_count_closed_form(n):
         word = "".join(letters)
         if len(word) - word.count("1") < 2:
             continue
-        pis = sum(isinstance(g, CouplingEvolution) and abs(g.angle) == math.pi
-                  for g in pauli_evolution_gates(word, 0.37))
+        pis = sum(kind == "zz" and abs(angle) == math.pi
+                  for kind, _, _, angle in pauli_evolution_gates(word, 0.37))
         assert ladder_pi_count(word) == pis, word
 
 

@@ -9,14 +9,20 @@ A fault names the item's index; an item with two faults raises the
 error of the one the reader meets first.  ``{at}`` stands for
 ``gate at index 1`` or ``event at index 1`` and ``{spin}`` for
 ``gate spin`` or ``pulse spin``.
+
+The row constructors, ``GateList(rows)`` and ``PulseProgram(chain,
+rows)``, share each kind's check with the readers.  Every fault of the
+table that a ``(kind, site, axis, value)`` row can carry (a spin below
+1, a bad axis, a value that is not finite or is negative, an unknown
+kind) raises the reader's class and message there too.
 """
 
 import math
 
 import pytest
 
-from kakpulse import (PulseProgram, RangeError, ValidationError,
-                      gate_list_from_json)
+from kakpulse import (ChainSpec, GateList, PulseProgram, RangeError,
+                      ValidationError, gate_list_from_json)
 
 NAN, INF = math.nan, math.inf
 DROP = object()  # a field left out of the item
@@ -266,3 +272,65 @@ def test_pulse_program_first_fault(kind, item, case):
     _, fields, expected = case
     check(read_event, kind, changed(item, fields), expected,
           "event at index 1", "pulse spin")
+
+
+def as_row(item):
+    """The row of an item whose fields have the types a row holds, or
+    None: a missing field, a JSON type fault and a pair that is not
+    ``[k, k + 1]`` have no row.  A row's value is a float, since the
+    readers read a JSON integer as one."""
+    try:
+        kind = item["kind"]
+        if "q" in item:
+            q, axis, value = item["q"], item["axis"], item["angle"]
+            if type(q) is int and type(axis) is str:
+                return kind, q, axis, value
+        elif "pair" in item:
+            pair, value = item["pair"], item["angle"]
+            if (type(pair) is list and len(pair) == 2
+                    and all(type(v) is int for v in pair)
+                    and pair[1] == pair[0] + 1):
+                return kind, pair[0], None, value
+        else:
+            value = item["phi"] if "phi" in item else item["t"]
+            return kind, 0, None, value
+    except KeyError:
+        pass
+    return None
+
+
+def row_faults(table):
+    out = []
+    for kind, item, (label, fields, expected) in table:
+        row = as_row(changed(item, fields))
+        if (isinstance(expected[0], type) and row is not None
+                and type(row[3]) is float):
+            out.append((f"{kind}-{label}", row, expected))
+    return out
+
+
+GATE_ROWS = row_faults(GATES)
+EVENT_ROWS = row_faults(EVENTS)
+
+
+def test_rows_carry_every_kind_of_fault():
+    labels = {label for label, _, _ in GATE_ROWS + EVENT_ROWS}
+    assert {"local-zero q", "local-unknown axis", "zz-negative spin",
+            "zz-inf angle", "phase-nan phi", "gate-unknown kind",
+            "pulse-negative q", "delay-negative t",
+            "event-unknown kind"} <= labels
+
+
+@pytest.mark.parametrize("label, row, expected", GATE_ROWS,
+                         ids=[label for label, _, _ in GATE_ROWS])
+def test_gate_row_first_fault(label, row, expected):
+    check(lambda r: GateList([("phase", 0, None, 0.0), r]), None, row,
+          expected, "gate at index 1", "gate spin")
+
+
+@pytest.mark.parametrize("label, row, expected", EVENT_ROWS,
+                         ids=[label for label, _, _ in EVENT_ROWS])
+def test_event_row_first_fault(label, row, expected):
+    check(lambda r: PulseProgram(ChainSpec(3, (100.0, 90.0)),
+                                 [("delay", 0, None, 0.0), r]),
+          None, row, expected, "event at index 1", "pulse spin")

@@ -24,27 +24,20 @@ from kakpulse import (
     CartanFamily,
     CartanNode,
     ChainSpec,
-    CouplingEvolution,
-    Delay,
     DimensionError,
     EulerNode,
-    GlobalPhase,
-    HardPulse,
-    LocalRotation,
+    GateList,
     PhaseNode,
     PulseProgram,
     SequenceNode,
     ValidationError,
     apply_local,
-    coupling_diagonal,
     decompose,
     distance,
-    drift_diagonal,
     evaluate,
     flatten,
     gate_list_unitary,
     haar_unitary,
-    local_rotation_matrix,
     matrix_to_json_dict,
     pulse_program_unitary,
     refocusing_set,
@@ -54,7 +47,8 @@ from kakpulse import (
 from kakpulse import simulate
 from kakpulse.cli import main as cli_main
 
-from artifact_oracle import program_to_json_dict
+from artifact_oracle import (delay_row, local_row, phase_row,
+                             program_to_json_dict, pulse_row, zz_row)
 
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -72,31 +66,16 @@ def zz_quarter(n, left):
     return embed(n, left, Z2) @ embed(n, left + 1, Z2) / 4
 
 
-def test_local_rotation_matrix():
-    for axis, sigma in (("x", X2), ("z", Z2)):
-        want = embed(3, 2, scipy.linalg.expm(-0.35j * sigma))
-        assert np.allclose(local_rotation_matrix(3, 2, axis, 0.7), want,
-                           atol=1e-13)
-
-
-def test_coupling_diagonal_matches_dense():
-    for n, left in ((2, 1), (3, 1), (3, 2), (4, 2)):
-        diag = coupling_diagonal(n, left, 1.3)
-        want = scipy.linalg.expm(-1.3j * zz_quarter(n, left))
-        assert np.allclose(np.diag(diag), want, atol=1e-13)
-
-
 def test_coupling_has_quarter_eigenvalues():
     # a 4*pi coupling angle is -identity, not the identity
-    diag = coupling_diagonal(2, 1, 4 * math.pi)
-    assert np.allclose(diag, -1.0, atol=1e-12)
-    diag = coupling_diagonal(2, 1, 8 * math.pi)
-    assert np.allclose(diag, 1.0, atol=1e-12)
+    for angle, sign in ((4 * math.pi, -1.0), (8 * math.pi, 1.0)):
+        got = gate_list_unitary(GateList([zz_row(1, angle)]), 2)
+        assert np.allclose(got, sign * np.eye(4), atol=1e-12)
 
 
 class TestGateListUnitary:
     def test_time_order_is_right_to_left(self):
-        gates = [LocalRotation(1, "x", 1.0), LocalRotation(1, "z", 0.5)]
+        gates = GateList([local_row(1, "x", 1.0), local_row(1, "z", 0.5)])
         got = gate_list_unitary(gates, 1)
         rx = scipy.linalg.expm(-0.5j * X2)
         rz = scipy.linalg.expm(-0.25j * Z2)
@@ -104,8 +83,8 @@ class TestGateListUnitary:
         assert not np.allclose(got, rx @ rz, atol=1e-3)
 
     def test_mixed_vocabulary(self):
-        gates = [GlobalPhase(0.3), CouplingEvolution(1, 0.8),
-                 LocalRotation(2, "y", -0.4)]
+        gates = GateList([phase_row(0.3), zz_row(1, 0.8),
+                          local_row(2, "y", -0.4)])
         got = gate_list_unitary(gates, 2)
         want = (embed(2, 2, scipy.linalg.expm(0.2j * np.array([[0, -1j], [1j, 0]])))
                 @ scipy.linalg.expm(-0.8j * zz_quarter(2, 1))
@@ -113,15 +92,15 @@ class TestGateListUnitary:
         assert np.allclose(got, want, atol=1e-12)
 
     def test_empty_list_is_identity(self):
-        assert np.array_equal(gate_list_unitary([], 2), np.eye(4))
+        assert np.array_equal(gate_list_unitary(GateList(), 2), np.eye(4))
 
     def test_many_phases_carry_no_rounding(self):
         """Phases are reduced mod 2*pi as they are added, so 231 half
         turns land where one does, in the gate list and in its pulse
         program alike."""
-        rx = LocalRotation(1, "x", 0.3)
-        many = [GlobalPhase(math.pi)] * 231 + [rx]
-        one = [GlobalPhase(math.pi), rx]
+        rx = local_row(1, "x", 0.3)
+        many = GateList([phase_row(math.pi)] * 231 + [rx])
+        one = GateList([phase_row(math.pi), rx])
         assert np.max(np.abs(gate_list_unitary(many, 2)
                              - gate_list_unitary(one, 2))) < 1e-14
         chain = ChainSpec(2, (100.0,))
@@ -131,24 +110,24 @@ class TestGateListUnitary:
 
     def test_rejects_gates_off_the_chain(self):
         with pytest.raises(DimensionError):
-            gate_list_unitary([LocalRotation(3, "x", 0.1)], 2)
+            gate_list_unitary(GateList([local_row(3, "x", 0.1)]), 2)
         with pytest.raises(DimensionError):
-            gate_list_unitary([CouplingEvolution(2, 0.1)], 2)
+            gate_list_unitary(GateList([zz_row(2, 0.1)]), 2)
         # the same, inside a stretch below the top spin long enough to be
         # simulated as a block, and between two stretches that are
         # diagonal on the top spin and as long
-        below = [LocalRotation(1 + k % 5, "xyz"[k % 3], 0.1 * k)
+        below = [local_row(1 + k % 5, "xyz"[k % 3], 0.1 * k)
                  for k in range(simulate.BLOCK_MIN_STEPS)]
-        diagonal = [[CouplingEvolution(5, 0.3), LocalRotation(6, "z", 0.2),
-                     LocalRotation(6, "x", math.pi),
-                     LocalRotation(1 + k % 5, "xy"[k % 2], 0.1)][k % 4]
+        diagonal = [[zz_row(5, 0.3), local_row(6, "z", 0.2),
+                     local_row(6, "x", math.pi),
+                     local_row(1 + k % 5, "xy"[k % 2], 0.1)][k % 4]
                     for k in range(simulate.BLOCK_MIN_STEPS)]
-        for bad, spin in ((LocalRotation(7, "x", 0.1), "spin 7"),
-                          (LocalRotation(7, "x", math.pi), "spin 7"),
-                          (CouplingEvolution(6, 0.1), "pair \\(6,7\\)")):
+        for bad, spin in ((local_row(7, "x", 0.1), "spin 7"),
+                          (local_row(7, "x", math.pi), "spin 7"),
+                          (zz_row(6, 0.1), "pair \\(6,7\\)")):
             for stretch in (below, diagonal):
                 with pytest.raises(DimensionError, match=spin):
-                    gate_list_unitary(stretch + [bad] + stretch, 6)
+                    gate_list_unitary(GateList(stretch + [bad] + stretch), 6)
 
     def test_compiled_lists_are_simulated_in_blocks(self):
         """A compiled six-spin list is mostly stretches below the last
@@ -166,16 +145,10 @@ class TestGateListUnitary:
         assert np.max(np.abs(blocked - u)) < 1e-10
 
 
-def test_drift_diagonal():
-    chain = ChainSpec(3, (100.0, 50.0))
-    want = 2 * math.pi * (100.0 * zz_quarter(3, 1) + 50.0 * zz_quarter(3, 2))
-    assert np.allclose(np.diag(drift_diagonal(chain)), want, atol=1e-12)
-
-
 class TestPulseProgramUnitary:
     def test_delay_is_free_evolution(self):
         chain = ChainSpec(2, (100.0,))
-        program = PulseProgram(chain=chain, events=[Delay(0.004)])
+        program = PulseProgram(chain, [delay_row(0.004)])
         h = 2 * math.pi * 100.0 * zz_quarter(2, 1)
         assert np.allclose(pulse_program_unitary(program),
                            scipy.linalg.expm(-0.004j * h), atol=1e-12)
@@ -183,10 +156,8 @@ class TestPulseProgramUnitary:
     def test_pulses_delays_and_phase_compose(self):
         chain = ChainSpec(2, (80.0,))
         program = PulseProgram(
-            chain=chain,
-            events=[HardPulse(1, "x", 0.6), Delay(0.001),
-                    HardPulse(2, "z", -1.1)],
-            phase=0.25)
+            chain, [pulse_row(1, "x", 0.6), delay_row(0.001),
+                    pulse_row(2, "z", -1.1)], 0.25)
         h = 2 * math.pi * 80.0 * zz_quarter(2, 1)
         want = (np.exp(0.25j)
                 * embed(2, 2, scipy.linalg.expm(0.55j * Z2))
@@ -195,30 +166,30 @@ class TestPulseProgramUnitary:
         assert np.allclose(pulse_program_unitary(program), want, atol=1e-12)
 
     def test_empty_program_is_a_phase(self):
-        program = PulseProgram(chain=ChainSpec.uniform(2), phase=1.0)
+        program = PulseProgram(ChainSpec.uniform(2), phase=1.0)
         assert np.allclose(pulse_program_unitary(program),
                            np.exp(1.0j) * np.eye(4), atol=1e-14)
 
-    @pytest.mark.parametrize("pulse", [HardPulse(4, "x", math.pi),
-                                       HardPulse(4, "x", -math.pi),
-                                       HardPulse(4, "y", 0.3)],
+    @pytest.mark.parametrize("pulse", [pulse_row(4, "x", math.pi),
+                                       pulse_row(4, "x", -math.pi),
+                                       pulse_row(4, "y", 0.3)],
                              ids=["pi-x", "minus-pi-x", "ordinary"])
     def test_rejects_pulses_off_the_chain(self, pulse):
         """A pi-x flip touches no matrix, yet a flip on spin n + 1 is as
         invalid as any other pulse there."""
-        program = PulseProgram(chain=ChainSpec.uniform(3),
-                               events=[Delay(0.001), pulse, Delay(0.001)])
+        program = PulseProgram(ChainSpec.uniform(3),
+                               [delay_row(0.001), pulse, delay_row(0.001)])
         with pytest.raises(DimensionError, match="spin 4"):
             pulse_program_unitary(program)
         # the same on spin 7 of six, between two stretches that are
         # diagonal on spin 6 and long enough to be simulated as blocks
-        diagonal = [[Delay(0.001), HardPulse(6, "z", 0.2),
-                     HardPulse(6, "x", math.pi),
-                     HardPulse(1 + k % 5, "xy"[k % 2], 0.1)][k % 4]
+        diagonal = [[delay_row(0.001), pulse_row(6, "z", 0.2),
+                     pulse_row(6, "x", math.pi),
+                     pulse_row(1 + k % 5, "xy"[k % 2], 0.1)][k % 4]
                     for k in range(simulate.BLOCK_MIN_STEPS)]
-        bad = HardPulse(7, pulse.axis, pulse.angle)
-        program = PulseProgram(chain=ChainSpec.uniform(6),
-                               events=diagonal + [bad] + diagonal)
+        bad = pulse_row(7, *pulse[2:])
+        program = PulseProgram(ChainSpec.uniform(6),
+                               diagonal + [bad] + diagonal)
         with pytest.raises(DimensionError, match="spin 7"):
             pulse_program_unitary(program)
 
@@ -245,7 +216,7 @@ class TestPulseProgramUnitary:
     @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
     def test_rejects_a_non_finite_phase(self, phase):
         with pytest.raises(ValidationError):
-            PulseProgram(chain=ChainSpec.uniform(2), phase=phase)
+            PulseProgram(ChainSpec.uniform(2), phase=phase)
 
 
 class TestDistance:
@@ -313,14 +284,15 @@ def rotation(axis, angle):
 
 
 def oracle_gate_list(gates, n):
+    """Matrix of a gate list, or of any list of its rows."""
     out = np.eye(2 ** n, dtype=complex)
-    for g in gates:
-        if isinstance(g, LocalRotation):
-            step = embed(n, g.qubit, rotation(g.axis, g.angle))
-        elif isinstance(g, CouplingEvolution):
-            step = expmh(g.angle * zz_quarter(n, g.left))
+    for kind, site, axis, angle in gates:
+        if kind == "local":
+            step = embed(n, site, rotation(axis, angle))
+        elif kind == "zz":
+            step = expmh(angle * zz_quarter(n, site))
         else:
-            step = np.exp(1j * g.phi) * np.eye(2 ** n)
+            step = np.exp(1j * angle) * np.eye(2 ** n)
         out = step @ out
     return out
 
@@ -330,11 +302,11 @@ def oracle_program(program):
     h = sum((2 * math.pi * program.chain.couplings[k - 1] * zz_quarter(n, k)
              for k in range(1, n)), np.zeros((2 ** n, 2 ** n)))
     out = np.eye(2 ** n, dtype=complex)
-    for e in program.events:
-        if isinstance(e, HardPulse):
-            step = embed(n, e.qubit, rotation(e.axis, e.angle))
+    for kind, q, axis, value in zip(*program.columns()):
+        if kind == "pulse":
+            step = embed(n, q, rotation(axis, value))
         else:
-            step = expmh(e.duration * h)
+            step = expmh(value * h)
         out = step @ out
     return np.exp(1j * program.phase) * out
 
@@ -407,7 +379,8 @@ def unequal_chains(draw, min_n=1, max_n=5):
 
 @st.composite
 def rotation_run(draw, n, kind):
-    """Rotations (or pulses) on one spin, or on spins drawn freely."""
+    """Rotations (or pulses, as ``kind`` builds their rows) on one spin,
+    or on spins drawn freely."""
     size = draw(st.integers(1, 6))
     if draw(st.booleans()):
         spins = [draw(st.integers(1, n))] * size
@@ -464,7 +437,7 @@ def last_spin_diagonal(draw, n, kind, diagonal, below):
 
 def pair_couplings(first, last):
     """Couplings on the pairs ``first..last``."""
-    return st.builds(CouplingEvolution, st.integers(first, last), ANGLES)
+    return st.builds(zz_row, st.integers(first, last), ANGLES)
 
 
 @st.composite
@@ -476,10 +449,10 @@ def stretches(draw, n, program=False):
     if n == 1:
         return []
     if program:
-        kind, below = HardPulse, None
-        inside = after = st.builds(Delay, DURATIONS)
+        kind, below = pulse_row, None
+        inside = after = st.builds(delay_row, DURATIONS)
     else:
-        kind, below = LocalRotation, pair_couplings(1, n - 2) if n > 2 else None
+        kind, below = local_row, pair_couplings(1, n - 2) if n > 2 else None
         inside, after = pair_couplings(1, n - 1), pair_couplings(n - 1, n - 1)
     out = []
     for _ in range(draw(st.integers(0, 4))):
@@ -494,15 +467,14 @@ def stretches(draw, n, program=False):
 @st.composite
 def gate_lists(draw, last):
     n = draw(st.integers(2 if last == "coupling" else 1, 6))
-    couplings = st.lists(
-        st.builds(CouplingEvolution, st.integers(1, max(n - 1, 1)), ANGLES),
-        min_size=1, max_size=3)
+    couplings = st.lists(pair_couplings(1, max(n - 1, 1)),
+                         min_size=1, max_size=3)
     steps = draw(stretches(n))
-    steps += draw(alternating_runs(rotation_run(n, LocalRotation),
+    steps += draw(alternating_runs(rotation_run(n, local_row),
                                    couplings if n > 1 else st.just([]), last))
     for _ in range(draw(st.integers(0, 3))):
         steps.insert(draw(st.integers(0, len(steps))),
-                     GlobalPhase(draw(ANGLES)))
+                     phase_row(draw(ANGLES)))
     return n, steps
 
 
@@ -511,20 +483,21 @@ def programs(draw, last):
     chain = draw(unequal_chains(max_n=6))
     events = draw(stretches(chain.n, program=True))
     events += draw(alternating_runs(
-        rotation_run(chain.n, HardPulse),
-        st.lists(st.builds(Delay, DURATIONS), min_size=1, max_size=3), last))
-    return PulseProgram(chain=chain, events=events, phase=draw(ANGLES))
+        rotation_run(chain.n, pulse_row),
+        st.lists(st.builds(delay_row, DURATIONS), min_size=1, max_size=3),
+        last))
+    return PulseProgram(chain, events, draw(ANGLES))
 
 
 @pytest.mark.parametrize("last", ["local", "coupling"])
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_fused_gate_list_matches_oracle(last, data):
-    n, gates = data.draw(gate_lists(last))
-    steps = [g for g in gates if not isinstance(g, GlobalPhase)]
-    assert isinstance(steps[-1], LocalRotation if last == "local" else CouplingEvolution)
-    got = simulated_gate_list(gates, n, data.draw(BLOCK_RULES))
-    assert np.max(np.abs(got - oracle_gate_list(gates, n))) < 1e-12
+    n, rows = data.draw(gate_lists(last))
+    kinds = [row[0] for row in rows if row[0] != "phase"]
+    assert kinds[-1] == ("local" if last == "local" else "zz")
+    got = simulated_gate_list(GateList(rows), n, data.draw(BLOCK_RULES))
+    assert np.max(np.abs(got - oracle_gate_list(rows, n))) < 1e-12
 
 
 @pytest.mark.parametrize("last", ["local", "delay"])
@@ -532,7 +505,7 @@ def test_fused_gate_list_matches_oracle(last, data):
 @settings(max_examples=60, deadline=None)
 def test_fused_pulse_program_matches_oracle(last, data):
     program = data.draw(programs(last))
-    assert isinstance(program.events[-1], HardPulse if last == "local" else Delay)
+    assert program.kinds[-1] == ("pulse" if last == "local" else "delay")
     got = simulated_program(program, data.draw(BLOCK_RULES))
     assert np.max(np.abs(got - oracle_program(program))) < 1e-12
 
@@ -555,13 +528,12 @@ def frame_steps(draw, n, kind, diagonal):
 @settings(max_examples=80, deadline=None)
 def test_frame_gate_list_matches_oracle(data):
     n = data.draw(st.integers(1, 6))
-    couplings = st.builds(CouplingEvolution, st.integers(1, max(n - 1, 1)),
-                          ANGLES)
-    gates = data.draw(stretches(n))
-    gates += data.draw(frame_steps(n, LocalRotation, couplings))
-    gates.append(GlobalPhase(data.draw(ANGLES)))
-    got = simulated_gate_list(gates, n, data.draw(BLOCK_RULES))
-    assert np.max(np.abs(got - oracle_gate_list(gates, n))) < 1e-12
+    rows = data.draw(stretches(n))
+    rows += data.draw(frame_steps(n, local_row,
+                                  pair_couplings(1, max(n - 1, 1))))
+    rows.append(phase_row(data.draw(ANGLES)))
+    got = simulated_gate_list(GateList(rows), n, data.draw(BLOCK_RULES))
+    assert np.max(np.abs(got - oracle_gate_list(rows, n))) < 1e-12
 
 
 @given(data=st.data())
@@ -569,10 +541,9 @@ def test_frame_gate_list_matches_oracle(data):
 def test_frame_pulse_program_matches_oracle(data):
     chain = data.draw(unequal_chains(max_n=6))
     events = data.draw(stretches(chain.n, program=True))
-    events += data.draw(frame_steps(chain.n, HardPulse,
-                                    st.builds(Delay, DURATIONS)))
-    program = PulseProgram(chain=chain, events=events,
-                           phase=data.draw(ANGLES))
+    events += data.draw(frame_steps(chain.n, pulse_row,
+                                    st.builds(delay_row, DURATIONS)))
+    program = PulseProgram(chain, events, data.draw(ANGLES))
     got = simulated_program(program, data.draw(BLOCK_RULES))
     assert np.max(np.abs(got - oracle_program(program))) < 1e-12
 
@@ -585,10 +556,11 @@ def test_only_exact_pi_x_pulses_are_flips(axis, angle):
     between exact flips of the same spin, where a kernel that took them
     for flips would be off by far more than 1e-12."""
     chain = ChainSpec(3, (120.0, 80.0))
-    events = [Delay(0.002), HardPulse(2, axis, angle), Delay(0.003),
-              HardPulse(2, "x", math.pi), HardPulse(2, axis, angle),
-              Delay(0.001), HardPulse(2, "x", -math.pi), HardPulse(1, "y", 0.4)]
-    program = PulseProgram(chain=chain, events=events, phase=0.2)
+    events = [delay_row(0.002), pulse_row(2, axis, angle), delay_row(0.003),
+              pulse_row(2, "x", math.pi), pulse_row(2, axis, angle),
+              delay_row(0.001), pulse_row(2, "x", -math.pi),
+              pulse_row(1, "y", 0.4)]
+    program = PulseProgram(chain, events, 0.2)
     got = pulse_program_unitary(program)
     assert np.max(np.abs(got - oracle_program(program))) < 1e-12
 
@@ -599,17 +571,17 @@ class TestFrameKeepsTheDrift:
     block is simulated as broken, not as the coupling it was meant to be."""
 
     CHAIN = ChainSpec(3, (120.0, 80.0))
-    GATE = CouplingEvolution(1, 0.7)
+    GATES = GateList([zz_row(1, 0.7)])
 
     def program(self, fault):
-        program = synthesize_pulses([self.GATE], self.CHAIN)
-        events = program.events
+        program = synthesize_pulses(self.GATES, self.CHAIN)
+        events = list(zip(*program.columns()))
         # half delay, flip of spin 3, half delay, flip of spin 3
-        assert [type(e) for e in events] == [Delay, HardPulse, Delay, HardPulse]
-        assert all(e.qubit == 3 and e.axis == "x" and abs(e.angle) == math.pi
-                   for e in events[1::2])
+        assert program.kinds == ["delay", "pulse", "delay", "pulse"]
+        assert all(q == 3 and axis == "x" and abs(angle) == math.pi
+                   for _, q, axis, angle in events[1::2])
         if fault == "longer-half-delay":
-            events = [Delay(1.01 * events[0].duration)] + events[1:]
+            events[0] = delay_row(1.01 * events[0][3])
         elif fault == "second-flip-dropped":
             events = events[:3]
         return PulseProgram(self.CHAIN, events, program.phase)
@@ -624,7 +596,7 @@ class TestFrameKeepsTheDrift:
         assert np.max(np.abs(got - oracle_program(program))) < 1e-12
         target = tmp_path / "target.json"
         target.write_text(json.dumps(matrix_to_json_dict(
-            gate_list_unitary([self.GATE], 3))))
+            gate_list_unitary(self.GATES, 3))))
         path = tmp_path / "program.json"
         path.write_text(json.dumps(program_to_json_dict(program)))
         assert cli_main(["verify", str(path), str(target)]) == (
@@ -687,10 +659,10 @@ def test_flatten_matches_evaluate_on_random_trees(data):
 def test_pulses_simulate_to_their_gate_list_on_unequal_chains(data):
     chain = data.draw(unequal_chains(min_n=2))
     n = chain.n
-    gates = data.draw(st.lists(st.one_of(
-        st.builds(LocalRotation, st.integers(1, n), AXES, ANGLES),
-        st.builds(CouplingEvolution, st.integers(1, n - 1), ANGLES),
-        st.builds(GlobalPhase, ANGLES)), max_size=12))
+    gates = GateList(data.draw(st.lists(st.one_of(
+        st.builds(local_row, st.integers(1, n), AXES, ANGLES),
+        pair_couplings(1, n - 1),
+        st.builds(phase_row, ANGLES)), max_size=12)))
     program = synthesize_pulses(gates, chain)
     report = distance(pulse_program_unitary(program), gate_list_unitary(gates, n))
     assert report.frobenius < 1e-9
@@ -704,50 +676,50 @@ def signed_schedules(draw):
     chain = draw(unequal_chains(min_n=2))
     n = chain.n
     rotations = st.lists(
-        st.builds(LocalRotation, st.integers(1, n), AXES, ANGLES), max_size=3)
+        st.builds(local_row, st.integers(1, n), AXES, ANGLES), max_size=3)
     pairs = draw(st.permutations(
         list(range(1, n)) + draw(st.lists(st.integers(1, n - 1), max_size=4))))
-    gates = []
+    rows = []
     for left in pairs:
-        gates += draw(rotations)
-        gates.append(CouplingEvolution(left, draw(ANGLES)))
-    return chain, gates + draw(rotations)
+        rows += draw(rotations)
+        rows.append(zz_row(left, draw(ANGLES)))
+    return chain, GateList(rows + draw(rotations))
 
 
 def coupling_time(g, chain):
-    """Seconds of drift a coupling runs: its angle reduced mod 4*pi."""
-    return abs(math.remainder(g.angle, 4 * math.pi)) / (
-        2 * math.pi * chain.coupling(g.left))
+    """Seconds of drift a coupling row runs: its angle reduced mod
+    4*pi."""
+    _, left, _, angle = g
+    return abs(math.remainder(angle, 4 * math.pi)) / (
+        2 * math.pi * chain.coupling(left))
 
 
 def blocks(earlier, later):
-    """Whether ``later`` must wait for ``earlier``: they share a spin and
-    do not both commute as diagonals, or they are couplings on one
-    pair, which run one after another."""
-    spins = (lambda g: set(g.pair) if isinstance(g, CouplingEvolution)
-             else {g.qubit})
+    """Whether row ``later`` must wait for row ``earlier``: they share a
+    spin and do not both commute as diagonals, or they are couplings on
+    one pair, which run one after another."""
+    spins = (lambda g: {g[1], g[1] + 1} if g[0] == "zz" else {g[1]})
     if not spins(earlier) & spins(later):
         return False
-    diagonal = (lambda g: isinstance(g, CouplingEvolution) or g.axis == "z")
+    diagonal = (lambda g: g[0] == "zz" or g[2] == "z")
     if not (diagonal(earlier) and diagonal(later)):
         return True
-    return (isinstance(earlier, CouplingEvolution)
-            and isinstance(later, CouplingEvolution)
-            and earlier.left == later.left)
+    return earlier[0] == later[0] == "zz" and earlier[1] == later[1]
 
 
 def asap(gates, chain):
-    """``[(gate, start, end)]``: every rotation and every coupling that
+    """``[(row, start, end)]``: every rotation and every coupling that
     runs at all, started as soon as every earlier gate it does not
     commute with has ended."""
     placed = []
     for g in gates:
-        if isinstance(g, GlobalPhase):
+        kind, _, _, angle = g
+        if kind == "phase":
             continue
         t = 0.0
-        if isinstance(g, CouplingEvolution):
+        if kind == "zz":
             t = coupling_time(g, chain)
-            if t == 0 and not math.remainder(g.angle, 4 * math.pi):
+            if t == 0 and not math.remainder(angle, 4 * math.pi):
                 continue
         start = max((end for h, _, end in placed if blocks(h, g)), default=0.0)
         placed.append((g, start, start + t))
@@ -763,11 +735,11 @@ def frame_pulses(gates, chain, program):
     fixes, a delay, the refocusing toggle and a delay, or one delay when
     every pair is active."""
     placed = asap(gates, chain)
-    events, i, segments = program.events, 0, []
+    events, i, segments = list(zip(*program.columns())), 0, []
 
     def pulses_to_next_delay(i):
         start = i
-        while not isinstance(events[i], Delay):
+        while events[i][0] != "delay":
             i += 1
         return events[start:i], i + 1
 
@@ -784,15 +756,14 @@ def frame_pulses(gates, chain, program):
         for g, start, end in placed:
             if start != now:
                 continue
-            if isinstance(g, LocalRotation):
-                e = events[i]
-                assert (e.qubit, e.axis, abs(e.angle)) == (
-                    g.qubit, g.axis, abs(g.angle))
+            if g[0] == "local":
+                _, q, axis, angle = events[i]
+                assert (q, axis, abs(angle)) == (g[1], g[2], abs(g[3]))
                 i += 1
             elif end == now:  # too short to move the clock
-                i = segment(i, {g.left})
-        active = {g.left for g, start, end in placed
-                  if isinstance(g, CouplingEvolution) and start <= now
+                i = segment(i, {g[1]})
+        active = {g[1] for g, start, end in placed
+                  if g[0] == "zz" and start <= now
                   and then is not None and end >= then and end > start}
         if active:
             i = segment(i, active)
@@ -816,9 +787,10 @@ def test_frame_scheduler_on_signed_gate_lists(data):
                          - oracle_gate_list(gates, n))) < 1e-10
     segments, restore = frame_pulses(gates, chain, program)
     flips = [0] * (n + 1)
-    for e in restore + [e for _, added in segments for e in added]:
-        assert (e.axis, e.angle) == ("x", math.pi)
-        flips[e.qubit] += 1
+    for _, q, axis, angle in restore + [e for _, added in segments
+                                        for e in added]:
+        assert (axis, angle) == ("x", math.pi)
+        flips[q] += 1
     assert all(count % 2 == 0 for count in flips)
     for active, added in segments:
         assert len(added) <= len(active) + len(refocusing_set(n, active))
@@ -836,7 +808,7 @@ def test_program_lasts_the_critical_path(data):
     duration = total_coupling_time(program)
     assert duration == pytest.approx(path, rel=1e-9, abs=1e-15)
     serial = math.fsum(coupling_time(g, chain) for g in gates
-                       if isinstance(g, CouplingEvolution))
+                       if g[0] == "zz")
     assert duration <= serial * (1 + 1e-12)
 
 
@@ -846,7 +818,7 @@ class TestSharedDelays:
     def test_disjoint_couplings_share_one_delay(self):
         """Nothing between two couplings on disjoint pairs: they start
         together, and the program lasts the longer one, not the sum."""
-        gates = [CouplingEvolution(1, 0.8), CouplingEvolution(3, -1.5)]
+        gates = GateList([zz_row(1, 0.8), zz_row(3, -1.5)])
         program = synthesize_pulses(gates, self.CHAIN)
         times = [coupling_time(g, self.CHAIN) for g in gates]
         assert total_coupling_time(program) == pytest.approx(max(times),
@@ -858,9 +830,9 @@ class TestSharedDelays:
         """A coupling whose time does not move the clock at its start
         runs as a block of its own there, while the coupling on pair 3
         goes on around it."""
-        gates = [CouplingEvolution(1, 1.0), CouplingEvolution(3, 2.0),
-                 LocalRotation(2, "x", 0.3), CouplingEvolution(2, -1e-17),
-                 LocalRotation(2, "y", 0.5)]
+        gates = GateList([zz_row(1, 1.0), zz_row(3, 2.0),
+                          local_row(2, "x", 0.3), zz_row(2, -1e-17),
+                          local_row(2, "y", 0.5)])
         program = synthesize_pulses(gates, self.CHAIN)
         assert np.max(np.abs(pulse_program_unitary(program)
                              - gate_list_unitary(gates, 4))) < 1e-12
@@ -869,15 +841,15 @@ class TestSharedDelays:
         """The coupling on pair 1 ends one clock tick after the third on
         pair 3, and what is left of it after the segments before rounds
         below zero; that last segment is an empty delay, not an error."""
-        gates = ([CouplingEvolution(1, 6.66561384722676),
-                  CouplingEvolution(3, 6.66561384722676)]
-                 + [LocalRotation(q, "x", 0.3) for q in (1, 2, 3, 4)]
-                 + [CouplingEvolution(1, 6.189061034245237)]
-                 + [CouplingEvolution(3, theta) for theta in (
-                     1.6331244450655469, 2.982938860946039,
-                     1.5729977282336498, 0.2721149670259897,
-                     0.7662965909147044, 0.30403826614701146,
-                     2.210985626389651, 0.25207609613505794)])
+        gates = GateList([zz_row(1, 6.66561384722676),
+                          zz_row(3, 6.66561384722676)]
+                         + [local_row(q, "x", 0.3) for q in (1, 2, 3, 4)]
+                         + [zz_row(1, 6.189061034245237)]
+                         + [zz_row(3, theta) for theta in (
+                             1.6331244450655469, 2.982938860946039,
+                             1.5729977282336498, 0.2721149670259897,
+                             0.7662965909147044, 0.30403826614701146,
+                             2.210985626389651, 0.25207609613505794)])
         chain = ChainSpec.uniform(4, 100.0)
         program = synthesize_pulses(gates, chain)
         assert np.max(np.abs(pulse_program_unitary(program)
@@ -888,10 +860,10 @@ class TestSharedDelays:
         with either, so the second waits for it: two blocks, one after
         the other, each refocused."""
         chain = ChainSpec(3, (100.0, 100.0))
-        gates = [CouplingEvolution(1, 0.9), LocalRotation(2, "x", 0.4),
-                 CouplingEvolution(2, 0.9)]
+        gates = GateList([zz_row(1, 0.9), local_row(2, "x", 0.4),
+                          zz_row(2, 0.9)])
         program = synthesize_pulses(gates, chain)
-        assert sum(isinstance(e, Delay) for e in program.events) == 4
+        assert program.kinds.count("delay") == 4
         assert total_coupling_time(program) == pytest.approx(
             2 * coupling_time(gates[0], chain), rel=1e-12)
         assert np.max(np.abs(pulse_program_unitary(program)

@@ -27,10 +27,8 @@ from kakpulse import (
     CartanFamily,
     CartanNode,
     ChainSpec,
-    CouplingEvolution,
     EulerNode,
     GateTree,
-    LocalRotation,
     NumericError,
     PhaseNode,
     SequenceNode,
@@ -178,9 +176,9 @@ def test_shared_delays_keep_the_gate_list(target, n):
     program = synthesize_pulses(gates, chain)
     want = gate_list_unitary(gates, n)
     assert np.max(np.abs(pulse_program_unitary(program) - want)) < 1e-10
-    serial = math.fsum(abs(math.remainder(g.angle, 4 * math.pi))
-                       / (2 * math.pi * chain.coupling(g.left))
-                       for g in gates if isinstance(g, CouplingEvolution))
+    serial = math.fsum(abs(math.remainder(angle, 4 * math.pi))
+                       / (2 * math.pi * chain.coupling(left))
+                       for kind, left, _, angle in gates if kind == "zz")
     assert total_coupling_time(program) <= serial * (1 + 1e-12)
 
 
@@ -283,13 +281,13 @@ def longest_local_run(gates):
     it (or the list's ends)."""
     runs: dict[int, int] = {}
     longest = 0
-    for g in gates:
-        if isinstance(g, LocalRotation):
-            runs[g.qubit] = runs.get(g.qubit, 0) + 1
-            longest = max(longest, runs[g.qubit])
-        elif isinstance(g, CouplingEvolution):
-            runs.pop(g.left, None)
-            runs.pop(g.left + 1, None)
+    for kind, site, _, _ in gates:
+        if kind == "local":
+            runs[site] = runs.get(site, 0) + 1
+            longest = max(longest, runs[site])
+        elif kind == "zz":
+            runs.pop(site, None)
+            runs.pop(site + 1, None)
     return longest
 
 
@@ -312,7 +310,8 @@ def test_rounding_noise_emits_no_rotation(target, n):
     tree, matrix = _decompose(u)
     assert np.max(np.abs(matrix - u)) < residual_budget(n)
     gates = flatten(tree)
-    smallest = min(abs(g.angle) for g in gates if isinstance(g, LocalRotation))
+    smallest = min(abs(angle) for kind, _, _, angle in gates
+                   if kind == "local")
     assert smallest > max(TOL_ROTATION, 1e-9)
     assert np.max(np.abs(gate_list_unitary(gates, n) - u)) < residual_budget(n)
     program = synthesize_pulses(gates, ChainSpec(n, CHAIN_J[:n - 1]))
@@ -323,7 +322,8 @@ def test_near_identity_keeps_its_small_turns():
     """A target 1e-9 from the identity needs turns far below 1e-9 rad;
     the drop threshold sits under them."""
     gates = flatten(decompose(near_identity(4)))
-    assert any(abs(g.angle) < 1e-9 for g in gates if isinstance(g, LocalRotation))
+    assert any(abs(angle) < 1e-9 for kind, _, _, angle in gates
+               if kind == "local")
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +331,7 @@ def test_near_identity_keeps_its_small_turns():
 
 
 def couplings(gates):
-    return sum(isinstance(g, CouplingEvolution) for g in gates)
+    return gates.kinds.count("zz")
 
 
 def outer_x_sizes(tree):
@@ -350,14 +350,14 @@ def test_products_compile_to_no_couplings(target, n):
     gates = flatten(decompose(target(n)))
     assert couplings(gates) == 0
     if target is minus_identity:
-        assert not any(isinstance(g, LocalRotation) for g in gates)
+        assert "local" not in gates.kinds
 
 
 def coupling_angle(gates):
     """Total coupling angle, each reduced mod 4*pi as the scheduler runs
     it: the coupling time on a uniform chain, times 2*pi*J."""
-    return sum(abs(math.remainder(g.angle, 4 * math.pi))
-               for g in gates if isinstance(g, CouplingEvolution))
+    return sum(abs(math.remainder(angle, 4 * math.pi))
+               for kind, _, _, angle in gates if kind == "zz")
 
 
 def assert_open_layers_add_no_coupling(u, monkeypatch):
