@@ -168,7 +168,7 @@ def cmd_decompose(input_path: str, out_path: str, n: int | None = None,
                 tree_to_json_text(tree), "}")
     kinds = gates.kinds
     n_pi = sum(kind == "zz" and abs(angle) == math.pi
-               for kind, angle in zip(kinds, gates.angles))
+               for kind, angle in zip(kinds, gates.values))
     n_local, n_zz, n_phase = map(kinds.count, ("local", "zz", "phase"))
     print(f"reconstruction residual {resid:.3e} (budget {budget:.3e})")
     print(f"{n_local} local rotations, {n_zz} coupling evolutions "

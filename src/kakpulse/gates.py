@@ -15,36 +15,38 @@ other.
 
 Columns and rows
 ----------------
-A gate list and a pulse program are each held as parallel columns,
-plain Python lists with one entry per gate or event, since every stage
-walks them in a Python loop:
+A gate list and a pulse program are each a table of time-ordered steps,
+held as four parallel columns, plain Python lists with one entry per
+step, since every stage walks them in a Python loop: ``kinds``
+(``"local"``, ``"zz"`` or ``"phase"`` for a gate, ``"pulse"`` or
+``"delay"`` for an event, as the JSON spells them), ``sites`` (the
+rotated or pulsed spin, the left spin ``k`` of the coupled pair ``(k,
+k+1)``, or 0), ``axes`` (``"x"``, ``"y"`` or ``"z"``, or None) and
+``values`` (the rotation, coupling or pulse angle, the phase, or the
+delay in seconds).  A :class:`PulseProgram` also has its ``chain`` and
+its ``phase``.
 
-* :class:`GateList`: ``kinds`` (``"local"``, ``"zz"`` or ``"phase"``,
-  as the JSON spells them), ``sites`` (the rotated spin, the left spin
-  ``k`` of the coupled pair ``(k, k+1)``, or 0 for a phase), ``axes``
-  (``"x"``, ``"y"`` or ``"z"``, or None) and ``angles`` (the rotation
-  or coupling angle, or the phase).
-* :class:`PulseProgram`: ``kinds`` (``"pulse"`` or ``"delay"``),
-  ``qubits`` (the pulsed spin, or 0), ``axes`` (or None) and ``values``
-  (the pulse angle, or the delay in seconds), beside its ``chain`` and
-  ``phase``.
-
-A gate or an event is a row of its four column entries, ``(kind, site,
-axis, angle)``.  Iterating a :class:`GateList` yields its rows, and
-``GateList(rows)`` and ``PulseProgram(chain, rows, phase)`` build
-checked columns from rows.  Each item kind has one check, which those
-two constructors and the readers share, so a fault raises the same
-class and message either way, naming the row's or the item's index.
-The columns the lowering builds are trusted: it checks a tree leaf's
-spin itself, with the same message; ``add`` appends an entry unchecked.
+A step is a row of its four column entries, ``(kind, site, axis,
+value)``.  Iterating :class:`GateList` or :class:`PulseProgram` yields
+its rows, ``len`` counts them and ``table[k]`` is row ``k``; a slice of
+a gate list is a gate list.  ``GateList(rows)`` and
+``PulseProgram(chain, rows, phase)`` build checked columns from rows:
+a spin must be an integer, which ``2.0`` or a NumPy integer is, and a
+value a real number, kept as given.  Each kind has one check, which
+those two constructors and the readers share, so a fault raises the
+same class and message either way, naming the row's or the item's
+index.  The columns the lowering builds are trusted: it checks a tree
+leaf's spin itself, with the same message; ``add`` appends a step
+unchecked.
 
 JSON forms
 ----------
 :func:`gate_list_to_json_text` and :meth:`PulseProgram.to_json_text`
-write the artifacts from the columns, as canonical JSON text: keys in
-sorted order, no whitespace, each number spelled as ``json.dumps``
-spells it.  :func:`gate_list_from_json` and
-:meth:`PulseProgram.from_json_dict` read them back.
+write the artifacts from the columns through one item writer, as
+canonical JSON text: keys in sorted order, no whitespace, each number
+spelled as ``json.dumps`` spells it.  :func:`gate_list_from_json` and
+:meth:`PulseProgram.from_json_dict` read them back through one item
+loop.
 
 * A gate list is an array of gates, each one of
   ``{"angle": a, "axis": "x"|"y"|"z", "kind": "local", "q": q}``,
@@ -76,21 +78,33 @@ Spins are 1-based; spin 1 is the leftmost Kronecker factor.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import (DimensionError, RangeError, ValidationError, _json_array,
                      _json_float, _json_int, _json_number, _json_numbers)
 from .linalg import AXES
 
-# The check of each item kind, which returns the item's row.  The row
+# The check of each step kind, which returns the step's row.  The row
 # constructors and the readers share it; a reader calls it once an
 # item's fields have their JSON types.
 
 
-def _rotation_row(kind: str, q: int, axis: str, angle: float) -> tuple:
+def _row_number(value, what: str):
+    """``value``, kept as given, when it is a real number; a bool or a
+    string is a :class:`ValidationError`, as in a JSON item."""
+    if type(value) is not float and (isinstance(value, bool) or
+                                     not isinstance(value, numbers.Real)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    return value
+
+
+def _rotation_row(kind: str, q, axis, angle) -> tuple:
     """A rotation or a pulse: ``exp(-1j * angle * sigma_axis / 2)`` on
     spin ``q``."""
+    q = _json_int(q, "pulse spin" if kind == "pulse" else "gate spin")
+    angle = _row_number(angle, "angle")
     if q < 1:
         raise ValidationError(f"spin index must be >= 1, got {q}")
     if axis not in AXES:
@@ -100,8 +114,10 @@ def _rotation_row(kind: str, q: int, axis: str, angle: float) -> tuple:
     return kind, q, axis, angle
 
 
-def _coupling_row(left: int, angle: float) -> tuple:
+def _coupling_row(kind: str, left, axis, angle) -> tuple:
     """A coupling: ``exp(-1j * angle * I_z I_z)`` on ``(left, left + 1)``."""
+    left = _json_int(left, "coupling spin")
+    angle = _row_number(angle, "angle")
     if left < 1:
         raise ValidationError(f"pair index must be >= 1, got {left}")
     if not math.isfinite(angle):
@@ -109,18 +125,70 @@ def _coupling_row(left: int, angle: float) -> tuple:
     return "zz", left, None, angle
 
 
-def _phase_row(phi: float) -> tuple:
+def _phase_row(kind: str, site, axis, phi) -> tuple:
     """A global phase ``exp(1j * phi)``."""
-    if not math.isfinite(phi):
+    if not math.isfinite(_row_number(phi, "phase")):
         raise ValidationError("phase must be finite")
     return "phase", 0, None, phi
 
 
-def _delay_row(t: float) -> tuple:
+def _delay_row(kind: str, site, axis, t) -> tuple:
     """Free evolution under the chain couplings for ``t`` seconds."""
-    if not (math.isfinite(t) and t >= 0):
+    if not (math.isfinite(_row_number(t, "delay t")) and t >= 0):
         raise RangeError(f"delay must be non-negative and finite, got {t}")
     return "delay", 0, None, t
+
+
+# The reader of one JSON item of each kind.  A well-formed item, whose
+# floats are finite (``x - x == 0.0``), is taken as it stands; any other
+# is read field by field in a fixed order, so its first fault is named.
+
+def _rotation_item(item: dict, kind: str) -> tuple:
+    """The row of a rotation or a pulse item."""
+    try:
+        q, axis, angle = item["q"], item["axis"], item["angle"]
+        if (type(q) is int and q > 0 and axis in AXES
+                and type(angle) is float and angle - angle == 0.0):
+            return kind, q, axis, angle
+    except KeyError:
+        pass
+    angle = item["angle"]
+    q = _json_int(item["q"], "pulse spin" if kind == "pulse" else "gate spin")
+    return _rotation_row(kind, q, str(item["axis"]),
+                         _json_float(angle, "angle"))
+
+
+def _coupling_item(item: dict, kind: str) -> tuple:
+    """The row of a coupling item, its pair adjacent."""
+    try:
+        pair, angle = item["pair"], item["angle"]
+        left = pair[0]
+        if (type(pair) is list and len(pair) == 2
+                and type(left) is int and left > 0
+                and type(pair[1]) is int and pair[1] == left + 1
+                and type(angle) is float and angle - angle == 0.0):
+            return kind, left, None, angle
+    except (KeyError, TypeError, IndexError):
+        pass
+    left, right = (_json_int(v, "coupling spin") for v in
+                   _json_array(item["pair"], "coupling pair"))
+    if right != left + 1:
+        raise ValidationError(
+            f"coupling pair must be adjacent, got [{left}, {right}]")
+    return _coupling_row(kind, left, None, _json_float(item["angle"], "angle"))
+
+
+def _phase_item(item: dict, kind: str) -> tuple:
+    """The row of a phase item."""
+    return _phase_row(kind, 0, None, _json_float(item["phi"], "phase"))
+
+
+def _delay_item(item: dict, kind: str) -> tuple:
+    """The row of a delay item."""
+    t = item["t"]
+    if type(t) is float and t >= 0.0 and t - t == 0.0:
+        return kind, 0, None, t
+    return _delay_row(kind, 0, None, _json_float(t, "delay t"))
 
 
 def _item_error(exc: Exception, what: str, k: int) -> ValidationError:
@@ -132,92 +200,140 @@ def _item_error(exc: Exception, what: str, k: int) -> ValidationError:
     return ValidationError(f"malformed {what} at index {k}: {exc}")
 
 
-def _add_rows(out, rows: Iterable[tuple], row: Callable, what: str) -> None:
-    """Add each of ``rows`` to ``out`` as ``row`` checks it."""
-    for k, entries in enumerate(rows):
-        try:
-            entries = row(entries)
-        except (TypeError, ValueError) as exc:
-            raise _item_error(exc, what, k) from exc
-        out.add(*entries)
+class _StepTable:
+    """Time-ordered steps as four parallel columns, ``kinds``, ``sites``,
+    ``axes`` and ``values`` (see the module docstring).
 
+    A subclass names its steps (``_what``, ``"gate"`` or ``"event"``)
+    and maps each of its kinds to the kind's literal, its row check and
+    its JSON item reader (``_kinds``)."""
 
-def _gate_row(row: tuple) -> tuple:
-    """The checked row of a gate."""
-    kind, site, axis, angle = row
-    if kind == "local":
-        return _rotation_row("local", site, axis, angle)
-    if kind == "zz":
-        return _coupling_row(site, angle)
-    if kind == "phase":
-        return _phase_row(angle)
-    raise ValidationError(f"unknown gate kind {kind!r}")
-
-
-class GateList:
-    """A time-ordered gate list as four parallel columns: ``kinds``,
-    ``sites``, ``axes`` and ``angles`` (see the module docstring).
-
-    ``GateList(rows)`` checks each ``(kind, site, axis, angle)`` row as
-    the reader checks a gate, iterating yields the rows back, and
-    ``gates[k]`` is row ``k``."""
-
-    __slots__ = ("kinds", "sites", "axes", "angles")
+    __slots__ = ("kinds", "sites", "axes", "values")
+    _what: str
+    _kinds: dict
 
     def __init__(self, rows: Iterable[tuple] = ()):
-        self.kinds: list[str] = []
-        self.sites: list[int] = []
-        self.axes: list[str | None] = []
-        self.angles: list[float] = []
-        _add_rows(self, rows, _gate_row, "gate")
+        self.kinds, self.sites, self.axes, self.values = [], [], [], []
+        for k, row in enumerate(rows):
+            try:
+                kind, site, axis, value = row
+                try:
+                    kind, check, _ = self._kinds[kind]
+                except (KeyError, TypeError):
+                    raise ValidationError(
+                        f"unknown {self._what} kind {kind!r}") from None
+                self.add(*check(kind, site, axis, value))
+            except (TypeError, ValueError) as exc:
+                raise _item_error(exc, self._what, k) from exc
 
-    @classmethod
-    def _of(cls, kinds, sites, axes, angles) -> "GateList":
-        """The gate list of columns that are already checked."""
-        out = cls.__new__(cls)
-        out.kinds, out.sites, out.axes, out.angles = kinds, sites, axes, angles
-        return out
+    def _read(self, items: list) -> None:
+        """Append the rows of the JSON ``items``, each checked as its
+        kind's row is; a fault names the item's index."""
+        table, what = self._kinds, self._what
+        # appended inline, not by self.add: the call would cost this loop
+        # about 15 %
+        kinds, sites, axes, values = self.columns()
+        for item in items:
+            try:
+                kind = item["kind"]
+                try:
+                    # each row holds its kind's literal, not the item's copy
+                    kind, _, read = table[kind]
+                except (KeyError, TypeError):
+                    raise ValidationError(
+                        f"unknown {what} kind {kind!r}") from None
+                kind, site, axis, value = read(item, kind)
+            except (KeyError, TypeError, ValueError) as exc:
+                # the columns hold one entry per item read before this one
+                raise _item_error(exc, what, len(kinds)) from exc
+            kinds.append(kind)
+            sites.append(site)
+            axes.append(axis)
+            values.append(value)
+
+    def _items_text(self) -> str:
+        """The steps as JSON items (see the module docstring), separated
+        by commas, written from the columns one item at a time with the
+        keys already in sorted order."""
+        out = []
+        for kind, site, axis, value in zip(self.kinds, self.sites, self.axes,
+                                           _json_numbers(self.values)):
+            if axis is not None:  # a rotation or a pulse
+                out.append(f'{{"angle":{value},"axis":"{axis}",'
+                           f'"kind":"{kind}","q":{site}}}')
+            elif kind == "zz":
+                out.append(f'{{"angle":{value},"kind":"zz",'
+                           f'"pair":[{site},{site + 1}]}}')
+            elif kind == "delay":
+                out.append(f'{{"kind":"delay","t":{value}}}')
+            else:
+                out.append(f'{{"kind":"phase","phi":{value}}}')
+        return ",".join(out)
 
     def add(self, kind: str, site: int, axis: str | None,
-            angle: float) -> None:
-        """Append one gate, given as its four column entries."""
+            value: float) -> None:
+        """Append one step, given as its four column entries."""
         self.kinds.append(kind)
         self.sites.append(site)
         self.axes.append(axis)
-        self.angles.append(angle)
+        self.values.append(value)
 
     def columns(self) -> tuple[list, list, list, list]:
-        return self.kinds, self.sites, self.axes, self.angles
+        return self.kinds, self.sites, self.axes, self.values
 
     def __len__(self) -> int:
         return len(self.kinds)
+
+    def __getitem__(self, k: int) -> tuple:
+        """Row ``k``."""
+        return self.kinds[k], self.sites[k], self.axes[k], self.values[k]
+
+    def __iter__(self):
+        return zip(*self.columns())
+
+    def _args(self) -> tuple:
+        """The constructor's arguments, which ``==`` and ``repr`` read."""
+        return (list(self),)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._args() == other._args()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self._args()))})"
+
+
+class GateList(_StepTable):
+    """A time-ordered gate list: ``local``, ``zz`` and ``phase`` steps.
+    A slice of a gate list is a gate list."""
+
+    __slots__ = ()
+    _what = "gate"
+    _kinds = {"local": ("local", _rotation_row, _rotation_item),
+              "zz": ("zz", _coupling_row, _coupling_item),
+              "phase": ("phase", _phase_row, _phase_item)}
+
+    @classmethod
+    def _of(cls, kinds, sites, axes, values) -> "GateList":
+        """The gate list of columns that are already checked."""
+        out = cls.__new__(cls)
+        out.kinds, out.sites, out.axes, out.values = kinds, sites, axes, values
+        return out
 
     def __getitem__(self, k: int | slice) -> tuple | "GateList":
         """Row ``k``, or the gate list of a slice."""
         if isinstance(k, slice):
             return GateList._of(*(column[k] for column in self.columns()))
-        return self.kinds[k], self.sites[k], self.axes[k], self.angles[k]
-
-    def __iter__(self):
-        return zip(*self.columns())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GateList):
-            return NotImplemented
-        return self.columns() == other.columns()
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"GateList({list(self)!r})"
+        return super().__getitem__(k)
 
 
 def inverse_gate_list(gates: GateList) -> GateList:
     """Time-ordered inverse of a time-ordered gate list: the gates in
     reverse order, each angle and phase negated."""
-    kinds, sites, axes, angles = gates.columns()
+    kinds, sites, axes, values = gates.columns()
     return GateList._of(kinds[::-1], sites[::-1], axes[::-1],
-                        [-a for a in reversed(angles)])
+                        [-a for a in reversed(values)])
 
 
 def gate_list_spin_bound(gates: GateList) -> int:
@@ -228,69 +344,8 @@ def gate_list_spin_bound(gates: GateList) -> int:
 
 def gate_list_to_json_text(gates: GateList) -> str:
     """The gate list as JSON text: an array of gate objects (see the
-    module docstring), written from the columns one gate at a time with
-    the keys already in sorted order."""
-    kinds, sites, axes, angles = gates.columns()
-    out = []
-    for kind, site, axis, angle in zip(kinds, sites, axes,
-                                       _json_numbers(angles)):
-        if kind == "local":
-            out.append(f'{{"angle":{angle},"axis":"{axis}",'
-                       f'"kind":"local","q":{site}}}')
-        elif kind == "zz":
-            out.append(f'{{"angle":{angle},"kind":"zz",'
-                       f'"pair":[{site},{site + 1}]}}')
-        else:
-            out.append(f'{{"kind":"phase","phi":{angle}}}')
-    return f"[{','.join(out)}]"
-
-
-# The fields of one JSON item of each kind.  A well-formed item's fields
-# are taken as they stand; any other item is read field by field in a
-# fixed order, so that its first fault raises the error that names it.
-
-def _rotation_fields(item: dict, kind: str, what: str) -> tuple:
-    """The row of a rotation item of ``kind``, checked by
-    :func:`_rotation_row`; ``what`` names the spin."""
-    try:
-        q, axis, angle = item["q"], item["axis"], item["angle"]
-        if (type(q) is int and q > 0 and axis in AXES
-                and type(angle) is float and -math.inf < angle < math.inf):
-            return kind, q, axis, angle
-    except KeyError:
-        pass
-    angle = item["angle"]
-    q, axis = _json_int(item["q"], what), str(item["axis"])
-    return _rotation_row(kind, q, axis, _json_float(angle, "angle"))
-
-
-def _coupling_fields(item: dict) -> tuple:
-    """The row of a coupling item, checked by :func:`_coupling_row`, its
-    pair adjacent."""
-    try:
-        pair, angle = item["pair"], item["angle"]
-        left = pair[0]
-        if (type(pair) is list and len(pair) == 2
-                and type(left) is int and left > 0
-                and type(pair[1]) is int and pair[1] == left + 1
-                and type(angle) is float and -math.inf < angle < math.inf):
-            return "zz", left, None, angle
-    except (KeyError, TypeError, IndexError):
-        pass
-    left, right = (_json_int(v, "coupling spin") for v in
-                   _json_array(item["pair"], "coupling pair"))
-    if right != left + 1:
-        raise ValidationError(
-            f"coupling pair must be adjacent, got [{left}, {right}]")
-    return _coupling_row(left, _json_float(item["angle"], "angle"))
-
-
-def _delay_fields(item: dict) -> tuple:
-    """The row of a delay item, checked by :func:`_delay_row`."""
-    t = item["t"]
-    if type(t) is float and 0.0 <= t < math.inf:
-        return "delay", 0, None, t
-    return _delay_row(_json_float(t, "delay t"))
+    module docstring)."""
+    return f"[{gates._items_text()}]"
 
 
 def gate_list_from_json(data: list[dict]) -> GateList:
@@ -301,29 +356,7 @@ def gate_list_from_json(data: list[dict]) -> GateList:
     if not isinstance(data, list):
         raise ValidationError("gate list must be a JSON array")
     out = GateList()
-    # appended inline, not by out.add: the call would cost this loop,
-    # and the program reader, about 15 %
-    kinds, sites, axes, angles = out.columns()
-    for item in data:
-        try:
-            # each row holds its kind's literal, not the item's copy
-            kind = item["kind"]
-            if kind == "local":
-                row = _rotation_fields(item, "local", "gate spin")
-            elif kind == "zz":
-                row = _coupling_fields(item)
-            elif kind == "phase":
-                row = _phase_row(_json_float(item["phi"], "phase"))
-            else:
-                raise ValidationError(f"unknown gate kind {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            # the columns hold one entry per item read before this one
-            raise _item_error(exc, "gate", len(kinds)) from exc
-        kind, q, axis, angle = row
-        kinds.append(kind)
-        sites.append(q)
-        axes.append(axis)
-        angles.append(angle)
+    out._read(data)
     return out
 
 
@@ -385,115 +418,50 @@ class ChainSpec:
             raise ValidationError(f"malformed chain object: {exc}") from exc
 
 
-def _event_row(row: tuple) -> tuple:
-    """The checked row of an event."""
-    kind, q, axis, value = row
-    if kind == "pulse":
-        return _rotation_row("pulse", q, axis, value)
-    if kind == "delay":
-        return _delay_row(value)
-    raise ValidationError(f"unknown event kind {kind!r}")
+class PulseProgram(_StepTable):
+    """A time-ordered schedule of ``pulse`` and ``delay`` steps on
+    ``chain``, plus an accumulated global ``phase``."""
 
-
-class PulseProgram:
-    """Time-ordered pulse/delay schedule plus an accumulated global phase.
-
-    The events are four columns, ``kinds``, ``qubits``, ``axes`` and
-    ``values`` (see the module docstring); ``PulseProgram(chain, rows,
-    phase)`` checks each ``(kind, q, axis, value)`` row as the reader
-    checks an event."""
-
-    __slots__ = ("chain", "kinds", "qubits", "axes", "values", "phase")
+    __slots__ = ("chain", "phase")
+    _what = "event"
+    _kinds = {"pulse": ("pulse", _rotation_row, _rotation_item),
+              "delay": ("delay", _delay_row, _delay_item)}
 
     def __init__(self, chain: ChainSpec, rows: Iterable[tuple] = (),
                  phase: float = 0.0):
         self.chain = chain
-        self.kinds: list[str] = []
-        self.qubits: list[int] = []
-        self.axes: list[str | None] = []
-        self.values: list[float] = []
-        _add_rows(self, rows, _event_row, "event")
-        if not math.isfinite(phase):
+        super().__init__(rows)
+        if not math.isfinite(_row_number(phase, "program phase")):
             raise ValidationError("program phase must be finite")
         self.phase = phase
 
-    def add(self, kind: str, q: int, axis: str | None,
-            value: float) -> None:
-        """Append one event, given as its four column entries."""
-        self.kinds.append(kind)
-        self.qubits.append(q)
-        self.axes.append(axis)
-        self.values.append(value)
-
-    def columns(self) -> tuple[list, list, list, list]:
-        return self.kinds, self.qubits, self.axes, self.values
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PulseProgram):
-            return NotImplemented
-        return (self.chain == other.chain and self.phase == other.phase
-                and self.columns() == other.columns())
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return (f"PulseProgram({self.chain!r}, "
-                f"{list(zip(*self.columns()))!r}, {self.phase!r})")
+    def _args(self) -> tuple:
+        return self.chain, list(self), self.phase
 
     def to_json_text(self) -> str:
         """The program as JSON text: its chain, its events and its phase
-        (see the module docstring), written from the columns one event
-        at a time with the keys already in sorted order."""
-        events = []
-        for kind, q, axis, value in zip(self.kinds, self.qubits, self.axes,
-                                        _json_numbers(self.values)):
-            if kind == "pulse":
-                events.append(f'{{"angle":{value},"axis":"{axis}",'
-                              f'"kind":"pulse","q":{q}}}')
-            else:
-                events.append(f'{{"kind":"delay","t":{value}}}')
+        (see the module docstring)."""
         couplings = ",".join(map(_json_number, self.chain.couplings))
         return (f'{{"chain":{{"J":[{couplings}],"n":{self.chain.n}}},'
-                f'"events":[{",".join(events)}],'
+                f'"events":[{self._items_text()}],'
                 f'"phase":{_json_number(self.phase)}}}')
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PulseProgram":
         """The program of a JSON object, its events in columns.
 
-        Each event is checked as its kind's row is, and a fault
-        names the event's index."""
+        Each event is checked as its kind's row is, and a fault names
+        the event's index; the events are read before the phase."""
         try:
-            chain = ChainSpec.from_json_dict(data["chain"])
-            items = _json_array(data.get("events", []), "program events")
-            kinds: list[str] = []
-            qubits: list[int] = []
-            axes: list[str | None] = []
-            values: list[float] = []
-            for item in items:
-                try:
-                    # each row holds its kind's literal, as in
-                    # gate_list_from_json
-                    kind = item["kind"]
-                    if kind == "pulse":
-                        row = _rotation_fields(item, "pulse", "pulse spin")
-                    elif kind == "delay":
-                        row = _delay_fields(item)
-                    else:
-                        raise ValidationError(f"unknown event kind {kind!r}")
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise _item_error(exc, "event", len(kinds)) from exc
-                kind, q, axis, value = row
-                kinds.append(kind)
-                qubits.append(q)
-                axes.append(axis)
-                values.append(value)
-            program = cls(chain, (), _json_float(data.get("phase", 0.0),
-                                                 "program phase"))
+            program = cls(ChainSpec.from_json_dict(data["chain"]))
+            program._read(_json_array(data.get("events", []),
+                                      "program events"))
+            program.phase = _json_float(data.get("phase", 0.0),
+                                        "program phase")
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ValidationError):
                 raise
             raise ValidationError(f"malformed pulse program: {exc}") from exc
-        program.kinds, program.qubits = kinds, qubits
-        program.axes, program.values = axes, values
+        if not math.isfinite(program.phase):
+            raise ValidationError("program phase must be finite")
         return program

@@ -390,7 +390,7 @@ def _lower_into(tree: GateTree, out: GateList) -> None:
         if turns % 2:
             out.add("phase", 0, None, _PI)
     elif isinstance(tree, PhaseNode):
-        out.add(*_phase_row(tree.phi))
+        out.add(*_phase_row("phase", 0, None, tree.phi))
     elif isinstance(tree, CartanNode):
         _emit_element(out, tree.element, tree.route)
     else:
@@ -688,7 +688,7 @@ def synthesize_pulses(gates: GateList, chain: ChainSpec) -> PulseProgram:
     program = PulseProgram(chain)
     frame = _Frame(program)
     flipped = frame.flipped
-    sites, turn_axes, angles = gates.sites, gates.axes, gates.angles
+    sites, turn_axes, angles = gates.sites, gates.axes, gates.values
     thetas: dict[int, float] = {}  # by active pair: its angle
     todo: dict[int, float] = {}    # by active pair: seconds still to run
     ending: dict[float, list[int]] = {}  # by clock time: pairs that end then

@@ -145,7 +145,8 @@ class _Frame:
         angles, touched, ops = self.angles, self.touched, self.ops
         quarters, diagonals = self.quarters, self.diagonals
         every = (2 << n) - 2  # bits 1..n
-        pi, rotate = math.pi, quaternion_turn
+        pi, rotate, fmod = math.pi, quaternion_turn, math.fmod
+        period = 8 * pi  # of a pair's I_z I_z turn
         for kind, q, axis, angle in zip(*steps):
             # a delay acts on every pair, so it only reaches frames that
             # keep all the chain's spins
@@ -155,8 +156,13 @@ class _Frame:
                     ops = {}
                 touched = every
                 for left, rate in enumerate(rates, 1):
+                    # reduced exactly, so long turns that refocus cannot
+                    # round a short one away
+                    turn = rate * angle
+                    if turn > period:
+                        turn = fmod(turn, period)
                     flip = flipped[left] != flipped[left + 1]
-                    angles[left - 1] += -rate * angle if flip else rate * angle
+                    angles[left - 1] += -turn if flip else turn
                 continue
             if kind == "zz":
                 if q >= n:
@@ -401,7 +407,7 @@ def gate_list_unitary(gates: GateList, n: int) -> np.ndarray:
     for k in cuts[1:]:
         # a scalar commutes with every other step; reduced as it is
         # added, so a long sum carries no rounding into the matrix
-        phase = math.remainder(phase + gates.angles[k], 2 * math.pi)
+        phase = math.remainder(phase + gates.values[k], 2 * math.pi)
     if len(cuts) > 1:
         cuts.append(len(kinds))
         steps = tuple(list(itertools.chain.from_iterable(

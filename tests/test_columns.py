@@ -26,12 +26,15 @@ from kakpulse import (
     GateList,
     PulseProgram,
     ValidationError,
+    decompose,
     gate_list_from_json,
     gate_list_spin_bound,
     gate_list_to_json_text,
     inverse_gate_list,
     pulse_count,
     flatten,
+    haar_unitary,
+    synthesize_pulses,
     total_coupling_time,
     tree_from_json_dict,
 )
@@ -131,6 +134,28 @@ def test_gate_lists_compare_only_with_gate_lists():
     assert gates != rows and gates != tuple(rows)
     program = PulseProgram(ChainSpec.uniform(2), [("delay", 0, None, 0.1)])
     assert gates != program and program != list(zip(*program.columns()))
+
+
+def test_a_program_is_read_by_rows_as_a_gate_list_is():
+    """``len``, iteration and ``program[k]`` read the columns, and the
+    rows rebuild the program, as its ``repr`` does."""
+    gates = flatten(decompose(haar_unitary(8, 103, special=True)))
+    program = synthesize_pulses(gates, ChainSpec.uniform(3))
+    rows = list(zip(*program.columns()))
+    assert len(program) == len(rows) > 0
+    assert list(program) == rows
+    assert [program[k] for k in range(len(program))] == rows
+    assert program[-1] == rows[-1]
+    assert PulseProgram(program.chain, list(program), program.phase) == program
+    assert eval(repr(program), NAMES) == program
+
+
+def test_a_gate_list_never_equals_a_program():
+    """Not even with no steps, where their columns are equal."""
+    empty, idle = GateList(), PulseProgram(ChainSpec.uniform(2))
+    assert empty.columns() == idle.columns()
+    assert empty != idle and idle != empty
+    assert not (empty == idle or idle == empty)
 
 
 def test_a_slice_of_a_gate_list_is_a_gate_list():

@@ -14,15 +14,21 @@ The row constructors, ``GateList(rows)`` and ``PulseProgram(chain,
 rows)``, share each kind's check with the readers.  Every fault of the
 table that a ``(kind, site, axis, value)`` row can carry (a spin below
 1, a bad axis, a value that is not finite or is negative, an unknown
-kind) raises the reader's class and message there too.
+kind) raises the reader's class and message there too, and so does a
+fault that only a row carries: a spin that is a bool or not an integer,
+or a value that is a bool, a string or None.
 """
 
+import json
 import math
 
+import numpy as np
 import pytest
 
 from kakpulse import (ChainSpec, GateList, PulseProgram, RangeError,
-                      ValidationError, gate_list_from_json)
+                      ValidationError, gate_list_from_json,
+                      gate_list_to_json_text, gate_list_unitary,
+                      pulse_program_unitary)
 
 NAN, INF = math.nan, math.inf
 DROP = object()  # a field left out of the item
@@ -234,14 +240,14 @@ def changed(item: dict, fields: dict) -> dict:
 
 def read_gate(item):
     gates = gate_list_from_json([{"kind": "phase", "phi": 0.0}, item])
-    return gates.kinds[1], gates.sites[1], gates.axes[1], gates.angles[1]
+    return gates.kinds[1], gates.sites[1], gates.axes[1], gates.values[1]
 
 
 def read_event(item):
     program = PulseProgram.from_json_dict({
         "chain": {"n": 3, "J": [100.0, 90.0]},
         "events": [{"kind": "delay", "t": 0.0}, item]})
-    return (program.kinds[1], program.qubits[1], program.axes[1],
+    return (program.kinds[1], program.sites[1], program.axes[1],
             program.values[1])
 
 
@@ -334,3 +340,129 @@ def test_event_row_first_fault(label, row, expected):
     check(lambda r: PulseProgram(ChainSpec(3, (100.0, 90.0)),
                                  [("delay", 0, None, 0.0), r]),
           None, row, expected, "event at index 1", "pulse spin")
+
+
+# Faults that only a row carries, in types JSON does not give: a spin or
+# pair index that is a bool, a non-integral float or not a number, and a
+# value that is a bool, a string or None.  Each raises the readers'
+# class and message, and the first fault is the one the reader meets
+# first (the spin before the value, a value's type before a range).
+ROW_TYPES = [
+    ("local", ("local", True, "x", 0.3),
+     (ValidationError, "{at}: gate spin must be an integer, got True")),
+    ("local", ("local", 1.5, "x", 0.3),
+     (ValidationError, "{at}: gate spin must be an integer, got 1.5")),
+    ("local", ("local", "1", "x", 0.3),
+     (ValidationError, "{at}: gate spin must be an integer, got '1'")),
+    ("local", ("local", 1, "x", True),
+     (ValidationError, "{at}: angle must be a number, got True")),
+    ("local", ("local", 1, "x", "0.3"),
+     (ValidationError, "{at}: angle must be a number, got '0.3'")),
+    ("local", ("local", 1, "x", None),
+     (ValidationError, "{at}: angle must be a number, got None")),
+    ("local", ("local", True, "x", "0.3"),
+     (ValidationError, "{at}: gate spin must be an integer, got True")),
+    ("local", ("local", 0, "x", "0.3"),
+     (ValidationError, "{at}: angle must be a number, got '0.3'")),
+    ("zz", ("zz", True, None, 0.3),
+     (ValidationError, "{at}: coupling spin must be an integer, got True")),
+    ("zz", ("zz", 1.5, None, 0.3),
+     (ValidationError, "{at}: coupling spin must be an integer, got 1.5")),
+    ("zz", ("zz", 1, None, False),
+     (ValidationError, "{at}: angle must be a number, got False")),
+    ("phase", ("phase", 0, None, True),
+     (ValidationError, "{at}: phase must be a number, got True")),
+    ("phase", ("phase", 0, None, "0.1"),
+     (ValidationError, "{at}: phase must be a number, got '0.1'")),
+    ("pulse", ("pulse", 1.5, "x", 0.3),
+     (ValidationError, "{at}: pulse spin must be an integer, got 1.5")),
+    ("pulse", ("pulse", np.bool_(True), "x", 0.3),
+     (ValidationError, "{at}: pulse spin must be an integer, got "
+                       f"{np.bool_(True)!r}")),
+    ("pulse", ("pulse", 1, "y", True),
+     (ValidationError, "{at}: angle must be a number, got True")),
+    ("delay", ("delay", 0, None, True),
+     (ValidationError, "{at}: delay t must be a number, got True")),
+    ("delay", ("delay", 0, None, "1e-3"),
+     (ValidationError, "{at}: delay t must be a number, got '1e-3'")),
+]
+CHAIN = ChainSpec(3, (100.0, 90.0))
+
+
+def build_rows(kind, rows):
+    if kind in ("pulse", "delay"):
+        return PulseProgram(CHAIN, rows)
+    return GateList(rows)
+
+
+@pytest.mark.parametrize("kind, row, expected", ROW_TYPES,
+                         ids=[f"{k}-{r[1]!r}-{r[3]!r}" for k, r, _ in ROW_TYPES])
+def test_row_types_first_fault(kind, row, expected):
+    cls, message = expected
+    what = "event" if kind in ("pulse", "delay") else "gate"
+    with pytest.raises(ValidationError) as info:
+        build_rows(kind, [row])
+    assert type(info.value) is cls
+    assert str(info.value) == message.replace("{at}", f"{what} at index 0")
+
+
+@pytest.mark.parametrize("row, want", [
+    (("local", 2.0, "x", 0.3), ("local", 2, "x", 0.3)),
+    (("local", np.int64(2), "y", 1), ("local", 2, "y", 1)),
+    (("zz", np.float64(1.0), None, np.float64(0.5)),
+     ("zz", 1, None, np.float64(0.5))),
+    (("pulse", np.int32(3), "z", -0.25), ("pulse", 3, "z", -0.25)),
+    (("delay", 0, None, 2), ("delay", 0, None, 2)),
+])
+def test_row_spins_are_read_as_ints_and_values_kept(row, want):
+    """An integral float or a NumPy integer spin is an ``int``, as the
+    readers make ``2.0`` one; a value is kept as given."""
+    table = build_rows(row[0], [row])
+    assert repr(table[0]) == repr(want) and type(table[0][1]) is int
+    if row[0] in ("local", "zz"):
+        text = gate_list_to_json_text(table)
+        assert gate_list_from_json(json.loads(text))[0] == want
+        gate_list_unitary(table, 3)
+    else:
+        text = table.to_json_text()
+        assert PulseProgram.from_json_dict(json.loads(text))[0] == want
+        pulse_program_unitary(table)
+
+
+@pytest.mark.parametrize("kind", [[], {}, 1, None])
+def test_kinds_that_are_not_strings_are_unknown(kind):
+    """A kind that is not a string, hashable or not, is an unknown kind in
+    both readers and both row constructors."""
+    for what, read in (("gate", gate_list_from_json),
+                       ("event", lambda items: PulseProgram.from_json_dict(
+                           {"chain": {"n": 3, "J": [100.0, 90.0]},
+                            "events": items}))):
+        with pytest.raises(ValidationError) as info:
+            read([{"kind": kind, "q": 1, "axis": "x", "angle": 0.5}])
+        assert str(info.value) == (
+            f"{what} at index 0: unknown {what} kind {kind!r}")
+    for what, kinds in (("gate", "local"), ("event", "pulse")):
+        with pytest.raises(ValidationError) as info:
+            build_rows(kinds, [(kinds, 1, "x", 0.5), (kind, 1, "x", 0.5)])
+        assert str(info.value) == (
+            f"{what} at index 1: unknown {what} kind {kind!r}")
+
+
+def test_a_faulty_event_is_reported_before_a_faulty_phase():
+    data = {"chain": {"n": 3, "J": [100.0, 90.0]},
+            "events": [{"kind": "delay", "t": -1.0}], "phase": math.nan}
+    with pytest.raises(RangeError, match=r"^event at index 0: delay must be "
+                       r"non-negative and finite, got -1.0$"):
+        PulseProgram.from_json_dict(data)
+    data["events"] = []
+    with pytest.raises(ValidationError,
+                       match="^program phase must be finite$"):
+        PulseProgram.from_json_dict(data)
+
+
+@pytest.mark.parametrize("phase", [True, "0.1", None])
+def test_a_program_phase_must_be_a_number(phase):
+    """As the reader refuses a ``phase`` that is not a JSON number."""
+    with pytest.raises(ValidationError) as info:
+        PulseProgram(CHAIN, [], phase)
+    assert str(info.value) == f"program phase must be a number, got {phase!r}"

@@ -108,6 +108,18 @@ class TestGateListUnitary:
             pulse_program_unitary(synthesize_pulses(many, chain))
             - pulse_program_unitary(synthesize_pulses(one, chain)))) < 1e-14
 
+    def test_refocused_turns_keep_a_short_coupling_on_a_wide_chain(self):
+        """On J = 1e-14, 100 Hz each 2 pi coupling on pair 1 runs about
+        1e14 s and turns pair 2 by about 3e16 rad, refocused to cancel;
+        the 1.0 rad coupling between them is still simulated."""
+        gates = GateList([zz_row(1, -2 * math.pi), local_row(2, "x", 0.3),
+                          zz_row(1, 2 * math.pi), zz_row(2, 1.0),
+                          zz_row(1, 3.9)])
+        program = synthesize_pulses(gates, ChainSpec(3, (1e-14, 100.0)))
+        report = distance(pulse_program_unitary(program),
+                          gate_list_unitary(gates, 3))
+        assert report.frobenius < 1e-12
+
     def test_rejects_gates_off_the_chain(self):
         with pytest.raises(DimensionError):
             gate_list_unitary(GateList([local_row(3, "x", 0.1)]), 2)
