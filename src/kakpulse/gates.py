@@ -367,12 +367,19 @@ def gate_list_from_json(data: list[dict]) -> GateList:
 @dataclass(frozen=True)
 class ChainSpec:
     """A linear chain: ``n`` spins, always-on couplings ``J[k]`` in Hz for
-    each adjacent pair ``(k, k+1)``."""
+    each adjacent pair ``(k, k+1)``.  ``n`` is an integer (``2.0`` is one)
+    and each ``J`` a real number, held as a ``float``; a bool or a string
+    is a :class:`ValidationError`, as in the JSON the chain is read from."""
 
     n: int
     couplings: tuple[float, ...]
 
     def __post_init__(self):
+        # read as the chain reader reads them, so the text a program
+        # writes of its chain reads back
+        object.__setattr__(self, "n", _json_int(self.n, "chain size n"))
+        object.__setattr__(self, "couplings", tuple(
+            float(_row_number(j, "coupling J")) for j in self.couplings))
         if self.n < 1:
             raise ValidationError(f"chain needs at least one spin, got {self.n}")
         if len(self.couplings) != self.n - 1:

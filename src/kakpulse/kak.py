@@ -118,11 +118,10 @@ import numpy as np
 
 from .errors import (DimensionError, NumericError, ValidationError, _json_float,
                      _json_int, _json_number, _on_path)
-from .linalg import (AXES, PAULI, TOL_UNITARY, _check_stack,
+from .linalg import (_EYE2, AXES, PAULI, TOL_UNITARY, _check_stack,
                      _cosine_sine_stack, _unitary_eig_stack, apply_local,
                      check_square, check_unitaries, golden_mix_eigvecs,
-                     kron2, quaternion_matrices, quaternion_matrix,
-                     spin_count, su2_rotation)
+                     kron2, quaternion_matrices, spin_count, su2_rotation)
 from .networks import (Route, check_route, closed_pi_count, end_rows,
                        leaves_last_spin, nonzero_letters, open_route)
 from .paulis import (CartanElement, CartanFamily, PauliString,
@@ -154,17 +153,6 @@ _MAGIC = np.array([
 ], dtype=complex) / math.sqrt(2)
 _MAGIC_H = _MAGIC.conj().T
 
-# Inverse of the linear map sending (global, xx, yy, zz) exponents to
-# magic-frame eigenphases.
-_GAMMA = 0.25 * np.array([
-    [1, 1, 1, 1],
-    [1, 1, -1, -1],
-    [-1, 1, -1, 1],
-    [1, -1, -1, 1],
-], dtype=float)
-
-_EYE2 = np.eye(2, dtype=complex)
-
 # Signs of XX, YY and ZZ (rows) on the columns of the magic frame, where
 # interaction_unitary(alphas) is diag(exp(-1j * alphas @ _MAGIC_SIGNS / 4)).
 _MAGIC_SIGNS = np.array([
@@ -172,6 +160,10 @@ _MAGIC_SIGNS = np.array([
     [-1, 1, -1, 1],
     [1, -1, -1, 1],
 ], dtype=float)
+
+# Inverse of the linear map sending (global, xx, yy, zz) exponents to
+# magic-frame eigenphases.
+_GAMMA = 0.25 * np.vstack([np.ones(4), _MAGIC_SIGNS])
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +607,8 @@ class EulerNode:
     gamma: float
 
     def matrix2(self) -> np.ndarray:
-        return quaternion_matrix(_xzx_quaternion(self.alpha, self.beta,
-                                                 self.gamma))
+        return quaternion_matrices([_xzx_quaternion(self.alpha, self.beta,
+                                                    self.gamma)])[0]
 
 
 @dataclass(frozen=True)
@@ -764,6 +756,15 @@ def _add_tree_text(tree: GateTree, parts: list[str]) -> None:
         raise ValidationError(f"unknown tree node {tree!r}")
 
 
+def _json_angle(value, what: str) -> float:
+    """:func:`~kakpulse.errors._json_float` of ``value``, which must be
+    finite, as the gate-list reader requires of an angle or a phase."""
+    angle = _json_float(value, what)
+    if not math.isfinite(angle):
+        raise ValidationError(f"{what} must be finite, got {angle}")
+    return angle
+
+
 def tree_from_json_dict(data: dict) -> GateTree:
     try:
         kind = data["node"]
@@ -772,10 +773,10 @@ def tree_from_json_dict(data: dict) -> GateTree:
                                       for c in data["children"]))
         if kind == "euler":
             return EulerNode(_json_int(data["q"], "Euler spin"),
-                             *(_json_float(data[k], f"Euler angle {k}")
+                             *(_json_angle(data[k], f"Euler angle {k}")
                                for k in ("alpha", "beta", "gamma")))
         if kind == "phase":
-            return PhaseNode(_json_float(data["phi"], "phase"))
+            return PhaseNode(_json_angle(data["phi"], "phase"))
         if kind == "commuting_evolution":
             n = _json_int(data["n"], "commuting-evolution size n")
             coeffs = data["coeffs"]

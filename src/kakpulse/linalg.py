@@ -91,16 +91,9 @@ def quaternion_turn(q: tuple[float, float, float, float], axis: str,
     return (c * w - s * z, c * x - s * y, c * y + s * x, c * z + s * w)
 
 
-def quaternion_matrix(q: tuple[float, float, float, float]) -> np.ndarray:
-    """``U(q)`` as a dense 2x2."""
-    w, x, y, z = q
-    return np.array([[complex(w, -z), complex(-y, -x)],
-                     [complex(y, -x), complex(w, z)]])
-
-
 def quaternion_matrices(quaternions) -> np.ndarray:
-    """:func:`quaternion_matrix` of each of ``k`` quaternions, built as
-    one ``(k, 2, 2)`` array."""
+    """``U(q)`` of each of ``k`` quaternions ``q``, as one ``(k, 2, 2)``
+    array."""
     w, x, y, z = np.asarray(quaternions, dtype=float).T
     out = np.empty((len(w), 2, 2), dtype=complex)
     out.real[:, 0, 0], out.imag[:, 0, 0] = w, -z

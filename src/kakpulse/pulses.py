@@ -50,11 +50,11 @@ Four layers live here:
 Gate lists are built and read here as the columns of a
 :class:`~kakpulse.gates.GateList`, and the scheduler writes the columns
 of a :class:`~kakpulse.gates.PulseProgram`; no stage builds an object per
-gate or event.  The family lowering and the ladders fill the columns
-from templates cached per family, spin count, route and set of nonzero
-strings: the gates with the rotated strings' angles left open, filled
-from each element's coefficients (``c`` for a rotation, ``2 * c`` for a
-coupling).
+gate or event.  The family lowering and the ladders copy the columns
+of templates: each is a gate list, cached per set of nonzero strings
+(and, along a route, per family, spin count and route), whose rotated
+strings' angles are held open at 0.0 and filled from each element's
+coefficients (``c`` for a rotation, ``2 * c`` for a coupling).
 
 Every gate list built here, by every helper, is in time order: the
 first gate acts first.  Only the tree itself keeps matrix order (the
@@ -88,7 +88,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, RangeError, ValidationError
+from .errors import DimensionError, RangeError, ValidationError, _json_int
 from .gates import ChainSpec, GateList, PulseProgram, _phase_row
 from .kak import (CartanNode, EulerNode, GateTree, PhaseNode, SequenceNode,
                   decompose, euler_xzx_angles)
@@ -119,43 +119,30 @@ class _Slot(NamedTuple):
 Row = tuple[str, int, "str | None", "float | _Slot"]
 
 
-class _Template(NamedTuple):
-    """The columns of a lowering whose angles at ``slots``, ``(position,
-    index, doubled)``, are filled from the element's coefficients."""
-
-    kinds: tuple[str, ...]
-    sites: tuple[int, ...]
-    axes: tuple[str | None, ...]
-    angles: tuple[float, ...]
-    slots: tuple[tuple[int, int, bool], ...]
-
-
-def _template(rows: list[Row]) -> _Template:
+def _template(rows: list[Row]) -> tuple[GateList, tuple]:
+    """The gate list of ``rows`` with each open angle at 0.0, and its
+    slots, ``(position, index, doubled)``, to fill from the element's
+    coefficients.  Templates are cached and shared, so :func:`_emit`
+    copies their columns and nothing writes them."""
     slots = tuple((pos, a.index, a.doubled)
                   for pos, (_, _, _, a) in enumerate(rows) if type(a) is _Slot)
-    kinds, sites, axes, angles = zip(*rows) if rows else ((), (), (), ())
-    return _Template(kinds, sites, axes,
-                     tuple(0.0 if type(a) is _Slot else a for a in angles),
-                     slots)
+    return GateList([(kind, site, axis, 0.0 if type(a) is _Slot else a)
+                     for kind, site, axis, a in rows]), slots
 
 
-def _emit(out: GateList, template: _Template, coeffs) -> None:
+def _emit(out: GateList, template: tuple[GateList, tuple], coeffs) -> None:
     """Append ``template`` to ``out`` with its slots filled from
     ``coeffs``: ``c``, or ``2 * c`` for a coupling."""
+    gates, slots = template
     kinds, sites, axes, angles = out.columns()
-    kinds.extend(template.kinds)
-    sites.extend(template.sites)
-    axes.extend(template.axes)
+    kinds.extend(gates.kinds)
+    sites.extend(gates.sites)
+    axes.extend(gates.axes)
     base = len(angles)
-    angles.extend(template.angles)
-    for pos, index, doubled in template.slots:
+    angles.extend(gates.values)
+    for pos, index, doubled in slots:
         c = coeffs[index]
         angles[base + pos] = 2 * c if doubled else c
-
-
-def _inverse_rows(rows) -> list[Row]:
-    return [(kind, site, axis, -angle)
-            for kind, site, axis, angle in reversed(rows)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -199,24 +186,27 @@ def _ladder(letters: str) -> tuple[tuple[Row, ...], int]:
     return tuple(out), sites[0]
 
 
-def _string_rows(letters: str, index: int) -> list[Row]:
-    """Rows of ``exp(-1j * c * B_letters)`` with ``c`` coefficient
-    ``index``: one rotation for a single letter, else the ladder, the
-    coupling of ``2 * c`` and the ladder's inverse."""
-    sites = [q + 1 for q, x in enumerate(letters) if x != "1"]
-    if len(sites) == 1:
-        q = sites[0]
-        return [("local", q, letters[q - 1].lower(), _Slot(index, False))]
-    ladder, left = _ladder(letters)
-    # B_ZZ = 2 IzIz doubles the coupling angle, whose sign the scheduler
-    # handles.
-    return [*ladder, ("zz", left, None, _Slot(index, True)),
-            *_inverse_rows(ladder)]
-
-
 @functools.lru_cache(maxsize=None)
-def _string_template(letters: str) -> _Template:
-    return _template(_string_rows(letters, 0))
+def _strings_template(pattern: tuple[str, ...]) -> tuple[GateList, tuple]:
+    """The template of ``exp(-1j * c * B_letters)`` for each string of
+    ``pattern`` in turn, ``c`` the string's coefficient: one rotation
+    for a single letter, else the ladder, the coupling of ``2 * c`` and
+    the ladder's inverse."""
+    rows: list[Row] = []
+    for index, letters in enumerate(pattern):
+        sites = [q + 1 for q, x in enumerate(letters) if x != "1"]
+        if len(sites) == 1:
+            q = sites[0]
+            rows.append(("local", q, letters[q - 1].lower(),
+                         _Slot(index, False)))
+            continue
+        ladder, left = _ladder(letters)
+        # B_ZZ = 2 IzIz doubles the coupling angle, whose sign the
+        # scheduler handles.
+        rows += [*ladder, ("zz", left, None, _Slot(index, True)),
+                 *[(kind, site, axis, -angle)
+                   for kind, site, axis, angle in reversed(ladder)]]
+    return _template(rows)
 
 
 def pauli_evolution_gates(string: PauliString | str, angle: float) -> GateList:
@@ -236,7 +226,7 @@ def pauli_evolution_gates(string: PauliString | str, angle: float) -> GateList:
         raise ValidationError("cannot compile the identity string")
     out = GateList()
     if s.weight == 1 or abs(angle) > TOL_COEFF:
-        _emit(out, _string_template(s.letters), (angle,))
+        _emit(out, _strings_template((s.letters,)), (angle,))
     return out
 
 
@@ -286,14 +276,10 @@ def _network_rows(k: int, pattern: tuple[str, ...], route: Route) -> list[Row]:
 
 
 @functools.lru_cache(maxsize=None)
-def _family_template(family: CartanFamily, k: int, route: Route | None,
-                     pattern: tuple[str, ...]) -> _Template:
+def _family_template(family: CartanFamily, k: int, route: Route,
+                     pattern: tuple[str, ...]) -> tuple[GateList, tuple]:
     """The lowering of every element of ``family`` on ``k`` spins whose
-    nonzero strings are ``pattern``, along ``route`` or, without one,
-    one ladder per string."""
-    if route is None:
-        return _template([row for index, letters in enumerate(pattern)
-                          for row in _string_rows(letters, index)])
+    nonzero strings are ``pattern``, along ``route``."""
     rows = _network_rows(k, pattern, route)
     if family is CartanFamily.OUTER_X:
         rows = [("local", k, "y", -_HALF_PI), *rows, ("local", k, "y", _HALF_PI)]
@@ -310,7 +296,8 @@ def _emit_element(out: GateList, element: CartanElement,
         check_route(route, element)
     elif element.family is not CartanFamily.MAXIMAL:
         route = closed_route(element.n, pattern)
-    _emit(out, _family_template(element.family, element.n, route, pattern),
+    _emit(out, _strings_template(pattern) if route is None
+          else _family_template(element.family, element.n, route, pattern),
           [c for _, c in items])
 
 
@@ -382,11 +369,12 @@ def _lower_into(tree: GateTree, out: GateList) -> None:
         for child in reversed(tree.children):
             _lower_into(child, out)
     elif isinstance(tree, EulerNode):
-        if tree.qubit < 1:
-            raise ValidationError(f"spin index must be >= 1, got {tree.qubit}")
+        q = _json_int(tree.qubit, "Euler spin")
+        if q < 1:
+            raise ValidationError(f"spin index must be >= 1, got {q}")
         steps, turns = _xzx_steps(tree.alpha, tree.beta, tree.gamma)
         for axis, angle in steps:
-            out.add("local", tree.qubit, axis, angle)
+            out.add("local", q, axis, angle)
         if turns % 2:
             out.add("phase", 0, None, _PI)
     elif isinstance(tree, PhaseNode):

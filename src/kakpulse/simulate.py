@@ -6,16 +6,16 @@ rotation (a gate or a hard pulse), a coupling gate (``I_z I_z`` on one
 pair) or a delay (``I_z I_z`` on every pair at once, by ``2*pi*J_k*t``
 each), so the full drift is simulated, never an idealized coupling.
 
-The steps are the columns of a :class:`~kakpulse.gates.GateList`
-(without its phases, which the simulator sums apart) or of a
-:class:`~kakpulse.gates.PulseProgram`, read as they are: four parallel
-lists ``(kinds, sites, axes, values)``.  A step of kind ``"local"`` or
-``"pulse"`` is a rotation of spin ``sites[i]`` about ``axes[i]`` by
-``values[i]``; ``"zz"`` is a coupling of the pair ``(sites[i],
-sites[i] + 1)`` by ``values[i]``; ``"delay"`` is a delay of
-``values[i]`` seconds.  The kernel cuts them into stretches by index
-and walks each stretch as slices of the columns, building no object
-per step.
+The steps are the columns of a :class:`~kakpulse.gates.GateList` or of
+a :class:`~kakpulse.gates.PulseProgram`, read as they are: four
+parallel lists ``(kinds, sites, axes, values)``.  A step of kind
+``"local"`` or ``"pulse"`` is a rotation of spin ``sites[i]`` about
+``axes[i]`` by ``values[i]``; ``"zz"`` is a coupling of the pair
+``(sites[i], sites[i] + 1)`` by ``values[i]``; ``"delay"`` is a delay of
+``values[i]`` seconds; ``"phase"`` is the scalar ``exp(1j*values[i])``,
+which the walk adds to a phase it keeps beside its quarter turns.  The
+kernel cuts the steps into stretches by index and walks each stretch as
+slices of the columns, building no object per step.
 
 The kernel plans, then applies.  The plan is a walk over the steps, in
 Python, that keeps a Pauli frame.  An x rotation by exactly ``+-pi`` is
@@ -110,8 +110,8 @@ _EXP_CHUNK = 1 << 14
 
 class _Frame:
     """The walk's state on spins ``1..n``, of which every step leaves the
-    last ``n - spins`` diagonal: ``(-1j)**quarters * X^flips @ (ops @
-    angles @ runs @ out)``.
+    last ``n - spins`` diagonal: ``(-1j)**quarters * exp(1j*phase) *
+    X^flips @ (ops @ angles @ runs @ out)``.
 
     ``out`` holds the runs applied so far: one ``2^spins``-square per
     branch (a value of the diagonal spins), side by side.  ``runs`` is
@@ -131,7 +131,8 @@ class _Frame:
         self.touched = 0
         self.ops: dict[int, tuple] = {}
         self.flipped = [False] * (n + 1)  # by spin; index 0 unused
-        self.quarters = 0  # the scalar is (-1j)**quarters
+        # the scalar is (-1j)**quarters * exp(1j*phase)
+        self.quarters, self.phase = 0, 0.0
         self.runs: list = []
         self.diagonals = 0  # diagonal runs in the plan
         self.out = np.tile(np.eye(2 ** spins, dtype=complex), 2 ** (n - spins))
@@ -143,7 +144,7 @@ class _Frame:
         n, spins, rates = self.n, self.spins, self.rates
         flipped, runs = self.flipped, self.runs
         angles, touched, ops = self.angles, self.touched, self.ops
-        quarters, diagonals = self.quarters, self.diagonals
+        quarters, phase, diagonals = self.quarters, self.phase, self.diagonals
         every = (2 << n) - 2  # bits 1..n
         pi, rotate, fmod = math.pi, quaternion_turn, math.fmod
         period = 8 * pi  # of a pair's I_z I_z turn
@@ -175,6 +176,11 @@ class _Frame:
                 flip = flipped[q] != flipped[q + 1]
                 angles[q - 1] += -angle if flip else angle
                 continue
+            if kind == "phase":
+                # a scalar commutes with every step; reduced as it is
+                # added, so a long sum carries no rounding into the matrix
+                phase = math.remainder(phase + angle, 2 * pi)
+                continue
             if q > n:
                 raise DimensionError(
                     f"rotation on spin {q} outside chain of {n}")
@@ -197,7 +203,7 @@ class _Frame:
                     diagonals = 0
             ops[q] = rotate(ops.get(q, QUATERNION_ONE), axis, angle)
         self.angles, self.touched, self.ops = angles, touched, ops
-        self.quarters, self.diagonals = quarters, diagonals
+        self.quarters, self.phase, self.diagonals = quarters, phase, diagonals
 
     def finish(self) -> "_Frame":
         """Close the open runs and apply the plan."""
@@ -214,7 +220,8 @@ class _Frame:
         """Apply ``sub``, a finished frame on spins ``1..spins-1``, through
         the flips (``X^F m X^F``: a gather of rows, columns and, when
         ``sub`` has a branch per value of spin ``spins`` and of the
-        diagonal spins, of branches), and take over its flips."""
+        diagonal spins, of branches), and take over its flips and its
+        scalar."""
         self.finish()
         k = 2 ** (self.spins - 1)
         rows = np.arange(k) ^ self._mask(1, self.spins - 1)
@@ -234,13 +241,15 @@ class _Frame:
         for q in range(1, sub.n + 1):
             self.flipped[q] ^= sub.flipped[q]
         self.quarters += sub.quarters
+        self.phase = math.remainder(self.phase + sub.phase, 2 * math.pi)
 
     def unitary(self, phase: float) -> np.ndarray:
         """The finished matrix of a frame with no diagonal spins, times
         ``exp(1j*phase)``."""
         self.finish()
         mask = self._mask(1, self.n)
-        scalar = np.exp(1j * phase) * _QUARTER_TURNS[-self.quarters % 4]
+        scalar = (np.exp(1j * (phase + self.phase))
+                  * _QUARTER_TURNS[-self.quarters % 4])
         out = self.out
         return scalar * (out[np.arange(len(out)) ^ mask] if mask else out)
 
@@ -398,22 +407,7 @@ def gate_list_unitary(gates: GateList, n: int) -> np.ndarray:
     """Matrix of a time-ordered gate list on ``n`` spins."""
     if n < 1:
         raise ValidationError(f"need at least one spin, got {n}")
-    kinds, steps = gates.kinds, gates.columns()
-    # the phases' indices, found by the list's own scan
-    cuts = [-1]
-    for _ in range(kinds.count("phase")):
-        cuts.append(kinds.index("phase", cuts[-1] + 1))
-    phase = 0.0
-    for k in cuts[1:]:
-        # a scalar commutes with every other step; reduced as it is
-        # added, so a long sum carries no rounding into the matrix
-        phase = math.remainder(phase + gates.values[k], 2 * math.pi)
-    if len(cuts) > 1:
-        cuts.append(len(kinds))
-        steps = tuple(list(itertools.chain.from_iterable(
-            column[a + 1:b] for a, b in zip(cuts, cuts[1:])))
-            for column in steps)
-    return _frame_unitary(n, steps).unitary(phase)
+    return _frame_unitary(n, gates.columns()).unitary(0.0)
 
 
 def pulse_program_unitary(program: PulseProgram) -> np.ndarray:

@@ -23,13 +23,16 @@ from hypothesis import strategies as st
 
 from kakpulse import (
     ChainSpec,
+    EulerNode,
     GateList,
     PulseProgram,
+    SequenceNode,
     ValidationError,
     decompose,
     gate_list_from_json,
     gate_list_spin_bound,
     gate_list_to_json_text,
+    gate_list_unitary,
     inverse_gate_list,
     pulse_count,
     flatten,
@@ -210,6 +213,27 @@ def test_lowering_checks_the_spin_of_an_euler_leaf():
     with pytest.raises(ValidationError, match="spin index must be >= 1, got 0"):
         flatten(tree_from_json_dict({"node": "sequence", "children": [
             {**leaf, "q": 1}, leaf]}))
+
+
+def test_lowering_refuses_an_euler_leaf_on_a_bool_spin():
+    """A leaf built in Python with spin ``True`` is refused, as the tree
+    reader refuses it, not written as ``"q":True``."""
+    with pytest.raises(ValidationError,
+                       match="^Euler spin must be an integer, got True$"):
+        flatten(EulerNode(True, 0.1, 0.2, 0.3))
+
+
+def test_lowering_reads_an_integral_float_spin_as_an_int():
+    """A leaf built in Python with spin ``2.0`` lowers to spin 2."""
+    def leaves(q):
+        return SequenceNode((EulerNode(q, 0.1, 0.2, 0.3),
+                             EulerNode(1, 0.4, 0.5, 0.6)))
+
+    gates, want = flatten(leaves(2.0)), flatten(leaves(2))
+    assert gates == want and {type(q) for q in gates.sites} == {int}
+    assert gate_list_to_json_text(gates) == gate_list_to_json_text(want)
+    assert np.array_equal(gate_list_unitary(gates, 2),
+                          gate_list_unitary(want, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -900,6 +900,26 @@ def test_tree_json_reads_only_numbers_as_angles():
             tree_from_json_dict({**layer, "coeffs": {"ZZX": value}})
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"node":"euler","q":1,"alpha":NaN,"beta":0.2,"gamma":0.3}',
+     "Euler angle alpha must be finite, got nan"),
+    ('{"node":"euler","q":1,"alpha":0.1,"beta":Infinity,"gamma":0.3}',
+     "Euler angle beta must be finite, got inf"),
+    ('{"node":"euler","q":1,"alpha":0.1,"beta":0.2,"gamma":-Infinity}',
+     "Euler angle gamma must be finite, got -inf"),
+    ('{"node":"phase","phi":Infinity}', "phase must be finite, got inf"),
+    ('{"node":"sequence","children":[{"node":"phase","phi":NaN}]}',
+     "phase must be finite, got nan"),
+])
+def test_tree_json_rejects_non_finite_angles(text, message):
+    """As the gate-list reader refuses a non-finite angle or phase, the
+    tree reader refuses one when it loads, not when the tree is lowered
+    or evaluated."""
+    with pytest.raises(ValidationError) as info:
+        tree_from_json_dict(json.loads(text))
+    assert str(info.value) == message
+
+
 def test_tree_json_rejects_non_integral_spins():
     euler = {"node": "euler", "q": 1, "alpha": 0.1, "beta": 0.2, "gamma": 0.3}
     layer = {"node": "commuting_evolution", "n": 3, "family": "outer_x",

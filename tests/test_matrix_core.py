@@ -356,10 +356,11 @@ def test_matrix_json_reads_only_numbers():
 
 
 def test_stacked_quaternions_and_kronecker_products():
-    """The simulator builds its 2x2s and 4x4s as stacks; each member is
-    what the one-at-a-time forms give."""
-    from kakpulse.linalg import (kron2, quaternion_matrices,
-                                 quaternion_matrix, quaternion_turn)
+    """The simulator builds its 2x2s and 4x4s as stacks; each 2x2 is its
+    quaternion's ``w I - 1j (x X + y Y + z Z)``, and each 4x4 what the
+    one-at-a-time form gives."""
+    from kakpulse.linalg import (PAULI, kron2, quaternion_matrices,
+                                 quaternion_turn)
     rng = np.random.default_rng(12)
     quaternions = []
     for _ in range(6):
@@ -368,8 +369,9 @@ def test_stacked_quaternions_and_kronecker_products():
             q = quaternion_turn(q, axis, rng.uniform(-4, 4))
         quaternions.append(q)
     stack = quaternion_matrices(quaternions)
-    for q, m in zip(quaternions, stack):
-        assert np.array_equal(m, quaternion_matrix(q))
+    for (w, x, y, z), m in zip(quaternions, stack):
+        assert np.array_equal(m, w * np.eye(2) - 1j * (
+            x * PAULI["x"] + y * PAULI["y"] + z * PAULI["z"]))
     pairs = kron2(stack[:3], stack[3:])
     for a, b, m in zip(stack[:3], stack[3:], pairs):
         assert np.array_equal(m, kron2(a, b))

@@ -466,3 +466,39 @@ def test_a_program_phase_must_be_a_number(phase):
     with pytest.raises(ValidationError) as info:
         PulseProgram(CHAIN, [], phase)
     assert str(info.value) == f"program phase must be a number, got {phase!r}"
+
+
+@pytest.mark.parametrize("n, couplings, message", [
+    (2, (True,), "coupling J must be a number, got True"),
+    (2, ("100",), "coupling J must be a number, got '100'"),
+    (3, (100.0, None), "coupling J must be a number, got None"),
+    (True, (), "chain size n must be an integer, got True"),
+    ("2", (100.0,), "chain size n must be an integer, got '2'"),
+    (2.5, (100.0,), "chain size n must be an integer, got 2.5"),
+])
+def test_a_chain_refuses_what_its_reader_refuses(n, couplings, message):
+    """A bool or a string is neither a spin count nor a coupling, as in
+    the chain object of a program artifact."""
+    with pytest.raises(ValidationError) as info:
+        ChainSpec(n, couplings)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n, couplings", [
+    (2, (100,)), (2.0, (100.0,)), (np.int64(3), (np.float64(120.5), 80)),
+    (3, [np.int32(90), np.float32(0.5)]), (1, ()), (1.0, []),
+])
+def test_a_program_on_any_chain_reads_back_from_its_text(n, couplings):
+    """The chain is held as its reader reads it: ``n`` an ``int`` and each
+    coupling a ``float``, so its program's text reads back equal."""
+    chain = ChainSpec(n, couplings)
+    assert type(chain.n) is int and chain.n == n
+    assert all(type(j) is float for j in chain.couplings)
+    assert chain.couplings == tuple(map(float, couplings))
+    program = PulseProgram(chain, [("delay", 0, None, 0.1),
+                                   ("pulse", chain.n, "x", 0.5)], 0.25)
+    text = program.to_json_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True,
+                              separators=(",", ":"))
+    assert PulseProgram.from_json_dict(json.loads(text)) == program
