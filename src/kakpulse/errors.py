@@ -66,12 +66,17 @@ def _json_int(value, what: str) -> int:
 def _json_float(value, what: str) -> float:
     """``value`` as a ``float`` when it is a JSON number; a bool or a
     string is a :class:`ValidationError`, where ``float()`` would read
-    ``true`` as 1.0 and ``"0.5"`` as 0.5.  Hot readers test
-    ``type(value) is float`` inline and call this for anything else."""
+    ``true`` as 1.0 and ``"0.5"`` as 0.5; an integer past the largest
+    float is a :class:`RangeError`.  Hot readers test ``type(value) is
+    float`` inline and call this for anything else."""
     if type(value) is float:
         return value
     if type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise RangeError(f"{what} must be finite, got an integer of "
+                             f"{value.bit_length()} bits") from None
     raise ValidationError(f"{what} must be a number, got {value!r}")
 
 

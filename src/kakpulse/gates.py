@@ -68,8 +68,8 @@ Conventions
   the period in ``angle`` is ``8*pi`` and the value at ``4*pi`` is
   ``-identity``, because the generator has eigenvalues ``+-1/4``.  The
   angle may have either sign: the scheduler keeps a frame of x pi-flips
-  and flips the left spin first when the frame's sign on the pair
-  disagrees with the angle's.
+  and plans them so that the pair's sign in the frame integrates to the
+  signed time of its couplings.
 * A phase ``("phase", 0, None, phi)`` multiplies by ``exp(1j * phi)``.
 
 Spins are 1-based; spin 1 is the leftmost Kronecker factor.
@@ -92,12 +92,22 @@ from .linalg import AXES
 
 
 def _row_number(value, what: str):
-    """``value``, kept as given, when it is a real number; a bool or a
-    string is a :class:`ValidationError`, as in a JSON item."""
-    if type(value) is not float and (isinstance(value, bool) or
-                                     not isinstance(value, numbers.Real)):
+    """``value`` when it is a real number: a ``float`` as given, an
+    integer as an ``int`` and any other (NumPy's ``float32``, say) as the
+    ``float`` it equals, so the writers can spell it.  A bool or a string
+    is a :class:`ValidationError`, as in a JSON item, and an integer past
+    the largest float a :class:`RangeError`."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{what} must be a number, got {value!r}")
-    return value
+    if isinstance(value, float):  # NumPy's float64 among them
+        return value
+    if isinstance(value, numbers.Integral):
+        value = int(value)
+        _json_float(value, what)
+        return value
+    return float(value)
 
 
 def _rotation_row(kind: str, q, axis, angle) -> tuple:
@@ -127,14 +137,16 @@ def _coupling_row(kind: str, left, axis, angle) -> tuple:
 
 def _phase_row(kind: str, site, axis, phi) -> tuple:
     """A global phase ``exp(1j * phi)``."""
-    if not math.isfinite(_row_number(phi, "phase")):
+    phi = _row_number(phi, "phase")
+    if not math.isfinite(phi):
         raise ValidationError("phase must be finite")
     return "phase", 0, None, phi
 
 
 def _delay_row(kind: str, site, axis, t) -> tuple:
     """Free evolution under the chain couplings for ``t`` seconds."""
-    if not (math.isfinite(_row_number(t, "delay t")) and t >= 0):
+    t = _row_number(t, "delay t")
+    if not (math.isfinite(t) and t >= 0):
         raise RangeError(f"delay must be non-negative and finite, got {t}")
     return "delay", 0, None, t
 
@@ -438,7 +450,8 @@ class PulseProgram(_StepTable):
                  phase: float = 0.0):
         self.chain = chain
         super().__init__(rows)
-        if not math.isfinite(_row_number(phase, "program phase")):
+        phase = _row_number(phase, "program phase")
+        if not math.isfinite(phase):
             raise ValidationError("program phase must be finite")
         self.phase = phase
 

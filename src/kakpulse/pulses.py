@@ -44,8 +44,8 @@ Four layers live here:
 * A scheduler that lowers a gate list onto a concrete chain with
   always-on couplings.  Couplings commute with each other and with z
   rotations, so it places every gate as early as the gates it does not
-  commute with allow, and commuting couplings share delays; spin-echo
-  refocusing pulses cancel every pair that is not active in a delay.
+  commute with allow, and commuting couplings share delays; x pi-pulses
+  refocus each pair's drift over each epoch to what its couplings need.
 
 Gate lists are built and read here as the columns of a
 :class:`~kakpulse.gates.GateList`, and the scheduler writes the columns
@@ -62,21 +62,24 @@ children of a ``SequenceNode``), and :func:`flatten` reverses those
 where it reads them.  The lowering emits each coupling with its signed
 angle; how a negative one is run is the scheduler's decision alone.
 
-The scheduler's refocusing rule: while a set of pairs evolves, a ``pi``
-x-pulse at the half-time flips a set of spins that holds exactly one
-endpoint of every inactive pair and none or both of every active one.
-Each inactive coupling therefore changes sign between the two halves of
-the delay and cancels, while the active ones keep their signs.  For one
-active pair ``(k, k+1)`` the set is every spin at odd distance from it;
-with every pair active it is empty and the delay is not split.  The
-flips are not undone: the scheduler keeps them as a Pauli frame, the
-per-spin flip state that the simulator also tracks.  In the frame a
-coupling's sign is ``(-1)**(f_k xor f_(k+1))``, so before a delay the
-scheduler flips the fewest spins that give every active pair the sign of
-its angle, and a y or z rotation on a flipped spin is emitted with its
-angle negated.  The program ends by flipping back every spin that is
-still flipped.  Each flip is ``-1j*sigma_x``, tracked in the program's
-global phase.
+The scheduler's refocusing rule is one sign plan over the whole
+program.  A ``pi`` x-pulse on a spin flips the sign of the couplings
+beside it, and the flips are not undone: the scheduler keeps them as a
+Pauli frame, the per-spin flip state that the simulator also tracks, in
+which a coupling's sign is ``(-1)**(f_k xor f_(k+1))``.  A pair's drift
+commutes with everything but the x and y rotations on its two spins, so
+between two of those, an epoch, only the integral of its sign matters:
+it must equal the signed time of the pair's couplings there, and zero
+where it has none.  An epoch that its couplings do not fill gets one
+switch, at the time that makes the integral right, and at each switch
+the scheduler toggles the cheapest set of spins that switches every
+pair then due and keeps every pair whose sign is settled (for a lone
+active pair in a delay of its own, every spin at odd distance from it).
+A toggle on a spin that has had an x rotation since the last delay
+folds into that rotation as ``Rx(a +- pi)``, and a y or z rotation on a
+flipped spin is emitted with its angle negated.  The
+program ends by flipping back every spin that is still flipped.  Each
+flip is ``-+1j*sigma_x``, tracked in the program's global phase.
 """
 
 from __future__ import annotations
@@ -481,6 +484,62 @@ def compile_unitary(u: np.ndarray) -> GateList:
 # Scheduling onto an always-on chain
 
 
+# What one instant of the sign plan asks of a pair: a due pair must switch
+# its frame sign now, a settled one must keep it to the end of its epoch,
+# and a pending one may switch early, which moves its own switch later.
+_DUE, _SETTLED, _PENDING = range(3)
+
+
+def _link(state: int, x: int, y: int):
+    """``(pulses, moves, toggles)`` that a pair in ``state`` adds when its
+    spins toggle ``x`` and ``y``, or None when it forbids them."""
+    if state == _PENDING:
+        return (0, x ^ y, 0)
+    return (0, 0, 0) if (x ^ y) == (state == _DUE) else None
+
+
+@functools.lru_cache(maxsize=None)
+def _switch_set(pattern: tuple[int, ...], free: int) -> tuple[int, ...]:
+    """The spins to toggle at one instant of the sign plan, in order.
+
+    ``pattern[k - 1]`` is the state of pair ``(k, k+1)``: a due pair gets
+    exactly one toggled spin, a settled pair none or both, and a pending
+    pair either, one being a move.  A spin whose bit is set in ``free``
+    costs no pulse (its toggle folds into an x pulse).  The set is the
+    cheapest by pulses, then moves, then toggles, found by one two-state
+    pass along the chain; on a tie it toggles the lowest spin where the
+    candidates differ."""
+    n = len(pattern) + 1
+
+    def own(q: int, x: int) -> tuple[int, int, int]:
+        return ((free >> q & 1) ^ 1, 0, 1) if x else (0, 0, 0)
+
+    def add(*costs) -> tuple[int, int, int]:
+        return tuple(map(sum, zip(*costs)))
+
+    def onward(q: int, x: int) -> dict[int, tuple]:
+        """By toggle of spin ``q + 1``: the least cost of spins
+        ``q+1..n`` with spin ``q`` toggled iff ``x``."""
+        state = pattern[q - 1]
+        return {y: add(_link(state, x, y), ahead[q + 1][y])
+                for y in (0, 1) if _link(state, x, y) is not None}
+
+    # ahead[q][x]: the least cost of spins q..n, spin q toggled iff x
+    ahead: list = [None] * (n + 1)
+    ahead[n] = (own(n, 0), own(n, 1))
+    for q in range(n - 1, 0, -1):
+        ahead[q] = tuple(add(own(q, x), min(onward(q, x).values()))
+                         for x in (0, 1))
+    x = int(ahead[1][1] <= ahead[1][0])
+    spins = [1] if x else []
+    for q in range(1, n):
+        costs = onward(q, x)
+        x = int(1 in costs and (0 not in costs or costs[1] <= costs[0]))
+        if x:
+            spins.append(q + 1)
+    return tuple(spins)
+
+
 def refocusing_set(n: int, active: int | Iterable[int]) -> list[int]:
     """Spins flipped at the half-time of a delay that evolves the pairs
     ``active``: one pair index ``left``, for pair ``(left, left+1)``, or
@@ -489,29 +548,19 @@ def refocusing_set(n: int, active: int | Iterable[int]) -> list[int]:
     Every inactive pair gets exactly one flipped endpoint, so it changes
     sign between the two halves of the delay and averages away; every
     active pair gets none or both and keeps its sign.  On a chain two
-    sets do that, each the other's complement.  The smaller is taken,
-    and on a tie the one that leaves the first active pair unflipped.
-    For one pair that is every spin at odd distance from it; with every
-    pair active it is empty."""
+    sets do that, each the other's complement; this is the sign plan's
+    chooser (:func:`_switch_set`) with every inactive pair due and every
+    active one settled, so the smaller set is taken, and on a tie the one
+    that flips spin 1.  For one pair that is every spin at odd distance
+    from it; with every pair active it is empty."""
     pairs = frozenset(active if isinstance(active, Iterable) else (active,))
-    return list(_refocusing_set(n, pairs))
-
-
-@functools.lru_cache(maxsize=None)
-def _refocusing_set(n: int, pairs: frozenset[int]) -> tuple[int, ...]:
     if not pairs:
         raise RangeError("a refocused delay needs at least one active pair")
     for left in pairs:
         if not 1 <= left < n:
             raise RangeError(f"pair index {left} outside 1..{n - 1}")
-    flip = [False] * (n + 1)  # by spin; index 0 unused
-    for j in range(1, n):
-        # spin j+1 differs from spin j exactly across an inactive pair
-        flip[j + 1] = flip[j] != (j not in pairs)
-    count = sum(flip)
-    if 2 * count > n or 2 * count == n and flip[min(pairs)]:
-        return tuple(s for s in range(1, n + 1) if not flip[s])
-    return tuple(s for s in range(1, n + 1) if flip[s])
+    return list(_switch_set(tuple(_SETTLED if k in pairs else _DUE
+                                  for k in range(1, n)), 0))
 
 
 class _Frame:
@@ -519,74 +568,66 @@ class _Frame:
     that :func:`~kakpulse.simulate._frame_unitary` tracks when it reads
     the program back.  On a flipped spin, ``sigma_z`` and ``sigma_y``
     change sign, and so does every coupling with one flipped end.  The
-    frame appends its pulses and delays to the program's columns."""
+    frame appends its pulses and delays to the program's columns.
+
+    A toggle of a spin that has an x pulse since the last delay folds
+    into that pulse, ``Rx(a) Xpi = Rx(a +- pi)``, and negates the spin's
+    y and z pulses since it; such a spin is ``free`` (bit ``q`` of the
+    mask).  Every toggle, folded or not, is ``-+1j*sigma_x``, counted in
+    ``quarters``."""
 
     def __init__(self, program: PulseProgram):
         self.program = program
         self.flipped = [False] * (program.chain.n + 1)  # by spin; index 0 unused
-        self.pulses = 0
+        self.quarters = 0
+        # by free spin: the index of its x pulse, then of its y and z
+        # pulses since, in the program's columns
+        self.turned: dict[int, list[int]] = {}
+        self.free = 0
+
+    def turns(self, run: list[int], gates: GateList) -> None:
+        """The pulses that realize the rotations ``run``, indices into
+        ``gates``, in this frame."""
+        kinds, sites, axes, values = self.program.columns()
+        flipped, turned = self.flipped, self.turned
+        spins, turn_axes, angles = gates.sites, gates.axes, gates.values
+        for i in run:
+            q, axis, angle = spins[i], turn_axes[i], angles[i]
+            if axis == "x":
+                turned[q] = [len(kinds)]
+            else:
+                if flipped[q]:
+                    angle = -angle
+                if q in turned:
+                    turned[q].append(len(kinds))
+            kinds.append("pulse")
+            sites.append(q)
+            axes.append(axis)
+            values.append(angle)
+        for q in turned:
+            self.free |= 1 << q
 
     def toggle(self, spins) -> None:
-        """One x pi-pulse on each of ``spins``."""
-        flipped = self.flipped
+        """One x pi-pulse on each of ``spins``, or its fold."""
+        flipped, values = self.flipped, self.program.values
         for s in spins:
             flipped[s] = not flipped[s]
-            self.program.add("pulse", s, "x", _PI)
-        self.pulses += len(spins)
+            if s not in self.turned:
+                self.program.add("pulse", s, "x", _PI)
+                self.quarters += 1
+                continue
+            x, *later = self.turned[s]
+            a = values[x]
+            values[x] = a - _PI if a > 0 else a + _PI
+            self.quarters += -1 if a > 0 else 1
+            for i in later:
+                values[i] = -values[i]
 
     def delay(self, t: float) -> None:
-        self.program.add("delay", 0, None, t)
-
-    def fix_sign(self, thetas: dict[int, float]) -> None:
-        """Toggle the fewest spins that give each pair ``(left, left+1)``
-        of ``thetas`` the sign of its angle in this frame,
-        ``(-1)**(f_left xor f_(left+1))``.
-
-        A run of adjacent pairs has two solutions, complements on the
-        run's spins; the smaller is taken, and on a tie the one that
-        flips the run's first spin.  For one pair whose sign disagrees
-        that is spin ``left``."""
-        f = self.flipped
-        wrong = {k for k, theta in thetas.items()
-                 if (f[k] != f[k + 1]) != (theta < 0)}
-        if not wrong:
-            return
-        spins: list[int] = []
-        first, run = 0, []  # run[i]: whether spin first+i toggles
-
-        def close() -> None:
-            flip = 2 * sum(run) >= len(run)
-            spins.extend(first + i for i, r in enumerate(run) if r != flip)
-
-        for left in sorted(thetas):
-            if run and left != first + len(run) - 1:
-                close()
-                run = []
-            if not run:
-                first, run = left, [False]
-            run.append(run[-1] != (left in wrong))
-        if run:
-            close()
-        self.toggle(spins)
-
-    def refocus(self, active) -> None:
-        """The mid-delay toggle of a segment that evolves the pairs
-        ``active``."""
-        self.toggle(refocusing_set(self.program.chain.n, active))
-
-    def segment(self, thetas: dict[int, float], t: float) -> None:
-        """A delay of ``t`` seconds that evolves each pair ``(left,
-        left+1)`` of ``thetas`` with the sign of its angle and cancels
-        every other pair: the sign fixes, half the delay, the refocusing
-        toggle and the other half, or one delay when every pair is
-        active."""
-        self.fix_sign(thetas)
-        if len(thetas) == self.program.chain.n - 1:
-            self.delay(t)
-            return
-        self.delay(t / 2)
-        self.refocus(thetas)
-        self.delay(t / 2)
+        if t > 0:
+            self.program.add("delay", 0, None, t)
+            if self.free:
+                self.turned, self.free = {}, 0
 
     def restore(self) -> None:
         """Toggle every spin that is still flipped."""
@@ -643,6 +684,114 @@ def _place(gates: GateList, chain: ChainSpec) -> tuple[dict, float]:
     return at, phase
 
 
+# A stretch whose largest drift turn, 2*pi*J*t, exceeds this many radians
+# is a cell of its own: its switches fall at 0 or exactly t/2, so the
+# simulator's turns of its two halves are equal and cancel bit for bit.
+_CELL_TURN = 4096.0
+
+# The sign plan's clock counts ticks of 2**-_TICK_BITS seconds, an even
+# number of them for every float (the smallest is 2**-1074 s), so it
+# adds, subtracts and halves times exactly.
+_TICK_BITS = 1075
+_TICK = 1 << _TICK_BITS
+
+
+def _ticks(t: float) -> int:
+    """``t`` seconds on the plan's clock, exactly."""
+    m, d = t.as_integer_ratio()
+    return m << (_TICK_BITS + 1 - d.bit_length())
+
+
+def _timeline(gates: GateList, chain: ChainSpec,
+              at: dict) -> tuple[list, list[list[tuple[int, int]]]]:
+    """The sweep over the breakpoints of :func:`_place`: ``(steps,
+    epochs)``, with pairs indexed from 0 (pair ``(k, k+1)`` is ``k - 1``)
+    and times in ticks of the plan's exact clock (:func:`_ticks`).
+
+    A step is a run of rotations, as a list of indices into ``gates``,
+    or a stretch of drift, ``(t, start, stop, opens)``: ``t`` seconds
+    from clock ``start`` to ``stop``, with ``opens`` the pairs whose next
+    epoch starts with it.  At each breakpoint the rotations that start
+    there come first, in list order, then the stretch to the next
+    breakpoint, which lasts what is left of a coupling that ends there,
+    so a coupling's stretches add up to its own time.  A coupling too
+    short to move the breakpoints' clock is a cell at its place among
+    the rotations, and so is a stretch whose largest drift turn exceeds
+    :data:`_CELL_TURN`.
+
+    ``epochs[i]`` lists each epoch of pair ``i`` in turn as ``(stop,
+    coupling)``: the clock at its end, the next x or y rotation on the
+    pair's spins or a cell, and the signed time its couplings run in
+    it."""
+    m = chain.n - 1  # pairs
+    widest = 2 * _PI * max(chain.couplings, default=0.0)
+    sites, turn_axes = gates.sites, gates.axes
+    steps: list = []
+    epochs: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    clock = 0
+    signed = [0] * m      # by pair: the signed time its couplings ran
+    since: list = [None] * m  # by pair: `signed` when its epoch opened
+    opening = set(range(m))   # pairs whose epoch ended
+    run: list[int] = []
+
+    def stretch(t: float, thetas: dict[int, float], cell: bool) -> None:
+        nonlocal clock, run
+        if run:
+            steps.append(run)
+            run = []
+        if cell:
+            opening.update(range(m))
+        for i in opening:
+            if since[i] is not None:
+                epochs[i].append((clock, signed[i] - since[i]))
+            since[i] = signed[i]
+        tick = _ticks(t)
+        steps.append((t, clock, clock + tick, tuple(opening)))
+        opening.clear()
+        clock += tick
+        for i, theta in thetas.items():
+            signed[i] += tick if theta > 0 else -tick
+        if cell:
+            opening.update(range(m))
+
+    thetas: dict[int, float] = {}  # by running pair: its angle
+    todo: dict[int, float] = {}    # by running pair: seconds still to run
+    ending: dict[float, list[int]] = {}  # by breakpoint: pairs that end then
+    times = sorted(at)
+    for now, then in zip(times, times[1:] + [None]):
+        for i in ending.pop(now, ()):
+            del todo[i], thetas[i]
+        for item in at[now]:
+            if type(item) is int:
+                run.append(item)
+                if turn_axes[item] != "z":
+                    q = sites[item]
+                    if q > 1:
+                        opening.add(q - 2)
+                    if q <= m:
+                        opening.add(q - 1)
+                continue
+            k, theta, t = item
+            if now + t == now:
+                stretch(t, {k - 1: theta}, True)
+            else:
+                thetas[k - 1], todo[k - 1] = theta, t
+                ending.setdefault(now + t, []).append(k - 1)
+        if todo:
+            # what is left can round below zero only by a clock
+            # reading's last bit
+            t = max(0.0, todo[ending[then][0]])
+            stretch(t, thetas, widest * t > _CELL_TURN)
+            for i in todo:
+                todo[i] -= t
+    if run:
+        steps.append(run)
+    for i in range(m):
+        if since[i] is not None:
+            epochs[i].append((clock, signed[i] - since[i]))
+    return steps, epochs
+
+
 def synthesize_pulses(gates: GateList, chain: ChainSpec) -> PulseProgram:
     """Lower a time-ordered gate list onto a chain, as a program in
     columns.
@@ -657,59 +806,78 @@ def synthesize_pulses(gates: GateList, chain: ChainSpec) -> PulseProgram:
 
     Couplings commute with each other and with z rotations, so they
     share delays.  :func:`_place` puts every gate on a time axis as early
-    as the gates it does not commute with allow, and a sweep over the
-    coupling ends cuts the axis into segments, each with one active set
-    of pairs.  A segment first toggles the fewest spins that give every
-    active pair the sign of its angle in the Pauli frame
-    (:meth:`_Frame.fix_sign`); then it runs half its delay, toggles
-    :func:`refocusing_set` of the active pairs and runs the other half.
-    A segment whose refocusing set is empty (every pair active) is one
-    delay.  The program lasts the critical path of the gate list, never
-    more than the sum of its couplings' times, and a coupling that runs
-    alone is one block of two half delays around its refocusing toggle.
-    The rotations that start at a breakpoint go out before its segment,
+    as the gates it does not commute with allow, and :func:`_timeline`
+    cuts the axis into stretches of drift at the coupling ends.  The
+    program lasts the critical path of the gate list, never more than
+    the sum of its couplings' times.
+
+    Refocusing is one sign plan over the whole program.  An epoch of a
+    pair is its drift between two x or y rotations on its spins; only z
+    rotations and couplings, which commute with its drift, fall inside
+    it.  So the pair's frame sign need only integrate, over each epoch
+    of length ``L``, to the signed time ``tau`` of its couplings there.
+    An epoch entered with sign ``p`` that its couplings do not fill gets
+    one switch, due ``(L + p*tau) / 2`` into it.  At each instant where
+    a switch falls due, :func:`_switch_set` toggles the cheapest spins
+    that switch every due pair and keep every settled one; it may pull
+    a pending pair's switch, due ``x`` into its epoch, forward to now,
+    ``y``, and that pair's switch then falls due at ``y + L - x``.  The
+    plan keeps its times on an exact clock (:func:`_ticks`), so a switch
+    lands where its epoch needs it however long the epoch, and is placed
+    as an offset inside one stretch's delay, which it splits; delays are
+    never lengthened.  A cell (see :func:`_timeline`)
+    bounds every epoch on both sides, so its switches fall at 0 or
+    exactly half its delay.
+
+    The rotations that start at a breakpoint go out before its stretch,
     in list order; a y or z rotation on a flipped spin is emitted with
-    its angle negated, and the program ends by toggling every spin that
-    is still flipped.
+    its angle negated, and a toggle on a spin with an x pulse since the
+    last delay folds into that pulse (:class:`_Frame`).  The program
+    ends by toggling every spin that is still flipped.
     """
     at, phase = _place(gates, chain)
+    steps, epochs = _timeline(gates, chain, at)
     program = PulseProgram(chain)
     frame = _Frame(program)
     flipped = frame.flipped
-    sites, turn_axes, angles = gates.sites, gates.axes, gates.values
-    thetas: dict[int, float] = {}  # by active pair: its angle
-    todo: dict[int, float] = {}    # by active pair: seconds still to run
-    ending: dict[float, list[int]] = {}  # by clock time: pairs that end then
-    times = sorted(at)
-    for now, then in zip(times, times[1:] + [None]):
-        for k in ending.pop(now, ()):
-            del thetas[k], todo[k]
-        for item in at[now]:
-            if type(item) is int:
-                # the pulse that realizes the rotation in this frame
-                q, axis, angle = sites[item], turn_axes[item], angles[item]
-                program.add("pulse", q, axis,
-                                -angle if axis != "x" and flipped[q] else angle)
-                continue
-            k, theta, t = item
-            if now + t == now:
-                # too short to move the clock: a block of its own, here
-                frame.segment({k: theta}, t)
-            else:
-                thetas[k], todo[k] = theta, t
-                ending.setdefault(now + t, []).append(k)
-        if thetas:
-            # The segment lasts what is left of a coupling that ends at
-            # its end, so a coupling's segments add up to its own time,
-            # not to a difference of clock readings; what is left can
-            # round below zero only by a clock reading's last bit.
-            t = max(0.0, todo[ending[then][0]])
-            frame.segment(thetas, t)
-            for k in todo:
-                todo[k] -= t
+    upcoming = [iter(e) for e in epochs]
+    inf = math.inf
+    # by pair, indexed from 0, on the plan's clock: when its switch falls
+    # due (inf once settled) and when its epoch ends
+    due: list = [inf] * (chain.n - 1)
+    end = [0] * (chain.n - 1)
+    for step in steps:
+        if type(step) is list:
+            frame.turns(step, gates)
+            continue
+        t, start, stop, opens = step
+        for i in opens:
+            end[i], tau = next(upcoming[i])
+            span = end[i] - start
+            p = -1 if flipped[i + 1] != flipped[i + 2] else 1
+            switch = (span + p * tau) >> 1  # (L + p*tau) / 2, exactly
+            due[i] = start + switch if switch < span else inf
+        done = 0.0  # seconds of the stretch written so far
+        now = min(due)
+        while now < stop:
+            offset = (now - start) / _TICK
+            if offset > done:
+                frame.delay(offset - done)
+                done = offset
+            pattern = tuple([_SETTLED if d == inf else
+                             _DUE if d == now else _PENDING for d in due])
+            spins = _switch_set(pattern, frame.free)
+            frame.toggle(spins)
+            for i, d in enumerate(due):
+                if d == now:
+                    due[i] = inf
+                elif d != inf and (i + 1 in spins) != (i + 2 in spins):
+                    # pulled forward: the rest of its switch moves later
+                    due[i] = now + (end[i] - d)
+            now = min(due)
+        frame.delay(t - done)
     frame.restore()
-    # each pulse of the frame is -1j*sigma_x
-    program.phase = math.remainder(phase + _HALF_PI * (frame.pulses % 4),
+    program.phase = math.remainder(phase + _HALF_PI * (frame.quarters % 4),
                                    2 * _PI)
     return program
 

@@ -32,6 +32,7 @@ from kakpulse.linalg import haar_unitary, matrix_from_json_dict, matrix_to_json_
 from kakpulse.simulate import gate_list_unitary, pulse_program_unitary
 
 from artifact_oracle import gate_list_to_json, zz_row
+from test_pulse_synth import lossy_toggle
 
 
 def read_json(path):
@@ -651,20 +652,39 @@ class TestSelftest:
         assert "product X * Y disagrees with dense algebra" in captured.out
         assert "self-test FAILED: commutation" in captured.err
 
-    @pytest.mark.parametrize("suite", ["refocus", "endtoend"])
-    def test_detects_a_coupling_left_unrefocused(self, monkeypatch, capsys,
-                                                 suite):
-        """Dropping one flipped spin from each echo leaves another coupling
-        of the chain active during the delay; both suites that simulate
-        pulse programs must report it as a failure."""
-        honest = kakpulse.pulses.refocusing_set
-        monkeypatch.setattr(kakpulse.pulses, "refocusing_set",
-                            lambda n, left: honest(n, left)[1:])
+    def assert_suite_fails(self, suite, capsys):
         assert main(["selftest", "--suite", suite]) == 1
         captured = capsys.readouterr()
         assert f"{suite:<12} FAIL" in captured.out
         assert "raised" not in captured.out
         assert f"self-test FAILED: {suite}" in captured.err
+
+    @pytest.mark.parametrize("suite", ["refocus", "endtoend"])
+    def test_detects_a_coupling_left_unrefocused(self, monkeypatch, capsys,
+                                                 suite):
+        """Dropping one spin from each switch set of the sign plan leaves
+        a coupling of the chain on when it should cancel, or off when it
+        should run; both suites that simulate pulse programs must report
+        it as a failure."""
+        honest = kakpulse.pulses._switch_set
+        monkeypatch.setattr(kakpulse.pulses, "_switch_set",
+                            lambda pattern, free: honest(pattern, free)[1:])
+        self.assert_suite_fails(suite, capsys)
+
+    @pytest.mark.parametrize("suite", ["refocus", "endtoend"])
+    def test_detects_a_lost_toggle(self, monkeypatch, capsys, suite):
+        """One x pi-pulse of the frame goes missing while the frame counts
+        it as given."""
+        lossy = lossy_toggle(kakpulse.pulses._Frame.toggle)
+        monkeypatch.setattr(kakpulse.pulses._Frame, "toggle", lossy)
+        self.assert_suite_fails(suite, capsys)
+        assert lossy.lost
+
+    @pytest.mark.parametrize("suite", ["refocus", "endtoend"])
+    def test_detects_a_missing_restore(self, monkeypatch, capsys, suite):
+        monkeypatch.setattr(kakpulse.pulses._Frame, "restore",
+                            lambda frame: None)
+        self.assert_suite_fails(suite, capsys)
 
     def test_detects_uncanonical_two_spin_angles(self, monkeypatch, capsys):
         """Skipping the canonicalization leaves interaction angles outside

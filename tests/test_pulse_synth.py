@@ -30,6 +30,7 @@ from kakpulse import (
     RangeError,
     ValidationError,
     cartan_evolution_gates,
+    compile_unitary,
     expm_skew,
     gate_list_from_json,
     gate_list_spin_bound,
@@ -296,6 +297,12 @@ class TestChainSpec:
         with pytest.raises(ValidationError, match="malformed chain object"):
             ChainSpec.from_json_dict({"n": 2, "J": [j]})
 
+    def test_a_coupling_past_the_largest_float_is_out_of_range(self):
+        """An integer J too large for a float is refused as out of range,
+        not with a bare ``OverflowError``."""
+        with pytest.raises(RangeError, match="coupling J must be finite"):
+            ChainSpec(2, (10 ** 400,))
+
     def test_pair_index_range(self):
         chain = ChainSpec.uniform(3)
         with pytest.raises(RangeError):
@@ -434,7 +441,6 @@ class TestSynthesizePulses:
 
     def test_full_gate_program_round_trip(self):
         u = haar_unitary(4, 55)
-        from kakpulse import compile_unitary
         gates = compile_unitary(u)
         program = synthesize_pulses(gates, ChainSpec.uniform(2, 100.0))
         got = pulse_program_unitary(program)
@@ -449,9 +455,10 @@ class TestSynthesizePulses:
 
 
 class TestFrameFaults:
-    """Each pulse of the frame schedule matters.  On a multi-block program
-    with mixed-sign angles, losing one sign-fixing pulse, one mid-block
-    pulse or the final restore makes ``verify`` fail."""
+    """Each pulse of the sign plan matters.  On a multi-block program
+    with mixed-sign angles, losing one toggle, choosing a switch set that
+    leaves a coupling unrefocused or losing the final restore makes
+    ``verify`` fail."""
 
     CHAIN = "100,130,90"
     GATES = GateList([zz_row(1, 0.9), local_row(2, "y", 0.4),
@@ -480,23 +487,24 @@ class TestFrameFaults:
         assert (program.kinds[-1], program.axes[-1], program.values[-1]) == (
             "pulse", "x", math.pi)
 
-    @pytest.mark.parametrize("method", ["fix_sign", "refocus"])
-    def test_a_lost_pulse_fails(self, method, monkeypatch, tmp_path, capsys):
+    def test_a_lost_toggle_fails(self, monkeypatch, tmp_path, capsys):
         """The frame still counts the pulse as given, as it would when a
         pulse misfires on the spectrometer."""
-        honest = getattr(kakpulse.pulses._Frame, method)
-        lost = []
-
-        def lossy(frame, *args):
-            columns = frame.program.columns()
-            before = len(columns[0])
-            honest(frame, *args)
-            if not lost and len(columns[0]) > before:
-                lost.append([column.pop(before) for column in columns])
-
-        monkeypatch.setattr(kakpulse.pulses._Frame, method, lossy)
+        lossy = lossy_toggle(kakpulse.pulses._Frame.toggle)
+        monkeypatch.setattr(kakpulse.pulses._Frame, "toggle", lossy)
         code, _ = self.round_trip(tmp_path)
-        assert lost and code == 1
+        assert lossy.lost and code == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_an_unrefocused_coupling_fails(self, monkeypatch, tmp_path,
+                                           capsys):
+        """Each switch set loses its first spin, so a due pair keeps its
+        sign or a settled one changes it."""
+        honest = kakpulse.pulses._switch_set
+        monkeypatch.setattr(kakpulse.pulses, "_switch_set",
+                            lambda pattern, free: honest(pattern, free)[1:])
+        code, _ = self.round_trip(tmp_path)
+        assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_a_missing_restore_fails(self, monkeypatch, tmp_path, capsys):
@@ -504,6 +512,33 @@ class TestFrameFaults:
         code, _ = self.round_trip(tmp_path)
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+def lossy_toggle(honest):
+    """``_Frame.toggle`` that drops the first x pi-pulse it writes (not
+    a fold) and afterwards behaves; ``lost`` holds the dropped event."""
+    lost = []
+
+    def toggle(frame, spins):
+        columns = frame.program.columns()
+        before = len(columns[0])
+        honest(frame, spins)
+        if not lost and len(columns[0]) > before:
+            lost.append([column.pop(before) for column in columns])
+
+    toggle.lost = lost
+    return toggle
+
+
+@pytest.mark.parametrize("n, segment_pulses",
+                         [(3, 148), (4, 840), (5, 4204), (6, 19315)])
+def test_epoch_plan_spends_fewer_pulses(n, segment_pulses):
+    """Refocusing each epoch once, instead of each segment, takes fewer
+    pulses than the segment rule's counts on the Haar targets at seeds
+    100 + n on a uniform 100 Hz chain."""
+    gates = compile_unitary(haar_unitary(2 ** n, 100 + n, special=True))
+    program = synthesize_pulses(gates, ChainSpec.uniform(n, 100.0))
+    assert pulse_count(program) < segment_pulses
 
 
 def test_program_json_round_trip():

@@ -502,3 +502,36 @@ def test_a_program_on_any_chain_reads_back_from_its_text(n, couplings):
     assert text == json.dumps(json.loads(text), sort_keys=True,
                               separators=(",", ":"))
     assert PulseProgram.from_json_dict(json.loads(text)) == program
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.int32(-3), np.uint8(7),
+                                   np.float32(0.5), np.float16(-0.25)])
+def test_numpy_row_values_are_written_and_read_back(value):
+    """A NumPy number that a row constructor accepts is held as the
+    ``int`` or ``float`` it equals, so its text is written and reads back
+    equal, in a gate list and in a pulse program alike."""
+    gates = GateList([("local", 1, "x", value), ("zz", 1, None, value),
+                      ("phase", 0, None, value)])
+    assert all(type(v) in (int, float) for v in gates.values)
+    assert gate_list_from_json(json.loads(
+        gate_list_to_json_text(gates))) == gates
+    program = PulseProgram(CHAIN, [("delay", 0, None, abs(value)),
+                                   ("pulse", 2, "y", value)])
+    assert PulseProgram.from_json_dict(json.loads(
+        program.to_json_text())) == program
+
+
+@pytest.mark.parametrize("build", [
+    lambda big: GateList([("local", 1, "x", big)]),
+    lambda big: GateList([("zz", 1, None, -big)]),
+    lambda big: PulseProgram(CHAIN, [("delay", 0, None, big)]),
+    lambda big: PulseProgram(CHAIN, [], big),
+    lambda big: gate_list_from_json([{"kind": "phase", "phi": big}]),
+])
+def test_an_integer_past_the_largest_float_is_out_of_range(build):
+    """Rows hold what the simulator can turn into a float: an integer
+    past the largest one is a ``RangeError``, not a bare
+    ``OverflowError``."""
+    with pytest.raises(RangeError, match="must be finite, got an integer "
+                       "of 1329 bits"):
+        build(10 ** 400)

@@ -16,7 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kakpulse import (
@@ -40,7 +40,6 @@ from kakpulse import (
     haar_unitary,
     matrix_to_json_dict,
     pulse_program_unitary,
-    refocusing_set,
     synthesize_pulses,
     total_coupling_time,
 )
@@ -738,74 +737,93 @@ def asap(gates, chain):
     return placed
 
 
-def frame_pulses(gates, chain, program):
-    """Split a scheduled program along the ASAP schedule of its gate list:
-    ``(segments, restore)``, with ``segments`` the active pairs and the
-    added pulses of each stretch of drift, and ``restore`` the pulses
-    after the last one.  The rotations that start at a breakpoint come
-    first, in list order, then the segment from that breakpoint on: sign
-    fixes, a delay, the refocusing toggle and a delay, or one delay when
-    every pair is active."""
-    placed = asap(gates, chain)
-    events, i, segments = list(zip(*program.columns())), 0, []
+def gate_epochs(gates, chain):
+    """By pair: the signed seconds its couplings run in each of its
+    epochs, the stretches between two x or y rotations on its spins."""
+    epochs = {k: [0.0] for k in range(1, chain.n)}
+    for kind, q, axis, angle in gates:
+        if kind == "local" and axis != "z":
+            for k in (q - 1, q):
+                if k in epochs:
+                    epochs[k].append(0.0)
+        elif kind == "zz":
+            epochs[q][-1] += math.remainder(angle, 4 * math.pi) / (
+                2 * math.pi * chain.coupling(q))
+    return epochs
 
-    def pulses_to_next_delay(i):
-        start = i
-        while events[i][0] != "delay":
-            i += 1
-        return events[start:i], i + 1
 
-    def segment(i, active):
-        added, i = pulses_to_next_delay(i)
-        if len(active) < chain.n - 1:
-            mid, i = pulses_to_next_delay(i)
-            added += mid
-        segments.append((active, added))
-        return i
+def program_epochs(gates, program):
+    """``(epochs, flips)`` of a scheduled program: by pair, the signed
+    seconds of drift in each of its epochs, in the Pauli frame of the
+    program's x pi flips; by spin, how often it flips.
 
-    times = sorted({0.0} | {end for _, _, end in placed})
-    for now, then in zip(times, times[1:] + [None]):
-        for g, start, end in placed:
-            if start != now:
-                continue
-            if g[0] == "local":
-                _, q, axis, angle = events[i]
-                assert (q, axis, abs(angle)) == (g[1], g[2], abs(g[3]))
-                i += 1
-            elif end == now:  # too short to move the clock
-                i = segment(i, {g[1]})
-        active = {g[1] for g, start, end in placed
-                  if g[0] == "zz" and start <= now
-                  and then is not None and end >= then and end > start}
-        if active:
-            i = segment(i, active)
-    return segments, events[i:]
+    Each pulse is either the next rotation of its spin in the gate list
+    or an x pi toggle.  A y or z rotation carries its frame sign; an x
+    rotation ``a`` that comes out as ``a +- pi`` carries a folded
+    toggle."""
+    n = program.chain.n
+    rotations = {q: [] for q in range(1, n + 1)}
+    for kind, q, axis, angle in reversed(list(gates)):
+        if kind == "local":
+            rotations[q].append((axis, angle))
+    flipped, flips = [False] * (n + 1), [0] * (n + 1)
+    epochs = {k: [[]] for k in range(1, n)}
+
+    def flip(q):
+        flipped[q] = not flipped[q]
+        flips[q] += 1
+
+    for kind, q, axis, angle in program:
+        if kind == "delay":
+            for k, drift in epochs.items():
+                drift[-1].append(-angle if flipped[k] != flipped[k + 1]
+                                 else angle)
+            continue
+        assert kind == "pulse"
+        turn = rotations[q][-1] if rotations[q] else (None, None)
+        if turn[0] != axis or axis == "x" and angle not in (
+                turn[1], turn[1] - math.pi, turn[1] + math.pi):
+            assert (axis, angle) == ("x", math.pi)
+            flip(q)
+            continue
+        rotations[q].pop()
+        if axis != "x":
+            assert angle == (-turn[1] if flipped[q] else turn[1])
+        elif angle != turn[1]:
+            flip(q)
+        if axis != "z":
+            for k in (q - 1, q):
+                if k in epochs:
+                    epochs[k].append([])
+    assert not any(rotations.values())
+    return {k: [math.fsum(d) for d in drift]
+            for k, drift in epochs.items()}, flips
 
 
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_frame_scheduler_on_signed_gate_lists(data):
-    """The scheduler carries its flips from segment to segment: the
-    program is the gate list, by the frame simulator and by the Kronecker
-    oracle; every spin is flipped an even number of times; and a segment
-    adds at most one sign-fixing pulse per active pair to the refocusing
-    set of its active pairs."""
+    """The sign plan refocuses each epoch as a whole: the program is the
+    gate list, by the frame simulator and by the Kronecker oracle; over
+    each epoch of each pair, between two x or y rotations on its spins,
+    the program's signed drift is the pair's coupling time there; and
+    every spin is flipped an even number of times."""
     chain, gates = data.draw(signed_schedules())
+    # an x rotation by a multiple of pi, folded or not, reads like a flip
+    assume(all(abs(math.remainder(angle, math.pi)) > 1e-6
+               for kind, _, axis, angle in gates
+               if kind == "local" and axis == "x"))
     n = chain.n
     program = synthesize_pulses(gates, chain)
     want = gate_list_unitary(gates, n)
     assert np.max(np.abs(pulse_program_unitary(program) - want)) < 1e-10
     assert np.max(np.abs(oracle_program(program)
                          - oracle_gate_list(gates, n))) < 1e-10
-    segments, restore = frame_pulses(gates, chain, program)
-    flips = [0] * (n + 1)
-    for _, q, axis, angle in restore + [e for _, added in segments
-                                        for e in added]:
-        assert (axis, angle) == ("x", math.pi)
-        flips[q] += 1
+    drift, flips = program_epochs(gates, program)
+    coupling = gate_epochs(gates, chain)
+    for k in range(1, n):
+        assert drift[k] == pytest.approx(coupling[k], rel=1e-9, abs=1e-15)
     assert all(count % 2 == 0 for count in flips)
-    for active, added in segments:
-        assert len(added) <= len(active) + len(refocusing_set(n, active))
 
 
 @given(data=st.data())
