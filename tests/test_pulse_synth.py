@@ -358,6 +358,10 @@ def test_refocusing_set_of_a_pair_set():
             assert 2 * len(flips) <= n
         assert refocusing_set(n, range(1, n)) == []
     assert refocusing_set(5, {1, 3}) == [3, 4]
+    # a tie: the set that leaves the first active pair unflipped
+    assert refocusing_set(4, {1, 3}) == [3, 4]
+    assert refocusing_set(4, {2}) == [1, 4]
+    assert refocusing_set(6, {1, 2, 4, 5}) == [4, 5, 6]
     with pytest.raises(RangeError):
         refocusing_set(4, [])
 
@@ -452,6 +456,24 @@ class TestSynthesizePulses:
         # two echo flips on spin 3, applied twice
         assert pulse_count(program) == 2
         assert program.kinds.count("delay") == 2
+
+    @pytest.mark.parametrize("a, folded", [
+        (0.4, 0.4 - math.pi), (-0.4, -0.4 + math.pi), (0.0, math.pi),
+        (math.pi, 0.0), (-math.pi, 0.0), (2 * math.pi, math.pi),
+        (-2 * math.pi, -math.pi)])
+    def test_a_toggle_folds_into_an_x_pulse(self, a, folded):
+        """The negative coupling's epoch opens with a switch, and spin 2
+        has an x pulse since the last delay: the toggle folds into it as
+        ``Rx(a -+ pi)``, minus pi for a > 0 and plus pi otherwise, and
+        the z pulse between them is negated."""
+        gates = GateList([local_row(2, "x", a), local_row(2, "z", 0.3),
+                          zz_row(1, -1.0)])
+        program = synthesize_pulses(gates, ChainSpec.uniform(2))
+        assert list(zip(*program.columns()))[:2] == [
+            pulse_row(2, "x", folded), pulse_row(2, "z", -0.3)]
+        assert pulse_count(program) == 3
+        got = pulse_program_unitary(program)
+        assert np.max(np.abs(got - gate_list_unitary(gates, 2))) < 1e-12
 
 
 class TestFrameFaults:

@@ -16,7 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakpulse import (
@@ -118,6 +118,33 @@ class TestGateListUnitary:
         report = distance(pulse_program_unitary(program),
                           gate_list_unitary(gates, 3))
         assert report.frobenius < 1e-12
+
+    def test_skewed_chains_keep_the_gate_lists_accuracy(self):
+        """On chains whose couplings span 1e-6..1e6 Hz, a weak pair's
+        refocused drift turns by up to a few radians per stretch, and
+        stronger pairs' by far more inside cells: over 200 random gate
+        lists the program stays within 2e-14 of its gate list, as close
+        as the rounding of the turns themselves."""
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for _ in range(200):
+            n = int(rng.integers(2, 6))
+            chain = ChainSpec(n, tuple(10.0 ** rng.uniform(-6, 6, n - 1)))
+            pairs = [*range(1, n), *rng.integers(1, n, rng.integers(0, 5))]
+            rows = []
+            for left in [*rng.permutation(pairs), None]:
+                rows += [local_row(int(rng.integers(1, n + 1)),
+                                   "xyz"[rng.integers(3)],
+                                   rng.uniform(-4 * math.pi, 4 * math.pi))
+                         for _ in range(rng.integers(0, 4))]
+                if left is not None:
+                    rows.append(zz_row(int(left), rng.uniform(-4 * math.pi,
+                                                              4 * math.pi)))
+            gates = GateList(rows)
+            program = synthesize_pulses(gates, chain)
+            worst = max(worst, distance(pulse_program_unitary(program),
+                                        gate_list_unitary(gates, n)).frobenius)
+        assert worst < 2e-14
 
     def test_rejects_gates_off_the_chain(self):
         with pytest.raises(DimensionError):
@@ -801,7 +828,7 @@ def program_epochs(gates, program):
 
 
 @given(data=st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_frame_scheduler_on_signed_gate_lists(data):
     """The sign plan refocuses each epoch as a whole: the program is the
     gate list, by the frame simulator and by the Kronecker oracle; over
@@ -809,16 +836,19 @@ def test_frame_scheduler_on_signed_gate_lists(data):
     the program's signed drift is the pair's coupling time there; and
     every spin is flipped an even number of times."""
     chain, gates = data.draw(signed_schedules())
-    # an x rotation by a multiple of pi, folded or not, reads like a flip
-    assume(all(abs(math.remainder(angle, math.pi)) > 1e-6
-               for kind, _, axis, angle in gates
-               if kind == "local" and axis == "x"))
     n = chain.n
     program = synthesize_pulses(gates, chain)
     want = gate_list_unitary(gates, n)
     assert np.max(np.abs(pulse_program_unitary(program) - want)) < 1e-10
     assert np.max(np.abs(oracle_program(program)
                          - oracle_gate_list(gates, n))) < 1e-10
+    # an x rotation that can come out as an x pi pulse, folded or not,
+    # reads like a flip, so the program cannot be parsed back into epochs;
+    # the other examples, about two in three, check the epochs
+    if any(math.pi in (angle, angle - math.pi, angle + math.pi)
+           for kind, _, axis, angle in gates
+           if kind == "local" and axis == "x"):
+        return
     drift, flips = program_epochs(gates, program)
     coupling = gate_epochs(gates, chain)
     for k in range(1, n):
