@@ -78,7 +78,6 @@ from .pulses import (
     flatten,
     pauli_evolution_gates,
     pulse_count,
-    refocusing_set,
     synthesize_pulses,
     total_coupling_time,
 )
@@ -111,7 +110,7 @@ __all__ = [
     "matrix_from_json_dict", "matrix_to_json_dict",
     "maximal_abelian_strings", "multiply", "outer_cartan_strings",
     "pauli_evolution_gates", "permute_spins", "pulse_count",
-    "pulse_program_unitary", "refocusing_set", "residual_budget",
+    "pulse_program_unitary", "residual_budget",
     "spin_count", "su2_rotation", "subspace_tag",
     "synthesize_pulses", "total_coupling_time", "tree_from_json_dict",
     "tree_to_json_text",

@@ -51,14 +51,14 @@ def _on_path(exc: NumericError, path: tuple[str, ...]) -> NumericError:
 
 def _json_int(value, what: str) -> int:
     """``value`` as an ``int`` when it is an integer: ``2.0`` is one, and
-    so is a NumPy integer in a row, but a bool, a string or ``2.9`` is a
-    :class:`ValidationError`, where ``int()`` would read ``true`` as 1
-    and truncate ``2.9`` to 2."""
+    so is a NumPy integer or an integral NumPy float in a row, but a
+    bool, a string or ``2.9`` is a :class:`ValidationError`, where
+    ``int()`` would read ``true`` as 1 and truncate ``2.9`` to 2."""
     if type(value) is int:
         return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral)
+                 or float(value).is_integer())):
         return int(value)
     raise ValidationError(f"{what} must be an integer, got {value!r}")
 

@@ -31,8 +31,10 @@ value)``.  Iterating :class:`GateList` or :class:`PulseProgram` yields
 its rows, ``len`` counts them and ``table[k]`` is row ``k``; a slice of
 a gate list is a gate list.  ``GateList(rows)`` and
 ``PulseProgram(chain, rows, phase)`` build checked columns from rows:
-a spin must be an integer, which ``2.0`` or a NumPy integer is, and a
-value a real number, kept as given.  Each kind has one check, which
+a spin must be an integer, which ``2.0``, a NumPy integer or an
+integral NumPy float is, and a value a real number, kept as given (an
+integer that no float holds exactly is held as the float its text reads
+back as).  Each kind has one check, which
 those two constructors and the readers share, so a fault raises the
 same class and message either way, naming the row's or the item's
 index.  The columns the lowering builds are trusted: it checks a tree
@@ -93,10 +95,12 @@ from .linalg import AXES
 
 def _row_number(value, what: str):
     """``value`` when it is a real number: a ``float`` as given, an
-    integer as an ``int`` and any other (NumPy's ``float32``, say) as the
-    ``float`` it equals, so the writers can spell it.  A bool or a string
-    is a :class:`ValidationError`, as in a JSON item, and an integer past
-    the largest float a :class:`RangeError`."""
+    integer as an ``int`` when a float holds it exactly and else as the
+    float its text reads back as, and any other (NumPy's ``float32``,
+    say) as the ``float`` it equals, so the writers can spell it and the
+    readers read it back equal.  A bool or a string is a
+    :class:`ValidationError`, as in a JSON item, and an integer past the
+    largest float a :class:`RangeError`."""
     if type(value) is float:
         return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -105,8 +109,8 @@ def _row_number(value, what: str):
         return value
     if isinstance(value, numbers.Integral):
         value = int(value)
-        _json_float(value, what)
-        return value
+        rounded = _json_float(value, what)
+        return value if rounded == value else rounded
     return float(value)
 
 

@@ -46,6 +46,8 @@ Four layers live here:
   rotations, so it places every gate as early as the gates it does not
   commute with allow, and commuting couplings share delays; x pi-pulses
   refocus each pair's drift over each epoch to what its couplings need.
+  Every time it keeps is an integer on one exact clock, and only a
+  delay it writes is in seconds.
 
 Gate lists are built and read here as the columns of a
 :class:`~kakpulse.gates.GateList`, and the scheduler writes the columns
@@ -86,12 +88,11 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, RangeError, ValidationError, _json_int
+from .errors import DimensionError, ValidationError, _json_int
 from .gates import ChainSpec, GateList, PulseProgram, _phase_row
 from .kak import (CartanNode, EulerNode, GateTree, PhaseNode, SequenceNode,
                   decompose, euler_xzx_angles)
@@ -540,33 +541,6 @@ def _switch_set(pattern: tuple[int, ...], free: int) -> tuple[int, ...]:
     return tuple(spins)
 
 
-def refocusing_set(n: int, active: int | Iterable[int]) -> list[int]:
-    """Spins flipped at the half-time of a delay that evolves the pairs
-    ``active``: one pair index ``left``, for pair ``(left, left+1)``, or
-    a collection of them.
-
-    Every inactive pair gets exactly one flipped endpoint, so it changes
-    sign between the two halves of the delay and averages away; every
-    active pair gets none or both and keeps its sign.  On a chain two
-    sets do that, each the other's complement; this is the sign plan's
-    chooser (:func:`_switch_set`) with every inactive pair due and every
-    active one settled, so the smaller set is taken, and on a tie the one
-    that leaves the first active pair unflipped.  For one pair that is
-    every spin at odd distance from it; with every pair active it is
-    empty."""
-    pairs = frozenset(active if isinstance(active, Iterable) else (active,))
-    if not pairs:
-        raise RangeError("a refocused delay needs at least one active pair")
-    for left in pairs:
-        if not 1 <= left < n:
-            raise RangeError(f"pair index {left} outside 1..{n - 1}")
-    spins = _switch_set(tuple(_SETTLED if k in pairs else _DUE
-                              for k in range(1, n)), 0)
-    if 2 * len(spins) == n and min(pairs) in spins:
-        return [s for s in range(1, n + 1) if s not in spins]
-    return list(spins)
-
-
 class _Frame:
     """Per-spin x-flip state of a program being written: the Pauli frame
     that :func:`~kakpulse.simulate._frame_unitary` tracks when it reads
@@ -639,24 +613,26 @@ class _Frame:
 
 
 def _place(gates: GateList, chain: ChainSpec) -> tuple[dict, float]:
-    """ASAP list schedule of a gate list: ``(at, phase)``.
+    """ASAP list schedule of a gate list: ``(at, phase)``, with every
+    time in ticks of the scheduler's exact clock (:func:`_ticks`).
 
-    ``at`` maps each start time to the rotations and couplings that
+    ``at`` maps each start tick to the rotations and couplings that
     start then, in list order; a rotation is its index in the list, a
-    coupling is ``(left, theta, t)`` with ``theta`` reduced mod ``4*pi``
-    and nonzero and ``t`` its duration in seconds.  Every coupling's
-    end, ``start + t``, is a key, so the keys are the breakpoints of the
-    schedule.  A gate moves only past gates it commutes with: a coupling
-    waits for the last x or y rotation on its two spins and for the
-    previous coupling on its pair, an x or y rotation for every earlier
-    gate on its spin, and a z rotation only for the last x or y rotation
-    on its spin; ties keep list order.  ``phase`` sums the global
-    phases, the ``-1`` of every ``4*pi`` removed among them."""
+    coupling is ``(left, theta, end)`` with ``theta`` reduced mod
+    ``4*pi`` and nonzero and ``end`` its start plus its duration,
+    ``|theta| / (2*pi*J)`` seconds.  Every coupling's end is a key, so
+    the keys are the breakpoints of the schedule.  A gate moves only
+    past gates it commutes with: a coupling waits for the last x or y
+    rotation on its two spins and for the previous coupling on its
+    pair, an x or y rotation for every earlier gate on its spin, and a
+    z rotation only for the last x or y rotation on its spin; ties keep
+    list order.  ``phase`` sums the global phases, the ``-1`` of every
+    ``4*pi`` removed among them."""
     n, js = chain.n, chain.couplings
-    xy = [0.0] * (n + 1)    # by spin: time of the last x or y rotation
-    busy = [0.0] * (n + 1)  # by spin: end of the last gate
-    pair_end = [0.0] * n    # by pair: end of the last coupling
-    at: dict[float, list] = {0.0: []}
+    xy = [0] * (n + 1)    # by spin: tick of the last x or y rotation
+    busy = [0] * (n + 1)  # by spin: end of the last gate
+    pair_end = [0] * n    # by pair: end of the last coupling
+    at: dict[int, list] = {0: []}
     phase = 0.0
     for i, (kind, q, axis, angle) in enumerate(zip(*gates.columns())):
         if kind == "local":
@@ -678,10 +654,10 @@ def _place(gates: GateList, chain: ChainSpec) -> tuple[dict, float]:
             if theta == 0:
                 continue
             start = max(xy[q], xy[q + 1], pair_end[q])
-            t = abs(theta) / (2 * _PI * js[q - 1])
-            end = pair_end[q] = start + t
+            end = pair_end[q] = start + _ticks(
+                abs(theta) / (2 * _PI * js[q - 1]))
             busy[q], busy[q + 1] = max(busy[q], end), max(busy[q + 1], end)
-            at.setdefault(start, []).append((q, theta, t))
+            at.setdefault(start, []).append((q, theta, end))
             at.setdefault(end, [])
         else:
             phase = math.remainder(phase + angle, 2 * _PI)
@@ -699,19 +675,20 @@ def _place(gates: GateList, chain: ChainSpec) -> tuple[dict, float]:
 # turns that far, since a reduced coupling runs at most 2*pi rad.
 _CELL_TURN = 16.0
 
-# The sign plan's clock counts ticks of 2**-_TICK_BITS seconds, an even
+# The scheduler's clock counts ticks of 2**-_TICK_BITS seconds, an even
 # number of them for every float (the smallest is 2**-1074 s), so it
-# adds, subtracts and halves times exactly.  A switch is due at a sum of
-# many stretches' times; on a float clock its rounding moved switches from
-# where their epochs need them, and programs drifted 8e-10 from a seven-spin
-# Haar target (against 3e-11 here) and 3e-4 from their gate lists on
-# chains whose couplings span 1e-6..1e6 Hz.
+# adds, subtracts and halves times exactly.  A breakpoint is a sum of many
+# couplings' times and a switch is due at a sum of many stretches'; on a
+# float clock their rounding moved switches from where their epochs need
+# them, and programs drifted 8e-10 from a seven-spin Haar target (against
+# 3e-11 here) and 3e-4 from their gate lists on chains whose couplings
+# span 1e-6..1e6 Hz.
 _TICK_BITS = 1075
 _TICK = 1 << _TICK_BITS
 
 
 def _ticks(t: float) -> int:
-    """``t`` seconds on the plan's clock, exactly."""
+    """``t`` seconds on the scheduler's clock, exactly."""
     m, d = t.as_integer_ratio()
     return m << (_TICK_BITS + 1 - d.bit_length())
 
@@ -720,21 +697,18 @@ def _timeline(gates: GateList, chain: ChainSpec,
               at: dict) -> tuple[list, list[list[tuple[int, int]]]]:
     """The sweep over the breakpoints of :func:`_place`: ``(steps,
     epochs)``, with pairs indexed from 0 (pair ``(k, k+1)`` is ``k - 1``)
-    and times in ticks of the plan's exact clock (:func:`_ticks`).
+    and times in ticks.
 
     A step is a run of rotations, as a list of indices into ``gates``,
-    or a stretch of drift, ``(t, start, stop, opens)``: ``t`` seconds
-    from clock ``start`` to ``stop``, with ``opens`` the pairs whose next
-    epoch starts with it.  At each breakpoint the rotations that start
-    there come first, in list order, then the stretch to the next
-    breakpoint, which lasts what is left of a coupling that ends there,
-    so a coupling's stretches add up to its own time.  A coupling too
-    short to move the breakpoints' clock is a cell at its place among
-    the rotations, and so is a stretch whose largest drift turn exceeds
-    :data:`_CELL_TURN`.
+    or a stretch of drift, ``(start, stop, opens)``, from one breakpoint
+    to the next, with ``opens`` the pairs whose next epoch starts with
+    it.  At each breakpoint the rotations that start there come first,
+    in list order, then the stretch to the next breakpoint, in which
+    every coupling that started and has not ended runs.  A stretch whose
+    largest drift turn exceeds :data:`_CELL_TURN` is a cell.
 
     ``epochs[i]`` lists each epoch of pair ``i`` in turn as ``(stop,
-    coupling)``: the clock at its end, the next x or y rotation on the
+    coupling)``: the tick at its end, the next x or y rotation on the
     pair's spins or a cell, and the signed time its couplings run in
     it."""
     m = chain.n - 1  # pairs
@@ -742,39 +716,13 @@ def _timeline(gates: GateList, chain: ChainSpec,
     sites, turn_axes = gates.sites, gates.axes
     steps: list = []
     epochs: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    clock = 0
     signed = [0] * m      # by pair: the signed time its couplings ran
     since: list = [None] * m  # by pair: `signed` when its epoch opened
     opening = set(range(m))   # pairs whose epoch ended
     run: list[int] = []
-
-    def stretch(t: float, thetas: dict[int, float], cell: bool) -> None:
-        nonlocal clock, run
-        if run:
-            steps.append(run)
-            run = []
-        if cell:
-            opening.update(range(m))
-        for i in opening:
-            if since[i] is not None:
-                epochs[i].append((clock, signed[i] - since[i]))
-            since[i] = signed[i]
-        tick = _ticks(t)
-        steps.append((t, clock, clock + tick, tuple(opening)))
-        opening.clear()
-        clock += tick
-        for i, theta in thetas.items():
-            signed[i] += tick if theta > 0 else -tick
-        if cell:
-            opening.update(range(m))
-
-    thetas: dict[int, float] = {}  # by running pair: its angle
-    todo: dict[int, float] = {}    # by running pair: seconds still to run
-    ending: dict[float, list[int]] = {}  # by breakpoint: pairs that end then
+    running: dict[int, tuple[float, int]] = {}  # by pair: angle and end
     times = sorted(at)
     for now, then in zip(times, times[1:] + [None]):
-        for i in ending.pop(now, ()):
-            del todo[i], thetas[i]
         for item in at[now]:
             if type(item) is int:
                 run.append(item)
@@ -785,24 +733,32 @@ def _timeline(gates: GateList, chain: ChainSpec,
                     if q <= m:
                         opening.add(q - 1)
                 continue
-            k, theta, t = item
-            if now + t == now:
-                stretch(t, {k - 1: theta}, True)
-            else:
-                thetas[k - 1], todo[k - 1] = theta, t
-                ending.setdefault(now + t, []).append(k - 1)
-        if todo:
-            # what is left can round below zero only by a clock
-            # reading's last bit
-            t = max(0.0, todo[ending[then][0]])
-            stretch(t, thetas, widest * t > _CELL_TURN)
-            for i in todo:
-                todo[i] -= t
+            k, theta, end = item
+            running[k - 1] = theta, end
+        running = {i: r for i, r in running.items() if r[1] > now}
+        if not running:
+            continue
+        if run:
+            steps.append(run)
+            run = []
+        cell = widest * ((then - now) / _TICK) > _CELL_TURN
+        if cell:
+            opening.update(range(m))
+        for i in opening:
+            if since[i] is not None:
+                epochs[i].append((now, signed[i] - since[i]))
+            since[i] = signed[i]
+        steps.append((now, then, tuple(opening)))
+        opening.clear()
+        for i, (theta, _) in running.items():
+            signed[i] += then - now if theta > 0 else now - then
+        if cell:
+            opening.update(range(m))
     if run:
         steps.append(run)
     for i in range(m):
         if since[i] is not None:
-            epochs[i].append((clock, signed[i] - since[i]))
+            epochs[i].append((times[-1], signed[i] - since[i]))
     return steps, epochs
 
 
@@ -835,13 +791,15 @@ def synthesize_pulses(gates: GateList, chain: ChainSpec) -> PulseProgram:
     a switch falls due, :func:`_switch_set` toggles the cheapest spins
     that switch every due pair and keep every settled one; it may pull
     a pending pair's switch, due ``x`` into its epoch, forward to now,
-    ``y``, and that pair's switch then falls due at ``y + L - x``.  The
-    plan keeps its times on an exact clock (:func:`_ticks`), so a switch
-    lands where its epoch needs it however long the epoch, and is placed
-    as an offset inside one stretch's delay, which it splits; delays are
-    never lengthened.  A cell (see :func:`_timeline`)
-    bounds every epoch on both sides, so its switches fall at 0 or
-    exactly half its delay.
+    ``y``, and that pair's switch then falls due at ``y + L - x``.
+
+    Every time, from the breakpoints to the switches, is an integer on
+    one exact clock (:func:`_ticks`), so a switch lands where its epoch
+    needs it however long the epoch.  A switch is an offset inside one
+    stretch's delay, which it splits; delays are never lengthened, and
+    each is rounded to seconds once, where it is written.  A cell (see
+    :func:`_timeline`) bounds every epoch on both sides, so its switches
+    fall at 0 or exactly half its delay.
 
     The rotations that start at a breakpoint go out before its stretch,
     in list order; a y or z rotation on a flipped spin is emitted with
@@ -856,28 +814,26 @@ def synthesize_pulses(gates: GateList, chain: ChainSpec) -> PulseProgram:
     flipped = frame.flipped
     upcoming = [iter(e) for e in epochs]
     inf = math.inf
-    # by pair, indexed from 0, on the plan's clock: when its switch falls
-    # due (inf once settled) and when its epoch ends
+    # by pair, indexed from 0: when its switch falls due (inf once
+    # settled) and when its epoch ends
     due: list = [inf] * (chain.n - 1)
     end = [0] * (chain.n - 1)
     for step in steps:
         if type(step) is list:
             frame.turns(step, gates)
             continue
-        t, start, stop, opens = step
+        start, stop, opens = step
         for i in opens:
             end[i], tau = next(upcoming[i])
             span = end[i] - start
             p = -1 if flipped[i + 1] != flipped[i + 2] else 1
             switch = (span + p * tau) >> 1  # (L + p*tau) / 2, exactly
             due[i] = start + switch if switch < span else inf
-        done = 0.0  # seconds of the stretch written so far
+        done = start  # the tick that the stretch's delays reach
         now = min(due)
         while now < stop:
-            offset = (now - start) / _TICK
-            if offset > done:
-                frame.delay(offset - done)
-                done = offset
+            frame.delay((now - done) / _TICK)
+            done = now
             pattern = tuple([_SETTLED if d == inf else
                              _DUE if d == now else _PENDING for d in due])
             spins = _switch_set(pattern, frame.free)
@@ -889,7 +845,7 @@ def synthesize_pulses(gates: GateList, chain: ChainSpec) -> PulseProgram:
                     # pulled forward: the rest of its switch moves later
                     due[i] = now + (end[i] - d)
             now = min(due)
-        frame.delay(t - done)
+        frame.delay((stop - done) / _TICK)
     frame.restore()
     program.phase = math.remainder(phase + _HALF_PI * (frame.quarters % 4),
                                    2 * _PI)

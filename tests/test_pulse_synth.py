@@ -41,7 +41,6 @@ from kakpulse import (
     pauli_evolution_gates,
     pulse_count,
     pulse_program_unitary,
-    refocusing_set,
     synthesize_pulses,
     total_coupling_time,
 )
@@ -297,6 +296,12 @@ class TestChainSpec:
         with pytest.raises(ValidationError, match="malformed chain object"):
             ChainSpec.from_json_dict({"n": 2, "J": [j]})
 
+    def test_a_tiny_coupling_that_leaves_every_delay_finite(self):
+        """At 1e-300 Hz the longest delay, 2 / J seconds, is still finite."""
+        assert ChainSpec(2, (1e-300,)).couplings == (1e-300,)
+        assert (ChainSpec.from_json_dict({"n": 2, "J": [1e-300]})
+                == ChainSpec(2, (1e-300,)))
+
     def test_a_coupling_past_the_largest_float_is_out_of_range(self):
         """An integer J too large for a float is refused as out of range,
         not with a bare ``OverflowError``."""
@@ -321,49 +326,41 @@ class TestChainSpec:
                 ChainSpec.from_json_dict({"n": n, "J": [90.0, 110.0]})
 
 
-def test_refocusing_set_examples():
-    assert refocusing_set(3, 1) == [3]
-    assert refocusing_set(3, 2) == [1]
-    assert refocusing_set(4, 1) == [3]
-    assert refocusing_set(4, 2) == [1, 4]
-    assert refocusing_set(5, 2) == [1, 4]
-    assert refocusing_set(5, 3) == [2, 5]
-    assert refocusing_set(2, 1) == []
-    with pytest.raises(RangeError):
-        refocusing_set(3, 3)
-
-
-def test_refocusing_set_flips_every_other_coupling_once():
-    for n in (3, 4, 5, 6):
-        for left in range(1, n):
-            flips = set(refocusing_set(n, left))
-            assert left not in flips and left + 1 not in flips
-            for j in range(1, n):
-                if j == left:
+def test_switch_set_is_the_cheapest_valid_set():
+    """The sign plan's chooser, against every subset of the spins: for
+    every pattern of due, settled and pending pairs and every mask of
+    free spins at n = 2..5 (and every pattern with no free spin at
+    n = 6), its set toggles exactly one spin of each due pair and none
+    or both of each settled one, costs least by pulses (toggles of spins
+    that are not free), then moves (pending pairs with one toggled
+    spin), then toggles, and on a tie toggles the lowest spin where the
+    cheapest sets differ."""
+    pulses = kakpulse.pulses
+    cases = [(n, free) for n in range(2, 6)
+             for free in range(0, 2 ** (n + 1), 2)] + [(6, 0)]
+    for n, free in cases:
+        subsets = list(itertools.product((0, 1), repeat=n))
+        for pattern in itertools.product(
+                (pulses._DUE, pulses._SETTLED, pulses._PENDING), repeat=n - 1):
+            costs = {}
+            for x in subsets:
+                links = [x[k] ^ x[k + 1] for k in range(n - 1)]
+                if any(link != (state == pulses._DUE)
+                       for state, link in zip(pattern, links)
+                       if state != pulses._PENDING):
                     continue
-                assert len(flips & {j, j + 1}) == 1, (n, left, j)
-
-
-def test_refocusing_set_of_a_pair_set():
-    """Any set of active pairs: every inactive pair has one flipped
-    endpoint, every active pair none or both, and the set is the smaller
-    of the two that do this; every pair active flips nothing."""
-    for n in (3, 4, 5, 6):
-        for mask in range(1, 2 ** (n - 1)):
-            active = {j for j in range(1, n) if mask >> (j - 1) & 1}
-            flips = set(refocusing_set(n, active))
-            for j in range(1, n):
-                assert len(flips & {j, j + 1}) in ((0, 2) if j in active
-                                                   else (1,)), (n, active, j)
-            assert 2 * len(flips) <= n
-        assert refocusing_set(n, range(1, n)) == []
-    assert refocusing_set(5, {1, 3}) == [3, 4]
-    # a tie: the set that leaves the first active pair unflipped
-    assert refocusing_set(4, {1, 3}) == [3, 4]
-    assert refocusing_set(4, {2}) == [1, 4]
-    assert refocusing_set(6, {1, 2, 4, 5}) == [4, 5, 6]
-    with pytest.raises(RangeError):
-        refocusing_set(4, [])
+                costs[x] = (sum(x[q - 1] for q in range(1, n + 1)
+                                if not free >> q & 1),
+                            sum(link for state, link in zip(pattern, links)
+                                if state == pulses._PENDING),
+                            sum(x))
+            spins = pulses._switch_set(pattern, free)
+            got = tuple(int(q in spins) for q in range(1, n + 1))
+            assert list(spins) == sorted(spins)
+            assert got in costs, (pattern, free, spins)
+            least = min(costs.values())
+            assert costs[got] == least, (pattern, free, spins)
+            assert got == max(x for x, c in costs.items() if c == least)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,13 @@ table that a ``(kind, site, axis, value)`` row can carry (a spin below
 kind) raises the reader's class and message there too, and so does a
 fault that only a row carries: a spin that is a bool or not an integer,
 or a value that is a bool, a string or None.
+
+A property closes the class: over Python and NumPy ints and floats,
+bools, integers past a float's precision and range, strings and None,
+whatever ``GateList(rows)``, ``PulseProgram(chain, rows, phase)`` and
+``ChainSpec(n, J)`` accept, their text writer writes and their reader
+reads back equal, and whatever they refuse, their reader refuses in the
+JSON the writer would spell, with the same class.
 """
 
 import json
@@ -24,6 +31,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kakpulse import (ChainSpec, GateList, PulseProgram, RangeError,
                       ValidationError, gate_list_from_json,
@@ -535,3 +544,107 @@ def test_an_integer_past_the_largest_float_is_out_of_range(build):
     with pytest.raises(RangeError, match="must be finite, got an integer "
                        "of 1329 bits"):
         build(10 ** 400)
+
+
+# ---------------------------------------------------------------------------
+# Whatever a constructor accepts reads back; whatever it refuses, the
+# reader refuses too.
+
+NUMPY_INTS = (np.int8, np.int16, np.int32, np.int64,
+              np.uint8, np.uint16, np.uint32, np.uint64)
+NUMPY_FLOATS = (np.float16, np.float32, np.float64)
+SCALARS = st.one_of(
+    st.integers(), st.floats(), st.booleans(),
+    # integers past the float's precision and past its range
+    st.integers(2 ** 53, 2 ** 1100), st.integers(-2 ** 1100, -2 ** 53),
+    st.sampled_from(NUMPY_INTS).flatmap(
+        lambda t: st.integers(int(np.iinfo(t).min),
+                              int(np.iinfo(t).max)).map(t)),
+    st.sampled_from(NUMPY_FLOATS).flatmap(
+        lambda t: st.floats(width=np.finfo(t).bits).map(t)),
+    # integral floats of every width, which a spin may be
+    st.tuples(st.sampled_from((float,) + NUMPY_FLOATS),
+              st.integers(-1, 4)).map(lambda tk: tk[0](tk[1])),
+    st.booleans().map(np.bool_), st.text(max_size=3), st.none())
+KINDS = st.sampled_from(["local", "zz", "phase", "pulse", "delay"]) | SCALARS
+ROWS = st.lists(st.tuples(
+    KINDS, st.integers(1, 4) | SCALARS,
+    st.sampled_from(["x", "y", "z", "w", None]) | SCALARS,
+    st.floats(-10.0, 10.0) | SCALARS), max_size=3)
+
+
+def plain(value):
+    """``value`` as JSON spells it and its reader reads it back."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def row_item(kind, site, axis, value):
+    """The JSON item of a row, as the writer would spell it."""
+    kind, site, axis, value = map(plain, (kind, site, axis, value))
+    if kind in ("local", "pulse"):
+        return {"kind": kind, "q": site, "axis": axis, "angle": value}
+    if kind == "zz":
+        if type(site) is float and site.is_integer():
+            site = int(site)  # as the row holds it, and writes its pair
+        return {"kind": kind, "pair": [site, site + 1 if type(site) is int
+                                       else 2], "angle": value}
+    if kind == "delay":
+        return {"kind": kind, "t": value}
+    return {"kind": kind, "phi": value}
+
+
+def refuses_as_its_reader(build, read, data, exact=True):
+    """Build the table, or check that reading ``data`` refuses it with
+    the class the constructor raised; returns the table or None."""
+    try:
+        return build()
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as info:
+            read(data)
+        if exact:
+            assert type(exc) is type(info.value), (exc, info.value)
+        else:
+            assert isinstance(exc, type(info.value)), (exc, info.value)
+        return None
+
+
+@given(rows=ROWS)
+@example(rows=[("local", np.float32(2.0), "x", 2 ** 53 + 1)])
+@settings(max_examples=300, deadline=None)
+def test_gate_rows_read_back_or_are_refused_as_the_reader_refuses(rows):
+    items = [row_item(*row) for row in rows]
+    gates = refuses_as_its_reader(lambda: GateList(rows),
+                                  gate_list_from_json, items)
+    if gates is not None:
+        text = gate_list_to_json_text(gates)
+        assert gate_list_from_json(json.loads(text)) == gates
+
+
+@given(rows=ROWS, phase=st.floats(-4.0, 4.0) | SCALARS)
+@example(rows=[], phase=2 ** 53 + 1)
+@settings(max_examples=300, deadline=None)
+def test_event_rows_read_back_or_are_refused_as_the_reader_refuses(rows,
+                                                                  phase):
+    data = {"chain": {"n": CHAIN.n, "J": list(CHAIN.couplings)},
+            "events": [row_item(*row) for row in rows], "phase": plain(phase)}
+    program = refuses_as_its_reader(
+        lambda: PulseProgram(CHAIN, rows, phase),
+        PulseProgram.from_json_dict, data)
+    if program is not None:
+        text = program.to_json_text()
+        assert PulseProgram.from_json_dict(json.loads(text)) == program
+
+
+@given(n=st.integers(1, 4) | SCALARS,
+       couplings=st.lists(st.floats(1e-3, 1e3) | SCALARS, max_size=3))
+@example(n=np.float16(2.0), couplings=[2 ** 53 + 1])
+@settings(max_examples=300, deadline=None)
+def test_chains_read_back_or_are_refused_as_the_reader_refuses(n, couplings):
+    """The chain reader reports every fault as a malformed chain object,
+    a ``ValidationError``, whatever the class of the constructor's."""
+    data = {"n": plain(n), "J": [plain(j) for j in couplings]}
+    chain = refuses_as_its_reader(lambda: ChainSpec(n, couplings),
+                                  ChainSpec.from_json_dict, data, exact=False)
+    if chain is not None:
+        text = PulseProgram(chain).to_json_text()
+        assert PulseProgram.from_json_dict(json.loads(text)).chain == chain

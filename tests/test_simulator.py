@@ -887,9 +887,10 @@ class TestSharedDelays:
                              - gate_list_unitary(gates, 4))) < 1e-12
 
     def test_a_coupling_too_short_for_the_clock(self):
-        """A coupling whose time does not move the clock at its start
-        runs as a block of its own there, while the coupling on pair 3
-        goes on around it."""
+        """A coupling of about 1e-20 s, below the last bit of its start
+        time in seconds, still ends at a breakpoint of its own: a stretch
+        that short, inside the coupling on pair 3, which goes on around
+        it."""
         gates = GateList([zz_row(1, 1.0), zz_row(3, 2.0),
                           local_row(2, "x", 0.3), zz_row(2, -1e-17),
                           local_row(2, "y", 0.5)])
@@ -898,9 +899,10 @@ class TestSharedDelays:
                              - gate_list_unitary(gates, 4))) < 1e-12
 
     def test_an_end_one_clock_tick_after_another(self):
-        """The coupling on pair 1 ends one clock tick after the third on
-        pair 3, and what is left of it after the segments before rounds
-        below zero; that last segment is an empty delay, not an error."""
+        """The coupling on pair 1 ends one last bit of its end time in
+        seconds after the third on pair 3; the stretch between the two
+        ends is their exact difference on the scheduler's clock, so no
+        delay is negative."""
         gates = GateList([zz_row(1, 6.66561384722676),
                           zz_row(3, 6.66561384722676)]
                          + [local_row(q, "x", 0.3) for q in (1, 2, 3, 4)]
