@@ -179,9 +179,27 @@ def cmd_decompose(input_path: str, out_path: str, n: int | None = None,
     return 0
 
 
+def _artifact_spins(data, gates) -> int:
+    """The length of the default chain for a gate artifact: the ``n`` of
+    a ``decompose`` output, whose target may idle on its last spins, and
+    else the largest spin the gates touch (at least one)."""
+    bound = gate_list_spin_bound(gates)
+    if not (isinstance(data, dict) and "n" in data):
+        return max(bound, 1)
+    n = _json_int(data["n"], "artifact n")
+    if n < bound:
+        raise ValidationError(
+            f"the artifact is on {n} spins, its gates touch spin {bound}")
+    return n
+
+
 def cmd_pulses(input_path: str, out_path: str, chain: str | None = None,
                n: int | None = None) -> int:
-    gates = _gates_from_artifact(_read_json(input_path))
+    data = _read_json(input_path)
+    gates = _gates_from_artifact(data)
+    if chain is None and n is None:
+        n = _artifact_spins(data, gates)
+    del data  # let go of the parsed JSON before the lowering starts
     if chain is not None:
         try:
             js = tuple(float(x) for x in chain.split(","))
@@ -194,9 +212,8 @@ def cmd_pulses(input_path: str, out_path: str, chain: str | None = None,
         _check_spins(spins, "--chain")
         spec = ChainSpec(spins, js)
     else:
-        spins = n if n is not None else max(gate_list_spin_bound(gates), 1)
-        _check_spins(spins, "the chain")
-        spec = ChainSpec.uniform(spins, 100.0)
+        _check_spins(n, "the chain")
+        spec = ChainSpec.uniform(n, 100.0)
     program = synthesize_pulses(gates, spec)
     _write_text(out_path, program.to_json_text())
     t = total_coupling_time(program)

@@ -80,6 +80,40 @@ def _json_float(value, what: str) -> float:
     raise ValidationError(f"{what} must be a number, got {value!r}")
 
 
+def _json_real(value, what: str):
+    """``value`` when it is a real number: a ``float`` as given, an
+    integer as an ``int`` when a float holds it exactly and else as the
+    float its text reads back as, and any other (NumPy's ``float32``,
+    say) as the ``float`` it equals, so the writers can spell it and the
+    readers read it back equal.  A bool or a string is a
+    :class:`ValidationError`, as in a JSON item, and an integer past the
+    largest float a :class:`RangeError`."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    if isinstance(value, float):  # NumPy's float64 among them
+        return value
+    if isinstance(value, numbers.Integral):
+        value = int(value)
+        rounded = _json_float(value, what)
+        return value if rounded == value else rounded
+    return float(value)
+
+
+def _json_finite(value, what: str, fault: str | None = None) -> float:
+    """:func:`_json_real` of ``value`` as a ``float``, which must be
+    finite, as a tree node holds an angle, a phase or a coefficient; one
+    that is not is a :class:`ValidationError` whose message is ``fault``
+    when it is given."""
+    if type(value) is float and value - value == 0.0:
+        return value
+    value = float(_json_real(value, what))
+    if not math.isfinite(value):
+        raise ValidationError(fault or f"{what} must be finite, got {value}")
+    return value
+
+
 def _json_array(value, what: str) -> list:
     """``value`` when it is a JSON array; a string would otherwise be
     read letter by letter as one."""

@@ -37,8 +37,9 @@ integer that no float holds exactly is held as the float its text reads
 back as).  Each kind has one check, which
 those two constructors and the readers share, so a fault raises the
 same class and message either way, naming the row's or the item's
-index.  The columns the lowering builds are trusted: it checks a tree
-leaf's spin itself, with the same message; ``add`` appends a step
+index.  Each kind of tree node (:mod:`~kakpulse.kak`) has one check as
+well, its constructor, which the tree reader calls.  The columns the
+lowering builds from a checked tree are trusted: ``add`` appends a step
 unchecked.
 
 JSON forms
@@ -80,12 +81,12 @@ Spins are 1-based; spin 1 is the leftmost Kronecker factor.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import (DimensionError, RangeError, ValidationError, _json_array,
-                     _json_float, _json_int, _json_number, _json_numbers)
+                     _json_float, _json_int, _json_number, _json_numbers,
+                     _json_real)
 from .linalg import AXES
 
 # The check of each step kind, which returns the step's row.  The row
@@ -93,32 +94,11 @@ from .linalg import AXES
 # item's fields have their JSON types.
 
 
-def _row_number(value, what: str):
-    """``value`` when it is a real number: a ``float`` as given, an
-    integer as an ``int`` when a float holds it exactly and else as the
-    float its text reads back as, and any other (NumPy's ``float32``,
-    say) as the ``float`` it equals, so the writers can spell it and the
-    readers read it back equal.  A bool or a string is a
-    :class:`ValidationError`, as in a JSON item, and an integer past the
-    largest float a :class:`RangeError`."""
-    if type(value) is float:
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{what} must be a number, got {value!r}")
-    if isinstance(value, float):  # NumPy's float64 among them
-        return value
-    if isinstance(value, numbers.Integral):
-        value = int(value)
-        rounded = _json_float(value, what)
-        return value if rounded == value else rounded
-    return float(value)
-
-
 def _rotation_row(kind: str, q, axis, angle) -> tuple:
     """A rotation or a pulse: ``exp(-1j * angle * sigma_axis / 2)`` on
     spin ``q``."""
     q = _json_int(q, "pulse spin" if kind == "pulse" else "gate spin")
-    angle = _row_number(angle, "angle")
+    angle = _json_real(angle, "angle")
     if q < 1:
         raise ValidationError(f"spin index must be >= 1, got {q}")
     if axis not in AXES:
@@ -131,7 +111,7 @@ def _rotation_row(kind: str, q, axis, angle) -> tuple:
 def _coupling_row(kind: str, left, axis, angle) -> tuple:
     """A coupling: ``exp(-1j * angle * I_z I_z)`` on ``(left, left + 1)``."""
     left = _json_int(left, "coupling spin")
-    angle = _row_number(angle, "angle")
+    angle = _json_real(angle, "angle")
     if left < 1:
         raise ValidationError(f"pair index must be >= 1, got {left}")
     if not math.isfinite(angle):
@@ -141,7 +121,7 @@ def _coupling_row(kind: str, left, axis, angle) -> tuple:
 
 def _phase_row(kind: str, site, axis, phi) -> tuple:
     """A global phase ``exp(1j * phi)``."""
-    phi = _row_number(phi, "phase")
+    phi = _json_real(phi, "phase")
     if not math.isfinite(phi):
         raise ValidationError("phase must be finite")
     return "phase", 0, None, phi
@@ -149,7 +129,7 @@ def _phase_row(kind: str, site, axis, phi) -> tuple:
 
 def _delay_row(kind: str, site, axis, t) -> tuple:
     """Free evolution under the chain couplings for ``t`` seconds."""
-    t = _row_number(t, "delay t")
+    t = _json_real(t, "delay t")
     if not (math.isfinite(t) and t >= 0):
         raise RangeError(f"delay must be non-negative and finite, got {t}")
     return "delay", 0, None, t
@@ -395,7 +375,7 @@ class ChainSpec:
         # writes of its chain reads back
         object.__setattr__(self, "n", _json_int(self.n, "chain size n"))
         object.__setattr__(self, "couplings", tuple(
-            float(_row_number(j, "coupling J")) for j in self.couplings))
+            float(_json_real(j, "coupling J")) for j in self.couplings))
         if self.n < 1:
             raise ValidationError(f"chain needs at least one spin, got {self.n}")
         if len(self.couplings) != self.n - 1:
@@ -433,10 +413,8 @@ class ChainSpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ChainSpec":
         try:
-            couplings = _json_array(data["J"], "chain couplings J")
-            return cls(n=_json_int(data["n"], "chain size n"),
-                       couplings=tuple(_json_float(x, "coupling J")
-                                       for x in couplings))
+            couplings = tuple(_json_array(data["J"], "chain couplings J"))
+            return cls(n=data["n"], couplings=couplings)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed chain object: {exc}") from exc
 
@@ -454,7 +432,7 @@ class PulseProgram(_StepTable):
                  phase: float = 0.0):
         self.chain = chain
         super().__init__(rows)
-        phase = _row_number(phase, "program phase")
+        phase = _json_real(phase, "program phase")
         if not math.isfinite(phase):
             raise ValidationError("program phase must be finite")
         self.phase = phase

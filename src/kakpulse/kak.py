@@ -116,8 +116,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import (DimensionError, NumericError, ValidationError, _json_float,
-                     _json_int, _json_number, _on_path)
+from .errors import (DimensionError, NumericError, ValidationError, _json_array,
+                     _json_finite, _json_int, _json_number, _on_path)
 from .linalg import (_EYE2, AXES, PAULI, TOL_UNITARY, _check_stack,
                      _cosine_sine_stack, _unitary_eig_stack, apply_local,
                      check_square, check_unitaries, golden_mix_eigvecs,
@@ -597,14 +597,36 @@ def _demultiplex_stack(u0s: np.ndarray, u1s: np.ndarray,
 # Gate trees
 
 
+# Each node reads its fields as the tree reader reads them, which calls
+# these constructors, and holds them as read, so its text reads back
+# equal.  A node whose fields already have their types is taken as is.
+
+
 @dataclass(frozen=True)
 class EulerNode:
-    """Single-spin factor ``Rx(alpha) Rz(beta) Rx(gamma)`` on ``qubit``."""
+    """Single-spin factor ``Rx(alpha) Rz(beta) Rx(gamma)`` on ``qubit``.
+
+    ``qubit`` is an integer of at least 1 (``2.0`` is one) and each
+    angle a finite real number, held as a ``float``."""
 
     qubit: int
     alpha: float
     beta: float
     gamma: float
+
+    def __post_init__(self):
+        q, a, b, c = self.qubit, self.alpha, self.beta, self.gamma
+        if (type(q) is int and q > 0 and type(a) is float and a - a == 0.0
+                and type(b) is float and b - b == 0.0
+                and type(c) is float and c - c == 0.0):
+            return
+        q = _json_int(q, "Euler spin")
+        for k in ("alpha", "beta", "gamma"):
+            object.__setattr__(self, k, _json_finite(getattr(self, k),
+                                                     f"Euler angle {k}"))
+        if q < 1:
+            raise ValidationError(f"spin index must be >= 1, got {q}")
+        object.__setattr__(self, "qubit", q)
 
     def matrix2(self) -> np.ndarray:
         return quaternion_matrices([_xzx_quaternion(self.alpha, self.beta,
@@ -613,7 +635,15 @@ class EulerNode:
 
 @dataclass(frozen=True)
 class PhaseNode:
+    """Global phase ``exp(1j*phi)``; ``phi`` is a finite real number,
+    held as a ``float``."""
+
     phi: float
+
+    def __post_init__(self):
+        phi = self.phi
+        if not (type(phi) is float and phi - phi == 0.0):
+            object.__setattr__(self, "phi", _json_finite(phi, "phase"))
 
 
 @dataclass(frozen=True)
@@ -625,25 +655,45 @@ class CartanNode:
     (:func:`~kakpulse.networks.open_route`).  The node is then
     ``P exp(-1j*H)``, with ``P`` the permutation of basis states that the
     route's end map ``diag(A, 1)`` makes, and the factor that acts next
-    carries ``P``'s inverse.
+    carries ``P``'s inverse.  A route given as a list, or with steps
+    that are lists, as JSON spells it, is held as a tuple of tuples.
     """
 
     element: CartanElement
     route: Route | None = None
 
     def __post_init__(self):
-        if self.route is not None:
-            check_route(self.route, self.element)
+        route = self.route
+        if route is None:
+            return
+        if not isinstance(route, (list, tuple)):
+            raise ValidationError(
+                f"a route must be an array, got {type(route).__name__}")
+        route = tuple(tuple(step) if type(step) is list else step
+                      for step in route)
+        check_route(route, self.element)
+        object.__setattr__(self, "route", route)
 
 
 @dataclass(frozen=True)
 class SequenceNode:
-    """Matrix-ordered product of children (index 0 acts last in time)."""
+    """Matrix-ordered product of children (index 0 acts last in time).
+    ``children`` is a tuple of nodes; a list is held as one."""
 
     children: tuple["GateTree", ...]
 
+    def __post_init__(self):
+        children = self.children
+        if type(children) is not tuple:
+            children = tuple(_json_array(children, "sequence children"))
+            object.__setattr__(self, "children", children)
+        for child in children:
+            if not isinstance(child, _NODES):
+                raise ValidationError(f"unknown tree node {child!r}")
+
 
 GateTree = Union[EulerNode, PhaseNode, CartanNode, SequenceNode]
+_NODES = (EulerNode, PhaseNode, CartanNode, SequenceNode)
 
 
 def evaluate(tree: GateTree, n: int) -> np.ndarray:
@@ -756,45 +806,30 @@ def _add_tree_text(tree: GateTree, parts: list[str]) -> None:
         raise ValidationError(f"unknown tree node {tree!r}")
 
 
-def _json_angle(value, what: str) -> float:
-    """:func:`~kakpulse.errors._json_float` of ``value``, which must be
-    finite, as the gate-list reader requires of an angle or a phase."""
-    angle = _json_float(value, what)
-    if not math.isfinite(angle):
-        raise ValidationError(f"{what} must be finite, got {angle}")
-    return angle
-
-
 def tree_from_json_dict(data: dict) -> GateTree:
+    """The tree of a JSON node object (see :func:`tree_to_json_text`).
+
+    The reader checks only the JSON structure, that a node is an object
+    of a known kind and a sequence's ``children`` an array, and passes
+    every field to its node's constructor as it stands, so each field
+    has one check: a fault raises the class and message the constructor
+    raises for it, and a missing key makes a malformed tree object."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"unknown tree node {data!r}")
     try:
         kind = data["node"]
         if kind == "sequence":
-            return SequenceNode(tuple(tree_from_json_dict(c)
-                                      for c in data["children"]))
+            return SequenceNode(tuple(map(tree_from_json_dict, _json_array(
+                data["children"], "sequence children"))))
         if kind == "euler":
-            return EulerNode(_json_int(data["q"], "Euler spin"),
-                             *(_json_angle(data[k], f"Euler angle {k}")
-                               for k in ("alpha", "beta", "gamma")))
+            return EulerNode(data["q"], data["alpha"], data["beta"],
+                             data["gamma"])
         if kind == "phase":
-            return PhaseNode(_json_angle(data["phi"], "phase"))
+            return PhaseNode(data["phi"])
         if kind == "commuting_evolution":
-            n = _json_int(data["n"], "commuting-evolution size n")
-            coeffs = data["coeffs"]
-            if not isinstance(coeffs, dict):
-                raise ValidationError(
-                    f"commuting-evolution coefficients must be an object, "
-                    f"got {type(coeffs).__name__}")
-            elem = CartanElement(
-                n=n, family=CartanFamily(data["family"]),
-                coeffs={PauliString(k): _json_float(v, f"coefficient of {k}")
-                        for k, v in coeffs.items()})
-            route = data.get("route")
-            if route is not None:
-                if not isinstance(route, list):
-                    raise ValidationError(
-                        f"a route must be an array, got {type(route).__name__}")
-                route = tuple(map(tuple, route))  # CartanNode checks the steps
-            return CartanNode(elem, route)
+            return CartanNode(CartanElement(data["n"], data["family"],
+                                            data["coeffs"]),
+                              data.get("route"))
         raise ValidationError(f"unknown tree node kind {kind!r}")
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ValidationError):

@@ -137,8 +137,6 @@ def check_route(route, element: CartanElement) -> None:
     if k < 3 or element.family is CartanFamily.MAXIMAL:
         raise ValidationError(
             f"a {element.family.value} element on {k} spins takes no route")
-    if not isinstance(route, tuple):
-        raise ValidationError(f"a route is a tuple of CNOTs, got {route!r}")
     for cnot in route:
         if not (isinstance(cnot, tuple) and len(cnot) == 2
                 and all(type(q) is int and 1 <= q <= k for q in cnot)

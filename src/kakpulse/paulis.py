@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ValidationError, _json_finite, _json_int
 
 MAX_SPINS = 12
 
@@ -416,6 +416,13 @@ class CartanElement:
     The exponential ``exp(-i H)`` of such an element is what the
     factorization emits between local layers; because the family
     commutes, the exponential splits into one factor per string.
+
+    The fields are read as the tree reader reads a commuting-evolution
+    node, so the element's text reads back equal: ``n`` is an integer
+    (``3.0`` is one), ``family`` a :class:`CartanFamily` or its value,
+    and ``coeffs`` a dict from strings (or their letters) to finite
+    real numbers, each held as a ``float``; a bool or a string is a
+    :class:`ValidationError`.
     """
 
     n: int
@@ -423,15 +430,39 @@ class CartanElement:
     coeffs: dict[PauliString, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        n, family, coeffs = self.n, self.family, self.coeffs
+        if type(n) is not int:
+            n = _json_int(n, "commuting-evolution size n")
+            object.__setattr__(self, "n", n)
+        if not isinstance(coeffs, dict):
+            raise ValidationError(
+                f"commuting-evolution coefficients must be an object, "
+                f"got {type(coeffs).__name__}")
+        if type(family) is not CartanFamily:
+            try:
+                family = CartanFamily(family)
+            except ValueError:
+                raise ValidationError(
+                    f"commuting family must be one of "
+                    f"{tuple(f.value for f in CartanFamily)}, got {family!r}"
+                ) from None
+            object.__setattr__(self, "family", family)
+        if not all(type(s) is PauliString and type(c) is float
+                   and c - c == 0.0 for s, c in coeffs.items()):
+            coeffs = {}
+            for s, c in self.coeffs.items():
+                if type(s) is not PauliString:
+                    s = PauliString(s)
+                coeffs[s] = _json_finite(c, f"coefficient of {s}",
+                                         f"non-finite coefficient for {s}")
+            object.__setattr__(self, "coeffs", coeffs)
         # the family's strings commute pairwise, checked once per family
         # and size, so membership is all an element needs
-        order = _family_order(self.family, self.n)
-        for s, c in self.coeffs.items():
+        order = _family_order(family, n)
+        for s in coeffs:
             if s not in order:
                 raise ValidationError(
-                    f"string {s} is not in the {self.family.value} family for n={self.n}")
-            if not np.isfinite(c):
-                raise ValidationError(f"non-finite coefficient for {s}")
+                    f"string {s} is not in the {family.value} family for n={n}")
 
     def hamiltonian(self) -> np.ndarray:
         """Dense Hermitian realization of the element."""

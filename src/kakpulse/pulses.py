@@ -92,12 +92,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError, _json_int
-from .gates import ChainSpec, GateList, PulseProgram, _phase_row
+from .errors import DimensionError, ValidationError
+from .gates import ChainSpec, GateList, PulseProgram
 from .kak import (CartanNode, EulerNode, GateTree, PhaseNode, SequenceNode,
                   decompose, euler_xzx_angles)
 from .linalg import QUATERNION_ONE, quaternion_turn
-from .networks import (TOL_COEFF, Route, check_route, closed_route,
+from .networks import (TOL_COEFF, Route, closed_route,
                        parity_image, parity_points)
 from .paulis import CartanElement, CartanFamily, PauliString
 
@@ -296,9 +296,7 @@ def _emit_element(out: GateList, element: CartanElement,
     :func:`cartan_evolution_gates`."""
     items = [(s, c) for s, c in element.items() if abs(c) > TOL_COEFF]
     pattern = tuple(s.letters for s, _ in items)
-    if route is not None:
-        check_route(route, element)
-    elif element.family is not CartanFamily.MAXIMAL:
+    if route is None and element.family is not CartanFamily.MAXIMAL:
         route = closed_route(element.n, pattern)
     _emit(out, _strings_template(pattern) if route is None
           else _family_template(element.family, element.n, route, pattern),
@@ -326,8 +324,9 @@ def cartan_evolution_gates(element: CartanElement,
     and set of nonzero strings, whose open angles are filled from the
     coefficients.
     """
+    node = CartanNode(element, route)  # which checks the route
     out = GateList()
-    _emit_element(out, element, route)
+    _emit_element(out, element, node.route)
     return out
 
 
@@ -373,16 +372,13 @@ def _lower_into(tree: GateTree, out: GateList) -> None:
         for child in reversed(tree.children):
             _lower_into(child, out)
     elif isinstance(tree, EulerNode):
-        q = _json_int(tree.qubit, "Euler spin")
-        if q < 1:
-            raise ValidationError(f"spin index must be >= 1, got {q}")
         steps, turns = _xzx_steps(tree.alpha, tree.beta, tree.gamma)
         for axis, angle in steps:
-            out.add("local", q, axis, angle)
+            out.add("local", tree.qubit, axis, angle)
         if turns % 2:
             out.add("phase", 0, None, _PI)
     elif isinstance(tree, PhaseNode):
-        out.add(*_phase_row("phase", 0, None, tree.phi))
+        out.add("phase", 0, None, tree.phi)
     elif isinstance(tree, CartanNode):
         _emit_element(out, tree.element, tree.route)
     else:

@@ -8,6 +8,8 @@ matching reference form in ``artifact_oracle``, so the artifacts keep
 their bytes.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from kakpulse import (
     gate_list_to_json_text,
     haar_unitary,
     synthesize_pulses,
+    tree_from_json_dict,
     tree_to_json_text,
 )
 from kakpulse.networks import nonzero_letters, open_route
@@ -100,10 +103,22 @@ def test_hand_made_tree():
     assert text == canonical(tree_to_json_dict(tree))
     assert '"route":[[1,2],[2,1],[1,2]]' in text
     assert '{"children":[],"node":"sequence"}' in text
-    # nothing checks an Euler or phase node for being finite
-    for node in (SequenceNode(()), PhaseNode(float("nan")), CartanNode(middle),
-                 EulerNode(1, float("nan"), float("inf"), -float("inf"))):
+    for node in (SequenceNode(()), CartanNode(middle)):
         assert tree_to_json_text(node) == canonical(tree_to_json_dict(node))
+    # a node that is not finite is refused when it is built, as the tree
+    # reader refuses it, so no writer spells NaN
+    for build, text, message in (
+            (lambda: PhaseNode(float("nan")), '{"node":"phase","phi":NaN}',
+             "phase must be finite, got nan"),
+            (lambda: EulerNode(1, 0.5, float("inf"), -float("inf")),
+             '{"alpha":0.5,"beta":Infinity,"gamma":-Infinity,'
+             '"node":"euler","q":1}', "Euler angle beta must be finite, "
+             "got inf")):
+        for make in (build, lambda: tree_from_json_dict(json.loads(text))):
+            with pytest.raises(ValidationError) as info:
+                make()
+            assert type(info.value) is ValidationError
+            assert str(info.value) == message
 
 
 def test_unknown_objects_are_rejected_like_the_dict_forms():
@@ -112,8 +127,13 @@ def test_unknown_objects_are_rejected_like_the_dict_forms():
         gate_list_to_json([phase_row(0.1), stranger])
     with pytest.raises(ValidationError, match="unknown gate kind 'swap'"):
         GateList([phase_row(0.1), stranger])
-    tree = SequenceNode((PhaseNode(0.1), SequenceNode((object(),))))
-    with pytest.raises(ValidationError, match="unknown tree node"):
-        tree_to_json_dict(tree)
-    with pytest.raises(ValidationError, match="unknown tree node"):
-        tree_to_json_text(tree)
+    # a sequence refuses a child that is not a node, with the class and
+    # message the writers raise for one
+    tree = object()
+    for build in (lambda: SequenceNode((PhaseNode(0.1), tree)),
+                  lambda: tree_to_json_dict(tree),
+                  lambda: tree_to_json_text(tree)):
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert type(info.value) is ValidationError
+        assert str(info.value) == f"unknown tree node {tree!r}"

@@ -224,6 +224,61 @@ class TestPulses:
         u = matrix_from_json_dict(read_json(target))
         assert np.max(np.abs(pulse_program_unitary(program) - u)) < 1e-6
 
+    @pytest.mark.parametrize("target, n", [
+        (np.eye(8, dtype=complex), 3),
+        (np.kron(np.diag([1.0, -1.0]), np.eye(4)).astype(complex), 3),
+        (np.kron(haar_unitary(8, 3, special=True), np.eye(2)), 4),
+    ], ids=["identity", "z-on-spin-1", "haar-idle-on-spin-4"])
+    def test_default_chain_spans_the_target(self, tmp_path, capsys, target,
+                                            n):
+        """A target idle on its last spins compiles to gates that never
+        touch them; the default chain takes its length from the
+        ``decompose`` artifact's ``n``, so the program runs on the
+        target's spins and verifies."""
+        t_path = tmp_path / "u.json"
+        write_matrix(t_path, target)
+        d_path, p_path = tmp_path / "d.json", tmp_path / "p.json"
+        assert main(["decompose", "--input", str(t_path),
+                     "--output", str(d_path)]) == 0
+        assert main(["pulses", "--input", str(d_path),
+                     "--output", str(p_path)]) == 0
+        assert f"{n}-spin chain" in capsys.readouterr().out
+        assert PulseProgram.from_json_dict(read_json(p_path)).chain.n == n
+        assert main(["verify", str(p_path), str(t_path),
+                     "--tol", "1e-6"]) == 0
+
+    @pytest.mark.parametrize("n, code, message", [
+        (1, 3, "the artifact is on 1 spins, its gates touch spin 2"),
+        (True, 3, "artifact n must be an integer, got True"),
+        ("2", 3, "artifact n must be an integer, got '2'"),
+        (9, 3, "the chain has 9 spins; the command-line limit is 8"),
+        (2.0, 0, "2-spin chain"),
+        (4, 0, "4-spin chain"),
+    ], ids=["below-the-gates", "bool", "string", "past-the-limit",
+            "integral-float", "above-the-gates"])
+    def test_default_chain_reads_the_artifact_n(self, tmp_path, capsys, n,
+                                                code, message):
+        """The artifact's ``n`` is read as an integer, no smaller than the
+        spins its gates touch and within the command-line limit."""
+        d_path = tmp_path / "d.json"
+        d_path.write_text(json.dumps({"gates": gate_list_to_json(
+            [zz_row(1, 0.3)]), "n": n}))
+        assert main(["pulses", "--input", str(d_path),
+                     "--output", str(tmp_path / "p.json")]) == code
+        out, err = capsys.readouterr()
+        assert message in (err if code else out)
+
+    def test_chain_and_n_flags_win_over_the_artifact_n(self, tmp_path,
+                                                       capsys):
+        d_path, p_path = tmp_path / "d.json", tmp_path / "p.json"
+        d_path.write_text(json.dumps({"gates": gate_list_to_json(
+            [zz_row(1, 0.3)]), "n": 4}))
+        for flags, n in ((["--n", "2"], 2), (["--chain", "120,80"], 3)):
+            assert main(["pulses", "--input", str(d_path),
+                         "--output", str(p_path), *flags]) == 0
+            assert f"{n}-spin chain" in capsys.readouterr().out
+            assert PulseProgram.from_json_dict(read_json(p_path)).chain.n == n
+
     def test_chain_flag_sets_couplings(self, tmp_path, capsys):
         gates = gate_list_to_json([zz_row(2, 0.7)])
         g_path = tmp_path / "g.json"

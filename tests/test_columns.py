@@ -206,7 +206,8 @@ def test_repeated_floats_are_spelled_once_and_both_zeros_apart():
 
 def test_lowering_checks_the_spin_of_an_euler_leaf():
     """The lowering writes rotations into the columns unchecked, so an
-    Euler leaf read from JSON with spin 0 is refused there."""
+    Euler leaf with spin 0 is refused before it gets there: the tree
+    reader builds each leaf through its constructor, which refuses it."""
     leaf = {"node": "euler", "q": 0, "alpha": 0.1, "beta": 0.2, "gamma": 0.3}
     with pytest.raises(ValidationError, match="spin index must be >= 1, got 0"):
         flatten(tree_from_json_dict(leaf))
@@ -224,7 +225,8 @@ def test_lowering_refuses_an_euler_leaf_on_a_bool_spin():
 
 
 def test_lowering_reads_an_integral_float_spin_as_an_int():
-    """A leaf built in Python with spin ``2.0`` lowers to spin 2."""
+    """A leaf built in Python with spin ``2.0`` holds, and lowers to,
+    spin 2."""
     def leaves(q):
         return SequenceNode((EulerNode(q, 0.1, 0.2, 0.3),
                              EulerNode(1, 0.4, 0.5, 0.6)))

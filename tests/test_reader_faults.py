@@ -24,6 +24,13 @@ whatever ``GateList(rows)``, ``PulseProgram(chain, rows, phase)`` and
 ``ChainSpec(n, J)`` accept, their text writer writes and their reader
 reads back equal, and whatever they refuse, their reader refuses in the
 JSON the writer would spell, with the same class.
+
+The tree reader ``tree_from_json_dict`` passes each field of a node to
+the node's constructor, so the same holds of ``EulerNode``,
+``PhaseNode``, ``SequenceNode`` and ``CartanNode(CartanElement(...))``:
+a first-fault table of their items, checked through the reader and the
+constructors alike, and a property of each over the same values, whose
+refusals also match the reader's message.
 """
 
 import json
@@ -34,10 +41,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kakpulse import (ChainSpec, GateList, PulseProgram, RangeError,
-                      ValidationError, gate_list_from_json,
-                      gate_list_to_json_text, gate_list_unitary,
-                      pulse_program_unitary)
+from kakpulse import (CartanElement, CartanFamily, CartanNode, ChainSpec,
+                      EulerNode, GateList, PauliString, PhaseNode,
+                      PulseProgram, RangeError, SequenceNode, ValidationError,
+                      evaluate, gate_list_from_json, gate_list_to_json_text,
+                      gate_list_unitary, pulse_program_unitary,
+                      tree_from_json_dict, tree_to_json_text)
 
 NAN, INF = math.nan, math.inf
 DROP = object()  # a field left out of the item
@@ -648,3 +657,408 @@ def test_chains_read_back_or_are_refused_as_the_reader_refuses(n, couplings):
     if chain is not None:
         text = PulseProgram(chain).to_json_text()
         assert PulseProgram.from_json_dict(json.loads(text)).chain == chain
+
+
+# ---------------------------------------------------------------------------
+# Tree nodes: ``tree_from_json_dict`` passes each field of a node item to
+# the node's constructor as it stands, so a fault raises the same class
+# and message from the reader as from the constructor.  Each case
+# changes the fields of one well-formed item and names the error, or the
+# node the item reads as.  A missing field is the reader's alone.
+
+EULER_ITEM = {"node": "euler", "q": 1, "alpha": 0.1, "beta": 0.2,
+              "gamma": 0.3}
+PHASE_ITEM = {"node": "phase", "phi": 0.4}
+SEQUENCE_ITEM = {"node": "sequence", "children": [PHASE_ITEM, EULER_ITEM]}
+LAYER_ITEM = {"node": "commuting_evolution", "n": 3, "family": "outer_x",
+              "coeffs": {"ZZX": 0.4, "11X": -0.2}}
+ROUTE = [[1, 2], [2, 1], [1, 2]]
+BIG = 10 ** 400  # past the largest float
+
+
+def layer(n=3, family=CartanFamily.OUTER_X, route=None, **coeffs):
+    return CartanNode(CartanElement(n, family, {
+        PauliString(k): v for k, v in coeffs.items()}), route)
+
+
+EULER = [
+    ('missing q', dict(q=DROP), (ValidationError, "malformed tree object: 'q'")),
+    ('missing gamma', dict(gamma=DROP),
+     (ValidationError, "malformed tree object: 'gamma'")),
+    ('bool q', dict(q=True),
+     (ValidationError, 'Euler spin must be an integer, got True')),
+    ('string q', dict(q='1'),
+     (ValidationError, "Euler spin must be an integer, got '1'")),
+    ('non-integral q', dict(q=1.5),
+     (ValidationError, 'Euler spin must be an integer, got 1.5')),
+    ('null q', dict(q=None),
+     (ValidationError, 'Euler spin must be an integer, got None')),
+    ('zero q', dict(q=0),
+     (ValidationError, 'spin index must be >= 1, got 0')),
+    ('negative q', dict(q=-2),
+     (ValidationError, 'spin index must be >= 1, got -2')),
+    ('integral float q', dict(q=2.0), EulerNode(2, 0.1, 0.2, 0.3)),
+    ('string alpha', dict(alpha='0.5'),
+     (ValidationError, "Euler angle alpha must be a number, got '0.5'")),
+    ('bool beta', dict(beta=False),
+     (ValidationError, 'Euler angle beta must be a number, got False')),
+    ('null gamma', dict(gamma=None),
+     (ValidationError, 'Euler angle gamma must be a number, got None')),
+    ('nan alpha', dict(alpha=NAN),
+     (ValidationError, 'Euler angle alpha must be finite, got nan')),
+    ('inf beta', dict(beta=INF),
+     (ValidationError, 'Euler angle beta must be finite, got inf')),
+    ('-inf gamma', dict(gamma=-INF),
+     (ValidationError, 'Euler angle gamma must be finite, got -inf')),
+    ('huge alpha', dict(alpha=BIG),
+     (RangeError, 'Euler angle alpha must be finite, got an integer of '
+                  '1329 bits')),
+    ('integer alpha', dict(alpha=1), EulerNode(1, 1.0, 0.2, 0.3)),
+    ('imprecise integer beta', dict(beta=2 ** 53 + 1),
+     EulerNode(1, 0.1, 2.0 ** 53, 0.3)),
+    ('zero q and nan alpha', dict(q=0, alpha=NAN),
+     (ValidationError, 'Euler angle alpha must be finite, got nan')),
+    ('bool q and nan alpha', dict(q=True, alpha=NAN),
+     (ValidationError, 'Euler spin must be an integer, got True')),
+    ('nan alpha and string beta', dict(alpha=NAN, beta='0'),
+     (ValidationError, 'Euler angle alpha must be finite, got nan')),
+]
+
+PHASE_NODE = [
+    ('missing phi', dict(phi=DROP),
+     (ValidationError, "malformed tree object: 'phi'")),
+    ('string phi', dict(phi='0.5'),
+     (ValidationError, "phase must be a number, got '0.5'")),
+    ('bool phi', dict(phi=True),
+     (ValidationError, 'phase must be a number, got True')),
+    ('null phi', dict(phi=None),
+     (ValidationError, 'phase must be a number, got None')),
+    ('nan phi', dict(phi=NAN),
+     (ValidationError, 'phase must be finite, got nan')),
+    ('inf phi', dict(phi=INF),
+     (ValidationError, 'phase must be finite, got inf')),
+    ('huge phi', dict(phi=-BIG),
+     (RangeError, 'phase must be finite, got an integer of 1329 bits')),
+    ('integer phi', dict(phi=2), PhaseNode(2.0)),
+    ('imprecise integer phi', dict(phi=2 ** 53 + 1), PhaseNode(2.0 ** 53)),
+]
+
+SEQUENCE = [
+    ('missing children', dict(children=DROP),
+     (ValidationError, "malformed tree object: 'children'")),
+    ('object children', dict(children={}),
+     (ValidationError, 'sequence children must be a JSON array, got {}')),
+    ('string children', dict(children='ab'),
+     (ValidationError, "sequence children must be a JSON array, got 'ab'")),
+    ('null children', dict(children=None),
+     (ValidationError, 'sequence children must be a JSON array, got None')),
+    ('number child', dict(children=[PHASE_ITEM, 1]),
+     (ValidationError, 'unknown tree node 1')),
+    ('string child', dict(children=['phase']),
+     (ValidationError, "unknown tree node 'phase'")),
+    ('null child', dict(children=[None]),
+     (ValidationError, 'unknown tree node None')),
+    ('faulty child', dict(children=[PHASE_ITEM, {**EULER_ITEM, "q": 0}]),
+     (ValidationError, 'spin index must be >= 1, got 0')),
+    ('empty children', dict(children=[]), SequenceNode(())),
+]
+
+LAYER = [
+    ('missing n', dict(n=DROP), (ValidationError, "malformed tree object: 'n'")),
+    ('missing family', dict(family=DROP),
+     (ValidationError, "malformed tree object: 'family'")),
+    ('missing coeffs', dict(coeffs=DROP),
+     (ValidationError, "malformed tree object: 'coeffs'")),
+    ('bool n', dict(n=True),
+     (ValidationError, 'commuting-evolution size n must be an integer, '
+                       'got True')),
+    ('string n', dict(n='3'),
+     (ValidationError, "commuting-evolution size n must be an integer, "
+                       "got '3'")),
+    ('non-integral n', dict(n=3.5),
+     (ValidationError, 'commuting-evolution size n must be an integer, '
+                       'got 3.5')),
+    ('integral float n', dict(n=3.0), layer(ZZX=0.4, **{"11X": -0.2})),
+    ('small n', dict(n=1, coeffs={}),
+     (ValidationError, 'n must be in [2, 12], got 1')),
+    ('n of other strings', dict(n=4),
+     (ValidationError, 'string ZZX is not in the outer_x family for n=4')),
+    ('unknown family', dict(family='block_z'),
+     (ValidationError, "commuting family must be one of ('outer_x', "
+                       "'diagonal', 'maximal'), got 'block_z'")),
+    ('null family', dict(family=None),
+     (ValidationError, "commuting family must be one of ('outer_x', "
+                       "'diagonal', 'maximal'), got None")),
+    ('family of other strings', dict(family='diagonal'),
+     (ValidationError, 'string ZZX is not in the diagonal family for n=3')),
+    ('array coeffs', dict(coeffs=[["ZZX", 0.4]]),
+     (ValidationError, 'commuting-evolution coefficients must be an object, '
+                       'got list')),
+    ('null coeffs', dict(coeffs=None),
+     (ValidationError, 'commuting-evolution coefficients must be an object, '
+                       'got NoneType')),
+    ('string coefficient', dict(coeffs={"ZZX": '0.4'}),
+     (ValidationError, "coefficient of ZZX must be a number, got '0.4'")),
+    ('bool coefficient', dict(coeffs={"ZZX": True}),
+     (ValidationError, 'coefficient of ZZX must be a number, got True')),
+    ('null coefficient', dict(coeffs={"11X": 0.1, "ZZX": None}),
+     (ValidationError, 'coefficient of ZZX must be a number, got None')),
+    ('nan coefficient', dict(coeffs={"ZZX": NAN}),
+     (ValidationError, 'non-finite coefficient for ZZX')),
+    ('inf coefficient', dict(coeffs={"ZZX": -INF}),
+     (ValidationError, 'non-finite coefficient for ZZX')),
+    ('huge coefficient', dict(coeffs={"ZZX": BIG}),
+     (RangeError, 'coefficient of ZZX must be finite, got an integer of '
+                  '1329 bits')),
+    ('integer coefficient', dict(coeffs={"ZZX": 1}), layer(ZZX=1.0)),
+    ('imprecise integer coefficient', dict(coeffs={"ZZX": 2 ** 53 + 1}),
+     layer(ZZX=2.0 ** 53)),
+    ('bad letters', dict(coeffs={"ZQX": 0.4}),
+     (ValidationError, "invalid letters ['Q'] in 'ZQX'")),
+    ('string off the family', dict(coeffs={"XXX": 0.4}),
+     (ValidationError, 'string XXX is not in the outer_x family for n=3')),
+    ('empty coeffs', dict(coeffs={}), layer()),
+    ('route', dict(route=ROUTE),
+     layer(route=((1, 2), (2, 1), (1, 2)), ZZX=0.4, **{"11X": -0.2})),
+    ('null route', dict(route=None), layer(ZZX=0.4, **{"11X": -0.2})),
+    ('string route', dict(route='12'),
+     (ValidationError, 'a route must be an array, got str')),
+    ('object route', dict(route={"1": 2}),
+     (ValidationError, 'a route must be an array, got dict')),
+    ('flat route', dict(route=[1, 2]),
+     (ValidationError, 'route step 1 is not a CNOT on adjacent spins of '
+                       '1..3')),
+    ('long route step', dict(route=[[1, 2, 3]]),
+     (ValidationError, 'route step (1, 2, 3) is not a CNOT on adjacent '
+                       'spins of 1..3')),
+    ('float route spin', dict(route=[[1.0, 2]]),
+     (ValidationError, 'route step (1.0, 2) is not a CNOT on adjacent '
+                       'spins of 1..3')),
+    ('route that ends closed', dict(route=[]),
+     layer(route=(), ZZX=0.4, **{"11X": -0.2})),
+    ('route on the last spin', dict(route=[[3, 2]]),
+     (ValidationError, 'route does not leave spin 3 alone at its end')),
+    ('route on a maximal layer', dict(n=2, family='maximal',
+                                      coeffs={"ZZ": 0.1}, route=ROUTE),
+     (ValidationError, 'a maximal element on 2 spins takes no route')),
+    ('bool n and array coeffs', dict(n=True, coeffs=[]),
+     (ValidationError, 'commuting-evolution size n must be an integer, '
+                       'got True')),
+    ('array coeffs and unknown family', dict(coeffs=[], family='x'),
+     (ValidationError, 'commuting-evolution coefficients must be an object, '
+                       'got list')),
+    ('unknown family and string coefficient',
+     dict(family='x', coeffs={"ZZX": '0'}),
+     (ValidationError, "commuting family must be one of ('outer_x', "
+                       "'diagonal', 'maximal'), got 'x'")),
+    ('string coefficient and string off the family',
+     dict(coeffs={"XXX": 0.1, "ZZX": '0'}),
+     (ValidationError, "coefficient of ZZX must be a number, got '0'")),
+    ('string coefficient and bad route',
+     dict(coeffs={"ZZX": '0'}, route='12'),
+     (ValidationError, "coefficient of ZZX must be a number, got '0'")),
+]
+
+TREE_ITEMS = ([("euler", EULER_ITEM, case) for case in EULER]
+              + [("phase", PHASE_ITEM, case) for case in PHASE_NODE]
+              + [("sequence", SEQUENCE_ITEM, case) for case in SEQUENCE]
+              + [("layer", LAYER_ITEM, case) for case in LAYER])
+
+
+def build_node(data):
+    """The node of an item built by its constructor, from the item's
+    fields as they stand: each child of a sequence from its own item,
+    any other child as it stands."""
+    if not isinstance(data, dict):
+        return data
+    kind = data["node"]
+    if kind == "euler":
+        return EulerNode(data["q"], data["alpha"], data["beta"], data["gamma"])
+    if kind == "phase":
+        return PhaseNode(data["phi"])
+    if kind == "sequence":
+        children = data["children"]
+        if isinstance(children, list):
+            children = [build_node(child) for child in children]
+        return SequenceNode(children)
+    return CartanNode(CartanElement(data["n"], data["family"],
+                                    data["coeffs"]), data.get("route"))
+
+
+@pytest.mark.parametrize("kind, item, case", TREE_ITEMS,
+                         ids=[f"{k}-{c[0]}" for k, _, c in TREE_ITEMS])
+def test_tree_item_first_fault(kind, item, case):
+    label, fields, expected = case
+    data = changed(item, fields)
+    builds = [tree_from_json_dict]
+    if not label.startswith("missing"):
+        builds.append(build_node)
+    for build in builds:
+        if isinstance(expected, tuple):
+            cls, message = expected
+            with pytest.raises(ValidationError) as info:
+                build(data)
+            assert type(info.value) is cls
+            assert str(info.value) == message
+        else:
+            node = build(data)
+            # repr tells 2 from 2.0
+            assert node == expected and repr(node) == repr(expected)
+
+
+def test_tree_items_carry_every_kind_of_fault():
+    labels = {f"{kind}-{case[0]}" for kind, _, case in TREE_ITEMS}
+    assert {"euler-zero q", "euler-bool q", "euler-nan alpha",
+            "phase-imprecise integer phi", "sequence-object children",
+            "layer-bool coefficient", "layer-string coefficient",
+            "layer-non-integral n", "layer-string route"} <= labels
+
+
+# Whatever a node constructor accepts reads back equal from its text and
+# evaluates; whatever it refuses, the reader refuses in the JSON the
+# writer would spell, with the same class, and with the same message
+# where that JSON reads back as the values given (a NumPy scalar's repr
+# or a node's is not its JSON spelling).
+
+def spelled(value):
+    """``value`` as the writer would spell it in JSON: a node as its
+    text, a list or a tuple as an array, a dict as an object and a NumPy
+    scalar as the number it holds."""
+    if isinstance(value, (EulerNode, PhaseNode, CartanNode, SequenceNode)):
+        return json.loads(tree_to_json_text(value))
+    if isinstance(value, (list, tuple)):
+        return [spelled(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): spelled(v) for k, v in value.items()}
+    if isinstance(value, CartanFamily):
+        return value.value
+    return plain(value)
+
+
+def reads_as_given(value):
+    """Whether ``value`` reads back from its JSON spelling as itself, so
+    that a message quoting it quotes the same text."""
+    if isinstance(value, (list, tuple)):
+        return all(map(reads_as_given, value))
+    if isinstance(value, dict):
+        return all(map(reads_as_given, value.values()))
+    return not isinstance(value, (np.generic, EulerNode, PhaseNode,
+                                  CartanNode, SequenceNode))
+
+
+def spins(node):
+    if isinstance(node, EulerNode):
+        return node.qubit
+    if isinstance(node, CartanNode):
+        return node.element.n
+    if isinstance(node, SequenceNode):
+        return max(map(spins, node.children), default=1)
+    return 1
+
+
+def reads_back_or_is_refused_as_its_reader(build, data, fields):
+    try:
+        node = build()
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as info:
+            tree_from_json_dict(json.loads(json.dumps(spelled(data))))
+        assert type(info.value) is type(exc), (exc, info.value)
+        if reads_as_given(fields):
+            assert str(info.value) == str(exc)
+        return
+    assert tree_from_json_dict(json.loads(tree_to_json_text(node))) == node
+    if spins(node) <= 4:
+        assert np.isfinite(evaluate(node, spins(node))).all()
+
+
+def mostly(good):
+    """A value of ``good`` on about half the draws, and else one of
+    SCALARS; ``good | SCALARS`` would draw a good one far less often."""
+    return st.booleans().flatmap(lambda ok: good if ok else SCALARS)
+
+
+ANGLE = mostly(st.floats(-4.0, 4.0))
+
+
+@given(q=mostly(st.integers(1, 4)), angles=st.tuples(ANGLE, ANGLE, ANGLE))
+@example(q=True, angles=(0.1, 0.2, 0.3))  # was written as "q":True
+@example(q=1, angles=(np.float32(0.5), 0.2, 0.3))  # broke the writer
+@example(q=1, angles=(NAN, 0.2, 0.3))  # was written as NaN
+@example(q=2.0, angles=(0.1, 0.2, 0.3))  # broke evaluate
+@settings(max_examples=300, deadline=None)
+def test_euler_nodes_read_back_or_are_refused_as_the_reader_refuses(q,
+                                                                   angles):
+    alpha, beta, gamma = angles
+    data = {"node": "euler", "q": q, "alpha": alpha, "beta": beta,
+            "gamma": gamma}
+    reads_back_or_is_refused_as_its_reader(
+        lambda: EulerNode(q, alpha, beta, gamma), data, [q, *angles])
+
+
+@given(phi=ANGLE)
+@example(phi=2 ** 53 + 1)  # read back unequal
+@settings(max_examples=300, deadline=None)
+def test_phase_nodes_read_back_or_are_refused_as_the_reader_refuses(phi):
+    reads_back_or_is_refused_as_its_reader(
+        lambda: PhaseNode(phi), {"node": "phase", "phi": phi}, [phi])
+
+
+LETTERS = ("ZZ", "XX", "1X", "ZX", "11Z", "1ZX", "ZZX")
+FAMILIES = list(CartanFamily) + [f.value for f in CartanFamily]
+
+
+@st.composite
+def layer_fields(draw):
+    """``(n, family, coeffs, keyed, route)``; where ``n`` and ``family``
+    are good, the strings are drawn from the family's own."""
+    n = draw(mostly(st.integers(2, 3)))
+    family = draw(mostly(st.sampled_from(FAMILIES)))
+    pool = LETTERS
+    if n in (2, 3) and family in FAMILIES:
+        pool = [s.letters for s in CartanFamily(family).strings(int(n))]
+    coeffs = draw(st.dictionaries(st.sampled_from(pool), ANGLE, max_size=3))
+    route = draw(st.sampled_from([None, None, ((1, 2), (2, 1), (1, 2)),
+                                  ROUTE, [(1, 2)], "12"]))
+    return n, family, coeffs, draw(st.booleans()), route
+
+
+@given(fields=layer_fields())
+@example(fields=(3, CartanFamily.DIAGONAL, {"Z1Z": np.float32(0.5)}, True,
+                 None))  # broke the writer
+@example(fields=(2, CartanFamily.MAXIMAL, {"ZZ": 2 ** 53 + 1}, True,
+                 None))  # read back unequal
+@example(fields=(2, CartanFamily.MAXIMAL, {"ZZ": True}, True,
+                 None))  # accepted, and refused by the reader
+@example(fields=(2, CartanFamily.MAXIMAL, {"ZZ": "0.5"}, True,
+                 None))  # raised NumPy's TypeError
+@example(fields=(3.0, CartanFamily.DIAGONAL, {"11Z": 0.5}, True,
+                 None))  # raised TypeError
+@settings(max_examples=300, deadline=None)
+def test_layer_nodes_read_back_or_are_refused_as_the_reader_refuses(fields):
+    """A layer's strings are given as strings or as their letters."""
+    n, family, coeffs, keyed, route = fields
+    given_coeffs = ({PauliString(k): v for k, v in coeffs.items()} if keyed
+                    else coeffs)
+    data = {"node": "commuting_evolution", "n": n, "family": family,
+            "coeffs": coeffs}
+    if route is not None:
+        data["route"] = route
+    reads_back_or_is_refused_as_its_reader(
+        lambda: CartanNode(CartanElement(n, family, given_coeffs), route),
+        data, [n, family, coeffs, route])
+
+
+NODES = st.sampled_from([PhaseNode(0.5), EulerNode(2, 0.1, 0.2, 0.3),
+                         SequenceNode(()), layer(ZZX=0.4)])
+
+
+@given(children=mostly(st.lists(mostly(NODES), max_size=3).flatmap(
+    lambda cs: st.sampled_from([cs, tuple(cs)])) | NODES))
+@example(children=[PhaseNode(0.5)])  # read back unequal
+@example(children=PhaseNode(0.5))  # broke the writer
+@settings(max_examples=300, deadline=None)
+def test_sequence_nodes_read_back_or_are_refused_as_the_reader_refuses(
+        children):
+    reads_back_or_is_refused_as_its_reader(
+        lambda: SequenceNode(children),
+        {"node": "sequence", "children": children}, [children])
