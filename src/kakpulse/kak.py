@@ -119,7 +119,7 @@ import numpy as np
 from .errors import (DimensionError, NumericError, ValidationError, _json_array,
                      _json_finite, _json_int, _json_number, _on_path)
 from .linalg import (_EYE2, AXES, PAULI, TOL_UNITARY, _check_stack,
-                     _cosine_sine_stack, _unitary_eig_stack, apply_local,
+                     _cosine_sine_stack, _reduced, _unitary_eig_stack, apply_local,
                      check_square, check_unitaries, golden_mix_eigvecs,
                      kron2, quaternion_matrices, spin_count, su2_rotation)
 from .networks import (Route, check_route, closed_pi_count, end_rows,
@@ -177,7 +177,10 @@ def euler_xzx(u: np.ndarray) -> tuple[float, float, float]:
     ``[0, 2*pi)`` and ``beta`` in ``[0, 4*pi)`` (the upper half of the
     range picks the other sign sheet of the double cover).  Degenerate
     cases (``beta`` a multiple of ``pi``) fix the undetermined angle to
-    zero.  Reconstruction is exact to :data:`TOL_EULER`.
+    zero, and so does a ``beta`` so near a multiple of ``2*pi`` that the
+    smaller outer turn, moved into the other, still rebuilds ``u``
+    (:func:`_folded_outer_turn`): there only ``alpha + gamma`` is well
+    fixed.  Reconstruction is exact to :data:`TOL_EULER`.
 
     The four entries are checked as Python complex numbers: every entry
     of ``u^dagger u - I`` within
@@ -208,14 +211,50 @@ def _euler_entries(a: complex, b: complex, c: complex,
                               f"(det deviates by {abs(det - 1):.3e})")
     # u = w - 1j*(x*sigma_x + y*sigma_y + z*sigma_z) has a = w - 1j*z and
     # b = -y - 1j*x in its first row
-    alpha, beta, gamma = euler_xzx_angles((a.real, -b.imag, -b.real, -a.imag))
-    w, x, y, z = _xzx_quaternion(alpha, beta, gamma)
-    resid = max(abs(complex(w, -z) - a), abs(complex(-y, -x) - b),
-                abs(complex(y, -x) - c), abs(complex(w, z) - d))
+    angles = euler_xzx_angles((a.real, -b.imag, -b.real, -a.imag))
+    folded = _folded_outer_turn(*angles)
+    if folded is not None and _xzx_residual(folded, a, b, c, d) <= TOL_EULER:
+        angles = folded
+    resid = _xzx_residual(angles, a, b, c, d)
     if resid > TOL_EULER:
         raise NumericError("euler factorization residual too large",
                            residual=resid)
-    return alpha, beta, gamma
+    return angles
+
+
+def _xzx_residual(angles, a: complex, b: complex, c: complex,
+                  d: complex) -> float:
+    """Largest entry of ``Rx(alpha) Rz(beta) Rx(gamma) - [[a, b], [c, d]]``."""
+    w, x, y, z = _xzx_quaternion(*angles)
+    return max(abs(complex(w, -z) - a), abs(complex(-y, -x) - b),
+               abs(complex(y, -x) - c), abs(complex(w, z) - d))
+
+
+def _folded_outer_turn(alpha: float, beta: float,
+                       gamma: float) -> tuple[float, float, float] | None:
+    """``(alpha, beta, gamma)`` of :func:`euler_xzx` with the smaller
+    outer x turn moved through the z turn into the other one, or None
+    where that cannot rebuild the same rotation within :data:`TOL_EULER`.
+
+    Beside a z turn near a multiple of ``2*pi`` only ``alpha + gamma`` is
+    well fixed: rounding in ``u`` comes back in each of ``alpha`` and
+    ``gamma`` about ``1 / |sin(beta/2)|`` times, as a noise turn.  Moving
+    the turn ``t`` changes the product by ``2*sin(t/2)*sin(beta/2)`` times
+    ``1j*sigma_y`` and a rotation, whose largest entry is at least
+    ``1/sqrt(2)`` of that; so only where ``|sin(t/2) * sin(beta/2)|``
+    is within :data:`TOL_EULER` is a fold returned, for the caller to
+    check.  A sum past ``2*pi`` flips the sign, which the other sheet of
+    ``beta`` turns back.
+    """
+    first = abs(math.sin(alpha / 2)) <= abs(math.sin(gamma / 2))
+    shift = abs(math.sin((alpha if first else gamma) / 2) * math.sin(beta / 2))
+    if not 0 < shift <= TOL_EULER:
+        return None
+    total = alpha + gamma
+    if total >= 2 * math.pi:
+        total -= 2 * math.pi
+        beta = (beta + 2 * math.pi) % (4 * math.pi)
+    return (0.0, beta, total) if first else (total, beta, 0.0)
 
 
 def _xzx_quaternion(alpha: float, beta: float,
@@ -628,9 +667,15 @@ class EulerNode:
             raise ValidationError(f"spin index must be >= 1, got {q}")
         object.__setattr__(self, "qubit", q)
 
+    def reduced_angles(self) -> tuple[float, float, float]:
+        """``(alpha, beta, gamma)`` with each angle past ``4*pi`` reduced
+        exactly to within ``2*pi`` of zero: the same rotations, whose sums
+        stay exact and finite however large the angles."""
+        return (_reduced(self.alpha, 4 * math.pi), _reduced(self.beta, 4 * math.pi),
+                _reduced(self.gamma, 4 * math.pi))
+
     def matrix2(self) -> np.ndarray:
-        return quaternion_matrices([_xzx_quaternion(self.alpha, self.beta,
-                                                    self.gamma)])[0]
+        return quaternion_matrices([_xzx_quaternion(*self.reduced_angles())])[0]
 
 
 @dataclass(frozen=True)

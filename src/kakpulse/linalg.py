@@ -22,7 +22,9 @@ TOL_UNITARY = 1e-10
 TOL_HERMITIAN = 1e-10
 TOL_CSD = 1e-9
 # Cosine-sine angles within this of 0 or pi/2 count as exact ones, whose
-# columns carry a free gauge that :func:`_cosine_sine_stack` fixes.
+# columns carry a free gauge that :func:`_cosine_sine_stack` fixes, and
+# eigenvalues this close as one, whose eigenspace :func:`_unitary_eig_stack`
+# gauges.
 TOL_GAUGE = 1e-12
 # On such columns, the fit of l1 to l0 needs the smallest singular value
 # of l1^dagger l0 above this.
@@ -63,6 +65,19 @@ def su2_rotation(axis: str, angle: float) -> np.ndarray:
     """``exp(-1j*angle*sigma_axis/2)`` as a dense 2x2."""
     half = angle / 2
     return math.cos(half) * _EYE2 - 1j * math.sin(half) * PAULI[axis]
+
+
+def _reduced(angle: float, period: float) -> float:
+    """``angle`` as it is when it lies within one ``period`` (``2*pi`` or
+    ``4*pi``) of zero, else the angle in ``[-period/2, period/2]`` that
+    equals it modulo the period.  Sine and cosine reduce their argument
+    exactly, so a huge angle keeps its rotation, where a remainder by
+    the float ``2*pi`` would be off by the angle times that float's
+    error (4e-11 at an angle of 1e6)."""
+    if abs(angle) <= period:
+        return angle
+    k = period / (2 * math.pi)
+    return k * math.atan2(math.sin(angle / k), math.cos(angle / k))
 
 
 def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -212,7 +227,8 @@ def _unitary_eig_stack(us: np.ndarray, paths) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of each unitary of a ``(k, d, d)`` stack with an
     orthonormal eigenbasis, as the stacks ``(w, v)``, after one stacked
     unitarity check: ``u @ v = v @ diag(w)``, ``v`` unitary and the
-    eigenvalues sorted by phase angle in ``(-pi, pi]``.
+    eigenvalues sorted by phase angle in ``(-pi, pi]`` (but for a
+    cluster at ``-1``, below).
 
     ``numpy.linalg.eig`` does not guarantee orthonormal eigenvectors for
     degenerate spectra, so each ``u`` is diagonalized through the
@@ -226,6 +242,15 @@ def _unitary_eig_stack(us: np.ndarray, paths) -> tuple[np.ndarray, np.ndarray]:
     ``eigh`` gives each matrix the bits its own call would), and candidate
     ``k + 1`` only for the matrices whose candidate ``k`` failed.  A
     matrix that never converges is reported with its entry of ``paths``.
+
+    An exactly degenerate eigenvalue leaves its eigenspace's basis to
+    whatever ``eigh`` picked, so one stacked comparison flags the
+    matrices with a cluster of eigenvalues within :data:`TOL_GAUGE` of
+    each other, in cyclic phase order (so a cluster at ``-1`` split
+    across ``+-pi`` is one cluster), and only those are visited.  Each
+    cluster holds one eigenvalue, its first's in that order, and its
+    eigenspace takes the basis closest to standard basis vectors
+    (:func:`_nearest_standard_basis`).  A Haar matrix has no cluster.
     """
     us = check_unitaries(us)
     uh = us.conj().swapaxes(1, 2)
@@ -253,7 +278,21 @@ def _unitary_eig_stack(us: np.ndarray, paths) -> tuple[np.ndarray, np.ndarray]:
                                     residual=float(last[0])), paths[pending[0]])
     order = np.argsort(np.angle(w), axis=1, kind="stable")
     rows = rows[:, None]
-    return w[rows, order], v.swapaxes(1, 2)[rows, order].swapaxes(1, 2)
+    w, v = w[rows, order], v.swapaxes(1, 2)[rows, order].swapaxes(1, 2)
+    # joined[:, j]: eigenvalue j is in one cluster with the one before it,
+    # in cyclic order, so a cluster at -1 split across +-pi is one cluster
+    joined = np.abs(w - np.roll(w, 1, axis=1)) < TOL_GAUGE
+    dim = w.shape[1]
+    for i in np.flatnonzero(joined.any(axis=1)):
+        starts = np.flatnonzero(~joined[i])
+        if not starts.size:  # one eigenvalue: one cluster
+            starts = np.zeros(1, dtype=int)
+        for start, stop in zip(starts, np.append(starts[1:], starts[0] + dim)):
+            cols = np.arange(start, stop) % dim
+            if len(cols) > 1:
+                v[i][:, cols] = _nearest_standard_basis(v[i][:, cols])
+                w[i][cols] = w[i][cols[0]]
+    return w, v
 
 
 def _cosine_sine_products(l0, l1, theta, r0, r1) -> np.ndarray:
@@ -373,7 +412,9 @@ def _cosine_sine_stack(us: np.ndarray, paths) -> tuple[np.ndarray, ...]:
     compensating phases go into the columns of ``l1`` and the rows of
     ``r0`` and ``r1``, which leaves the product unchanged because
     diagonal phases commute with the middle factor).  On those clusters
-    ``l1`` is the one closest to ``l0`` where that fit is determined.
+    ``l1`` is the one closest to ``l0`` where that fit is determined, and
+    elsewhere (``l1^dagger l0`` singular, as on a permutation) the basis
+    of its span closest to standard basis vectors, as ``l0`` is.
     The factors must rebuild ``u`` within :data:`TOL_CSD`.  Each matrix
     gets the bits a stack of one gives it, and the first one that fails
     the check is reported with its entry of ``paths``.
@@ -412,15 +453,16 @@ def _cosine_sine_stack(us: np.ndarray, paths) -> tuple[np.ndarray, ...]:
     # that it does not follow the basis the split happened to pick.  A
     # singular l1^dagger l0 (as when the two spans are orthogonal, on a
     # permutation) does not fix the fit, whose polar factor would only
-    # turn rounding noise into a basis, so l1 keeps the split's there.
+    # turn rounding noise into a basis, so l1 takes the basis of its span
+    # closest to standard basis vectors there, as l0 did above.
     for i in gauged:
         for cols, partner in ((zero[i], r1[i]), (right[i], r0[i])):
             if cols.any():
-                a, sv, bh = np.linalg.svd(l1[i][:, cols].conj().T @ l0[i][:, cols])
-                if sv[-1] <= _TOL_FIT:
-                    continue
-                g = a @ bh
-                l1[i][:, cols] = l1[i][:, cols] @ g
+                block = l1[i][:, cols]
+                a, sv, bh = np.linalg.svd(block.conj().T @ l0[i][:, cols])
+                g = (a @ bh if sv[-1] > _TOL_FIT
+                     else block.conj().T @ _nearest_standard_basis(block))
+                l1[i][:, cols] = block @ g
                 partner[cols, :] = g.conj().T @ partner[cols, :]
 
     resid = np.abs(_cosine_sine_products(l0, l1, theta, r0, r1) - us).max(axis=(1, 2))

@@ -96,7 +96,7 @@ from .errors import DimensionError, ValidationError
 from .gates import ChainSpec, GateList, PulseProgram
 from .kak import (CartanNode, EulerNode, GateTree, PhaseNode, SequenceNode,
                   decompose, euler_xzx_angles)
-from .linalg import QUATERNION_ONE, quaternion_turn
+from .linalg import QUATERNION_ONE, _reduced, quaternion_turn
 from .networks import (TOL_COEFF, Route, closed_route,
                        parity_image, parity_points)
 from .paulis import CartanElement, CartanFamily, PauliString
@@ -145,7 +145,8 @@ def _emit(out: GateList, template: tuple[GateList, tuple], coeffs) -> None:
     base = len(angles)
     angles.extend(gates.values)
     for pos, index, doubled in slots:
-        c = coeffs[index]
+        # exp(-1j * c * B) repeats when c grows by 4*pi
+        c = _reduced(coeffs[index], 4 * _PI)
         angles[base + pos] = 2 * c if doubled else c
 
 
@@ -372,7 +373,7 @@ def _lower_into(tree: GateTree, out: GateList) -> None:
         for child in reversed(tree.children):
             _lower_into(child, out)
     elif isinstance(tree, EulerNode):
-        steps, turns = _xzx_steps(tree.alpha, tree.beta, tree.gamma)
+        steps, turns = _xzx_steps(*tree.reduced_angles())
         for axis, angle in steps:
             out.add("local", tree.qubit, axis, angle)
         if turns % 2:
@@ -446,7 +447,7 @@ def _merge_local_runs(gates: GateList) -> GateList:
         else:
             # reduced at every step: a sum that grows to hundreds of
             # radians would carry its rounding into the matrix
-            phase = math.remainder(phase + angle, 2 * _PI)
+            phase = math.remainder(phase + _reduced(angle, 2 * _PI), 2 * _PI)
     for q in framed:
         held.setdefault(q, []).append(("z", _PI))
     for q in sorted(held):

@@ -991,6 +991,24 @@ def test_flatten_cartan_node():
     assert np.max(np.abs(got - expm_skew(elem.hamiltonian()))) < 1e-10
 
 
+@pytest.mark.parametrize("node, n", [
+    (EulerNode(1, 1e308, -1.7e308, 1e300), 1),
+    (EulerNode(1, 1e7, 0.2, 0.3), 1),
+    (EulerNode(1, 1.7e308, 0.0, 1.7e308), 1),
+    (SequenceNode((PhaseNode(1.7e308), EulerNode(1, 0.1, 0.2, 0.3))), 1),
+    (CartanNode(CartanElement(2, CartanFamily.MAXIMAL, {"ZZ": 1.7e308})), 2),
+    (CartanNode(CartanElement(3, CartanFamily.DIAGONAL,
+                              {"Z1Z": 1.7e308, "ZZZ": -1e7, "1ZZ": 3e5})), 3),
+])
+def test_huge_angles_lower_as_they_evaluate(node, n):
+    """An angle past one period is reduced exactly, through its sine and
+    cosine, by the lowering and by ``evaluate`` alike, where a remainder
+    by the float 2*pi would be off by the angle times that float's error
+    (1.29 for the first node, 1.8e-10 for the second) or overflow."""
+    got = gate_list_unitary(flatten(node), n)
+    assert np.max(np.abs(got - evaluate(node, n))) < 1e-12
+
+
 def test_two_half_turns_merge_into_a_phase():
     """Rx(pi) Rx(pi) = -I: the peephole emits no rotation, only the sign."""
     half_turn = EulerNode(1, math.pi, 0.0, 0.0)

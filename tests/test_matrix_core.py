@@ -3,6 +3,7 @@ eigendecomposition, the cosine-sine factorization (both as stacks of one),
 and spin permutation."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -191,7 +192,68 @@ class TestUnitaryEig:
         assert np.all(np.diff(np.angle(w)) >= -1e-12)
 
 
+    def test_degenerate_eigenspaces_do_not_follow_eigh(self):
+        """The same operator spelled through two bases of a degenerate
+        eigenspace (equal up to rounding) gets one eigenbasis there, the
+        one closest to standard basis vectors; a cluster at -1 split
+        across +-pi is one cluster and holds one eigenvalue."""
+        near = np.exp(1j * (math.pi - 1e-14))
+        lam = np.array([1j, 1j, 1j, -0.6 + 0.8j, -0.6 + 0.8j, 1,
+                        near, near.conjugate()])
+        q = haar_unitary(8, 5)
+        turn = np.eye(8, dtype=complex)
+        turn[:3, :3] = haar_unitary(3, 6)
+        bases = []
+        for frame in (q, q @ turn):
+            u = (frame * lam) @ frame.conj().T
+            (w,), (v,) = _unitary_eig_stack(u[None], [()])
+            assert np.max(np.abs(u @ v - v * w)) < 1e-10
+            assert np.allclose(v.conj().T @ v, np.eye(8), atol=1e-10)
+            at_minus_one = np.flatnonzero(np.abs(w + 1) < 1e-12)
+            assert len(at_minus_one) == 2
+            assert w[at_minus_one[0]] == w[at_minus_one[1]]
+            bases.append(v)
+        assert np.max(np.abs(bases[0] - bases[1])) < 1e-12
+
+
+def singular_fit_target(h):
+    """A split with two angles at 0 whose ``l1`` columns span ``e2``
+    and ``(e1 + e3)/sqrt(2)``, spelled through the 2x2 unitary ``h``, and
+    whose ``l0`` columns span ``e0`` and ``e2``: ``l1^dagger l0`` is
+    singular there, so the fit of ``l1`` to ``l0`` is not determined."""
+    theta = np.array([0.0, 0.0, math.pi / 4, math.pi / 3])
+    c, s = np.diag(np.cos(theta)), np.diag(np.sin(theta))
+    l0 = np.zeros((4, 4), dtype=complex)
+    l0[0, 0] = l0[2, 1] = 1
+    l0[[1, 3], 2:] = haar_unitary(2, 1)
+    l1 = np.zeros((4, 4), dtype=complex)
+    l1[2, 0] = l1[0, 3] = 1
+    l1[[1, 3], 1] = 1 / math.sqrt(2)
+    l1[[1, 3], 2] = np.array([1, -1]) / math.sqrt(2)
+    spell = np.eye(4, dtype=complex)
+    spell[:2, :2] = h
+    return (scipy.linalg.block_diag(l0, l1 @ spell)
+            @ np.block([[c, -s], [s, c]])
+            @ scipy.linalg.block_diag(haar_unitary(4, 4),
+                                      spell.conj().T @ haar_unitary(4, 5)))
+
+
 class TestCosineSine:
+    def test_unfitted_l1_takes_the_nearest_standard_basis(self):
+        """Where ``l1^dagger l0`` is singular on a cluster at 0, ``l1``
+        takes the basis of its span closest to standard basis vectors,
+        whichever basis the input spells it in."""
+        blocks = []
+        for h in (np.eye(2), haar_unitary(2, 9)):
+            u = singular_fit_target(h)
+            *factors, residuals = _cosine_sine_stack(u[None], [()])
+            assert residuals[0] < 1e-12
+            blocks.append(factors[1][0][:, :2])
+        assert np.max(np.abs(blocks[0] - blocks[1])) < 1e-12
+        half = 1 / math.sqrt(2)
+        assert np.allclose(np.abs(blocks[0]),
+                           [[0, 0], [half, 0], [0, 1], [half, 0]], atol=1e-12)
+
     def test_reconstruction(self):
         for dim, seed in ((2, 0), (4, 1), (8, 2), (16, 3)):
             u = haar_unitary(dim, seed)

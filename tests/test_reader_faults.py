@@ -30,7 +30,9 @@ the node's constructor, so the same holds of ``EulerNode``,
 ``PhaseNode``, ``SequenceNode`` and ``CartanNode(CartanElement(...))``:
 a first-fault table of their items, checked through the reader and the
 constructors alike, and a property of each over the same values, whose
-refusals also match the reader's message.
+refusals also match the reader's message and whose accepted nodes lower
+to gates within 1e-12 of the matrix ``evaluate`` gives them, besides the
+turns of at most ``TOL_ROTATION`` that the lowering leaves out.
 """
 
 import json
@@ -44,9 +46,11 @@ from hypothesis import strategies as st
 from kakpulse import (CartanElement, CartanFamily, CartanNode, ChainSpec,
                       EulerNode, GateList, PauliString, PhaseNode,
                       PulseProgram, RangeError, SequenceNode, ValidationError,
-                      evaluate, gate_list_from_json, gate_list_to_json_text,
-                      gate_list_unitary, pulse_program_unitary,
-                      tree_from_json_dict, tree_to_json_text)
+                      evaluate, flatten, gate_list_from_json,
+                      gate_list_to_json_text, gate_list_unitary,
+                      pulse_program_unitary, tree_from_json_dict,
+                      tree_to_json_text)
+from kakpulse.pulses import TOL_ROTATION
 
 NAN, INF = math.nan, math.inf
 DROP = object()  # a field left out of the item
@@ -914,8 +918,9 @@ def test_tree_items_carry_every_kind_of_fault():
             "layer-non-integral n", "layer-string route"} <= labels
 
 
-# Whatever a node constructor accepts reads back equal from its text and
-# evaluates; whatever it refuses, the reader refuses in the JSON the
+# Whatever a node constructor accepts reads back equal from its text,
+# evaluates, and lowers to gates that rebuild what it evaluates to, huge
+# angles included; whatever it refuses, the reader refuses in the JSON the
 # writer would spell, with the same class, and with the same message
 # where that JSON reads back as the values given (a NumPy scalar's repr
 # or a node's is not its JSON spelling).
@@ -968,7 +973,19 @@ def reads_back_or_is_refused_as_its_reader(build, data, fields):
         return
     assert tree_from_json_dict(json.loads(tree_to_json_text(node))) == node
     if spins(node) <= 4:
-        assert np.isfinite(evaluate(node, spins(node))).all()
+        matrix = evaluate(node, spins(node))
+        assert np.isfinite(matrix).all()
+        try:
+            gates = flatten(node)
+        except ValidationError as exc:
+            # a route is checked against the strings it lowers
+            assert "never holds the parity of" in str(exc)
+            return
+        # besides rounding, only the turns of at most TOL_ROTATION that the
+        # lowering leaves out move it, each an entry by at most half that;
+        # a node here holds at most three
+        lowered = gate_list_unitary(gates, spins(node))
+        assert np.max(np.abs(lowered - matrix)) <= 1e-12 + 1.5 * TOL_ROTATION
 
 
 def mostly(good):
@@ -985,6 +1002,10 @@ ANGLE = mostly(st.floats(-4.0, 4.0))
 @example(q=1, angles=(np.float32(0.5), 0.2, 0.3))  # broke the writer
 @example(q=1, angles=(NAN, 0.2, 0.3))  # was written as NaN
 @example(q=2.0, angles=(0.1, 0.2, 0.3))  # broke evaluate
+@example(q=1, angles=(1e308, -1.7e308, 1e300))  # lowered 1.29 away
+@example(q=1, angles=(1e7, 0.2, 0.3))  # lowered 1.8e-10 away
+@example(q=1, angles=(1.7e308, 0.0, 1.7e308))  # overflowed in evaluate
+@example(q=1, angles=(1e-11, 0.0, 0.0))  # a turn the lowering leaves out
 @settings(max_examples=300, deadline=None)
 def test_euler_nodes_read_back_or_are_refused_as_the_reader_refuses(q,
                                                                    angles):
@@ -997,6 +1018,7 @@ def test_euler_nodes_read_back_or_are_refused_as_the_reader_refuses(q,
 
 @given(phi=ANGLE)
 @example(phi=2 ** 53 + 1)  # read back unequal
+@example(phi=1.7e308)  # lowered 0.37 away
 @settings(max_examples=300, deadline=None)
 def test_phase_nodes_read_back_or_are_refused_as_the_reader_refuses(phi):
     reads_back_or_is_refused_as_its_reader(
@@ -1033,6 +1055,10 @@ def layer_fields(draw):
                  None))  # raised NumPy's TypeError
 @example(fields=(3.0, CartanFamily.DIAGONAL, {"11Z": 0.5}, True,
                  None))  # raised TypeError
+@example(fields=(2, CartanFamily.MAXIMAL, {"ZZ": 1.7e308}, True,
+                 None))  # failed to lower with a math domain error
+@example(fields=(3, CartanFamily.OUTER_X, {"11X": 0, "Z1X": 1}, False,
+                 [(1, 2)]))  # a route that never holds Z1X
 @settings(max_examples=300, deadline=None)
 def test_layer_nodes_read_back_or_are_refused_as_the_reader_refuses(fields):
     """A layer's strings are given as strings or as their letters."""

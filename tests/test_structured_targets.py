@@ -48,6 +48,7 @@ from kakpulse import (
     tree_to_json_text,
 )
 from kakpulse.kak import _decompose
+from kakpulse.networks import TOL_COEFF
 from kakpulse.pulses import TOL_ROTATION
 
 from artifact_oracle import (
@@ -406,13 +407,23 @@ def test_exact_tie_keeps_the_layer_closed(monkeypatch):
                for g in growths), growths
 
 
-@pytest.mark.parametrize("target", (qft, bit_reversal, near_identity,
-                                    clustered_cs_angles),
+@pytest.mark.parametrize("target", (qft, near_identity, clustered_cs_angles),
                          ids=lambda f: f.__name__)
 def test_five_spin_layers_end_open_on_generic_levels(target):
     """Structured targets whose top levels take the generic route record
     five-spin open layers, so the test above covers them."""
     assert 5 in open_sizes(decompose(target(5)))
+
+
+def test_bit_reversal_five_spin_layers_are_sparse():
+    """With every exactly degenerate subspace gauged, the five-spin
+    layers of bit reversal hold one or two strings each, which no open
+    route shortens."""
+    layers = [leaf.element for leaf in leaves(decompose(bit_reversal(5)))
+              if isinstance(leaf, CartanNode) and leaf.element.n == 5]
+    assert layers
+    for element in layers:
+        assert sum(abs(c) > TOL_COEFF for _, c in element.items()) <= 2
 
 
 def open_sizes(tree):
@@ -469,6 +480,41 @@ def test_global_phase_leaves_the_toffoli_program_alone(n, count):
         costs.add((couplings(gates), round(duration, 9)))
     assert len(costs) == 1
     assert costs.pop()[0] == count
+
+
+@pytest.mark.parametrize("n, qft_count, reversal_count",
+                         [(3, 19, 15), (4, 60, 43), (5, 199, 116)])
+def test_degenerate_gauges_shorten_qft_and_bit_reversal(n, qft_count,
+                                                        reversal_count):
+    """In each exactly degenerate subspace, the cosine-sine split's
+    ``l1`` and the demultiplexing eigenbasis take the basis closest to
+    standard basis vectors, so these permutation-like targets no longer
+    cost what a Haar target does (23/21, 143/147 and 685/729 couplings
+    before)."""
+    assert couplings(flatten(decompose(qft(n)))) <= qft_count
+    assert couplings(flatten(decompose(bit_reversal(n)))) <= reversal_count
+
+
+# Couplings of each target times exp(1j*phi), phi = 0, 0.7, 1.9 and -2.4,
+# before the degenerate gauges.
+UNGAUGED_COUPLINGS = {
+    ("qft", 3): (23, 23, 24, 23), ("qft", 4): (143, 144, 145, 142),
+    ("qft", 5): (685, 691, 715, 711),
+    ("bit_reversal", 3): (21, 21, 21, 21),
+    ("bit_reversal", 4): (147, 148, 147, 145),
+    ("bit_reversal", 5): (729, 729, 729, 729),
+}
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+@pytest.mark.parametrize("target", (qft, bit_reversal), ids=lambda f: f.__name__)
+def test_degenerate_gauges_cost_nothing_at_any_global_phase(target, n):
+    """The gauges do not fix the global phase, which still moves the
+    program; at no phase of the grid does it cost more than before."""
+    for phi, before in zip((0.0, 0.7, 1.9, -2.4),
+                           UNGAUGED_COUPLINGS[target.__name__, n]):
+        gates = flatten(decompose(target(n) * np.exp(1j * phi)))
+        assert couplings(gates) <= before, phi
 
 
 def ladder_count(n):
