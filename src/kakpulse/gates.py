@@ -34,13 +34,13 @@ a gate list is a gate list.  ``GateList(rows)`` and
 a spin must be an integer, which ``2.0``, a NumPy integer or an
 integral NumPy float is, and a value a real number, kept as given (an
 integer that no float holds exactly is held as the float its text reads
-back as).  Each kind has one check, which
-those two constructors and the readers share, so a fault raises the
-same class and message either way, naming the row's or the item's
-index.  Each kind of tree node (:mod:`~kakpulse.kak`) has one check as
-well, its constructor, which the tree reader calls.  The columns the
-lowering builds from a checked tree are trusted: ``add`` appends a step
-unchecked.
+back as).  Each kind has one check, which those two constructors and
+the readers share, so a fault raises the same class and message either
+way, naming the row's or the item's index; a program's pulses and phase
+are checked once more, against its chain.  Each kind of tree node
+(:mod:`~kakpulse.kak`) has one check as well, its constructor, which the
+tree reader calls.  The columns the lowering builds from a checked tree
+are trusted: ``add`` appends a step unchecked.
 
 JSON forms
 ----------
@@ -85,8 +85,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import (DimensionError, RangeError, ValidationError, _json_array,
-                     _json_float, _json_int, _json_number, _json_numbers,
-                     _json_real)
+                     _json_finite, _json_float, _json_int, _json_number,
+                     _json_numbers, _json_real)
 from .linalg import AXES
 
 # The check of each step kind, which returns the step's row.  The row
@@ -432,10 +432,18 @@ class PulseProgram(_StepTable):
                  phase: float = 0.0):
         self.chain = chain
         super().__init__(rows)
-        phase = _json_real(phase, "program phase")
-        if not math.isfinite(phase):
-            raise ValidationError("program phase must be finite")
-        self.phase = phase
+        self._complete(phase)
+
+    def _complete(self, phase) -> None:
+        """Hold ``phase``, a finite number, once every pulse is on the
+        chain; the first one off it is named by its index, as a row is."""
+        n = self.chain.n
+        if max(self.sites, default=0) > n:
+            k, q = next((k, q) for k, q in enumerate(self.sites) if q > n)
+            raise _item_error(DimensionError(
+                f"pulse on spin {q} outside chain of {n}"), "event", k)
+        self.phase = _json_finite(phase, "program phase",
+                                  "program phase must be finite")
 
     def _args(self) -> tuple:
         return self.chain, list(self), self.phase
@@ -458,12 +466,9 @@ class PulseProgram(_StepTable):
             program = cls(ChainSpec.from_json_dict(data["chain"]))
             program._read(_json_array(data.get("events", []),
                                       "program events"))
-            program.phase = _json_float(data.get("phase", 0.0),
-                                        "program phase")
+            program._complete(data.get("phase", 0.0))
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ValidationError):
                 raise
             raise ValidationError(f"malformed pulse program: {exc}") from exc
-        if not math.isfinite(program.phase):
-            raise ValidationError("program phase must be finite")
         return program

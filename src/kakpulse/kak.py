@@ -26,9 +26,9 @@ applies no change of basis; the diagonal layers of demultiplexing
 (:func:`_demultiplex_stack`) are the same Walsh sums over
 ``{1, Z}^(n-1) Z``.
 
-Trivial sub-problems cost nothing.  Each level of two or more spins
-reads the four blocks of its last spin in place (no permutation) and
-takes the first of three routes that fits:
+Trivial sub-problems cost nothing.  One stacked screen reads the four
+blocks of the last spin of each level of two or more spins in place (no
+permutation) and gives the level the first of three routes that fits:
 
 * **Kronecker**: the input is ``W (x) D`` with ``D`` on the last spin.
   It becomes an Euler leaf for ``D`` (none when ``D`` is a scalar) and
@@ -72,10 +72,10 @@ with its path.
 
 The recursion goes one depth at a time, since every sub-problem at a
 depth has the same size (:func:`_decompose_depth`).  The depth is
-screened (one stacked unitarity check and Kronecker screen) and each
-problem picks its route.  All generic problems are split in one stacked
-cosine-sine pass (:func:`_split_stack`, in NumPy with one stacked
-``svd`` for the whole depth), every block pair of the depth is
+screened (one stacked unitarity check, and :func:`_last_spin_screen`,
+which gives each problem its route).  All generic problems are split in
+one stacked cosine-sine pass (:func:`_split_stack`, in NumPy with one
+stacked ``svd`` for the whole depth), every block pair of the depth is
 demultiplexed in another (:func:`_demultiplex_stack`, with one stacked
 ``eigh`` per golden-mix candidate), and the depth decides its open
 layers, with the interaction sums of all their two-spin neighbours from
@@ -947,10 +947,11 @@ def _two_spin_leaves(us: np.ndarray,
     return list(zip(trees, matrices))
 
 
-def _kronecker_screen(us: np.ndarray) -> list[tuple[np.ndarray, np.ndarray] | None]:
-    """For each matrix ``u`` of a ``(k, d, d)`` stack: ``(d, w)`` with
-    ``u = kron(w, d)``, ``d`` and ``w`` unitary and ``d`` on the last
-    spin, when that holds within :data:`TOL_TRIVIAL`; otherwise ``None``.
+def _last_spin_screen(us: np.ndarray) -> list:
+    """The route of each matrix ``u`` of a ``(k, d, d)`` stack within
+    :data:`TOL_TRIVIAL`: ``(d, w)`` with ``u = kron(w, d)``, ``d`` and
+    ``w`` unitary and ``d`` on the last spin; else ``"block"`` when both
+    off-diagonal blocks of the last spin vanish; else ``None``.
 
     ``w`` is a large last-spin block scaled to unit columns and each
     entry of ``d`` is one block's overlap with ``w``; the threshold is on
@@ -968,7 +969,9 @@ def _kronecker_screen(us: np.ndarray) -> list[tuple[np.ndarray, np.ndarray] | No
     d = np.matmul(flat, w.conj()[..., None])[..., 0] / half
     err = np.abs(flat - d[..., None] * w[:, None, :]).reshape(count, -1).max(axis=1)
     found = (~(err > TOL_TRIVIAL)).nonzero()[0]
-    out: list[tuple[np.ndarray, np.ndarray] | None] = [None] * count
+    # blocks 1 and 2 of the flat view are <0|u|1> and <1|u|0>
+    block = np.abs(flat[:, 1:3]).reshape(count, -1).max(axis=1) <= TOL_TRIVIAL
+    out: list = ["block" if b else None for b in block.tolist()]
     if found.size:
         left, _, right = np.linalg.svd(d[found].reshape(-1, 2, 2))
         for i, unit in zip(found.tolist(), left @ right):
@@ -983,14 +986,6 @@ def _check_level(matrix: np.ndarray, u: np.ndarray) -> None:
     if resid > residual_budget(n):
         raise NumericError("factorization residual exceeds budget",
                            residual=resid, path=(f"n={n}",))
-
-
-def _block_diagonal(u: np.ndarray) -> bool:
-    """Whether both off-diagonal blocks of the last spin vanish within
-    :data:`TOL_TRIVIAL`."""
-    sectors = _last_spin_sectors(u)
-    return max(float(np.max(np.abs(sectors[0, 1]))),
-               float(np.max(np.abs(sectors[1, 0])))) <= TOL_TRIVIAL
 
 
 def _interaction_sums(us) -> np.ndarray:
@@ -1035,13 +1030,13 @@ def _absorber(after: np.ndarray, src: np.ndarray,
     """
     if len(rows) == 2:
         return after, src
-    factors = _kronecker_screen(after[None])[0]
-    if factors is None:
-        return math.inf if _block_diagonal(after) else 0.0
-    if not leaves_last_spin(rows):
+    route = _last_spin_screen(after[None])[0]
+    if route is None:
+        return 0.0
+    if route == "block" or not leaves_last_spin(rows):
         return math.inf
     # P_A = P_A' (x) 1 on the last spin: the even entries of src, halved
-    return _absorber(factors[1], src[::2] >> 1, rows[:-1])
+    return _absorber(route[1], src[::2] >> 1, rows[:-1])
 
 
 def _open_layers(requests) -> list[tuple[CartanNode, np.ndarray]]:
@@ -1254,15 +1249,14 @@ def _decompose_depth(us: list, paths: list[tuple[str, ...]]
     :class:`~kakpulse.errors.NumericError` from it names.
 
     The depth goes in three steps.  The depth is screened (one stacked
-    unitarity check and Kronecker screen) and each problem picks its
-    route; the generic problems are split in one stack and every block
-    pair of the depth is demultiplexed in another
-    (:func:`_split_levels`), and the open-layer decisions of the whole
-    depth follow (:func:`_open_layers`).  Then the factors of every level
-    go down as one list, and two-spin problems are factored in one
-    stacked pass (:func:`_two_spin_leaves`).  Last, each level composes
-    its tree and matrix from its factors' results and checks that matrix
-    against its input under :func:`residual_budget`.
+    unitarity check, and :func:`_last_spin_screen` for every route), the
+    generic problems are split in one stack and every block pair of the
+    depth is demultiplexed in another (:func:`_split_levels`), and the
+    open-layer decisions of the whole depth follow (:func:`_open_layers`).
+    Then the factors of every level go down as one list, and two-spin
+    problems are factored in one stacked pass (:func:`_two_spin_leaves`).
+    Last, each level composes its tree and matrix from its factors'
+    results and checks it against its input (:func:`residual_budget`).
     """
     if not us:
         return []
@@ -1273,15 +1267,12 @@ def _decompose_depth(us: list, paths: list[tuple[str, ...]]
     if n == 1:
         return [(node, _apply_tree(node, np.eye(2, dtype=complex), 1))
                 for node in map(_one_spin_node, stack)]
-    levels: list[_Level | None] = []  # None: a two-spin leaf, or not yet split
-    generic, blocks = [], []
-    for i, (u, factors) in enumerate(zip(stack, _kronecker_screen(stack))):
-        if factors is not None:
-            levels.append(_kronecker_level(n, *factors))
-            continue
-        levels.append(None)
-        if n > 2:
-            (blocks if _block_diagonal(u) else generic).append(i)
+    routes = _last_spin_screen(stack)
+    levels: list[_Level | None] = [  # None: a two-spin leaf, or not yet split
+        _kronecker_level(n, *route) if isinstance(route, tuple) else None
+        for route in routes]
+    generic, blocks = ([i for i, route in enumerate(routes)
+                        if n > 2 and route == kind] for kind in (None, "block"))
     if generic or blocks:
         for i, level in _split_levels(n, stack, paths, generic, blocks).items():
             levels[i] = level

@@ -27,7 +27,7 @@ and ends in the identity, and a layer is lowered along a cut of it:
 
 Every CNOT is one pi coupling.  This module knows no matrices:
 :mod:`kakpulse.kak` reads the open cuts and their end maps,
-:mod:`kakpulse.pulses` the points where a route holds each parity.
+:mod:`kakpulse.pulses` the points where a checked route holds each parity.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def check_route(route, element: CartanElement) -> None:
     """Raise :class:`ValidationError` unless ``element`` is a
     ``DIAGONAL`` or ``OUTER_X`` element on ``k >= 3`` spins and ``route``
     a tuple of adjacent ``(control, target)`` CNOTs on spins ``1..k``
-    that ends in a map ``diag(A, 1)``."""
+    that ends in ``diag(A, 1)`` and holds every nonzero string's parity."""
     k = element.n
     if k < 3 or element.family is CartanFamily.MAXIMAL:
         raise ValidationError(
@@ -145,6 +145,11 @@ def check_route(route, element: CartanElement) -> None:
                 f"route step {cnot!r} is not a CNOT on adjacent spins of 1..{k}")
     if not leaves_last_spin(end_rows(route, k)):
         raise ValidationError(f"route does not leave spin {k} alone at its end")
+    points = parity_points(route, k)
+    for letters in nonzero_letters(element):
+        if parity_image(letters) not in points:
+            raise ValidationError(
+                f"route {route} never holds the parity of {letters}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -172,6 +177,7 @@ def parity_points(route: Route, k: int) -> dict[int, tuple[int, int, bool]]:
     return {**pair, **single}
 
 
+@functools.lru_cache(maxsize=None)
 def parity_image(letters: str) -> int:
     """The mask of the parity a ``DIAGONAL`` or ``OUTER_X`` string
     rotates, read off its letters: spin ``q`` is bit ``q - 1``.  The last

@@ -255,17 +255,14 @@ def _cnot_rows(control: int, target: int) -> tuple[Row, ...]:
 def _network_rows(k: int, pattern: tuple[str, ...], route: Route) -> list[Row]:
     """Rows of ``P exp(-1j*H)`` for a ``DIAGONAL`` element with nonzero
     strings ``pattern``, with ``P`` the end map of ``route`` (the
-    identity for a closed one): the network with each string rotated
-    once at its step, then one global phase that cancels the CNOTs'
-    ``exp(1j*pi/4)`` factors."""
+    identity for a closed one), which holds each string's parity
+    (:func:`~kakpulse.networks.check_route`): the network with each
+    string rotated once at its step, then one global phase that cancels
+    the CNOTs' ``exp(1j*pi/4)`` factors."""
     points = parity_points(route, k)
     at_step: dict[int, list[Row]] = {}
     for index, letters in enumerate(pattern):
-        point = points.get(parity_image(letters))
-        if point is None:
-            raise ValidationError(
-                f"route {route} never holds the parity of {letters}")
-        step, site, on_pair = point
+        step, site, on_pair = points[parity_image(letters)]
         at_step.setdefault(step, []).append(
             ("zz", site, None, _Slot(index, True)) if on_pair
             else ("local", site, "z", _Slot(index, False)))

@@ -22,6 +22,7 @@ from kakpulse import (
     ChainSpec,
     PauliString,
     ValidationError,
+    cartan_evolution_gates,
     evaluate,
     expm_skew,
     flatten,
@@ -243,6 +244,22 @@ def test_a_route_must_hold_every_parity():
                          coeffs={PauliString("Z1Z"): 0.5})
     with pytest.raises(ValidationError):
         flatten(CartanNode(elem, ()))
+
+
+def test_a_node_refuses_a_route_that_never_holds_a_nonzero_parity():
+    """Only strings that emit gates need their parity held: a zero
+    coefficient's does not.  The node, the tree reader and the lowering
+    of an element refuse the same route with the same message."""
+    elem = CartanElement(3, CartanFamily.OUTER_X, {"11X": 0.0, "Z1X": 1.0})
+    message = r"^route \(\(1, 2\),\) never holds the parity of Z1X$"
+    data = {**tree_to_json_dict(CartanNode(elem)), "route": [[1, 2]]}
+    for build in (lambda: CartanNode(elem, [(1, 2)]),
+                  lambda: tree_from_json_dict(data),
+                  lambda: cartan_evolution_gates(elem, ((1, 2),))):
+        with pytest.raises(ValidationError, match=message):
+            build()
+    held = CartanElement(3, CartanFamily.OUTER_X, {"Z1X": 0.0, "11X": 1.0})
+    assert CartanNode(held, [(1, 2)]).route == ((1, 2),)
 
 
 @pytest.mark.parametrize("family", tuple(CartanFamily), ids=lambda f: f.value)

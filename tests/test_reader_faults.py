@@ -44,9 +44,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kakpulse import (CartanElement, CartanFamily, CartanNode, ChainSpec,
-                      EulerNode, GateList, PauliString, PhaseNode,
-                      PulseProgram, RangeError, SequenceNode, ValidationError,
-                      evaluate, flatten, gate_list_from_json,
+                      DimensionError, EulerNode, GateList, PauliString,
+                      PhaseNode, PulseProgram, RangeError, SequenceNode,
+                      ValidationError, evaluate, flatten, gate_list_from_json,
                       gate_list_to_json_text, gate_list_unitary,
                       pulse_program_unitary, tree_from_json_dict,
                       tree_to_json_text)
@@ -246,7 +246,10 @@ EVENTS = (
     + [("delay", {"kind": "delay", "t": 0.001}, case) for case in DELAY]
     + [("event", {"kind": "local", "q": 1, "axis": "x", "angle": 0.5},
         ("unknown kind", {},
-         (ValidationError, "{at}: unknown event kind 'local'")))]
+         (ValidationError, "{at}: unknown event kind 'local'"))),
+       ("event", {"kind": "pulse", "q": 1, "axis": "x", "angle": 0.5},
+        ("pulse off the chain", dict(q=4),
+         (DimensionError, "{at}: pulse on spin 4 outside chain of 3")))]
 )
 
 
@@ -346,7 +349,7 @@ def test_rows_carry_every_kind_of_fault():
     assert {"local-zero q", "local-unknown axis", "zz-negative spin",
             "zz-inf angle", "phase-nan phi", "gate-unknown kind",
             "pulse-negative q", "delay-negative t",
-            "event-unknown kind"} <= labels
+            "event-unknown kind", "event-pulse off the chain"} <= labels
 
 
 @pytest.mark.parametrize("label, row, expected", GATE_ROWS,
@@ -635,6 +638,7 @@ def test_gate_rows_read_back_or_are_refused_as_the_reader_refuses(rows):
 
 @given(rows=ROWS, phase=st.floats(-4.0, 4.0) | SCALARS)
 @example(rows=[], phase=2 ** 53 + 1)
+@example(rows=[("pulse", 4, "x", 0.1)], phase=0.0)  # off the 3-spin chain
 @settings(max_examples=300, deadline=None)
 def test_event_rows_read_back_or_are_refused_as_the_reader_refuses(rows,
                                                                   phase):
@@ -839,7 +843,10 @@ LAYER = [
      (ValidationError, 'route step (1.0, 2) is not a CNOT on adjacent '
                        'spins of 1..3')),
     ('route that ends closed', dict(route=[]),
-     layer(route=(), ZZX=0.4, **{"11X": -0.2})),
+     (ValidationError, 'route () never holds the parity of ZZX')),
+    ('route that ends closed over strings it holds',
+     dict(route=[], coeffs={"1ZX": 0.4, "11X": -0.2}),
+     layer(route=(), **{"1ZX": 0.4, "11X": -0.2})),
     ('route on the last spin', dict(route=[[3, 2]]),
      (ValidationError, 'route does not leave spin 3 alone at its end')),
     ('route on a maximal layer', dict(n=2, family='maximal',
@@ -975,12 +982,7 @@ def reads_back_or_is_refused_as_its_reader(build, data, fields):
     if spins(node) <= 4:
         matrix = evaluate(node, spins(node))
         assert np.isfinite(matrix).all()
-        try:
-            gates = flatten(node)
-        except ValidationError as exc:
-            # a route is checked against the strings it lowers
-            assert "never holds the parity of" in str(exc)
-            return
+        gates = flatten(node)
         # besides rounding, only the turns of at most TOL_ROTATION that the
         # lowering leaves out move it, each an entry by at most half that;
         # a node here holds at most three

@@ -214,9 +214,20 @@ class TestPulseProgramUnitary:
                              ids=["pi-x", "minus-pi-x", "ordinary"])
     def test_rejects_pulses_off_the_chain(self, pulse):
         """A pi-x flip touches no matrix, yet a flip on spin n + 1 is as
-        invalid as any other pulse there."""
-        program = PulseProgram(ChainSpec.uniform(3),
-                               [delay_row(0.001), pulse, delay_row(0.001)])
+        invalid as any other pulse there.  The constructor refuses such a
+        program, and the simulator one built by ``add``, which appends
+        unchecked."""
+
+        def unchecked(chain, rows):
+            with pytest.raises(DimensionError, match="spin"):
+                PulseProgram(chain, rows)
+            program = PulseProgram(chain)
+            for row in rows:
+                program.add(*row)
+            return program
+
+        program = unchecked(ChainSpec.uniform(3),
+                            [delay_row(0.001), pulse, delay_row(0.001)])
         with pytest.raises(DimensionError, match="spin 4"):
             pulse_program_unitary(program)
         # the same on spin 7 of six, between two stretches that are
@@ -226,8 +237,7 @@ class TestPulseProgramUnitary:
                      pulse_row(1 + k % 5, "xy"[k % 2], 0.1)][k % 4]
                     for k in range(simulate.BLOCK_MIN_STEPS)]
         bad = pulse_row(7, *pulse[2:])
-        program = PulseProgram(ChainSpec.uniform(6),
-                               diagonal + [bad] + diagonal)
+        program = unchecked(ChainSpec.uniform(6), diagonal + [bad] + diagonal)
         with pytest.raises(DimensionError, match="spin 7"):
             pulse_program_unitary(program)
 

@@ -575,20 +575,48 @@ def test_near_trivial_targets_keep_every_contract(structure, n, eps):
     assert np.max(np.abs(pulse_program_unitary(program) - u)) < 1e-9
 
 
+def test_one_screen_routes_a_stack_as_it_routes_each_matrix():
+    """The last-spin screen gives each matrix of a stack the route it
+    gives that matrix alone: Kronecker (even where the product is also
+    block-diagonal), else block-diagonal exactly where both off-diagonal
+    blocks are within TOL_TRIVIAL of zero, else generic."""
+    w = haar_unitary(8, 741)
+    near = block_diagonal(4).copy()
+    near[0::2, 1::2] += 2e-12  # <a|u|b> of the last spin: rows a::2, cols b::2
+    near[1::2, 0::2] -= 2e-12
+    stack = np.array([haar_unitary(16, 740), block_diagonal(4),
+                      np.kron(w, np.diag(np.exp([0.3j, -1.1j]))),
+                      np.kron(w, haar_unitary(2, 742)), near])
+    routes = kakpulse.kak._last_spin_screen(stack)
+    assert [route if route is None or isinstance(route, str) else "kronecker"
+            for route in routes] == [None, "block", "kronecker", "kronecker",
+                                     None]
+    for u, route in zip(stack, routes):
+        alone, = kakpulse.kak._last_spin_screen(u[None])
+        off = max(np.max(np.abs(u[0::2, 1::2])), np.max(np.abs(u[1::2, 0::2])))
+        if isinstance(route, tuple):
+            d, w_u = route
+            assert all(np.array_equal(a, b) for a, b in zip(route, alone))
+            assert np.max(np.abs(np.kron(w_u, d) - u)) <= 1e-12
+        else:
+            assert route == alone
+            assert (route == "block") == (off <= kakpulse.kak.TOL_TRIVIAL)
+
+
 def test_corrupt_kronecker_factor_names_its_level(monkeypatch):
     """A leading-spin factor knocked off by 1e-6 still factors cleanly on
     its own, so only the Kronecker level's own check can see it."""
-    honest = kakpulse.kak._kronecker_screen
+    honest = kakpulse.kak._last_spin_screen
 
     def corrupt(us):
         found = honest(us)
         if us.shape[1] == 16:
             turn = np.kron(su2_rotation("x", 2e-6), np.eye(4))
-            found = [None if pair is None else (pair[0], pair[1] @ turn)
-                     for pair in found]
+            found = [(route[0], route[1] @ turn) if isinstance(route, tuple)
+                     else route for route in found]
         return found
 
-    monkeypatch.setattr(kakpulse.kak, "_kronecker_screen", corrupt)
+    monkeypatch.setattr(kakpulse.kak, "_last_spin_screen", corrupt)
     with pytest.raises(NumericError) as info:
         decompose(haar_kronecker(4))
     assert info.value.path == ("n=4",)
