@@ -121,7 +121,8 @@ from .errors import (DimensionError, NumericError, ValidationError, _json_array,
 from .linalg import (_EYE2, AXES, PAULI, TOL_UNITARY, _check_stack,
                      _cosine_sine_stack, _reduced, _unitary_eig_stack, apply_local,
                      check_square, check_unitaries, golden_mix_eigvecs,
-                     kron2, quaternion_matrices, spin_count, su2_rotation)
+                     euler_zxz, kron2, quaternion_matrices, spin_count,
+                     su2_rotation)
 from .networks import (Route, check_route, closed_pi_count, end_rows,
                        leaves_last_spin, nonzero_letters, open_route)
 from .paulis import (CartanElement, CartanFamily, PauliString,
@@ -272,24 +273,18 @@ def euler_xzx_angles(q) -> tuple[float, float, float]:
     ``q = (w, x, y, z)``, which stands for
     ``w - 1j*(x*sigma_x + y*sigma_y + z*sigma_z)``."""
     w, x, y, z = q
-    # cos(beta/2) * exp(1j*(alpha+gamma)/2) and sin(beta/2)*exp(-1j*(alpha-gamma)/2)
-    z_sum = complex(w, x)
-    z_dif = complex(z, y)
-    beta = 2 * math.atan2(abs(z_dif), abs(z_sum))
-    half_sum = cmath.phase(z_sum) if abs(z_sum) > 0 else 0.0
-    half_dif = -cmath.phase(z_dif) if abs(z_dif) > 0 else 0.0
-    if z_sum == 0 or z_dif == 0:
+    # The half turn about (x + z) / sqrt(2) swaps the x and z axes and
+    # negates y, so the z-x-z angles of its image are the x-z-x ones.
+    alpha, beta, gamma = euler_zxz((w, z, -y, x))
+    if w == x == 0 or z == y == 0:
         # beta is pi or 0: only alpha - gamma or alpha + gamma is fixed
-        alpha, gamma = 2 * (half_sum + half_dif) % (2 * math.pi), 0.0
-    else:
-        alpha = (half_sum + half_dif) % (2 * math.pi)
-        gamma = (half_sum - half_dif) % (2 * math.pi)
-    # The same two halves of the quaternion the angles give: their dot
-    # product with q is -1 when a half turn of the angle sum flipped the
-    # sign, and then beta takes the other sheet.
-    recon_sum = cmath.rect(math.cos(beta / 2), (alpha + gamma) / 2)
-    recon_dif = cmath.rect(math.sin(beta / 2), (gamma - alpha) / 2)
-    if (recon_sum.conjugate() * z_sum + recon_dif.conjugate() * z_dif).real < 0:
+        alpha = 2 * (math.atan2(x, w) if z == y == 0 else -math.atan2(y, z))
+        gamma = 0.0
+    # Each 2*pi taken off alpha or gamma negates the product, and then
+    # beta takes the other sheet.
+    turns, alpha = divmod(alpha, 2 * math.pi)
+    more, gamma = divmod(gamma, 2 * math.pi)
+    if (turns + more) % 2:
         beta += 2 * math.pi
     return alpha, beta, gamma
 

@@ -106,6 +106,19 @@ def quaternion_turn(q: tuple[float, float, float, float], axis: str,
     return (c * w - s * z, c * x - s * y, c * y + s * x, c * z + s * w)
 
 
+def euler_zxz(q: tuple[float, float, float, float]) -> tuple[float, float, float]:
+    """Angles ``(a, b, c)`` with ``U(q) = Rz(a) Rx(b) Rz(c)`` exactly in
+    SU(2): ``b`` in ``[0, pi]``, and ``a`` and ``c`` within ``2*pi`` of
+    zero.  The product's quaternion is ``w + 1j*z = cos(b/2) *
+    exp(1j*(a+c)/2)`` and ``x + 1j*y = sin(b/2) * exp(1j*(a-c)/2)``, so
+    each half angle is read off by one ``atan2``, with no sign sheet to
+    choose; at ``b = 0`` or ``pi`` only ``a + c`` or ``a - c`` counts."""
+    w, x, y, z = q
+    half_sum, half_dif = math.atan2(z, w), math.atan2(y, x)
+    b = 2 * math.atan2(abs(complex(x, y)), abs(complex(w, z)))
+    return half_sum + half_dif, b, half_sum - half_dif
+
+
 def quaternion_matrices(quaternions) -> np.ndarray:
     """``U(q)`` of each of ``k`` quaternions ``q``, as one ``(k, 2, 2)``
     array."""

@@ -47,7 +47,8 @@ Four layers live here:
   commute with allow, and commuting couplings share delays; x pi-pulses
   refocus each pair's drift over each epoch to what its couplings need.
   Every time it keeps is an integer on one exact clock, and only a
-  delay it writes is in seconds.
+  delay it writes is in seconds.  Between two delays each spin gets at
+  most two pulses, and its trailing z turn rides through the delays.
 
 Gate lists are built and read here as the columns of a
 :class:`~kakpulse.gates.GateList`, and the scheduler writes the columns
@@ -77,11 +78,21 @@ switch, at the time that makes the integral right, and at each switch
 the scheduler toggles the cheapest set of spins that switches every
 pair then due and keeps every pair whose sign is settled (for a lone
 active pair in a delay of its own, every spin at odd distance from it).
-A toggle on a spin that has had an x rotation since the last delay
-folds into that rotation as ``Rx(a +- pi)``, and a y or z rotation on a
-flipped spin is emitted with its angle negated.  The
-program ends by flipping back every spin that is still flipped.  Each
-flip is ``-+1j*sigma_x``, tracked in the program's global phase.
+A y or z rotation on a flipped spin is taken with its angle negated.
+The program ends by flipping back every spin that is still flipped.
+Each flip is ``-+1j*sigma_x``, tracked in the program's global phase.
+
+Pulses are written a gap at a time, a gap being the stretch between two
+delays.  Each spin's rotations and toggles in a gap are one SU(2)
+product, flushed at the next delay as ``z(c)`` then ``x(b)`` of its
+z-x-z angles, or as a single x or y pulse when ``c`` is a multiple of
+``pi/2``; its last z turn ``Rz(a)`` commutes with the drift and is
+carried to the next gap, the z frame of NMR practice (Vandersypen &
+Chuang, Rev. Mod. Phys. 76, 1037 (2004)), and written when the program
+ends.  A gap of toggles and z turns only writes an exact x ``pi`` pulse
+or nothing, so the simulator still reads it as a flip.  A toggle on a
+spin that has an x or y rotation in its gap costs no pulse, and the
+sign plan's switch sets count it so.
 """
 
 from __future__ import annotations
@@ -96,7 +107,7 @@ from .errors import DimensionError, ValidationError
 from .gates import ChainSpec, GateList, PulseProgram
 from .kak import (CartanNode, EulerNode, GateTree, PhaseNode, SequenceNode,
                   decompose, euler_xzx_angles)
-from .linalg import QUATERNION_ONE, _reduced, quaternion_turn
+from .linalg import QUATERNION_ONE, _reduced, euler_zxz, quaternion_turn
 from .networks import (TOL_COEFF, Route, closed_route,
                        parity_image, parity_points)
 from .paulis import CartanElement, CartanFamily, PauliString
@@ -500,7 +511,8 @@ def _switch_set(pattern: tuple[int, ...], free: int) -> tuple[int, ...]:
     ``pattern[k - 1]`` is the state of pair ``(k, k+1)``: a due pair gets
     exactly one toggled spin, a settled pair none or both, and a pending
     pair either, one being a move.  A spin whose bit is set in ``free``
-    costs no pulse (its toggle folds into an x pulse).  The set is the
+    costs no pulse (it has an x or y rotation in this gap, into which
+    its toggle fuses).  The set is the
     cheapest by pulses, then moves, then toggles, found by one two-state
     pass along the chain; on a tie it toggles the lowest spin where the
     candidates differ."""
@@ -542,68 +554,147 @@ class _Frame:
     change sign, and so does every coupling with one flipped end.  The
     frame appends its pulses and delays to the program's columns.
 
-    A toggle of a spin that has an x pulse since the last delay folds
-    into that pulse, ``Rx(a) Xpi = Rx(a +- pi)``, and negates the spin's
-    y and z pulses since it; such a spin is ``free`` (bit ``q`` of the
-    mask).  Every toggle, folded or not, is ``-+1j*sigma_x``, counted in
-    ``quarters``."""
+    Between two delays the frame only holds.  A spin's turns there, its
+    rotations (a y or z one negated on a flipped spin) and its toggles
+    (``Rx(pi)``), times the z turn ``Rz(a)`` it carries in, are one
+    SU(2) product ``V``.  Until its first x or y rotation ``V`` is
+    ``Rz(a) Rx(b)`` with ``b`` 0 or ``pi`` by the parity of its toggles
+    (bit ``q`` of ``toggled``): a z turn adds to ``a``, and a toggle
+    negates it (``Rx(pi) Rz(a) = Rz(-a) Rx(pi)``).  From that rotation
+    on the spin is ``free`` (bit ``q`` of the mask; a toggle there costs
+    no pulse) and ``V`` is held as its angles, ``Rz(a) Rx(b) Rz(c)``:
+    the first x or y rotation has a closed form, and each later one goes
+    through the quaternion of ``V`` and :func:`~kakpulse.linalg.
+    euler_zxz`.  At the delay a free spin's ``V`` is written as ``z(c)``
+    then ``x(b)``, or as one x or y pulse when ``c`` is a multiple of
+    ``pi/2``, and any other spin writes an odd toggle count as one exact
+    x ``pi`` pulse.  ``Rz(a)``, which commutes with the drift, is carried
+    into the next gap, and the restore writes what is still carried.
+    Every toggle is ``-+1j*sigma_x`` and every ``2*pi`` taken off an
+    angle a ``-1``, both counted in ``quarters``."""
 
     def __init__(self, program: PulseProgram):
         self.program = program
-        self.flipped = [False] * (program.chain.n + 1)  # by spin; index 0 unused
+        self.columns = program.columns()
+        n = program.chain.n
+        self.flipped = [False] * (n + 1)  # by spin; index 0 unused
         self.quarters = 0
-        # by free spin: the index of its x pulse, then of its y and z
-        # pulses since, in the program's columns
-        self.turned: dict[int, list[int]] = {}
+        self.carried = [0.0] * (n + 1)  # by spin: its z turn
+        self.toggled = 0
+        self.held: dict[int, tuple[float, float, float]] = {}  # by free spin
         self.free = 0
 
     def turns(self, run: list[int], gates: GateList) -> None:
-        """The pulses that realize the rotations ``run``, indices into
-        ``gates``, in this frame."""
-        kinds, sites, axes, values = self.program.columns()
-        flipped, turned = self.flipped, self.turned
+        """Hold the rotations ``run``, indices into ``gates``."""
+        flipped, carried, held = self.flipped, self.carried, self.held
         spins, turn_axes, angles = gates.sites, gates.axes, gates.values
+        period = 4 * _PI
         for i in run:
-            q, axis, angle = spins[i], turn_axes[i], angles[i]
-            if axis == "x":
-                turned[q] = [len(kinds)]
+            q, axis, t = spins[i], turn_axes[i], angles[i]
+            if not -period <= t <= period:
+                t = _reduced(t, period)
+            if axis != "x" and flipped[q]:
+                t = -t
+            if q in held:
+                a, b, c = held[q]
+                if axis == "z":
+                    held[q] = a + t, b, c
+                    continue
+                cb, sb = math.cos(b / 2), math.sin(b / 2)
+                add, dif = (a + c) / 2, (a - c) / 2
+                held[q] = euler_zxz(quaternion_turn(
+                    (cb * math.cos(add), sb * math.cos(dif),
+                     sb * math.sin(dif), cb * math.sin(add)), axis, t))
+            elif axis == "z":
+                a = carried[q] + t
+                carried[q] = a if -period <= a <= period else math.remainder(
+                    a, period)
             else:
-                if flipped[q]:
-                    angle = -angle
-                if q in turned:
-                    turned[q].append(len(kinds))
-            kinds.append("pulse")
-            sites.append(q)
-            axes.append(axis)
-            values.append(angle)
-        for q in turned:
-            self.free |= 1 << q
+                # V = Rz(a) Rx(b) = Rx(b) Rz(+-a), and
+                # Ry(t) = Rz(pi/2) Rx(t) Rz(-pi/2)
+                a, b = carried[q], 0.0
+                if self.toggled >> q & 1:
+                    a, b = -a, _PI
+                    self.toggled ^= 1 << q
+                if axis == "x":
+                    held[q] = 0.0, t + b, a
+                else:
+                    held[q] = _HALF_PI, t + b, a + (_HALF_PI if b else -_HALF_PI)
+                self.free |= 1 << q
 
     def toggle(self, spins) -> None:
-        """One x pi-pulse on each of ``spins``, or its fold."""
-        flipped, values = self.flipped, self.program.values
+        """Hold one x pi-pulse on each of ``spins``."""
+        flipped, carried, held = self.flipped, self.carried, self.held
         for s in spins:
             flipped[s] = not flipped[s]
-            if s not in self.turned:
-                self.program.add("pulse", s, "x", _PI)
-                self.quarters += 1
+            if s in held:
+                a, b, c = held[s]
+                # Rx(pi) Rz(a) Rx(b) = Rz(-a) Rx(b + pi), and Rx(b + pi) is
+                # -Rx(b - pi)
+                held[s] = -a, b - _PI if b > 0 else b + _PI, c
+                self.quarters += -1 if b > 0 else 1
+            else:
+                carried[s] = -carried[s]
+                self.quarters += -1 if self.toggled >> s & 1 else 1
+                self.toggled ^= 1 << s
+
+    def _angle(self, angle: float) -> float:
+        """``angle`` folded into ``[-pi, pi]``, each ``2*pi`` taken off
+        counted as a ``-1``."""
+        r = math.remainder(angle, 2 * _PI)
+        self.quarters += 2 * round((angle - r) / (2 * _PI))
+        return r
+
+    def flush(self) -> None:
+        """Write what each spin holds: at most two pulses."""
+        kinds, sites, axes, values = self.columns
+        toggled = self.toggled
+        while toggled:
+            q = (toggled & -toggled).bit_length() - 1
+            toggled &= toggled - 1
+            kinds.append("pulse")
+            sites.append(q)
+            axes.append("x")
+            values.append(_PI)
+        carried, fold = self.carried, self._angle
+        for q, (a, b, c) in self.held.items():
+            if not -_PI <= b <= _PI:
+                b = fold(b)
+            if -TOL_ROTATION <= b <= TOL_ROTATION:
+                carried[q] = a + c
                 continue
-            x, *later = self.turned[s]
-            a = values[x]
-            values[x] = a - _PI if a > 0 else a + _PI
-            self.quarters += -1 if a > 0 else 1
-            for i in later:
-                values[i] = -values[i]
+            k = round(c / _HALF_PI)
+            if -TOL_ROTATION <= c - k * _HALF_PI <= TOL_ROTATION:
+                # Rx(b) Rz(k*pi/2) = Rz(k*pi/2) R(b) about x, -y, -x or y
+                carried[q] = a + k * _HALF_PI
+                k %= 4
+                kinds.append("pulse")
+                sites.append(q)
+                axes.append("xyxy"[k])
+                values.append(-b if k == 1 or k == 2 else b)
+            else:
+                carried[q] = a
+                kinds += ("pulse", "pulse")
+                sites += (q, q)
+                axes += ("z", "x")
+                values += (c if -_PI <= c <= _PI else fold(c), b)
+        self.held, self.free, self.toggled = {}, 0, 0
 
     def delay(self, t: float) -> None:
         if t > 0:
+            if self.held or self.toggled:
+                self.flush()
             self.program.add("delay", 0, None, t)
-            if self.free:
-                self.turned, self.free = {}, 0
 
     def restore(self) -> None:
-        """Toggle every spin that is still flipped."""
+        """Toggle every spin that is still flipped, write what is held
+        and then each z turn still carried."""
         self.toggle([q for q, f in enumerate(self.flipped) if f])
+        self.flush()
+        for q, a in enumerate(self.carried):
+            a = self._angle(a)
+            if abs(a) > TOL_ROTATION:
+                self.program.add("pulse", q, "z", a)
 
 
 def _place(gates: GateList, chain: ChainSpec) -> tuple[dict, float]:
@@ -795,11 +886,13 @@ def synthesize_pulses(gates: GateList, chain: ChainSpec) -> PulseProgram:
     :func:`_timeline`) bounds every epoch on both sides, so its switches
     fall at 0 or exactly half its delay.
 
-    The rotations that start at a breakpoint go out before its stretch,
-    in list order; a y or z rotation on a flipped spin is emitted with
-    its angle negated, and a toggle on a spin with an x pulse since the
-    last delay folds into that pulse (:class:`_Frame`).  The program
-    ends by toggling every spin that is still flipped.
+    The rotations that start at a breakpoint go before its stretch, in
+    list order, and a y or z rotation on a flipped spin is taken with
+    its angle negated.  Each spin's rotations and toggles between two
+    delays are written at the second as at most two pulses, and its
+    trailing z turn is carried on (:class:`_Frame`).  The program ends
+    by toggling every spin that is still flipped and writing the z
+    turns still carried.
     """
     at, phase = _place(gates, chain)
     steps, epochs = _timeline(gates, chain, at)

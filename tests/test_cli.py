@@ -730,8 +730,8 @@ class TestSelftest:
     def test_detects_a_lost_toggle(self, monkeypatch, capsys, suite):
         """One x pi-pulse of the frame goes missing while the frame counts
         it as given."""
-        lossy = lossy_toggle(kakpulse.pulses._Frame.toggle)
-        monkeypatch.setattr(kakpulse.pulses._Frame, "toggle", lossy)
+        lossy = lossy_toggle(kakpulse.pulses._Frame.flush)
+        monkeypatch.setattr(kakpulse.pulses._Frame, "flush", lossy)
         self.assert_suite_fails(suite, capsys)
         assert lossy.lost
 

@@ -43,6 +43,7 @@ from kakpulse import (
     synthesize_pulses,
     total_coupling_time,
 )
+import kakpulse.pulses
 from kakpulse import simulate
 from kakpulse.cli import main as cli_main
 
@@ -70,6 +71,28 @@ def test_coupling_has_quarter_eigenvalues():
     for angle, sign in ((4 * math.pi, -1.0), (8 * math.pi, 1.0)):
         got = gate_list_unitary(GateList([zz_row(1, angle)]), 2)
         assert np.allclose(got, sign * np.eye(4), atol=1e-12)
+
+
+def skewed_chain_corpus():
+    """200 ``(chain, gates)``: chains of 2..5 spins whose couplings span
+    1e-6..1e6 Hz, each with a random gate list that couples every pair
+    at least once, with up to three rotations before each coupling and
+    after the last."""
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(2, 6))
+        chain = ChainSpec(n, tuple(10.0 ** rng.uniform(-6, 6, n - 1)))
+        pairs = [*range(1, n), *rng.integers(1, n, rng.integers(0, 5))]
+        rows = []
+        for left in [*rng.permutation(pairs), None]:
+            rows += [local_row(int(rng.integers(1, n + 1)),
+                               "xyz"[rng.integers(3)],
+                               rng.uniform(-4 * math.pi, 4 * math.pi))
+                     for _ in range(rng.integers(0, 4))]
+            if left is not None:
+                rows.append(zz_row(int(left), rng.uniform(-4 * math.pi,
+                                                          4 * math.pi)))
+        yield chain, GateList(rows)
 
 
 class TestGateListUnitary:
@@ -125,25 +148,12 @@ class TestGateListUnitary:
         stronger pairs' by far more inside cells: over 200 random gate
         lists the program stays within 2e-14 of its gate list, as close
         as the rounding of the turns themselves."""
-        rng = np.random.default_rng(7)
         worst = 0.0
-        for _ in range(200):
-            n = int(rng.integers(2, 6))
-            chain = ChainSpec(n, tuple(10.0 ** rng.uniform(-6, 6, n - 1)))
-            pairs = [*range(1, n), *rng.integers(1, n, rng.integers(0, 5))]
-            rows = []
-            for left in [*rng.permutation(pairs), None]:
-                rows += [local_row(int(rng.integers(1, n + 1)),
-                                   "xyz"[rng.integers(3)],
-                                   rng.uniform(-4 * math.pi, 4 * math.pi))
-                         for _ in range(rng.integers(0, 4))]
-                if left is not None:
-                    rows.append(zz_row(int(left), rng.uniform(-4 * math.pi,
-                                                              4 * math.pi)))
-            gates = GateList(rows)
+        for chain, gates in skewed_chain_corpus():
             program = synthesize_pulses(gates, chain)
             worst = max(worst, distance(pulse_program_unitary(program),
-                                        gate_list_unitary(gates, n)).frobenius)
+                                        gate_list_unitary(gates, chain.n)
+                                        ).frobenius)
         assert worst < 2e-14
 
     def test_rejects_gates_off_the_chain(self):
@@ -789,52 +799,47 @@ def gate_epochs(gates, chain):
     return epochs
 
 
-def program_epochs(gates, program):
-    """``(epochs, flips)`` of a scheduled program: by pair, the signed
-    seconds of drift in each of its epochs, in the Pauli frame of the
-    program's x pi flips; by spin, how often it flips.
+def scheduled_epochs(gates, chain):
+    """``(program, epochs, flips)``: the program scheduled for
+    ``gates``, and what its frame does while writing it.  By pair, the
+    signed seconds of drift in each of its epochs, in the Pauli frame
+    the frame holds at each delay; by spin, how often it is toggled.
 
-    Each pulse is either the next rotation of its spin in the gate list
-    or an x pi toggle.  A y or z rotation carries its frame sign; an x
-    rotation ``a`` that comes out as ``a +- pi`` carries a folded
-    toggle."""
-    n = program.chain.n
-    rotations = {q: [] for q in range(1, n + 1)}
-    for kind, q, axis, angle in reversed(list(gates)):
-        if kind == "local":
-            rotations[q].append((axis, angle))
-    flipped, flips = [False] * (n + 1), [0] * (n + 1)
+    Pulses no longer map one to one onto rotations (each spin's turns
+    between two delays are fused), so an epoch opens where the frame
+    takes an x or y rotation on one of the pair's spins."""
+    frame = kakpulse.pulses._Frame
+    honest_turns, honest_toggle, honest_delay = (
+        frame.turns, frame.toggle, frame.delay)
+    n = chain.n
+    flips = [0] * (n + 1)
     epochs = {k: [[]] for k in range(1, n)}
 
-    def flip(q):
-        flipped[q] = not flipped[q]
-        flips[q] += 1
+    def turns(self, run, turned):
+        for i in run:
+            if turned.axes[i] != "z":
+                q = turned.sites[i]
+                for k in (q - 1, q):
+                    if k in epochs:
+                        epochs[k].append([])
+        honest_turns(self, run, turned)
 
-    for kind, q, axis, angle in program:
-        if kind == "delay":
+    def toggle(self, spins):
+        for q in spins:
+            flips[q] += 1
+        honest_toggle(self, spins)
+
+    def delay(self, t):
+        if t > 0:
             for k, drift in epochs.items():
-                drift[-1].append(-angle if flipped[k] != flipped[k + 1]
-                                 else angle)
-            continue
-        assert kind == "pulse"
-        turn = rotations[q][-1] if rotations[q] else (None, None)
-        if turn[0] != axis or axis == "x" and angle not in (
-                turn[1], turn[1] - math.pi, turn[1] + math.pi):
-            assert (axis, angle) == ("x", math.pi)
-            flip(q)
-            continue
-        rotations[q].pop()
-        if axis != "x":
-            assert angle == (-turn[1] if flipped[q] else turn[1])
-        elif angle != turn[1]:
-            flip(q)
-        if axis != "z":
-            for k in (q - 1, q):
-                if k in epochs:
-                    epochs[k].append([])
-    assert not any(rotations.values())
-    return {k: [math.fsum(d) for d in drift]
-            for k, drift in epochs.items()}, flips
+                drift[-1].append(-t if self.flipped[k] != self.flipped[k + 1]
+                                 else t)
+        honest_delay(self, t)
+
+    with mock.patch.multiple(frame, turns=turns, toggle=toggle, delay=delay):
+        program = synthesize_pulses(gates, chain)
+    return program, {k: [math.fsum(d) for d in drift]
+                     for k, drift in epochs.items()}, flips
 
 
 @given(data=st.data())
@@ -847,19 +852,11 @@ def test_frame_scheduler_on_signed_gate_lists(data):
     every spin is flipped an even number of times."""
     chain, gates = data.draw(signed_schedules())
     n = chain.n
-    program = synthesize_pulses(gates, chain)
+    program, drift, flips = scheduled_epochs(gates, chain)
     want = gate_list_unitary(gates, n)
     assert np.max(np.abs(pulse_program_unitary(program) - want)) < 1e-10
     assert np.max(np.abs(oracle_program(program)
                          - oracle_gate_list(gates, n))) < 1e-10
-    # an x rotation that can come out as an x pi pulse, folded or not,
-    # reads like a flip, so the program cannot be parsed back into epochs;
-    # the other examples, about two in three, check the epochs
-    if any(math.pi in (angle, angle - math.pi, angle + math.pi)
-           for kind, _, axis, angle in gates
-           if kind == "local" and axis == "x"):
-        return
-    drift, flips = program_epochs(gates, program)
     coupling = gate_epochs(gates, chain)
     for k in range(1, n):
         assert drift[k] == pytest.approx(coupling[k], rel=1e-9, abs=1e-15)
