@@ -438,8 +438,8 @@ class PulseProgram(_StepTable):
         """Hold ``phase``, a finite number, once every pulse is on the
         chain; the first one off it is named by its index, as a row is."""
         n = self.chain.n
-        # one pass: the set of a program's sites is small, and building
-        # it costs less than max() over every event
+        # the max of the set of sites: hashing each small int costs less
+        # than comparing it, and the index is looked for only on a fault
         if max(set(self.sites), default=0) > n:
             k, q = next((k, q) for k, q in enumerate(self.sites) if q > n)
             raise _item_error(DimensionError(
@@ -465,11 +465,7 @@ class PulseProgram(_StepTable):
         Each event is checked as its kind's row is, and a fault names
         the event's index; the events are read before the phase."""
         try:
-            # built empty without the constructor, whose check runs once
-            # the events are read
-            program = cls.__new__(cls)
-            program.chain = ChainSpec.from_json_dict(data["chain"])
-            _StepTable.__init__(program)
+            program = cls(ChainSpec.from_json_dict(data["chain"]))
             program._read(_json_array(data.get("events", []),
                                       "program events"))
             program._complete(data.get("phase", 0.0))

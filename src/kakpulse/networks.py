@@ -33,7 +33,6 @@ Every CNOT is one pi coupling.  This module knows no matrices:
 from __future__ import annotations
 
 import functools
-import itertools
 
 from .errors import ValidationError
 from .paulis import CartanElement, CartanFamily
@@ -133,35 +132,29 @@ def check_route(route, element: CartanElement) -> None:
     """Raise :class:`ValidationError` unless ``element`` is a
     ``DIAGONAL`` or ``OUTER_X`` element on ``k >= 3`` spins and ``route``
     a tuple of adjacent ``(control, target)`` CNOTs on spins ``1..k``
-    that ends in ``diag(A, 1)`` and holds every nonzero string's parity.
-
-    The verdict on a route of pairs of plain ints is cached on the
-    route, ``k`` and the nonzero strings; any other route, which only an
-    equal route of other types could share a key with, is checked in
-    full every time."""
+    that ends in ``diag(A, 1)`` and holds every nonzero string's parity."""
     k = element.n
     if k < 3 or element.family is CartanFamily.MAXIMAL:
         raise ValidationError(
             f"a {element.family.value} element on {k} spins takes no route")
-    letters = nonzero_letters(element)
-    plain = (type(route) is tuple and set(map(type, route)) <= {tuple}
-             and set(map(len, route)) <= {2}
-             and set(map(type, itertools.chain.from_iterable(route))) <= {int})
-    fault = (_route_fault(route, k, letters) if plain
-             else _route_fault.__wrapped__(route, k, letters))
+    for cnot in route:
+        if not (isinstance(cnot, tuple) and len(cnot) == 2
+                and type(cnot[0]) is type(cnot[1]) is int
+                and 1 <= cnot[0] <= k and 1 <= cnot[1] <= k
+                and abs(cnot[0] - cnot[1]) == 1):
+            raise ValidationError(
+                f"route step {cnot!r} is not a CNOT on adjacent spins of 1..{k}")
+    fault = _route_fault(route, k, nonzero_letters(element))
     if fault is not None:
         raise ValidationError(fault)
 
 
 @functools.lru_cache(maxsize=4096)
-def _route_fault(route, k: int, letters: tuple[str, ...]) -> str | None:
-    """Why :func:`check_route` refuses ``route`` for an element on ``k``
-    spins whose nonzero strings are ``letters``, or None."""
-    for cnot in route:
-        if not (isinstance(cnot, tuple) and len(cnot) == 2
-                and all(type(q) is int and 1 <= q <= k for q in cnot)
-                and abs(cnot[0] - cnot[1]) == 1):
-            return f"route step {cnot!r} is not a CNOT on adjacent spins of 1..{k}"
+def _route_fault(route: Route, k: int, letters: tuple[str, ...]) -> str | None:
+    """Why :func:`check_route` refuses ``route``, whose steps it has
+    checked, for an element on ``k`` spins whose nonzero strings are
+    ``letters``, or None.  The steps are pairs of ints, so the verdict
+    depends on their values alone."""
     if not leaves_last_spin(end_rows(route, k)):
         return f"route does not leave spin {k} alone at its end"
     points = parity_points(route, k)

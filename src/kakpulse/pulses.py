@@ -343,6 +343,13 @@ def cartan_evolution_gates(element: CartanElement,
 # Gate trees
 
 
+def _fold(angle: float) -> tuple[float, int]:
+    """``(r, m)`` with ``angle = r + 2*pi*m`` and ``r`` in ``[-pi, pi]``:
+    a turn by ``angle`` is ``(-1)**m`` times the turn by ``r``."""
+    r = math.remainder(angle, 2 * _PI)
+    return r, round((angle - r) / (2 * _PI))
+
+
 def _xzx_steps(alpha: float, beta: float,
                gamma: float) -> tuple[list[tuple[str, float]], int]:
     """``(steps, turns)`` for ``Rx(alpha) Rz(beta) Rx(gamma)``: the
@@ -356,8 +363,8 @@ def _xzx_steps(alpha: float, beta: float,
 
     def fold(angle: float) -> float:
         nonlocal turns
-        r = math.remainder(angle, 2 * _PI)
-        turns += round((angle - r) / (2 * _PI))
+        r, m = _fold(angle)
+        turns += m
         return r
 
     beta = fold(beta)
@@ -556,22 +563,22 @@ class _Frame:
 
     Between two delays the frame only holds.  A spin's turns there, its
     rotations (a y or z one negated on a flipped spin) and its toggles
-    (``Rx(pi)``), times the z turn ``Rz(a)`` it carries in, are one
+    (``Rx(pi)``), after the z turn ``Rz(a)`` it carries in, are one
     SU(2) product ``V``.  Until its first x or y rotation ``V`` is
-    ``Rz(a) Rx(b)`` with ``b`` 0 or ``pi`` by the parity of its toggles
-    (bit ``q`` of ``toggled``): a z turn adds to ``a``, and a toggle
-    negates it (``Rx(pi) Rz(a) = Rz(-a) Rx(pi)``).  From that rotation
-    on the spin is ``free`` (bit ``q`` of the mask; a toggle there costs
-    no pulse) and ``V`` is held as its angles, ``Rz(a) Rx(b) Rz(c)``:
-    the first x or y rotation has a closed form, and each later one goes
-    through the quaternion of ``V`` and :func:`~kakpulse.linalg.
-    euler_zxz`.  At the delay a free spin's ``V`` is written as ``z(c)``
-    then ``x(b)``, or as one x or y pulse when ``c`` is a multiple of
+    ``Rz(a)``, or ``Rz(a) Rx(pi)`` after an odd number of toggles (bit
+    ``q`` of ``toggled``): a z turn adds to ``a``, and a toggle negates
+    it (``Rx(pi) Rz(a) = Rz(-a) Rx(pi)``).  From that rotation on the
+    spin is ``free`` (bit ``q`` of the mask; a toggle there costs no
+    pulse) and ``V = Q Rz(a)``: the unit quaternion ``Q`` starts at the
+    rotation, after the held toggle if there is one, and each later turn
+    and toggle multiplies it.  At the delay ``Q = Rz(e) Rx(b) Rz(c -
+    a)`` gives ``V = Rz(e) Rx(b) Rz(c)``, written as ``z(c)`` then
+    ``x(b)``, or as one x or y pulse when ``c`` is a multiple of
     ``pi/2``, and any other spin writes an odd toggle count as one exact
-    x ``pi`` pulse.  ``Rz(a)``, which commutes with the drift, is carried
-    into the next gap, and the restore writes what is still carried.
-    Every toggle is ``-+1j*sigma_x`` and every ``2*pi`` taken off an
-    angle a ``-1``, both counted in ``quarters``."""
+    x ``pi`` pulse.  ``Rz(e)``, which commutes with the drift, is
+    carried into the next gap, and the restore writes what is still
+    carried.  Every toggle is ``-+1j*sigma_x`` and every ``2*pi`` taken
+    off an angle a ``-1``, both counted in ``quarters``."""
 
     def __init__(self, program: PulseProgram):
         self.program = program
@@ -581,7 +588,9 @@ class _Frame:
         self.quarters = 0
         self.carried = [0.0] * (n + 1)  # by spin: its z turn
         self.toggled = 0
-        self.held: dict[int, tuple[float, float, float]] = {}  # by free spin
+        # by free spin: Q, the quaternion of its turns from its first x
+        # or y rotation on
+        self.held: dict[int, tuple[float, float, float, float]] = {}
         self.free = 0
 
     def turns(self, run: list[int], gates: GateList) -> None:
@@ -596,30 +605,19 @@ class _Frame:
             if axis != "x" and flipped[q]:
                 t = -t
             if q in held:
-                a, b, c = held[q]
-                if axis == "z":
-                    held[q] = a + t, b, c
-                    continue
-                cb, sb = math.cos(b / 2), math.sin(b / 2)
-                add, dif = (a + c) / 2, (a - c) / 2
-                held[q] = euler_zxz(quaternion_turn(
-                    (cb * math.cos(add), sb * math.cos(dif),
-                     sb * math.sin(dif), cb * math.sin(add)), axis, t))
+                held[q] = quaternion_turn(held[q], axis, t)
             elif axis == "z":
                 a = carried[q] + t
                 carried[q] = a if -period <= a <= period else math.remainder(
                     a, period)
             else:
-                # V = Rz(a) Rx(b) = Rx(b) Rz(+-a), and
-                # Ry(t) = Rz(pi/2) Rx(t) Rz(-pi/2)
-                a, b = carried[q], 0.0
+                # Rz(a) Rx(pi) = Rx(pi) Rz(-a): Q starts at Rx(pi), the
+                # quaternion (0, 1, 0, 0), and the z turn stays carried
+                start = QUATERNION_ONE
                 if self.toggled >> q & 1:
-                    a, b = -a, _PI
+                    start, carried[q] = (0.0, 1.0, 0.0, 0.0), -carried[q]
                     self.toggled ^= 1 << q
-                if axis == "x":
-                    held[q] = 0.0, t + b, a
-                else:
-                    held[q] = _HALF_PI, t + b, a + (_HALF_PI if b else -_HALF_PI)
+                held[q] = quaternion_turn(start, axis, t)
                 self.free |= 1 << q
 
     def toggle(self, spins) -> None:
@@ -628,22 +626,14 @@ class _Frame:
         for s in spins:
             flipped[s] = not flipped[s]
             if s in held:
-                a, b, c = held[s]
-                # Rx(pi) Rz(a) Rx(b) = Rz(-a) Rx(b + pi), and Rx(b + pi) is
-                # -Rx(b - pi)
-                held[s] = -a, b - _PI if b > 0 else b + _PI, c
-                self.quarters += -1 if b > 0 else 1
+                w, x, y, z = held[s]
+                held[s] = (-x, w, -z, y)  # Rx(pi) V, exactly
+                self.quarters += 1
             else:
                 carried[s] = -carried[s]
+                # two toggles are Rx(2*pi) = -1
                 self.quarters += -1 if self.toggled >> s & 1 else 1
                 self.toggled ^= 1 << s
-
-    def _angle(self, angle: float) -> float:
-        """``angle`` folded into ``[-pi, pi]``, each ``2*pi`` taken off
-        counted as a ``-1``."""
-        r = math.remainder(angle, 2 * _PI)
-        self.quarters += 2 * round((angle - r) / (2 * _PI))
-        return r
 
     def flush(self) -> None:
         """Write what each spin holds: at most two pulses."""
@@ -656,15 +646,17 @@ class _Frame:
             sites.append(q)
             axes.append("x")
             values.append(_PI)
-        carried, fold = self.carried, self._angle
-        for q, (a, b, c) in self.held.items():
-            if not -_PI <= b <= _PI:
-                b = fold(b)
-            if -TOL_ROTATION <= b <= TOL_ROTATION:
-                carried[q] = a + c
-                continue
+        carried = self.carried
+        for q, v in self.held.items():
+            a, b, c = euler_zxz(v)  # of Q; V = Q Rz(carried)
+            c = math.remainder(c + carried[q], 4 * _PI)
+            if v[0] == v[3] == 0:
+                # b is pi, and Rx(pi) Rz(c) = Rz(-c) Rx(pi)
+                a, c = a - c, 0.0
             k = round(c / _HALF_PI)
-            if -TOL_ROTATION <= c - k * _HALF_PI <= TOL_ROTATION:
+            if b <= TOL_ROTATION:
+                carried[q] = a + c
+            elif -TOL_ROTATION <= c - k * _HALF_PI <= TOL_ROTATION:
                 # Rx(b) Rz(k*pi/2) = Rz(k*pi/2) R(b) about x, -y, -x or y
                 carried[q] = a + k * _HALF_PI
                 k %= 4
@@ -674,10 +666,12 @@ class _Frame:
                 values.append(-b if k == 1 or k == 2 else b)
             else:
                 carried[q] = a
+                c, m = _fold(c)
+                self.quarters += 2 * m
                 kinds += ("pulse", "pulse")
                 sites += (q, q)
                 axes += ("z", "x")
-                values += (c if -_PI <= c <= _PI else fold(c), b)
+                values += (c, b)
         self.held, self.free, self.toggled = {}, 0, 0
 
     def delay(self, t: float) -> None:
@@ -692,7 +686,8 @@ class _Frame:
         self.toggle([q for q, f in enumerate(self.flipped) if f])
         self.flush()
         for q, a in enumerate(self.carried):
-            a = self._angle(a)
+            a, m = _fold(a)
+            self.quarters += 2 * m
             if abs(a) > TOL_ROTATION:
                 self.program.add("pulse", q, "z", a)
 

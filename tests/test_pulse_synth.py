@@ -33,6 +33,7 @@ from kakpulse import (
     ValidationError,
     cartan_evolution_gates,
     compile_unitary,
+    distance,
     expm_skew,
     gate_list_from_json,
     gate_list_spin_bound,
@@ -467,14 +468,18 @@ class TestSynthesizePulses:
         ``Rx(a -+ pi)``, minus pi for a > 0 and plus pi otherwise, and
         no pulse at all when that is 0.  The z turn between them rides
         through the delay, negated by the toggle and back by the
-        restore, and comes last."""
+        restore, and comes last.  The fused angles are read off a
+        quaternion, so they hold to rounding."""
         gates = GateList([local_row(2, "x", a), local_row(2, "z", 0.3),
                           zz_row(1, -1.0)])
         program = synthesize_pulses(gates, ChainSpec.uniform(2))
         rows = list(zip(*program.columns()))
         first = [pulse_row(2, "x", folded)] if folded else []
-        assert rows == [*first, delay_row(program.values[len(first)]),
-                        pulse_row(2, "x", math.pi), pulse_row(2, "z", 0.3)]
+        want = [*first, delay_row(program.values[len(first)]),
+                pulse_row(2, "x", math.pi), pulse_row(2, "z", 0.3)]
+        assert [row[:3] for row in rows] == [row[:3] for row in want]
+        assert [row[3] for row in rows] == pytest.approx(
+            [row[3] for row in want], rel=0, abs=1e-15)
         got = pulse_program_unitary(program)
         assert np.max(np.abs(got - gate_list_unitary(gates, 2))) < 1e-12
 
@@ -644,6 +649,29 @@ def test_haar_programs_fuse_each_gap(n):
 def test_skewed_chain_programs_fuse_each_gap():
     for chain, gates in skewed_chain_corpus():
         check_gaps(gates, chain)
+
+
+def test_a_toggle_before_the_first_x_turn_of_a_gap():
+    """A toggle held before a spin's first x or y rotation in a gap goes
+    into the gap's product, and the z turn the spin carries in stays
+    carried, negated through the toggle: the frame writes what the turns
+    and the toggles, as x pi pulses, make up.  The scheduler toggles
+    after a gap's rotations, so the test calls the frame directly."""
+    chain = ChainSpec.uniform(2)
+    gates = GateList([local_row(1, "z", 0.7), local_row(1, "x", 0.4)])
+    program = PulseProgram(chain)
+    frame = kakpulse.pulses._Frame(program)
+    frame.turns([0], gates)
+    frame.delay(1e-3)
+    frame.toggle([1])
+    frame.turns([1], gates)
+    frame.delay(2e-3)
+    frame.restore()
+    want = PulseProgram(chain, [
+        pulse_row(1, "z", 0.7), delay_row(1e-3), pulse_row(1, "x", math.pi),
+        pulse_row(1, "x", 0.4), delay_row(2e-3), pulse_row(1, "x", math.pi)])
+    assert distance(pulse_program_unitary(program),
+                    pulse_program_unitary(want)).frobenius < 1e-14
 
 
 def test_program_json_round_trip():

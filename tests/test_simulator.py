@@ -799,45 +799,82 @@ def gate_epochs(gates, chain):
     return epochs
 
 
+def turn(axis, angle):
+    """The 2x2 rotation ``exp(-1j*angle/2*sigma_axis)``."""
+    return (math.cos(angle / 2) * np.eye(2)
+            - 1j * math.sin(angle / 2) * SIGMA[axis])
+
+
+def frame_side(m):
+    """Whether a spin is flipped when ``m``, its pulses so far times the
+    inverse of its rotations so far, is all it carries past a delay: a
+    z turn (diagonal) or a z turn after an x flip (antidiagonal)."""
+    on, off = abs(m[0, 0]) + abs(m[1, 1]), abs(m[0, 1]) + abs(m[1, 0])
+    assert min(on, off) < 1e-9, m
+    return off > on
+
+
 def scheduled_epochs(gates, chain):
     """``(program, epochs, flips)``: the program scheduled for
-    ``gates``, and what its frame does while writing it.  By pair, the
-    signed seconds of drift in each of its epochs, in the Pauli frame
-    the frame holds at each delay; by spin, how often it is toggled.
+    ``gates``, read back from the pulses it writes.  By pair, the signed
+    seconds of drift in each of its epochs, in the Pauli frame of the
+    pulses; by spin, how often that frame flips it.
 
-    Pulses no longer map one to one onto rotations (each spin's turns
-    between two delays are fused), so an epoch opens where the frame
-    takes an x or y rotation on one of the pair's spins."""
-    frame = kakpulse.pulses._Frame
-    honest_turns, honest_toggle, honest_delay = (
-        frame.turns, frame.toggle, frame.delay)
-    n = chain.n
-    flips = [0] * (n + 1)
-    epochs = {k: [[]] for k in range(1, n)}
+    All that is recorded while the program is written is how many delays
+    stand before each rotation the scheduler hands to the frame.  A
+    spin's pulses are fused from its rotations and flips, so at each
+    delay its flip is read off its pulses so far times the inverse of
+    its rotations so far (:func:`frame_side`); an epoch of a pair opens
+    where an x or y rotation on one of its spins is handed in.  After
+    the last pulse each spin's two products agree up to a phase."""
+    honest = kakpulse.pulses._Frame.turns
+    handed = []  # (delays before it, row) of each rotation
 
     def turns(self, run, turned):
-        for i in run:
-            if turned.axes[i] != "z":
-                q = turned.sites[i]
+        before = self.program.kinds.count("delay")
+        handed.extend((before, turned[i]) for i in run)
+        honest(self, run, turned)
+
+    with mock.patch.object(kakpulse.pulses._Frame, "turns", turns):
+        program = synthesize_pulses(gates, chain)
+    n = chain.n
+    pulses = [np.eye(2)] * (n + 1)
+    rotations = [np.eye(2)] * (n + 1)
+    flipped, flips = [False] * (n + 1), [0] * (n + 1)
+    epochs = {k: [[]] for k in range(1, n)}
+
+    def hand_in(delays):
+        while handed and handed[0][0] <= delays:
+            _, (_, q, axis, angle) = handed.pop(0)
+            rotations[q] = turn(axis, angle) @ rotations[q]
+            if axis != "z":
                 for k in (q - 1, q):
                     if k in epochs:
                         epochs[k].append([])
-        honest_turns(self, run, turned)
 
-    def toggle(self, spins):
-        for q in spins:
-            flips[q] += 1
-        honest_toggle(self, spins)
+    def read_flips():
+        for q in range(1, n + 1):
+            side = frame_side(pulses[q] @ rotations[q].conj().T)
+            flips[q] += side != flipped[q]
+            flipped[q] = side
 
-    def delay(self, t):
-        if t > 0:
-            for k, drift in epochs.items():
-                drift[-1].append(-t if self.flipped[k] != self.flipped[k + 1]
-                                 else t)
-        honest_delay(self, t)
-
-    with mock.patch.multiple(frame, turns=turns, toggle=toggle, delay=delay):
-        program = synthesize_pulses(gates, chain)
+    delays = 0
+    for kind, q, axis, value in program:
+        if kind == "pulse":
+            assert axis in SIGMA
+            pulses[q] = turn(axis, value) @ pulses[q]
+            continue
+        hand_in(delays)
+        read_flips()
+        for k, drift in epochs.items():
+            drift[-1].append(-value if flipped[k] != flipped[k + 1] else value)
+        delays += 1
+    hand_in(delays)
+    assert not handed
+    read_flips()
+    for q in range(1, n + 1):
+        m = pulses[q] @ rotations[q].conj().T
+        assert abs(m[0, 0] - m[1, 1]) < 1e-9, m
     return program, {k: [math.fsum(d) for d in drift]
                      for k, drift in epochs.items()}, flips
 
