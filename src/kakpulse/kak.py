@@ -64,6 +64,22 @@ It does so only where that factor does not spend more than the network
 saves (:func:`_open_layers`).  The layer's :class:`CartanNode` records
 the route, so its matrix, and each level's check, include the map.
 
+A two-spin leaf is fixed only up to ``E(c) = exp(-1j*c*Z1 Z2/2)`` on
+each side, and ``Z1 Z2`` commutes with every ``DIAGONAL`` and
+``OUTER_X`` layer (Shende, Bullock & Markov, IEEE TCAD 25, 1000 (2006),
+App. A).  So each leaf ``U`` is factored as ``E(b) U' E(a)``, with ``a``
+and ``b`` chosen to give ``U'`` the smallest interaction sum found
+(:func:`_leaf_phases`), and the phases go into the layers beside it:
+``a`` into the layer that acts just before the leaf, as the Z string of
+the parity that spins 1 and 2 hold after that layer's route (``Z1 Z2``
+itself when the layer is closed), and ``b`` into the layer just after
+it, as ``Z1 Z2``.  A side is free only where that layer's route holds
+the string's parity on a single spin by its last rotation
+(:func:`_layer_masks`), where it is a free z turn: no CNOT is added and
+no route changes.  A phase leaves each sub-problem whose first or last
+leaf moved it, and each level composes and checks its matrix with the
+phases its layers took in and the input's own moved out.
+
 Every factorization routine re-multiplies its output and raises
 :class:`~kakpulse.errors.NumericError` if the residual exceeds its
 contract.  Each sub-problem carries its path in the recursion, and a
@@ -123,10 +139,11 @@ from .linalg import (_EYE2, AXES, PAULI, TOL_UNITARY, _check_stack,
                      check_square, check_unitaries, golden_mix_eigvecs,
                      euler_zxz, kron2, quaternion_matrices, spin_count,
                      su2_rotation)
-from .networks import (Route, check_route, closed_pi_count, end_rows,
-                       leaves_last_spin, nonzero_letters, open_route)
+from .networks import (Route, _stop, check_route, closed_pi_count, closed_route,
+                       end_rows, leaves_last_spin, nonzero_letters, open_route,
+                       parity_points)
 from .paulis import (CartanElement, CartanFamily, PauliString,
-                     maximal_abelian_strings)
+                     maximal_abelian_strings, z_string)
 
 TOL_EULER = 1e-12
 TOL_TWO_SPIN = 1e-10
@@ -1000,11 +1017,162 @@ def _interaction_sums(us) -> np.ndarray:
     m = _MAGIC_H @ np.asarray(us) @ _MAGIC
     m = m * np.array([cmath.exp(-1j * cmath.phase(complex(d)) / 4)
                       for d in np.linalg.det(m)])[:, None, None]
-    phi = np.angle(np.linalg.eigvals(m.swapaxes(1, 2) @ m)) / 2
+    return _spectrum_sums(m.swapaxes(1, 2) @ m)
+
+
+def _spectrum_sums(w: np.ndarray) -> np.ndarray:
+    """:func:`_interaction_sums` from each ``w = m.T @ m`` of a stack,
+    ``m`` the magic-frame unitary of determinant one."""
+    phi = np.angle(np.linalg.eigvals(w)) / 2
     phi[np.round(phi.sum(axis=1) / math.pi) % 2 == 1, 0] += math.pi
     alphas = np.matmul(-_MAGIC_SIGNS, phi[..., None])[..., 0]
     return np.sum(np.abs(np.remainder(alphas + math.pi, 2 * math.pi)
                          - math.pi), axis=1)
+
+
+# Z1 Z2 on the computational basis of two spins, which is also its
+# diagonal on the magic columns (the ZZ row of _MAGIC_SIGNS).
+_ZZ_SIGNS = _MAGIC_SIGNS[2]
+# The input-side phases tried on a leaf that is free on both sides, over
+# one period: E(c + pi) is E(c) times the local Z (x) Z.
+_PHASE_GRID = np.array([0.0, math.pi / 3, 2 * math.pi / 3])
+
+
+@functools.lru_cache(maxsize=None)
+def _zz_signs(n: int) -> np.ndarray:
+    """``Z1 Z2`` on each computational basis state of ``n`` spins."""
+    rows = np.arange(2 ** n) >> (n - 2)
+    signs = 1.0 - 2.0 * ((rows ^ (rows >> 1)) & 1)
+    signs.flags.writeable = False
+    return signs
+
+
+def _without_phases(u: np.ndarray, a, b) -> np.ndarray:
+    """``E(-b) @ u @ E(-a)`` with ``E(c) = exp(-1j*c*Z1 Z2/2)`` on the
+    leading two spins, for a matrix and two phases or for a stack and
+    two arrays of them."""
+    z = _zz_signs(spin_count(u.shape[-1]))
+    return (u * np.exp(0.5j * np.multiply.outer(b, z))[..., :, None]
+            * np.exp(0.5j * np.multiply.outer(a, z))[..., None, :])
+
+
+def _leaf_phases(us: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """``(a, b)`` for each two-spin unitary ``u`` of a stack, with
+    ``E(-b) @ u @ E(-a)`` of smallest interaction sum found, where
+    ``free[i]`` says whether leaf ``i`` may move a phase to its input
+    side and to its output side; ``(0, 0)`` unless the move gains more
+    than :data:`TOL_TWO_SPIN`.
+
+    Both phases have period ``pi``.  In the magic frame, with ``m``
+    scaled to determinant one, ``tr(m'.T @ m')`` of the moved leaf is
+    ``cos(b) * T0 + sin(b) * T1`` for each ``a``, so the two ``b`` where
+    Makhlin's invariant ``G1``, a multiple of its square, is real solve
+    a trigonometric equation of degree two; they mostly set the
+    smallest canonical angle to zero.  A leaf free on both sides tries
+    each ``a`` of :data:`_PHASE_GRID` and a leaf free on one side only
+    that side (the input side as the output side of the transpose).
+    Those candidates and the unmoved leaf are scored in one stacked
+    :func:`_spectrum_sums`.
+    """
+    out = np.zeros((len(us), 2))
+    searched = free.any(axis=1).nonzero()[0]
+    if not searched.size:
+        return out
+    both, swap = free[searched].all(axis=1), ~free[searched, 1]
+    count = len(searched)
+    m = _MAGIC_H @ us[searched] @ _MAGIC
+    m = m * np.exp(-0.25j * np.angle(np.linalg.det(m)))[:, None, None]
+    mt = m.swapaxes(1, 2)
+    # a leaf free on its input side only is solved as its transpose
+    k = np.where(swap[:, None, None], mt, m)
+    kt = k.swapaxes(1, 2)
+    diagonal = np.diagonal(kt @ k, axis1=1, axis2=2)
+    signed = np.diagonal(kt @ (_ZZ_SIGNS[:, None] * k), axis1=1, axis2=2)
+    turns = np.exp(1j * np.multiply.outer(_PHASE_GRID, _ZZ_SIGNS))
+    t0, t1 = diagonal @ turns.T, 1j * (signed @ turns.T)
+    # Im(t(b)**2) = A cos(b)**2 + 2 B sin(b) cos(b) + C sin(b)**2 is zero
+    # where R cos(2 b - phi) = -(A + C)/2, with R e^(i phi) = (A - C)/2 + i B
+    a2, b2, c2 = (t0 * t0).imag, (t0 * t1).imag, (t1 * t1).imag
+    half = (a2 - c2) / 2
+    radius = np.hypot(half, b2)
+    cosine = np.divide(-(a2 + c2) / 2, radius, out=np.zeros_like(radius),
+                       where=radius > 0)
+    spread = np.arccos(np.clip(cosine, -1.0, 1.0))[..., None] * (1, -1)
+    roots = np.remainder((np.arctan2(b2, half)[..., None] + spread) / 2, math.pi)
+    # candidates: the unmoved leaf, then two b for each a of the grid
+    cands = np.zeros((count, 7, 2))
+    cands[:, 1:, 0] = np.repeat(_PHASE_GRID, 2)
+    cands[:, 1:, 1] = roots.reshape(count, 6)
+    cands[swap] = cands[swap][..., ::-1]
+    valid = np.ones((count, 7), dtype=bool)
+    valid[~both, 3:] = False
+    rows, cols = valid.nonzero()
+    # m.T @ m of each candidate E(-b) u E(-a), where E(c) is
+    # diag(exp(-1j*c*_ZZ_SIGNS/2)) in the magic frame too
+    left = np.exp(0.5j * np.multiply.outer(cands[rows, cols, 0], _ZZ_SIGNS))
+    twice = np.exp(1j * np.multiply.outer(cands[rows, cols, 1], _ZZ_SIGNS))
+    sums = np.full((count, 7), math.inf)
+    sums[rows, cols] = _spectrum_sums(
+        left[:, :, None] * (mt[rows] @ (twice[:, :, None] * m[rows]))
+        * left[:, None, :])
+    best = sums.argmin(axis=1)
+    moved = (sums[np.arange(count), best] < sums[:, 0] - TOL_TWO_SPIN).nonzero()[0]
+    out[searched[moved]] = cands[moved, best[moved]]
+    return out
+
+
+@functools.lru_cache(maxsize=4096)
+def _phase_masks(route: Route, k: int,
+                 letters: tuple[str, ...]) -> tuple[int | None, int | None]:
+    """The Z masks by which a layer on ``k`` spins whose nonzero strings
+    are ``letters``, lowered along ``route``, takes the ``Z1 Z2`` phase of
+    the factor right after it and of the factor right before it; None
+    for a side whose parity the route holds on no single spin by its
+    last rotation, where the phase would cost a coupling.
+
+    The layer is ``P exp(-1j*H)``, with ``P`` the route's end map, so a
+    phase after it is ``Z1 Z2`` carried back through ``P``: the xor of
+    the parities that spins 1 and 2 end holding.  A phase before it
+    enters ``H`` as ``Z1 Z2`` itself.  Either commutes with ``H``, and a
+    single spin holding its parity turns it as a z rotation."""
+    points = parity_points(route, k)
+    stop = _stop(route, k, letters)
+    rows = end_rows(route, k)
+
+    def held(mask: int) -> int | None:
+        point = points.get(mask)
+        return mask if point and not point[2] and point[0] <= stop else None
+
+    return held(rows[0] ^ rows[1]), held(0b011)
+
+
+def _layer_masks(node: CartanNode) -> tuple[int | None, int | None]:
+    """:func:`_phase_masks` of a layer node, along its recorded route or
+    the closed route it is lowered along; a layer lowered by ladders
+    takes no phase."""
+    element = node.element
+    letters = nonzero_letters(element)
+    route = node.route or closed_route(element.n, letters)
+    if route is None:
+        return None, None
+    return _phase_masks(route, element.n, letters)
+
+
+def _take_phases(node: CartanNode, masks: tuple[int | None, int | None],
+                 after: float, before: float) -> CartanNode:
+    """The layer node with the ``Z1 Z2`` phases ``after`` and ``before``
+    moved in from the factors that act right after and right before it,
+    each as the Z string of its entry of ``masks``, the node's
+    :func:`_layer_masks`."""
+    if not (after or before):
+        return node
+    element = node.element
+    coeffs = dict(element.coeffs)
+    for mask, c in zip(masks, (after, before)):
+        if c:
+            s = z_string(mask, element.n)
+            coeffs[s] = coeffs.get(s, 0.0) + c
+    return CartanNode(CartanElement(element.n, element.family, coeffs), node.route)
 
 
 def _absorber(after: np.ndarray, src: np.ndarray,
@@ -1108,7 +1276,8 @@ class _Level:
     hands down, the path step each carries, its commuting layers with
     the index of the factor that acts right after each, how its tree and
     matrix are composed from the layers' nodes and the factors' trees
-    and matrices, and those nodes once the depth has decided them."""
+    and matrices, and those nodes and their :func:`_layer_masks` once
+    the depth has decided them."""
 
     factors: list[np.ndarray]
     labels: list[str]
@@ -1116,6 +1285,7 @@ class _Level:
     compose: Callable[[list[CartanNode], list[tuple[GateTree, np.ndarray]]],
                       tuple[GateTree, np.ndarray]]
     nodes: list[CartanNode] = field(default_factory=list)
+    masks: list[tuple[int | None, int | None]] = field(default_factory=list)
 
 
 def _kronecker_level(n: int, d: np.ndarray, w: np.ndarray) -> _Level:
@@ -1234,24 +1404,34 @@ def _decompose(u: np.ndarray) -> tuple[GateTree, np.ndarray]:
     one.  A leaf's matrix is built from its own nodes and a level's is
     composed from its factors' matrices, so each level checks the tree
     it realizes without walking its subtree again."""
-    return _decompose_depth([u], [()])[0]
+    return _decompose_depth([u], [()], [(False, False)])[0][:2]
 
 
-def _decompose_depth(us: list, paths: list[tuple[str, ...]]
-                     ) -> list[tuple[GateTree, np.ndarray]]:
-    """Tree and matrix of each sub-problem of one depth of the recursion,
-    all of one size; ``paths[i]`` is where problem ``i`` sits, which a
-    :class:`~kakpulse.errors.NumericError` from it names.
+def _decompose_depth(us: list, paths: list[tuple[str, ...]],
+                     free: list[tuple[bool, bool]]
+                     ) -> list[tuple[GateTree, np.ndarray, float, float]]:
+    """``(tree, matrix, a, b)`` of each sub-problem ``u`` of one depth of
+    the recursion, all of one size; ``paths[i]`` is where problem ``i``
+    sits, which a :class:`~kakpulse.errors.NumericError` from it names.
+    The tree realizes ``E(-b) @ u @ E(-a)``, ``E(c) =
+    exp(-1j*c*Z1 Z2/2)``: its first and last two-spin leaves moved the
+    phases ``a`` and ``b`` out to the layers beside the problem, which
+    ``free[i]`` says take them on its input and output side.
 
     The depth goes in three steps.  The depth is screened (one stacked
     unitarity check, and :func:`_last_spin_screen` for every route), the
     generic problems are split in one stack and every block pair of the
     depth is demultiplexed in another (:func:`_split_levels`), and the
     open-layer decisions of the whole depth follow (:func:`_open_layers`).
-    Then the factors of every level go down as one list, and two-spin
-    problems are factored in one stacked pass (:func:`_two_spin_leaves`).
-    Last, each level composes its tree and matrix from its factors'
-    results and checks it against its input (:func:`residual_budget`).
+    Then the factors of every level go down as one list, each free on a
+    side where a layer of its level that takes the phase
+    (:func:`_layer_masks`) stands, or where its level is free, and
+    two-spin problems search their phases (:func:`_leaf_phases`) and are
+    factored in one stacked pass (:func:`_two_spin_leaves`).  Last, each
+    level moves its factors' phases into its layers
+    (:func:`_take_phases`), composes its tree and matrix, and checks it
+    against its input with its own phases moved out
+    (:func:`residual_budget`).
     """
     if not us:
         return []
@@ -1260,7 +1440,7 @@ def _decompose_depth(us: list, paths: list[tuple[str, ...]]
         what="operator to factor")
     n = spin_count(stack.shape[1])
     if n == 1:
-        return [(node, _apply_tree(node, np.eye(2, dtype=complex), 1))
+        return [(node, _apply_tree(node, np.eye(2, dtype=complex), 1), 0.0, 0.0)
                 for node in map(_one_spin_node, stack)]
     routes = _last_spin_screen(stack)
     levels: list[_Level | None] = [  # None: a two-spin leaf, or not yet split
@@ -1272,32 +1452,54 @@ def _decompose_depth(us: list, paths: list[tuple[str, ...]]
         for i, level in _split_levels(n, stack, paths, generic, blocks).items():
             levels[i] = level
 
-    planned = [(level, path) for level, path in zip(levels, paths)
-               if level is not None]
+    planned = [(level, path, sides) for level, path, sides
+               in zip(levels, paths, free) if level is not None]
     decided = iter(_open_layers([(layer, level.factors[k])
-                                 for level, _ in planned
+                                 for level, _, _ in planned
                                  for layer, k in level.layers]))
-    for level, _ in planned:
+    factor_free = []
+    for level, _, (before, after) in planned:
+        # layer (., j) acts right before factor j and right after j + 1
+        masks = {}
         for _, k in level.layers:
             node, level.factors[k] = next(decided)
             level.nodes.append(node)
+            level.masks.append(_layer_masks(node))
+            masks[k] = level.masks[-1]
+        last = len(level.factors) - 1
+        factor_free += [(masks[j][0] is not None if j < last else before,
+                         masks[j - 1][1] is not None if j else after)
+                        for j in range(last + 1)]
     results = iter(_decompose_depth(
-        [factor for level, _ in planned for factor in level.factors],
-        [path + (label,) for level, path in planned for label in level.labels]))
+        [factor for level, _, _ in planned for factor in level.factors],
+        [path + (label,) for level, path, _ in planned for label in level.labels],
+        factor_free))
     leaves = [k for k, level in enumerate(levels) if level is None]
-    two_spin = iter(_two_spin_leaves(stack[leaves], [paths[k] for k in leaves])
-                    if leaves else [])
+    if leaves:
+        phases = _leaf_phases(stack[leaves],
+                              np.array([free[k] for k in leaves], dtype=bool))
+        moved = phases.any(axis=1).nonzero()[0]
+        leaf_us = stack[leaves]
+        leaf_us[moved] = _without_phases(leaf_us[moved], phases[moved, 0],
+                                         phases[moved, 1])
+        two_spin = iter(zip(_two_spin_leaves(leaf_us, [paths[k] for k in leaves]),
+                            phases.tolist()))
 
     out = []
     for u, level, path in zip(stack, levels, paths):
         if level is None:
-            out.append(next(two_spin))
+            (tree, matrix), (a, b) = next(two_spin)
+            out.append((tree, matrix, a, b))
             continue
+        parts = [next(results) for _ in level.factors]
+        nodes = [_take_phases(node, masks, parts[k][2], parts[k + 1][3])
+                 for node, masks, (_, k) in zip(level.nodes, level.masks,
+                                                level.layers)]
+        a, b = parts[-1][2], parts[0][3]
         try:
-            tree, matrix = level.compose(
-                level.nodes, [next(results) for _ in level.factors])
-            _check_level(matrix, u)
+            tree, matrix = level.compose(nodes, [part[:2] for part in parts])
+            _check_level(matrix, _without_phases(u, a, b) if a or b else u)
         except NumericError as exc:
             raise _on_path(exc, path) from exc
-        out.append((tree, matrix))
+        out.append((tree, matrix, a, b))
     return out

@@ -417,6 +417,14 @@ class CartanElement:
     factorization emits between local layers; because the family
     commutes, the exponential splits into one factor per string.
 
+    A ``DIAGONAL`` or ``OUTER_X`` element on ``n >= 3`` spins may also
+    carry Z strings of its leading ``n - 1`` spins (``"ZZ1"`` at
+    ``n = 3``), which commute with the whole family: the factorization
+    moves a two-spin leaf's free ``Z1 Z2`` phase into the layer beside
+    it as one (see :mod:`kakpulse.kak`).  The family itself, its
+    :meth:`CartanFamily.strings`, does not change; :meth:`items` lists
+    such strings after the family's, by their mask.
+
     The fields are read as the tree reader reads a commuting-evolution
     node, so the element's text reads back equal: ``n`` is an integer
     (``3.0`` is one), ``family`` a :class:`CartanFamily` or its value,
@@ -460,7 +468,7 @@ class CartanElement:
         # and size, so membership is all an element needs
         order = _family_order(family, n)
         for s in coeffs:
-            if s not in order:
+            if s not in order and s not in _element_order(family, n):
                 raise ValidationError(
                     f"string {s} is not in the {family.value} family for n={n}")
 
@@ -473,5 +481,24 @@ class CartanElement:
 
     def items(self) -> list[tuple[PauliString, float]]:
         """Coefficients in the family's canonical string order."""
-        order = _family_order(self.family, self.n)
+        order = _element_order(self.family, self.n)
         return sorted(self.coeffs.items(), key=lambda kv: order[kv[0]])
+
+
+@functools.lru_cache(maxsize=None)
+def _element_order(family: CartanFamily, n: int) -> dict[PauliString, int]:
+    """:func:`_family_order`, then, for a ``DIAGONAL`` or ``OUTER_X``
+    family on three or more spins, the Z strings of the leading spins by
+    their mask (spin ``q`` is bit ``q - 1``)."""
+    order = dict(_family_order(family, n))
+    if family is not CartanFamily.MAXIMAL and n >= 3:
+        for mask in range(1, 2 ** (n - 1)):
+            order[z_string(mask, n)] = len(order)
+    return order
+
+
+def z_string(mask: int, n: int) -> PauliString:
+    """The Z string on ``n`` spins of a parity ``mask``, spin ``q`` its
+    bit ``q - 1``."""
+    return PauliString("".join("Z" if mask >> q & 1 else "1" for q in range(n)))
+

@@ -36,7 +36,8 @@ Four layers live here:
   family lowering; the ``MAXIMAL`` two-spin middle ``{XX, YY, ZZ}``
   takes one ladder per string.  A peephole pass then holds each spin's
   rotations until the next coupling that touches it and replaces a run
-  by its x-z-x Euler triple when that is shorter, so no spin receives
+  by its x-z-x Euler triple when that is shorter (folding an outer turn
+  that only rounding keeps, :func:`_run_steps`), so no spin receives
   more than three rotations between two couplings.  It
   also folds every coupling angle into ``[-pi, pi]``.  Rotations of at
   most :data:`TOL_ROTATION` (rounding noise) are left out.  This is the
@@ -47,8 +48,9 @@ Four layers live here:
   commute with allow, and commuting couplings share delays; x pi-pulses
   refocus each pair's drift over each epoch to what its couplings need.
   Every time it keeps is an integer on one exact clock, and only a
-  delay it writes is in seconds.  Between two delays each spin gets at
-  most two pulses, and its trailing z turn rides through the delays.
+  delay it writes is in seconds: drift with no pulse between is one
+  delay.  Between two delays each spin gets at most two pulses, and its
+  trailing z turn rides through the delays.
 
 Gate lists are built and read here as the columns of a
 :class:`~kakpulse.gates.GateList`, and the scheduler writes the columns
@@ -106,7 +108,8 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 from .gates import ChainSpec, GateList, PulseProgram
 from .kak import (CartanNode, EulerNode, GateTree, PhaseNode, SequenceNode,
-                  decompose, euler_xzx_angles)
+                  _folded_outer_turn, _xzx_quaternion, decompose,
+                  euler_xzx_angles)
 from .linalg import QUATERNION_ONE, _reduced, euler_zxz, quaternion_turn
 from .networks import (TOL_COEFF, Route, closed_route,
                        parity_image, parity_points)
@@ -401,6 +404,24 @@ def _lower_into(tree: GateTree, out: GateList) -> None:
         raise ValidationError(f"unknown tree node {tree!r}")
 
 
+def _run_steps(q) -> tuple[list[tuple[str, float]], int]:
+    """:func:`_xzx_steps` of a run's product ``q``, a unit quaternion.
+
+    Rounding in a product whose outer x turn is near zero comes back
+    about ``1 / |sin(beta/2)|`` times in that turn, so where the steps
+    keep all three turns, that turn is folded through the z turn into
+    the other (:func:`~kakpulse.kak._folded_outer_turn`) if this moves
+    ``q`` by no more than a left-out turn of :data:`TOL_ROTATION` would."""
+    angles = euler_xzx_angles(q)
+    steps, turns = _xzx_steps(*angles)
+    if len(steps) == 3:
+        folded = _folded_outer_turn(*angles)
+        if folded is not None and max(abs(x - y) for x, y in zip(
+                _xzx_quaternion(*folded), q)) <= TOL_ROTATION / 2:
+            return _xzx_steps(*folded)
+    return steps, turns
+
+
 def _merge_local_runs(gates: GateList) -> GateList:
     """One pass that shortens the runs of rotations on each spin.
 
@@ -437,7 +458,7 @@ def _merge_local_runs(gates: GateList) -> GateList:
             product = QUATERNION_ONE
             for axis, angle in run:
                 product = quaternion_turn(product, axis, angle)
-            steps, k = _xzx_steps(*euler_xzx_angles(product))
+            steps, k = _run_steps(product)
             if len(steps) < len(run):
                 run = steps
                 turns += k
@@ -578,7 +599,13 @@ class _Frame:
     x ``pi`` pulse.  ``Rz(e)``, which commutes with the drift, is
     carried into the next gap, and the restore writes what is still
     carried.  Every toggle is ``-+1j*sigma_x`` and every ``2*pi`` taken
-    off an angle a ``-1``, both counted in ``quarters``."""
+    off an angle a ``-1``, both counted in ``quarters``.
+
+    Drift is held in ticks (``pending``) and written as one delay,
+    rounded to seconds once, before the next rotation or toggle is
+    written or the restore, so a run of drift with nothing between is
+    one delay.  A piece of a cell is written on its own: the two halves
+    of a cell stay equal."""
 
     def __init__(self, program: PulseProgram):
         self.program = program
@@ -592,6 +619,7 @@ class _Frame:
         # or y rotation on
         self.held: dict[int, tuple[float, float, float, float]] = {}
         self.free = 0
+        self.pending = 0  # ticks of drift not yet written
 
     def turns(self, run: list[int], gates: GateList) -> None:
         """Hold the rotations ``run``, indices into ``gates``."""
@@ -674,16 +702,29 @@ class _Frame:
                 values += (c, b)
         self.held, self.free, self.toggled = {}, 0, 0
 
-    def delay(self, t: float) -> None:
-        if t > 0:
+    def delay(self, ticks: int, cell: bool = False) -> None:
+        """Hold ``ticks`` of drift, a piece of a cell if ``cell``."""
+        if ticks > 0:
             if self.held or self.toggled:
+                self.write_delay()
                 self.flush()
-            self.program.add("delay", 0, None, t)
+            if cell:
+                self.write_delay()
+                self.program.add("delay", 0, None, ticks / _TICK)
+            else:
+                self.pending += ticks
+
+    def write_delay(self) -> None:
+        """Write the drift held so far as one delay."""
+        if self.pending:
+            self.program.add("delay", 0, None, self.pending / _TICK)
+            self.pending = 0
 
     def restore(self) -> None:
-        """Toggle every spin that is still flipped, write what is held
-        and then each z turn still carried."""
+        """Toggle every spin that is still flipped, write the drift held,
+        what is held and then each z turn still carried."""
         self.toggle([q for q, f in enumerate(self.flipped) if f])
+        self.write_delay()
         self.flush()
         for q, a in enumerate(self.carried):
             a, m = _fold(a)
@@ -780,12 +821,13 @@ def _timeline(gates: GateList, chain: ChainSpec,
     and times in ticks.
 
     A step is a run of rotations, as a list of indices into ``gates``,
-    or a stretch of drift, ``(start, stop, opens)``, from one breakpoint
-    to the next, with ``opens`` the pairs whose next epoch starts with
-    it.  At each breakpoint the rotations that start there come first,
-    in list order, then the stretch to the next breakpoint, in which
-    every coupling that started and has not ended runs.  A stretch whose
-    largest drift turn exceeds :data:`_CELL_TURN` is a cell.
+    or a stretch of drift, ``(start, stop, opens, cell)``, from one
+    breakpoint to the next, with ``opens`` the pairs whose next epoch
+    starts with it.  At each breakpoint the rotations that start there
+    come first, in list order, then the stretch to the next breakpoint,
+    in which every coupling that started and has not ended runs.  A
+    stretch whose largest drift turn exceeds :data:`_CELL_TURN` is a
+    cell.
 
     ``epochs[i]`` lists each epoch of pair ``i`` in turn as ``(stop,
     coupling)``: the tick at its end, the next x or y rotation on the
@@ -828,7 +870,7 @@ def _timeline(gates: GateList, chain: ChainSpec,
             if since[i] is not None:
                 epochs[i].append((now, signed[i] - since[i]))
             since[i] = signed[i]
-        steps.append((now, then, tuple(opening)))
+        steps.append((now, then, tuple(opening), cell))
         opening.clear()
         for i, (theta, _) in running.items():
             signed[i] += then - now if theta > 0 else now - then
@@ -877,9 +919,10 @@ def synthesize_pulses(gates: GateList, chain: ChainSpec) -> PulseProgram:
     one exact clock (:func:`_ticks`), so a switch lands where its epoch
     needs it however long the epoch.  A switch is an offset inside one
     stretch's delay, which it splits; delays are never lengthened, and
-    each is rounded to seconds once, where it is written.  A cell (see
-    :func:`_timeline`) bounds every epoch on both sides, so its switches
-    fall at 0 or exactly half its delay.
+    each run of drift with no pulse between is one delay, rounded to
+    seconds once, where it is written.  A cell (see :func:`_timeline`)
+    bounds every epoch on both sides, so its switches fall at 0 or
+    exactly half its delay, and its pieces are written on their own.
 
     The rotations that start at a breakpoint go before its stretch, in
     list order, and a y or z rotation on a flipped spin is taken with
@@ -902,9 +945,10 @@ def synthesize_pulses(gates: GateList, chain: ChainSpec) -> PulseProgram:
     end = [0] * (chain.n - 1)
     for step in steps:
         if type(step) is list:
+            frame.write_delay()
             frame.turns(step, gates)
             continue
-        start, stop, opens = step
+        start, stop, opens, cell = step
         for i in opens:
             end[i], tau = next(upcoming[i])
             span = end[i] - start
@@ -914,7 +958,7 @@ def synthesize_pulses(gates: GateList, chain: ChainSpec) -> PulseProgram:
         done = start  # the tick that the stretch's delays reach
         now = min(due)
         while now < stop:
-            frame.delay((now - done) / _TICK)
+            frame.delay(now - done, cell)
             done = now
             pattern = tuple([_SETTLED if d == inf else
                              _DUE if d == now else _PENDING for d in due])
@@ -927,7 +971,7 @@ def synthesize_pulses(gates: GateList, chain: ChainSpec) -> PulseProgram:
                     # pulled forward: the rest of its switch moves later
                     due[i] = now + (end[i] - d)
             now = min(due)
-        frame.delay((stop - done) / _TICK)
+        frame.delay(stop - done, cell)
     frame.restore()
     program.phase = math.remainder(phase + _HALF_PI * (frame.quarters % 4),
                                    2 * _PI)

@@ -36,11 +36,12 @@ from kakpulse import (
 )
 from kakpulse.kak import (TOL_TWO_SPIN, _canonical_products, _decompose,
                           _demultiplex_stack, _interaction_sums,
-                          _last_spin_sectors, _open_layers, _split_stack,
-                          _two_spin_stack, euler_xzx, su2_rotation)
+                          _last_spin_sectors, _leaf_phases, _open_layers,
+                          _split_stack, _two_spin_stack, _without_phases,
+                          euler_xzx, su2_rotation)
 from kakpulse.linalg import _cosine_sine_stack
 from kakpulse.errors import _on_path
-from kakpulse.networks import open_route
+from kakpulse.networks import closed_pi_count, nonzero_letters, open_route
 
 from artifact_oracle import local_row, phase_row, tree_to_json_dict, zz_row
 
@@ -484,6 +485,91 @@ def test_haar_trees_record_open_layers(n):
     assert np.max(np.abs(evaluate(tree, n) - u)) < residual_budget(n)
     got = gate_list_unitary(flatten(tree), n)
     assert np.max(np.abs(got - evaluate(tree, n))) < 1e-8
+
+
+def nodes_of(tree):
+    if isinstance(tree, SequenceNode):
+        return [node for child in tree.children for node in nodes_of(child)]
+    return [tree]
+
+
+def leaf_sums(tree):
+    """The interaction angle sum of each two-spin middle, in tree order."""
+    return [2 * sum(map(abs, node.element.coeffs.values()))
+            for node in nodes_of(tree) if isinstance(node, CartanNode)
+            and node.element.family is CartanFamily.MAXIMAL]
+
+
+def layer_cnots(tree):
+    """Each layer on three or more spins with the pi couplings it spends:
+    its recorded route, or else its closed lowering."""
+    return [(node.element.n, node.element.family, node.route,
+             len(node.route) if node.route is not None
+             else closed_pi_count(node.element.n, nonzero_letters(node.element)))
+            for node in nodes_of(tree) if isinstance(node, CartanNode)
+            and node.element.n >= 3]
+
+
+def unmoved(u, monkeypatch):
+    """The tree and matrix of ``u`` with every leaf's phases left at zero."""
+    with monkeypatch.context() as m:
+        m.setattr(kakpulse.kak, "_leaf_phases",
+                  lambda us, free: np.zeros((len(us), 2)))
+        return _decompose(u)
+
+
+def serial_angle(gates):
+    return sum(abs(angle) for kind, _, _, angle in gates if kind == "zz")
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_leaves_move_a_free_zz_phase_into_the_layers_beside_them(n, monkeypatch):
+    """Each two-spin leaf is factored up to ``exp(-1j*c*Z1 Z2/2)`` on each
+    side that a layer takes as a z turn: no leaf's interaction sum grows,
+    every layer keeps its route and its pi couplings, and the total
+    coupling angle falls, on the Haar target at seed 100 + n."""
+    u = haar_unitary(2 ** n, 100 + n, special=True)
+    tree, matrix = _decompose(u)
+    still, _ = unmoved(u, monkeypatch)
+    moved, kept = leaf_sums(tree), leaf_sums(still)
+    assert len(moved) == len(kept) == 4 ** (n - 2)
+    assert all(a <= b for a, b in zip(moved, kept))
+    assert sum(moved) < sum(kept)
+    assert layer_cnots(tree) == layer_cnots(still)
+    carried = [s.letters for node in nodes_of(tree) if isinstance(node, CartanNode)
+               for s in node.element.coeffs if s.letters[-1] == "1"
+               and node.element.family is not CartanFamily.MAXIMAL]
+    assert carried and set("".join(carried)) == {"1", "Z"}
+    assert np.max(np.abs(matrix - evaluate(tree, n))) < 1e-12
+    assert np.max(np.abs(matrix - u)) < residual_budget(n)
+    assert serial_angle(flatten(tree)) < serial_angle(flatten(still))
+
+
+def test_two_spin_targets_move_no_phase(monkeypatch):
+    """A two-spin target has no layer beside it, so it is factored as
+    before."""
+    for seed in range(5):
+        u = haar_unitary(4, seed)
+        assert decompose(u) == unmoved(u, monkeypatch)[0]
+
+
+def test_leaf_phases_move_only_on_a_gain():
+    """The search moves a leaf only where its interaction sum falls by
+    more than :data:`TOL_TWO_SPIN`, and only on its free sides: a local
+    pair or a CNOT stays, and a leaf free on one side moves only there."""
+    cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+    local = np.kron(haar_unitary(2, 3), haar_unitary(2, 4))
+    both = np.ones((2, 2), dtype=bool)
+    assert not _leaf_phases(np.array([cnot, local]), both).any()
+    u = np.array([haar_unitary(4, seed) for seed in range(40)])
+    for free in ([True, False], [False, True], [True, True]):
+        phases = _leaf_phases(u, np.array([free] * len(u)))
+        assert not phases[:, [not f for f in free]].any()
+        moved = phases.any(axis=1)
+        assert moved.any()
+        after = _interaction_sums(_without_phases(u, phases[:, 0], phases[:, 1]))
+        assert np.all(after[moved] < _interaction_sums(u)[moved] - TOL_TWO_SPIN)
+    assert not _leaf_phases(u, np.zeros((len(u), 2), dtype=bool)).any()
 
 
 @pytest.mark.parametrize("family", (CartanFamily.DIAGONAL, CartanFamily.OUTER_X))

@@ -7,6 +7,7 @@ its gates must be exactly that matrix, on any chain.
 """
 
 import itertools
+import json
 import math
 from collections import deque
 
@@ -31,6 +32,7 @@ from kakpulse import (
     pulse_program_unitary,
     synthesize_pulses,
     tree_from_json_dict,
+    tree_to_json_text,
 )
 from kakpulse.networks import (
     ROUTES,
@@ -44,6 +46,7 @@ from kakpulse.networks import (
     open_route,
     parity_points,
 )
+from kakpulse.paulis import z_string
 
 from artifact_oracle import tree_to_json_dict
 
@@ -279,7 +282,9 @@ def test_no_network_lowers_a_two_spin_route(family):
 def recorded_layers(draw):
     """A DIAGONAL or OUTER_X layer on three to six spins, dense or
     sparse, recorded with the open route the factorization would take
-    for it, or with a dense layer's open route when that would not pay."""
+    for it, or with a dense layer's open route when that would not pay,
+    and carrying up to two Z strings of its leading spins whose parity
+    the route holds, as a moved two-spin leaf phase is."""
     k = draw(st.sampled_from((3, 4, 5, 6)))
     family = draw(st.sampled_from(NETWORK_FAMILIES))
     dense = draw(st.booleans())
@@ -290,7 +295,12 @@ def recorded_layers(draw):
                                        allow_nan=False))
     elem = CartanElement(n=k, family=family, coeffs=coeffs)
     route = open_route(k, nonzero_letters(elem)) or dense_open_route(k)
-    return CartanNode(elem, route)
+    held = sorted(mask for mask in parity_points(route, k)
+                  if mask < 1 << (k - 1))
+    for mask in draw(st.lists(st.sampled_from(held), max_size=2, unique=True)):
+        coeffs[z_string(mask, k)] = draw(st.floats(0.0, math.pi,
+                                                   allow_nan=False))
+    return CartanNode(CartanElement(n=k, family=family, coeffs=coeffs), route)
 
 
 @given(node=recorded_layers(), data=st.data())
@@ -307,3 +317,50 @@ def test_recorded_layer_lowers_exactly(node, data):
                                    max_size=k - 1))
     program = synthesize_pulses(gates, ChainSpec(k, tuple(couplings)))
     assert np.max(np.abs(pulse_program_unitary(program) - matrix)) < 1e-10
+
+
+@pytest.mark.parametrize("family", NETWORK_FAMILIES, ids=lambda f: f.value)
+def test_a_layer_carries_leading_z_strings(family):
+    """A layer on three or more spins may carry Z strings of its leading
+    spins, as a two-spin leaf's moved phase: the node reads back from its
+    JSON text, lists them after its family, and lowers to its matrix,
+    with each string turned where its route holds the parity."""
+    route = dense_open_route(4)
+    coeffs = {s: 0.1 * (j + 1) for j, s in enumerate(family.strings(4))}
+    mask = end_rows(route, 4)[0] ^ end_rows(route, 4)[1]
+    coeffs[z_string(mask, 4)] = 0.7
+    coeffs[PauliString("ZZ11")] = -1.3
+    node = CartanNode(CartanElement(4, family, coeffs), route)
+    text = tree_to_json_text(node)
+    assert '"ZZ11":-1.3' in text
+    assert tree_from_json_dict(json.loads(text)) == node
+    letters = [s.letters for s, _ in node.element.items()]
+    assert letters[:8] == [s.letters for s in family.strings(4)]
+    assert sorted(letters[8:]) == sorted([z_string(mask, 4).letters, "ZZ11"])
+    matrix = evaluate(node, 4)
+    want = end_map_matrix(end_rows(route, 4)) @ expm_skew(
+        node.element.hamiltonian())
+    assert np.max(np.abs(matrix - want)) < 1e-12
+    assert np.max(np.abs(gate_list_unitary(flatten(node), 4) - matrix)) < 1e-10
+    closed = CartanNode(CartanElement(4, family, coeffs))
+    assert np.max(np.abs(gate_list_unitary(flatten(closed), 4)
+                         - evaluate(closed, 4))) < 1e-10
+
+
+@pytest.mark.parametrize("n, family, letters", [
+    (3, CartanFamily.DIAGONAL, "X11"), (3, CartanFamily.DIAGONAL, "ZY1"),
+    (3, CartanFamily.OUTER_X, "111"), (3, CartanFamily.OUTER_X, "Z1Z"),
+    (3, CartanFamily.MAXIMAL, "Z11"), (2, CartanFamily.DIAGONAL, "Z1"),
+    (2, CartanFamily.MAXIMAL, "Z1"), (4, CartanFamily.DIAGONAL, "ZZ1"),
+])
+def test_no_other_string_rides_along(n, family, letters):
+    with pytest.raises(ValidationError, match=f"string {letters} is not"):
+        CartanElement(n, family, {letters: 0.5})
+
+
+def test_a_route_must_hold_a_carried_string():
+    """Z1 Z3 is held by no spin or pair of the empty route."""
+    element = CartanElement(4, CartanFamily.DIAGONAL, {"Z1Z1": 0.5})
+    with pytest.raises(ValidationError, match="never holds the parity of Z1Z1"):
+        CartanNode(element, ())
+    CartanNode(element, ((2, 3), (1, 2), (2, 3)))

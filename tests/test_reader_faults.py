@@ -1040,6 +1040,9 @@ def layer_fields(draw):
     pool = LETTERS
     if n in (2, 3) and family in FAMILIES:
         pool = [s.letters for s in CartanFamily(family).strings(int(n))]
+        # Z strings of the leading spins, which a diagonal or outer_x
+        # layer on three spins may carry and any other element may not
+        pool += ["Z11", "1Z1", "ZZ1"] if n == 3 else ["Z1"]
     coeffs = draw(st.dictionaries(st.sampled_from(pool), ANGLE, max_size=3))
     route = draw(st.sampled_from([None, None, ((1, 2), (2, 1), (1, 2)),
                                   ROUTE, [(1, 2)], "12"]))
@@ -1061,6 +1064,10 @@ def layer_fields(draw):
                  None))  # failed to lower with a math domain error
 @example(fields=(3, CartanFamily.OUTER_X, {"11X": 0, "Z1X": 1}, False,
                  [(1, 2)]))  # a route that never holds Z1X
+@example(fields=(3, CartanFamily.DIAGONAL, {"ZZ1": 0.5, "1ZZ": 1}, True,
+                 ROUTE))  # a moved leaf phase on a recorded layer
+@example(fields=(3, CartanFamily.MAXIMAL, {"Z11": 0.5}, False,
+                 None))  # a leading Z string off a diagonal or outer_x layer
 @settings(max_examples=300, deadline=None)
 def test_layer_nodes_read_back_or_are_refused_as_the_reader_refuses(fields):
     """A layer's strings are given as strings or as their letters."""

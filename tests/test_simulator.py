@@ -27,6 +27,7 @@ from kakpulse import (
     DimensionError,
     EulerNode,
     GateList,
+    PauliString,
     PhaseNode,
     PulseProgram,
     SequenceNode,
@@ -670,8 +671,13 @@ def euler_nodes(qubit):
 def cartan_nodes(draw, n):
     m = draw(st.integers(2, n))
     family = draw(st.sampled_from(list(CartanFamily)))
-    strings = draw(st.lists(st.sampled_from(family.strings(m)),
-                            min_size=1, max_size=4, unique=True))
+    pool = family.strings(m)
+    if m >= 3 and family is not CartanFamily.MAXIMAL:
+        # the Z strings of the leading spins a layer may carry
+        pool += [PauliString(s.letters[:-1] + "1")
+                 for s in CartanFamily.DIAGONAL.strings(m)[1:]]
+    strings = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4,
+                            unique=True))
     coeffs = {s: draw(st.floats(-3.0, 3.0, allow_nan=False)) for s in strings}
     return CartanNode(CartanElement(n=m, family=family, coeffs=coeffs))
 

@@ -57,6 +57,7 @@ from artifact_oracle import (
     program_to_json_dict,
     tree_to_json_dict,
 )
+from test_kak import layer_cnots, unmoved
 
 CHAIN_J = (120.0, 80.0, 140.0, 95.0)
 
@@ -466,6 +467,23 @@ def test_four_spin_layer_ends_open_into_a_kronecker_neighbour(target,
     assert couplings(opened) < couplings(closed)
     assert coupling_angle(opened) < coupling_angle(closed)
 
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+@pytest.mark.parametrize("target", TARGETS, ids=lambda f: f.__name__)
+def test_leaf_phases_keep_every_route_and_add_no_coupling(target, n, monkeypatch):
+    """A leaf moves its phase only into a layer that turns it as a free z
+    turn and only on a strict gain, so every layer keeps its route, no
+    target gains a coupling or coupling angle, and every budget holds."""
+    u = target(n)
+    tree, matrix = _decompose(u)
+    still, _ = unmoved(u, monkeypatch)
+    assert layer_cnots(tree) == layer_cnots(still)
+    gates, before = flatten(tree), flatten(still)
+    assert couplings(gates) <= couplings(before)
+    assert coupling_angle(gates) <= coupling_angle(before) + 1e-9
+    assert np.max(np.abs(matrix - u)) < residual_budget(n)
+    assert np.max(np.abs(gate_list_unitary(gates, n) - u)) < residual_budget(n)
 
 @pytest.mark.parametrize("n, count", [(4, 46), (5, 86)])
 def test_global_phase_leaves_the_toffoli_program_alone(n, count):
