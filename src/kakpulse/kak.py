@@ -75,10 +75,11 @@ the parity that spins 1 and 2 hold after that layer's route (``Z1 Z2``
 itself when the layer is closed), and ``b`` into the layer just after
 it, as ``Z1 Z2``.  A side is free only where that layer's route holds
 the string's parity on a single spin by its last rotation
-(:func:`_layer_masks`), where it is a free z turn: no CNOT is added and
-no route changes.  A phase leaves each sub-problem whose first or last
-leaf moved it, and each level composes and checks its matrix with the
-phases its layers took in and the input's own moved out.
+(:func:`~kakpulse.networks.layer_masks`), where it is a free z turn: no
+CNOT is added and no route changes.  A phase leaves each sub-problem
+whose first or last leaf moved it, and each level composes and checks
+its matrix with the phases its layers took in and the input's own moved
+out.
 
 Every factorization routine re-multiplies its output and raises
 :class:`~kakpulse.errors.NumericError` if the residual exceeds its
@@ -139,9 +140,9 @@ from .linalg import (_EYE2, AXES, PAULI, TOL_UNITARY, _check_stack,
                      check_square, check_unitaries, golden_mix_eigvecs,
                      euler_zxz, kron2, quaternion_matrices, spin_count,
                      su2_rotation)
-from .networks import (Route, _stop, check_route, closed_pi_count, closed_route,
-                       end_rows, leaves_last_spin, nonzero_letters, open_route,
-                       parity_points)
+from .networks import (Route, check_route, closed_pi_count, end_rows,
+                       layer_masks, leaves_last_spin, nonzero_letters,
+                       open_route)
 from .paulis import (CartanElement, CartanFamily, PauliString,
                      maximal_abelian_strings, z_string)
 
@@ -1121,49 +1122,12 @@ def _leaf_phases(us: np.ndarray, free: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=4096)
-def _phase_masks(route: Route, k: int,
-                 letters: tuple[str, ...]) -> tuple[int | None, int | None]:
-    """The Z masks by which a layer on ``k`` spins whose nonzero strings
-    are ``letters``, lowered along ``route``, takes the ``Z1 Z2`` phase of
-    the factor right after it and of the factor right before it; None
-    for a side whose parity the route holds on no single spin by its
-    last rotation, where the phase would cost a coupling.
-
-    The layer is ``P exp(-1j*H)``, with ``P`` the route's end map, so a
-    phase after it is ``Z1 Z2`` carried back through ``P``: the xor of
-    the parities that spins 1 and 2 end holding.  A phase before it
-    enters ``H`` as ``Z1 Z2`` itself.  Either commutes with ``H``, and a
-    single spin holding its parity turns it as a z rotation."""
-    points = parity_points(route, k)
-    stop = _stop(route, k, letters)
-    rows = end_rows(route, k)
-
-    def held(mask: int) -> int | None:
-        point = points.get(mask)
-        return mask if point and not point[2] and point[0] <= stop else None
-
-    return held(rows[0] ^ rows[1]), held(0b011)
-
-
-def _layer_masks(node: CartanNode) -> tuple[int | None, int | None]:
-    """:func:`_phase_masks` of a layer node, along its recorded route or
-    the closed route it is lowered along; a layer lowered by ladders
-    takes no phase."""
-    element = node.element
-    letters = nonzero_letters(element)
-    route = node.route or closed_route(element.n, letters)
-    if route is None:
-        return None, None
-    return _phase_masks(route, element.n, letters)
-
-
 def _take_phases(node: CartanNode, masks: tuple[int | None, int | None],
                  after: float, before: float) -> CartanNode:
     """The layer node with the ``Z1 Z2`` phases ``after`` and ``before``
     moved in from the factors that act right after and right before it,
     each as the Z string of its entry of ``masks``, the node's
-    :func:`_layer_masks`."""
+    :func:`~kakpulse.networks.layer_masks`."""
     if not (after or before):
         return node
     element = node.element
@@ -1276,8 +1240,9 @@ class _Level:
     hands down, the path step each carries, its commuting layers with
     the index of the factor that acts right after each, how its tree and
     matrix are composed from the layers' nodes and the factors' trees
-    and matrices, and those nodes and their :func:`_layer_masks` once
-    the depth has decided them."""
+    and matrices, and those nodes and their
+    :func:`~kakpulse.networks.layer_masks` once the depth has decided
+    them."""
 
     factors: list[np.ndarray]
     labels: list[str]
@@ -1425,13 +1390,13 @@ def _decompose_depth(us: list, paths: list[tuple[str, ...]],
     open-layer decisions of the whole depth follow (:func:`_open_layers`).
     Then the factors of every level go down as one list, each free on a
     side where a layer of its level that takes the phase
-    (:func:`_layer_masks`) stands, or where its level is free, and
-    two-spin problems search their phases (:func:`_leaf_phases`) and are
-    factored in one stacked pass (:func:`_two_spin_leaves`).  Last, each
-    level moves its factors' phases into its layers
-    (:func:`_take_phases`), composes its tree and matrix, and checks it
-    against its input with its own phases moved out
-    (:func:`residual_budget`).
+    (:func:`~kakpulse.networks.layer_masks`) stands, or where its level
+    is free, and two-spin problems search their phases
+    (:func:`_leaf_phases`) and are factored in one stacked pass
+    (:func:`_two_spin_leaves`).  Last, each level moves its factors'
+    phases into its layers (:func:`_take_phases`), composes its tree and
+    matrix, and checks it against its input with its own phases moved
+    out (:func:`residual_budget`).
     """
     if not us:
         return []
@@ -1464,7 +1429,7 @@ def _decompose_depth(us: list, paths: list[tuple[str, ...]],
         for _, k in level.layers:
             node, level.factors[k] = next(decided)
             level.nodes.append(node)
-            level.masks.append(_layer_masks(node))
+            level.masks.append(layer_masks(node.element, node.route))
             masks[k] = level.masks[-1]
         last = len(level.factors) - 1
         factor_free += [(masks[j][0] is not None if j < last else before,

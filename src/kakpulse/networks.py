@@ -25,9 +25,12 @@ and ends in the identity, and a layer is lowered along a cut of it:
   110 CNOTs for a dense layer, used only when that is strictly fewer pi
   couplings than one ladder per string.
 
-Every CNOT is one pi coupling.  This module knows no matrices:
-:mod:`kakpulse.kak` reads the open cuts and their end maps,
-:mod:`kakpulse.pulses` the points where a checked route holds each parity.
+:func:`lowering_route` alone decides which route a layer takes; a layer
+with a leading-spin Z string whose parity :func:`full_route` never holds
+takes one ladder per string.  Every CNOT is one pi coupling.  This
+module knows no matrices: :mod:`kakpulse.kak` reads the open cuts, their
+end maps and :func:`layer_masks`, :mod:`kakpulse.pulses` the points where
+a checked route holds each parity.
 """
 
 from __future__ import annotations
@@ -213,25 +216,29 @@ def ladder_pi_count(letters: str) -> int:
     return 2 * (2 * gaps + len(sites) - 2)
 
 
-def _stop(route: Route, k: int, pattern: tuple[str, ...]) -> int:
-    """The step after which ``route`` has rotated every string."""
-    points = parity_points(route, k)
-    return max(points[parity_image(s)][0] for s in pattern)
+def _stop(k: int, pattern: tuple[str, ...]) -> int | None:
+    """The step after which :func:`full_route` has rotated every string
+    of ``pattern``, or None when ``k`` has no route, ``pattern`` is empty
+    or the route never holds one of its parities."""
+    seq = full_route(k)
+    points = {} if seq is None else parity_points(seq, k)
+    held = [points.get(parity_image(s)) for s in pattern]
+    return None if not held or None in held else max(p[0] for p in held)
 
 
 @functools.lru_cache(maxsize=4096)
 def closed_route(k: int, pattern: tuple[str, ...]) -> Route | None:
     """The closed network for the nonzero strings ``pattern``, or None
-    when the per-string ladders need no more pi couplings.
+    when the per-string ladders need no more pi couplings or the full
+    route never holds a string's parity.
 
     :func:`full_route` runs until the last string's rotation step, then
     returns by the shorter of its rest and the CNOTs applied so far in
     reverse.
     """
-    seq = full_route(k)
-    if seq is None or not pattern:
+    stop, seq = _stop(k, pattern), full_route(k)
+    if stop is None:
         return None
-    stop = _stop(seq, k, pattern)
     back = min(seq[stop:], seq[:stop][::-1], key=len)
     if stop + len(back) >= sum(map(ladder_pi_count, pattern)):
         return None
@@ -247,16 +254,63 @@ def closed_pi_count(k: int, pattern: tuple[str, ...]) -> int:
 @functools.lru_cache(maxsize=4096)
 def open_route(k: int, pattern: tuple[str, ...]) -> Route | None:
     """The open route for ``pattern``, or None when it needs no fewer pi
-    couplings than :func:`closed_pi_count`.
+    couplings than :func:`closed_pi_count` or the full route never holds
+    a string's parity.
 
     :func:`full_route` is cut at the first step, from its last rotation on,
     where its map is ``diag(A, 1)``.
     """
-    seq = full_route(k)
-    if seq is None or not pattern:
+    stop, seq = _stop(k, pattern), full_route(k)
+    if stop is None:
         return None
-    cut = next(j for j in range(_stop(seq, k, pattern), len(seq) + 1)
+    cut = next(j for j in range(stop, len(seq) + 1)
                if leaves_last_spin(end_rows(seq[:j], k)))
     if cut >= closed_pi_count(k, pattern):
         return None
     return seq[:cut]
+
+
+def lowering_route(element: CartanElement,
+                   route: Route | None = None) -> Route | None:
+    """The route a layer is lowered along: its recorded open ``route``,
+    otherwise the :func:`closed_route` of its nonzero strings, otherwise
+    None, one ladder per string (always for ``MAXIMAL``)."""
+    if route is not None or element.family is CartanFamily.MAXIMAL:
+        return route
+    return closed_route(element.n, nonzero_letters(element))
+
+
+def layer_masks(element: CartanElement,
+                route: Route | None = None) -> tuple[int | None, int | None]:
+    """The Z masks by which a layer, lowered along its
+    :func:`lowering_route`, takes the ``Z1 Z2`` phase of the factor right
+    after it and of the factor right before it; None for a side whose
+    parity the route holds on no single spin by its last rotation, where
+    the phase would cost a coupling, and for both sides of a layer
+    lowered by ladders.
+
+    The layer is ``P exp(-1j*H)``, with ``P`` the route's end map, so a
+    phase after it is ``Z1 Z2`` carried back through ``P``: the xor of
+    the parities that spins 1 and 2 end holding.  A phase before it
+    enters ``H`` as ``Z1 Z2`` itself.  Either commutes with ``H``, and a
+    single spin holding its parity turns it as a z rotation."""
+    route = lowering_route(element, route)
+    if route is None:
+        return None, None
+    return _phase_masks(route, element.n, nonzero_letters(element))
+
+
+@functools.lru_cache(maxsize=4096)
+def _phase_masks(route: Route, k: int,
+                 letters: tuple[str, ...]) -> tuple[int | None, int | None]:
+    """:func:`layer_masks` along ``route``, which holds every string of
+    ``letters``: it is checked or closed."""
+    points = parity_points(route, k)
+    stop = max((points[parity_image(s)][0] for s in letters), default=0)
+    rows = end_rows(route, k)
+
+    def held(mask: int) -> int | None:
+        point = points.get(mask)
+        return mask if point and not point[2] and point[0] <= stop else None
+
+    return held(rows[0] ^ rows[1]), held(0b011)

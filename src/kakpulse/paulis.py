@@ -421,7 +421,9 @@ class CartanElement:
     carry Z strings of its leading ``n - 1`` spins (``"ZZ1"`` at
     ``n = 3``), which commute with the whole family: the factorization
     moves a two-spin leaf's free ``Z1 Z2`` phase into the layer beside
-    it as one (see :mod:`kakpulse.kak`).  The family itself, its
+    it as one (see :mod:`kakpulse.kak`); one whose parity the parity
+    network never holds is lowered by ladder
+    (:func:`kakpulse.networks.lowering_route`).  The family itself, its
     :meth:`CartanFamily.strings`, does not change; :meth:`items` lists
     such strings after the family's, by their mask.
 

@@ -27,9 +27,8 @@ Four layers live here:
   it with no return: its end map belongs to the node, and the
   neighbouring factor already absorbed its inverse.  Any other layer
   takes the closed cut, which stops after the last nonzero string and
-  returns by the shorter way, and only when it needs strictly fewer
-  ``pi`` couplings than the ladders; that choice depends only on which
-  strings are nonzero and is cached on that pattern.
+  returns by the shorter way, when
+  :func:`~kakpulse.networks.lowering_route` finds it cheaper.
 * The tree lowering :func:`flatten`, which turns the gate tree of
   :func:`~kakpulse.kak.decompose` into one gate list: Euler leaves
   become up to three rotations and commuting layers go through the
@@ -85,16 +84,18 @@ The program ends by flipping back every spin that is still flipped.
 Each flip is ``-+1j*sigma_x``, tracked in the program's global phase.
 
 Pulses are written a gap at a time, a gap being the stretch between two
-delays.  Each spin's rotations and toggles in a gap are one SU(2)
-product, flushed at the next delay as ``z(c)`` then ``x(b)`` of its
-z-x-z angles, or as a single x or y pulse when ``c`` is a multiple of
-``pi/2``; its last z turn ``Rz(a)`` commutes with the drift and is
-carried to the next gap, the z frame of NMR practice (Vandersypen &
-Chuang, Rev. Mod. Phys. 76, 1037 (2004)), and written when the program
-ends.  A gap of toggles and z turns only writes an exact x ``pi`` pulse
-or nothing, so the simulator still reads it as a flip.  A toggle on a
-spin that has an x or y rotation in its gap costs no pulse, and the
-sign plan's switch sets count it so.
+delays.  The frame holds the drift in ticks and writes it as one delay
+just before the next pulse it writes, so a run of turns that fuses to
+no pulse does not split a delay.  Each spin's rotations and toggles in
+a gap are one SU(2) product, flushed at the next delay as ``z(c)`` then
+``x(b)`` of its z-x-z angles, or as a single x or y pulse when ``c`` is
+a multiple of ``pi/2``; its last z turn ``Rz(a)`` commutes with the
+drift and is carried to the next gap, the z frame of NMR practice
+(Vandersypen & Chuang, Rev. Mod. Phys. 76, 1037 (2004)), and written
+when the program ends.  A gap of toggles and z turns only writes an
+exact x ``pi`` pulse or nothing, so the simulator still reads it as a
+flip.  A toggle on a spin that has an x or y rotation in its gap costs
+no pulse, and the sign plan's switch sets count it so.
 """
 
 from __future__ import annotations
@@ -111,8 +112,8 @@ from .kak import (CartanNode, EulerNode, GateTree, PhaseNode, SequenceNode,
                   _folded_outer_turn, _xzx_quaternion, decompose,
                   euler_xzx_angles)
 from .linalg import QUATERNION_ONE, _reduced, euler_zxz, quaternion_turn
-from .networks import (TOL_COEFF, Route, closed_route,
-                       parity_image, parity_points)
+from .networks import (TOL_COEFF, Route, lowering_route, parity_image,
+                       parity_points)
 from .paulis import CartanElement, CartanFamily, PauliString
 
 # Rotations of at most this angle are left out of a gate list: the
@@ -302,44 +303,27 @@ def _family_template(family: CartanFamily, k: int, route: Route,
     return _template(rows)
 
 
-def _emit_element(out: GateList, element: CartanElement,
-                  route: Route | None) -> None:
-    """Append the gates of ``exp(-1j * element)`` to ``out``; see
-    :func:`cartan_evolution_gates`."""
-    items = [(s, c) for s, c in element.items() if abs(c) > TOL_COEFF]
-    pattern = tuple(s.letters for s, _ in items)
-    if route is None and element.family is not CartanFamily.MAXIMAL:
-        route = closed_route(element.n, pattern)
-    _emit(out, _strings_template(pattern) if route is None
-          else _family_template(element.family, element.n, route, pattern),
-          [c for _, c in items])
-
-
 def cartan_evolution_gates(element: CartanElement,
                            route: Route | None = None) -> GateList:
     """Gates for ``exp(-1j * H)`` with ``H`` a commuting-family element;
     coefficients of magnitude at most :data:`TOL_COEFF` are dropped.
 
-    With a ``route`` (an open cut that :func:`~kakpulse.kak.decompose`
-    recorded), a ``DIAGONAL`` or ``OUTER_X`` element is lowered along it
-    with no return, so the gates realize ``P exp(-1j*H)`` with ``P`` the
-    route's end map.  Without one, a ``DIAGONAL`` element on three or
-    more spins is lowered along :func:`~kakpulse.networks.closed_route`
-    when that spends fewer pi couplings than one ladder per string.  An
+    The element is lowered along its
+    :func:`~kakpulse.networks.lowering_route`.  A ``route`` (an open cut
+    that :func:`~kakpulse.kak.decompose` recorded) has no return, so the
+    gates realize ``P exp(-1j*H)`` with ``P`` the route's end map.  An
     ``OUTER_X`` element is the ``DIAGONAL`` element with the same
-    coefficients between ``Ry(-pi/2)`` and ``Ry(pi/2)`` on the last spin,
-    and takes the same route.  Otherwise (and always for ``MAXIMAL``)
-    the family commutes, so the exponential splits into one string
-    evolution per coefficient, emitted in canonical family order.
+    coefficients between ``Ry(-pi/2)`` and ``Ry(pi/2)`` on the last spin.
+    With no route (always for ``MAXIMAL``, and for a leading-spin Z
+    string whose parity the full route never holds) the family commutes,
+    so the exponential splits into one string evolution per coefficient,
+    emitted in canonical family order.
 
     The gates come from a template cached per family, spin count, route
     and set of nonzero strings, whose open angles are filled from the
     coefficients.
     """
-    node = CartanNode(element, route)  # which checks the route
-    out = GateList()
-    _emit_element(out, element, node.route)
-    return out
+    return _lower(CartanNode(element, route))  # the node checks the route
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +383,13 @@ def _lower_into(tree: GateTree, out: GateList) -> None:
     elif isinstance(tree, PhaseNode):
         out.add("phase", 0, None, tree.phi)
     elif isinstance(tree, CartanNode):
-        _emit_element(out, tree.element, tree.route)
+        element = tree.element
+        items = [(s, c) for s, c in element.items() if abs(c) > TOL_COEFF]
+        pattern = tuple(s.letters for s, _ in items)
+        route = lowering_route(element, tree.route)
+        _emit(out, _strings_template(pattern) if route is None
+              else _family_template(element.family, element.n, route, pattern),
+              [c for _, c in items])
     else:
         raise ValidationError(f"unknown tree node {tree!r}")
 
@@ -524,14 +514,6 @@ def compile_unitary(u: np.ndarray) -> GateList:
 _DUE, _SETTLED, _PENDING = range(3)
 
 
-def _link(state: int, x: int, y: int):
-    """``(pulses, moves, toggles)`` that a pair in ``state`` adds when its
-    spins toggle ``x`` and ``y``, or None when it forbids them."""
-    if state == _PENDING:
-        return (0, x ^ y, 0)
-    return (0, 0, 0) if (x ^ y) == (state == _DUE) else None
-
-
 @functools.lru_cache(maxsize=None)
 def _switch_set(pattern: tuple[int, ...], free: int) -> tuple[int, ...]:
     """The spins to toggle at one instant of the sign plan, in order.
@@ -540,38 +522,34 @@ def _switch_set(pattern: tuple[int, ...], free: int) -> tuple[int, ...]:
     exactly one toggled spin, a settled pair none or both, and a pending
     pair either, one being a move.  A spin whose bit is set in ``free``
     costs no pulse (it has an x or y rotation in this gap, into which
-    its toggle fuses).  The set is the
-    cheapest by pulses, then moves, then toggles, found by one two-state
-    pass along the chain; on a tie it toggles the lowest spin where the
-    candidates differ."""
+    its toggle fuses).  The set is the cheapest by pulses, then moves,
+    then toggles: each count is below ``w = n + 1``, so one integer,
+    ``pulses*w**2 + moves*w + toggles``, orders the sets.  A two-state
+    pass back along the chain finds the least cost of each tail, and the
+    set is read off forwards; on a tie it toggles the lowest spin where
+    the candidates differ."""
     n = len(pattern) + 1
-
-    def own(q: int, x: int) -> tuple[int, int, int]:
-        return ((free >> q & 1) ^ 1, 0, 1) if x else (0, 0, 0)
-
-    def add(*costs) -> tuple[int, int, int]:
-        return tuple(map(sum, zip(*costs)))
-
-    def onward(q: int, x: int) -> dict[int, tuple]:
-        """By toggle of spin ``q + 1``: the least cost of spins
-        ``q+1..n`` with spin ``q`` toggled iff ``x``."""
-        state = pattern[q - 1]
-        return {y: add(_link(state, x, y), ahead[q + 1][y])
-                for y in (0, 1) if _link(state, x, y) is not None}
-
-    # ahead[q][x]: the least cost of spins q..n, spin q toggled iff x
-    ahead: list = [None] * (n + 1)
-    ahead[n] = (own(n, 0), own(n, 1))
-    for q in range(n - 1, 0, -1):
-        ahead[q] = tuple(add(own(q, x), min(onward(q, x).values()))
-                         for x in (0, 1))
+    w = n + 1
+    # ahead[q][x]: the least cost of spins q..n, spin q toggled iff x;
+    # spin n is settled with a spin n + 1 that costs nothing
+    ahead = [(0, 0)] * (n + 2)
+    for q in range(n, 0, -1):
+        a0, a1 = ahead[q + 1]
+        state = pattern[q - 1] if q < n else _SETTLED
+        r0, r1 = ((min(a0, a1 + w), min(a1, a0 + w)) if state == _PENDING
+                  else (a1, a0) if state == _DUE else (a0, a1))
+        ahead[q] = r0, r1 + (free >> q & 1 ^ 1) * w * w + 1
     x = int(ahead[1][1] <= ahead[1][0])
     spins = [1] if x else []
-    for q in range(1, n):
-        costs = onward(q, x)
-        x = int(1 in costs and (0 not in costs or costs[1] <= costs[0]))
+    for q in range(2, n + 1):
+        state = pattern[q - 2]
+        if state == _PENDING:
+            a0, a1 = ahead[q]
+            x = int(a1 + w * (x ^ 1) <= a0 + w * x)
+        elif state == _DUE:
+            x ^= 1
         if x:
-            spins.append(q + 1)
+            spins.append(q)
     return tuple(spins)
 
 
@@ -602,10 +580,9 @@ class _Frame:
     off an angle a ``-1``, both counted in ``quarters``.
 
     Drift is held in ticks (``pending``) and written as one delay,
-    rounded to seconds once, before the next rotation or toggle is
-    written or the restore, so a run of drift with nothing between is
-    one delay.  A piece of a cell is written on its own: the two halves
-    of a cell stay equal."""
+    rounded to seconds once, just before the next pulse a flush writes or
+    by the restore.  A piece of a cell is written on its own: the two
+    halves of a cell stay equal."""
 
     def __init__(self, program: PulseProgram):
         self.program = program
@@ -664,9 +641,12 @@ class _Frame:
                 self.toggled ^= 1 << s
 
     def flush(self) -> None:
-        """Write what each spin holds: at most two pulses."""
+        """Write what each spin holds, at most two pulses, after the drift
+        held so far."""
         kinds, sites, axes, values = self.columns
         toggled = self.toggled
+        if toggled and self.pending:
+            self.write_delay()
         while toggled:
             q = (toggled & -toggled).bit_length() - 1
             toggled &= toggled - 1
@@ -681,10 +661,13 @@ class _Frame:
             if v[0] == v[3] == 0:
                 # b is pi, and Rx(pi) Rz(c) = Rz(-c) Rx(pi)
                 a, c = a - c, 0.0
-            k = round(c / _HALF_PI)
             if b <= TOL_ROTATION:
                 carried[q] = a + c
-            elif -TOL_ROTATION <= c - k * _HALF_PI <= TOL_ROTATION:
+                continue
+            if self.pending:
+                self.write_delay()
+            k = round(c / _HALF_PI)
+            if -TOL_ROTATION <= c - k * _HALF_PI <= TOL_ROTATION:
                 # Rx(b) Rz(k*pi/2) = Rz(k*pi/2) R(b) about x, -y, -x or y
                 carried[q] = a + k * _HALF_PI
                 k %= 4
@@ -706,7 +689,6 @@ class _Frame:
         """Hold ``ticks`` of drift, a piece of a cell if ``cell``."""
         if ticks > 0:
             if self.held or self.toggled:
-                self.write_delay()
                 self.flush()
             if cell:
                 self.write_delay()
@@ -721,11 +703,11 @@ class _Frame:
             self.pending = 0
 
     def restore(self) -> None:
-        """Toggle every spin that is still flipped, write the drift held,
-        what is held and then each z turn still carried."""
+        """Toggle every spin that is still flipped, write the drift held
+        and what is held, then each z turn still carried."""
         self.toggle([q for q, f in enumerate(self.flipped) if f])
-        self.write_delay()
         self.flush()
+        self.write_delay()
         for q, a in enumerate(self.carried):
             a, m = _fold(a)
             self.quarters += 2 * m
@@ -920,17 +902,13 @@ def synthesize_pulses(gates: GateList, chain: ChainSpec) -> PulseProgram:
     needs it however long the epoch.  A switch is an offset inside one
     stretch's delay, which it splits; delays are never lengthened, and
     each run of drift with no pulse between is one delay, rounded to
-    seconds once, where it is written.  A cell (see :func:`_timeline`)
+    seconds once, where the frame writes it, just before the next
+    pulse.  A cell (see :func:`_timeline`)
     bounds every epoch on both sides, so its switches fall at 0 or
     exactly half its delay, and its pieces are written on their own.
 
-    The rotations that start at a breakpoint go before its stretch, in
-    list order, and a y or z rotation on a flipped spin is taken with
-    its angle negated.  Each spin's rotations and toggles between two
-    delays are written at the second as at most two pulses, and its
-    trailing z turn is carried on (:class:`_Frame`).  The program ends
-    by toggling every spin that is still flipped and writing the z
-    turns still carried.
+    :class:`_Frame` writes the rotations and toggles, fused, and the
+    delays, and the restore at the end.
     """
     at, phase = _place(gates, chain)
     steps, epochs = _timeline(gates, chain, at)
@@ -945,7 +923,6 @@ def synthesize_pulses(gates: GateList, chain: ChainSpec) -> PulseProgram:
     end = [0] * (chain.n - 1)
     for step in steps:
         if type(step) is list:
-            frame.write_delay()
             frame.turns(step, gates)
             continue
         start, stop, opens, cell = step

@@ -42,6 +42,8 @@ from kakpulse.networks import (
     end_rows,
     full_route,
     ladder_pi_count,
+    layer_masks,
+    lowering_route,
     nonzero_letters,
     open_route,
     parity_points,
@@ -364,3 +366,38 @@ def test_a_route_must_hold_a_carried_string():
     with pytest.raises(ValidationError, match="never holds the parity of Z1Z1"):
         CartanNode(element, ())
     CartanNode(element, ((2, 3), (1, 2), (2, 3)))
+
+
+def never_held(k):
+    """The leading-spin Z masks whose parity :func:`full_route` never
+    holds, on a spin or on a pair."""
+    points = parity_points(full_route(k), k)
+    return [m for m in range(1, 1 << (k - 1)) if m not in points]
+
+
+def test_counts_of_strings_the_route_never_holds():
+    assert [len(never_held(k)) for k in (4, 5, 6)] == [1, 7, 12]
+
+
+@pytest.mark.parametrize("k, mask", [(k, m) for k in (4, 5, 6)
+                                     for m in never_held(k)])
+@pytest.mark.parametrize("family", NETWORK_FAMILIES, ids=lambda f: f.value)
+@pytest.mark.parametrize("beside", [False, True], ids=["alone", "beside"])
+def test_a_string_the_route_never_holds_takes_ladders(k, mask, family,
+                                                      beside):
+    """A layer may carry any Z string of its leading spins.  Where the
+    full route never holds its parity, the layer takes no route, opens
+    none and takes no moved phase, and its ladders lower it exactly,
+    alone and beside family strings."""
+    rng = np.random.default_rng(k * 1000 + mask)
+    coeffs = ({s: float(rng.uniform(-2, 2)) for s in family.strings(k)}
+              if beside else {})
+    coeffs[z_string(mask, k)] = 0.9
+    element = CartanElement(k, family, coeffs)
+    letters = nonzero_letters(element)
+    assert lowering_route(element) is None
+    assert closed_route(k, letters) is open_route(k, letters) is None
+    assert layer_masks(element) == (None, None)
+    node = CartanNode(element)
+    assert np.max(np.abs(gate_list_unitary(flatten(node), k)
+                         - evaluate(node, k))) < 1e-10

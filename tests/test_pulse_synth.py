@@ -33,8 +33,10 @@ from kakpulse import (
     ValidationError,
     cartan_evolution_gates,
     compile_unitary,
+    decompose,
     distance,
     expm_skew,
+    flatten,
     gate_list_from_json,
     gate_list_spin_bound,
     gate_list_unitary,
@@ -61,6 +63,7 @@ from artifact_oracle import (
     zz_row,
 )
 from test_simulator import skewed_chain_corpus
+from test_structured_targets import CHAIN_J, TARGETS
 
 SIGMA = {
     "1": np.eye(2, dtype=complex),
@@ -612,21 +615,39 @@ def test_leaf_phases_shorten_haar_programs(n, seconds, pulses):
     assert pulse_count(program) <= pulses
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def back_to_back_delays(program):
+    kinds = program.kinds
+    return sum(a == b == "delay" for a, b in zip(kinds, kinds[1:]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_one_delay_per_run_of_drift(n):
     """Drift with no pulse between is written as one delay: no two delays
     of a Haar program stand back to back (71 pairs at n = 5, where a
-    stretch ended at a coupling's end with nothing to write there)."""
+    stretch ended at a coupling's end with nothing to write there, and
+    one at n = 7, where a run of turns fused to no pulse)."""
     _, program = haar_program(n)
-    kinds = program.kinds
-    assert not any(a == b == "delay" for a, b in zip(kinds, kinds[1:]))
+    assert back_to_back_delays(program) == 0
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("target", TARGETS, ids=lambda f: f.__name__)
+def test_one_delay_per_run_of_drift_on_structured_targets(target, n):
+    """Runs of turns that fuse to no pulse do not split a delay either:
+    the frame writes its held drift just before the next pulse.  Before
+    it did, the structured targets wrote 25 pairs of delays back to back
+    at n = 4 and 5 on these two chains, 12 of them on ``qft(5)``."""
+    gates = flatten(decompose(target(n)))
+    for chain in (ChainSpec.uniform(n, 100.0), ChainSpec(n, CHAIN_J[:n - 1])):
+        assert back_to_back_delays(synthesize_pulses(gates, chain)) == 0
 
 
 def flushes(gates, chain):
     """``(program, gaps)``: the program scheduled for ``gates`` and, for
     each time its frame writes the turns of a gap, ``(free, written)``:
     the mask of the spins with an x or y rotation in the gap, and the
-    rows written for each spin."""
+    pulse rows written for each spin.  The delay that the frame writes
+    before a gap's first pulse is not a row of the gap."""
     honest = kakpulse.pulses._Frame.flush
     gaps = []
 
@@ -636,7 +657,8 @@ def flushes(gates, chain):
         honest(frame)
         written = {}
         for row in list(zip(*frame.program.columns()))[before:]:
-            written.setdefault(row[1], []).append(row)
+            if row[0] == "pulse":
+                written.setdefault(row[1], []).append(row)
         gaps.append((free, written))
 
     with mock.patch.object(kakpulse.pulses._Frame, "flush", flush):

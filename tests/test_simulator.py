@@ -16,7 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kakpulse import (
@@ -706,14 +706,17 @@ def test_evaluate_matches_oracle_on_random_trees(data):
     assert np.max(np.abs(got - oracle_tree(tree, n))) < 1e-12
 
 
-@given(data=st.data())
+@given(case=st.integers(1, 5).flatmap(
+    lambda n: st.tuples(st.just(n), trees(n))))
+@example(case=(5, SequenceNode((CartanNode(CartanElement(
+    5, CartanFamily.OUTER_X, {"Z11Z1": 1.0})),))))
 @settings(max_examples=50, deadline=None)
-def test_flatten_matches_evaluate_on_random_trees(data):
+def test_flatten_matches_evaluate_on_random_trees(case):
     """Lowering reproduces the tree on any shape ``decompose`` never emits:
     any family on fewer spins than the chain, two-spin ``MAXIMAL``
-    middles with coefficients outside the canonical chamber."""
-    n = data.draw(st.integers(1, 5))
-    tree = data.draw(trees(n))
+    middles with coefficients outside the canonical chamber, leading-spin
+    Z strings whose parity the full route never holds."""
+    n, tree = case
     got = gate_list_unitary(flatten(tree), n)
     assert np.max(np.abs(got - evaluate(tree, n))) < 1e-10
 
@@ -826,19 +829,24 @@ def scheduled_epochs(gates, chain):
     seconds of drift in each of its epochs, in the Pauli frame of the
     pulses; by spin, how often that frame flips it.
 
-    All that is recorded while the program is written is how many delays
-    stand before each rotation the scheduler hands to the frame.  A
-    spin's pulses are fused from its rotations and flips, so at each
-    delay its flip is read off its pulses so far times the inverse of
-    its rotations so far (:func:`frame_side`); an epoch of a pair opens
-    where an x or y rotation on one of its spins is handed in.  After
-    the last pulse each spin's two products agree up to a phase."""
+    All that is recorded while the program is written is the scheduler's
+    clock at each rotation it hands to the frame: the delays written
+    before it and the drift the frame holds, not yet written.  Held
+    drift goes into the next delay, so a rotation handed in with drift
+    held falls inside that delay, which is split there, or at its end.
+    A spin's pulses are fused from its rotations and flips, so at each
+    piece of drift its flip is read off its pulses so far times the
+    inverse of its rotations so far (:func:`frame_side`); an epoch of a
+    pair opens where an x or y rotation on one of its spins is handed
+    in.  After the last pulse each spin's two products agree up to a
+    phase."""
     honest = kakpulse.pulses._Frame.turns
-    handed = []  # (delays before it, row) of each rotation
+    handed = []  # (delays before it, seconds held, row) of each rotation
 
     def turns(self, run, turned):
-        before = self.program.kinds.count("delay")
-        handed.extend((before, turned[i]) for i in run)
+        clock = (self.program.kinds.count("delay"),
+                 self.pending / kakpulse.pulses._TICK)
+        handed.extend((*clock, turned[i]) for i in run)
         honest(self, run, turned)
 
     with mock.patch.object(kakpulse.pulses._Frame, "turns", turns):
@@ -849,9 +857,10 @@ def scheduled_epochs(gates, chain):
     flipped, flips = [False] * (n + 1), [0] * (n + 1)
     epochs = {k: [[]] for k in range(1, n)}
 
-    def hand_in(delays):
-        while handed and handed[0][0] <= delays:
-            _, (_, q, axis, angle) = handed.pop(0)
+    def hand_in(delays, held):
+        while handed and (handed[0][0] < delays
+                          or handed[0][0] == delays and handed[0][1] <= held):
+            _, _, (_, q, axis, angle) = handed.pop(0)
             rotations[q] = turn(axis, angle) @ rotations[q]
             if axis != "z":
                 for k in (q - 1, q):
@@ -864,25 +873,34 @@ def scheduled_epochs(gates, chain):
             flips[q] += side != flipped[q]
             flipped[q] = side
 
+    def drift(seconds):
+        read_flips()
+        for k, epoch in epochs.items():
+            epoch[-1].append(-seconds if flipped[k] != flipped[k + 1]
+                             else seconds)
+
     delays = 0
     for kind, q, axis, value in program:
         if kind == "pulse":
             assert axis in SIGMA
             pulses[q] = turn(axis, value) @ pulses[q]
             continue
-        hand_in(delays)
-        read_flips()
-        for k, drift in epochs.items():
-            drift[-1].append(-value if flipped[k] != flipped[k + 1] else value)
+        hand_in(delays, 0.0)
+        done = 0.0  # seconds of this delay read so far
+        while handed and handed[0][0] == delays and handed[0][1] < value:
+            drift(handed[0][1] - done)
+            done = handed[0][1]
+            hand_in(delays, done)
+        drift(value - done)
         delays += 1
-    hand_in(delays)
+    hand_in(delays, 0.0)
     assert not handed
     read_flips()
     for q in range(1, n + 1):
         m = pulses[q] @ rotations[q].conj().T
         assert abs(m[0, 0] - m[1, 1]) < 1e-9, m
-    return program, {k: [math.fsum(d) for d in drift]
-                     for k, drift in epochs.items()}, flips
+    return program, {k: [math.fsum(d) for d in epoch]
+                     for k, epoch in epochs.items()}, flips
 
 
 @given(data=st.data())
